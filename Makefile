@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench bench-infer bench-ingest bench-cep bench-json bench-check cover experiments experiments-full tools clean
+.PHONY: all build test race bench benchmark bench-infer bench-ingest bench-cep bench-json bench-check cover experiments experiments-full tools clean
 
 all: build test
 
@@ -19,15 +19,20 @@ race:
 bench:
 	go test -run '^$$' -bench=. -benchmem ./...
 
+# The end-to-end benchmark BENCHMARK.json declares: four replayed
+# workloads, one process each; see benchmark/README.md.
+benchmark:
+	go run ./benchmark -workload all
+
 # Component-sharded inference benchmarks: serial full sweep, 4-way worker
 # fan-out, and cached steady state, with allocation counts.
 bench-infer:
 	go test -run '^$$' -bench 'InferComponents' -benchmem ./internal/inference/
 
 # Ingest front-half throughput: the bench-ingest experiment (readings/s
-# vs tag population, reference vs batched path) plus the per-stage Go
+# vs tag population through the one ingest path) plus the per-stage Go
 # benchmarks. CI runs this in the bench-regression job and uploads
-# BENCH_ingest.json; the committed baseline gates the serial rows via
+# BENCH_ingest.json; the committed baseline gates the rows via
 # spirebenchdiff (as part of bench-check's -expt all run).
 bench-ingest:
 	go run ./cmd/spirebench -quick -expt bench-ingest -json BENCH_ingest.json
@@ -71,6 +76,8 @@ tools:
 	go build -o bin/spirebenchdiff ./cmd/spirebenchdiff
 	go build -o bin/spirequery ./cmd/spirequery
 	go build -o bin/spiredecompress ./cmd/spiredecompress
+	go build -o bin/spirefed ./cmd/spirefed
+	go build -o bin/spirezone ./cmd/spirezone
 
 clean:
 	rm -rf bin

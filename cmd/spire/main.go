@@ -101,7 +101,6 @@ func run() error {
 		adaptive = flag.Bool("adaptive-beta", false, "use the adaptive β heuristic")
 		prune    = flag.Float64("prune", 0, "edge prune threshold (0 = off)")
 		inferW   = flag.Int("infer-workers", 0, "inference worker-pool width (0 = GOMAXPROCS, 1 = serial); outputs are identical for any value")
-		ingestW  = flag.Int("ingest-workers", 0, "batched-ingest worker-pool width for sharded dedup and the reader-group-parallel graph update (0 = GOMAXPROCS, 1 = serial); outputs are identical for any value")
 
 		ckptPath  = flag.String("checkpoint", "", "write atomic pipeline snapshots to this file")
 		ckptEvery = flag.Int("checkpoint-every", 60, "epochs between checkpoints (with -checkpoint)")
@@ -146,9 +145,6 @@ func run() error {
 	if *inferW < 0 {
 		return fmt.Errorf("-infer-workers %d must be >= 0", *inferW)
 	}
-	if *ingestW < 0 {
-		return fmt.Errorf("-ingest-workers %d must be >= 0", *ingestW)
-	}
 	var sub *core.Substrate
 	if *restore != "" {
 		// A snapshot is self-contained: it carries the reader deployment
@@ -177,10 +173,6 @@ func run() error {
 			return err
 		}
 	}
-
-	// The ingest pool is runtime tuning like the inference pool: applied
-	// to fresh and restored substrates alike, never persisted.
-	sub.SetIngestWorkers(*ingestW)
 
 	// Telemetry is opt-in: with no registry the substrate keeps its
 	// uninstrumented hot path. Instrument after the restore branch so a

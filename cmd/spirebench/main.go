@@ -174,20 +174,10 @@ func headline(exps []benchExperiment) map[string]float64 {
 				}
 			case "bench-ingest":
 				// Gate seconds per million readings (larger is worse) at
-				// the largest population. The wide-width figures are
-				// recorded for the chart but not gated: they depend on
-				// the host's core count.
-				if len(last.Values) == 4 {
-					if last.Values[0] > 0 {
-						h["ingest_ref_s_per_mread"] = 1e6 / last.Values[0]
-					}
-					if last.Values[1] > 0 {
-						h["ingest_batch1_s_per_mread"] = 1e6 / last.Values[1]
-					}
-					if last.Values[2] > 0 {
-						h["ingest_batchn_s_per_mread"] = 1e6 / last.Values[2]
-					}
-					h["ingest_batch_speedup"] = last.Values[3]
+				// the largest population. The key keeps the name the
+				// committed baseline recorded for this path.
+				if len(last.Values) == 2 {
+					h["ingest_batch1_s_per_mread"] = last.Values[1]
 				}
 			case "bench-zones":
 				// Gate the single-substrate cost (serial); the federated
@@ -218,10 +208,8 @@ func headline(exps []benchExperiment) map[string]float64 {
 			case "zones-worker-feed":
 				// Gate the batch feed's per-zone ingest cost at the
 				// largest zone count — the quantity the columnar feed
-				// keeps flat as the deployment grows. The obs column is
-				// the contrast and scales with population by
-				// construction, so it is recorded but not gated.
-				if len(last.Values) == 3 {
+				// keeps flat as the deployment grows.
+				if len(last.Values) == 2 {
 					h["zones_worker_feed_s_per_mevent"] = last.Values[0]
 				}
 			case "ingest-stages":

@@ -35,12 +35,9 @@ var gatedKeys = []string{
 	// clean components again fails the build rather than just slowing it.
 	"infercomp_serial_s",
 	"infercomp_dirty_node_frac",
-	// Batched ingest: seconds per million readings through the serial
-	// reference and batched front halves at the largest population, and
-	// the three per-stage baselines (decode, dedup, update). All are
-	// serial (width 1) so they compare across hosts with different core
-	// counts; the wide-width throughput and speedup are informational.
-	"ingest_ref_s_per_mread",
+	// Ingest: seconds per million readings through the front half (dedup
+	// + graph update) at the largest population, and the three per-stage
+	// baselines (decode, dedup, update).
 	"ingest_batch1_s_per_mread",
 	"ingest_decode_s_per_mread",
 	"ingest_dedup_s_per_mread",
@@ -58,9 +55,7 @@ var gatedKeys = []string{
 	// The sharded parallel merge over the same slates (one MergeEpoch per
 	// epoch barrier) and the batch-feed worker's per-zone ingest cost at
 	// the largest zone count. The worker-feed number is what the columnar
-	// feed keeps flat as the deployment grows; the obs-feed contrast
-	// column scales with population by construction and stays
-	// informational.
+	// feed keeps flat as the deployment grows.
 	"zones_merge_par_s_per_mevent",
 	"zones_worker_feed_s_per_mevent",
 	// Subscription-engine dispatch: seconds per million events with no

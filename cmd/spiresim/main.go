@@ -80,8 +80,6 @@ func run() error {
 		excD    = flag.Int64("excursion-dwell", int64(cfg.ExcursionDwell), "epochs an excursed cold case dwells on a warm shelf")
 		shufI   = flag.Int64("cold-shuffle-interval", int64(cfg.ColdShuffleInterval), "epochs between benign cold-case shuffles (0 = none; needs -cold-case-period)")
 		shufD   = flag.Int64("cold-shuffle-dwell", int64(cfg.ColdShuffleDwell), "epochs a shuffled cold case dwells on a warm shelf")
-		inferW  = flag.Int("infer-workers", 0, "accepted for symmetry with cmd/spire; the generator runs no inference, so this does not affect the stream")
-		ingestW = flag.Int("ingest-workers", 0, "accepted for symmetry with cmd/spire; the generator runs no ingest pipeline, so this does not affect the stream")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve GET /metrics (Prometheus text format) on this address while generating")
 		telDump     = flag.Bool("telemetry-dump", false, "print a final metrics snapshot to stderr")
@@ -99,12 +97,6 @@ func run() error {
 		return err
 	}
 	logMain := logging.Component("spiresim")
-	if *inferW < 0 {
-		return fmt.Errorf("-infer-workers %d must be >= 0", *inferW)
-	}
-	if *ingestW < 0 {
-		return fmt.Errorf("-ingest-workers %d must be >= 0", *ingestW)
-	}
 
 	cfg.Seed = *seed
 	cfg.Duration = model.Epoch(*dur)

@@ -6,13 +6,10 @@
 // a full interpretation substrate, and streams the per-epoch compressed
 // output to the federation coordinator (cmd/spirefed) at -addr.
 //
-// By default the worker consumes the columnar zone-batch feed
-// (-feed=batch): the simulation observes only this zone's readers into
-// reusable columns and the substrate ingests them without per-reading
-// staging, so a zone's ingest cost scales with its own traffic, not the
-// whole deployment's. -feed=obs selects the original per-epoch
-// observation feed. The two modes are distinct deterministic traces, so
-// every zone in a cluster must use the same mode.
+// The worker consumes the columnar zone-batch feed: the simulation
+// observes only this zone's readers into reusable columns and the
+// substrate ingests them without per-reading staging, so a zone's ingest
+// cost scales with its own traffic, not the whole deployment's.
 //
 // The connection is resilient: the worker retries with capped
 // exponential backoff, keeps every un-acked epoch in a replay buffer,
@@ -69,7 +66,6 @@ func run() error {
 		ckptEvery   = flag.Int64("checkpoint-every", 50, "epochs between checkpoint snapshots")
 		ackWindow   = flag.Int("ack-window", 64, "max epochs in flight past the coordinator's acks")
 		jitterSeed  = flag.Int64("jitter-seed", 0, "seed for reconnect-backoff jitter (0 derives one from the clock and zone)")
-		feed        = flag.String("feed", "batch", "zone feed mode: 'batch' (columnar zone-batch ingest) or 'obs' (per-epoch observation staging); every zone in a cluster must use the same mode")
 		metricsAddr = flag.String("metrics-addr", "", "serve the worker health plane on this address: /metrics, /v1/cluster, /healthz, /readyz, /debug/fedtrace")
 		pprofFlag   = flag.Bool("pprof", false, "also serve /debug/pprof on -metrics-addr")
 		logSpec     = flag.String("log-level", "", "log level (debug|info|warn|error), optionally per component: 'warn,federate=debug'")
@@ -168,26 +164,12 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	// The two feed modes are distinct deterministic traces (zone-batch
-	// observation draws from per-reader RNG streams; the observation feed
-	// draws from the simulation's stepping RNG), so a cluster must agree
-	// on the mode or the zones interpret different warehouses.
-	switch *feed {
-	case "batch":
-		streams, err := s.PartitionZonesBatch(*zones)
-		if err != nil {
-			return err
-		}
-		if err := w.RunBatches(ctx, streams[*zone]); err != nil {
-			return err
-		}
-	case "obs":
-		src := sim.NewZoneStream(s, sim.ZoneOfReaders(parts), *zone)
-		if err := w.Run(ctx, src); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("-feed %q: want 'batch' or 'obs'", *feed)
+	streams, err := s.PartitionZonesBatch(*zones)
+	if err != nil {
+		return err
+	}
+	if err := w.RunBatches(ctx, streams[*zone]); err != nil {
+		return err
 	}
 	st := sub.Stats()
 	logf("zone %d: done — %d epochs, %d readings, %d events (%d bytes)",

@@ -3,31 +3,28 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"spire/internal/epc"
 	"spire/internal/event"
 	"spire/internal/model"
-	"spire/internal/sim"
 )
 
-// The batched ingest path is a pure performance representation: for every
-// ingest worker width, ProcessBatch must reproduce ProcessEpoch's event
-// stream, query store, and snapshots bit for bit, at both compression
-// levels. These tests pin the cross-path equivalence directly; the golden
-// corpus (golden_test.go) additionally pins the Runner's batch routing
-// against committed SHA-256 digests.
+// ProcessEpoch is an edge adapter: it stages the observation into a
+// substrate-owned batch and hands it to ProcessBatch. These tests pin
+// that the adapter adds nothing — same events, query store, snapshots and
+// errors as feeding the equivalent batch directly; the golden corpus
+// (golden_test.go) pins both against committed SHA-256 digests.
 
-// runTraceBatch mirrors runTraceSnap but drives the batched path with a
-// fixed ingest width, converting each observation through a reused batch
-// the way the Runner does.
-func runTraceBatch(t *testing.T, sub *Substrate, trace []*model.Observation, mid, workers int) (perEpoch [][]event.Event, closing []event.Event, midSnap, endSnap []byte) {
+// runTraceBatch mirrors runTraceSnap but feeds ProcessBatch directly,
+// converting each observation through a caller-owned reused batch.
+func runTraceBatch(t *testing.T, sub *Substrate, trace []*model.Observation, mid int) (perEpoch [][]event.Event, closing []event.Event, midSnap, endSnap []byte) {
 	t.Helper()
-	sub.SetIngestWorkers(workers)
 	var b model.Batch
 	perEpoch = make([][]event.Event, len(trace))
 	for i, o := range trace {
-		out, err := sub.ProcessBatch(b.FromObservation(o.Clone()))
+		out, err := sub.ProcessBatch(b.FromObservation(o))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,13 +47,13 @@ func runTraceBatch(t *testing.T, sub *Substrate, trace []*model.Observation, mid
 	return perEpoch, closing, midSnap, buf.Bytes()
 }
 
-// TestIngestWorkersByteIdentity is the end-to-end determinism pin of the
-// batched ingest path: for ingest widths {0 (GOMAXPROCS), 1, 2, 4, 8} the
-// ProcessBatch run reproduces the ProcessEpoch reference bit for bit —
-// events, query store, mid-run and final snapshots — at both compression
-// levels, and a mid-run restore retuned like the CLI's -ingest-workers
-// flag replays the tail identically.
-func TestIngestWorkersByteIdentity(t *testing.T) {
+// TestProcessEpochAdapterByteIdentity runs one trace through the adapter
+// and through ProcessBatch directly — events, query store, mid-run and
+// final snapshots must match at both compression levels — and checks that
+// a substrate restored from the adapter run's mid-run snapshot replays the
+// tail through ProcessBatch identically. The adapter must also leave the
+// caller's observation untouched.
+func TestProcessEpochAdapterByteIdentity(t *testing.T) {
 	trace, s := buildTrace(t, 120)
 	mid := len(trace) / 2
 	for _, level := range []CompressionLevel{Level1, Level2} {
@@ -67,40 +64,32 @@ func TestIngestWorkersByteIdentity(t *testing.T) {
 			refBytes := encodeEvents(t, refFull)
 			refStore := feedStore(t, refFull)
 			if len(refBytes) == 0 {
-				t.Fatal("reference run produced no events")
+				t.Fatal("adapter run produced no events")
 			}
 
-			for _, workers := range []int{0, 1, 2, 4, 8} {
-				name := fmt.Sprintf("ingest-workers=%d", workers)
-				sub := newSubstrate(t, s, level)
-				perEpoch, closing, midSnap, endSnap := runTraceBatch(t, sub, trace, mid, workers)
-				full := flatten(perEpoch, closing)
-				if !bytes.Equal(encodeEvents(t, full), refBytes) {
-					t.Fatalf("%s: event stream differs from ProcessEpoch reference (%d vs %d events)",
-						name, len(full), len(refFull))
-				}
-				if !bytes.Equal(midSnap, refMid) {
-					t.Fatalf("%s: mid-run snapshot differs from reference", name)
-				}
-				if !bytes.Equal(endSnap, refEnd) {
-					t.Fatalf("%s: final snapshot differs from reference", name)
-				}
-				compareStores(t, feedStore(t, full), refStore, name)
+			sub := newSubstrate(t, s, level)
+			perEpoch, closing, midSnap, endSnap := runTraceBatch(t, sub, trace, mid)
+			full := flatten(perEpoch, closing)
+			if !bytes.Equal(encodeEvents(t, full), refBytes) {
+				t.Fatalf("ProcessBatch event stream differs from the adapter's (%d vs %d events)",
+					len(full), len(refFull))
 			}
+			if !bytes.Equal(midSnap, refMid) {
+				t.Fatal("mid-run snapshot differs")
+			}
+			if !bytes.Equal(endSnap, refEnd) {
+				t.Fatal("final snapshot differs")
+			}
+			compareStores(t, feedStore(t, full), refStore, "ProcessBatch")
 
-			// Restore from the mid-run snapshot, retune the pools the way
-			// the CLI's -ingest-workers flag does after a restore, and
-			// replay the tail through the batched path: the combined stream
-			// must still match the uninterrupted reference run.
 			rsub, err := RestoreSubstrate(bytes.NewReader(refMid))
 			if err != nil {
 				t.Fatal(err)
 			}
-			rsub.SetIngestWorkers(8)
 			var b model.Batch
 			streamEvs := flatten(refEpochs[:mid+1], nil)
 			for _, o := range trace[mid+1:] {
-				out, err := rsub.ProcessBatch(b.FromObservation(o.Clone()))
+				out, err := rsub.ProcessBatch(b.FromObservation(o))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -108,22 +97,38 @@ func TestIngestWorkersByteIdentity(t *testing.T) {
 			}
 			streamEvs = append(streamEvs, rsub.Close(trace[len(trace)-1].Time+1)...)
 			if !bytes.Equal(encodeEvents(t, streamEvs), refBytes) {
-				t.Fatal("restore + SetIngestWorkers(8) replay not byte-identical")
+				t.Fatal("restore + replay not byte-identical")
+			}
+
+			// Dedup and tombstone filtering compact the staged batch, never
+			// the observation handed in.
+			asub := newSubstrate(t, s, level)
+			for _, o := range trace {
+				want, readers := o.Readings(), len(o.ByReader)
+				if _, err := asub.ProcessEpoch(o); err != nil {
+					t.Fatal(err)
+				}
+				if len(o.ByReader) != readers || !reflect.DeepEqual(o.Readings(), want) {
+					t.Fatalf("epoch %d: ProcessEpoch modified its observation", o.Time)
+				}
 			}
 		})
 	}
 }
 
-// TestProcessBatchErrorParity pins the error contract against
-// ProcessEpoch: same nil-input, non-monotonic-epoch, and unknown-reader
-// errors, with known readers' groups already applied when the
-// unknown-reader error surfaces (exactly the reference semantics).
+// TestProcessBatchErrorParity pins the error contract on both entry
+// points: nil-input, non-monotonic-epoch, and unknown-reader errors read
+// the same through the adapter as through ProcessBatch, with known
+// readers' groups already applied when the unknown-reader error surfaces.
 func TestProcessBatchErrorParity(t *testing.T) {
 	s := fastSim(t, nil)
 	sub := newSubstrate(t, s, Level1)
 
 	if _, err := sub.ProcessBatch(nil); err == nil {
 		t.Fatal("nil batch must error")
+	}
+	if _, err := sub.ProcessEpoch(nil); err == nil {
+		t.Fatal("nil observation must error")
 	}
 
 	known := s.Readers()[0]
@@ -142,10 +147,25 @@ func TestProcessBatchErrorParity(t *testing.T) {
 		t.Fatal("known reader's group must be applied before the unknown-reader error")
 	}
 
-	// The failed epoch still consumed its timestamp, as with ProcessEpoch.
+	// The failed epoch still consumed its timestamp.
 	b2 := model.NewBatch(1)
-	if _, err := sub.ProcessBatch(b2); err == nil {
+	_, err = sub.ProcessBatch(b2)
+	if err == nil {
 		t.Fatal("non-monotonic epoch must error")
+	}
+	if _, aerr := sub.ProcessEpoch(model.NewObservation(1)); aerr == nil || aerr.Error() != err.Error() {
+		t.Fatalf("adapter non-monotonic error %v, batch %v", aerr, err)
+	}
+
+	asub := newSubstrate(t, s, Level1)
+	o := model.NewObservation(1)
+	o.Add(known.ID, item)
+	o.Add(known.ID+1000, item)
+	if _, err := asub.ProcessEpoch(o); err == nil || err.Error() != want {
+		t.Fatalf("adapter unknown reader: got %v, want %q", err, want)
+	}
+	if n := asub.Graph().Node(item); n == nil {
+		t.Fatal("adapter: known reader's group must be applied before the unknown-reader error")
 	}
 
 	bad := model.NewBatch(2)
@@ -154,95 +174,4 @@ func TestProcessBatchErrorParity(t *testing.T) {
 	if _, err := sub.ProcessBatch(bad); err == nil {
 		t.Fatal("invalid batch must error")
 	}
-}
-
-// runGatedEpochPath is the cross-path reference for the fuzz target: the
-// same ingest gate the Runner uses, but feeding ProcessEpoch.
-func runGatedEpochPath(t *testing.T, sub *Substrate, cfg RunnerConfig, delivery []*model.Observation) []event.Event {
-	t.Helper()
-	gate := newIngestGate(cfg.Ingest, sub.LastEpoch())
-	var evs []event.Event
-	process := func(obs []*model.Observation) {
-		for _, o := range obs {
-			out, err := sub.ProcessEpoch(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			evs = append(evs, out.Events...)
-		}
-	}
-	for _, o := range delivery {
-		process(gate.Offer(o.Clone()))
-	}
-	process(gate.Drain())
-	return append(evs, sub.Close(sub.LastEpoch()+1)...)
-}
-
-// FuzzIngestBatchEquivalence drives fault-injected delivery sequences
-// (duplicates, swaps, lost epochs, dropout bursts) through the repairing
-// ingest gate into the batched Runner path at several ingest widths and
-// demands output streams and snapshots identical to the ProcessEpoch
-// reference. The faults come from the fuzzed parameters, so the fuzzer
-// explores the space of broken reader feeds.
-func FuzzIngestBatchEquivalence(f *testing.F) {
-	cfg := sim.DefaultConfig()
-	cfg.Duration = 80
-	cfg.PalletInterval = 40
-	cfg.ItemsPerCase = 3
-	cfg.ShelfTime = 60
-	cfg.ShelfPeriod = 10
-	s, err := sim.New(cfg)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var trace []*model.Observation
-	for !s.Done() {
-		o, err := s.Step()
-		if err != nil {
-			f.Fatal(err)
-		}
-		trace = append(trace, o)
-	}
-
-	f.Add(int64(1), byte(0), byte(0), byte(0), byte(0), byte(0))
-	f.Add(int64(2), byte(30), byte(30), byte(10), byte(10), byte(3))
-	f.Add(int64(3), byte(60), byte(0), byte(25), byte(7), byte(2))
-	f.Add(int64(4), byte(0), byte(60), byte(0), byte(15), byte(5))
-	f.Fuzz(func(t *testing.T, seed int64, dup, swap, drop, burstEvery, burstLen byte) {
-		fcfg := sim.FaultConfig{
-			Seed:          seed,
-			DuplicateRate: float64(dup%64) / 100,
-			SwapRate:      float64(swap%64) / 100,
-			DropEpochRate: float64(drop%32) / 100,
-			DropoutEvery:  model.Epoch(burstEvery % 20),
-			DropoutLen:    model.Epoch(burstLen % 5),
-		}
-		delivery := sim.NewFaultInjector(fcfg).Apply(trace)
-		rcfg := RunnerConfig{Ingest: IngestConfig{Policy: IngestRepair}}
-
-		refSub := newSubstrate(t, s, Level2)
-		refEvents := encodeEvents(t, runGatedEpochPath(t, refSub, rcfg, delivery))
-		zeroWallClock(refSub) // snapshots embed wall-clock stage timings
-		var refSnap bytes.Buffer
-		if err := refSub.Snapshot(&refSnap); err != nil {
-			t.Fatal(err)
-		}
-
-		for _, workers := range []int{1, 4, 0} {
-			sub := newSubstrate(t, s, Level2)
-			sub.SetIngestWorkers(workers)
-			evs, _ := runGated(t, sub, rcfg, delivery)
-			if got := encodeEvents(t, evs); !bytes.Equal(got, refEvents) {
-				t.Fatalf("ingest-workers=%d: faulted stream output differs from ProcessEpoch reference", workers)
-			}
-			zeroWallClock(sub)
-			var snap bytes.Buffer
-			if err := sub.Snapshot(&snap); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(snap.Bytes(), refSnap.Bytes()) {
-				t.Fatalf("ingest-workers=%d: snapshot after faulted stream differs", workers)
-			}
-		}
-	})
 }

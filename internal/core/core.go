@@ -100,7 +100,6 @@ type EpochOutput struct {
 type Substrate struct {
 	cfg      Config
 	readers  map[model.ReaderID]*model.Reader
-	order    []model.ReaderID
 	exits    map[model.LocationID]bool
 	dedup    *dedup.Deduplicator
 	graph    *graph.Graph
@@ -110,10 +109,8 @@ type Substrate struct {
 	stats    Stats
 	lastNow  model.Epoch
 
-	// ingest bounds the batched-ingest worker pools (sharded dedup and
-	// reader-group-parallel graph update); 0 = GOMAXPROCS. Like the
-	// inference width it is runtime tuning, never persisted.
-	ingest int
+	// staged is the batch ProcessEpoch converts an observation into.
+	staged model.Batch
 
 	// groupReaders is the reused per-epoch scratch aligning a batch's
 	// reader groups with resolved *model.Reader entries (nil = unknown).
@@ -136,7 +133,7 @@ type Substrate struct {
 
 	// raw is the pooled KeepRawResult copy, reset and refilled each epoch
 	// instead of allocating fresh maps; it shares the Result lifetime
-	// contract of ProcessEpoch.
+	// contract of ProcessBatch.
 	raw inference.Result
 
 	// tombstones are tags already retired through an exit. A retired
@@ -199,9 +196,7 @@ func New(cfg Config) (*Substrate, error) {
 			return nil, fmt.Errorf("core: duplicate reader ID %d", r.ID)
 		}
 		s.readers[r.ID] = r
-		s.order = append(s.order, r.ID)
 	}
-	slices.Sort(s.order)
 	for _, l := range cfg.Locations {
 		if l.Exit {
 			s.exits[l.ID] = true
@@ -248,24 +243,39 @@ func (s *Substrate) Stats() Stats { return s.stats }
 // and allocation-free, mirroring the telemetry and trace contracts.
 func (s *Substrate) Watch(w *query.Watcher) { s.watch = w }
 
-// ProcessEpoch runs the full substrate over one epoch's observation:
-// dedup → graph update (per reader) → inference → conflict resolution →
-// compression → exit retirement.
-//
-// The Result and RawResult in the returned output reuse buffers owned by
-// the substrate: they stay valid until the next ProcessEpoch call. Callers
-// that retain an epoch's results longer — or ship them to another
-// goroutine, as Runner does — must Clone them first.
+// ProcessEpoch is the edge adapter for row-oriented feeds: Observation is
+// the boundary format, converted exactly once — here — into a
+// substrate-owned batch that ProcessBatch then consumes. The observation
+// itself is left untouched.
 func (s *Substrate) ProcessEpoch(o *model.Observation) (*EpochOutput, error) {
 	if o == nil {
 		return nil, fmt.Errorf("core: nil observation")
 	}
-	if o.Time <= s.lastNow {
-		return nil, fmt.Errorf("core: epoch %d not after previous epoch %d", o.Time, s.lastNow)
+	return s.ProcessBatch(s.staged.FromObservation(o))
+}
+
+// ProcessBatch runs the full substrate over one epoch's columnar batch:
+// dedup → graph update (per reader group) → inference → conflict
+// resolution → compression → exit retirement.
+//
+// The batch is consumed: deduplication and tombstone filtering compact
+// its columns in place. The Result and RawResult in the returned output
+// reuse buffers owned by the substrate: they stay valid until the next
+// call. Callers that retain an epoch's results longer — or ship them to
+// another goroutine, as Runner does — must Clone them first.
+func (s *Substrate) ProcessBatch(b *model.Batch) (*EpochOutput, error) {
+	if b == nil {
+		return nil, fmt.Errorf("core: nil batch")
 	}
-	s.lastNow = o.Time
-	now := o.Time
-	rawReadings := int64(o.Total())
+	if b.Time <= s.lastNow {
+		return nil, fmt.Errorf("core: epoch %d not after previous epoch %d", b.Time, s.lastNow)
+	}
+	if err := b.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	s.lastNow = b.Time
+	now := b.Time
+	rawReadings := int64(b.Total())
 	s.stats.Epochs++
 	s.stats.Readings += rawReadings
 	s.stats.RawBytes += rawReadings * stream.ReadingSize
@@ -286,31 +296,13 @@ func (s *Substrate) ProcessEpoch(o *model.Observation) (*EpochOutput, error) {
 		span.Epoch = now
 		span.Readings = rawReadings
 	}
-
-	s.dedup.Clean(o)
-	if len(s.tombstones) > 0 {
-		for r, tags := range o.ByReader {
-			reader, known := s.readers[r]
-			atExit := known && s.exits[reader.Location]
-			kept := tags[:0]
-			for _, g := range tags {
-				if _, dead := s.tombstones[g]; dead {
-					if atExit {
-						continue // residual reading of a departed object
-					}
-					delete(s.tombstones, g) // wrongly retired: resurrect
-					if rec != nil {
-						rec.Record(trace.Record{
-							Epoch: now, Tag: g, Mech: trace.MechResurrected,
-							Loc: model.LocationNone, Reader: r,
-						})
-					}
-				}
-				kept = append(kept, g)
-			}
-			o.ByReader[r] = kept
-		}
+	if tel != nil {
+		tel.IngestReadings.Add(rawReadings)
+		tel.IngestBatchBytes.Add(b.SizeBytes())
 	}
+
+	s.dedup.CleanBatch(b)
+	s.filterTombstones(b)
 
 	if timed {
 		next := time.Now()
@@ -323,18 +315,17 @@ func (s *Substrate) ProcessEpoch(o *model.Observation) (*EpochOutput, error) {
 	}
 
 	start := time.Now()
-	for _, id := range s.order {
-		tags, ok := o.ByReader[id]
-		if !ok {
-			continue
-		}
-		if err := s.graph.Update(s.readers[id], tags, now); err != nil {
-			return nil, err
-		}
+	readers := s.groupReaders[:0]
+	for i := range b.Groups {
+		readers = append(readers, s.readers[b.Groups[i].Reader])
 	}
-	for id := range o.ByReader {
-		if _, ok := s.readers[id]; !ok {
-			return nil, fmt.Errorf("core: reading from unknown reader %d", id)
+	s.groupReaders = readers
+	if err := s.graph.UpdateBatch(b, readers); err != nil {
+		return nil, err
+	}
+	for i, r := range readers {
+		if r == nil {
+			return nil, fmt.Errorf("core: reading from unknown reader %d", b.Groups[i].Reader)
 		}
 	}
 	s.stats.UpdateTime += time.Since(start)
@@ -351,12 +342,44 @@ func (s *Substrate) ProcessEpoch(o *model.Observation) (*EpochOutput, error) {
 	return s.finishEpoch(now, rawReadings, tel, rec, timed, mark, &span), nil
 }
 
-// finishEpoch runs the pipeline tail shared by ProcessEpoch and
-// ProcessBatch — inference, conflict resolution, compression, and exit
-// retirement — once the epoch's readings have been applied to the graph.
-// The two front halves are pinned byte-identical by the ingest
-// equivalence suite, so the tail sees indistinguishable graph state
-// whichever path ran.
+// filterTombstones compacts the tag column in place: an exit reader's
+// reading of a departed tag is a residual and is dropped; any other
+// reader's reading resurrects the tag (see Substrate.tombstones).
+func (s *Substrate) filterTombstones(b *model.Batch) {
+	if len(s.tombstones) == 0 {
+		return
+	}
+	w := int32(0)
+	for i := range b.Groups {
+		gr := &b.Groups[i]
+		reader, known := s.readers[gr.Reader]
+		atExit := known && s.exits[reader.Location]
+		start := w
+		for p := gr.Start; p < gr.End; p++ {
+			g := b.Tags[p]
+			if _, dead := s.tombstones[g]; dead {
+				if atExit {
+					continue // residual reading of a departed object
+				}
+				delete(s.tombstones, g) // wrongly retired: resurrect
+				if s.rec != nil {
+					s.rec.Record(trace.Record{
+						Epoch: b.Time, Tag: g, Mech: trace.MechResurrected,
+						Loc: model.LocationNone, Reader: gr.Reader,
+					})
+				}
+			}
+			b.Tags[w] = g
+			w++
+		}
+		gr.Start, gr.End = start, w
+	}
+	b.Tags = b.Tags[:w]
+}
+
+// finishEpoch runs the pipeline tail — inference, conflict resolution,
+// compression, and exit retirement — once the epoch's readings have been
+// applied to the graph.
 func (s *Substrate) finishEpoch(now model.Epoch, rawReadings int64, tel *Instruments, rec *trace.Recorder, timed bool, mark time.Time, span *trace.Span) *EpochOutput {
 	start := time.Now()
 	mode := s.schedule.ModeAt(now)

@@ -32,12 +32,6 @@ type Runner struct {
 	cfg       RunnerConfig
 	gate      *ingestGate
 	sinceCkpt int
-
-	// batch is the reused columnar staging buffer: every gated
-	// observation is converted once and processed through the batched
-	// ingest path, so the runner's steady state allocates no per-epoch
-	// reading storage.
-	batch model.Batch
 }
 
 // NewRunner wraps a substrate with default behavior (strict ingest, no
@@ -87,41 +81,8 @@ func (r *Runner) Run(ctx context.Context, in <-chan *model.Observation, out chan
 	}
 }
 
-// RunBatches is Run for a columnar feed: it consumes batches until the
-// input channel closes or the context is cancelled, bypassing the
-// observation staging entirely — the batch handed in is processed in
-// place (and consumed: the substrate compacts its columns), so a sender
-// reusing one batch per epoch must not touch it again until the runner
-// has received the next one. That is the stream.BatchReader scratch
-// discipline, and what lets a zone worker feed its substrate with zero
-// per-epoch reading allocation.
-//
-// The ingest gate applies exactly as in Run: strict and reject gate the
-// batch directly; repair (which must buffer and merge across epochs)
-// stages through an observation, trading the zero-copy path for the
-// reorder window. Outputs, stats, checkpoints, and the closing tail are
-// byte-identical to Run over the equivalent observation stream — the
-// differential suite pins this.
-func (r *Runner) RunBatches(ctx context.Context, in <-chan *model.Batch, out chan<- *EpochOutput) error {
-	defer close(out)
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case b, ok := <-in:
-			if !ok {
-				return r.finish(ctx, out)
-			}
-			if err := r.offerBatch(ctx, b, out); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// finish runs the end-of-input tail shared by Run and RunBatches: drain
-// the gate, emit the stream-closing events, and take the final
-// checkpoint.
+// finish runs the end-of-input tail: drain the gate, emit the
+// stream-closing events, and take the final checkpoint.
 func (r *Runner) finish(ctx context.Context, out chan<- *EpochOutput) error {
 	if err := r.process(ctx, r.drainGate(), out); err != nil {
 		return err
@@ -141,40 +102,6 @@ func (r *Runner) finish(ctx context.Context, out chan<- *EpochOutput) error {
 		}
 	}
 	return nil
-}
-
-// offerBatch applies the ingest gate to one batch and processes it. The
-// strict and reject policies need only the epoch ordering decision, so
-// they run on the batch directly; repair stages through an observation
-// because its reorder buffer holds epochs across calls.
-func (r *Runner) offerBatch(ctx context.Context, b *model.Batch, out chan<- *EpochOutput) error {
-	if r.gate.cfg.Policy == IngestRepair {
-		return r.process(ctx, r.offerGate(b.Observation()), out)
-	}
-	tel, rec := r.sub.tel, r.sub.rec
-	var start time.Time
-	if tel != nil || rec != nil {
-		start = time.Now()
-	}
-	accept := true
-	if r.gate.cfg.Policy == IngestReject && b.Time <= r.gate.last {
-		r.gate.stats.Stale++
-		accept = false
-	} else {
-		r.gate.last = b.Time
-		r.gate.stats.Accepted++
-	}
-	if tel != nil || rec != nil {
-		d := time.Since(start)
-		if tel != nil {
-			tel.StageIngest.Observe(d.Seconds())
-		}
-		rec.ObserveIngest(d.Nanoseconds())
-	}
-	if !accept {
-		return nil
-	}
-	return r.processOne(ctx, b, out)
 }
 
 // offerGate and drainGate run the ingest gate, recording the stage latency
@@ -213,38 +140,28 @@ func (r *Runner) drainGate() []*model.Observation {
 // outputs, and takes periodic checkpoints.
 func (r *Runner) process(ctx context.Context, obs []*model.Observation, out chan<- *EpochOutput) error {
 	for _, o := range obs {
-		if err := r.processOne(ctx, r.batch.FromObservation(o), out); err != nil {
-			return err
+		po, err := r.sub.ProcessEpoch(o)
+		if err != nil {
+			return fmt.Errorf("core: epoch %d: %w", o.Time, err)
 		}
-	}
-	return nil
-}
-
-// processOne runs the substrate over one gated batch, forwards the
-// output, and takes a periodic checkpoint when due.
-func (r *Runner) processOne(ctx context.Context, b *model.Batch, out chan<- *EpochOutput) error {
-	epoch := b.Time
-	po, err := r.sub.ProcessBatch(b)
-	if err != nil {
-		return fmt.Errorf("core: epoch %d: %w", epoch, err)
-	}
-	// The substrate reuses its result buffers across epochs; the
-	// channel hands po to a consumer that may still be reading it
-	// when the next epoch is processed, so detach the results here.
-	po.Result = po.Result.Clone()
-	po.RawResult = po.RawResult.Clone()
-	select {
-	case out <- po:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	if r.cfg.CheckpointPath != "" && r.cfg.CheckpointEvery > 0 {
-		r.sinceCkpt++
-		if r.sinceCkpt >= r.cfg.CheckpointEvery {
-			if err := r.sub.SnapshotToFile(r.cfg.CheckpointPath); err != nil {
-				return fmt.Errorf("core: checkpoint at epoch %d: %w", epoch, err)
+		// The substrate reuses its result buffers across epochs; the
+		// channel hands po to a consumer that may still be reading it
+		// when the next epoch is processed, so detach the results here.
+		po.Result = po.Result.Clone()
+		po.RawResult = po.RawResult.Clone()
+		select {
+		case out <- po:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		if r.cfg.CheckpointPath != "" && r.cfg.CheckpointEvery > 0 {
+			r.sinceCkpt++
+			if r.sinceCkpt >= r.cfg.CheckpointEvery {
+				if err := r.sub.SnapshotToFile(r.cfg.CheckpointPath); err != nil {
+					return fmt.Errorf("core: checkpoint at epoch %d: %w", o.Time, err)
+				}
+				r.sinceCkpt = 0
 			}
-			r.sinceCkpt = 0
 		}
 	}
 	return nil

@@ -21,7 +21,7 @@ import (
 // snapshot bytes, and a restored substrate continues the event stream
 // byte-identically to a process that never died.
 //
-// Derived state is rebuilt, not stored: the reader index and order, the
+// Derived state is rebuilt, not stored: the reader index, the
 // exit set, the inference schedule (LCM of reader periods), and the
 // inference scratch buffers all come back from the configuration. The
 // per-epoch inference edge scratch (InferProb/InferStamp) is deliberately

@@ -17,7 +17,7 @@ import (
 // all persisted state.
 //
 // A nil *Instruments is the disabled mode: every metric inside is nil and
-// every recording call a no-op. ProcessEpoch additionally skips its
+// every recording call a no-op. ProcessBatch additionally skips its
 // clock reads entirely when the substrate is uninstrumented, so the
 // disabled hot path is byte-for-byte the pre-telemetry code path.
 type Instruments struct {
@@ -34,10 +34,9 @@ type Instruments struct {
 	Readings *telemetry.Counter
 	Retired  *telemetry.Counter
 
-	// Batched-ingest accounting: readings entering ProcessBatch
+	// Ingest accounting: readings entering ProcessBatch
 	// (spire_ingest_readings_total) and the columnar bytes they occupied
-	// (spire_ingest_batch_bytes). Both stay at zero when epochs arrive
-	// through ProcessEpoch directly.
+	// (spire_ingest_batch_bytes).
 	IngestReadings   *telemetry.Counter
 	IngestBatchBytes *telemetry.Counter
 

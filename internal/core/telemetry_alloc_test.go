@@ -14,14 +14,14 @@ import (
 // The telemetry overhead contract: recording is atomic stores and array
 // increments, so instrumenting the per-epoch hot loop — graph update,
 // complete inference, conflict resolution — adds zero allocations per
-// epoch. Pinned two ways: the recording calls ProcessEpoch makes are
+// epoch. Pinned two ways: the recording calls ProcessBatch makes are
 // 0 allocs/op in absolute terms, and the hot loop's Allocs/op is
 // identical with telemetry on and off.
 
 // warmInstrumented processes a full trace so every internal buffer has
 // reached steady state, then returns the substrate and a steady-state
-// observation to replay.
-func warmInstrumented(tb testing.TB) (*Substrate, *model.Observation) {
+// batch to replay.
+func warmInstrumented(tb testing.TB) (*Substrate, *model.Batch) {
 	tb.Helper()
 	cfg := sim.DefaultConfig()
 	cfg.Duration = 200
@@ -43,24 +43,24 @@ func warmInstrumented(tb testing.TB) (*Substrate, *model.Observation) {
 		tb.Fatal(err)
 	}
 	sub.Instrument(telemetry.NewRegistry())
-	var last *model.Observation
+	var last model.Batch
 	for !s.Done() {
 		o, err := s.Step()
 		if err != nil {
 			tb.Fatal(err)
 		}
-		last = o.Clone()
+		last.FromObservation(o)
 		if _, err := sub.ProcessEpoch(o); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	return sub, last
+	return sub, &last
 }
 
 // hotEpoch replays one epoch of the hot loop against the warm substrate,
 // with the same stage sequence and the same tel/rec gating as
-// ProcessEpoch. Nil tel and rec is the unobserved baseline.
-func hotEpoch(tb testing.TB, sub *Substrate, o *model.Observation, now model.Epoch, tel *Instruments, rec *trace.Recorder) {
+// ProcessBatch. Nil tel and rec is the unobserved baseline.
+func hotEpoch(tb testing.TB, sub *Substrate, b *model.Batch, now model.Epoch, tel *Instruments, rec *trace.Recorder) {
 	timed := tel != nil || rec != nil
 	var mark time.Time
 	if timed {
@@ -70,16 +70,16 @@ func hotEpoch(tb testing.TB, sub *Substrate, o *model.Observation, now model.Epo
 	if rec != nil {
 		rec.BeginEpoch(now)
 		span.Epoch = now
-		span.Readings = int64(o.Total())
+		span.Readings = int64(b.Total())
 	}
-	for _, id := range sub.order {
-		tags, ok := o.ByReader[id]
-		if !ok {
-			continue
-		}
-		if err := sub.graph.Update(sub.readers[id], tags, now); err != nil {
-			tb.Fatal(err)
-		}
+	b.Time = now
+	readers := sub.groupReaders[:0]
+	for i := range b.Groups {
+		readers = append(readers, sub.readers[b.Groups[i].Reader])
+	}
+	sub.groupReaders = readers
+	if err := sub.graph.UpdateBatch(b, readers); err != nil {
+		tb.Fatal(err)
 	}
 	if timed {
 		next := time.Now()
@@ -110,7 +110,7 @@ func hotEpoch(tb testing.TB, sub *Substrate, o *model.Observation, now model.Epo
 	}
 	if tel != nil {
 		tel.Epochs.Inc()
-		tel.Readings.Add(int64(o.Total()))
+		tel.Readings.Add(int64(b.Total()))
 		ist := sub.InferStats()
 		tel.InferDirty.Add(int64(ist.DirtyComponents))
 		tel.InferClean.Add(int64(ist.CleanComponents))
@@ -127,7 +127,7 @@ func hotEpoch(tb testing.TB, sub *Substrate, o *model.Observation, now model.Epo
 }
 
 // TestInstrumentedHotPathAllocs pins the zero-overhead bar: every
-// recording call ProcessEpoch makes is allocation-free, and instrumenting
+// recording call ProcessBatch makes is allocation-free, and instrumenting
 // the hot loop does not change its Allocs/op at all.
 func TestInstrumentedHotPathAllocs(t *testing.T) {
 	sub, o := warmInstrumented(t)

@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"spire/internal/event"
 	"spire/internal/model"
 	"spire/internal/sim"
+	"spire/internal/telemetry"
 	"spire/internal/trace"
 )
 
@@ -20,8 +22,10 @@ func testTraceTransparency(t *testing.T, level CompressionLevel) {
 	obsTrace, s := buildTrace(t, 150)
 	end := obsTrace[len(obsTrace)-1].Time + 1
 
-	run := func(rec *trace.Recorder) (*Substrate, []event.Event) {
+	run := func(rec *trace.Recorder) (*Substrate, []event.Event, []telemetry.MetricSnapshot) {
 		sub := newSubstrate(t, s, level)
+		reg := telemetry.NewRegistry()
+		sub.Instrument(reg)
 		sub.Trace(rec)
 		var evs []event.Event
 		for _, o := range obsTrace {
@@ -32,12 +36,24 @@ func testTraceTransparency(t *testing.T, level CompressionLevel) {
 			evs = append(evs, out.Events...)
 		}
 		evs = append(evs, sub.Close(end)...)
-		return sub, evs
+		return sub, evs, nonTiming(reg.Snapshot())
 	}
 
-	plainSub, plainEvs := run(nil)
+	plainSub, plainEvs, plainTel := run(nil)
 	rec := trace.New(trace.Config{All: true})
-	tracedSub, tracedEvs := run(rec)
+	tracedSub, tracedEvs, tracedTel := run(rec)
+
+	// Traced and untraced epochs take the same path, so everything the
+	// registry counts — ingest readings and batch bytes included — must
+	// agree; only measured durations may differ.
+	if !reflect.DeepEqual(plainTel, tracedTel) {
+		t.Fatalf("telemetry differs with a recorder attached:\n plain  %+v\n traced %+v", plainTel, tracedTel)
+	}
+	for _, m := range tracedTel {
+		if m.Name == "spire_ingest_readings_total" && m.Value != float64(plainSub.Stats().Readings) {
+			t.Fatalf("traced run exported spire_ingest_readings_total = %v, want %d", m.Value, plainSub.Stats().Readings)
+		}
+	}
 
 	plainBytes := encodeEvents(t, plainEvs)
 	if len(plainBytes) == 0 {
@@ -76,6 +92,15 @@ func testTraceTransparency(t *testing.T, level CompressionLevel) {
 	if len(rec.TracedTags()) == 0 {
 		t.Error("no tags recorded provenance in an all-tags traced run")
 	}
+}
+
+// nonTiming strips measured durations from a registry snapshot, keeping
+// every counter, gauge, and histogram observation count.
+func nonTiming(snap []telemetry.MetricSnapshot) []telemetry.MetricSnapshot {
+	for i := range snap {
+		snap[i].Sum, snap[i].Buckets = 0, nil
+	}
+	return snap
 }
 
 func TestTraceTransparencyLevel1(t *testing.T) { testTraceTransparency(t, Level1) }

@@ -8,6 +8,7 @@ import (
 
 	"spire/internal/checkpoint"
 	"spire/internal/model"
+	"spire/internal/sim"
 	"spire/internal/telemetry"
 )
 
@@ -63,82 +64,98 @@ func instrument(d *Deduplicator) func() counterSet {
 	}
 }
 
-// TestCleanMatchesReference differentially pins the scratch-reusing Clean
-// against the retained per-epoch-map CleanReference: identical resolved
-// observations, identical persisted bytes, identical telemetry counters.
-func TestCleanMatchesReference(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		ref := New()
-		fast := New()
-		refC := instrument(ref)
-		fastC := instrument(fast)
-		for _, o := range randomStream(seed, 300) {
-			a := ref.CleanReference(o.Clone())
-			b := fast.Clean(o.Clone())
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("seed %d epoch %d: Clean diverged from reference:\n got %+v\nwant %+v", seed, o.Time, b, a)
-			}
-		}
-		if refC() != fastC() {
-			t.Fatalf("seed %d: counters diverged: ref %+v fast %+v", seed, refC(), fastC())
-		}
-		if !bytes.Equal(encodeDedup(ref), encodeDedup(fast)) {
-			t.Fatalf("seed %d: persisted history diverged", seed)
-		}
-	}
-}
-
-// TestCleanBatchMatchesReference pins the columnar sharded path against
-// CleanReference for worker counts {1,2,4,8}: the compacted batch must
-// equal the resolved observation, and history, counters, and persisted
-// bytes must match for every worker count.
+// TestCleanBatchMatchesReference pins CleanBatch against the test-only
+// CleanReference oracle: the compacted batch must equal the resolved
+// observation, and history, counters, and persisted bytes must match.
 func TestCleanBatchMatchesReference(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		for seed := int64(0); seed < 5; seed++ {
-			ref := New()
-			bat := New()
-			bat.SetWorkers(workers)
-			refC := instrument(ref)
-			batC := instrument(bat)
-			var b model.Batch
-			for _, o := range randomStream(seed, 300) {
-				want := ref.CleanReference(o.Clone())
-				b.FromObservation(o)
-				bat.CleanBatch(&b)
-				if err := b.Validate(); err != nil {
-					t.Fatalf("workers %d seed %d: invalid batch after CleanBatch: %v", workers, seed, err)
-				}
-				got := b.Observation()
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("workers %d seed %d epoch %d: CleanBatch diverged:\n got %+v\nwant %+v",
-						workers, seed, o.Time, got, want)
-				}
-			}
-			if refC() != batC() {
-				t.Fatalf("workers %d seed %d: counters diverged: ref %+v batch %+v",
-					workers, seed, refC(), batC())
-			}
-			if !bytes.Equal(encodeDedup(ref), encodeDedup(bat)) {
-				t.Fatalf("workers %d seed %d: persisted history diverged", workers, seed)
-			}
-		}
+	for seed := int64(0); seed < 5; seed++ {
+		diffAgainstReference(t, randomStream(seed, 300))
 	}
 }
 
-// TestCleanBatchGOMAXPROCS covers the workers=0 (GOMAXPROCS) resolution.
-func TestCleanBatchGOMAXPROCS(t *testing.T) {
+// diffAgainstReference runs one observation stream through CleanBatch and
+// CleanReference side by side and fails on the first divergence.
+func diffAgainstReference(t *testing.T, stream []*model.Observation) {
+	t.Helper()
 	ref := New()
 	bat := New()
-	bat.SetWorkers(0)
+	refC := instrument(ref)
+	batC := instrument(bat)
 	var b model.Batch
-	for _, o := range randomStream(11, 100) {
+	for i, o := range stream {
 		want := ref.CleanReference(o.Clone())
-		b.FromObservation(o)
-		bat.CleanBatch(&b)
+		bat.CleanBatch(b.FromObservation(o))
+		if err := b.Validate(); err != nil {
+			t.Fatalf("delivery %d epoch %d: invalid batch after CleanBatch: %v", i, o.Time, err)
+		}
 		if got := b.Observation(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("epoch %d: diverged", o.Time)
+			t.Fatalf("delivery %d epoch %d: CleanBatch diverged:\n got %+v\nwant %+v", i, o.Time, got, want)
 		}
 	}
+	if refC() != batC() {
+		t.Fatalf("counters diverged: ref %+v batch %+v", refC(), batC())
+	}
+	if !bytes.Equal(encodeDedup(ref), encodeDedup(bat)) {
+		t.Fatal("persisted history diverged")
+	}
+}
+
+// FuzzIngestBatchEquivalence drives fault-injected delivery sequences of a
+// simulated warehouse trace (duplicated, swapped and lost epochs, dropout
+// bursts) through CleanBatch and demands the CleanReference result. The
+// faults come from the fuzzed parameters, so the fuzzer explores the space
+// of broken reader feeds — including repeated and regressing epoch stamps,
+// which the staleness window must treat identically on both sides. The
+// simulator's reader ranges never overlap, so each delivered reading is
+// also echoed into a random other reader at the fuzzed duplicate rate:
+// that is what makes the tie-break and the history decide anything.
+func FuzzIngestBatchEquivalence(f *testing.F) {
+	cfg := sim.DefaultConfig()
+	cfg.Duration = 80
+	cfg.PalletInterval = 40
+	cfg.ItemsPerCase = 3
+	cfg.ShelfTime = 60
+	cfg.ShelfPeriod = 10
+	s, err := sim.New(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var trace []*model.Observation
+	for !s.Done() {
+		o, err := s.Step()
+		if err != nil {
+			f.Fatal(err)
+		}
+		trace = append(trace, o)
+	}
+
+	f.Add(int64(1), byte(0), byte(0), byte(0), byte(0), byte(0))
+	f.Add(int64(2), byte(30), byte(30), byte(10), byte(10), byte(3))
+	f.Add(int64(3), byte(60), byte(0), byte(25), byte(7), byte(2))
+	f.Add(int64(4), byte(0), byte(60), byte(0), byte(15), byte(5))
+	f.Fuzz(func(t *testing.T, seed int64, dup, swap, drop, burstEvery, burstLen byte) {
+		fcfg := sim.FaultConfig{
+			Seed:          seed,
+			DuplicateRate: float64(dup%64) / 100,
+			SwapRate:      float64(swap%64) / 100,
+			DropEpochRate: float64(drop%32) / 100,
+			DropoutEvery:  model.Epoch(burstEvery % 20),
+			DropoutLen:    model.Epoch(burstLen % 5),
+		}
+		rng := rand.New(rand.NewSource(seed))
+		readers := s.Readers()
+		var delivery []*model.Observation
+		for _, o := range sim.NewFaultInjector(fcfg).Apply(trace) {
+			o = o.Clone()
+			for _, rd := range o.Readings() {
+				if rng.Float64() < fcfg.DuplicateRate {
+					o.Add(readers[rng.Intn(len(readers))].ID, rd.Tag)
+				}
+			}
+			delivery = append(delivery, o)
+		}
+		diffAgainstReference(t, delivery)
+	})
 }
 
 // TestCleanBatchForget exercises history removal against the sharded
@@ -168,37 +185,7 @@ func TestCleanBatchForget(t *testing.T) {
 	}
 }
 
-// TestCleanSteadyStateAllocs pins satellite 2: after warmup the reused
-// scratch makes Clean allocation-free for a recurring workload shape.
-func TestCleanSteadyStateAllocs(t *testing.T) {
-	d := New()
-	build := func(now model.Epoch) *model.Observation {
-		o := model.NewObservation(now)
-		for r := model.ReaderID(1); r <= 4; r++ {
-			for g := model.Tag(1); g <= 16; g++ {
-				o.Add(r, g)
-			}
-		}
-		return o
-	}
-	obs := make([]*model.Observation, 64)
-	for i := range obs {
-		obs[i] = build(model.Epoch(100 + i))
-	}
-	for i := 0; i < 8; i++ { // warmup grows scratch to steady state
-		d.Clean(build(model.Epoch(i + 1)))
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(len(obs), func() {
-		d.Clean(obs[i%len(obs)])
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("Clean allocates %.1f/op in steady state, want 0", allocs)
-	}
-}
-
-// TestCleanBatchSteadyStateAllocs pins the columnar serial path: zero
+// TestCleanBatchSteadyStateAllocs pins the hot path: zero
 // allocations per epoch once scratch has warmed up.
 func TestCleanBatchSteadyStateAllocs(t *testing.T) {
 	d := New()

@@ -1,8 +1,6 @@
 package dedup
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"spire/internal/model"
@@ -20,27 +18,18 @@ func BenchmarkIngestDedup(b *testing.B) {
 			pristine.Append(model.Tag(1 + r*24 + k))
 		}
 	}
-	widths := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		widths = append(widths, n)
+	d := New()
+	var work model.Batch
+	warm := func(t model.Epoch) {
+		work.Time = t
+		work.Groups = append(work.Groups[:0], pristine.Groups...)
+		work.Tags = append(work.Tags[:0], pristine.Tags...)
+		d.CleanBatch(&work)
 	}
-	for _, w := range widths {
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			d := New()
-			d.SetWorkers(w)
-			var work model.Batch
-			warm := func(t model.Epoch) {
-				work.Time = t
-				work.Groups = append(work.Groups[:0], pristine.Groups...)
-				work.Tags = append(work.Tags[:0], pristine.Tags...)
-				d.CleanBatch(&work)
-			}
-			warm(1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				warm(model.Epoch(i + 2))
-			}
-			b.ReportMetric(float64(pristine.Total()), "readings/op")
-		})
+	warm(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		warm(model.Epoch(i + 2))
 	}
+	b.ReportMetric(float64(pristine.Total()), "readings/op")
 }

@@ -7,32 +7,14 @@
 // recent enough to still be evidence — then toward the lower reader ID for
 // determinism.
 //
-// The per-tag history store is split into a fixed number of tag-hash
-// shards (numShards, independent of worker count) so that CleanBatch can
-// resolve one epoch's readings across a bounded worker pool: each worker
-// owns a contiguous shard range and is the only goroutine that ever
-// touches those shards' history or scratch. Because the shard count is
-// fixed and snapshot encoding sorts tags globally, persisted bytes are
-// identical for every worker setting.
-//
-// Three entry points share the store:
-//
-//   - CleanReference: the original map-per-epoch implementation, kept as
-//     the oracle for differential tests;
-//   - Clean: the serial Observation path with reused scratch (no per-epoch
-//     map allocation);
-//   - CleanBatch: the columnar path over model.Batch, sharded by tag hash.
-//
-// All three resolve every tag identically and leave identical history.
+// CleanBatch, over the columnar model.Batch, is the only resolver; it runs
+// on the caller's goroutine. The per-tag history store is split into a
+// fixed number of tag-hash shards (NumShards) that keep each map small;
+// snapshot encoding sorts tags globally, so persisted bytes do not depend
+// on the shard layout.
 package dedup
 
-import (
-	"runtime"
-	"sort"
-	"sync"
-
-	"spire/internal/model"
-)
+import "spire/internal/model"
 
 // DefaultStaleness is the default recency window for the cross-epoch
 // tie-break: a reader's past claim on a tag counts only if it read the tag
@@ -43,14 +25,10 @@ import (
 const DefaultStaleness model.Epoch = 300
 
 // NumShards is the fixed number of tag-hash shards in the history store.
-// It is independent of the worker count: workers own contiguous shard
-// ranges, so any worker setting partitions the same shards the same way
-// and the resolved output (and persisted bytes) cannot depend on it.
 const NumShards = 32
 
 // shard holds the per-tag history for one tag-hash class, plus the
-// columnar scratch used by CleanBatch. Exactly one worker touches a given
-// shard during CleanBatch.
+// columnar scratch used by CleanBatch.
 type shard struct {
 	lastReader map[model.Tag]model.ReaderID
 	lastAt     map[model.Tag]model.Epoch
@@ -89,8 +67,7 @@ func shardOf(g model.Tag) uint32 {
 }
 
 // Deduplicator tracks per-tag reading history across epochs. It is not
-// safe for concurrent use; CleanBatch manages its own internal worker
-// pool.
+// safe for concurrent use.
 type Deduplicator struct {
 	shards [NumShards]shard
 
@@ -98,40 +75,16 @@ type Deduplicator struct {
 	// expires.
 	staleness model.Epoch
 
-	// workers bounds the CleanBatch worker pool: 0 = GOMAXPROCS,
-	// 1 = serial. Runtime tuning only — never serialized, never affects
-	// output.
-	workers int
-
 	// stamp versions the reused scratch: entries whose stamp differs from
 	// the current value are logically empty.
 	stamp uint64
 
-	// obs is the reused scratch of the serial Observation path (Clean).
-	obs struct {
-		occ  map[model.Tag]*obsEntry
-		tags []model.Tag
-	}
-
 	// keep is the reused per-position verdict column of CleanBatch.
 	keep []bool
-
-	// dups/reassigns are the reused per-shard counter cells of CleanBatch;
-	// each worker writes only its own shard range's cells.
-	dups, reassigns [NumShards]int64
 
 	// ins are the optional telemetry instruments (nil when disabled); see
 	// telemetry.go.
 	ins *Instruments
-}
-
-// obsEntry is the reused per-tag scratch of the Observation path.
-type obsEntry struct {
-	stamp    uint64
-	readers  []model.ReaderID
-	assigned model.ReaderID
-	multi    bool
-	kept     bool
 }
 
 // New creates an empty Deduplicator with the default staleness window.
@@ -145,7 +98,7 @@ func NewWithStaleness(window model.Epoch) *Deduplicator {
 	if window == 0 {
 		window = DefaultStaleness
 	}
-	d := &Deduplicator{staleness: window, workers: 1}
+	d := &Deduplicator{staleness: window}
 	for i := range d.shards {
 		d.shards[i].lastReader = make(map[model.Tag]model.ReaderID)
 		d.shards[i].lastAt = make(map[model.Tag]model.Epoch)
@@ -157,223 +110,17 @@ func NewWithStaleness(window model.Epoch) *Deduplicator {
 // expires).
 func (d *Deduplicator) Staleness() model.Epoch { return d.staleness }
 
-// SetWorkers bounds the CleanBatch worker pool: 0 = GOMAXPROCS,
-// 1 = serial. The resolved output is byte-identical for every value; this
-// is runtime tuning only and is never serialized.
-func (d *Deduplicator) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	d.workers = n
-}
-
-// Workers returns the configured worker bound (0 = GOMAXPROCS).
-func (d *Deduplicator) Workers() int { return d.workers }
-
-// workerWidth resolves the configured worker bound (0 = GOMAXPROCS).
-func (d *Deduplicator) workerWidth() int {
-	if d.workers > 0 {
-		return d.workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// history returns the recorded (reader, at) for tag g, if any.
-func (d *Deduplicator) history(g model.Tag) (model.ReaderID, model.Epoch, bool) {
-	sh := &d.shards[shardOf(g)]
-	r, ok := sh.lastReader[g]
-	if !ok {
-		return 0, 0, false
-	}
-	return r, sh.lastAt[g], true
-}
-
-// record stores the assignment of tag g to reader r at epoch now.
-func (d *Deduplicator) record(g model.Tag, r model.ReaderID, now model.Epoch) {
-	sh := &d.shards[shardOf(g)]
-	sh.lastReader[g] = r
-	sh.lastAt[g] = now
-}
-
 // freshAt reports whether history recorded at epoch `at` is recent enough
 // at epoch now to decide a tie.
 func (d *Deduplicator) freshAt(at, now model.Epoch) bool {
 	return d.staleness < 0 || now-at <= d.staleness
 }
 
-// fresh reports whether the recorded history for tag g is recent enough at
-// epoch now to decide a tie.
-func (d *Deduplicator) fresh(g model.Tag, now model.Epoch) bool {
-	if d.staleness < 0 {
-		return true
-	}
-	at, ok := d.shards[shardOf(g)].lastAt[g]
-	return ok && now-at <= d.staleness
-}
-
-// CleanReference resolves duplicates in one epoch's observation in place,
-// allocating its working maps per call. It is the original implementation,
-// retained verbatim as the oracle that pins Clean and CleanBatch via
-// differential tests.
-func (d *Deduplicator) CleanReference(o *model.Observation) *model.Observation {
-	// Collect the readers that saw each tag this epoch.
-	readersOf := make(map[model.Tag][]model.ReaderID)
-	for r, tags := range o.ByReader {
-		for _, g := range tags {
-			readersOf[g] = append(readersOf[g], r)
-		}
-	}
-	assigned := make(map[model.Tag]model.ReaderID, len(readersOf))
-	for g, readers := range readersOf {
-		if len(readers) == 1 {
-			assigned[g] = readers[0]
-			continue
-		}
-		if d.ins != nil {
-			d.ins.Duplicates.Inc()
-		}
-		sort.Slice(readers, func(i, j int) bool { return readers[i] < readers[j] })
-		best := readers[0]
-		if last, _, ok := d.history(g); ok && d.fresh(g, o.Time) {
-			for _, r := range readers {
-				if r == last {
-					// The tag sticks with the reader it was most recently
-					// assigned to — the paper's "read the tag most
-					// recently" rule applied across epochs. History too old
-					// to be evidence of current proximity is skipped above.
-					best = r
-					break
-				}
-			}
-		}
-		assigned[g] = best
-	}
-	// Rebuild the per-reader sets, dropping duplicates. Empty sets are
-	// kept: an active reader that read nothing is still information for
-	// the caller.
-	for r, tags := range o.ByReader {
-		kept := tags[:0]
-		seen := make(map[model.Tag]bool, len(tags))
-		for _, g := range tags {
-			if assigned[g] == r && !seen[g] {
-				kept = append(kept, g)
-				seen[g] = true
-			}
-		}
-		o.ByReader[r] = kept
-	}
-	for g, r := range assigned {
-		if d.ins != nil {
-			if last, _, ok := d.history(g); ok && last != r && len(readersOf[g]) > 1 {
-				d.ins.Reassignments.Inc()
-			}
-		}
-		d.record(g, r, o.Time)
-	}
-	if d.ins != nil {
-		d.ins.Tracked.Set(int64(d.Len()))
-	}
-	return o
-}
-
-// Clean resolves duplicates in one epoch's observation in place: each tag
-// is retained by exactly one reader. The input observation is modified and
-// returned for convenience. Unlike CleanReference it reuses per-epoch
-// scratch across calls, so the steady-state hot path allocates nothing.
-func (d *Deduplicator) Clean(o *model.Observation) *model.Observation {
-	d.stamp++
-	if d.obs.occ == nil {
-		d.obs.occ = make(map[model.Tag]*obsEntry)
-	}
-	d.obs.tags = d.obs.tags[:0]
-	// Collect the readers that saw each tag this epoch.
-	for r, tags := range o.ByReader {
-		for _, g := range tags {
-			e := d.obs.occ[g]
-			if e == nil {
-				e = &obsEntry{}
-				d.obs.occ[g] = e
-			}
-			if e.stamp != d.stamp {
-				e.stamp = d.stamp
-				e.readers = e.readers[:0]
-				e.kept = false
-				d.obs.tags = append(d.obs.tags, g)
-			}
-			e.readers = append(e.readers, r)
-		}
-	}
-	// Decide each tag's winner: lowest reader ID, unless fresh history
-	// names one of this epoch's readers.
-	for _, g := range d.obs.tags {
-		e := d.obs.occ[g]
-		e.multi = len(e.readers) > 1
-		if !e.multi {
-			e.assigned = e.readers[0]
-			continue
-		}
-		if d.ins != nil {
-			d.ins.Duplicates.Inc()
-		}
-		sortReaders(e.readers)
-		best := e.readers[0]
-		if last, at, ok := d.history(g); ok && d.freshAt(at, o.Time) {
-			for _, r := range e.readers {
-				if r == last {
-					best = r
-					break
-				}
-			}
-		}
-		e.assigned = best
-	}
-	// Rebuild the per-reader sets, dropping duplicates. Empty sets are
-	// kept: an active reader that read nothing is still information for
-	// the caller.
-	for r, tags := range o.ByReader {
-		kept := tags[:0]
-		for _, g := range tags {
-			if e := d.obs.occ[g]; e.assigned == r && !e.kept {
-				kept = append(kept, g)
-				e.kept = true
-			}
-		}
-		o.ByReader[r] = kept
-	}
-	for _, g := range d.obs.tags {
-		e := d.obs.occ[g]
-		if d.ins != nil && e.multi {
-			if last, _, ok := d.history(g); ok && last != e.assigned {
-				d.ins.Reassignments.Inc()
-			}
-		}
-		d.record(g, e.assigned, o.Time)
-	}
-	if d.ins != nil {
-		d.ins.Tracked.Set(int64(d.Len()))
-	}
-	return o
-}
-
-// sortReaders insertion-sorts a small reader slice in place (duplicate
-// groups are a handful of readers; avoids the sort.Slice closure
-// allocation).
-func sortReaders(rs []model.ReaderID) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j] < rs[j-1]; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
-}
-
 // CleanBatch resolves duplicates in one epoch's columnar batch in place,
 // compacting the tag column and group offsets so each tag is retained by
-// exactly one reader. Work is sharded by tag hash across the configured
-// worker pool (SetWorkers); each worker owns a contiguous shard range, so
-// no history entry or scratch cell is ever touched by two goroutines. The
-// resolved batch — and the history left behind — is byte-identical to what
-// Clean/CleanReference produce on the equivalent Observation, for every
-// worker count.
+// exactly one reader. The differential suite pins the resolved batch, the
+// history left behind, and the telemetry counters against a test-only
+// map-per-epoch oracle.
 func (d *Deduplicator) CleanBatch(b *model.Batch) *model.Batch {
 	d.stamp++
 	if cap(d.keep) < len(b.Tags) {
@@ -381,77 +128,6 @@ func (d *Deduplicator) CleanBatch(b *model.Batch) *model.Batch {
 	}
 	d.keep = d.keep[:len(b.Tags)]
 
-	spawn := d.workerWidth()
-	if spawn > NumShards {
-		spawn = NumShards
-	}
-	if spawn < 1 {
-		spawn = 1
-	}
-	clear(d.dups[:])
-	clear(d.reassigns[:])
-	if spawn == 1 {
-		d.cleanShardRange(b, 0, NumShards)
-	} else {
-		var wg sync.WaitGroup
-		per := (NumShards + spawn - 1) / spawn
-		for w := 0; w < spawn; w++ {
-			lo := w * per
-			hi := lo + per
-			if hi > NumShards {
-				hi = NumShards
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi uint32) {
-				defer wg.Done()
-				d.cleanShardRange(b, lo, hi)
-			}(uint32(lo), uint32(hi))
-		}
-		wg.Wait()
-	}
-
-	if d.ins != nil {
-		var nd, nr int64
-		for i := 0; i < NumShards; i++ {
-			nd += d.dups[i]
-			nr += d.reassigns[i]
-		}
-		d.ins.Duplicates.Add(nd)
-		d.ins.Reassignments.Add(nr)
-	}
-
-	// Serial compaction: squeeze out dropped positions, fixing group
-	// offsets in place. Empty groups are kept — an active reader that read
-	// nothing is still information for the caller.
-	w := int32(0)
-	for i := range b.Groups {
-		g := &b.Groups[i]
-		start := w
-		for p := g.Start; p < g.End; p++ {
-			if d.keep[p] {
-				b.Tags[w] = b.Tags[p]
-				w++
-			}
-		}
-		g.Start, g.End = start, w
-	}
-	b.Tags = b.Tags[:w]
-
-	if d.ins != nil {
-		d.ins.Tracked.Set(int64(d.Len()))
-	}
-	return b
-}
-
-// cleanShardRange resolves every tag whose hash falls in shards [lo,hi):
-// it scans the whole batch, collects occurrences of owned tags, picks each
-// tag's winner, writes the per-position verdicts (exclusively owned — one
-// shard per tag), and updates the owned shards' history. Runs on one
-// worker goroutine per range.
-func (d *Deduplicator) cleanShardRange(b *model.Batch, lo, hi uint32) {
 	// Pass 1: collect occurrences in group order. Groups are ascending by
 	// reader, so each tag's occurrence list is already sorted by reader —
 	// the lowest-ID tie-break falls out of occs[0].
@@ -459,11 +135,7 @@ func (d *Deduplicator) cleanShardRange(b *model.Batch, lo, hi uint32) {
 		g := b.Groups[i]
 		for p := g.Start; p < g.End; p++ {
 			tag := b.Tags[p]
-			s := shardOf(tag)
-			if s < lo || s >= hi {
-				continue
-			}
-			sh := &d.shards[s]
+			sh := &d.shards[shardOf(tag)]
 			if sh.occ == nil {
 				sh.occ = make(map[model.Tag]*occEntry)
 			}
@@ -480,17 +152,19 @@ func (d *Deduplicator) cleanShardRange(b *model.Batch, lo, hi uint32) {
 			e.occs = append(e.occs, occurrence{reader: g.Reader, pos: p})
 		}
 	}
-	// Pass 2: per owned tag, decide the winner and mark keeps.
-	for s := lo; s < hi; s++ {
+
+	// Pass 2: per tag, decide the winner, mark keeps, and record the
+	// assignment as the tag's new history.
+	var dups, reassigns int64
+	for s := range d.shards {
 		sh := &d.shards[s]
 		for _, tag := range sh.tags {
-			e := sh.occ[tag]
-			occs := e.occs
+			occs := sh.occ[tag].occs
 			winner := occs[0].reader
 			multi := len(occs) > 1
 			last, lastOK := sh.lastReader[tag]
 			if multi {
-				d.dups[s]++
+				dups++
 				if lastOK && d.freshAt(sh.lastAt[tag], b.Time) {
 					for _, oc := range occs {
 						if oc.reader == last {
@@ -509,13 +183,37 @@ func (d *Deduplicator) cleanShardRange(b *model.Batch, lo, hi uint32) {
 				d.keep[oc.pos] = k
 			}
 			if multi && lastOK && last != winner {
-				d.reassigns[s]++
+				reassigns++
 			}
 			sh.lastReader[tag] = winner
 			sh.lastAt[tag] = b.Time
 		}
 		sh.tags = sh.tags[:0]
 	}
+
+	// Compaction: squeeze out dropped positions, fixing group offsets in
+	// place. Empty groups are kept — an active reader that read nothing is
+	// still information for the caller.
+	w := int32(0)
+	for i := range b.Groups {
+		g := &b.Groups[i]
+		start := w
+		for p := g.Start; p < g.End; p++ {
+			if d.keep[p] {
+				b.Tags[w] = b.Tags[p]
+				w++
+			}
+		}
+		g.Start, g.End = start, w
+	}
+	b.Tags = b.Tags[:w]
+
+	if d.ins != nil {
+		d.ins.Duplicates.Add(dups)
+		d.ins.Reassignments.Add(reassigns)
+		d.ins.Tracked.Set(int64(d.Len()))
+	}
+	return b
 }
 
 // Forget drops a tag's history (e.g. after the object exits the world).
@@ -524,7 +222,6 @@ func (d *Deduplicator) Forget(g model.Tag) {
 	delete(sh.lastReader, g)
 	delete(sh.lastAt, g)
 	delete(sh.occ, g)
-	delete(d.obs.occ, g)
 }
 
 // Len reports the number of tags currently tracked.

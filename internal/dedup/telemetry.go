@@ -16,8 +16,7 @@ type Instruments struct {
 	// Tracked is the number of tags with recorded reading history.
 	Tracked *telemetry.Gauge
 	// Shards is the fixed tag-hash shard count of the history store
-	// (NumShards). Constant per process; exported so operators can relate
-	// ingest-worker settings to the shard partition they divide.
+	// (NumShards). Constant per process.
 	Shards *telemetry.Gauge
 }
 

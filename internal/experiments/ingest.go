@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"spire/internal/dedup"
@@ -21,8 +20,7 @@ import (
 // population in quadratic co-location edges, so this grower scales the
 // shelf count with the population instead: every shelf holds exactly one
 // belt-confirmed case group, which keeps each shelf a small independent
-// component — the workload the reader-group-parallel update is built
-// for, and a realistic picture of a large warehouse (many locations,
+// component — a realistic picture of a large warehouse (many locations,
 // bounded co-location).
 const (
 	ingestShelfPeriod   = 60              // staggered scan cycle, as elsewhere
@@ -31,15 +29,6 @@ const (
 	ingestReadRate      = 0.95
 	ingestBuildPerEpoch = 64 // belt confirmations per build epoch
 )
-
-// ingestEpoch is one steady-state epoch in both representations: the
-// columnar batch the batched path consumes and the equivalent
-// observation the reference path consumes. A generated segment feeds
-// exactly one measured pass, so each path sees fresh input.
-type ingestEpoch struct {
-	b model.Batch
-	o *model.Observation
-}
 
 type ingestGrower struct {
 	g       *graph.Graph
@@ -52,7 +41,7 @@ type ingestGrower struct {
 	byID    map[model.ReaderID]*model.Reader
 	// occupants[i] holds the case group parked on shelf i.
 	occupants [][]model.Tag
-	seg       []ingestEpoch   // reused segment buffer
+	seg       []model.Batch   // reused segment buffer
 	rs        []*model.Reader // reused group→reader scratch
 }
 
@@ -93,9 +82,8 @@ func newIngestGrower(targetTags int) (*ingestGrower, error) {
 func (p *ingestGrower) Population() int { return len(p.shelves) * ingestGroupSize }
 
 // populate confirms one case group per shelf on the belt, then settles
-// for a full scan period through the reference path, so first-contact
-// edge creation and dedup's first sight of every tag stay out of the
-// timed steady state.
+// for a full scan period, so first-contact edge creation and dedup's
+// first sight of every tag stay out of the timed steady state.
 func (p *ingestGrower) populate() error {
 	for i := range p.shelves {
 		if i%ingestBuildPerEpoch == 0 {
@@ -121,7 +109,7 @@ func (p *ingestGrower) populate() error {
 	}
 	p.genSegment()
 	for i := range p.seg {
-		if err := p.refEpoch(&p.seg[i]); err != nil {
+		if err := p.frontHalf(&p.seg[i]); err != nil {
 			return err
 		}
 	}
@@ -134,76 +122,54 @@ func (p *ingestGrower) populate() error {
 // consumes the segment.
 func (p *ingestGrower) genSegment() int64 {
 	if cap(p.seg) < ingestShelfPeriod {
-		p.seg = make([]ingestEpoch, ingestShelfPeriod)
+		p.seg = make([]model.Batch, ingestShelfPeriod)
 	}
 	p.seg = p.seg[:ingestShelfPeriod]
 	var readings int64
 	for k := range p.seg {
 		p.now++
-		e := &p.seg[k]
-		e.b.Reset(p.now)
-		if e.o == nil {
-			e.o = model.NewObservation(p.now)
-		}
-		e.o.Time = p.now
-		clear(e.o.ByReader)
+		b := &p.seg[k]
+		b.Reset(p.now)
 		for i := range p.shelves {
 			if (int(p.now)+i)%ingestShelfPeriod != 0 {
 				continue
 			}
-			r := &p.shelves[i]
-			e.b.BeginReader(r.ID)
+			b.BeginReader(p.shelves[i].ID)
 			for _, g := range p.occupants[i] {
 				if p.rng.Float64() < ingestReadRate {
-					e.b.Append(g)
+					b.Append(g)
 				}
 			}
-			tags := e.b.GroupTags(len(e.b.Groups) - 1)
-			// The observation gets its own copies: Clean mutates them.
-			e.o.ByReader[r.ID] = append([]model.Tag(nil), tags...)
-			readings += int64(len(tags))
 		}
+		readings += int64(b.Total())
 	}
 	return readings
 }
 
-// refEpoch is the ProcessEpoch front half: serial dedup over the
-// observation map, then one graph.Update per reader in ascending order.
-func (p *ingestGrower) refEpoch(e *ingestEpoch) error {
-	p.ded.Clean(e.o)
-	for i := range e.b.Groups {
-		id := e.b.Groups[i].Reader
-		if err := p.g.Update(p.byID[id], e.o.ByReader[id], e.b.Time); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// batchEpoch is the ProcessBatch front half: sharded dedup over the tag
-// column, then one reader-group-parallel graph update. The group→reader
-// resolution is timed, exactly as in core.
-func (p *ingestGrower) batchEpoch(e *ingestEpoch, workers int) error {
-	p.ded.CleanBatch(&e.b)
+// frontHalf is ProcessBatch's front half: dedup over the tag column, then
+// the per-group graph update. The group→reader resolution is timed,
+// exactly as in core.
+func (p *ingestGrower) frontHalf(b *model.Batch) error {
+	p.ded.CleanBatch(b)
 	rs := p.rs[:0]
-	for i := range e.b.Groups {
-		rs = append(rs, p.byID[e.b.Groups[i].Reader])
+	for i := range b.Groups {
+		rs = append(rs, p.byID[b.Groups[i].Reader])
 	}
 	p.rs = rs
-	return p.g.UpdateBatch(&e.b, rs, workers)
+	return p.g.UpdateBatch(b, rs)
 }
 
-// measure runs one ingest path over freshly generated segments until at
+// measure runs the front half over freshly generated segments until at
 // least minReadings raw readings have been pushed through it, and
-// returns readings per second of timed path work.
-func (p *ingestGrower) measure(minReadings int64, path func(*ingestEpoch) error) (float64, error) {
+// returns readings per second of timed work.
+func (p *ingestGrower) measure(minReadings int64) (float64, error) {
 	var readings int64
 	var elapsed time.Duration
 	for readings < minReadings {
 		readings += p.genSegment()
 		start := time.Now()
 		for i := range p.seg {
-			if err := path(&p.seg[i]); err != nil {
+			if err := p.frontHalf(&p.seg[i]); err != nil {
 				return 0, err
 			}
 		}
@@ -219,7 +185,7 @@ func (p *ingestGrower) measureDecode(minReadings int64) (float64, error) {
 	var buf bytes.Buffer
 	w := stream.NewWriter(&buf)
 	for i := range p.seg {
-		if err := w.WriteBatch(&p.seg[i].b); err != nil {
+		if err := w.WriteBatch(&p.seg[i]); err != nil {
 			return 0, err
 		}
 	}
@@ -248,24 +214,22 @@ func (p *ingestGrower) measureDecode(minReadings int64) (float64, error) {
 	return float64(readings) / elapsed.Seconds(), nil
 }
 
-// measureDedup times CleanBatch alone over fresh segments, serial.
+// measureDedup times CleanBatch alone over fresh segments.
 func (p *ingestGrower) measureDedup(minReadings int64) (float64, error) {
-	p.ded.SetWorkers(1)
 	var readings int64
 	var elapsed time.Duration
 	for readings < minReadings {
 		readings += p.genSegment()
 		for i := range p.seg {
-			e := &p.seg[i]
 			start := time.Now()
-			p.ded.CleanBatch(&e.b)
+			p.ded.CleanBatch(&p.seg[i])
 			elapsed += time.Since(start)
 		}
 	}
 	return float64(readings) / elapsed.Seconds(), nil
 }
 
-// measureUpdate times UpdateBatch alone over fresh segments, serial; the
+// measureUpdate times UpdateBatch alone over fresh segments; the
 // group→reader resolution stays outside the timed region so the row is
 // purely the graph stage.
 func (p *ingestGrower) measureUpdate(minReadings int64) (float64, error) {
@@ -274,14 +238,14 @@ func (p *ingestGrower) measureUpdate(minReadings int64) (float64, error) {
 	for readings < minReadings {
 		readings += p.genSegment()
 		for i := range p.seg {
-			e := &p.seg[i]
+			b := &p.seg[i]
 			rs := p.rs[:0]
-			for j := range e.b.Groups {
-				rs = append(rs, p.byID[e.b.Groups[j].Reader])
+			for j := range b.Groups {
+				rs = append(rs, p.byID[b.Groups[j].Reader])
 			}
 			p.rs = rs
 			start := time.Now()
-			if err := p.g.UpdateBatch(&e.b, rs, 1); err != nil {
+			if err := p.g.UpdateBatch(b, rs); err != nil {
 				return 0, err
 			}
 			elapsed += time.Since(start)
@@ -290,13 +254,11 @@ func (p *ingestGrower) measureUpdate(minReadings int64) (float64, error) {
 	return float64(readings) / elapsed.Seconds(), nil
 }
 
-// BenchIngest measures ingest front-half throughput — dedup plus graph
-// update, the work upstream of inference — at tag populations up to 10^6,
-// comparing the reference epoch path (serial Clean + one graph.Update per
-// reader) against the columnar batched path at worker widths 1 and
-// GOMAXPROCS. A second table reports per-stage serial throughput (wire
-// decode, dedup, update) at the largest population; those rows are the
-// BenchmarkIngest{Decode,Dedup,Update} baseline entries spirebenchdiff
+// BenchIngest measures ingest front-half throughput — CleanBatch plus
+// UpdateBatch, the work ProcessBatch does upstream of inference — at tag
+// populations up to 10^6. A second table reports per-stage throughput
+// (wire decode, dedup, update) at the largest population; those rows are
+// the BenchmarkIngest{Decode,Dedup,Update} baseline entries spirebenchdiff
 // gates.
 func BenchIngest(o Options) ([]*Table, error) {
 	targets := []int{10_000, 100_000, 1_000_000}
@@ -305,22 +267,18 @@ func BenchIngest(o Options) ([]*Table, error) {
 		targets = []int{10_000, 50_000}
 		minReadings = 200_000
 	}
-	wide := runtime.GOMAXPROCS(0)
 	main := &Table{
 		ID:        "bench-ingest",
-		Title:     "Ingest front-half throughput (readings/s) vs tag population",
+		Title:     "Ingest front-half throughput vs tag population",
 		RowHeader: "tags",
-		Columns:   []string{"ref r/s", "batch w1 r/s", "batch wN r/s", "speedup"},
+		Columns:   []string{"readings/s", "s/Mread"},
 	}
 	stages := &Table{
 		ID:        "ingest-stages",
-		Title:     "Batched ingest per-stage serial throughput at the largest population",
+		Title:     "Ingest per-stage throughput at the largest population",
 		RowHeader: "stage",
 		Columns:   []string{"Mread/s", "s/Mread"},
 	}
-	// Cells run serially on purpose: the wN column and the speedup are
-	// parallel measurements, and concurrent cells would contend for the
-	// cores they are trying to use.
 	for ti, target := range targets {
 		p, err := newIngestGrower(target)
 		if err != nil {
@@ -329,21 +287,11 @@ func BenchIngest(o Options) ([]*Table, error) {
 		if err := p.populate(); err != nil {
 			return nil, err
 		}
-		p.ded.SetWorkers(1)
-		ref, err := p.measure(minReadings, p.refEpoch)
+		rps, err := p.measure(minReadings)
 		if err != nil {
 			return nil, err
 		}
-		b1, err := p.measure(minReadings, func(e *ingestEpoch) error { return p.batchEpoch(e, 1) })
-		if err != nil {
-			return nil, err
-		}
-		p.ded.SetWorkers(wide)
-		bn, err := p.measure(minReadings, func(e *ingestEpoch) error { return p.batchEpoch(e, wide) })
-		if err != nil {
-			return nil, err
-		}
-		main.AddRow(fmt.Sprintf("%d", p.Population()), ref, b1, bn, bn/ref)
+		main.AddRow(fmt.Sprintf("%d", p.Population()), rps, 1e6/rps)
 
 		if ti == len(targets)-1 {
 			type stage struct {
@@ -364,11 +312,8 @@ func BenchIngest(o Options) ([]*Table, error) {
 		}
 	}
 	main.Notes = append(main.Notes,
-		fmt.Sprintf("wN = GOMAXPROCS = %d on this host; absolute readings/s are host-dependent", wide),
-		"one belt-confirmed case group per shelf: components stay small and independent, the workload reader-group parallelism targets",
-		"front half only (dedup + graph update); inference/compression are measured by table3 and infercomp",
-		"cells run serially so the parallel columns measure an otherwise idle machine")
-	stages.Notes = append(stages.Notes,
-		"serial (width 1) so the gated baseline is comparable across hosts with different core counts")
+		"the one ingest path: dedup.CleanBatch then graph.UpdateBatch on the caller's goroutine; absolute readings/s are host-dependent",
+		"one belt-confirmed case group per shelf: components stay small and independent",
+		"front half only (dedup + graph update); inference/compression are measured by table3 and infercomp")
 	return []*Table{main, stages}, nil
 }

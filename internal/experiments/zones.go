@@ -269,11 +269,11 @@ func measureMergeInstrumented(capture []zoneSlate, nz int, minEvents int64) (flo
 	return float64(events) / elapsed.Seconds(), nil
 }
 
-// runZonesWorkerFeedBatch times one zone worker's ingest over the
-// columnar zone-batch feed: the simulation observes only this zone's
-// readers, and the substrate ingests the columns without per-reading
-// staging. Returns the zone's own readings and the wall time.
-func runZonesWorkerFeedBatch(cfg sim.Config, nz, zone int) (int64, time.Duration, error) {
+// runZonesWorkerFeed times one zone worker's ingest over the columnar
+// zone-batch feed: the simulation observes only this zone's readers, and
+// the substrate ingests the columns without per-reading staging. Returns
+// the zone's own readings and the wall time.
+func runZonesWorkerFeed(cfg sim.Config, nz, zone int) (int64, time.Duration, error) {
 	s, err := sim.New(cfg)
 	if err != nil {
 		return 0, 0, err
@@ -302,43 +302,6 @@ func runZonesWorkerFeedBatch(cfg sim.Config, nz, zone int) (int64, time.Duration
 		}
 		readings += int64(b.Total())
 		if _, err := sub.ProcessBatch(b); err != nil {
-			return 0, 0, err
-		}
-	}
-	sub.Close(s.Now() + 1)
-	return readings, time.Since(start), nil
-}
-
-// runZonesWorkerFeedObs is the same zone worker over the observation
-// feed: the full deployment's simulation steps every epoch and the
-// zone's share is filtered out — the per-zone cost the batch feed
-// removes.
-func runZonesWorkerFeedObs(cfg sim.Config, nz, zone int) (int64, time.Duration, error) {
-	s, err := sim.New(cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	zones, err := s.PartitionZones(nz)
-	if err != nil {
-		return 0, 0, err
-	}
-	sub, err := benchZonesSubstrate(zones[zone], s.Locations())
-	if err != nil {
-		return 0, 0, err
-	}
-	src := sim.NewZoneStream(s, sim.ZoneOfReaders(zones), zone)
-	var readings int64
-	start := time.Now()
-	for {
-		o, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return 0, 0, err
-		}
-		readings += int64(o.Total())
-		if _, err := sub.ProcessEpoch(o); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -376,9 +339,9 @@ func BenchZones(o Options) ([]*Table, error) {
 	}
 	feedTbl := &Table{
 		ID:        "zones-worker-feed",
-		Title:     "Zone worker ingest: columnar batch feed vs observation feed (zone 0's cost per million of its own readings)",
+		Title:     "Zone worker ingest over the columnar batch feed (zone 0's cost per million of its own readings)",
 		RowHeader: "zones",
-		Columns:   []string{"batch s/Mread", "obs s/Mread", "zone Mreads"},
+		Columns:   []string{"s/Mread", "zone Mreads"},
 	}
 
 	readings, events, elapsed, err := runZonesSingle(cfg)
@@ -420,17 +383,12 @@ func BenchZones(o Options) ([]*Table, error) {
 	merge.AddRow("ParallelMerge", peps/1e6, 1e6/peps)
 
 	for _, fz := range zoneCounts {
-		breadings, belapsed, err := runZonesWorkerFeedBatch(cfg, fz, 0)
+		readings, elapsed, err := runZonesWorkerFeed(cfg, fz, 0)
 		if err != nil {
-			return nil, fmt.Errorf("worker feed batch zones=%d: %w", fz, err)
+			return nil, fmt.Errorf("worker feed zones=%d: %w", fz, err)
 		}
-		oreadings, oelapsed, err := runZonesWorkerFeedObs(cfg, fz, 0)
-		if err != nil {
-			return nil, fmt.Errorf("worker feed obs zones=%d: %w", fz, err)
-		}
-		bspm := belapsed.Seconds() / (float64(breadings) / 1e6)
-		ospm := oelapsed.Seconds() / (float64(oreadings) / 1e6)
-		feedTbl.AddRow(fmt.Sprintf("%d", fz), bspm, ospm, float64(breadings)/1e6)
+		mreads := float64(readings) / 1e6
+		feedTbl.AddRow(fmt.Sprintf("%d", fz), elapsed.Seconds()/mreads, mreads)
 	}
 
 	main.Notes = append(main.Notes,
@@ -444,8 +402,6 @@ func BenchZones(o Options) ([]*Table, error) {
 		"the ParallelMerge row replays the same slates through the sharded merger, one MergeEpoch per epoch barrier; its advantage over the serial rows depends on idle cores and per-epoch batch size — on one core or tiny epochs the routing, goroutine fork-join, and k-way merge make it slower than the serial walk")
 	feedTbl.Notes = append(feedTbl.Notes,
 		"each row times zone 0 of an N-zone deployment ingesting its feed alone, normalized by that zone's own readings",
-		"batch: sim.PartitionZonesBatch observes only the zone's readers into reused columns and the substrate ingests them directly, so the observation work scales with the zone's own traffic, not the deployment's population; residual growth across rows is the per-epoch substrate overhead and the global world advance amortized over fewer own readings",
-		"obs: the worker re-steps the full deployment's simulation — observing every reader in the population — and filters out its share, so its cost per own reading grows with the zone count; the batch column undercuts it at every row and the gap widens with zones",
-		"the two feeds are distinct deterministic observation traces, so their reading counts differ slightly; each column is normalized by its own trace's readings")
+		"sim.PartitionZonesBatch observes only the zone's readers into reused columns and the substrate ingests them directly, so the observation work scales with the zone's own traffic, not the deployment's population; residual growth across rows is the per-epoch substrate overhead and the global world advance amortized over fewer own readings")
 	return []*Table{main, merge, feedTbl}, nil
 }

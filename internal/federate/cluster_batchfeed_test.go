@@ -1,22 +1,14 @@
 package federate_test
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"io"
-	"net"
-	"os"
-	"path/filepath"
 	"slices"
-	"sync"
 	"testing"
-	"time"
 
 	"spire/internal/core"
 	"spire/internal/event"
 	"spire/internal/federate"
-	"spire/internal/inference"
 	"spire/internal/model"
 	"spire/internal/sim"
 )
@@ -27,8 +19,8 @@ import (
 // must be byte-identical to the in-process batch-feed reference merged
 // through the serial oracle. Zone-batch observation is its own
 // deterministic trace (per-reader RNG streams, not the Step trace), so
-// the reference runs the same feed mode — the comparison isolates the
-// wire, the columnar frames, the replay buffer, and the merge path.
+// the reference runs the same feed — the comparison isolates the wire,
+// the columnar frames, the replay buffer, and the merge path.
 
 // runInProcessBatchFederated is the reference: one substrate per zone
 // fed from the shared zone-batch feed, merged through the serial Merger.
@@ -89,176 +81,6 @@ func runInProcessBatchFederated(t *testing.T, cfg sim.Config, lvl core.Compressi
 	return append(merged, m.Close(end)...)
 }
 
-// killBatchSource fails the zone's batch source at the kill epoch,
-// simulating a worker crash mid-stream.
-type killBatchSource struct {
-	inner  federate.BatchSource
-	killAt model.Epoch
-}
-
-func (k *killBatchSource) NextBatch() (*model.Batch, error) {
-	b, err := k.inner.NextBatch()
-	if err != nil {
-		return nil, err
-	}
-	if k.killAt != model.EpochNone && b.Time >= k.killAt {
-		return nil, errKilled
-	}
-	return b, nil
-}
-
-// frameLimitConn injects a disconnect at a frame boundary: after `limit`
-// successful writes (the worker writes exactly one frame per Write
-// call, Hello included) every further write fails and the connection
-// dies. With limit 2, every connection carries the handshake plus one
-// epoch frame — the redial-at-every-frame-boundary regression for the
-// replay buffer: each reconnect replays owned wire bytes while the
-// worker's column scratch is already rebuilding the next epoch.
-type frameLimitConn struct {
-	net.Conn
-	mu     sync.Mutex
-	writes int
-	limit  int
-}
-
-func (c *frameLimitConn) Write(p []byte) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.writes >= c.limit {
-		c.Conn.Close()
-		return 0, errors.New("injected disconnect at frame boundary")
-	}
-	c.writes++
-	return c.Conn.Write(p)
-}
-
-// runZoneWorkerBatch drives one zone over the batch feed, with optional
-// crash-and-resume and optional per-frame disconnect injection.
-func runZoneWorkerBatch(cfg sim.Config, lvl core.CompressionLevel, nZones, zone int, addr, ckpt string, killAt model.Epoch, framesPerConn int) error {
-	attempt := func(kill model.Epoch) error {
-		s, err := sim.New(cfg)
-		if err != nil {
-			return err
-		}
-		zones, err := s.PartitionZones(nZones)
-		if err != nil {
-			return err
-		}
-		streams, err := s.PartitionZonesBatch(nZones)
-		if err != nil {
-			return err
-		}
-		var sub *core.Substrate
-		if _, err := os.Stat(ckpt); err == nil {
-			if sub, err = core.RestoreSubstrateFromFile(ckpt); err != nil {
-				return fmt.Errorf("zone %d: restore: %w", zone, err)
-			}
-		} else {
-			sub, err = core.New(core.Config{
-				Readers:     zones[zone],
-				Locations:   s.Locations(),
-				Inference:   inference.DefaultConfig(),
-				Compression: lvl,
-			})
-			if err != nil {
-				return err
-			}
-		}
-		wcfg := federate.WorkerConfig{
-			Zone:            federate.ZoneID(zone),
-			Addr:            addr,
-			Substrate:       sub,
-			CheckpointPath:  ckpt,
-			CheckpointEvery: 100,
-			BaseBackoff:     time.Millisecond,
-			MaxBackoff:      20 * time.Millisecond,
-		}
-		if framesPerConn > 0 {
-			wcfg.Dial = func(ctx context.Context) (net.Conn, error) {
-				var d net.Dialer
-				c, err := d.DialContext(ctx, "tcp", addr)
-				if err != nil {
-					return nil, err
-				}
-				return &frameLimitConn{Conn: c, limit: framesPerConn}, nil
-			}
-		}
-		w, err := federate.NewWorker(wcfg)
-		if err != nil {
-			return err
-		}
-		var src federate.BatchSource = streams[zone]
-		if kill != model.EpochNone {
-			src = &killBatchSource{inner: src, killAt: kill}
-		}
-		return w.RunBatches(context.Background(), src)
-	}
-	if killAt != model.EpochNone {
-		if err := attempt(killAt); !errors.Is(err, errKilled) {
-			return fmt.Errorf("zone %d: expected kill, got %v", zone, err)
-		}
-		if _, err := os.Stat(ckpt); err != nil {
-			return fmt.Errorf("zone %d: no checkpoint persisted before kill: %v", zone, err)
-		}
-	}
-	return attempt(model.EpochNone)
-}
-
-// runNetworkedBatchCluster runs the batch-feed cluster on loopback TCP
-// and returns the merged stream.
-func runNetworkedBatchCluster(t *testing.T, cfg sim.Config, lvl core.CompressionLevel, nZones, killZone int, killAt model.Epoch, framesPerConn int) []event.Event {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var merged []event.Event
-	coord, err := federate.NewCoordinator(federate.CoordinatorConfig{
-		Zones:            nZones,
-		StragglerTimeout: time.Minute,
-		Sink: func(_ model.Epoch, evs []event.Event) error {
-			merged = append(merged, evs...)
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- coord.Serve(context.Background(), ln) }()
-
-	dir := t.TempDir()
-	workerErrs := make([]error, nZones)
-	var wg sync.WaitGroup
-	for z := 0; z < nZones; z++ {
-		wg.Add(1)
-		go func(z int) {
-			defer wg.Done()
-			kill := model.EpochNone
-			if z == killZone {
-				kill = killAt
-			}
-			ckpt := filepath.Join(dir, fmt.Sprintf("zone-%d.ckpt", z))
-			workerErrs[z] = runZoneWorkerBatch(cfg, lvl, nZones, z, ln.Addr().String(), ckpt, kill, framesPerConn)
-		}(z)
-	}
-	wg.Wait()
-	for z, err := range workerErrs {
-		if err != nil {
-			t.Fatalf("zone %d worker: %v", z, err)
-		}
-	}
-	select {
-	case err := <-serveErr:
-		if err != nil {
-			t.Fatalf("coordinator: %v", err)
-		}
-	case <-time.After(time.Minute):
-		t.Fatal("coordinator did not finish after workers exited")
-	}
-	return merged
-}
-
 // TestBatchFeedClusterMatchesInProcess is the batch-feed keystone: the
 // networked cluster — columnar frames, zero-copy submits, parallel
 // coordinator merge — reproduces the in-process serial-merged reference
@@ -287,7 +109,7 @@ func TestBatchFeedClusterMatchesInProcess(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			want := runInProcessBatchFederated(t, cfg, tc.lvl, tc.zones)
-			got := runNetworkedBatchCluster(t, cfg, tc.lvl, tc.zones, tc.killZone, tc.killAt, 0)
+			got := runNetworkedCluster(t, cfg, tc.lvl, zoneBatchFeed, tc.zones, tc.killZone, tc.killAt, 0)
 			if err := event.CheckWellFormed(got, true); err != nil {
 				t.Fatalf("merged stream: %v", err)
 			}
@@ -314,7 +136,7 @@ func TestBatchFeedClusterDisconnectEveryFrame(t *testing.T) {
 	cfg := clusterSimConfig()
 	cfg.Duration = 300
 	want := runInProcessBatchFederated(t, cfg, core.Level2, 2)
-	got := runNetworkedBatchCluster(t, cfg, core.Level2, 2, -1, model.EpochNone, 2)
+	got := runNetworkedCluster(t, cfg, core.Level2, zoneBatchFeed, 2, -1, model.EpochNone, 2)
 	if err := event.CheckWellFormed(got, true); err != nil {
 		t.Fatalf("merged stream: %v", err)
 	}

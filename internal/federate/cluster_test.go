@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -141,39 +142,108 @@ func diffCanonical(t *testing.T, label string, want, got []event.Event) {
 	}
 }
 
-// errKilled simulates a zone worker crash: its observation source fails
-// mid-stream, aborting Run the way a killed process would stop it.
+// errKilled simulates a zone worker crash: its batch source fails
+// mid-stream, aborting RunBatches the way a killed process would stop it.
 var errKilled = errors.New("worker killed")
 
-// killSource passes through the zone's observations until the kill
-// epoch, then fails.
+// killSource passes through the zone's batches until the kill epoch,
+// then fails.
 type killSource struct {
-	inner  federate.ObservationSource
+	inner  federate.BatchSource
 	killAt model.Epoch
 }
 
-func (k *killSource) Next() (*model.Observation, error) {
-	o, err := k.inner.Next()
+func (k *killSource) NextBatch() (*model.Batch, error) {
+	b, err := k.inner.NextBatch()
 	if err != nil {
 		return nil, err
 	}
-	if k.killAt != model.EpochNone && o.Time >= k.killAt {
+	if k.killAt != model.EpochNone && b.Time >= k.killAt {
 		return nil, errKilled
 	}
-	return o, nil
+	return b, nil
+}
+
+// zoneFeed builds one zone's batch source over a fresh simulator.
+type zoneFeed func(s *sim.Simulator, zones [][]model.Reader, zone int) (federate.BatchSource, error)
+
+// stepFeed is the zone's share of the full-warehouse Step trace — the
+// trace runInProcessFederated splits — staged into a reused batch. Every
+// zone worker steps its own simulator instance from the same seed.
+func stepFeed(s *sim.Simulator, zones [][]model.Reader, zone int) (federate.BatchSource, error) {
+	return &stepSource{s: s, zoneOf: sim.ZoneOfReaders(zones), zones: len(zones), zone: zone}, nil
+}
+
+type stepSource struct {
+	s      *sim.Simulator
+	zoneOf map[model.ReaderID]int
+	zones  int
+	zone   int
+	b      model.Batch
+}
+
+func (z *stepSource) NextBatch() (*model.Batch, error) {
+	if z.s.Done() {
+		return nil, io.EOF
+	}
+	o, err := z.s.Step()
+	if err != nil {
+		return nil, err
+	}
+	return z.b.FromObservation(sim.SplitObservation(o, z.zoneOf, z.zones)[z.zone]), nil
+}
+
+// zoneBatchFeed is the zone's columnar zone-batch stream
+// (sim.PartitionZonesBatch): only the zone's own readers are observed.
+func zoneBatchFeed(s *sim.Simulator, zones [][]model.Reader, zone int) (federate.BatchSource, error) {
+	streams, err := s.PartitionZonesBatch(len(zones))
+	if err != nil {
+		return nil, err
+	}
+	return streams[zone], nil
+}
+
+// frameLimitConn injects a disconnect at a frame boundary: after `limit`
+// successful writes (the worker writes exactly one frame per Write
+// call, Hello included) every further write fails and the connection
+// dies. With limit 2, every connection carries the handshake plus one
+// epoch frame — the redial-at-every-frame-boundary regression for the
+// replay buffer: each reconnect replays owned wire bytes while the
+// worker's column scratch is already rebuilding the next epoch.
+type frameLimitConn struct {
+	net.Conn
+	mu     sync.Mutex
+	writes int
+	limit  int
+}
+
+func (c *frameLimitConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.writes >= c.limit {
+		c.Conn.Close()
+		return 0, errors.New("injected disconnect at frame boundary")
+	}
+	c.writes++
+	return c.Conn.Write(p)
 }
 
 // runZoneWorker drives one zone of the networked cluster to completion.
 // If killAt is set, the worker "crashes" at that epoch and a fresh
-// worker resumes from the on-disk checkpoint (or from scratch when no
-// checkpoint was persisted yet), replaying the deterministic simulation.
-func runZoneWorker(cfg sim.Config, lvl core.CompressionLevel, nZones, zone int, addr, ckpt string, killAt model.Epoch) error {
+// worker resumes from the on-disk checkpoint, replaying the
+// deterministic simulation. framesPerConn > 0 kills every connection
+// after that many frames.
+func runZoneWorker(cfg sim.Config, lvl core.CompressionLevel, feed zoneFeed, nZones, zone int, addr, ckpt string, killAt model.Epoch, framesPerConn int) error {
 	attempt := func(kill model.Epoch) error {
 		s, err := sim.New(cfg)
 		if err != nil {
 			return err
 		}
 		zones, err := s.PartitionZones(nZones)
+		if err != nil {
+			return err
+		}
+		src, err := feed(s, zones, zone)
 		if err != nil {
 			return err
 		}
@@ -193,23 +263,33 @@ func runZoneWorker(cfg sim.Config, lvl core.CompressionLevel, nZones, zone int, 
 				return err
 			}
 		}
-		w, err := federate.NewWorker(federate.WorkerConfig{
+		wcfg := federate.WorkerConfig{
 			Zone:            federate.ZoneID(zone),
 			Addr:            addr,
 			Substrate:       sub,
 			CheckpointPath:  ckpt,
 			CheckpointEvery: 100,
-			BaseBackoff:     5 * time.Millisecond,
-			MaxBackoff:      100 * time.Millisecond,
-		})
+			BaseBackoff:     time.Millisecond,
+			MaxBackoff:      20 * time.Millisecond,
+		}
+		if framesPerConn > 0 {
+			wcfg.Dial = func(ctx context.Context) (net.Conn, error) {
+				var d net.Dialer
+				c, err := d.DialContext(ctx, "tcp", addr)
+				if err != nil {
+					return nil, err
+				}
+				return &frameLimitConn{Conn: c, limit: framesPerConn}, nil
+			}
+		}
+		w, err := federate.NewWorker(wcfg)
 		if err != nil {
 			return err
 		}
-		var src federate.ObservationSource = sim.NewZoneStream(s, sim.ZoneOfReaders(zones), zone)
 		if kill != model.EpochNone {
 			src = &killSource{inner: src, killAt: kill}
 		}
-		return w.Run(context.Background(), src)
+		return w.RunBatches(context.Background(), src)
 	}
 	if killAt != model.EpochNone {
 		if err := attempt(killAt); !errors.Is(err, errKilled) {
@@ -226,9 +306,10 @@ func runZoneWorker(cfg sim.Config, lvl core.CompressionLevel, nZones, zone int, 
 }
 
 // runNetworkedCluster runs the full cluster — coordinator on loopback
-// TCP, one worker per zone — and returns the merged stream. killZone, if
-// ≥ 0, is crash-killed at killAt and resumed from its checkpoint.
-func runNetworkedCluster(t *testing.T, cfg sim.Config, lvl core.CompressionLevel, nZones, killZone int, killAt model.Epoch) []event.Event {
+// TCP, one worker per zone on the given feed — and returns the merged
+// stream. killZone, if ≥ 0, is crash-killed at killAt and resumed from its
+// checkpoint.
+func runNetworkedCluster(t *testing.T, cfg sim.Config, lvl core.CompressionLevel, feed zoneFeed, nZones, killZone int, killAt model.Epoch, framesPerConn int) []event.Event {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -261,7 +342,7 @@ func runNetworkedCluster(t *testing.T, cfg sim.Config, lvl core.CompressionLevel
 				kill = killAt
 			}
 			ckpt := filepath.Join(dir, fmt.Sprintf("zone-%d.ckpt", z))
-			workerErrs[z] = runZoneWorker(cfg, lvl, nZones, z, ln.Addr().String(), ckpt, kill)
+			workerErrs[z] = runZoneWorker(cfg, lvl, feed, nZones, z, ln.Addr().String(), ckpt, kill, framesPerConn)
 		}(z)
 	}
 	wg.Wait()
@@ -311,7 +392,7 @@ func TestNetworkedClusterMatchesInProcess(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			want := runInProcessFederated(t, cfg, tc.lvl, tc.zones)
-			got := runNetworkedCluster(t, cfg, tc.lvl, tc.zones, tc.killZone, tc.killAt)
+			got := runNetworkedCluster(t, cfg, tc.lvl, stepFeed, tc.zones, tc.killZone, tc.killAt, 0)
 			if err := event.CheckWellFormed(got, true); err != nil {
 				t.Fatalf("merged stream: %v", err)
 			}

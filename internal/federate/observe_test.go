@@ -135,7 +135,11 @@ func runObservedCluster(t *testing.T, cfg sim.Config, lvl core.CompressionLevel,
 					w.TraceConn(trace.NewConnRecorder(64))
 					poll(func() { w.Status(); w.Ready() })
 				}
-				return w.Run(context.Background(), sim.NewZoneStream(s, sim.ZoneOfReaders(zones), z))
+				src, err := zoneBatchFeed(s, zones, z)
+				if err != nil {
+					return err
+				}
+				return w.RunBatches(context.Background(), src)
 			}()
 		}(z)
 	}
@@ -241,26 +245,26 @@ func TestInstrumentedClusterMatchesPlain(t *testing.T) {
 	}
 }
 
-// slowSource passes observations through until the stall epoch, then
+// slowSource passes batches through until the stall epoch, then
 // sleeps once — a zone whose readers go quiet long enough to alarm the
 // barrier but not long enough to kill the run.
 type slowSource struct {
-	inner   federate.ObservationSource
+	inner   federate.BatchSource
 	stallAt model.Epoch
 	stall   time.Duration
 	stalled bool
 }
 
-func (s *slowSource) Next() (*model.Observation, error) {
-	o, err := s.inner.Next()
+func (s *slowSource) NextBatch() (*model.Batch, error) {
+	b, err := s.inner.NextBatch()
 	if err != nil {
 		return nil, err
 	}
-	if !s.stalled && o.Time >= s.stallAt {
+	if !s.stalled && b.Time >= s.stallAt {
 		s.stalled = true
 		time.Sleep(s.stall)
 	}
-	return o, nil
+	return b, nil
 }
 
 // lockedBuffer is a goroutine-safe log sink.
@@ -387,11 +391,14 @@ func TestClusterStatusGroundTruthUnderStraggler(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				var src federate.ObservationSource = sim.NewZoneStream(s, sim.ZoneOfReaders(zones), z)
+				src, err := zoneBatchFeed(s, zones, z)
+				if err != nil {
+					return err
+				}
 				if z == slowZone {
 					src = &slowSource{inner: src, stallAt: stallAt, stall: stall}
 				}
-				return w.Run(context.Background(), src)
+				return w.RunBatches(context.Background(), src)
 			}()
 		}(z)
 	}
@@ -456,7 +463,7 @@ func TestClusterStatusGroundTruthUnderStraggler(t *testing.T) {
 	}
 
 	// And the stream itself is untouched by all of it.
-	want := runInProcessFederated(t, cfg, core.Level1, nZones)
+	want := runInProcessBatchFederated(t, cfg, core.Level1, nZones)
 	if !slices.Equal(want, merged) {
 		diffCanonical(t, "straggler cluster", want, merged)
 		t.Fatalf("streams differ only in order: %d events", len(merged))

@@ -19,7 +19,7 @@ import (
 //
 // Worker view: connecting while dialing (initially and between
 // retries), streaming while the link is up, lost after a drop until the
-// redial succeeds, and finished when Run has returned successfully.
+// redial succeeds, and finished when RunBatches has returned successfully.
 type ZoneState string
 
 const (
@@ -192,7 +192,7 @@ type WorkerStatus struct {
 }
 
 // Status returns the worker's live status. Safe to call concurrently
-// with Run.
+// with RunBatches.
 func (w *Worker) Status() WorkerStatus {
 	w.statusMu.Lock()
 	defer w.statusMu.Unlock()

@@ -310,7 +310,7 @@ func (wi *WorkerInstruments) rxBytes() *telemetry.Counter {
 }
 
 // Instrument wires the worker to a telemetry registry; a nil registry
-// disables instrumentation. Call before Run.
+// disables instrumentation. Call before RunBatches.
 func (w *Worker) Instrument(reg *telemetry.Registry) *WorkerInstruments {
 	w.tel = NewWorkerInstruments(reg, w.cfg.Zone)
 	if w.tel != nil {

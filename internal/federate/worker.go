@@ -21,12 +21,6 @@ import (
 	"spire/internal/trace"
 )
 
-// ObservationSource yields one zone's per-epoch observations in epoch
-// order, returning io.EOF after the last epoch.
-type ObservationSource interface {
-	Next() (*model.Observation, error)
-}
-
 // BatchSource yields one zone's per-epoch columnar batches in epoch
 // order, returning io.EOF after the last epoch. The returned batch is
 // owned by the source and valid only until the next NextBatch call; the
@@ -130,7 +124,7 @@ type Worker struct {
 	status   WorkerStatus
 }
 
-// NewWorker builds a worker; Run drives it.
+// NewWorker builds a worker; RunBatches drives it.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Substrate == nil {
 		return nil, errors.New("federate: worker needs a substrate")
@@ -187,7 +181,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 }
 
 // TraceConn attaches a connection flight recorder; nil detaches. Call
-// before Run.
+// before RunBatches.
 func (w *Worker) TraceConn(rec *trace.ConnRecorder) { w.ctrace = rec }
 
 // timed reports whether the worker should read the clock for latency
@@ -206,54 +200,11 @@ func jitterBackoff(rng *rand.Rand, d time.Duration) time.Duration {
 	return half + time.Duration(rng.Int63n(int64(d-half)+1))
 }
 
-// Run processes the source to completion: every epoch goes through the
-// substrate, and every epoch after the coordinator's ack high-water mark
-// is streamed to it. Run returns once the coordinator has acked the
-// final (Fin) epoch, or with the context's error.
-func (w *Worker) Run(ctx context.Context, src ObservationSource) error {
-	defer w.dropConn()
-
-	// A restored substrate has already processed everything up to its
-	// checkpoint epoch; the deterministic source replays those epochs and
-	// we discard them.
-	resume := w.cfg.Substrate.LastEpoch()
-	if err := w.ensureConn(ctx); err != nil {
-		return err
-	}
-
-	last := resume
-	for {
-		obs, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("federate: zone %d source: %w", w.cfg.Zone, err)
-		}
-		if obs.Time <= resume {
-			continue // replaying epochs already inside the checkpoint
-		}
-		out, err := w.cfg.Substrate.ProcessEpoch(obs)
-		if err != nil {
-			return fmt.Errorf("federate: zone %d epoch %d: %w", w.cfg.Zone, obs.Time, err)
-		}
-		last = obs.Time
-		w.setStatus(func(s *WorkerStatus) { s.LastProcessed = obs.Time })
-		if err := w.submit(ctx, &epochBatch{epoch: obs.Time, events: out.Events}); err != nil {
-			return err
-		}
-		if (obs.Time-resume)%w.cfg.CheckpointEvery == 0 {
-			w.takeSnapshot(obs.Time)
-		}
-	}
-	return w.finishRun(ctx, last)
-}
-
-// RunBatches is Run for a columnar zone feed: the source yields only
-// this zone's readers' batches (no full-simulation re-run, no per-epoch
-// re-batch) and each batch is processed in place through the substrate's
-// batched ingest. Everything downstream — submit, acks, checkpoints,
-// resume — is shared with Run.
+// RunBatches processes the source to completion: every epoch's batch is
+// processed in place through the substrate, and every epoch after the
+// coordinator's ack high-water mark is streamed to it. RunBatches returns
+// once the coordinator has acked the final (Fin) epoch, or with the
+// context's error.
 func (w *Worker) RunBatches(ctx context.Context, src BatchSource) error {
 	defer w.dropConn()
 
@@ -295,7 +246,7 @@ func (w *Worker) RunBatches(ctx context.Context, src BatchSource) error {
 }
 
 // finishRun submits the Fin epoch and waits for the coordinator to ack
-// everything — the shared tail of Run and RunBatches.
+// everything.
 func (w *Worker) finishRun(ctx context.Context, last model.Epoch) error {
 	end := last + 1
 	fin := &epochBatch{epoch: end, events: w.cfg.Substrate.Close(end), fin: true}

@@ -1,429 +1,20 @@
 package graph
 
-import (
-	"sync"
-	"sync/atomic"
+import "spire/internal/model"
 
-	"spire/internal/epc"
-	"spire/internal/model"
-)
-
-// Reader-group-parallel graph update.
-//
-// UpdateBatch applies one epoch's reader groups with the same result —
-// bit for bit — as calling Update once per group in slice order. The
-// Fig. 4 procedure is order-sensitive wherever two groups' footprints
-// overlap: a shared color interleaves through the colored index (edge
-// creation reads the bucket other same-colored readers fill), and a
-// shared component interleaves through node colors and edge statistics
-// (visitEdges reads neighbor colors; BetaOne/BetaEither increments depend
-// on which endpoint was colored first). So the concurrency rule is:
-//
-//	two reader groups may apply concurrently iff they share no color and
-//	no connected component.
-//
-// Groups are chained into "supergroups" by union-find over those two
-// keys; each supergroup replays its groups serially in slice order (the
-// exact serial interleaving), and disjoint supergroups fan out across the
-// worker pool. Everything a group mutates — its color's index buckets,
-// its components' nodes, edges, and member lists — is then owned by
-// exactly one goroutine. The remaining graph-wide state (edge count,
-// free list, component registry, staleness flags) is deferred into a
-// per-supergroup updCtx and committed deterministically after the
-// workers join.
-//
-// When the pool is unprofitable or unsound — one worker, one supergroup,
-// a trace recorder attached (the recorder is not goroutine-safe), or a
-// malformed tag whose mid-stream error semantics the serial path defines
-// — UpdateBatch falls back to the plain serial sweep.
-
-// updCtx routes edge creation and removal during an update. In direct
-// mode (the serial path) operations hit the graph immediately. In
-// deferred mode (one ctx per supergroup) the footprint-local work happens
-// inline, while mutations of graph-wide state are accumulated and
-// committed after the workers join: edges allocate from a private free
-// segment, removals detach but park the struct, merged-away components
-// and staleness are recorded rather than applied.
-type updCtx struct {
-	g        *Graph
-	deferred bool
-
-	free      []*Edge      // private allocation segment (deferred)
-	detached  []*Edge      // removed edges pending recycle (deferred)
-	edgeDelta int          // net edge-count change (deferred)
-	dead      []*Component // components merged away (deferred)
-	unioned   bool         // a union happened: compOrder is invalid
-	anyStale  bool         // a removal happened: components need rebuild
-
-	batch [model.NumLevels][]*Node // step-1 scratch, reused per group
-}
-
-// addEdge inserts a parent→child edge if absent, mirroring Graph.AddEdge.
-func (ctx *updCtx) addEdge(parent, child *Node, now model.Epoch) *Edge {
-	if !ctx.deferred {
-		return ctx.g.AddEdge(parent, child, now)
-	}
-	if e, ok := child.parents[parent.Tag]; ok {
-		return e
-	}
-	g := ctx.g
-	h, err := NewHistory(g.cfg.HistorySize)
-	if err != nil {
-		panic(err) // validated at construction
-	}
-	var e *Edge
-	if n := len(ctx.free); n > 0 {
-		e = ctx.free[n-1]
-		ctx.free[n-1] = nil
-		ctx.free = ctx.free[:n-1]
-	} else {
-		e = new(Edge)
-	}
-	*e = Edge{
-		Parent:       parent,
-		Child:        child,
-		History:      h,
-		UpdateTime:   model.EpochNone,
-		CreatedAt:    now,
-		conflictedAt: model.EpochNone,
-		betaOneAt:    model.EpochNone,
-	}
-	parent.children[child.Tag] = e
-	child.parents[parent.Tag] = e
-	ctx.edgeDelta++
-	ctx.union(parent.comp, child.comp, now)
-	return e
-}
-
-// union mirrors Graph.unionComponents with the registry deletion and
-// order invalidation deferred. Both components belong to this ctx's
-// supergroup footprint, so the member-list merge is single-owner.
-func (ctx *updCtx) union(a, b *Component, now model.Epoch) {
-	if a == b {
-		a.touch(now)
-		return
-	}
-	if len(a.members) < len(b.members) {
-		a, b = b, a
-	}
-	for _, n := range b.members {
-		n.comp = a
-	}
-	a.members = append(a.members, b.members...)
-	if b.id < a.id {
-		a.id = b.id
-	}
-	if b.dirtyAt > a.dirtyAt {
-		a.dirtyAt = b.dirtyAt
-	}
-	a.stale = a.stale || b.stale
-	a.touch(now)
-	ctx.dead = append(ctx.dead, b)
-	ctx.unioned = true
-}
-
-// removeEdge removes e, mirroring Graph.RemoveEdge with the recycling
-// (edge count, free list, stale flag) deferred.
-func (ctx *updCtx) removeEdge(e *Edge) {
-	if !ctx.deferred {
-		ctx.g.RemoveEdge(e)
-		return
-	}
-	comp := e.Child.comp
-	if ctx.g.DetachEdge(e) {
-		ctx.detached = append(ctx.detached, e)
-		ctx.edgeDelta--
-		comp.stale = true // single-owner; graph-wide anyStale deferred
-		ctx.anyStale = true
-	}
-}
-
-// commit applies the deferred graph-wide mutations. Called on the owning
-// goroutine after all workers join, in supergroup order.
-func (ctx *updCtx) commit() {
-	g := ctx.g
-	g.edges += ctx.edgeDelta
-	for _, c := range ctx.dead {
-		delete(g.comps, c)
-	}
-	if ctx.unioned {
-		g.compOrderOK = false
-	}
-	if ctx.anyStale {
-		g.anyStale = true
-	}
-	// Return the unused remainder of the private free segment, then the
-	// newly detached structs.
-	g.freeEdges = append(g.freeEdges, ctx.free...)
-	g.freeEdges = append(g.freeEdges, ctx.detached...)
-}
-
-// batchScratch is the reused orchestration state of UpdateBatch.
-type batchScratch struct {
-	parent     []int32 // union-find over group indices
-	colorOwner map[model.LocationID]int32
-	compOwner  map[*Component]int32
-	order      []int32 // supergroup roots, by smallest member group
-	chain      []int32 // next group in the root's chain (-1 = end)
-	tail       []int32 // last group in the root's chain, root-indexed
-	ctxs       []*updCtx
-}
-
-func (s *batchScratch) find(i int32) int32 {
-	for s.parent[i] != i {
-		s.parent[i] = s.parent[s.parent[i]]
-		i = s.parent[i]
-	}
-	return i
-}
-
-// unite merges the supergroups of i and j, keeping the smaller root so
-// supergroup identity follows the earliest group in slice order.
-func (s *batchScratch) unite(i, j int32) {
-	ri, rj := s.find(i), s.find(j)
-	if ri == rj {
-		return
-	}
-	if rj < ri {
-		ri, rj = rj, ri
-	}
-	s.parent[rj] = ri
-}
-
-// UpdateBatch applies every reader group of one epoch's batch: group i is
-// readers[i] reading b.GroupTags(i), all at epoch b.Time. A nil
-// readers[i] skips that group (the caller reports unknown readers after
-// the epoch, matching the Observation path). The result is byte-identical
-// to calling Update per group in slice order, for every worker count;
-// workers ≤ 1 — and any condition the parallel path cannot honor — runs
-// exactly that serial sweep.
-func (g *Graph) UpdateBatch(b *model.Batch, readers []*model.Reader, workers int) error {
-	now := b.Time
-	if workers <= 1 || g.rec != nil || len(b.Groups) < 2 {
-		return g.updateSerial(b, readers, now)
-	}
-	// The parallel path pre-creates nodes, so a malformed tag would error
-	// before any group applied — the serial path errors mid-stream with
-	// earlier groups already applied. Preserve those semantics by
-	// scanning first and falling back when anything is off.
-	for i := range b.Groups {
-		r := readers[i]
-		if r == nil {
-			continue
-		}
-		if !r.Location.Known() {
-			return g.updateSerial(b, readers, now)
-		}
-		for _, tag := range b.GroupTags(i) {
-			if _, ok := epc.LevelOf(tag); !ok {
-				return g.updateSerial(b, readers, now)
-			}
-		}
-	}
-
-	g.beginEpoch(now)
-	for i := range b.Groups {
-		if readers[i] != nil {
-			g.ensureColor(readers[i].Location)
-		}
-	}
-	// Pre-create nodes serially (the nodes map and component registry are
-	// graph-wide), in the same group/tag order as the serial sweep.
+// UpdateBatch applies every reader group of one epoch's batch in slice
+// order: group i is readers[i] reading b.GroupTags(i), all at epoch
+// b.Time. A nil readers[i] skips that group (the caller reports unknown
+// readers after the epoch). A malformed tag errors mid-stream, with the
+// earlier groups already applied.
+func (g *Graph) UpdateBatch(b *model.Batch, readers []*model.Reader) error {
 	for i := range b.Groups {
 		if readers[i] == nil {
 			continue
 		}
-		for _, tag := range b.GroupTags(i) {
-			if g.nodes[tag] == nil {
-				lvl, _ := epc.LevelOf(tag)
-				g.addNode(tag, lvl)
-			}
-		}
-	}
-
-	// Union groups that share a color or a component into supergroups.
-	s := &g.batchScratch
-	s.parent = s.parent[:0]
-	for i := range b.Groups {
-		s.parent = append(s.parent, int32(i))
-	}
-	if s.colorOwner == nil {
-		s.colorOwner = make(map[model.LocationID]int32)
-		s.compOwner = make(map[*Component]int32)
-	} else {
-		clear(s.colorOwner)
-		clear(s.compOwner)
-	}
-	for i := range b.Groups {
-		if readers[i] == nil {
-			continue
-		}
-		gi := int32(i)
-		if prev, ok := s.colorOwner[readers[i].Location]; ok {
-			s.unite(gi, prev)
-		} else {
-			s.colorOwner[readers[i].Location] = gi
-		}
-		for _, tag := range b.GroupTags(i) {
-			comp := g.nodes[tag].comp
-			if prev, ok := s.compOwner[comp]; ok {
-				s.unite(gi, prev)
-			} else {
-				s.compOwner[comp] = gi
-			}
-		}
-	}
-
-	// Chain each supergroup's groups in ascending slice order.
-	n := int32(len(b.Groups))
-	s.order = s.order[:0]
-	if cap(s.chain) < int(n) {
-		s.chain = make([]int32, n)
-		s.tail = make([]int32, n)
-	} else {
-		s.chain = s.chain[:n]
-		s.tail = s.tail[:n]
-	}
-	for i := int32(0); i < n; i++ {
-		s.chain[i] = -1
-		s.tail[i] = -1
-	}
-	for i := int32(0); i < n; i++ {
-		if readers[i] == nil {
-			continue
-		}
-		r := s.find(i)
-		if s.tail[r] < 0 {
-			s.order = append(s.order, r)
-		} else {
-			s.chain[s.tail[r]] = i
-		}
-		s.tail[r] = i
-	}
-	if len(s.order) < 2 {
-		return g.updateSerial(b, readers, now)
-	}
-
-	// One deferred ctx per supergroup (structs reused across epochs),
-	// splitting the free list into private allocation segments.
-	for len(s.ctxs) < len(s.order) {
-		s.ctxs = append(s.ctxs, &updCtx{g: g, deferred: true})
-	}
-	freeAll := g.freeEdges
-	g.freeEdges = g.freeEdges[len(g.freeEdges):]
-	per := len(freeAll) / len(s.order)
-	for k := range s.order {
-		lo, hi := k*per, (k+1)*per
-		if k == len(s.order)-1 {
-			hi = len(freeAll)
-		}
-		ctx := s.ctxs[k]
-		ctx.free = freeAll[lo:hi:hi]
-		ctx.detached = ctx.detached[:0]
-		ctx.edgeDelta = 0
-		ctx.dead = ctx.dead[:0]
-		ctx.unioned = false
-		ctx.anyStale = false
-	}
-
-	spawn := workers
-	if spawn > len(s.order) {
-		spawn = len(s.order)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < spawn; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(s.order) {
-					return
-				}
-				ctx := s.ctxs[k]
-				for i := s.order[k]; i >= 0; i = s.chain[i] {
-					g.applyGroup(ctx, readers[i], b.GroupTags(int(i)), now)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, ctx := range s.ctxs[:len(s.order)] {
-		ctx.commit()
-	}
-	return nil
-}
-
-// updateSerial is the serial fallback: Update per group in slice order.
-func (g *Graph) updateSerial(b *model.Batch, readers []*model.Reader, now model.Epoch) error {
-	for i := range b.Groups {
-		if readers[i] == nil {
-			continue
-		}
-		if err := g.Update(readers[i], b.GroupTags(i), now); err != nil {
+		if err := g.Update(readers[i], b.GroupTags(i), b.Time); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// applyGroup is one reader group's Fig. 4 application inside the parallel
-// path — the body of Update minus per-call validation (done up front),
-// node creation (pre-created), and tracing (the parallel path never runs
-// with a recorder attached). Any behavioral change here must be mirrored
-// in Update; the equivalence tests pin the two together.
-func (g *Graph) applyGroup(ctx *updCtx, reader *model.Reader, tags []model.Tag, now model.Epoch) {
-	c := reader.Location
-
-	// Step 1: color nodes (Fig. 4 lines 2-6).
-	batch := &ctx.batch
-	for lvl := range batch {
-		batch[lvl] = batch[lvl][:0]
-	}
-	for _, tag := range tags {
-		n := g.nodes[tag]
-		n.comp.touch(now)
-		if n.SeenAt == now {
-			if n.RecentColor == c {
-				continue // duplicate reading within the epoch
-			}
-			// A conflicting same-epoch color was set by a group in this
-			// same supergroup (a shared tag chains the groups), so the
-			// bucket being edited is supergroup-owned.
-			g.removeFromIndex(n)
-		}
-		if n.RecentColor != c {
-			n.NewColorAt = now
-		}
-		n.RecentColor = c
-		n.SeenAt = now
-		g.colored[n.Level][c] = append(g.colored[n.Level][c], n)
-		batch[n.Level] = append(batch[n.Level], n)
-	}
-
-	// Special-reader confirmation, as in Update.
-	var confirmTop model.Tag
-	var confirmParent map[model.Tag]model.Tag
-	if reader.Confirming && reader.ConfirmLevel.Valid() {
-		cl := reader.ConfirmLevel
-		if len(batch[cl]) == 1 && int(cl) > 0 {
-			top := batch[cl][0]
-			confirmTop = top.Tag
-			confirmParent = make(map[model.Tag]model.Tag, len(batch[cl-1]))
-			for _, child := range batch[cl-1] {
-				confirmParent[child.Tag] = top.Tag
-			}
-		}
-	}
-
-	// Steps 2-4 (Fig. 4 lines 7-31), per level from the bottom up.
-	for lvl := 0; lvl < model.NumLevels; lvl++ {
-		for _, v := range batch[lvl] {
-			if v.NewColorAt == now {
-				g.createEdges(ctx, v, c, now)
-			}
-			g.visitEdges(ctx, v, c, now, reader.ID, confirmTop, confirmParent)
-		}
-	}
 }

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -108,78 +107,25 @@ func applySerial(t *testing.T, g *Graph, b *model.Batch, readers []*model.Reader
 	}
 }
 
-// TestUpdateBatchMatchesSerial differentially pins the reader-group-
-// parallel path against the serial Fig. 4 sweep: for worker counts
-// {1,2,4,8} the persisted graph bytes, component partition, and
-// invariants must match after every epoch.
-func TestUpdateBatchMatchesSerial(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			for seed := int64(0); seed < 4; seed++ {
-				ref, err := New(Config{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				par, err := New(Config{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				scn := newBatchScenario(seed)
-				for now := model.Epoch(1); now <= 120; now++ {
-					b, readers := scn.step(now)
-					applySerial(t, ref, b.Clone(), readers)
-					if err := par.UpdateBatch(b, readers, workers); err != nil {
-						t.Fatalf("UpdateBatch: %v", err)
-					}
-					if err := ref.CheckInvariants(now); err != nil {
-						t.Fatalf("seed %d epoch %d: reference invariants: %v", seed, now, err)
-					}
-					if err := par.CheckInvariants(now); err != nil {
-						t.Fatalf("seed %d epoch %d: batch invariants: %v", seed, now, err)
-					}
-					if !bytes.Equal(encodeGraph(ref), encodeGraph(par)) {
-						t.Fatalf("seed %d epoch %d: graph state diverged", seed, now)
-					}
-					rc, pc := ref.Components(now), par.Components(now)
-					if len(rc) != len(pc) {
-						t.Fatalf("seed %d epoch %d: %d vs %d components", seed, now, len(rc), len(pc))
-					}
-					for i := range rc {
-						if rc[i].ID() != pc[i].ID() || rc[i].Len() != pc[i].Len() || rc[i].DirtyAt() != pc[i].DirtyAt() {
-							t.Fatalf("seed %d epoch %d: component %d diverged: (%d,%d,%d) vs (%d,%d,%d)",
-								seed, now, i, rc[i].ID(), rc[i].Len(), rc[i].DirtyAt(),
-								pc[i].ID(), pc[i].Len(), pc[i].DirtyAt())
-						}
-					}
-					if ref.EdgeCount() != par.EdgeCount() || ref.Len() != par.Len() {
-						t.Fatalf("seed %d epoch %d: size diverged", seed, now)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestUpdateBatchRetirement interleaves node removal (the exit-retirement
 // path) with batched updates, exercising free-list recycling and stale
-// component rebuilds under the deferred-commit protocol.
+// component rebuilds against the per-group Update sweep.
 func TestUpdateBatchRetirement(t *testing.T) {
 	ref, _ := New(Config{})
-	par, _ := New(Config{})
+	bat, _ := New(Config{})
 	scn := newBatchScenario(99)
 	for now := model.Epoch(1); now <= 150; now++ {
 		b, readers := scn.step(now)
 		applySerial(t, ref, b.Clone(), readers)
-		if err := par.UpdateBatch(b, readers, 4); err != nil {
+		if err := bat.UpdateBatch(b, readers); err != nil {
 			t.Fatalf("UpdateBatch: %v", err)
 		}
 		if now%7 == 0 {
 			victim := scn.tags[scn.rng.Intn(len(scn.tags))]
 			ref.RemoveNode(victim)
-			par.RemoveNode(victim)
+			bat.RemoveNode(victim)
 		}
-		if !bytes.Equal(encodeGraph(ref), encodeGraph(par)) {
+		if !bytes.Equal(encodeGraph(ref), encodeGraph(bat)) {
 			t.Fatalf("epoch %d: graph state diverged", now)
 		}
 	}
@@ -200,7 +146,7 @@ func TestUpdateBatchSkipsNilReaders(t *testing.T) {
 		nil,
 		{ID: 2, Location: 3, Period: 1},
 	}
-	if err := g.UpdateBatch(b, readers, 4); err != nil {
+	if err := g.UpdateBatch(b, readers); err != nil {
 		t.Fatalf("UpdateBatch: %v", err)
 	}
 	n := g.Node(item)
@@ -209,10 +155,10 @@ func TestUpdateBatchSkipsNilReaders(t *testing.T) {
 	}
 }
 
-// TestUpdateBatchInvalidTagFallsBackToSerial pins the error semantics: a
-// tag without a valid packaging level must produce the serial path's
-// mid-stream error, with earlier groups already applied.
-func TestUpdateBatchInvalidTagFallsBackToSerial(t *testing.T) {
+// TestUpdateBatchInvalidTagErrorsMidStream pins the error semantics: a
+// tag without a valid packaging level errors mid-stream, with earlier
+// groups already applied.
+func TestUpdateBatchInvalidTagErrorsMidStream(t *testing.T) {
 	g, _ := New(Config{})
 	good := epc.MustEncode(epc.Identity{Level: model.LevelItem, Company: 1, Serial: 2})
 	b := model.NewBatch(1)
@@ -224,7 +170,7 @@ func TestUpdateBatchInvalidTagFallsBackToSerial(t *testing.T) {
 		{ID: 1, Location: 0, Period: 1},
 		{ID: 2, Location: 1, Period: 1},
 	}
-	err := g.UpdateBatch(b, readers, 4)
+	err := g.UpdateBatch(b, readers)
 	if err == nil {
 		t.Fatal("want error for invalid level")
 	}

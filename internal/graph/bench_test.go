@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"spire/internal/epc"
@@ -93,7 +92,7 @@ func BenchmarkUpdateFirstContact(b *testing.B) {
 
 // BenchmarkIngestUpdate measures the batched steady-state update: 64
 // shelves, each an independent one-case component, re-read in one epoch
-// batch — the workload the reader-group-parallel path targets.
+// batch.
 func BenchmarkIngestUpdate(b *testing.B) {
 	const shelves, items = 64, 20
 	g, err := New(Config{})
@@ -129,22 +128,14 @@ func BenchmarkIngestUpdate(b *testing.B) {
 			batch.Append(t)
 		}
 	}
-	widths := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		widths = append(widths, n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch.Time = model.Epoch(i + 2)
+		if err := g.UpdateBatch(batch, readers); err != nil {
+			b.Fatal(err)
+		}
 	}
-	for _, w := range widths {
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				batch.Time = model.Epoch(i + 2)
-				if err := g.UpdateBatch(batch, readers, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(batch.Total()), "readings/op")
-		})
-	}
+	b.ReportMetric(float64(batch.Total()), "readings/op")
 }
 
 // BenchmarkHistoryWeight measures the Eq. 1 hot path.

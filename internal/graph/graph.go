@@ -209,9 +209,7 @@ type Graph struct {
 	// nearby layers without scanning the graph. It is reset lazily when a
 	// new epoch begins. Colors are dense small integers (location table
 	// indices), so each level is a slice indexed by color rather than a
-	// map: bucket slots are distinct memory locations, which lets
-	// UpdateBatch workers that own disjoint colors append concurrently —
-	// a map bucket insert could not guarantee that. Grown by ensureColor.
+	// map. Grown by ensureColor.
 	colored   [model.NumLevels][][]*Node
 	coloredAt model.Epoch
 
@@ -232,10 +230,9 @@ type Graph struct {
 	staleScratch []*Component
 	compStamp    uint64
 
-	// batchScratch is UpdateBatch's reused orchestration state (see
-	// batch.go): the group union-find, supergroup chains, and deferred
-	// contexts.
-	batchScratch batchScratch
+	// stepNodes is Update's reused step-1 scratch: the nodes colored by
+	// the current reader's reading set, by level.
+	stepNodes [model.NumLevels][]*Node
 
 	// rec is the optional decision-provenance recorder (nil when
 	// untraced); see trace.go. Recording never mutates graph state.

@@ -31,10 +31,12 @@ func (g *Graph) Update(reader *model.Reader, tags []model.Tag, now model.Epoch) 
 	}
 	g.beginEpoch(now)
 	g.ensureColor(c)
-	ctx := updCtx{g: g}
 
 	// Step 1: create and color nodes (Fig. 4 lines 2-6).
-	var batch [model.NumLevels][]*Node
+	batch := &g.stepNodes
+	for lvl := range batch {
+		batch[lvl] = batch[lvl][:0]
+	}
 	for _, tag := range tags {
 		lvl, ok := epc.LevelOf(tag)
 		if !ok {
@@ -93,10 +95,10 @@ func (g *Graph) Update(reader *model.Reader, tags []model.Tag, now model.Epoch) 
 	for lvl := 0; lvl < model.NumLevels; lvl++ {
 		for _, v := range batch[lvl] {
 			if v.NewColorAt == now {
-				g.createEdges(&ctx, v, c, now)
+				g.createEdges(v, c, now)
 			}
 			// Steps 3 and 4 share the walk over v's incident edges.
-			g.visitEdges(&ctx, v, c, now, reader.ID, confirmTop, confirmParent)
+			g.visitEdges(v, c, now, reader.ID, confirmTop, confirmParent)
 		}
 	}
 	return nil
@@ -118,12 +120,12 @@ func (g *Graph) removeFromIndex(n *Node) {
 // same-colored nodes in the closest populated layer above and below.
 // Cross-layer edges arise naturally when the adjacent layer has no node of
 // this color (e.g. an item links to a pallet when its case was missed).
-func (g *Graph) createEdges(ctx *updCtx, v *Node, c model.LocationID, now model.Epoch) {
+func (g *Graph) createEdges(v *Node, c model.LocationID, now model.Epoch) {
 	for la := int(v.Level) + 1; la < model.NumLevels; la++ {
 		if nodes := g.colored[la][c]; len(nodes) > 0 {
 			for _, p := range nodes {
 				if p != v {
-					ctx.addEdge(p, v, now)
+					g.AddEdge(p, v, now)
 				}
 			}
 			break
@@ -133,7 +135,7 @@ func (g *Graph) createEdges(ctx *updCtx, v *Node, c model.LocationID, now model.
 		if nodes := g.colored[lb][c]; len(nodes) > 0 {
 			for _, ch := range nodes {
 				if ch != v {
-					ctx.addEdge(v, ch, now)
+					g.AddEdge(v, ch, now)
 				}
 			}
 			break
@@ -146,7 +148,7 @@ func (g *Graph) createEdges(ctx *updCtx, v *Node, c model.LocationID, now model.
 // each endpoint; the bookkeeping below is idempotent, and a second visit
 // that discovers the partner is in fact colored revises the pessimistic
 // verdict of the first.
-func (g *Graph) visitEdges(ctx *updCtx, v *Node, c model.LocationID, now model.Epoch, reader model.ReaderID, confirmTop model.Tag, confirmParent map[model.Tag]model.Tag) {
+func (g *Graph) visitEdges(v *Node, c model.LocationID, now model.Epoch, reader model.ReaderID, confirmTop model.Tag, confirmParent map[model.Tag]model.Tag) {
 	visit := func(e *Edge) {
 		other := e.Parent
 		if other == v {
@@ -159,7 +161,7 @@ func (g *Graph) visitEdges(ctx *updCtx, v *Node, c model.LocationID, now model.E
 		// created same-colored by construction).
 		if e.CreatedAt < now && otherColor.Known() && otherColor != c {
 			g.recordDrop(e, now, reader, trace.DropColorMismatch)
-			ctx.removeEdge(e)
+			g.RemoveEdge(e)
 			return
 		}
 		// Step 3 continued: drops dictated by a special reader's
@@ -168,12 +170,12 @@ func (g *Graph) visitEdges(ctx *updCtx, v *Node, c model.LocationID, now model.E
 		if confirmTop != model.NoTag {
 			if e.Child.Tag == confirmTop {
 				g.recordDrop(e, now, reader, trace.DropConfirmation)
-				ctx.removeEdge(e)
+				g.RemoveEdge(e)
 				return
 			}
 			if p, ok := confirmParent[e.Child.Tag]; ok && p != e.Parent.Tag {
 				g.recordDrop(e, now, reader, trace.DropConfirmation)
-				ctx.removeEdge(e)
+				g.RemoveEdge(e)
 				return
 			}
 		}

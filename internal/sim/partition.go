@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"io"
 
 	"spire/internal/model"
 )
@@ -52,43 +51,6 @@ func ZoneOfReaders(zones [][]model.Reader) map[model.ReaderID]int {
 		}
 	}
 	return m
-}
-
-// ZoneStream adapts a simulator into one zone's observation source: each
-// Next steps the (deterministic, full-warehouse) simulation and returns
-// only the zone's readers' readings. Every zone worker runs its own
-// simulator instance from the same seed, so the zones collectively see
-// exactly the readings a single deployment would — without any process
-// having to fan readings out.
-type ZoneStream struct {
-	s      *Simulator
-	zoneOf map[model.ReaderID]int
-	zone   int
-}
-
-// NewZoneStream wraps s as zone's view of the partition.
-func NewZoneStream(s *Simulator, zoneOf map[model.ReaderID]int, zone int) *ZoneStream {
-	return &ZoneStream{s: s, zoneOf: zoneOf, zone: zone}
-}
-
-// Next returns the zone's next epoch observation, or io.EOF when the
-// simulation is over. Epochs with no readings in the zone still yield an
-// (empty) observation — the substrate needs every epoch.
-func (z *ZoneStream) Next() (*model.Observation, error) {
-	if z.s.Done() {
-		return nil, io.EOF
-	}
-	o, err := z.s.Step()
-	if err != nil {
-		return nil, err
-	}
-	filtered := model.NewObservation(o.Time)
-	for r, tags := range o.ByReader {
-		if z.zoneOf[r] == z.zone {
-			filtered.ByReader[r] = tags
-		}
-	}
-	return filtered, nil
 }
 
 // SplitObservation splits one epoch's observation into per-zone
