@@ -24,8 +24,8 @@ bench:
 benchmark:
 	go run ./benchmark -workload all
 
-# Component-sharded inference benchmarks: serial full sweep, 4-way worker
-# fan-out, and cached steady state, with allocation counts.
+# Inference sweep benchmarks: full re-sweep (cache off) and cached steady
+# state, with allocation counts.
 bench-infer:
 	go test -run '^$$' -bench 'InferComponents' -benchmem ./internal/inference/
 
@@ -56,7 +56,7 @@ bench-json:
 # This is what the CI bench-regression job runs.
 bench-check:
 	go run ./cmd/spirebench -quick -expt all -json BENCH_check.json
-	go run ./cmd/spirebenchdiff -baseline BENCH_baseline.json -current BENCH_check.json -max-regression 0.20
+	go run ./cmd/spirebenchdiff -baseline BENCH_pr20.json -current BENCH_check.json -max-regression 0.20
 
 cover:
 	go test -cover ./internal/...

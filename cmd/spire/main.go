@@ -100,7 +100,6 @@ func run() error {
 		theta    = flag.Float64("theta", inference.DefaultConfig().Theta, "node inference θ")
 		adaptive = flag.Bool("adaptive-beta", false, "use the adaptive β heuristic")
 		prune    = flag.Float64("prune", 0, "edge prune threshold (0 = off)")
-		inferW   = flag.Int("infer-workers", 0, "inference worker-pool width (0 = GOMAXPROCS, 1 = serial); outputs are identical for any value")
 
 		ckptPath  = flag.String("checkpoint", "", "write atomic pipeline snapshots to this file")
 		ckptEvery = flag.Int("checkpoint-every", 60, "epochs between checkpoints (with -checkpoint)")
@@ -142,27 +141,20 @@ func run() error {
 		return err
 	}
 
-	if *inferW < 0 {
-		return fmt.Errorf("-infer-workers %d must be >= 0", *inferW)
-	}
 	var sub *core.Substrate
 	if *restore != "" {
 		// A snapshot is self-contained: it carries the reader deployment
 		// and inference parameters, so the tuning flags are ignored here.
-		// The worker pool is runtime tuning, not state — it is applied
-		// below on the restored substrate too.
 		sub, err = core.RestoreSubstrateFromFile(*restore)
 		if err != nil {
 			return fmt.Errorf("restore %s: %w", *restore, err)
 		}
 		logMain.Info("restored snapshot", "path", *restore, "epoch", sub.LastEpoch())
-		sub.SetInferWorkers(*inferW)
 	} else {
 		icfg := inference.DefaultConfig()
 		icfg.Beta, icfg.Gamma, icfg.Theta = *beta, *gamma, *theta
 		icfg.AdaptiveBeta = *adaptive
 		icfg.PruneThreshold = *prune
-		icfg.Workers = *inferW
 		sub, err = core.New(core.Config{
 			Readers:     s.Readers(),
 			Locations:   s.Locations(),

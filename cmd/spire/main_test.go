@@ -192,11 +192,12 @@ func TestEventStreamMatchesSubstrate(t *testing.T) {
 }
 
 // TestRemovedFlagsRejected pins that the flags deleted with the ingest
-// worker pools and the observation zone feed are unknown to the flag
-// package — not silently accepted.
+// and inference worker pools and the observation zone feed are unknown to
+// the flag package — not silently accepted.
 func TestRemovedFlagsRejected(t *testing.T) {
 	for _, tc := range []struct{ bin, flag, value string }{
 		{"spire", "-ingest-workers", "1"},
+		{"spire", "-infer-workers", "2"},
 		{"spiresim", "-ingest-workers", "1"},
 		{"spiresim", "-infer-workers", "1"},
 		{"spirezone", "-feed", "obs"},

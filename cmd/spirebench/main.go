@@ -258,12 +258,11 @@ func headline(exps []benchExperiment) map[string]float64 {
 					}
 				}
 			case "infercomp":
-				if len(last.Values) == 5 {
+				if len(last.Values) == 4 {
 					h["infercomp_serial_s"] = last.Values[0]
-					h["infercomp_parallel4_s"] = last.Values[1]
-					h["infercomp_cached_s"] = last.Values[2]
-					h["infercomp_cached_speedup"] = last.Values[3]
-					h["infercomp_dirty_node_frac"] = last.Values[4]
+					h["infercomp_cached_s"] = last.Values[1]
+					h["infercomp_cached_speedup"] = last.Values[2]
+					h["infercomp_dirty_node_frac"] = last.Values[3]
 				}
 			case "fig11a":
 				if v, ok := cell(t, last.Label, "SPIRE"); ok {

@@ -1,10 +1,11 @@
 // Command spirebenchdiff compares two spirebench -json reports and fails
 // when a headline timing metric regresses beyond a threshold. CI runs it
-// against the committed BENCH_baseline.json so a change that slows the
+// against the committed baseline report (BENCH_pr20.json; see the
+// Makefile's bench-check) so a change that slows the
 // Table III pipeline stages by more than the threshold fails the build:
 //
 //	spirebench -quick -expt all -json BENCH_new.json
-//	spirebenchdiff -baseline BENCH_baseline.json -current BENCH_new.json
+//	spirebenchdiff -baseline BENCH_pr20.json -current BENCH_new.json
 //
 // Only the Table III wall-clock keys gate (update, inference, and total
 // seconds per epoch at the largest trace size): they are the paper's
@@ -28,7 +29,7 @@ var gatedKeys = []string{
 	"table3_update_s_max",
 	"table3_inference_s_max",
 	"table3_s_per_epoch_max",
-	// Component-sharded inference: the serial full-sweep cost at the
+	// Inference sweep: the cache-off full-sweep cost at the
 	// largest size gates like the Table III timings, and the steady-state
 	// dirty-node fraction gates the incrementality claim — it is
 	// deterministic (fixed grower seed), so a change that starts sweeping

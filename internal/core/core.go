@@ -222,12 +222,6 @@ func (s *Substrate) Graph() *graph.Graph { return s.graph }
 // Schedule exposes the partial/complete inference schedule.
 func (s *Substrate) Schedule() inference.Schedule { return s.schedule }
 
-// SetInferWorkers overrides the inference worker-pool width at runtime
-// (0 = GOMAXPROCS, 1 = serial). Worker width is never persisted, so this
-// is how CLI tuning is applied after a checkpoint restore; outputs are
-// byte-identical for every width.
-func (s *Substrate) SetInferWorkers(n int) { s.inf.SetWorkers(n) }
-
 // InferStats returns the component/node accounting of the most recent
 // inference pass.
 func (s *Substrate) InferStats() inference.PassStats { return s.inf.LastStats() }
@@ -471,7 +465,6 @@ func (s *Substrate) finishEpoch(now model.Epoch, rawReadings int64, tel *Instrum
 		tel.InferClean.Add(int64(ist.CleanComponents))
 		tel.InferNodesRun.Add(int64(ist.NodesInferred))
 		tel.InferNodesCached.Add(int64(ist.NodesCached))
-		tel.InferWorkersGauge.Set(int64(ist.Workers))
 		tel.Graph.Record(s.graph)
 		openLocs, openConts := s.comp.Opens()
 		tel.Comp.Record(openLocs, openConts, len(out.Events), evBytes)

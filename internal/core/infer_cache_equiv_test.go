@@ -11,36 +11,16 @@ import (
 	"spire/internal/sim"
 )
 
-// The worker pool and the settled-slab cache are runtime tuning knobs:
-// for any worker count and either cache setting the substrate must emit a
-// byte-identical event stream, build an identical query store, and write
-// byte-identical snapshots. These tests pin that end to end, including
-// across a mid-run checkpoint/restore that retunes the worker count the
-// way the CLI's -infer-workers flag does after a restore.
+// The settled-slab cache is a runtime tuning knob: with it on or off the
+// substrate must emit a byte-identical event stream, build an identical
+// query store, and write byte-identical snapshots. These tests pin that
+// end to end against the cache-off run, including across a mid-run
+// checkpoint/restore (a restored substrate always has the cache on).
 
-// inferVariant names one (workers, cache) operating point.
-type inferVariant struct {
-	workers      int
-	disableCache bool
-}
-
-func (v inferVariant) String() string {
-	return fmt.Sprintf("workers=%d/cache=%v", v.workers, !v.disableCache)
-}
-
-var inferVariants = []inferVariant{
-	{workers: 1, disableCache: false},
-	{workers: 2, disableCache: false},
-	{workers: 4, disableCache: true},
-	{workers: 4, disableCache: false},
-	{workers: 8, disableCache: false},
-}
-
-func newTunedSubstrate(t *testing.T, s *sim.Simulator, level CompressionLevel, v inferVariant) *Substrate {
+func newTunedSubstrate(t *testing.T, s *sim.Simulator, level CompressionLevel, disableCache bool) *Substrate {
 	t.Helper()
 	icfg := inference.DefaultConfig()
-	icfg.Workers = v.workers
-	icfg.DisableCache = v.disableCache
+	icfg.DisableCache = disableCache
 	sub, err := New(Config{
 		Readers:     s.Readers(),
 		Locations:   s.Locations(),
@@ -91,15 +71,15 @@ func flatten(perEpoch [][]event.Event, closing []event.Event) []event.Event {
 	return append(full, closing...)
 }
 
-// TestInferWorkersByteIdentity is the end-to-end determinism pin of the
-// sharded inference path: every (workers, cache) variant reproduces the
-// serial cache-off run bit for bit at both compression levels.
-func TestInferWorkersByteIdentity(t *testing.T) {
+// TestInferCacheByteIdentity is the end-to-end determinism pin of the
+// component-skipping inference pass: the cache-on run reproduces the
+// cache-off run bit for bit at both compression levels.
+func TestInferCacheByteIdentity(t *testing.T) {
 	trace, s := buildTrace(t, 120)
 	mid := len(trace) / 2
 	for _, level := range []CompressionLevel{Level1, Level2} {
 		t.Run(fmt.Sprintf("level%d", level), func(t *testing.T) {
-			base := newTunedSubstrate(t, s, level, inferVariant{workers: 1, disableCache: true})
+			base := newTunedSubstrate(t, s, level, true)
 			refEpochs, refClosing, refMid, refEnd := runTraceSnap(t, base, trace, mid)
 			refFull := flatten(refEpochs, refClosing)
 			refBytes := encodeEvents(t, refFull)
@@ -108,33 +88,29 @@ func TestInferWorkersByteIdentity(t *testing.T) {
 				t.Fatal("reference run produced no events")
 			}
 
-			for _, v := range inferVariants {
-				sub := newTunedSubstrate(t, s, level, v)
-				perEpoch, closing, midSnap, endSnap := runTraceSnap(t, sub, trace, mid)
-				full := flatten(perEpoch, closing)
-				if !bytes.Equal(encodeEvents(t, full), refBytes) {
-					t.Fatalf("%v: event stream differs from serial cache-off run (%d vs %d events)",
-						v, len(full), len(refFull))
-				}
-				// Workers and DisableCache are runtime tuning, never state:
-				// snapshots must be byte-identical mid-run and at the end.
-				if !bytes.Equal(midSnap, refMid) {
-					t.Fatalf("%v: mid-run snapshot differs from reference", v)
-				}
-				if !bytes.Equal(endSnap, refEnd) {
-					t.Fatalf("%v: final snapshot differs from reference", v)
-				}
-				compareStores(t, feedStore(t, full), refStore, v.String())
+			sub := newTunedSubstrate(t, s, level, false)
+			perEpoch, closing, midSnap, endSnap := runTraceSnap(t, sub, trace, mid)
+			full := flatten(perEpoch, closing)
+			if !bytes.Equal(encodeEvents(t, full), refBytes) {
+				t.Fatalf("cache on: event stream differs from cache-off run (%d vs %d events)",
+					len(full), len(refFull))
 			}
+			// DisableCache is runtime tuning, never state: snapshots must
+			// be byte-identical mid-run and at the end.
+			if !bytes.Equal(midSnap, refMid) {
+				t.Fatal("cache on: mid-run snapshot differs from reference")
+			}
+			if !bytes.Equal(endSnap, refEnd) {
+				t.Fatal("cache on: final snapshot differs from reference")
+			}
+			compareStores(t, feedStore(t, full), refStore, "cache on")
 
-			// Restore from the mid-run snapshot, retune the pool the way the
-			// CLI does after restore, and replay the tail: the combined
-			// stream must still match the uninterrupted serial run.
+			// Restore from the mid-run snapshot and replay the tail: the
+			// combined stream must still match the uninterrupted run.
 			rsub, err := RestoreSubstrate(bytes.NewReader(refMid))
 			if err != nil {
 				t.Fatal(err)
 			}
-			rsub.SetInferWorkers(4)
 			stream := flatten(refEpochs[:mid+1], nil)
 			for _, o := range trace[mid+1:] {
 				out, err := rsub.ProcessEpoch(o.Clone())
@@ -145,18 +121,18 @@ func TestInferWorkersByteIdentity(t *testing.T) {
 			}
 			stream = append(stream, rsub.Close(trace[len(trace)-1].Time+1)...)
 			if !bytes.Equal(encodeEvents(t, stream), refBytes) {
-				t.Fatal("restore + SetInferWorkers(4) replay not byte-identical")
+				t.Fatal("restore + replay not byte-identical")
 			}
 		})
 	}
 }
 
-// FuzzInferParallelEquivalence drives fault-injected delivery sequences
+// FuzzInferCacheEquivalence drives fault-injected delivery sequences
 // (dropout bursts, duplicates, swaps, lost epochs) through the repairing
-// ingest gate into three differently tuned substrates and demands
+// ingest gate into a cache-off and a cache-on substrate and demands
 // identical output streams and snapshots. The faults come from the fuzzed
 // parameters, so the fuzzer explores the space of broken reader feeds.
-func FuzzInferParallelEquivalence(f *testing.F) {
+func FuzzInferCacheEquivalence(f *testing.F) {
 	cfg := sim.DefaultConfig()
 	cfg.Duration = 80
 	cfg.PalletInterval = 40
@@ -192,15 +168,10 @@ func FuzzInferParallelEquivalence(f *testing.F) {
 		delivery := sim.NewFaultInjector(fcfg).Apply(trace)
 		rcfg := RunnerConfig{Ingest: IngestConfig{Policy: IngestRepair}}
 
-		variants := []inferVariant{
-			{workers: 1, disableCache: true},
-			{workers: 4, disableCache: true},
-			{workers: 4, disableCache: false},
-		}
 		var refEvents []byte
 		var refSnap []byte
-		for i, v := range variants {
-			sub := newTunedSubstrate(t, s, Level2, v)
+		for _, disableCache := range []bool{true, false} {
+			sub := newTunedSubstrate(t, s, Level2, disableCache)
 			evs, _ := runGated(t, sub, rcfg, delivery)
 			got := encodeEvents(t, evs)
 			zeroWallClock(sub) // snapshots embed wall-clock stage timings
@@ -208,15 +179,15 @@ func FuzzInferParallelEquivalence(f *testing.F) {
 			if err := sub.Snapshot(&snap); err != nil {
 				t.Fatal(err)
 			}
-			if i == 0 {
+			if disableCache {
 				refEvents, refSnap = got, snap.Bytes()
 				continue
 			}
 			if !bytes.Equal(got, refEvents) {
-				t.Fatalf("%v: faulted stream output differs from serial cache-off run", v)
+				t.Fatal("cache on: faulted stream output differs from cache-off run")
 			}
 			if !bytes.Equal(snap.Bytes(), refSnap) {
-				t.Fatalf("%v: snapshot after faulted stream differs", v)
+				t.Fatal("cache on: snapshot after faulted stream differs")
 			}
 		}
 	})

@@ -40,16 +40,14 @@ type Instruments struct {
 	IngestReadings   *telemetry.Counter
 	IngestBatchBytes *telemetry.Counter
 
-	// Component-sharded inference accounting: components swept vs skipped
+	// Inference pass accounting: components swept vs skipped
 	// (spire_infer_components_total{state=dirty|clean}), nodes inferred vs
 	// served from the settled-slab cache
-	// (spire_infer_nodes_total{state=inferred|cached}), and the resolved
-	// worker-pool width.
-	InferDirty        *telemetry.Counter
-	InferClean        *telemetry.Counter
-	InferNodesRun     *telemetry.Counter
-	InferNodesCached  *telemetry.Counter
-	InferWorkersGauge *telemetry.Gauge
+	// (spire_infer_nodes_total{state=inferred|cached}).
+	InferDirty       *telemetry.Counter
+	InferClean       *telemetry.Counter
+	InferNodesRun    *telemetry.Counter
+	InferNodesCached *telemetry.Counter
 
 	Graph *graph.Instruments
 	Comp  *compress.Instruments
@@ -96,8 +94,6 @@ func NewInstruments(reg *telemetry.Registry, level CompressionLevel) *Instrument
 			"Nodes handled by an inference pass, by state.", "state", "inferred"),
 		InferNodesCached: reg.Counter("spire_infer_nodes_total",
 			"Nodes handled by an inference pass, by state.", "state", "cached"),
-		InferWorkersGauge: reg.Gauge("spire_infer_workers",
-			"Resolved inference worker-pool width of the last pass."),
 		Graph: graph.NewInstruments(reg),
 		Comp:  compress.NewInstruments(reg, levelLabel),
 		Dedup: dedup.NewInstruments(reg),

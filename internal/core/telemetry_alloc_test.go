@@ -116,7 +116,6 @@ func hotEpoch(tb testing.TB, sub *Substrate, b *model.Batch, now model.Epoch, te
 		tel.InferClean.Add(int64(ist.CleanComponents))
 		tel.InferNodesRun.Add(int64(ist.NodesInferred))
 		tel.InferNodesCached.Add(int64(ist.NodesCached))
-		tel.InferWorkersGauge.Set(int64(ist.Workers))
 		tel.Graph.Record(sub.graph)
 		openLocs, openConts := sub.comp.Opens()
 		tel.Comp.Record(openLocs, openConts, 0, 0)
@@ -149,7 +148,6 @@ func TestInstrumentedHotPathAllocs(t *testing.T) {
 		tel.InferClean.Add(int64(ist.CleanComponents))
 		tel.InferNodesRun.Add(int64(ist.NodesInferred))
 		tel.InferNodesCached.Add(int64(ist.NodesCached))
-		tel.InferWorkersGauge.Set(int64(ist.Workers))
 		tel.Graph.Record(sub.graph)
 		openLocs, openConts := sub.comp.Opens()
 		tel.Comp.Record(openLocs, openConts, 3, 64)

@@ -6,11 +6,10 @@ import (
 	"spire/internal/inference"
 )
 
-// InferComp measures the component-sharded inference path of Table III's
-// workload at three operating points: the serial full re-sweep (cache
-// off, one worker — the pre-sharding cost model), a 4-worker pool over
-// dirty components, and the incremental steady state where clean
-// components are served from the settled-slab cache. All three run the
+// InferComp measures the component-at-a-time inference pass of Table III's
+// workload at two operating points: the full re-sweep (cache off — the
+// pre-sharding cost model) and the incremental steady state where clean
+// components are served from the settled-slab cache. Both run the
 // same deterministic grower (fixed rng seed, inference never feeds back
 // into the read schedule), so the graphs — and the emitted verdicts,
 // pinned elsewhere byte-for-byte — are identical across columns; only the
@@ -24,33 +23,23 @@ func InferComp(o Options) (*Table, error) {
 	}
 	t := &Table{
 		ID:        "infercomp",
-		Title:     "Component-sharded inference, seconds per complete pass",
+		Title:     "Component-at-a-time inference, seconds per complete pass",
 		RowHeader: "objects",
-		Columns:   []string{"serial", "workers=4", "cached", "speedup", "dirty-frac"},
+		Columns:   []string{"serial", "cached", "speedup", "dirty-frac"},
 	}
 
-	type variant struct {
-		workers      int
-		disableCache bool
-	}
-	variants := []variant{
-		{workers: 1, disableCache: true},  // serial full sweep
-		{workers: 4, disableCache: true},  // worker pool, no cache
-		{workers: 1, disableCache: false}, // incremental steady state
-	}
 	type iccell struct {
 		nodes     int
 		inferSec  float64
 		dirtyFrac float64
 	}
-	nv := len(variants)
+	// Two cells per target: full sweep (cache off), then steady state.
+	const nv = 2
 	cells := make([]iccell, len(targets)*nv)
 	err := runCells(len(cells), o.Workers, func(i int) error {
-		v := variants[i%nv]
 		icfg := inference.DefaultConfig()
 		icfg.PruneThreshold = 0.25
-		icfg.Workers = v.workers
-		icfg.DisableCache = v.disableCache
+		icfg.DisableCache = i%nv == 0
 		p, err := newPerfGrowerCfg(icfg, 0.95)
 		if err != nil {
 			return err
@@ -70,18 +59,16 @@ func InferComp(o Options) (*Table, error) {
 	}
 	for r := range targets {
 		serial := cells[r*nv]
-		par := cells[r*nv+1]
-		cached := cells[r*nv+2]
+		cached := cells[r*nv+1]
 		speedup := 0.0
 		if cached.inferSec > 0 {
 			speedup = serial.inferSec / cached.inferSec
 		}
 		t.AddRow(fmt.Sprintf("%d", serial.nodes),
-			serial.inferSec, par.inferSec, cached.inferSec, speedup, cached.dirtyFrac)
+			serial.inferSec, cached.inferSec, speedup, cached.dirtyFrac)
 	}
 	t.Notes = append(t.Notes,
-		"identical outputs across all columns are pinned byte-for-byte by the core equivalence tests",
-		"dirty-frac is the fraction of nodes actually swept per pass in steady state; its complement is served from the settled-slab cache",
-		"on a single-CPU host the worker column measures sharding overhead, not speedup; the cached column is the incremental win")
+		"identical outputs with the cache on and off are pinned byte-for-byte by the core equivalence tests",
+		"dirty-frac is the fraction of nodes actually swept per pass in steady state; its complement is served from the settled-slab cache")
 	return t, nil
 }

@@ -13,9 +13,9 @@ import (
 // components: every edge is created between two same-colored nodes, so no
 // path ever crosses a component boundary, and the inference sweep of one
 // component reads and writes nothing of another. The inference package
-// exploits that independence twice — dirty components fan out across a
-// worker pool, and clean settled components are served from cached verdict
-// slabs — which makes component identity part of the graph's contract.
+// exploits that independence to skip clean work — unread components under
+// partial inference, settled ones served from cached verdict slabs — which
+// makes component identity part of the graph's contract.
 //
 // Identity is maintained incrementally where cheap and lazily where not:
 //
@@ -171,18 +171,18 @@ func (g *Graph) rebuildComponent(c *Component, now model.Epoch) {
 				nc.id = m.Tag
 			}
 			m.comp = nc
-			m.VisitParents(func(e *Edge) {
+			for _, e := range m.parents {
 				if p := e.Parent; p.compSeen != stamp {
 					p.compSeen = stamp
 					nc.members = append(nc.members, p)
 				}
-			})
-			m.VisitChildren(func(e *Edge) {
+			}
+			for _, e := range m.children {
 				if ch := e.Child; ch.compSeen != stamp {
 					ch.compSeen = stamp
 					nc.members = append(nc.members, ch)
 				}
-			})
+			}
 		}
 		g.comps[nc] = struct{}{}
 	}

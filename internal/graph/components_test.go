@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spire/internal/epc"
@@ -94,9 +95,8 @@ func TestComponentsSplitOnEdgeRemoval(t *testing.T) {
 	// Dropping both edges of c2 splits it off; the rebuild happens lazily
 	// at the next Components call and stamps both halves dirty.
 	n2 := g.Node(c2)
-	var edges []*Edge
-	n2.VisitParents(func(e *Edge) { edges = append(edges, e) })
-	n2.VisitChildren(func(e *Edge) { edges = append(edges, e) })
+	// Copy: RemoveEdge edits the spans.
+	edges := slices.Concat(n2.Parents(), n2.Children())
 	for _, e := range edges {
 		g.RemoveEdge(e)
 	}

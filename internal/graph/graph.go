@@ -16,6 +16,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"spire/internal/model"
 	"spire/internal/trace"
@@ -78,16 +79,23 @@ type Node struct {
 	BetaEither int
 	BetaOne    int
 
-	// InferDist and DistStamp are scratch storage owned by the inference
-	// package: the BFS hop distance assigned to this node by the sweep
-	// whose stamp is DistStamp (the same stamped-slot idiom as
-	// Edge.InferProb/InferStamp). A stamp differing from the running pass
-	// means "not reached this pass" — no per-epoch map or clearing needed.
+	// InferDist/DistStamp and InferLoc/LocStamp are scratch storage owned
+	// by the inference package: the BFS hop distance assigned to this node
+	// by the sweep whose stamp is DistStamp, and the location verdict
+	// settled for it by the sweep whose stamp is LocStamp (the same
+	// stamped-slot idiom as Edge.InferProb/InferStamp). A stamp differing
+	// from the running pass means "not reached / not settled this pass" —
+	// no per-epoch map or clearing needed.
 	InferDist int32
+	InferLoc  model.LocationID
 	DistStamp uint64
+	LocStamp  uint64
 
-	parents  map[model.Tag]*Edge // incoming edges, keyed by parent tag
-	children map[model.Tag]*Edge // outgoing edges, keyed by child tag
+	// parents and children are the node's edge spans: incoming edges in
+	// strictly ascending Parent.Tag order, outgoing edges in strictly
+	// ascending Child.Tag order. Only AddEdge and RemoveEdge write them.
+	parents  []*Edge
+	children []*Edge
 
 	comp     *Component // connected component (see components.go)
 	compSeen uint64     // rebuild-BFS visit stamp, owned by rebuildComponent
@@ -105,47 +113,62 @@ func (n *Node) ColorAt(now model.Epoch) model.LocationID {
 	return model.LocationNone
 }
 
-// ParentEdges returns the incoming (possible-container) edges. The
-// returned slice is freshly allocated; mutate the graph, not the slice.
-func (n *Node) ParentEdges() []*Edge {
-	out := make([]*Edge, 0, len(n.parents))
-	for _, e := range n.parents {
-		out = append(out, e)
-	}
-	return out
-}
+// Parents returns the incoming (possible-container) edges in ascending
+// parent-tag order. The span is owned by the graph: range over it, do not
+// mutate it, and do not hold it across AddEdge or RemoveEdge.
+func (n *Node) Parents() []*Edge { return n.parents }
 
-// ChildEdges returns the outgoing (possible-content) edges.
-func (n *Node) ChildEdges() []*Edge {
-	out := make([]*Edge, 0, len(n.children))
-	for _, e := range n.children {
-		out = append(out, e)
-	}
-	return out
-}
+// Children returns the outgoing (possible-content) edges in ascending
+// child-tag order, under the same contract as Parents.
+func (n *Node) Children() []*Edge { return n.children }
 
-// NumParents and NumChildren report degree without allocating.
+// NumParents and NumChildren report degree.
 func (n *Node) NumParents() int  { return len(n.parents) }
 func (n *Node) NumChildren() int { return len(n.children) }
 
 // ParentEdge returns the edge from the given parent, if any.
-func (n *Node) ParentEdge(parent model.Tag) *Edge { return n.parents[parent] }
-
-// ChildEdge returns the edge to the given child, if any.
-func (n *Node) ChildEdge(child model.Tag) *Edge { return n.children[child] }
-
-// VisitParents calls f for each incoming edge without allocating.
-func (n *Node) VisitParents(f func(*Edge)) {
-	for _, e := range n.parents {
-		f(e)
+func (n *Node) ParentEdge(parent model.Tag) *Edge {
+	if i, ok := parentIndex(n.parents, parent); ok {
+		return n.parents[i]
 	}
+	return nil
 }
 
-// VisitChildren calls f for each outgoing edge without allocating.
-func (n *Node) VisitChildren(f func(*Edge)) {
-	for _, e := range n.children {
-		f(e)
+// ChildEdge returns the edge to the given child, if any.
+func (n *Node) ChildEdge(child model.Tag) *Edge {
+	if i, ok := childIndex(n.children, child); ok {
+		return n.children[i]
 	}
+	return nil
+}
+
+// parentIndex binary-searches a parents span for the edge from tag,
+// returning its position (or insertion point) and whether it is present.
+// Hand-rolled: slices.BinarySearchFunc's indirect comparison call cost
+// about 4 % of shelf_scale throughput on every AddEdge/RemoveEdge.
+func parentIndex(span []*Edge, tag model.Tag) (int, bool) {
+	lo, hi := 0, len(span)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); span[m].Parent.Tag < tag {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(span) && span[lo].Parent.Tag == tag
+}
+
+// childIndex is parentIndex for a children span.
+func childIndex(span []*Edge, tag model.Tag) (int, bool) {
+	lo, hi := 0, len(span)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); span[m].Child.Tag < tag {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(span) && span[lo].Child.Tag == tag
 }
 
 // AdaptiveBeta returns the adaptive β of Expt 1: the fraction of epochs,
@@ -286,8 +309,6 @@ func (g *Graph) addNode(tag model.Tag, lvl model.Level) *Node {
 		SeenAt:      model.EpochNone,
 		NewColorAt:  model.EpochNone,
 		ConfirmedAt: model.EpochNone,
-		parents:     make(map[model.Tag]*Edge),
-		children:    make(map[model.Tag]*Edge),
 	}
 	g.nodes[tag] = n
 	g.newComponent(n)
@@ -297,8 +318,9 @@ func (g *Graph) addNode(tag model.Tag, lvl model.Level) *Node {
 // AddEdge inserts a parent→child edge if absent and returns it. Both
 // nodes must already be in the graph.
 func (g *Graph) AddEdge(parent, child *Node, now model.Epoch) *Edge {
-	if e, ok := child.parents[parent.Tag]; ok {
-		return e
+	pi, ok := parentIndex(child.parents, parent.Tag)
+	if ok {
+		return child.parents[pi]
 	}
 	h, err := NewHistory(g.cfg.HistorySize)
 	if err != nil {
@@ -321,8 +343,9 @@ func (g *Graph) AddEdge(parent, child *Node, now model.Epoch) *Edge {
 		conflictedAt: model.EpochNone,
 		betaOneAt:    model.EpochNone,
 	}
-	parent.children[child.Tag] = e
-	child.parents[parent.Tag] = e
+	child.parents = slices.Insert(child.parents, pi, e)
+	ci, _ := childIndex(parent.children, child.Tag)
+	parent.children = slices.Insert(parent.children, ci, e)
 	g.edges++
 	g.unionComponents(parent.comp, child.comp, now)
 	if g.rec != nil {
@@ -338,43 +361,16 @@ func (g *Graph) AddEdge(parent, child *Node, now model.Epoch) *Edge {
 // identity check makes removal idempotent and guards against a stale edge
 // deleting a newer edge of the same parent-child pair.
 func (g *Graph) RemoveEdge(e *Edge) {
-	if g.DetachEdge(e) {
-		g.recycleEdge(e)
-	}
-}
-
-// DetachEdge unlinks e from its two endpoints (and clears the child's
-// confirmed-parent slot if e held it) without touching any graph-wide
-// bookkeeping, and reports whether the edge was live. Both endpoints lie
-// in the same component, so concurrent inference workers — each owning a
-// disjoint set of components — may detach edges in parallel; the shared
-// state (edge count, free list, component staleness) is settled by a
-// single RecycleDetached call after the workers join. Callers outside
-// that protocol want RemoveEdge.
-func (g *Graph) DetachEdge(e *Edge) bool {
 	if e.Child.ConfirmedEdge == e {
 		e.Child.ConfirmedEdge = nil
 	}
-	if e.Child.parents[e.Parent.Tag] != e {
-		return false
+	pi, ok := parentIndex(e.Child.parents, e.Parent.Tag)
+	if !ok || e.Child.parents[pi] != e {
+		return
 	}
-	delete(e.Child.parents, e.Parent.Tag)
-	delete(e.Parent.children, e.Child.Tag)
-	return true
-}
-
-// RecycleDetached completes the removal of edges previously unlinked with
-// DetachEdge: adjusts the edge count, parks the structs on the free list,
-// and marks the affected components stale. Must be called from the
-// goroutine owning the graph, after any concurrent detachers have joined.
-func (g *Graph) RecycleDetached(edges []*Edge) {
-	for _, e := range edges {
-		g.recycleEdge(e)
-	}
-}
-
-// recycleEdge finishes one detached edge's removal bookkeeping.
-func (g *Graph) recycleEdge(e *Edge) {
+	e.Child.parents = slices.Delete(e.Child.parents, pi, pi+1)
+	ci, _ := childIndex(e.Parent.children, e.Child.Tag)
+	e.Parent.children = slices.Delete(e.Parent.children, ci, ci+1)
 	g.edges--
 	g.freeEdges = append(g.freeEdges, e)
 	g.markStale(e.Child.comp)
@@ -388,11 +384,13 @@ func (g *Graph) RemoveNode(tag model.Tag) {
 	if !ok {
 		return
 	}
-	for _, e := range n.parents {
-		g.RemoveEdge(e)
+	// RemoveEdge shrinks the span it is handed an element of: pop from
+	// the end until both are empty.
+	for len(n.parents) > 0 {
+		g.RemoveEdge(n.parents[len(n.parents)-1])
 	}
-	for _, e := range n.children {
-		g.RemoveEdge(e)
+	for len(n.children) > 0 {
+		g.RemoveEdge(n.children[len(n.children)-1])
 	}
 	// Drop the node from the colored index of the current epoch, if there.
 	if n.SeenAt == g.coloredAt && n.RecentColor.Known() && int(n.RecentColor) < len(g.colored[n.Level]) {
@@ -464,13 +462,14 @@ func (g *Graph) ensureColor(c model.LocationID) {
 	}
 }
 
-// NodeSizeBytes and EdgeSizeBytes approximate per-object memory costs for
-// the memory experiment (Fig. 10). They include the map-entry overhead of
-// the adjacency maps (two entries per edge) using a conservative 48 bytes
-// per map entry.
+// NodeSizeBytes and EdgeSizeBytes are the per-object memory costs behind
+// the memory experiment (Fig. 10): the struct sizes (a node's two span
+// headers are part of its struct) plus, per edge, the pointer slot it
+// occupies in each endpoint's span. Span capacity slack and the node
+// index are not charged. A test pins both to unsafe.Sizeof.
 const (
-	NodeSizeBytes = 160        // struct + two map headers + index slot
-	EdgeSizeBytes = 112 + 2*48 // struct (incl. inference scratch slots) + map entries
+	NodeSizeBytes = 160
+	EdgeSizeBytes = 80 + 2*8
 )
 
 // ApproxBytes estimates the resident size of the graph.

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // MaxHistorySize bounds the recent_colocations bit-vector length. The
@@ -72,29 +73,36 @@ func (h History) Ones() int {
 //
 // The paper writes 1/i^α from i = 0; we use the standard Zipf index (i+1)
 // so the most recent bit has finite weight — identical at the paper's
-// chosen α = 0. weights must come from ZipfWeights(size, α).
-func (h History) Weight(weights []float64) float64 {
-	if len(weights) != h.size {
-		panic(fmt.Sprintf("graph: weight table size %d != history size %d", len(weights), h.size))
+// chosen α = 0. The numerator adds the weights of the set bits only, in
+// ascending bit order — the additions a walk over all S bits would
+// perform, in the same order, so the score is exact for every α.
+// t must come from ZipfWeights(size, α).
+func (h History) Weight(t *ZipfTable) float64 {
+	if len(t.w) != h.size {
+		panic(fmt.Sprintf("graph: weight table size %d != history size %d", len(t.w), h.size))
 	}
-	var num, den float64
-	for i := 0; i < h.size; i++ {
-		den += weights[i]
-		if h.bits>>uint(i)&1 == 1 {
-			num += weights[i]
-		}
+	var num float64
+	for b := h.bits; b != 0; b &= b - 1 {
+		num += t.w[bits.TrailingZeros64(b)]
 	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
+	return num / t.den
 }
 
-// ZipfWeights precomputes 1/(i+1)^α for i in [0, size).
-func ZipfWeights(size int, alpha float64) []float64 {
-	w := make([]float64, size)
-	for i := range w {
-		w[i] = 1 / math.Pow(float64(i+1), alpha)
+// ZipfTable is the Eq. 1 weight table 1/(i+1)^α for i in [0, size)
+// together with its sum, the normalizing denominator (≥ 1: the first
+// weight is 1 for every α).
+type ZipfTable struct {
+	w   []float64
+	den float64
+}
+
+// ZipfWeights precomputes the weight table for histories of the given
+// size, summing the denominator once in ascending order.
+func ZipfWeights(size int, alpha float64) *ZipfTable {
+	t := &ZipfTable{w: make([]float64, size)}
+	for i := range t.w {
+		t.w[i] = 1 / math.Pow(float64(i+1), alpha)
+		t.den += t.w[i]
 	}
-	return w
+	return t
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -69,18 +70,24 @@ func TestHistorySize64NoOverflow(t *testing.T) {
 }
 
 func TestZipfWeights(t *testing.T) {
-	w := ZipfWeights(4, 0)
-	for i, v := range w {
+	t0 := ZipfWeights(4, 0)
+	for i, v := range t0.w {
 		if v != 1 {
 			t.Errorf("α=0 weight[%d] = %v, want 1", i, v)
 		}
 	}
-	w = ZipfWeights(3, 1)
+	if t0.den != 4 {
+		t.Errorf("α=0 denominator = %v, want 4", t0.den)
+	}
+	t1 := ZipfWeights(3, 1)
 	want := []float64{1, 0.5, 1.0 / 3}
 	for i := range want {
-		if math.Abs(w[i]-want[i]) > 1e-12 {
-			t.Errorf("α=1 weight[%d] = %v, want %v", i, w[i], want[i])
+		if math.Abs(t1.w[i]-want[i]) > 1e-12 {
+			t.Errorf("α=1 weight[%d] = %v, want %v", i, t1.w[i], want[i])
 		}
+	}
+	if math.Abs(t1.den-11.0/6) > 1e-12 {
+		t.Errorf("α=1 denominator = %v, want 11/6", t1.den)
 	}
 }
 
@@ -153,4 +160,69 @@ func TestQuickHistoryWeightBounds(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// weightAllBits is the Eq. 1 loop History.Weight replaced, kept verbatim
+// as the oracle: it walks all S bits, summing the denominator as it goes.
+func weightAllBits(h History, weights []float64) float64 {
+	var num, den float64
+	for i := 0; i < h.size; i++ {
+		den += weights[i]
+		if h.bits>>uint(i)&1 == 1 {
+			num += weights[i]
+		}
+	}
+	if den == 0 {
+		return 0
+	}
+	return num / den
+}
+
+// checkWeightExact requires the set-bits walk to reproduce the all-bits
+// loop to the last bit of the float, for one (S, α, bits).
+func checkWeightExact(t *testing.T, size int, alpha float64, bits uint64) {
+	t.Helper()
+	h, err := NewHistory(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.bits = bits
+	if size < 64 {
+		h.bits &= 1<<uint(size) - 1 // Shift never leaves a bit beyond S
+	}
+	tab := ZipfWeights(size, alpha)
+	got, want := h.Weight(tab), weightAllBits(h, tab.w)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("S=%d α=%v bits=%#x: Weight = %v (%#x), all-bits loop = %v (%#x)",
+			size, alpha, h.bits, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+var (
+	exactSizes  = []int{1, 31, 32, 64}
+	exactAlphas = []float64{0, 0.5, 1, 2}
+)
+
+func TestHistoryWeightMatchesAllBitsLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for _, size := range exactSizes {
+		for _, alpha := range exactAlphas {
+			for _, bits := range []uint64{0, 1, 1 << 63, ^uint64(0), 0xAAAAAAAAAAAAAAAA} {
+				checkWeightExact(t, size, alpha, bits)
+			}
+			for i := 0; i < 500; i++ {
+				checkWeightExact(t, size, alpha, rng.Uint64())
+			}
+		}
+	}
+}
+
+func FuzzHistoryWeightMatchesAllBitsLoop(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint64(0))
+	f.Add(uint8(2), uint8(3), uint64(0xDEADBEEFCAFEF00D))
+	f.Add(uint8(3), uint8(1), ^uint64(0))
+	f.Fuzz(func(t *testing.T, sizeIdx, alphaIdx uint8, bits uint64) {
+		checkWeightExact(t, exactSizes[int(sizeIdx)%len(exactSizes)],
+			exactAlphas[int(alphaIdx)%len(exactAlphas)], bits)
+	})
 }

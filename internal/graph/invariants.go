@@ -11,7 +11,8 @@ import (
 // tests and by the property-based suite; it is O(V+E).
 //
 // Invariants checked:
-//   - adjacency maps are mutually consistent and the edge count matches;
+//   - edge spans are in strictly ascending partner-tag order, every edge
+//     sits in both its endpoints' spans, and the edge count matches;
 //   - a parent edge never points from a lower to a higher node within the
 //     same... more precisely, Parent.Level > Child.Level always (edges may
 //     cross layers but always point downward);
@@ -29,14 +30,15 @@ func (g *Graph) CheckInvariants(now model.Epoch) error {
 		if n.Tag != tag {
 			return fmt.Errorf("graph: node keyed %d has tag %d", tag, n.Tag)
 		}
-		for ptag, e := range n.parents {
+		for i, e := range n.parents {
+			ptag := e.Parent.Tag
 			if e.Child != n {
 				return fmt.Errorf("graph: parent edge of %d has child %d", tag, e.Child.Tag)
 			}
-			if e.Parent.Tag != ptag {
-				return fmt.Errorf("graph: parent edge of %d keyed %d but parent is %d", tag, ptag, e.Parent.Tag)
+			if i > 0 && n.parents[i-1].Parent.Tag >= ptag {
+				return fmt.Errorf("graph: parents span of %d not ascending at %d", tag, ptag)
 			}
-			if back, ok := e.Parent.children[tag]; !ok || back != e {
+			if e.Parent.ChildEdge(tag) != e {
 				return fmt.Errorf("graph: edge %d→%d missing from parent's children", ptag, tag)
 			}
 			if e.Parent.Level <= e.Child.Level {
@@ -50,16 +52,20 @@ func (g *Graph) CheckInvariants(now model.Epoch) error {
 			}
 			edgeSeen++
 		}
-		for ctag, e := range n.children {
-			if e.Parent != n || e.Child.Tag != ctag {
-				return fmt.Errorf("graph: child edge %d→%d inconsistent", tag, ctag)
+		for i, e := range n.children {
+			ctag := e.Child.Tag
+			if e.Parent != n {
+				return fmt.Errorf("graph: child edge %d→%d has parent %d", tag, ctag, e.Parent.Tag)
 			}
-			if back, ok := e.Child.parents[tag]; !ok || back != e {
+			if i > 0 && n.children[i-1].Child.Tag >= ctag {
+				return fmt.Errorf("graph: children span of %d not ascending at %d", tag, ctag)
+			}
+			if e.Child.ParentEdge(tag) != e {
 				return fmt.Errorf("graph: edge %d→%d missing from child's parents", tag, ctag)
 			}
 		}
 		if ce := n.ConfirmedEdge; ce != nil {
-			if got, ok := n.parents[ce.Parent.Tag]; !ok || got != ce {
+			if n.ParentEdge(ce.Parent.Tag) != ce {
 				return fmt.Errorf("graph: node %d confirmed edge is not among its parents", tag)
 			}
 		}

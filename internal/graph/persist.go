@@ -20,8 +20,9 @@ import (
 // stamp could collide with a fresh pass and leak a stale probability.
 // Restored edges carry zeroed scratch, which no pass stamp ever matches.
 //
-// Nodes and edges are written in sorted tag order so that equal graphs
-// always produce identical bytes.
+// Nodes are written in sorted tag order and each node's parent edges as
+// its span stands (ascending parent tag), so equal graphs always produce
+// identical bytes.
 
 const sectionGraph = "GRPH"
 
@@ -64,14 +65,7 @@ func (g *Graph) EncodeState(e *checkpoint.Encoder) {
 
 	e.Uint64(uint64(g.edges))
 	for _, t := range tags {
-		n := g.nodes[t]
-		ptags := make([]model.Tag, 0, len(n.parents))
-		for p := range n.parents {
-			ptags = append(ptags, p)
-		}
-		slices.Sort(ptags)
-		for _, p := range ptags {
-			ed := n.parents[p]
+		for _, ed := range g.nodes[t].parents {
 			e.Uint64(uint64(ed.Parent.Tag))
 			e.Uint64(uint64(ed.Child.Tag))
 			e.Uint64(ed.History.bits)
@@ -161,7 +155,7 @@ func DecodeState(d *checkpoint.Decoder) (*Graph, error) {
 		if parent.Level <= child.Level {
 			return nil, fmt.Errorf("%w: graph edge %d→%d does not point downward", checkpoint.ErrCorrupt, ptag, ctag)
 		}
-		if child.parents[ptag] != nil {
+		if child.ParentEdge(ptag) != nil {
 			return nil, fmt.Errorf("%w: duplicate graph edge %d→%d", checkpoint.ErrCorrupt, ptag, ctag)
 		}
 		if hist < 64 && bits>>hist != 0 {
@@ -175,7 +169,7 @@ func DecodeState(d *checkpoint.Decoder) (*Graph, error) {
 	}
 
 	for _, c := range confirms {
-		ed := g.nodes[c.child].parents[c.parent]
+		ed := g.nodes[c.child].ParentEdge(c.parent)
 		if ed == nil {
 			return nil, fmt.Errorf("%w: node %d confirmed parent %d has no edge", checkpoint.ErrCorrupt, c.child, c.parent)
 		}

@@ -231,11 +231,13 @@ func (g *Graph) visitEdges(v *Node, c model.LocationID, now model.Epoch, reader 
 		}
 		e.UpdateTime = now
 	}
-	for _, e := range v.parents {
-		visit(e)
+	// visit may remove the edge it is handed, which shifts the span's tail
+	// down by one: walk from the end so the unvisited part never moves.
+	for i := len(v.parents) - 1; i >= 0; i-- {
+		visit(v.parents[i])
 	}
-	for _, e := range v.children {
-		visit(e)
+	for i := len(v.children) - 1; i >= 0; i-- {
+		visit(v.children[i])
 	}
 }
 

@@ -200,7 +200,7 @@ func TestSnapshotStats(t *testing.T) {
 	}
 }
 
-// TestVisitAccessors covers the allocation-free iteration helpers.
+// TestVisitAccessors covers the edge-span accessors.
 func TestVisitAccessors(t *testing.T) {
 	g := newGraph(t)
 	c := tag(t, model.LevelCase, 1)
@@ -208,23 +208,17 @@ func TestVisitAccessors(t *testing.T) {
 	i2 := tag(t, model.LevelItem, 2)
 	mustUpdate(t, g, dockReader, 1, c, i1, i2)
 	nc := g.Node(c)
-	kids := 0
-	nc.VisitChildren(func(e *Edge) {
+	for _, e := range nc.Children() {
 		if e.Parent != nc {
 			t.Error("child edge parent mismatch")
 		}
-		kids++
-	})
-	if kids != 2 || nc.NumChildren() != 2 {
-		t.Errorf("children = %d/%d, want 2", kids, nc.NumChildren())
 	}
-	parents := 0
-	g.Node(i1).VisitParents(func(*Edge) { parents++ })
-	if parents != 1 || g.Node(i1).NumParents() != 1 {
-		t.Errorf("parents = %d, want 1", parents)
+	if kids := nc.Children(); len(kids) != 2 || nc.NumChildren() != 2 ||
+		kids[0].Child.Tag != i1 || kids[1].Child.Tag != i2 {
+		t.Errorf("children span = %d edges, want [i1 i2]", len(kids))
 	}
-	if len(nc.ChildEdges()) != 2 || len(g.Node(i1).ParentEdges()) != 1 {
-		t.Error("slice accessors disagree with visitors")
+	if ps := g.Node(i1).Parents(); len(ps) != 1 || g.Node(i1).NumParents() != 1 || ps[0].Parent != nc {
+		t.Errorf("parents span = %d edges, want [c]", len(ps))
 	}
 	count := 0
 	g.Nodes(func(*Node) { count++ })

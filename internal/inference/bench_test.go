@@ -81,25 +81,20 @@ func BenchmarkCompleteInference(b *testing.B) {
 	}
 }
 
-// The component-sharded variants cover the three operating points of the
-// sharded pass: serial full re-sweep (the Table III baseline shape),
-// 4-way worker fan-out over dirty components, and cached steady state
-// where the stream has gone quiet and passes serve settled slabs.
+// The component variants cover the two operating points of the pass: the
+// full re-sweep with the cache off (the Table III baseline shape), and
+// cached steady state where the stream has gone quiet and passes serve
+// settled slabs.
 func BenchmarkInferComponentsSerial(b *testing.B) {
-	benchInferComponents(b, 1, true, false)
-}
-
-func BenchmarkInferComponentsParallel4(b *testing.B) {
-	benchInferComponents(b, 4, true, false)
+	benchInferComponents(b, true, false)
 }
 
 func BenchmarkInferComponentsCachedSteadyState(b *testing.B) {
-	benchInferComponents(b, 1, false, true)
+	benchInferComponents(b, false, true)
 }
 
-func benchInferComponents(b *testing.B, workers int, disableCache, steady bool) {
+func benchInferComponents(b *testing.B, disableCache, steady bool) {
 	cfg := DefaultConfig()
-	cfg.Workers = workers
 	cfg.DisableCache = disableCache
 	g, now := buildWarehouseGraph(b, 64, 4, 20)
 	inf, err := New(cfg, g.Config().HistorySize)

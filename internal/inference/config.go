@@ -46,17 +46,11 @@ type Config struct {
 	// PartialHops is l, the halo radius of partial inference (§IV-D).
 	PartialHops int
 
-	// Workers bounds the goroutines Infer fans dirty connected
-	// components across: 0 means runtime.GOMAXPROCS(0), 1 the serial
-	// path. Outputs are byte-identical for every value. Runtime tuning
-	// only — never serialized into checkpoints, so restored runs may pick
-	// any width without breaking checkpoint byte-compatibility.
-	Workers int
-
 	// DisableCache turns off the settled-component verdict-slab cache,
 	// forcing every component to be re-swept each epoch. Outputs are
 	// byte-identical either way; used by tests and benchmarks to isolate
-	// the sweep cost. Runtime tuning only, like Workers.
+	// the sweep cost. Runtime tuning only — never serialized into
+	// checkpoints.
 	DisableCache bool
 }
 
@@ -91,9 +85,6 @@ func (c Config) Validate() error {
 	}
 	if c.PartialHops < 1 {
 		return fmt.Errorf("inference: PartialHops %d must be >= 1", c.PartialHops)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("inference: Workers %d must be >= 0", c.Workers)
 	}
 	return nil
 }

@@ -3,11 +3,8 @@ package inference
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"spire/internal/graph"
@@ -89,7 +86,6 @@ type PassStats struct {
 	CleanComponents int // components skipped (cache hit or outside all halos)
 	NodesInferred   int // nodes that went through edge/node inference
 	NodesCached     int // nodes whose verdicts were served from a slab
-	Workers         int // resolved worker-pool width
 }
 
 // compSlab caches the verdicts of a settled component: every member
@@ -111,8 +107,8 @@ type compSlab struct {
 // scratch buffers — including the Result it returns — so one Inferencer
 // should be reused across epochs; it is not safe for concurrent use.
 type Inferencer struct {
-	cfg     Config
-	weights []float64 // Zipf table, sized to the graph's history length
+	cfg  Config
+	zipf *graph.ZipfTable // Eq. 1 weights, sized to the graph's history length
 
 	// rec is the optional decision-provenance recorder (nil when
 	// untraced); now mirrors the epoch of the running pass for records.
@@ -121,10 +117,13 @@ type Inferencer struct {
 
 	// scratch reused across epochs
 	res      Result // pooled result; see Infer's contract
-	stamp    uint64 // stamp of the running pass, matched against InferStamp/DistStamp
-	sweepers []*sweeper
-	tasks    []*graph.Component
-	settled  []bool
+	stamp    uint64 // stamp of the running pass, matched against the node and edge scratch stamps
+	frontier []*graph.Node
+	next     []*graph.Node
+	rest     []*graph.Node
+	pruned   []*graph.Edge
+	props    []propagation
+	probs    []propagation           // per-location belief of the node under inference
 	slabs    map[model.Tag]*compSlab // settled-component cache, keyed by component id
 	stats    PassStats
 }
@@ -135,15 +134,6 @@ type Inferencer struct {
 // A nil recorder disables recording. Recording is observation-only.
 func (inf *Inferencer) SetTracer(rec *trace.Recorder) { inf.rec = rec }
 
-// SetWorkers overrides the configured worker-pool width at runtime
-// (0 = GOMAXPROCS, 1 = serial). Used to apply CLI tuning after a
-// checkpoint restore; negative values are ignored.
-func (inf *Inferencer) SetWorkers(n int) {
-	if n >= 0 {
-		inf.cfg.Workers = n
-	}
-}
-
 // LastStats returns the component/node accounting of the most recent
 // Infer call.
 func (inf *Inferencer) LastStats() PassStats { return inf.stats }
@@ -151,12 +141,11 @@ func (inf *Inferencer) LastStats() PassStats { return inf.stats }
 // passStamps issues a process-wide unique stamp per inference pass, so
 // the per-edge and per-node scratch slots of concurrently running
 // Inferencers (each on its own graph) and of successive Inferencers
-// sharing one graph can never read each other's state as fresh. Workers
-// of one pass share the pass stamp: components are disjoint, so each
-// node and edge is touched by exactly one worker.
+// sharing one graph can never read each other's state as fresh.
 var passStamps atomic.Uint64
 
-// propagation is one determined neighbor color feeding node inference.
+// propagation is a location with a probability mass: one determined
+// neighbor color feeding node inference, or one candidate's summed belief.
 type propagation struct {
 	loc model.LocationID
 	p   float64
@@ -172,9 +161,9 @@ func New(cfg Config, historySize int) (*Inferencer, error) {
 		return nil, fmt.Errorf("inference: history size %d out of range", historySize)
 	}
 	return &Inferencer{
-		cfg:     cfg,
-		weights: graph.ZipfWeights(historySize, cfg.Alpha),
-		slabs:   make(map[model.Tag]*compSlab),
+		cfg:   cfg,
+		zipf:  graph.ZipfWeights(historySize, cfg.Alpha),
+		slabs: make(map[model.Tag]*compSlab),
 	}, nil
 }
 
@@ -191,15 +180,14 @@ func (inf *Inferencer) Config() Config { return inf.cfg }
 // colored node in their component are processed last, in tag order, using
 // whatever colors have settled.
 //
-// The sweep is sharded by connected component: no edge ever crosses a
-// component boundary, so components are inferred independently, in any
-// order, and the layer-interleaved global sweep of the paper produces the
-// same verdicts as a component-at-a-time sweep. Infer exploits that to
-// (a) skip components untouched since their last sweep — reusing the
-// cached slab of a settled component, or skipping entirely under Partial
-// mode, where an unread component intersects no halo — and (b) fan dirty
-// components across Config.Workers goroutines. Outputs are byte-identical
-// for any worker count and with the cache on or off.
+// The sweep runs one connected component at a time, in id order, on the
+// calling goroutine: no edge ever crosses a component boundary, so the
+// layer-interleaved global sweep of the paper produces the same verdicts
+// as a component-at-a-time sweep. Components exist to skip clean work — a
+// settled component untouched since its last sweep replays its cached
+// slab, and under Partial mode an unread component intersects no halo and
+// is skipped outright. Outputs are byte-identical with the cache on or
+// off.
 //
 // Under Partial mode only nodes with d ≤ PartialHops are interpreted and
 // "unknown" location verdicts are withheld from the result (§IV-D).
@@ -213,139 +201,54 @@ func (inf *Inferencer) Infer(g *graph.Graph, now model.Epoch, mode Mode) *Result
 	res.reset(now, mode == Partial)
 	inf.stamp = passStamps.Add(1)
 	inf.now = now
-	inf.stats = PassStats{Workers: inf.workerWidth()}
+	inf.stats = PassStats{}
+	caching := mode == Complete && !inf.cfg.DisableCache
 
+	// Edges pruned mid-sweep only mark their component stale; comps and
+	// the member lists stay as they are until the next Components call.
 	comps := g.Components(now)
-
-	// Partition components into sweep tasks and skips. A component read
-	// this epoch has DirtyAt() == now (update step 1 touches every read
-	// tag), so under Partial mode any other component holds no colored
-	// node and intersects no halo: it produces no verdicts and no side
-	// effects, and is skipped outright. Under Complete mode a component
-	// is skipped only when its settled slab replays the sweep exactly.
-	inf.tasks = inf.tasks[:0]
 	for _, c := range comps {
-		if mode == Partial {
-			if c.DirtyAt() == now {
-				inf.tasks = append(inf.tasks, c)
-			} else {
-				inf.stats.CleanComponents++
-			}
-			continue
-		}
-		if sl := inf.reusableSlab(c); sl != nil {
-			fillFromSlab(sl, res)
+		// A component read this epoch has DirtyAt() == now (update step 1
+		// touches every read tag), so under Partial mode any other
+		// component holds no colored node: no verdicts, no side effects.
+		if mode == Partial && c.DirtyAt() != now {
 			inf.stats.CleanComponents++
-			inf.stats.NodesCached += c.Len()
 			continue
 		}
-		inf.tasks = append(inf.tasks, c)
-	}
-	inf.stats.DirtyComponents = len(inf.tasks)
-	if cap(inf.settled) < len(inf.tasks) {
-		inf.settled = make([]bool, len(inf.tasks))
-	} else {
-		inf.settled = inf.settled[:len(inf.tasks)]
-	}
-
-	// Sweep the dirty components — serially into the pooled result, or
-	// across a bounded pool of workers, each with a private result merged
-	// after the join. Workers own disjoint components, so they never
-	// contend on node or edge state; detached (pruned) edges and the
-	// stale marking they imply are recycled serially after the join.
-	if spawn := min(inf.stats.Workers, len(inf.tasks)); spawn <= 1 {
-		s := inf.sweeper(0)
-		s.res = res
-		for i, c := range inf.tasks {
-			inf.settled[i] = s.sweepComponent(g, c, now, mode)
-		}
-		inf.finishSweeper(g, s)
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < spawn; w++ {
-			s := inf.sweeper(w)
-			s.local.reset(now, mode == Partial)
-			s.res = &s.local
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(inf.tasks) {
-						return
-					}
-					inf.settled[i] = s.sweepComponent(g, inf.tasks[i], now, mode)
-				}
-			}()
-		}
-		wg.Wait()
-		for w := 0; w < spawn; w++ {
-			s := inf.sweepers[w]
-			maps.Copy(res.Locations, s.local.Locations)
-			maps.Copy(res.Parents, s.local.Parents)
-			maps.Copy(res.Observed, s.local.Observed)
-			inf.finishSweeper(g, s)
-		}
-	}
-
-	// Slab maintenance: refresh the cache for components that settled
-	// this pass, invalidate it for those that did not, and drop slabs
-	// whose component id no longer exists (merged away or removed).
-	if mode == Complete && !inf.cfg.DisableCache {
-		for i, c := range inf.tasks {
-			if inf.settled[i] {
-				inf.storeSlab(c, res, now)
-			} else if sl := inf.slabs[c.ID()]; sl != nil {
-				sl.epoch = model.EpochNone
+		if caching {
+			if sl := inf.reusableSlab(c); sl != nil {
+				fillFromSlab(sl, res)
+				inf.stats.CleanComponents++
+				inf.stats.NodesCached += c.Len()
+				continue
 			}
 		}
+		inf.stats.DirtyComponents++
+		settled := inf.sweepComponent(g, c, res, mode)
+		if !caching {
+			continue
+		}
+		if settled {
+			inf.storeSlab(c, res, now)
+		} else if sl := inf.slabs[c.ID()]; sl != nil {
+			sl.epoch = model.EpochNone
+		}
+	}
+	if caching {
+		// Drop slabs whose component id no longer exists (merged away or
+		// removed).
 		inf.evictDeadSlabs(comps)
 	}
 	return res
 }
 
-// workerWidth resolves Config.Workers (0 = GOMAXPROCS).
-func (inf *Inferencer) workerWidth() int {
-	if w := inf.cfg.Workers; w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// sweeper returns the i-th pooled sweeper, growing the pool as needed.
-func (inf *Inferencer) sweeper(i int) *sweeper {
-	for len(inf.sweepers) <= i {
-		inf.sweepers = append(inf.sweepers, &sweeper{
-			inf:   inf,
-			probs: make(map[model.LocationID]float64),
-		})
-	}
-	return inf.sweepers[i]
-}
-
-// finishSweeper folds one sweeper's pass back into shared state: pruned
-// edges are recycled (adjusting the edge count, free list, and component
-// staleness — serial-only bookkeeping deferred from the workers) and the
-// node tally is added to the pass stats.
-func (inf *Inferencer) finishSweeper(g *graph.Graph, s *sweeper) {
-	g.RecycleDetached(s.detached)
-	s.detached = s.detached[:0]
-	inf.stats.NodesInferred += s.inferred
-	s.inferred = 0
-	s.res = nil
-}
-
-// reusableSlab returns the slab that replays component c's sweep, or nil
-// when c must be swept: caching disabled, no settled slab, the component
-// was dirtied after the slab epoch, or a member is traced (provenance
+// reusableSlab returns the slab that replays component c's complete-mode
+// sweep, or nil when c must be swept: no settled slab, the component was
+// dirtied after the slab epoch, or a member is traced (provenance
 // records must fire every epoch, so traced components are re-inferred —
 // the recompute of a settled component has no graph side effects and
 // reproduces the slab's verdicts exactly).
 func (inf *Inferencer) reusableSlab(c *graph.Component) *compSlab {
-	if inf.cfg.DisableCache {
-		return nil
-	}
 	sl := inf.slabs[c.ID()]
 	if sl == nil || sl.epoch == model.EpochNone || c.DirtyAt() > sl.epoch {
 		return nil
@@ -403,100 +306,78 @@ func (inf *Inferencer) evictDeadSlabs(comps []*graph.Component) {
 	}
 }
 
-// sweeper holds the per-worker scratch of the component sweep. Serial
-// passes write straight into the Inferencer's pooled result; parallel
-// workers write into their private local result, merged after the join.
-// Edges pruned during the sweep are only detached (a node-local, safely
-// concurrent operation); the shared-state half of their removal is the
-// detached list drained by finishSweeper.
-type sweeper struct {
-	inf      *Inferencer
-	res      *Result // destination for verdicts during a pass
-	local    Result  // backing storage for res in parallel passes
-	frontier []*graph.Node
-	next     []*graph.Node
-	rest     []*graph.Node
-	probs    map[model.LocationID]float64
-	pruned   []*graph.Edge
-	props    []propagation
-	detached []*graph.Edge
-	inferred int
-}
-
-// sweepComponent runs the §IV-C layered sweep over one component and
-// reports whether the component settled: complete mode, and every member
-// verdict came out LocationUnknown — the absorbing state that makes the
-// verdicts cacheable. The distance classification uses the epoch-stamped
-// InferDist/DistStamp scratch on the nodes (a stamp other than the
-// running pass means "not reached"), so no per-pass map is needed.
-func (s *sweeper) sweepComponent(g *graph.Graph, c *graph.Component, now model.Epoch, mode Mode) bool {
-	inf := s.inf
-	stamp := inf.stamp
-	res := s.res
+// sweepComponent runs the §IV-C layered sweep over one component, writing
+// its verdicts into res, and reports whether the component settled:
+// complete mode, and every member verdict came out LocationUnknown — the
+// absorbing state that makes the verdicts cacheable. The distance
+// classification and the settled colors live in the pass-stamped
+// InferDist/DistStamp and InferLoc/LocStamp scratch on the nodes (a stamp
+// other than the running pass means "not reached" / "not settled"), so no
+// per-pass map is needed.
+func (inf *Inferencer) sweepComponent(g *graph.Graph, c *graph.Component, res *Result, mode Mode) bool {
+	stamp, now := inf.stamp, inf.now
 	settled := mode == Complete
 
 	// Layer d=0: the colored members. Their location verdict is their
 	// observation; edge inference estimates their most likely parents.
-	s.frontier = s.frontier[:0]
+	inf.frontier = inf.frontier[:0]
 	for _, n := range c.Members() {
 		if n.Colored(now) {
-			n.InferDist = 0
-			n.DistStamp = stamp
-			s.frontier = append(s.frontier, n)
+			n.InferDist, n.DistStamp = 0, stamp
+			n.InferLoc, n.LocStamp = n.RecentColor, stamp
+			inf.frontier = append(inf.frontier, n)
 			res.Observed[n.Tag] = true
 			res.Locations[n.Tag] = n.RecentColor
 		}
 	}
-	if len(s.frontier) > 0 {
+	if len(inf.frontier) > 0 {
 		settled = false
 	}
-	sortNodes(s.frontier)
-	for _, n := range s.frontier {
-		res.Parents[n.Tag] = s.edgeInference(g, n)
-		s.inferred++
+	sortNodes(inf.frontier)
+	for _, n := range inf.frontier {
+		res.Parents[n.Tag] = inf.edgeInference(g, n)
 	}
+	inf.stats.NodesInferred += len(inf.frontier)
 
 	// Sweep outward, one hop at a time.
 	maxHops := int32(math.MaxInt32)
 	if mode == Partial {
 		maxHops = int32(inf.cfg.PartialHops)
 	}
-	for d := int32(1); d <= maxHops && len(s.frontier) > 0; d++ {
-		s.next = s.next[:0]
-		for _, n := range s.frontier {
-			n.VisitParents(func(e *graph.Edge) {
+	for d := int32(1); d <= maxHops && len(inf.frontier) > 0; d++ {
+		inf.next = inf.next[:0]
+		for _, n := range inf.frontier {
+			for _, e := range n.Parents() {
 				if p := e.Parent; p.DistStamp != stamp {
-					p.InferDist = d
-					p.DistStamp = stamp
-					s.next = append(s.next, p)
+					p.InferDist, p.DistStamp = d, stamp
+					inf.next = append(inf.next, p)
 				}
-			})
-			n.VisitChildren(func(e *graph.Edge) {
+			}
+			for _, e := range n.Children() {
 				if ch := e.Child; ch.DistStamp != stamp {
-					ch.InferDist = d
-					ch.DistStamp = stamp
-					s.next = append(s.next, ch)
+					ch.InferDist, ch.DistStamp = d, stamp
+					inf.next = append(inf.next, ch)
 				}
-			})
+			}
 		}
-		s.frontier, s.next = s.next, s.frontier
-		sortNodes(s.frontier)
-		for _, n := range s.frontier {
-			res.Parents[n.Tag] = s.edgeInference(g, n)
-			loc := s.nodeInference(n, now, res)
-			s.inferred++
+		inf.frontier, inf.next = inf.next, inf.frontier
+		sortNodes(inf.frontier)
+		for _, n := range inf.frontier {
+			parent := inf.edgeInference(g, n)
+			loc := inf.nodeInference(n)
 			if mode == Partial && loc == model.LocationUnknown {
 				// Withhold: with only a subset of readers having read this
 				// epoch, "unknown" is more likely a not-yet-read location
 				// than a true disappearance.
-				delete(res.Parents, n.Tag)
 				continue
 			}
+			res.Parents[n.Tag] = parent
 			res.Locations[n.Tag] = loc
 			if loc != model.LocationUnknown {
 				settled = false
 			}
 		}
+		inf.stats.NodesInferred += len(inf.frontier)
 	}
 
 	if mode == Complete {
@@ -504,22 +385,22 @@ func (s *sweeper) sweepComponent(g *graph.Graph, c *graph.Component, now model.E
 		// when it holds none, or nodes stranded by mid-sweep pruning —
 		// are processed last, in tag order, using whatever colors have
 		// settled.
-		s.rest = s.rest[:0]
+		inf.rest = inf.rest[:0]
 		for _, n := range c.Members() {
 			if n.DistStamp != stamp {
-				s.rest = append(s.rest, n)
+				inf.rest = append(inf.rest, n)
 			}
 		}
-		sortNodes(s.rest)
-		for _, n := range s.rest {
-			res.Parents[n.Tag] = s.edgeInference(g, n)
-			loc := s.nodeInference(n, now, res)
-			s.inferred++
+		sortNodes(inf.rest)
+		for _, n := range inf.rest {
+			res.Parents[n.Tag] = inf.edgeInference(g, n)
+			loc := inf.nodeInference(n)
 			res.Locations[n.Tag] = loc
 			if loc != model.LocationUnknown {
 				settled = false
 			}
 		}
+		inf.stats.NodesInferred += len(inf.rest)
 	}
 	return settled
 }
@@ -527,12 +408,14 @@ func (s *sweeper) sweepComponent(g *graph.Graph, c *graph.Component, now model.E
 // edgeInference applies Eqs. 1-2 to the incoming edges of n, stores each
 // edge's probability for later color propagation, optionally prunes
 // low-confidence edges, and returns the most likely container (model.NoTag
-// when none).
-func (s *sweeper) edgeInference(g *graph.Graph, n *graph.Node) model.Tag {
-	inf := s.inf
+// when none). The parents span is walked in ascending tag order, so the
+// Eq. 2 normalizer is summed in an order fixed by the graph alone and the
+// lowest tag wins a confidence tie by being met first.
+func (inf *Inferencer) edgeInference(g *graph.Graph, n *graph.Node) model.Tag {
+	traced := inf.rec != nil && inf.rec.Traces(n.Tag)
 	if n.NumParents() == 0 {
-		if inf.rec != nil && inf.rec.Traces(n.Tag) {
-			s.recordEdgeChoice(n.Tag, model.NoTag, 0, 0)
+		if traced {
+			inf.recordEdgeChoice(n.Tag, model.NoTag, 0, 0)
 		}
 		return model.NoTag
 	}
@@ -541,127 +424,144 @@ func (s *sweeper) edgeInference(g *graph.Graph, n *graph.Node) model.Tag {
 		beta = n.AdaptiveBeta(inf.cfg.Beta)
 	}
 
-	s.pruned = s.pruned[:0]
+	inf.pruned = inf.pruned[:0]
 	var z float64
 	var best *graph.Edge
 	var bestConf float64
-	n.VisitParents(func(e *graph.Edge) {
-		conf := beta * e.History.Weight(inf.weights)
+	for _, e := range n.Parents() {
+		conf := beta * e.History.Weight(inf.zipf)
 		if n.ConfirmedEdge == e {
 			conf += 1 - beta
 		}
 		if inf.cfg.PruneThreshold > 0 && conf < inf.cfg.PruneThreshold {
-			s.pruned = append(s.pruned, e)
-			return
+			inf.pruned = append(inf.pruned, e)
+			continue
 		}
 		z += conf
 		e.InferProb = conf // normalized below
 		e.InferStamp = inf.stamp
-		if best == nil || conf > bestConf ||
-			(conf == bestConf && e.Parent.Tag < best.Parent.Tag) {
+		if best == nil || conf > bestConf {
 			best, bestConf = e, conf
 		}
-	})
-	for _, e := range s.pruned {
+	}
+	for _, e := range inf.pruned {
 		if inf.rec != nil {
 			inf.rec.Record(trace.Record{
 				Epoch: inf.now, Tag: e.Child.Tag, Mech: trace.MechEdgePruned,
 				Loc: model.LocationNone, Other: e.Parent.Tag,
 			})
 		}
-		if g.DetachEdge(e) {
-			s.detached = append(s.detached, e)
-		}
+		g.RemoveEdge(e)
 	}
 	if best == nil || z == 0 {
 		// No surviving edge carries any belief: report "no container"
 		// rather than an arbitrary pick.
-		if inf.rec != nil && inf.rec.Traces(n.Tag) {
-			s.recordEdgeChoice(n.Tag, model.NoTag, 0, 0)
+		if traced {
+			inf.recordEdgeChoice(n.Tag, model.NoTag, 0, 0)
 		}
 		return model.NoTag
 	}
-	n.VisitParents(func(e *graph.Edge) {
+	for _, e := range n.Parents() {
 		e.InferProb /= z
-	})
-	if inf.rec != nil && inf.rec.Traces(n.Tag) {
-		s.recordEdgeChoice(n.Tag, best.Parent.Tag, bestConf/z, int32(best.History.Ones()))
+	}
+	if traced {
+		inf.recordEdgeChoice(n.Tag, best.Parent.Tag, bestConf/z, int32(best.History.Ones()))
 	}
 	return best.Parent.Tag
 }
 
 // recordEdgeChoice records the Eq. 1-2 container verdict for a traced
 // tag; parent NoTag is the positive "no container" verdict.
-func (s *sweeper) recordEdgeChoice(tag, parent model.Tag, prob float64, coloc int32) {
-	s.inf.rec.Record(trace.Record{
-		Epoch: s.inf.now, Tag: tag, Mech: trace.MechEdgeInference,
+func (inf *Inferencer) recordEdgeChoice(tag, parent model.Tag, prob float64, coloc int32) {
+	inf.rec.Record(trace.Record{
+		Epoch: inf.now, Tag: tag, Mech: trace.MechEdgeInference,
 		Loc: model.LocationNone, Other: parent, Prob: prob, Aux: coloc,
 	})
 }
 
-// nodeInference applies Eqs. 3-4 to an uncolored node and returns the most
-// likely location color, possibly model.LocationUnknown. Colors settled in
-// res.Locations propagate through incident edges weighted by the edge
-// probabilities assigned during edge inference. Neighbors always share
-// the node's component, so a component-local result sees every color a
-// global sweep would.
-func (s *sweeper) nodeInference(n *graph.Node, now model.Epoch, res *Result) model.LocationID {
-	inf := s.inf
-	clear(s.probs)
+// nodeInference applies Eqs. 3-4 to an uncolored node, settles the verdict
+// in the node's InferLoc slot and returns it: the most likely location
+// color, possibly model.LocationUnknown. Colors settled earlier in the
+// pass propagate through incident edges weighted by the edge probabilities
+// assigned during edge inference.
+func (inf *Inferencer) nodeInference(n *graph.Node) model.LocationID {
 	gamma := inf.cfg.Gamma
+	inf.probs = inf.probs[:0]
 
 	// The fading belief in the most recent observation.
 	fade := 0.0
 	if n.SeenAt != model.EpochNone && n.RecentColor.Known() {
-		age := float64(now - n.SeenAt)
+		age := float64(inf.now - n.SeenAt)
 		if age < 1 {
 			age = 1
 		}
 		fade = 1 / math.Pow(age, inf.cfg.Theta)
-		s.probs[n.RecentColor] += (1 - gamma) * fade
+		inf.addBelief(n.RecentColor, (1-gamma)*fade)
 	}
 	pUnknown := (1 - gamma) * (1 - fade)
 
 	// Colors propagated through edges from neighbors whose color is
 	// already determined (observed or inferred in an earlier layer),
 	// weighted by edge probability and normalized by Z2 over the
-	// propagating edges only.
-	var z2 float64
-	s.props = s.props[:0]
-	collect := func(e *graph.Edge, other *graph.Node) {
-		loc, ok := res.Locations[other.Tag]
-		if !ok || !loc.Known() {
-			return
-		}
-		if e.InferStamp != inf.stamp || e.InferProb == 0 {
-			return
-		}
-		z2 += e.InferProb
-		s.props = append(s.props, propagation{loc: loc, p: e.InferProb})
+	// propagating edges only. Parents then children, each span ascending:
+	// the order of every float sum below is fixed by the graph alone.
+	inf.props = inf.props[:0]
+	for _, e := range n.Parents() {
+		inf.propagate(e, e.Parent)
 	}
-	n.VisitParents(func(e *graph.Edge) { collect(e, e.Parent) })
-	n.VisitChildren(func(e *graph.Edge) { collect(e, e.Child) })
+	for _, e := range n.Children() {
+		inf.propagate(e, e.Child)
+	}
+	var z2 float64
+	for _, pr := range inf.props {
+		z2 += pr.p
+	}
 	if z2 > 0 {
-		for _, pr := range s.props {
-			s.probs[pr.loc] += gamma * pr.p / z2
+		for _, pr := range inf.props {
+			inf.addBelief(pr.loc, gamma*pr.p/z2)
 		}
 	}
 
 	// Most likely color; known locations win ties against "unknown", and
 	// lower location IDs win ties among known locations (determinism).
 	best, bestP := model.LocationUnknown, pUnknown
-	for loc, p := range s.probs {
-		if p > bestP || (p == bestP && (best == model.LocationUnknown || loc < best)) {
-			best, bestP = loc, p
+	for _, c := range inf.probs {
+		if c.p > bestP || (c.p == bestP && (best == model.LocationUnknown || c.loc < best)) {
+			best, bestP = c.loc, c.p
 		}
 	}
+	n.InferLoc, n.LocStamp = best, inf.stamp
 	if inf.rec != nil && inf.rec.Traces(n.Tag) {
 		inf.rec.Record(trace.Record{
-			Epoch: now, Tag: n.Tag, Mech: trace.MechNodeInference,
-			Loc: best, Prob: bestP, Aux: int32(len(s.props)),
+			Epoch: inf.now, Tag: n.Tag, Mech: trace.MechNodeInference,
+			Loc: best, Prob: bestP, Aux: int32(len(inf.props)),
 		})
 	}
 	return best
+}
+
+// propagate queues other's settled color, if it has a known one this pass,
+// with the probability edge inference gave e.
+func (inf *Inferencer) propagate(e *graph.Edge, other *graph.Node) {
+	if other.LocStamp != inf.stamp || !other.InferLoc.Known() {
+		return
+	}
+	if e.InferStamp != inf.stamp || e.InferProb == 0 {
+		return
+	}
+	inf.props = append(inf.props, propagation{loc: other.InferLoc, p: e.InferProb})
+}
+
+// addBelief adds mass to loc's entry in probs. A node sees a handful of
+// distinct colors at most, so a linear probe beats a map.
+func (inf *Inferencer) addBelief(loc model.LocationID, mass float64) {
+	for i := range inf.probs {
+		if inf.probs[i].loc == loc {
+			inf.probs[i].p += mass
+			return
+		}
+	}
+	inf.probs = append(inf.probs, propagation{loc: loc, p: mass})
 }
 
 func sortNodes(nodes []*graph.Node) {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"spire/internal/graph"
 	"spire/internal/model"
 )
 
@@ -27,7 +26,7 @@ func TestEdgeProbabilitiesNormalized(t *testing.T) {
 	n := g.Node(i1)
 	var sum, best float64
 	var bestTag model.Tag
-	n.VisitParents(func(e *graph.Edge) {
+	for _, e := range n.Parents() {
 		if e.InferStamp != inf.stamp {
 			t.Errorf("edge %d not stamped by the pass", e.Parent.Tag)
 		}
@@ -39,7 +38,7 @@ func TestEdgeProbabilitiesNormalized(t *testing.T) {
 		if p > best {
 			best, bestTag = p, e.Parent.Tag
 		}
-	})
+	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("edge probabilities sum to %v, want 1", sum)
 	}

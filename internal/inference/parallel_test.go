@@ -11,11 +11,11 @@ import (
 	"spire/internal/trace"
 )
 
-// The component-sharded Infer must be indistinguishable from the global
+// The component-at-a-time Infer must be indistinguishable from the global
 // layer-interleaved reference sweep: identical Results and identical
-// graph side effects (edge pruning) for every worker count, with the
-// settled-slab cache on or off, under both modes, on a stream with real
-// churn (staggered scans, missed reads, objects moving between shelves).
+// graph side effects (edge pruning) with the settled-slab cache on or
+// off, under both modes, on a stream with real churn (staggered scans,
+// missed reads, objects moving between shelves).
 
 // churnScenario is a deterministic multi-shelf workload generator. Shelf
 // s is scanned in epoch e when (e+s)%3 == 0; a scanned shelf misses some
@@ -121,58 +121,55 @@ func baseConfig() Config {
 	return cfg
 }
 
-// TestInferMatchesReference is the differential pin: sharded Infer vs the
-// retained global reference, in lockstep on twin graphs, across worker
-// counts and cache settings, with a complete pass every 4th epoch.
+// TestInferMatchesReference is the differential pin: Infer vs the
+// retained global reference, in lockstep on twin graphs, with the cache
+// on and off and a complete pass every 4th epoch.
 func TestInferMatchesReference(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		for _, disableCache := range []bool{false, true} {
-			t.Run(fmt.Sprintf("workers=%d/cache=%v", workers, !disableCache), func(t *testing.T) {
-				cfg := baseConfig()
-				cfg.Workers = workers
-				cfg.DisableCache = disableCache
+	for _, disableCache := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cache=%v", !disableCache), func(t *testing.T) {
+			cfg := baseConfig()
+			cfg.DisableCache = disableCache
 
-				gA := newGraph(t)
-				gB := newGraph(t)
-				infA, err := New(cfg, gA.Config().HistorySize)
-				if err != nil {
-					t.Fatal(err)
+			gA := newGraph(t)
+			gB := newGraph(t)
+			infA, err := New(cfg, gA.Config().HistorySize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			infB, err := New(baseConfig(), gB.Config().HistorySize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := newChurnScenario(t, 6, 2, 3)
+			for e := model.Epoch(1); e <= 64; e++ {
+				sc.step(t, e, gA, gB)
+				mode := Partial
+				if e%4 == 0 {
+					mode = Complete
 				}
-				infB, err := New(baseConfig(), gB.Config().HistorySize)
-				if err != nil {
-					t.Fatal(err)
+				resA := infA.Infer(gA, e, mode)
+				resB := infB.InferReference(gB, e, mode)
+				label := fmt.Sprintf("epoch %d (%v)", e, mode)
+				compareResults(t, label, resA, resB)
+				if gA.EdgeCount() != gB.EdgeCount() || gA.Len() != gB.Len() {
+					t.Fatalf("%s: graphs diverged: %d/%d edges, %d/%d nodes",
+						label, gA.EdgeCount(), gB.EdgeCount(), gA.Len(), gB.Len())
 				}
-				sc := newChurnScenario(t, 6, 2, 3)
-				for e := model.Epoch(1); e <= 64; e++ {
-					sc.step(t, e, gA, gB)
-					mode := Partial
-					if e%4 == 0 {
-						mode = Complete
+				if err := gA.CheckInvariants(e); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if mode == Complete {
+					st := infA.LastStats()
+					if st.NodesInferred+st.NodesCached != gA.Len() {
+						t.Fatalf("%s: stats cover %d+%d of %d nodes",
+							label, st.NodesInferred, st.NodesCached, gA.Len())
 					}
-					resA := infA.Infer(gA, e, mode)
-					resB := infB.InferReference(gB, e, mode)
-					label := fmt.Sprintf("epoch %d (%v)", e, mode)
-					compareResults(t, label, resA, resB)
-					if gA.EdgeCount() != gB.EdgeCount() || gA.Len() != gB.Len() {
-						t.Fatalf("%s: graphs diverged: %d/%d edges, %d/%d nodes",
-							label, gA.EdgeCount(), gB.EdgeCount(), gA.Len(), gB.Len())
-					}
-					if err := gA.CheckInvariants(e); err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if mode == Complete {
-						st := infA.LastStats()
-						if st.NodesInferred+st.NodesCached != gA.Len() {
-							t.Fatalf("%s: stats cover %d+%d of %d nodes",
-								label, st.NodesInferred, st.NodesCached, gA.Len())
-						}
-						if len(resA.Locations) != gA.Len() {
-							t.Fatalf("%s: %d verdicts for %d nodes", label, len(resA.Locations), gA.Len())
-						}
+					if len(resA.Locations) != gA.Len() {
+						t.Fatalf("%s: %d verdicts for %d nodes", label, len(resA.Locations), gA.Len())
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -181,7 +178,6 @@ func TestInferMatchesReference(t *testing.T) {
 // cached verdicts still match the reference sweep byte for byte.
 func TestInferCachedSteadyState(t *testing.T) {
 	cfg := baseConfig()
-	cfg.Workers = 1
 	gA := newGraph(t)
 	gB := newGraph(t)
 	infA, err := New(cfg, gA.Config().HistorySize)
@@ -224,7 +220,6 @@ func TestInferCachedSteadyState(t *testing.T) {
 // component to be re-inferred so the per-epoch records keep firing.
 func TestInferTracedTagForcesRecompute(t *testing.T) {
 	cfg := baseConfig()
-	cfg.Workers = 1
 	g := newGraph(t)
 	inf, err := New(cfg, g.Config().HistorySize)
 	if err != nil {
@@ -276,14 +271,13 @@ func TestInferTracedTagForcesRecompute(t *testing.T) {
 	}
 }
 
-// TestInferAllocsSerial pins satellite 1 (the epoch-stamped InferDist /
-// DistStamp scratch replacing the per-pass distance map) and the pooled
-// sweep state: a warm serial pass allocates nothing, with the cache off
+// TestInferAllocsSerial pins the pass-stamped node scratch (no per-pass
+// distance or color map) and the pooled sweep state: a warm pass
+// allocates nothing, with the cache off
 // (full re-sweep) and in cached steady state.
 func TestInferAllocsSerial(t *testing.T) {
 	run := func(name string, disableCache bool, advance bool) {
 		cfg := DefaultConfig()
-		cfg.Workers = 1
 		cfg.DisableCache = disableCache
 		g, now := buildWarehouseGraph(t, 8, 2, 5)
 		inf, err := New(cfg, g.Config().HistorySize)
