@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,6 +14,8 @@ import (
 	"time"
 
 	"spire/internal/core"
+	"spire/internal/event"
+	"spire/internal/federate"
 	"spire/internal/inference"
 	"spire/internal/model"
 	"spire/internal/sim"
@@ -34,7 +38,7 @@ func TestMain(m *testing.M) {
 		}
 		defer os.RemoveAll(dir)
 		binDir = dir
-		for _, name := range []string{"spire", "spiresim", "spirezone"} {
+		for _, name := range []string{"spire", "spiresim", "spirezone", "spirefed"} {
 			out, err := exec.Command("go", "build", "-o", filepath.Join(dir, name), "spire/cmd/"+name).CombinedOutput()
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "go build %s: %v\n%s", name, err, out)
@@ -192,8 +196,9 @@ func TestEventStreamMatchesSubstrate(t *testing.T) {
 }
 
 // TestRemovedFlagsRejected pins that the flags deleted with the ingest
-// and inference worker pools and the observation zone feed are unknown to
-// the flag package — not silently accepted.
+// and inference worker pools, the observation zone feed and the sharded
+// coordinator merge are unknown to the flag package — not silently
+// accepted.
 func TestRemovedFlagsRejected(t *testing.T) {
 	for _, tc := range []struct{ bin, flag, value string }{
 		{"spire", "-ingest-workers", "1"},
@@ -201,6 +206,8 @@ func TestRemovedFlagsRejected(t *testing.T) {
 		{"spiresim", "-ingest-workers", "1"},
 		{"spiresim", "-infer-workers", "1"},
 		{"spirezone", "-feed", "obs"},
+		{"spirefed", "-serial-merge", "true"},
+		{"spirefed", "-merge-shards", "4"},
 	} {
 		t.Run(tc.bin+tc.flag, func(t *testing.T) {
 			out, err := exec.Command(filepath.Join(binDir, tc.bin), tc.flag, tc.value).CombinedOutput()
@@ -211,5 +218,145 @@ func TestRemovedFlagsRejected(t *testing.T) {
 				t.Fatalf("%s %s: output lacks %q:\n%s", tc.bin, tc.flag, want, out)
 			}
 		})
+	}
+}
+
+// clusterReference interprets a 2-zone cluster in process — each zone's
+// substrate built and fed the way spirezone builds and feeds it, merged
+// one epoch barrier at a time as spirefed does — and returns the merged
+// stream in the binary event wire format spirefed -o writes.
+func clusterReference(t *testing.T, cfg sim.Config, nZones int) []byte {
+	t.Helper()
+	s, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := s.PartitionZones(nZones)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams, err := s.PartitionZonesBatch(nZones)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := make([]*core.Substrate, nZones)
+	for z := range subs {
+		if subs[z], err = core.New(core.Config{
+			Readers:        parts[z],
+			Locations:      s.Locations(),
+			Inference:      inference.DefaultConfig(),
+			Compression:    core.Level1,
+			WarmupLocation: s.EntryLocation(),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	w := event.NewWriter(&buf)
+	write := func(evs []event.Event) {
+		for _, e := range evs {
+			if err := w.Write(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	m := federate.NewMerger()
+	last := model.EpochNone
+	for {
+		batches := make([][]event.Event, nZones)
+		var epoch model.Epoch
+		for z := range batches {
+			b, err := streams[z].NextBatch()
+			if err == io.EOF {
+				end := last + 1
+				closing := make([][]event.Event, nZones)
+				for z, sub := range subs {
+					closing[z] = sub.Close(end)
+				}
+				out, err := m.MergeEpoch(end, closing, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				write(out)
+				if err := w.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			epoch = b.Time
+			out, err := subs[z].ProcessBatch(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batches[z] = out.Events
+		}
+		out, err := m.MergeEpoch(epoch, batches, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		write(out)
+		last = epoch
+	}
+}
+
+// TestClusterMatchesMerger drives spirefed and two spirezone processes
+// over loopback TCP: the merged -o stream must hash to the in-process
+// Merger reference.
+func TestClusterMatchesMerger(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Duration = 600
+	merged := filepath.Join(t.TempDir(), "merged.bin")
+	fed := exec.Command(filepath.Join(binDir, "spirefed"), "-zones", "2", "-listen", "127.0.0.1:0", "-o", merged)
+	stderr, err := fed.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer fed.Process.Kill()
+	// spirefed logs its bound address; the rest of its log is drained so
+	// it never blocks on a full pipe.
+	lines := bufio.NewScanner(stderr)
+	var addr string
+	for addr == "" && lines.Scan() {
+		if _, a, ok := strings.Cut(lines.Text(), "coordinating 2 zones on "); ok {
+			addr = a
+		}
+	}
+	if addr == "" {
+		t.Fatal("spirefed exited before listening")
+	}
+	go io.Copy(io.Discard, stderr) //nolint:errcheck
+
+	zones := make([]*exec.Cmd, 2)
+	for z := range zones {
+		zones[z] = exec.Command(filepath.Join(binDir, "spirezone"), "-zone", fmt.Sprint(z), "-zones", "2",
+			"-addr", addr, "-duration", fmt.Sprint(cfg.Duration), "-q")
+		if err := zones[z].Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for z, zc := range zones {
+		if err := zc.Wait(); err != nil {
+			t.Fatalf("spirezone %d: %v", z, err)
+		}
+	}
+	if err := fed.Wait(); err != nil {
+		t.Fatalf("spirefed: %v", err)
+	}
+	got, err := os.ReadFile(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := clusterReference(t, cfg, 2)
+	if len(want) == 0 {
+		t.Fatal("reference stream is empty")
+	}
+	if sha(got) != sha(want) {
+		t.Fatalf("merged stream sha %s (%d bytes), in-process Merger %s (%d bytes)", sha(got), len(got), sha(want), len(want))
 	}
 }

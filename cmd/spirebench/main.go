@@ -202,9 +202,6 @@ func headline(exps []benchExperiment) map[string]float64 {
 				if v, ok := cell(t, "MergerIngest+telemetry", "s/Mevent"); ok {
 					h["zones_merge_instr_s_per_mevent"] = v
 				}
-				if v, ok := cell(t, "ParallelMerge", "s/Mevent"); ok {
-					h["zones_merge_par_s_per_mevent"] = v
-				}
 			case "zones-worker-feed":
 				// Gate the batch feed's per-zone ingest cost at the
 				// largest zone count — the quantity the columnar feed

@@ -53,11 +53,8 @@ var gatedKeys = []string{
 	// gating it keeps the cluster-health plane's per-epoch metric work
 	// out of the serial merge stage's budget.
 	"zones_merge_instr_s_per_mevent",
-	// The sharded parallel merge over the same slates (one MergeEpoch per
-	// epoch barrier) and the batch-feed worker's per-zone ingest cost at
-	// the largest zone count. The worker-feed number is what the columnar
-	// feed keeps flat as the deployment grows.
-	"zones_merge_par_s_per_mevent",
+	// The batch-feed worker's per-zone ingest cost at the largest zone
+	// count: what the columnar feed keeps flat as the deployment grows.
 	"zones_worker_feed_s_per_mevent",
 	// Subscription-engine dispatch: seconds per million events with no
 	// subscriptions (the observer overhead every watched deployment pays),

@@ -56,8 +56,6 @@ func run() error {
 		out         = flag.String("o", "", "write the merged stream to this file (binary event wire format)")
 		serve       = flag.String("serve", "", "serve the query API for the merged stream on this address")
 		straggler   = flag.Duration("straggler-timeout", 30*time.Second, "max barrier stall before failing and naming the lagging zone")
-		serialMerge = flag.Bool("serial-merge", false, "merge with the serial reference merger instead of the sharded parallel merger (byte-identical output)")
-		mergeShards = flag.Int("merge-shards", 0, "shard count for the parallel merger (0: default)")
 		warnFrac    = flag.Float64("straggler-warn", 0.5, "fraction of -straggler-timeout after which a stalled barrier logs a near-miss naming the lagging zone")
 		metricsAddr = flag.String("metrics-addr", "", "serve the cluster health plane on this address: /metrics, /v1/cluster, /healthz, /readyz, /debug/fedtrace")
 		pprofFlag   = flag.Bool("pprof", false, "also serve /debug/pprof on -metrics-addr")
@@ -106,8 +104,6 @@ func run() error {
 		Zones:                 *zones,
 		StragglerTimeout:      *straggler,
 		StragglerWarnFraction: *warnFrac,
-		SerialMerge:           *serialMerge,
-		MergeShards:           *mergeShards,
 		Logf:                  logf,
 		Log:                   fedLog,
 		Sink: func(epoch model.Epoch, events []event.Event) error {

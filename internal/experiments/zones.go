@@ -196,35 +196,6 @@ func measureMergeOnly(capture []zoneSlate, nz int, minEvents int64) (float64, er
 	return float64(events) / elapsed.Seconds(), nil
 }
 
-// measureMergeParallel replays the same captured slates through the
-// sharded ParallelMerger, one MergeEpoch per slate (the coordinator's
-// batch-feed barrier shape), and returns events per second. It fails if
-// any call fell back to the serial walk — the measurement must time the
-// parallel path.
-func measureMergeParallel(capture []zoneSlate, minEvents int64) (float64, error) {
-	var events int64
-	var elapsed time.Duration
-	for events < minEvents {
-		pm := federate.NewParallelMerger(0)
-		start := time.Now()
-		for i, slate := range capture {
-			if _, err := pm.MergeEpoch(slate.epoch, slate.batches, i == len(capture)-1); err != nil {
-				return 0, err
-			}
-		}
-		elapsed += time.Since(start)
-		if n := pm.SerialFallbacks(); n > 0 {
-			return 0, fmt.Errorf("parallel merge fell back to the serial walk %d times", n)
-		}
-		for _, slate := range capture {
-			for _, b := range slate.batches {
-				events += int64(len(b))
-			}
-		}
-	}
-	return float64(events) / elapsed.Seconds(), nil
-}
-
 // measureMergeInstrumented repeats the merge-only measurement with live
 // coordinator instruments attached, performing the same per-batch and
 // per-epoch metric work the Coordinator's deliver and merge loops do:
@@ -376,11 +347,6 @@ func BenchZones(o Options) ([]*Table, error) {
 		return nil, err
 	}
 	merge.AddRow("MergerIngest+telemetry", ieps/1e6, 1e6/ieps)
-	peps, err := measureMergeParallel(capture, minMergeEvents)
-	if err != nil {
-		return nil, err
-	}
-	merge.AddRow("ParallelMerge", peps/1e6, 1e6/peps)
 
 	for _, fz := range zoneCounts {
 		readings, elapsed, err := runZonesWorkerFeed(cfg, fz, 0)
@@ -398,8 +364,7 @@ func BenchZones(o Options) ([]*Table, error) {
 		"events counts the merged output stream; it grows with zones because cross-zone handoffs close and reopen intervals at the boundary")
 	merge.Notes = append(merge.Notes,
 		fmt.Sprintf("replays the captured %d-zone batches through fresh Mergers; serial, so the gated baseline compares across hosts", nz),
-		"the +telemetry row repeats the replay with live CoordinatorInstruments doing the per-batch and per-epoch metric work of the coordinator's merge path; the delta is the gated telemetry tax",
-		"the ParallelMerge row replays the same slates through the sharded merger, one MergeEpoch per epoch barrier; its advantage over the serial rows depends on idle cores and per-epoch batch size — on one core or tiny epochs the routing, goroutine fork-join, and k-way merge make it slower than the serial walk")
+		"the +telemetry row repeats the replay with live CoordinatorInstruments doing the per-batch and per-epoch metric work of the coordinator's merge path; the delta is the gated telemetry tax")
 	feedTbl.Notes = append(feedTbl.Notes,
 		"each row times zone 0 of an N-zone deployment ingesting its feed alone, normalized by that zone's own readings",
 		"sim.PartitionZonesBatch observes only the zone's readers into reused columns and the substrate ingests them directly, so the observation work scales with the zone's own traffic, not the deployment's population; residual growth across rows is the per-epoch substrate overhead and the global world advance amortized over fewer own readings")

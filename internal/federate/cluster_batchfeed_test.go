@@ -15,15 +15,15 @@ import (
 
 // The batch-feed cluster keystone: zone workers fed by the columnar
 // zone-batch source (sim.PartitionZonesBatch + Worker.RunBatches) over
-// loopback TCP, merged by the coordinator's sharded parallel merger,
-// must be byte-identical to the in-process batch-feed reference merged
-// through the serial oracle. Zone-batch observation is its own
+// loopback TCP, merged by the coordinator's Merger one epoch barrier at
+// a time, must be byte-identical to the in-process batch-feed reference
+// merged one zone at a time. Zone-batch observation is its own
 // deterministic trace (per-reader RNG streams, not the Step trace), so
 // the reference runs the same feed — the comparison isolates the wire,
 // the columnar frames, the replay buffer, and the merge path.
 
 // runInProcessBatchFederated is the reference: one substrate per zone
-// fed from the shared zone-batch feed, merged through the serial Merger.
+// fed from the shared zone-batch feed, merged through Merger.Ingest.
 func runInProcessBatchFederated(t *testing.T, cfg sim.Config, lvl core.CompressionLevel, nZones int) []event.Event {
 	t.Helper()
 	s, err := sim.New(cfg)
@@ -82,8 +82,8 @@ func runInProcessBatchFederated(t *testing.T, cfg sim.Config, lvl core.Compressi
 }
 
 // TestBatchFeedClusterMatchesInProcess is the batch-feed keystone: the
-// networked cluster — columnar frames, zero-copy submits, parallel
-// coordinator merge — reproduces the in-process serial-merged reference
+// networked cluster — columnar frames, zero-copy submits, the
+// coordinator's barrier merge — reproduces the in-process reference
 // byte for byte at N∈{2,4} and both compression levels, including a
 // crash-killed zone resuming from its checkpoint.
 func TestBatchFeedClusterMatchesInProcess(t *testing.T) {
@@ -109,7 +109,7 @@ func TestBatchFeedClusterMatchesInProcess(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			want := runInProcessBatchFederated(t, cfg, tc.lvl, tc.zones)
-			got := runNetworkedCluster(t, cfg, tc.lvl, zoneBatchFeed, tc.zones, tc.killZone, tc.killAt, 0)
+			got := runNetworkedCluster(t, cfg, tc.lvl, zoneBatchFeed, tc.zones, tc.killZone, tc.killAt, 0, nil)
 			if err := event.CheckWellFormed(got, true); err != nil {
 				t.Fatalf("merged stream: %v", err)
 			}
@@ -136,7 +136,7 @@ func TestBatchFeedClusterDisconnectEveryFrame(t *testing.T) {
 	cfg := clusterSimConfig()
 	cfg.Duration = 300
 	want := runInProcessBatchFederated(t, cfg, core.Level2, 2)
-	got := runNetworkedCluster(t, cfg, core.Level2, zoneBatchFeed, 2, -1, model.EpochNone, 2)
+	got := runNetworkedCluster(t, cfg, core.Level2, zoneBatchFeed, 2, -1, model.EpochNone, 2, nil)
 	if err := event.CheckWellFormed(got, true); err != nil {
 		t.Fatalf("merged stream: %v", err)
 	}

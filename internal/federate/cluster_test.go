@@ -308,8 +308,9 @@ func runZoneWorker(cfg sim.Config, lvl core.CompressionLevel, feed zoneFeed, nZo
 // runNetworkedCluster runs the full cluster — coordinator on loopback
 // TCP, one worker per zone on the given feed — and returns the merged
 // stream. killZone, if ≥ 0, is crash-killed at killAt and resumed from its
-// checkpoint.
-func runNetworkedCluster(t *testing.T, cfg sim.Config, lvl core.CompressionLevel, feed zoneFeed, nZones, killZone int, killAt model.Epoch, framesPerConn int) []event.Event {
+// checkpoint. preflight, when set, runs against the coordinator's address
+// before any worker starts.
+func runNetworkedCluster(t *testing.T, cfg sim.Config, lvl core.CompressionLevel, feed zoneFeed, nZones, killZone int, killAt model.Epoch, framesPerConn int, preflight func(addr string)) []event.Event {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -329,6 +330,9 @@ func runNetworkedCluster(t *testing.T, cfg sim.Config, lvl core.CompressionLevel
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- coord.Serve(context.Background(), ln) }()
+	if preflight != nil {
+		preflight(ln.Addr().String())
+	}
 
 	dir := t.TempDir()
 	workerErrs := make([]error, nZones)
@@ -392,7 +396,7 @@ func TestNetworkedClusterMatchesInProcess(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			want := runInProcessFederated(t, cfg, tc.lvl, tc.zones)
-			got := runNetworkedCluster(t, cfg, tc.lvl, stepFeed, tc.zones, tc.killZone, tc.killAt, 0)
+			got := runNetworkedCluster(t, cfg, tc.lvl, stepFeed, tc.zones, tc.killZone, tc.killAt, 0, nil)
 			if err := event.CheckWellFormed(got, true); err != nil {
 				t.Fatalf("merged stream: %v", err)
 			}

@@ -2,6 +2,7 @@ package federate
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net"
@@ -37,21 +38,10 @@ type CoordinatorConfig struct {
 	// timeout (default 0.5; clamped to (0, 1)).
 	StragglerWarnFraction float64
 
-	// SerialMerge selects the serial reference Merger instead of the
-	// sharded ParallelMerger. The two are byte-identical by contract
-	// (the differential suite pins it); the serial path exists as the
-	// oracle and for single-core deployments that prefer no extra
-	// goroutines at the barrier.
-	SerialMerge bool
-
-	// MergeShards sets the ParallelMerger's shard count (0 selects the
-	// default). Ignored under SerialMerge.
-	MergeShards int
-
 	// Logf, when set, receives connection and progress diagnostics in
-	// printf form. Log, when set, receives the same transitions as
-	// structured records (and near-miss warnings at warn level); the two
-	// are independent and either may be nil.
+	// printf form. Log receives the same transitions as structured
+	// records (and near-miss warnings at warn level); nil discards them.
+	// The two are independent.
 	Logf func(format string, args ...any)
 	Log  *slog.Logger
 }
@@ -71,8 +61,7 @@ type zoneConn struct {
 
 	mu            sync.Mutex // guards writes to conn and the fields below
 	conn          net.Conn   // live connection, if any
-	wantBye       bool       // latest Hello advertised CapBye: require a Bye frame
-	finalSent     bool       // the final epoch's mark reached this zone (Bye, or Ack/HelloAck for legacy workers)
+	finalSent     bool       // the worker said Bye: it holds the final mark
 	everConnected bool       // a Hello handshake has completed at least once
 	connects      int64      // completed handshakes, reconnects included
 }
@@ -81,11 +70,10 @@ type zoneConn struct {
 // batches on an epoch barrier, drives the Merger in fixed zone order,
 // and acks each epoch back once merged. It serves one cluster run.
 type Coordinator struct {
-	cfg     CoordinatorConfig
-	merger  *Merger         // serial oracle path (cfg.SerialMerge)
-	pmerger *ParallelMerger // sharded default path
-	tel     *CoordinatorInstruments
-	ctrace  *trace.ConnRecorder
+	cfg    CoordinatorConfig
+	merger *Merger
+	tel    *CoordinatorInstruments
+	ctrace *trace.ConnRecorder
 
 	// evPool recycles decoded event slices: a frame is decoded into a
 	// pooled slice on its zone's connection goroutine, the slice is owned
@@ -120,17 +108,17 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
+	if cfg.Log == nil {
+		cfg.Log = slog.New(slog.DiscardHandler)
+	}
 	c := &Coordinator{
 		cfg:     cfg,
+		merger:  NewMerger(),
+		tel:     &noCoordinatorInstruments,
 		zones:   make([]*zoneConn, cfg.Zones),
 		notify:  make(chan struct{}, 1),
 		final:   model.EpochNone,
 		barrier: model.EpochNone,
-	}
-	if cfg.SerialMerge {
-		c.merger = NewMerger()
-	} else {
-		c.pmerger = NewParallelMerger(cfg.MergeShards)
 	}
 	for z := range c.zones {
 		c.zones[z] = &zoneConn{
@@ -157,7 +145,10 @@ func (c *Coordinator) MergedEvents() int64 {
 // timed reports whether the coordinator should read the clock for
 // latency metrics — the same gating contract as the epoch pipeline:
 // uninstrumented runs take no timing branches.
-func (c *Coordinator) timed() bool { return c.tel != nil || c.ctrace != nil }
+func (c *Coordinator) timed() bool { return c.instrumented() || c.ctrace != nil }
+
+// instrumented reports whether metrics are attached.
+func (c *Coordinator) instrumented() bool { return c.tel != &noCoordinatorInstruments }
 
 // Serve accepts workers on ln and merges until every zone has delivered
 // its Fin and the final epoch is merged, then returns nil. It returns an
@@ -187,26 +178,29 @@ func (c *Coordinator) acceptLoop(ctx context.Context, ln net.Listener) {
 func (c *Coordinator) handleConn(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
 	hello, n, err := stream.ReadFrameCount(conn)
-	if err != nil || hello.Type != stream.FrameHello {
+	if err == nil && hello.Type != stream.FrameHello {
+		err = fmt.Errorf("first frame is %s, want hello", hello.Type)
+	}
+	if err != nil {
 		c.cfg.Logf("coordinator: bad handshake from %v: %v", conn.RemoteAddr(), err)
-		if c.cfg.Log != nil {
-			c.cfg.Log.Warn("bad handshake", "remote", fmt.Sprint(conn.RemoteAddr()), "err", err)
+		c.cfg.Log.Warn("bad handshake", "remote", fmt.Sprint(conn.RemoteAddr()), "err", err)
+		if errors.Is(err, stream.ErrProtocolVersion) {
+			// Tell a worker speaking another version which one this is;
+			// its HelloAck decode fails the same way and it stops.
+			stream.WriteFrame(conn, &stream.Frame{Type: stream.FrameHelloAck, Epoch: model.EpochNone}) //nolint:errcheck — closing anyway
 		}
 		return
 	}
 	if hello.Zone < 0 || hello.Zone >= c.cfg.Zones {
 		c.cfg.Logf("coordinator: zone %d out of range [0,%d)", hello.Zone, c.cfg.Zones)
-		if c.cfg.Log != nil {
-			c.cfg.Log.Warn("zone out of range", "zone", hello.Zone, "zones", c.cfg.Zones)
-		}
+		c.cfg.Log.Warn("zone out of range", "zone", hello.Zone, "zones", c.cfg.Zones)
 		return
 	}
 	zc := c.zones[hello.Zone]
-	c.tel.zoneRxBytes(hello.Zone).Add(int64(n))
+	zoneAt(c.tel.ZoneRxBytes, hello.Zone).Add(int64(n))
 
 	c.mu.Lock()
 	acked := zc.acked
-	final := c.final
 	c.mu.Unlock()
 	zc.mu.Lock()
 	if zc.conn != nil {
@@ -215,38 +209,23 @@ func (c *Coordinator) handleConn(ctx context.Context, conn net.Conn) {
 	zc.conn = conn
 	zc.everConnected = true
 	zc.connects++
-	zc.wantBye = hello.Caps&stream.CapBye != 0
-	// Ack the caps intersection: a legacy worker sends caps 0 and gets
-	// row frames; a columnar worker gets the columnar bit echoed back
-	// and may use the columnar epoch encodings on this connection.
-	err = stream.WriteFrame(conn, &stream.Frame{Type: stream.FrameHelloAck, Epoch: acked,
-		Caps: (stream.CapColumnarEpoch | stream.CapBye) & hello.Caps})
-	if err == nil && final != model.EpochNone && acked >= final && !zc.wantBye {
-		// A legacy worker (no Bye handshake) learns the final mark from
-		// the HelloAck itself; a successful write is the best delivery
-		// signal its protocol revision offers. Bye-capable workers confirm
-		// explicitly instead — a write that succeeds just before the link
-		// dies proves nothing about what the peer read.
-		zc.finalSent = true
-	}
+	err = stream.WriteFrame(conn, &stream.Frame{Type: stream.FrameHelloAck, Epoch: acked})
 	zc.mu.Unlock()
 	if err != nil {
 		return
 	}
-	c.tel.zoneConnects(hello.Zone).Inc()
-	c.tel.zoneConnected(hello.Zone).Set(1)
+	zoneAt(c.tel.ZoneConnects, hello.Zone).Inc()
+	zoneAt(c.tel.ZoneConnected, hello.Zone).Set(1)
 	c.ctrace.Record(trace.ConnEvent{Kind: trace.ConnConnect, Zone: hello.Zone, Epoch: acked,
 		Detail: "handshake complete; acked mark sent"})
 	c.cfg.Logf("coordinator: zone %d connected (acked through %d)", hello.Zone, acked)
-	if c.cfg.Log != nil {
-		c.cfg.Log.Info("zone connected", "zone", hello.Zone, "acked", int64(acked), "worker_epoch", int64(hello.Epoch))
-	}
+	c.cfg.Log.Info("zone connected", "zone", hello.Zone, "acked", int64(acked), "worker_epoch", int64(hello.Epoch))
 
 	defer func() {
 		zc.mu.Lock()
 		if zc.conn == conn {
 			zc.conn = nil
-			c.tel.zoneConnected(hello.Zone).Set(0)
+			zoneAt(c.tel.ZoneConnected, hello.Zone).Set(0)
 		}
 		zc.mu.Unlock()
 	}()
@@ -260,17 +239,15 @@ func (c *Coordinator) handleConn(ctx context.Context, conn net.Conn) {
 		if err != nil {
 			if ctx.Err() == nil {
 				c.cfg.Logf("coordinator: zone %d connection lost: %v", hello.Zone, err)
-				if c.cfg.Log != nil {
-					c.cfg.Log.Warn("zone connection lost", "zone", hello.Zone, "err", err)
-				}
+				c.cfg.Log.Warn("zone connection lost", "zone", hello.Zone, "err", err)
 				c.ctrace.Record(trace.ConnEvent{Kind: trace.ConnLost, Zone: hello.Zone,
 					Detail: err.Error()})
 			}
 			return
 		}
-		c.tel.zoneRxBytes(hello.Zone).Add(int64(n))
+		zoneAt(c.tel.ZoneRxBytes, hello.Zone).Add(int64(n))
 		switch f.Type {
-		case stream.FrameEpoch, stream.FrameFin, stream.FrameEpochCols, stream.FrameFinCols:
+		case stream.FrameEpochCols, stream.FrameFinCols:
 			if c.deliver(ZoneID(hello.Zone), f) {
 				scratch = c.getEvents()
 			} else {
@@ -283,15 +260,11 @@ func (c *Coordinator) handleConn(ctx context.Context, conn net.Conn) {
 			zc.finalSent = true
 			zc.mu.Unlock()
 			c.cfg.Logf("coordinator: zone %d said goodbye (acked %d)", hello.Zone, f.Epoch)
-			if c.cfg.Log != nil {
-				c.cfg.Log.Info("zone goodbye", "zone", hello.Zone, "acked", int64(f.Epoch))
-			}
+			c.cfg.Log.Info("zone goodbye", "zone", hello.Zone, "acked", int64(f.Epoch))
 			return
 		default:
 			c.cfg.Logf("coordinator: zone %d sent unexpected %s frame", hello.Zone, f.Type)
-			if c.cfg.Log != nil {
-				c.cfg.Log.Warn("unexpected frame", "zone", hello.Zone, "frame", f.Type.String())
-			}
+			c.cfg.Log.Warn("unexpected frame", "zone", hello.Zone, "frame", f.Type.String())
 			return
 		}
 	}
@@ -311,16 +284,14 @@ func (c *Coordinator) deliver(zone ZoneID, f *stream.Frame) bool {
 	}
 	zc.batches[f.Epoch] = f.Events
 	zc.highest = f.Epoch
-	if f.Type == stream.FrameFin || f.Type == stream.FrameFinCols {
+	if f.Type == stream.FrameFinCols {
 		zc.fin = true
 		zc.finAt = f.Epoch
-		if c.cfg.Log != nil {
-			c.cfg.Log.Info("zone finished", "zone", int(zone), "epoch", int64(f.Epoch))
-		}
+		c.cfg.Log.Info("zone finished", "zone", int(zone), "epoch", int64(f.Epoch))
 	}
-	if c.tel != nil {
-		c.tel.zoneEpochs(int(zone)).Inc()
-		c.tel.zoneEvents(int(zone)).Add(int64(len(f.Events)))
+	if c.instrumented() {
+		zoneAt(c.tel.ZoneEpochs, int(zone)).Inc()
+		zoneAt(c.tel.ZoneEvents, int(zone)).Add(int64(len(f.Events)))
 		c.updateZoneGaugesLocked()
 	}
 	select {
@@ -364,8 +335,8 @@ func (c *Coordinator) updateZoneGaugesLocked() {
 		} else if zc.highest == model.EpochNone && leader != model.EpochNone {
 			lag = int64(leader) + 1
 		}
-		c.tel.zoneLag(z).Set(lag)
-		c.tel.zonePending(z).Set(int64(len(zc.batches)))
+		zoneAt(c.tel.ZoneLag, z).Set(lag)
+		zoneAt(c.tel.ZonePending, z).Set(int64(len(zc.batches)))
 	}
 }
 
@@ -385,7 +356,7 @@ func (c *Coordinator) mergeLoop(ctx context.Context) error {
 			next = c.firstEpochLocked()
 		}
 		c.barrier = next
-		if c.tel != nil && next != model.EpochNone {
+		if next != model.EpochNone {
 			c.tel.BarrierEpoch.Set(int64(next))
 		}
 		ready := next != model.EpochNone && c.readyLocked(next)
@@ -397,7 +368,7 @@ func (c *Coordinator) mergeLoop(ctx context.Context) error {
 				batches[z] = zc.batches[next]
 				delete(zc.batches, next)
 			}
-			if c.tel != nil {
+			if c.instrumented() {
 				c.updateZoneGaugesLocked()
 			}
 		}
@@ -410,37 +381,19 @@ func (c *Coordinator) mergeLoop(ctx context.Context) error {
 			continue
 		}
 
-		if c.tel != nil && !wantSince.IsZero() {
+		if c.instrumented() && !wantSince.IsZero() {
 			// Time-at-barrier for this epoch: from the moment the barrier
 			// began wanting it (right after the previous merge) until every
 			// zone's batch arrived and the merge starts.
 			c.tel.BarrierWait.Observe(time.Since(wantSince).Seconds())
 		}
 
-		var merged []event.Event
-		if c.merger != nil {
-			// Serial oracle path: zones ingest in fixed order, then the
-			// barrier. The Fin batches carry every zone's closing events,
-			// emitted at this epoch; Close runs the last barrier and ends
-			// any interval still open in the merged state.
-			for z, b := range batches {
-				out, err := c.merger.Ingest(ZoneID(z), b)
-				if err != nil {
-					return fmt.Errorf("federate: coordinator: zone %d epoch %d: %w", z, next, err)
-				}
-				merged = append(merged, out...)
-			}
-			if final {
-				merged = append(merged, c.merger.Close(next)...)
-			} else {
-				merged = append(merged, c.merger.EndEpoch()...)
-			}
-		} else {
-			var err error
-			merged, err = c.pmerger.MergeEpoch(next, batches, final)
-			if err != nil {
-				return fmt.Errorf("federate: coordinator: epoch %d: %w", next, err)
-			}
+		// The Fin batches carry every zone's closing events, emitted at
+		// the final epoch; there MergeEpoch also ends every interval still
+		// open in the merged state.
+		merged, err := c.merger.MergeEpoch(next, batches, final)
+		if err != nil {
+			return fmt.Errorf("federate: coordinator: epoch %d: %w", next, err)
 		}
 		// The merge copied everything it keeps; the decoded slices go
 		// back to the pool for the connection readers.
@@ -460,10 +413,8 @@ func (c *Coordinator) mergeLoop(ctx context.Context) error {
 			c.final = next
 		}
 		c.mu.Unlock()
-		if c.tel != nil {
-			c.tel.MergedEpochs.Inc()
-			c.tel.MergedEvents.Add(int64(len(merged)))
-		}
+		c.tel.MergedEpochs.Inc()
+		c.tel.MergedEvents.Add(int64(len(merged)))
 		if c.cfg.Sink != nil {
 			if err := c.cfg.Sink(next, merged); err != nil {
 				return fmt.Errorf("federate: coordinator sink at epoch %d: %w", next, err)
@@ -472,9 +423,7 @@ func (c *Coordinator) mergeLoop(ctx context.Context) error {
 		c.ack(next)
 		if final {
 			c.cfg.Logf("coordinator: merged final epoch %d; %d events total", next, c.MergedEvents())
-			if c.cfg.Log != nil {
-				c.cfg.Log.Info("final epoch merged", "epoch", int64(next), "events", c.MergedEvents())
-			}
+			c.cfg.Log.Info("final epoch merged", "epoch", int64(next), "events", c.MergedEvents())
 			c.lingerForFinalAcks(ctx)
 			return nil
 		}
@@ -551,10 +500,8 @@ func (c *Coordinator) waitDelivery(ctx context.Context, wanted model.Epoch) erro
 			c.ctrace.Record(trace.ConnEvent{Kind: trace.ConnBarrierStall, Epoch: wanted,
 				Detail:     fmt.Sprintf("zones %v", missing),
 				DurationMS: float64(c.cfg.StragglerTimeout.Milliseconds())})
-			if c.cfg.Log != nil {
-				c.cfg.Log.Error("barrier straggler timeout", "epoch", int64(wanted),
-					"zones", fmt.Sprint(missing), "waited", c.cfg.StragglerTimeout.String())
-			}
+			c.cfg.Log.Error("barrier straggler timeout", "epoch", int64(wanted),
+				"zones", fmt.Sprint(missing), "waited", c.cfg.StragglerTimeout.String())
 			return c.stragglerError(wanted, missing)
 		}
 	}
@@ -571,17 +518,15 @@ func (c *Coordinator) nearMiss(wanted model.Epoch, waited time.Duration) {
 	}
 	c.mu.Unlock()
 	for _, z := range missing {
-		c.tel.nearMiss(z).Inc()
+		zoneAt(c.tel.NearMisses, z).Inc()
 	}
 	c.ctrace.Record(trace.ConnEvent{Kind: trace.ConnNearMiss, Epoch: wanted,
 		Detail:     fmt.Sprintf("zones %v", missing),
 		DurationMS: float64(waited.Milliseconds())})
 	c.cfg.Logf("coordinator: barrier near-miss: epoch %d still missing from zones %v after %v (timeout %v)",
 		wanted, missing, waited, c.cfg.StragglerTimeout)
-	if c.cfg.Log != nil {
-		c.cfg.Log.Warn("barrier near-miss", "epoch", int64(wanted), "zones", fmt.Sprint(missing),
-			"waited", waited.String(), "timeout", c.cfg.StragglerTimeout.String())
-	}
+	c.cfg.Log.Warn("barrier near-miss", "epoch", int64(wanted), "zones", fmt.Sprint(missing),
+		"waited", waited.String(), "timeout", c.cfg.StragglerTimeout.String())
 }
 
 // missingZones lists the zones that have not delivered the wanted epoch
@@ -616,26 +561,15 @@ func (c *Coordinator) stragglerError(wanted model.Epoch, missing []int) error {
 // connections are skipped — a reconnecting worker learns the mark from
 // its HelloAck instead.
 func (c *Coordinator) ack(epoch model.Epoch) {
-	c.mu.Lock()
-	final := c.final
-	c.mu.Unlock()
 	for z, zc := range c.zones {
 		zc.mu.Lock()
 		if zc.conn != nil {
 			if err := stream.WriteFrame(zc.conn, &stream.Frame{Type: stream.FrameAck, Epoch: epoch}); err != nil {
 				c.cfg.Logf("coordinator: ack %d to zone %d: %v", epoch, z, err)
-				if c.cfg.Log != nil {
-					c.cfg.Log.Warn("ack write failed", "zone", z, "epoch", int64(epoch), "err", err)
-				}
+				c.cfg.Log.Warn("ack write failed", "zone", z, "epoch", int64(epoch), "err", err)
 				zc.conn.Close()
 				zc.conn = nil
-				c.tel.zoneConnected(z).Set(0)
-			} else if final != model.EpochNone && epoch >= final && !zc.wantBye {
-				// Legacy workers only: treat the successful final-ack write
-				// as delivery. Bye-capable workers must say goodbye — the
-				// write can succeed into a connection that dies before the
-				// worker reads it.
-				zc.finalSent = true
+				zoneAt(c.tel.ZoneConnected, z).Set(0)
 			}
 		}
 		zc.mu.Unlock()
@@ -643,11 +577,10 @@ func (c *Coordinator) ack(epoch model.Epoch) {
 }
 
 // lingerForFinalAcks keeps the coordinator alive briefly after the final
-// merge until every zone has received the final mark — confirmed by the
-// worker's Bye frame, or (for legacy workers without the Bye handshake)
-// assumed from a successfully written Ack or HelloAck. Without this, a
-// zone whose connection was down at the final merge would retry against
-// a vanished coordinator forever.
+// merge until every zone has confirmed the final mark with its Bye frame
+// — a successful ack write proves nothing about what the worker read
+// before the link died. Without this, a zone whose connection was down
+// at the final merge would retry against a vanished coordinator forever.
 func (c *Coordinator) lingerForFinalAcks(ctx context.Context) {
 	start := time.Now()
 	deadline := time.After(c.cfg.StragglerTimeout)
@@ -658,10 +591,8 @@ func (c *Coordinator) lingerForFinalAcks(ctx context.Context) {
 		c.mu.Lock()
 		c.lingerSecs = lingered.Seconds()
 		c.mu.Unlock()
-		if c.tel != nil {
-			c.tel.LingerMS.Set(lingered.Milliseconds())
-			c.tel.LingerMissed.Add(int64(len(pending)))
-		}
+		c.tel.LingerMS.Set(lingered.Milliseconds())
+		c.tel.LingerMissed.Add(int64(len(pending)))
 		c.ctrace.Record(trace.ConnEvent{Kind: trace.ConnFinalLinger,
 			Detail:     fmt.Sprintf("pending zones %v", pending),
 			DurationMS: float64(lingered.Milliseconds())})
@@ -686,9 +617,7 @@ func (c *Coordinator) lingerForFinalAcks(ctx context.Context) {
 		case <-deadline:
 			record(pending)
 			c.cfg.Logf("coordinator: zones %v never received the final ack; exiting anyway", pending)
-			if c.cfg.Log != nil {
-				c.cfg.Log.Warn("final ack undelivered", "zones", fmt.Sprint(pending))
-			}
+			c.cfg.Log.Warn("final ack undelivered", "zones", fmt.Sprint(pending))
 			return
 		case <-tick.C:
 		}

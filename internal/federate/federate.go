@@ -39,7 +39,8 @@
 //
 // Feed batches epoch-aligned (all zones' batches for epoch t before any
 // batch for t+1) and call EndEpoch at each epoch boundary — the barrier
-// that resolves deferred Missing messages. The merged stream satisfies
+// that resolves deferred Missing messages — or hand each epoch's batches
+// to MergeEpoch, which does both. The merged stream satisfies
 // event.CheckWellFormed.
 package federate
 
@@ -98,6 +99,14 @@ type Merger struct {
 	// the same epoch it got there). Missing-triggered closes assert no
 	// location, so they never set a claim.
 	claims map[model.Tag]model.LocationID
+
+	// touched lists the objects applied since the last barrier (with
+	// repeats), and children maps a container to the objects whose
+	// containment named it when it opened — entries go stale when that
+	// containment closes and are pruned when next scanned. Together they
+	// bound the barrier's conflict check to what this epoch changed.
+	touched  []model.Tag
+	children map[model.Tag][]model.Tag
 }
 
 // NewMerger returns an empty merger.
@@ -106,6 +115,7 @@ func NewMerger() *Merger {
 		states:   make(map[model.Tag]*objState),
 		lastTime: model.EpochNone,
 		claims:   make(map[model.Tag]model.LocationID),
+		children: make(map[model.Tag][]model.Tag),
 	}
 }
 
@@ -124,16 +134,43 @@ func (m *Merger) state(g model.Tag) *objState {
 // so they never appear in Ingest output directly.
 func (m *Merger) Ingest(zone ZoneID, events []event.Event) ([]event.Event, error) {
 	m.out = m.out[:0]
+	if err := m.ingest(zone, events); err != nil {
+		return nil, err
+	}
+	return append([]event.Event(nil), m.out...), nil
+}
+
+// MergeEpoch is the coordinator's epoch barrier in one call: it ingests
+// every zone's batch for the epoch in fixed zone order 0..N-1, then runs
+// EndEpoch — or Close(epoch) when final is set — and returns everything
+// emitted, in order. The result is exactly what Ingest per zone followed
+// by EndEpoch or Close would return, errors included.
+func (m *Merger) MergeEpoch(epoch model.Epoch, batches [][]event.Event, final bool) ([]event.Event, error) {
+	m.out = m.out[:0]
+	for z, b := range batches {
+		if err := m.ingest(ZoneID(z), b); err != nil {
+			return nil, err
+		}
+	}
+	m.barrier()
+	if final {
+		m.closeOpen(epoch)
+	}
+	return append([]event.Event(nil), m.out...), nil
+}
+
+// ingest applies one zone's batch, appending to m.out.
+func (m *Merger) ingest(zone ZoneID, events []event.Event) error {
 	for _, e := range events {
 		if err := e.Validate(); err != nil {
-			return nil, fmt.Errorf("federate: zone %d: %w", zone, err)
+			return fmt.Errorf("federate: zone %d: %w", zone, err)
 		}
 		emitted := e.Vs
 		if e.Kind == event.EndLocation || e.Kind == event.EndContainment {
 			emitted = e.Ve
 		}
 		if emitted < m.lastTime {
-			return nil, fmt.Errorf("federate: zone %d: event %v at %d before merged stream time %d",
+			return fmt.Errorf("federate: zone %d: event %v at %d before merged stream time %d",
 				zone, e, emitted, m.lastTime)
 		}
 		// A later epoch arrived before EndEpoch was called: run the
@@ -147,7 +184,7 @@ func (m *Merger) Ingest(zone ZoneID, events []event.Event) ([]event.Event, error
 			m.lastTime = emitted
 		}
 	}
-	return append([]event.Event(nil), m.out...), nil
+	return nil
 }
 
 // EndEpoch is the epoch barrier: once every zone's batch for the current
@@ -167,6 +204,7 @@ func (m *Merger) barrier() {
 	m.resolveContainmentConflicts()
 	m.flushPending()
 	clear(m.claims)
+	m.touched = m.touched[:0]
 }
 
 // resolveContainmentConflicts applies the substrate's conflict-resolution
@@ -175,37 +213,70 @@ func (m *Merger) barrier() {
 // off to another zone while its contents stay behind, the contradiction
 // (container here, contents there) is only visible in the merged state.
 // Any open containment whose two ends sit at different merged locations
-// is closed at the current epoch, exactly when a single substrate seeing
-// both locations would close it. Objects whose location is unknown
-// (missing, or in transit between zones this epoch) are left alone:
-// absence of evidence is not a contradiction, matching the per-substrate
-// rule that a missing object keeps its containment.
+// is closed at the current epoch, in tag order, exactly when a single
+// substrate seeing both locations would close it. Objects whose location
+// is unknown (missing, or in transit between zones this epoch) are left
+// alone: absence of evidence is not a contradiction, matching the
+// per-substrate rule that a missing object keeps its containment.
 func (m *Merger) resolveContainmentConflicts() {
-	var objs []model.Tag
-	for g, st := range m.states {
-		if !st.contOpen {
-			continue
-		}
-		childLoc, childKnown := m.effectiveLoc(g, st)
-		if !childKnown {
-			continue
-		}
-		parent, ok := m.states[st.container]
-		if !ok {
-			continue
-		}
-		parentLoc, parentKnown := m.effectiveLoc(st.container, parent)
-		if !parentKnown || parentLoc == childLoc {
-			continue
-		}
-		objs = append(objs, g)
-	}
-	slices.Sort(objs)
-	for _, g := range objs {
+	for _, g := range m.conflicts() {
 		st := m.states[g]
 		m.emit(event.NewEndContainment(g, st.container, st.contVs, m.lastTime))
 		st.contOpen = false
 	}
+}
+
+// conflicts returns, sorted, the objects whose open containment
+// contradicts their container's location. The previous barrier closed
+// every contradiction, and clearing its claims only turns locations
+// unknown, so a new contradiction needs an event applied since to one of
+// its two ends: it is a touched object, or an open-containment child of
+// a touched container.
+func (m *Merger) conflicts() []model.Tag {
+	slices.Sort(m.touched)
+	m.touched = slices.Compact(m.touched)
+	var objs []model.Tag
+	for _, g := range m.touched {
+		if m.conflicted(g, m.states[g]) {
+			objs = append(objs, g)
+		}
+		kids := m.children[g][:0]
+		for _, c := range m.children[g] {
+			st := m.states[c]
+			if !st.contOpen || st.container != g || slices.Contains(kids, c) {
+				continue // stale or repeated entry
+			}
+			kids = append(kids, c)
+			if m.conflicted(c, st) {
+				objs = append(objs, c)
+			}
+		}
+		if len(kids) == 0 {
+			delete(m.children, g)
+		} else {
+			m.children[g] = kids
+		}
+	}
+	slices.Sort(objs)
+	return slices.Compact(objs)
+}
+
+// conflicted reports whether g's open containment contradicts its
+// container's location.
+func (m *Merger) conflicted(g model.Tag, st *objState) bool {
+	if !st.contOpen {
+		return false
+	}
+	childLoc, childKnown := m.effectiveLoc(g, st)
+	if !childKnown {
+		return false
+	}
+	parent, ok := m.states[st.container]
+	if !ok {
+		return false
+	}
+	parentLoc, parentKnown := m.effectiveLoc(st.container, parent)
+	return parentKnown && parentLoc != childLoc
 }
 
 // effectiveLoc is the object's location as of this epoch's barrier: the
@@ -237,6 +308,7 @@ func (m *Merger) flushPending() {
 
 func (m *Merger) apply(zone ZoneID, e event.Event) {
 	st := m.state(e.Object)
+	m.touched = append(m.touched, e.Object)
 	switch e.Kind {
 	case event.StartLocation:
 		// The reporting zone takes ownership; close any stale interval
@@ -293,6 +365,7 @@ func (m *Merger) apply(zone ZoneID, e event.Event) {
 		st.contOpen = true
 		st.container = e.Container
 		st.contVs = e.Vs
+		m.children[e.Container] = append(m.children[e.Container], e.Object)
 		m.emit(event.NewStartContainment(e.Object, e.Container, e.Vs))
 	case event.EndContainment:
 		if st.owner != zone || !st.contOpen || st.container != e.Container {
@@ -310,7 +383,13 @@ func (m *Merger) emit(e event.Event) { m.out = append(m.out, e) }
 func (m *Merger) Close(now model.Epoch) []event.Event {
 	m.out = m.out[:0]
 	m.barrier()
-	out := append([]event.Event(nil), m.out...)
+	m.closeOpen(now)
+	return append([]event.Event(nil), m.out...)
+}
+
+// closeOpen ends every open merged interval at epoch now, in tag order,
+// appending to m.out.
+func (m *Merger) closeOpen(now model.Epoch) {
 	tags := make([]model.Tag, 0, len(m.states))
 	for g := range m.states {
 		tags = append(tags, g)
@@ -319,16 +398,21 @@ func (m *Merger) Close(now model.Epoch) []event.Event {
 	for _, g := range tags {
 		st := m.states[g]
 		if st.contOpen {
-			out = append(out, event.NewEndContainment(g, st.container, st.contVs, now))
+			m.emit(event.NewEndContainment(g, st.container, st.contVs, now))
 			st.contOpen = false
 		}
 		if st.locOpen {
-			out = append(out, event.NewEndLocation(g, st.loc, st.locVs, now))
+			m.emit(event.NewEndLocation(g, st.loc, st.locVs, now))
 			st.locOpen = false
 		}
 	}
-	return out
 }
 
 // Objects reports the number of objects the merger has seen.
 func (m *Merger) Objects() int { return len(m.states) }
+
+// NewParallelMerger returns NewMerger().
+//
+// Deprecated: kept only for benchmark/cluster.go, which times the
+// coordinator's merger through it; use NewMerger.
+func NewParallelMerger(int) *Merger { return NewMerger() }

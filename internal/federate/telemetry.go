@@ -17,8 +17,8 @@ var BackoffBuckets = []float64{
 }
 
 // CoordinatorInstruments bundles the coordinator-side cluster metrics.
-// A nil *CoordinatorInstruments is the disabled mode: every contained
-// metric is nil and recording is a no-op, the same transparency
+// An uninstrumented coordinator holds noCoordinatorInstruments: every
+// contained metric is nil and recording is a no-op, the same transparency
 // contract as core.Instruments — the keystone byte-identity test pins
 // that an instrumented cluster merges the identical stream.
 type CoordinatorInstruments struct {
@@ -79,74 +79,34 @@ func NewCoordinatorInstruments(reg *telemetry.Registry, zones int) *CoordinatorI
 	return ci
 }
 
-// zone-indexed accessors, nil-safe so call sites stay unconditional.
+// noCoordinatorInstruments is an uninstrumented coordinator's bundle:
+// every metric is nil and every per-zone family empty, and nil metrics
+// record nothing, so call sites stay unconditional.
+var noCoordinatorInstruments CoordinatorInstruments
 
-func (ci *CoordinatorInstruments) zoneEpochs(z int) *telemetry.Counter {
-	if ci == nil || z < 0 || z >= len(ci.ZoneEpochs) {
+// zoneAt returns zone z's metric of a per-zone family, or nil (a no-op
+// metric) when the family is empty or z is out of range.
+func zoneAt[M any](family []*M, z int) *M {
+	if z < 0 || z >= len(family) {
 		return nil
 	}
-	return ci.ZoneEpochs[z]
-}
-
-func (ci *CoordinatorInstruments) zoneEvents(z int) *telemetry.Counter {
-	if ci == nil || z < 0 || z >= len(ci.ZoneEvents) {
-		return nil
-	}
-	return ci.ZoneEvents[z]
-}
-
-func (ci *CoordinatorInstruments) zoneRxBytes(z int) *telemetry.Counter {
-	if ci == nil || z < 0 || z >= len(ci.ZoneRxBytes) {
-		return nil
-	}
-	return ci.ZoneRxBytes[z]
-}
-
-func (ci *CoordinatorInstruments) zoneLag(z int) *telemetry.Gauge {
-	if ci == nil || z < 0 || z >= len(ci.ZoneLag) {
-		return nil
-	}
-	return ci.ZoneLag[z]
-}
-
-func (ci *CoordinatorInstruments) zonePending(z int) *telemetry.Gauge {
-	if ci == nil || z < 0 || z >= len(ci.ZonePending) {
-		return nil
-	}
-	return ci.ZonePending[z]
-}
-
-func (ci *CoordinatorInstruments) zoneConnected(z int) *telemetry.Gauge {
-	if ci == nil || z < 0 || z >= len(ci.ZoneConnected) {
-		return nil
-	}
-	return ci.ZoneConnected[z]
-}
-
-func (ci *CoordinatorInstruments) zoneConnects(z int) *telemetry.Counter {
-	if ci == nil || z < 0 || z >= len(ci.ZoneConnects) {
-		return nil
-	}
-	return ci.ZoneConnects[z]
-}
-
-func (ci *CoordinatorInstruments) nearMiss(z int) *telemetry.Counter {
-	if ci == nil || z < 0 || z >= len(ci.NearMisses) {
-		return nil
-	}
-	return ci.NearMisses[z]
+	return family[z]
 }
 
 // Instrument wires the coordinator to a telemetry registry; a nil
 // registry disables instrumentation. Call before Serve.
 func (c *Coordinator) Instrument(reg *telemetry.Registry) *CoordinatorInstruments {
-	c.tel = NewCoordinatorInstruments(reg, c.cfg.Zones)
-	return c.tel
+	tel := NewCoordinatorInstruments(reg, c.cfg.Zones)
+	c.tel = &noCoordinatorInstruments
+	if tel != nil {
+		c.tel = tel
+	}
+	return tel
 }
 
 // WorkerInstruments bundles the zone-worker-side metrics, all labeled
-// with the worker's zone. Nil is the disabled mode (see
-// CoordinatorInstruments).
+// with the worker's zone. An uninstrumented worker holds
+// noWorkerInstruments (see CoordinatorInstruments).
 type WorkerInstruments struct {
 	EpochsSubmitted *telemetry.Counter   // spire_fed_worker_epochs_submitted_total
 	EpochsAcked     *telemetry.Counter   // spire_fed_worker_epochs_acked_total
@@ -214,107 +174,19 @@ func NewWorkerInstruments(reg *telemetry.Registry, zone ZoneID) *WorkerInstrumen
 	}
 }
 
-// nil-safe accessors, same contract as the coordinator's: a nil
-// *WorkerInstruments hands out nil metrics, so call sites stay
+// noWorkerInstruments is an uninstrumented worker's bundle: every metric
+// is nil, and nil metrics record nothing, so call sites stay
 // unconditional.
-
-func (wi *WorkerInstruments) epochsSubmitted() *telemetry.Counter {
-	if wi == nil {
-		return nil
-	}
-	return wi.EpochsSubmitted
-}
-
-func (wi *WorkerInstruments) epochsAcked() *telemetry.Counter {
-	if wi == nil {
-		return nil
-	}
-	return wi.EpochsAcked
-}
-
-func (wi *WorkerInstruments) ackRTT() *telemetry.Histogram {
-	if wi == nil {
-		return nil
-	}
-	return wi.AckRTT
-}
-
-func (wi *WorkerInstruments) replayDepth() *telemetry.Gauge {
-	if wi == nil {
-		return nil
-	}
-	return wi.ReplayDepth
-}
-
-func (wi *WorkerInstruments) replayHighWater() *telemetry.Gauge {
-	if wi == nil {
-		return nil
-	}
-	return wi.ReplayHighWater
-}
-
-func (wi *WorkerInstruments) ackStalls() *telemetry.Counter {
-	if wi == nil {
-		return nil
-	}
-	return wi.AckStalls
-}
-
-func (wi *WorkerInstruments) connects() *telemetry.Counter {
-	if wi == nil {
-		return nil
-	}
-	return wi.Connects
-}
-
-func (wi *WorkerInstruments) connectFailures() *telemetry.Counter {
-	if wi == nil {
-		return nil
-	}
-	return wi.ConnectFailures
-}
-
-func (wi *WorkerInstruments) connected() *telemetry.Gauge {
-	if wi == nil {
-		return nil
-	}
-	return wi.Connected
-}
-
-func (wi *WorkerInstruments) backoffMS() *telemetry.Gauge {
-	if wi == nil {
-		return nil
-	}
-	return wi.BackoffMS
-}
-
-func (wi *WorkerInstruments) replayedEpochs() *telemetry.Counter {
-	if wi == nil {
-		return nil
-	}
-	return wi.ReplayedEpochs
-}
-
-func (wi *WorkerInstruments) txBytes() *telemetry.Counter {
-	if wi == nil {
-		return nil
-	}
-	return wi.TxBytes
-}
-
-func (wi *WorkerInstruments) rxBytes() *telemetry.Counter {
-	if wi == nil {
-		return nil
-	}
-	return wi.RxBytes
-}
+var noWorkerInstruments WorkerInstruments
 
 // Instrument wires the worker to a telemetry registry; a nil registry
 // disables instrumentation. Call before RunBatches.
 func (w *Worker) Instrument(reg *telemetry.Registry) *WorkerInstruments {
-	w.tel = NewWorkerInstruments(reg, w.cfg.Zone)
-	if w.tel != nil {
-		w.tel.AckWindow.Set(int64(w.cfg.AckWindow))
+	tel := NewWorkerInstruments(reg, w.cfg.Zone)
+	w.tel = &noWorkerInstruments
+	if tel != nil {
+		tel.AckWindow.Set(int64(w.cfg.AckWindow))
+		w.tel = tel
 	}
-	return w.tel
+	return tel
 }

@@ -74,8 +74,8 @@ type WorkerConfig struct {
 	JitterSeed  int64
 
 	// Logf, when set, receives progress and retry diagnostics in printf
-	// form. Log, when set, receives connection transitions as structured
-	// records; either or both may be nil.
+	// form. Log receives connection transitions as structured records;
+	// nil discards them.
 	Logf func(format string, args ...any)
 	Log  *slog.Logger
 }
@@ -90,12 +90,8 @@ type epochBatch struct {
 	// once at first send and written verbatim on every replay. Owning
 	// the bytes here is the replay buffer's aliasing fix: a redial
 	// mid-epoch re-sends stable private storage, never a column or
-	// scratch slice some other layer is still rewriting. wireCols
-	// records which encoding the bytes carry so a reconnect that
-	// renegotiates capabilities re-encodes instead of replaying frames
-	// the peer no longer understands.
-	wire     []byte
-	wireCols bool
+	// scratch slice some other layer is still rewriting.
+	wire []byte
 }
 
 // Worker streams one zone substrate's compressed output to the
@@ -111,7 +107,6 @@ type Worker struct {
 	conn  net.Conn
 	acks  chan model.Epoch
 	rderr chan error
-	caps  uint32 // capabilities negotiated with the current connection
 
 	lastAcked model.Epoch
 	buffer    []*epochBatch // processed, not yet acked (epochs > lastAcked)
@@ -163,8 +158,12 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
+	if cfg.Log == nil {
+		cfg.Log = slog.New(slog.DiscardHandler)
+	}
 	w := &Worker{
 		cfg:       cfg,
+		tel:       &noWorkerInstruments,
 		rng:       rand.New(rand.NewSource(cfg.JitterSeed)),
 		lastAcked: model.EpochNone,
 		snapEpoch: model.EpochNone,
@@ -186,7 +185,7 @@ func (w *Worker) TraceConn(rec *trace.ConnRecorder) { w.ctrace = rec }
 
 // timed reports whether the worker should read the clock for latency
 // metrics; uninstrumented runs take no timing branches.
-func (w *Worker) timed() bool { return w.tel != nil || w.ctrace != nil }
+func (w *Worker) timed() bool { return w.tel != &noWorkerInstruments || w.ctrace != nil }
 
 // jitterBackoff spreads one backoff sleep uniformly over [d/2, d]
 // (full-jitter on the upper half). The cap keeps the upper bound at the
@@ -203,8 +202,9 @@ func jitterBackoff(rng *rand.Rand, d time.Duration) time.Duration {
 // RunBatches processes the source to completion: every epoch's batch is
 // processed in place through the substrate, and every epoch after the
 // coordinator's ack high-water mark is streamed to it. RunBatches returns
-// once the coordinator has acked the final (Fin) epoch, or with the
-// context's error.
+// once the coordinator has acked the final (Fin) epoch, with the
+// context's error, or with stream.ErrProtocolVersion when the coordinator
+// speaks another protocol version.
 func (w *Worker) RunBatches(ctx context.Context, src BatchSource) error {
 	defer w.dropConn()
 
@@ -262,9 +262,7 @@ func (w *Worker) finishRun(ctx context.Context, last model.Epoch) error {
 	}
 	w.sendBye(ctx)
 	w.setStatus(func(s *WorkerStatus) { s.State = ZoneFinished })
-	if w.cfg.Log != nil {
-		w.cfg.Log.Info("zone run complete", "zone", int(w.cfg.Zone), "final_epoch", int64(end))
-	}
+	w.cfg.Log.Info("zone run complete", "zone", int(w.cfg.Zone), "final_epoch", int64(end))
 	return nil
 }
 
@@ -289,9 +287,6 @@ func (w *Worker) sendBye(ctx context.Context) {
 				continue
 			}
 		}
-		if w.caps&stream.CapBye == 0 {
-			return // legacy coordinator: it lingers on its own heuristics
-		}
 		if _, err := stream.WriteFrameCount(w.conn, &stream.Frame{Type: stream.FrameBye, Epoch: w.lastAcked}); err == nil {
 			return
 		}
@@ -309,7 +304,7 @@ func (w *Worker) submit(ctx context.Context, b *epochBatch) error {
 		b.sentAt = time.Now()
 	}
 	w.buffer = append(w.buffer, b)
-	w.tel.epochsSubmitted().Inc()
+	w.tel.EpochsSubmitted.Inc()
 	w.noteReplayDepth()
 	if err := w.sendBatch(ctx, b); err != nil {
 		return err
@@ -326,12 +321,12 @@ func (w *Worker) submit(ctx context.Context, b *epochBatch) error {
 // from the current buffer.
 func (w *Worker) noteReplayDepth() {
 	depth := len(w.buffer)
-	w.tel.replayDepth().Set(int64(depth))
+	w.tel.ReplayDepth.Set(int64(depth))
 	w.setStatus(func(s *WorkerStatus) {
 		s.ReplayDepth = depth
 		if depth > s.ReplayHighWater {
 			s.ReplayHighWater = depth
-			w.tel.replayHighWater().Set(int64(depth))
+			w.tel.ReplayHighWater.Set(int64(depth))
 		}
 	})
 }
@@ -353,9 +348,7 @@ func (w *Worker) sendBatch(ctx context.Context, b *epochBatch) error {
 			return nil
 		} else {
 			w.cfg.Logf("zone %d: send epoch %d: %v; reconnecting", w.cfg.Zone, b.epoch, err)
-			if w.cfg.Log != nil {
-				w.cfg.Log.Warn("send failed", "zone", int(w.cfg.Zone), "epoch", int64(b.epoch), "err", err)
-			}
+			w.cfg.Log.Warn("send failed", "zone", int(w.cfg.Zone), "epoch", int64(b.epoch), "err", err)
 			w.dropConn()
 		}
 	}
@@ -363,35 +356,27 @@ func (w *Worker) sendBatch(ctx context.Context, b *epochBatch) error {
 
 // writeBatch sends the batch's frame, encoding it into the batch's owned
 // wire buffer on first use. Replays after a reconnect write the same
-// bytes zero-copy; only a capability change across the reconnect (the
-// coordinator was replaced by one speaking a different encoding) forces
-// a re-encode.
+// bytes zero-copy.
 func (w *Worker) writeBatch(b *epochBatch) error {
-	cols := w.caps&stream.CapColumnarEpoch != 0
-	if len(b.wire) == 0 || b.wireCols != cols {
-		typ := stream.FrameEpoch
-		switch {
-		case b.fin && cols:
+	if len(b.wire) == 0 {
+		typ := stream.FrameEpochCols
+		if b.fin {
 			typ = stream.FrameFinCols
-		case b.fin:
-			typ = stream.FrameFin
-		case cols:
-			typ = stream.FrameEpochCols
 		}
 		var err error
 		b.wire, err = stream.AppendFrame(b.wire[:0], &stream.Frame{Type: typ, Epoch: b.epoch, Events: b.events})
 		if err != nil {
 			return err
 		}
-		b.wireCols = cols
 	}
 	n, err := w.conn.Write(b.wire)
-	w.tel.txBytes().Add(int64(n))
+	w.tel.TxBytes.Add(int64(n))
 	return err
 }
 
 // ensureConn dials and handshakes with capped exponential backoff,
-// jittered so sibling zones spread their retries.
+// jittered so sibling zones spread their retries. A protocol version
+// mismatch is returned at once: redialing cannot fix it.
 func (w *Worker) ensureConn(ctx context.Context) error {
 	if w.conn != nil {
 		return nil
@@ -405,18 +390,19 @@ func (w *Worker) ensureConn(ctx context.Context) error {
 		if err == nil {
 			return nil
 		}
-		w.tel.connectFailures().Inc()
+		if errors.Is(err, stream.ErrProtocolVersion) {
+			return fmt.Errorf("federate: zone %d: %w", w.cfg.Zone, err)
+		}
+		w.tel.ConnectFailures.Inc()
 		w.setStatus(func(s *WorkerStatus) { s.ConnectFailures++ })
 		sleep := jitterBackoff(w.rng, backoff)
-		w.tel.backoffMS().Set(sleep.Milliseconds())
+		w.tel.BackoffMS.Set(sleep.Milliseconds())
 		w.setStatus(func(s *WorkerStatus) { s.BackoffMS = sleep.Milliseconds() })
 		w.ctrace.Record(trace.ConnEvent{Kind: trace.ConnConnectFailed, Zone: int(w.cfg.Zone),
 			Detail: err.Error(), DurationMS: float64(sleep.Milliseconds())})
 		w.cfg.Logf("zone %d: connect attempt %d: %v; retrying in %v", w.cfg.Zone, attempt+1, err, sleep)
-		if w.cfg.Log != nil {
-			w.cfg.Log.Warn("connect failed", "zone", int(w.cfg.Zone), "attempt", attempt+1,
-				"err", err, "retry_in", sleep.String())
-		}
+		w.cfg.Log.Warn("connect failed", "zone", int(w.cfg.Zone), "attempt", attempt+1,
+			"err", err, "retry_in", sleep.String())
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
@@ -436,8 +422,7 @@ func (w *Worker) connectOnce(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	hello := &stream.Frame{Type: stream.FrameHello, Zone: int(w.cfg.Zone),
-		Epoch: w.cfg.Substrate.LastEpoch(), Caps: stream.CapColumnarEpoch | stream.CapBye}
+	hello := &stream.Frame{Type: stream.FrameHello, Zone: int(w.cfg.Zone), Epoch: w.cfg.Substrate.LastEpoch()}
 	if _, err := stream.WriteFrameCount(conn, hello); err != nil {
 		conn.Close()
 		return err
@@ -452,17 +437,13 @@ func (w *Worker) connectOnce(ctx context.Context) error {
 		return fmt.Errorf("handshake: got %s, want hello-ack", f.Type)
 	}
 	w.conn = conn
-	// The intersection of offered and acked capabilities governs every
-	// frame on this connection, including the replay below — a legacy
-	// coordinator acks 0 and gets row frames (and no Bye).
-	w.caps = (stream.CapColumnarEpoch | stream.CapBye) & f.Caps
 	w.acks = make(chan model.Epoch, 64)
 	w.rderr = make(chan error, 1)
-	go readAcks(conn, w.acks, w.rderr, w.tel.rxBytes())
+	go readAcks(conn, w.acks, w.rderr, w.tel.RxBytes)
 	w.handleAck(f.Epoch)
-	w.tel.connects().Inc()
-	w.tel.connected().Set(1)
-	w.tel.backoffMS().Set(0)
+	w.tel.Connects.Inc()
+	w.tel.Connected.Set(1)
+	w.tel.BackoffMS.Set(0)
 	w.setStatus(func(s *WorkerStatus) {
 		s.State = ZoneStreaming
 		s.Connects++
@@ -470,10 +451,8 @@ func (w *Worker) connectOnce(ctx context.Context) error {
 	})
 	w.ctrace.Record(trace.ConnEvent{Kind: trace.ConnConnect, Zone: int(w.cfg.Zone), Epoch: f.Epoch,
 		Detail: "handshake complete"})
-	if w.cfg.Log != nil {
-		w.cfg.Log.Info("connected", "zone", int(w.cfg.Zone), "coordinator_acked", int64(f.Epoch),
-			"replaying", len(w.buffer))
-	}
+	w.cfg.Log.Info("connected", "zone", int(w.cfg.Zone), "coordinator_acked", int64(f.Epoch),
+		"replaying", len(w.buffer))
 	// Re-send whatever the coordinator is missing, oldest first.
 	var replayStart time.Time
 	if w.timed() && len(w.buffer) > 0 {
@@ -486,7 +465,7 @@ func (w *Worker) connectOnce(ctx context.Context) error {
 		}
 	}
 	if n := len(w.buffer); n > 0 {
-		w.tel.replayedEpochs().Add(int64(n))
+		w.tel.ReplayedEpochs.Add(int64(n))
 		var tookMS float64
 		if !replayStart.IsZero() {
 			tookMS = float64(time.Since(replayStart).Milliseconds())
@@ -525,8 +504,7 @@ func (w *Worker) dropConn() {
 		w.conn = nil
 		w.acks = nil
 		w.rderr = nil
-		w.caps = 0
-		w.tel.connected().Set(0)
+		w.tel.Connected.Set(0)
 		w.setStatus(func(s *WorkerStatus) {
 			if s.State == ZoneStreaming {
 				s.State = ZoneLost
@@ -569,18 +547,14 @@ func (w *Worker) awaitAck(ctx context.Context) error {
 		// awaitAck redials.
 		w.drainAcks()
 		w.cfg.Logf("zone %d: connection lost waiting for ack: %v", w.cfg.Zone, err)
-		if w.cfg.Log != nil {
-			w.cfg.Log.Warn("connection lost", "zone", int(w.cfg.Zone), "err", err)
-		}
+		w.cfg.Log.Warn("connection lost", "zone", int(w.cfg.Zone), "err", err)
 		w.ctrace.Record(trace.ConnEvent{Kind: trace.ConnLost, Zone: int(w.cfg.Zone), Detail: err.Error()})
 		w.dropConn()
 		return nil
 	case <-time.After(w.cfg.AckTimeout):
 		w.cfg.Logf("zone %d: no ack within %v; reconnecting", w.cfg.Zone, w.cfg.AckTimeout)
-		if w.cfg.Log != nil {
-			w.cfg.Log.Warn("ack stall", "zone", int(w.cfg.Zone), "timeout", w.cfg.AckTimeout.String())
-		}
-		w.tel.ackStalls().Inc()
+		w.cfg.Log.Warn("ack stall", "zone", int(w.cfg.Zone), "timeout", w.cfg.AckTimeout.String())
+		w.tel.AckStalls.Inc()
 		w.setStatus(func(s *WorkerStatus) { s.AckStalls++ })
 		w.ctrace.Record(trace.ConnEvent{Kind: trace.ConnAckStall, Zone: int(w.cfg.Zone),
 			DurationMS: float64(w.cfg.AckTimeout.Milliseconds())})
@@ -601,11 +575,11 @@ func (w *Worker) handleAck(a model.Epoch) {
 	i := 0
 	for i < len(w.buffer) && w.buffer[i].epoch <= a {
 		if !w.buffer[i].sentAt.IsZero() {
-			w.tel.ackRTT().Observe(time.Since(w.buffer[i].sentAt).Seconds())
+			w.tel.AckRTT.Observe(time.Since(w.buffer[i].sentAt).Seconds())
 		}
 		i++
 	}
-	w.tel.epochsAcked().Add(int64(i))
+	w.tel.EpochsAcked.Add(int64(i))
 	w.buffer = w.buffer[i:]
 	w.setStatus(func(s *WorkerStatus) { s.LastAcked = a })
 	w.noteReplayDepth()
@@ -626,9 +600,7 @@ func (w *Worker) takeSnapshot(epoch model.Epoch) {
 	var buf bytes.Buffer
 	if err := w.cfg.Substrate.Snapshot(&buf); err != nil {
 		w.cfg.Logf("zone %d: snapshot at epoch %d: %v", w.cfg.Zone, epoch, err)
-		if w.cfg.Log != nil {
-			w.cfg.Log.Warn("snapshot failed", "zone", int(w.cfg.Zone), "epoch", int64(epoch), "err", err)
-		}
+		w.cfg.Log.Warn("snapshot failed", "zone", int(w.cfg.Zone), "epoch", int64(epoch), "err", err)
 		return
 	}
 	w.snapEpoch = epoch
@@ -655,25 +627,19 @@ func (w *Worker) persistSnapshot() {
 		}
 		if err := writeFileAtomic(w.cfg.CheckpointPath, w.snapData); err != nil {
 			w.cfg.Logf("zone %d: checkpoint write: %v", w.cfg.Zone, err)
-			if w.cfg.Log != nil {
-				w.cfg.Log.Warn("checkpoint write failed", "zone", int(w.cfg.Zone), "err", err)
-			}
+			w.cfg.Log.Warn("checkpoint write failed", "zone", int(w.cfg.Zone), "err", err)
 			return
 		}
 		size := len(w.snapData)
 		epoch := w.snapEpoch
-		if w.tel != nil {
-			w.tel.Checkpoints.Inc()
-			w.tel.CheckpointBytes.Set(int64(size))
-			w.tel.CheckpointSecs.Observe(w.snapSecs + time.Since(start).Seconds())
-		}
+		w.tel.Checkpoints.Inc()
+		w.tel.CheckpointBytes.Set(int64(size))
+		w.tel.CheckpointSecs.Observe(w.snapSecs + time.Since(start).Seconds())
 		w.setStatus(func(s *WorkerStatus) { s.CheckpointEpoch = epoch })
 		w.ctrace.Record(trace.ConnEvent{Kind: trace.ConnCheckpoint, Zone: int(w.cfg.Zone),
 			Epoch: epoch, Detail: fmt.Sprintf("%d bytes", size)})
 		w.cfg.Logf("zone %d: checkpoint at epoch %d persisted", w.cfg.Zone, epoch)
-		if w.cfg.Log != nil {
-			w.cfg.Log.Info("checkpoint persisted", "zone", int(w.cfg.Zone), "epoch", int64(epoch), "bytes", size)
-		}
+		w.cfg.Log.Info("checkpoint persisted", "zone", int(w.cfg.Zone), "epoch", int64(epoch), "bytes", size)
 		w.snapEpoch = model.EpochNone
 		w.snapData = nil
 	}

@@ -2,8 +2,10 @@ package stream
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"spire/internal/event"
 	"spire/internal/model"
@@ -18,9 +20,9 @@ import (
 //
 //	worker → Hello{Zone, Epoch: last epoch the worker has processed}
 //	coord  → HelloAck{Epoch: last epoch the coordinator acked this zone}
-//	worker → Epoch{Epoch, Events}        (one per epoch, possibly empty)
+//	worker → EpochCols{Epoch, Events}    (one per epoch, possibly empty)
 //	coord  → Ack{Epoch}                  (after the epoch barrier merges it)
-//	worker → Fin{Epoch, Events}          (closing events, emitted at Epoch)
+//	worker → FinCols{Epoch, Events}      (closing events, emitted at Epoch)
 //	coord  → Ack{Epoch}                  (final ack)
 //	worker → Bye{Epoch}                  (final ack observed; worker exiting)
 //
@@ -29,45 +31,42 @@ import (
 // epochs after it, so a crash between send and ack neither loses nor
 // duplicates merged events.
 //
-// Hello and HelloAck additionally carry a capability word (absent in the
-// original protocol revision; decoders treat a short body as caps 0, so
-// old and new peers interop). A capability is in effect only when both
-// sides advertise it.
+// Hello and HelloAck end in the ProtocolVersion word. A peer speaking any
+// other version — or an older revision whose handshake carried a
+// capability word, or no word at all — fails to decode with
+// ErrProtocolVersion; there is no negotiation.
+
+// ProtocolVersion identifies this revision of the frame protocol. Older
+// revisions sent a capability word in its place (0 through 3), so 4 is
+// the first value no older peer can send.
+const ProtocolVersion uint32 = 4
+
+// ErrProtocolVersion reports a handshake frame from a peer speaking a
+// different protocol version. It is permanent: redialing the same peer
+// cannot succeed.
+var ErrProtocolVersion = errors.New("stream: protocol version mismatch")
 
 // FrameType discriminates the frames of the zone↔coordinator protocol.
 type FrameType uint8
 
-// The frame types, in handshake order.
+// The frame types. Values 3 and 5 carried the retired row-encoded epoch
+// frames and are not reused.
 const (
-	FrameHello FrameType = iota + 1
-	FrameHelloAck
-	FrameEpoch
-	FrameAck
-	FrameFin
-	// FrameEpochCols and FrameFinCols are the columnar encodings of
-	// Epoch and Fin: same epoch/count header, then the events as
-	// struct-of-arrays columns (kind, object, Vs, then the per-kind
-	// payload columns). The encoded size is byte-for-byte identical to
-	// the row encoding; the win is decode locality and the ability to
-	// reuse column buffers. Sent only when both sides negotiated
-	// CapColumnarEpoch.
-	FrameEpochCols
-	FrameFinCols
+	FrameHello    FrameType = 1
+	FrameHelloAck FrameType = 2
+	FrameAck      FrameType = 4
+	// FrameEpochCols and FrameFinCols carry one zone's events for one
+	// epoch: an epoch/count header, then the events as struct-of-arrays
+	// columns (kind, object, Vs, then the per-kind payload columns). Fin
+	// is the zone's last frame, holding its closing events.
+	FrameEpochCols FrameType = 6
+	FrameFinCols   FrameType = 7
 	// FrameBye is the worker's shutdown handshake: it has observed the
 	// final ack and will not reconnect. The coordinator's post-run linger
 	// ends as soon as every zone says goodbye instead of trusting that
-	// its own ack writes were read before the connection died. Sent only
-	// when both sides negotiated CapBye; Epoch carries the worker's ack
-	// high-water mark.
-	FrameBye
-)
-
-// Capability bits carried in Hello/HelloAck.
-const (
-	// CapColumnarEpoch: the peer understands FrameEpochCols/FrameFinCols.
-	CapColumnarEpoch uint32 = 1 << 0
-	// CapBye: the peer speaks the FrameBye shutdown handshake.
-	CapBye uint32 = 1 << 1
+	// its own ack writes were read before the connection died. Epoch
+	// carries the worker's ack high-water mark.
+	FrameBye FrameType = 8
 )
 
 func (t FrameType) String() string {
@@ -76,12 +75,8 @@ func (t FrameType) String() string {
 		return "hello"
 	case FrameHelloAck:
 		return "hello-ack"
-	case FrameEpoch:
-		return "epoch"
 	case FrameAck:
 		return "ack"
-	case FrameFin:
-		return "fin"
 	case FrameEpochCols:
 		return "epoch-cols"
 	case FrameFinCols:
@@ -93,14 +88,13 @@ func (t FrameType) String() string {
 }
 
 // Frame is one protocol message. Zone is meaningful for Hello; Epoch for
-// every type (Hello: last processed, HelloAck/Ack: acked epoch, Epoch:
-// the batch's epoch, Fin: the epoch the closing events end at); Events
-// for Epoch/Fin and their columnar variants; Caps for Hello/HelloAck.
+// every type (Hello: last processed, HelloAck/Ack: acked epoch, EpochCols:
+// the batch's epoch, FinCols: the epoch the closing events end at, Bye:
+// the worker's ack high-water mark); Events for EpochCols/FinCols.
 type Frame struct {
 	Type   FrameType
 	Zone   int
 	Epoch  model.Epoch
-	Caps   uint32
 	Events []event.Event
 }
 
@@ -138,21 +132,12 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	case FrameHello:
 		dst = binary.BigEndian.AppendUint32(dst, uint32(f.Zone))
 		dst = binary.BigEndian.AppendUint64(dst, uint64(f.Epoch))
-		dst = binary.BigEndian.AppendUint32(dst, f.Caps)
+		dst = binary.BigEndian.AppendUint32(dst, ProtocolVersion)
 	case FrameHelloAck:
 		dst = binary.BigEndian.AppendUint64(dst, uint64(f.Epoch))
-		dst = binary.BigEndian.AppendUint32(dst, f.Caps)
+		dst = binary.BigEndian.AppendUint32(dst, ProtocolVersion)
 	case FrameAck, FrameBye:
 		dst = binary.BigEndian.AppendUint64(dst, uint64(f.Epoch))
-	case FrameEpoch, FrameFin:
-		dst = binary.BigEndian.AppendUint64(dst, uint64(f.Epoch))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.Events)))
-		var err error
-		for _, e := range f.Events {
-			if dst, err = event.Append(dst, e); err != nil {
-				return dst[:start], fmt.Errorf("stream: encode %s frame: %w", f.Type, err)
-			}
-		}
 	case FrameEpochCols, FrameFinCols:
 		var err error
 		if dst, err = appendEventCols(dst, f); err != nil {
@@ -236,8 +221,8 @@ func ReadFrameCountInto(r io.Reader, events []event.Event) (*Frame, int, error) 
 		return nil, 4, fmt.Errorf("stream: frame payload %d exceeds limit", n)
 	}
 	wire := 4 + int(n)
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readBody(r, int(n))
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
@@ -248,59 +233,23 @@ func ReadFrameCountInto(r io.Reader, events []event.Event) (*Frame, int, error) 
 	}
 	f := &Frame{Type: FrameType(body[0])}
 	body = body[1:]
-	need := func(n int) error {
-		if len(body) < n {
-			return fmt.Errorf("stream: truncated %s frame", f.Type)
-		}
-		return nil
-	}
 	switch f.Type {
 	case FrameHello:
-		if err := need(12); err != nil {
+		if err := handshakeSize(f.Type, body, 16); err != nil {
 			return nil, wire, err
 		}
 		f.Zone = int(int32(binary.BigEndian.Uint32(body)))
 		f.Epoch = model.Epoch(binary.BigEndian.Uint64(body[4:]))
-		// The capability word postdates the first protocol revision;
-		// a short body means an old peer (caps 0).
-		if len(body) >= 16 {
-			f.Caps = binary.BigEndian.Uint32(body[12:])
-		}
 	case FrameHelloAck:
-		if err := need(8); err != nil {
+		if err := handshakeSize(f.Type, body, 12); err != nil {
 			return nil, wire, err
 		}
 		f.Epoch = model.Epoch(binary.BigEndian.Uint64(body))
-		if len(body) >= 12 {
-			f.Caps = binary.BigEndian.Uint32(body[8:])
-		}
 	case FrameAck, FrameBye:
-		if err := need(8); err != nil {
-			return nil, wire, err
+		if len(body) != 8 {
+			return nil, wire, fmt.Errorf("stream: %s frame body %d bytes, want 8", f.Type, len(body))
 		}
 		f.Epoch = model.Epoch(binary.BigEndian.Uint64(body))
-	case FrameEpoch, FrameFin:
-		if err := need(12); err != nil {
-			return nil, wire, err
-		}
-		f.Epoch = model.Epoch(binary.BigEndian.Uint64(body))
-		count := int(binary.BigEndian.Uint32(body[8:]))
-		body = body[12:]
-		if events == nil {
-			events = make([]event.Event, 0, count)
-		}
-		f.Events = events[:0]
-		for i := 0; i < count; i++ {
-			e, n, err := event.Decode(body)
-			if err != nil {
-				return nil, wire, fmt.Errorf("stream: %s frame event %d: %w", f.Type, i, err)
-			}
-			f.Events = append(f.Events, e)
-			body = body[n:]
-		}
-		if len(body) != 0 {
-			return nil, wire, fmt.Errorf("stream: %s frame has %d trailing bytes", f.Type, len(body))
-		}
 	case FrameEpochCols, FrameFinCols:
 		if err := f.decodeEventCols(body, events); err != nil {
 			return nil, wire, err
@@ -309,6 +258,41 @@ func ReadFrameCountInto(r io.Reader, events []event.Event) (*Frame, int, error) 
 		return nil, wire, fmt.Errorf("stream: unknown frame type %d", uint8(f.Type))
 	}
 	return f, wire, nil
+}
+
+// handshakeSize checks a Hello/HelloAck body of the given size ending in
+// the version word. A body one word short is the oldest protocol
+// revision, which had no word there; like a differing word it is a
+// version mismatch, not corruption.
+func handshakeSize(t FrameType, body []byte, n int) error {
+	switch {
+	case len(body) == n-4:
+		return fmt.Errorf("%w: %s frame without version word", ErrProtocolVersion, t)
+	case len(body) != n:
+		return fmt.Errorf("stream: %s frame body %d bytes, want %d", t, len(body), n)
+	}
+	if v := binary.BigEndian.Uint32(body[n-4:]); v != ProtocolVersion {
+		return fmt.Errorf("%w: %s frame speaks version %d, want %d", ErrProtocolVersion, t, v, ProtocolVersion)
+	}
+	return nil
+}
+
+// readBody reads an n-byte frame body. The buffer starts small and grows
+// with the bytes that actually arrive, so a length prefix announcing a
+// large payload costs memory only as fast as the peer delivers it.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	body := make([]byte, 0, min(n, 4<<10))
+	for len(body) < n {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, min(n-len(body), len(body)))
+		}
+		next := min(n, cap(body))
+		if _, err := io.ReadFull(r, body[len(body):next]); err != nil {
+			return nil, err
+		}
+		body = body[:next]
+	}
+	return body, nil
 }
 
 // decodeEventCols decodes the columnar epoch/fin body into f, reusing

@@ -3,6 +3,8 @@ package stream
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -20,38 +22,29 @@ func colsTestEvents() []event.Event {
 	}
 }
 
-// TestColumnarFrameRoundTrip pins the columnar epoch encoding: it decodes
-// back to the same events as the row encoding and occupies exactly the
-// same number of wire bytes (the columns are a reshuffle, not a new
-// format cost).
+// TestColumnarFrameRoundTrip pins the columnar epoch encoding: it
+// decodes back to the same events and occupies exactly the documented
+// column layout — header, 17 bytes per event (kind, object, Vs), 4 per
+// location, 8 per container and 8 per End* close epoch.
 func TestColumnarFrameRoundTrip(t *testing.T) {
 	events := colsTestEvents()
+	// Three location events, two containment events, two End* events.
+	const want = 4 + 1 + 12 + 17*5 + 4*3 + 8*2 + 8*2
 	for _, typ := range []FrameType{FrameEpochCols, FrameFinCols} {
-		row := &Frame{Type: FrameEpoch, Epoch: 45, Events: events}
-		if typ == FrameFinCols {
-			row.Type = FrameFin
-		}
-		cols := &Frame{Type: typ, Epoch: 45, Events: events}
-
-		var rowBuf, colBuf bytes.Buffer
-		rn, err := WriteFrameCount(&rowBuf, row)
+		var buf bytes.Buffer
+		n, err := WriteFrameCount(&buf, &Frame{Type: typ, Epoch: 45, Events: events})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cn, err := WriteFrameCount(&colBuf, cols)
-		if err != nil {
-			t.Fatal(err)
+		if n != want {
+			t.Errorf("%s: frame is %d bytes, want %d", typ, n, want)
 		}
-		if rn != cn {
-			t.Errorf("%s: columnar frame is %d bytes, row frame %d — sizes must match", typ, cn, rn)
-		}
-
-		got, n, err := ReadFrameCount(bytes.NewReader(colBuf.Bytes()))
+		got, rn, err := ReadFrameCount(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("%s: decode: %v", typ, err)
 		}
-		if n != cn {
-			t.Errorf("%s: decode consumed %d bytes, wrote %d", typ, n, cn)
+		if rn != n {
+			t.Errorf("%s: decode consumed %d bytes, wrote %d", typ, rn, n)
 		}
 		if got.Type != typ || got.Epoch != 45 {
 			t.Errorf("%s: round trip header %+v", typ, got)
@@ -89,15 +82,14 @@ func TestColumnarFrameRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// TestHelloCapsInterop pins capability negotiation compatibility both
-// ways: a pre-capability Hello/HelloAck body (no caps word) decodes as
-// caps 0, and the extended body round-trips its caps — so an old peer on
-// either side of the handshake silently negotiates the legacy row
-// encoding.
-func TestHelloCapsInterop(t *testing.T) {
+// TestHandshakeVersion pins the version word: Hello and HelloAck
+// round-trip at ProtocolVersion, and the handshakes of older revisions —
+// no word at all, or a capability word of 0 or 3 where the version sits —
+// fail with ErrProtocolVersion rather than decoding.
+func TestHandshakeVersion(t *testing.T) {
 	for _, f := range []*Frame{
-		{Type: FrameHello, Zone: 2, Epoch: 17, Caps: CapColumnarEpoch},
-		{Type: FrameHelloAck, Epoch: model.EpochNone, Caps: CapColumnarEpoch},
+		{Type: FrameHello, Zone: 2, Epoch: 17},
+		{Type: FrameHelloAck, Epoch: model.EpochNone},
 	} {
 		buf, err := AppendFrame(nil, f)
 		if err != nil {
@@ -107,22 +99,62 @@ func TestHelloCapsInterop(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", f.Type, err)
 		}
-		if got.Caps != CapColumnarEpoch || got.Epoch != f.Epoch || got.Zone != f.Zone {
+		if got.Type != f.Type || got.Zone != f.Zone || got.Epoch != f.Epoch {
 			t.Errorf("%s: round trip %+v, want %+v", f.Type, got, f)
 		}
+		if v := binary.BigEndian.Uint32(buf[len(buf)-4:]); v != ProtocolVersion {
+			t.Errorf("%s: version word %d, want %d", f.Type, v, ProtocolVersion)
+		}
 
-		// Strip the caps word to reconstruct the old wire form.
-		legacy := slices.Clone(buf[:len(buf)-4])
-		binary.BigEndian.PutUint32(legacy, uint32(len(legacy)-4))
-		got, _, err = ReadFrameCount(bytes.NewReader(legacy))
-		if err != nil {
-			t.Fatalf("%s legacy: %v", f.Type, err)
+		short := slices.Clone(buf[:len(buf)-4])
+		binary.BigEndian.PutUint32(short, uint32(len(short)-4))
+		olds := map[string][]byte{"no version word": short}
+		for _, caps := range []uint32{0, 3} {
+			old := slices.Clone(buf)
+			binary.BigEndian.PutUint32(old[len(old)-4:], caps)
+			olds[fmt.Sprintf("caps %d", caps)] = old
 		}
-		if got.Caps != 0 {
-			t.Errorf("%s legacy: caps %d, want 0", f.Type, got.Caps)
+		for name, old := range olds {
+			if _, _, err := ReadFrameCount(bytes.NewReader(old)); !errors.Is(err, ErrProtocolVersion) {
+				t.Errorf("%s %s: got %v, want ErrProtocolVersion", f.Type, name, err)
+			}
 		}
-		if got.Epoch != f.Epoch || (f.Type == FrameHello && got.Zone != f.Zone) {
-			t.Errorf("%s legacy: round trip %+v, want %+v", f.Type, got, f)
+	}
+}
+
+// TestFrameCountBombRejected is the regression pin for the hostile first
+// frame: a 17-byte frame whose epoch/count header claims 2^32-1 events
+// must fail to decode without allocating for the claim — for every frame
+// type that carries events and for the retired row types 3 and 5. A
+// length prefix announcing the 64 MiB maximum over a connection that
+// then sends nothing must likewise cost memory only for what arrived.
+func TestFrameCountBombRejected(t *testing.T) {
+	bomb := func(typ FrameType) []byte {
+		b := binary.BigEndian.AppendUint32(nil, 13)
+		b = append(b, byte(typ))
+		b = binary.BigEndian.AppendUint64(b, 7)
+		return binary.BigEndian.AppendUint32(b, 0xFFFFFFFF)
+	}
+	inputs := map[string][]byte{
+		"max length prefix": binary.BigEndian.AppendUint32(nil, MaxFramePayload),
+	}
+	for _, typ := range []FrameType{FrameEpochCols, FrameFinCols, 3, 5} {
+		inputs[typ.String()] = bomb(typ)
+	}
+	for name, in := range inputs {
+		for _, scratch := range [][]event.Event{nil, make([]event.Event, 0, 4)} {
+			if _, _, err := ReadFrameCountInto(bytes.NewReader(in), scratch); err == nil {
+				t.Fatalf("%s: decoded without error", name)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				ReadFrameCountInto(bytes.NewReader(in), scratch) //nolint:errcheck
+			})
+			if allocs > 8 {
+				t.Errorf("%s: %v allocations per decode, want at most 8", name, allocs)
+			}
+			if n := allocBytes(func() { ReadFrameCountInto(bytes.NewReader(in), scratch) }); n > decodeAllocLimit(len(in)) { //nolint:errcheck
+				t.Errorf("%s: decode allocated %d bytes for %d input bytes", name, n, len(in))
+			}
 		}
 	}
 }

@@ -17,11 +17,12 @@ func TestFrameCountMatchesWire(t *testing.T) {
 		{Type: FrameHello, Zone: 3, Epoch: 41},
 		{Type: FrameHelloAck, Epoch: model.EpochNone},
 		{Type: FrameAck, Epoch: 99},
-		{Type: FrameEpoch, Epoch: 7, Events: []event.Event{
+		{Type: FrameEpochCols, Epoch: 7, Events: []event.Event{
 			event.NewStartLocation(1, 2, 3),
 			event.NewEndLocation(1, 2, 3, 9),
 		}},
-		{Type: FrameFin, Epoch: 1200},
+		{Type: FrameFinCols, Epoch: 1200},
+		{Type: FrameBye, Epoch: 1200},
 	}
 	for _, f := range frames {
 		var counted bytes.Buffer
