@@ -4,17 +4,21 @@ import (
 	"bufio"
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"spire/internal/core"
 	"spire/internal/event"
+	"spire/internal/experiments"
 	"spire/internal/federate"
 	"spire/internal/inference"
 	"spire/internal/model"
@@ -38,7 +42,7 @@ func TestMain(m *testing.M) {
 		}
 		defer os.RemoveAll(dir)
 		binDir = dir
-		for _, name := range []string{"spire", "spiresim", "spirezone", "spirefed"} {
+		for _, name := range []string{"spire", "spiresim", "spirezone", "spirefed", "spirebench", "spirebenchdiff"} {
 			out, err := exec.Command("go", "build", "-o", filepath.Join(dir, name), "spire/cmd/"+name).CombinedOutput()
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "go build %s: %v\n%s", name, err, out)
@@ -196,9 +200,9 @@ func TestEventStreamMatchesSubstrate(t *testing.T) {
 }
 
 // TestRemovedFlagsRejected pins that the flags deleted with the ingest
-// and inference worker pools, the observation zone feed and the sharded
-// coordinator merge are unknown to the flag package — not silently
-// accepted.
+// and inference worker pools, the observation zone feed, the sharded
+// coordinator merge and the bench timing threshold are unknown to the
+// flag package — not silently accepted.
 func TestRemovedFlagsRejected(t *testing.T) {
 	for _, tc := range []struct{ bin, flag, value string }{
 		{"spire", "-ingest-workers", "1"},
@@ -208,6 +212,7 @@ func TestRemovedFlagsRejected(t *testing.T) {
 		{"spirezone", "-feed", "obs"},
 		{"spirefed", "-serial-merge", "true"},
 		{"spirefed", "-merge-shards", "4"},
+		{"spirebenchdiff", "-max-regression", "0.2"},
 	} {
 		t.Run(tc.bin+tc.flag, func(t *testing.T) {
 			out, err := exec.Command(filepath.Join(binDir, tc.bin), tc.flag, tc.value).CombinedOutput()
@@ -218,6 +223,60 @@ func TestRemovedFlagsRejected(t *testing.T) {
 				t.Fatalf("%s %s: output lacks %q:\n%s", tc.bin, tc.flag, want, out)
 			}
 		})
+	}
+}
+
+// TestBenchReportIndependentOfWorkers runs spirebench over a sweep, a
+// second sweep and a table with a timed column at -j 1 and -j 4: every
+// untimed cell of the two -json reports must be identical.
+func TestBenchReportIndependentOfWorkers(t *testing.T) {
+	type report struct {
+		Experiments []struct {
+			Tables []experiments.Table `json:"tables"`
+		} `json:"experiments"`
+	}
+	// untimed returns the report's tables with every timed cell zeroed,
+	// and how many timed columns they declare.
+	untimed := func(j string) ([]experiments.Table, int) {
+		path := filepath.Join(t.TempDir(), "bench.json")
+		out, err := exec.Command(filepath.Join(binDir, "spirebench"), "-quick",
+			"-expt", "fig9d,ablation-prune,ablation-partial", "-j", j, "-json", path).CombinedOutput()
+		if err != nil {
+			t.Fatalf("spirebench -j %s: %v\n%s", j, err, out)
+		}
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r report
+		if err := json.Unmarshal(buf, &r); err != nil {
+			t.Fatal(err)
+		}
+		var tables []experiments.Table
+		timed := 0
+		for _, e := range r.Experiments {
+			for _, tbl := range e.Tables {
+				for ci, c := range tbl.Columns {
+					if !slices.Contains(tbl.Timed, c) {
+						continue
+					}
+					timed++
+					for _, row := range tbl.Rows {
+						row.Values[ci] = 0
+					}
+				}
+				tables = append(tables, tbl)
+			}
+		}
+		return tables, timed
+	}
+	serial, timed := untimed("1")
+	parallel, _ := untimed("4")
+	if len(serial) != 3 || timed != 1 {
+		t.Fatalf("got %d tables with %d timed columns, want 3 tables and ablation-partial's one timed column", len(serial), timed)
+	}
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Fatalf("untimed cells differ between -j 1 and -j 4:\n%+v\n%+v", serial, parallel)
 	}
 }
 

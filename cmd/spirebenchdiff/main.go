@@ -1,83 +1,72 @@
-// Command spirebenchdiff compares two spirebench -json reports and fails
-// when a headline timing metric regresses beyond a threshold. CI runs it
-// against the committed baseline report (BENCH_pr20.json; see the
-// Makefile's bench-check) so a change that slows the
-// Table III pipeline stages by more than the threshold fails the build:
+// Command spirebenchdiff compares two spirebench -json reports cell by
+// cell and fails when the current report does not reproduce the baseline
+// exactly. CI runs it against the committed baseline report
+// (BENCH_pr34.json; see the Makefile's bench-check):
 //
 //	spirebench -quick -expt all -json BENCH_new.json
-//	spirebenchdiff -baseline BENCH_pr20.json -current BENCH_new.json
+//	spirebenchdiff -baseline BENCH_pr34.json -current BENCH_new.json
 //
-// Only the Table III wall-clock keys gate (update, inference, and total
-// seconds per epoch at the largest trace size): they are the paper's
-// throughput claim, and unlike the quality metrics they are what a hot-path
-// change can silently regress. Quality headline keys (Fig. 11 F-measures
-// and compression ratios) are printed for the record but compared exactly
-// in the unit tests, not thresholded here. Keys missing from either report
-// fail loudly — a renamed key must not silently stop gating.
+// A cell is keyed by (table ID, row label, column name). Every untimed
+// cell is a deterministic function of the experiments' fixed seeds, so it
+// must be bit-equal (float64 ==) to the baseline; a single-ULP drift
+// fails. Columns either report declares timed are wall clock: they print
+// as info and never gate — timing claims come from the end-to-end
+// benchmark (benchmark/), not from here. A baseline cell missing from the
+// current report fails; a cell only in the current report prints as new.
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+
+	"spire/internal/experiments"
 )
 
-// gatedKeys are the headline metrics where larger is worse and noise-bound
-// regressions gate the build, in report order.
-var gatedKeys = []string{
-	"table3_update_s_max",
-	"table3_inference_s_max",
-	"table3_s_per_epoch_max",
-	// Inference sweep: the cache-off full-sweep cost at the
-	// largest size gates like the Table III timings, and the steady-state
-	// dirty-node fraction gates the incrementality claim — it is
-	// deterministic (fixed grower seed), so a change that starts sweeping
-	// clean components again fails the build rather than just slowing it.
-	"infercomp_serial_s",
-	"infercomp_dirty_node_frac",
-	// Ingest: seconds per million readings through the front half (dedup
-	// + graph update) at the largest population, and the three per-stage
-	// baselines (decode, dedup, update).
-	"ingest_batch1_s_per_mread",
-	"ingest_decode_s_per_mread",
-	"ingest_dedup_s_per_mread",
-	"ingest_update_s_per_mread",
-	// Federated scaling: the single-substrate interpretation cost and the
-	// coordinator-side merge cost per input event, both serial. The
-	// multi-zone throughput rows time genuinely parallel work and stay
-	// informational — they depend on the host's idle core count.
-	"zones_single_s_per_mread",
-	"zones_merge_s_per_mevent",
-	// The same merge replay with live coordinator instruments attached —
-	// gating it keeps the cluster-health plane's per-epoch metric work
-	// out of the serial merge stage's budget.
-	"zones_merge_instr_s_per_mevent",
-	// The batch-feed worker's per-zone ingest cost at the largest zone
-	// count: what the columnar feed keeps flat as the deployment grows.
-	"zones_worker_feed_s_per_mevent",
-	// Subscription-engine dispatch: seconds per million events with no
-	// subscriptions (the observer overhead every watched deployment pays),
-	// at 10k subscriptions (the dense per-object alerting load), and at
-	// 100k (the per-(kind, tag) anchor map's regime — cost must track
-	// watchers-per-tag, not the raw subscription count). All
-	// single-threaded under the engine mutex. The detector F1 keys
-	// (cep_*_f1) are informational — the unit tests assert their floors.
-	"cep_dispatch_idle_s_per_mevent",
-	"cep_dispatch_10k_s_per_mevent",
-	"cep_dispatch_100k_s_per_mevent",
+// report is the part of a spirebench -json report the comparison reads.
+type report struct {
+	Quick       bool         `json:"quick"`
+	Experiments []experiment `json:"experiments"`
 }
 
-type report struct {
-	Quick    bool               `json:"quick"`
-	Headline map[string]float64 `json:"headline"`
+type experiment struct {
+	Tables []experiments.Table `json:"tables"`
 }
+
+// cellKey addresses one table cell.
+type cellKey struct{ table, row, col string }
+
+func (k cellKey) String() string { return fmt.Sprintf("%s %q %q", k.table, k.row, k.col) }
 
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "spirebenchdiff:", err)
 		os.Exit(1)
 	}
+}
+
+func run() error {
+	var (
+		basePath = flag.String("baseline", "BENCH_pr34.json", "baseline spirebench -json report")
+		curPath  = flag.String("current", "", "report to compare against the baseline")
+	)
+	flag.Parse()
+	if *curPath == "" {
+		return fmt.Errorf("-current is required")
+	}
+	base, err := load(*basePath)
+	if err != nil {
+		return err
+	}
+	cur, err := load(*curPath)
+	if err != nil {
+		return err
+	}
+	return diff(os.Stdout, base, cur)
 }
 
 func load(path string) (*report, error) {
@@ -89,79 +78,92 @@ func load(path string) (*report, error) {
 	if err := json.Unmarshal(buf, &r); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if len(r.Headline) == 0 {
-		return nil, fmt.Errorf("%s: no headline metrics (written by spirebench -json)", path)
+	if len(r.Experiments) == 0 {
+		return nil, fmt.Errorf("%s: no experiments (written by spirebench -json)", path)
 	}
 	return &r, nil
 }
 
-func run() error {
-	var (
-		basePath = flag.String("baseline", "BENCH_baseline.json", "baseline spirebench -json report")
-		curPath  = flag.String("current", "", "report to compare against the baseline")
-		maxRatio = flag.Float64("max-regression", 0.20, "fail when a gated metric exceeds baseline by more than this fraction")
-	)
-	flag.Parse()
-	if *curPath == "" {
-		return fmt.Errorf("-current is required")
-	}
-
-	base, err := load(*basePath)
-	if err != nil {
-		return err
-	}
-	cur, err := load(*curPath)
-	if err != nil {
-		return err
-	}
-	if base.Quick != cur.Quick {
-		return fmt.Errorf("scale mismatch: baseline quick=%v, current quick=%v — timings are not comparable", base.Quick, cur.Quick)
-	}
-
-	var failed int
-	for _, k := range gatedKeys {
-		b, okB := base.Headline[k]
-		c, okC := cur.Headline[k]
-		switch {
-		case !okB || !okC:
-			fmt.Printf("FAIL %-28s missing (baseline %v, current %v)\n", k, okB, okC)
-			failed++
-		case b <= 0:
-			fmt.Printf("FAIL %-28s baseline %g is not a positive timing\n", k, b)
-			failed++
-		default:
-			ratio := c/b - 1
-			verdict := "ok  "
-			if ratio > *maxRatio {
-				verdict = "FAIL"
-				failed++
+// cells flattens a report into its cells and adds its timed (table,
+// column) pairs to timed. A repeated cell is an error: it would make the
+// comparison ambiguous.
+func (r *report) cells(timed map[[2]string]bool) (map[cellKey]float64, error) {
+	m := make(map[cellKey]float64)
+	for _, e := range r.Experiments {
+		for _, t := range e.Tables {
+			for _, c := range t.Timed {
+				timed[[2]string{t.ID, c}] = true
 			}
-			fmt.Printf("%s %-28s %12.6f -> %12.6f  (%+.1f%%, limit +%.0f%%)\n",
-				verdict, k, b, c, 100*ratio, 100**maxRatio)
-		}
-	}
-
-	// Informational: the quality metrics, so the CI log shows the whole
-	// headline even though only the timings gate.
-	for k, c := range cur.Headline {
-		if gated := func() bool {
-			for _, g := range gatedKeys {
-				if g == k {
-					return true
+			for _, row := range t.Rows {
+				for i, v := range row.Values {
+					if i >= len(t.Columns) {
+						return nil, fmt.Errorf("table %s row %q has more values than columns", t.ID, row.Label)
+					}
+					k := cellKey{t.ID, row.Label, t.Columns[i]}
+					if _, dup := m[k]; dup {
+						return nil, fmt.Errorf("cell %v appears twice", k)
+					}
+					m[k] = v
 				}
 			}
-			return false
-		}(); gated {
-			continue
-		}
-		if b, ok := base.Headline[k]; ok {
-			fmt.Printf("info %-28s %12.6f -> %12.6f\n", k, b, c)
 		}
 	}
+	return m, nil
+}
 
-	if failed > 0 {
-		return fmt.Errorf("%d gated metric(s) regressed more than %.0f%%", failed, 100**maxRatio)
+// diff writes one line per cell that is not an exact match, in sorted key
+// order, then a summary, and returns an error when any cell fails.
+func diff(w io.Writer, base, cur *report) error {
+	if base.Quick != cur.Quick {
+		return fmt.Errorf("scale mismatch: baseline quick=%v, current quick=%v", base.Quick, cur.Quick)
 	}
-	fmt.Println("all gated metrics within threshold")
+	// Old reports mark nothing timed; the current report's marks apply.
+	timed := make(map[[2]string]bool)
+	bc, err := base.cells(timed)
+	if err != nil {
+		return fmt.Errorf("baseline: %w", err)
+	}
+	cc, err := cur.cells(timed)
+	if err != nil {
+		return fmt.Errorf("current: %w", err)
+	}
+	keys := make([]cellKey, 0, len(bc)+len(cc))
+	for k := range bc {
+		keys = append(keys, k)
+	}
+	for k := range cc {
+		if _, ok := bc[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	slices.SortFunc(keys, func(a, b cellKey) int {
+		return cmp.Or(cmp.Compare(a.table, b.table), cmp.Compare(a.row, b.row), cmp.Compare(a.col, b.col))
+	})
+
+	var equal, differ, missing, added, info int
+	for _, k := range keys {
+		b, inBase := bc[k]
+		c, inCur := cc[k]
+		switch {
+		case !inCur:
+			fmt.Fprintf(w, "FAIL %v: missing from the current report (baseline %v)\n", k, b)
+			missing++
+		case !inBase:
+			fmt.Fprintf(w, "new  %v: %v\n", k, c)
+			added++
+		case timed[[2]string{k.table, k.col}]:
+			fmt.Fprintf(w, "info %v: %v -> %v (timed)\n", k, b, c)
+			info++
+		case b != c:
+			fmt.Fprintf(w, "FAIL %v: %v -> %v\n", k, b, c)
+			differ++
+		default:
+			equal++
+		}
+	}
+	fmt.Fprintf(w, "%d equal, %d mismatched, %d missing, %d new, %d timed\n", equal, differ, missing, added, info)
+	if differ+missing > 0 {
+		return fmt.Errorf("%d cell(s) do not reproduce the baseline", differ+missing)
+	}
 	return nil
 }

@@ -18,15 +18,16 @@ func AblationPartialInference(o Options) (*Table, error) {
 		Title:     "Partial vs complete-only inference (Section IV-D)",
 		RowHeader: "variant",
 		Columns:   []string{"loc err", "cont err", "infer s/epoch"},
+		Timed:     []string{"infer s/epoch"},
 	}
 	// The last cell forces complete inference every epoch by declaring
 	// every reader period-1 to the substrate while the simulator keeps its
 	// real shelf period. (The schedule is derived from the configured
-	// readers.)
+	// readers.) Timed cells run one at a time, ignoring o.Workers, so no
+	// cell competes for cores with another.
 	hops := []int{1, 2, 4}
 	labels := []string{"schedule l=1", "schedule l=2", "schedule l=4", "complete-only"}
-	vals := make([][]float64, len(labels))
-	err := runCells(len(labels), o.Workers, func(i int) error {
+	for i, label := range labels {
 		rc := runConfig{Sim: accuracySim(o), Inference: inference.DefaultConfig()}
 		rc.Sim.ShelfPeriod = 60
 		if o.Quick {
@@ -41,20 +42,12 @@ func AblationPartialInference(o Options) (*Table, error) {
 			out, err = runCompleteOnly(rc)
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
-		vals[i] = []float64{
+		t.AddRow(label,
 			out.Acc.LocationErrorRate(),
 			out.Acc.ContainmentErrorRate(),
-			out.Stats.InferenceTime.Seconds() / float64(out.Stats.Epochs),
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, label := range labels {
-		t.Rows = append(t.Rows, Row{Label: label, Values: vals[i]})
+			out.Stats.InferenceTime.Seconds()/float64(out.Stats.Epochs))
 	}
 	t.Notes = append(t.Notes,
 		"design claim (§IV-D): forcing complete inference every epoch both costs more and floods the result with",

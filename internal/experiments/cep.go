@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"spire/internal/cep"
 	"spire/internal/core"
-	"spire/internal/event"
 	"spire/internal/inference"
 	"spire/internal/model"
 	"spire/internal/query"
@@ -292,118 +290,5 @@ func CEPQuality(o Options) (*Table, error) {
 			cepTheftWindow, cepMisrouteWindow, cepColdWindow),
 		"dropout ExL silences one random reader for L epochs every E; spurious Missing reports must be absorbed by the trailing NOT",
 		"anomalies whose window cannot finish before the trace ends are excluded from scoring")
-	return t, nil
-}
-
-// CEPPerf measures engine dispatch cost over a recorded level-2 event
-// stream at three subscription loads. Idle (zero subscriptions) is the
-// observer overhead every deployment pays once a watcher is attached;
-// the 1k/10k rows model per-object alerting, the dense-subscription
-// workload SASE-style engines are sized for.
-func CEPPerf(o Options) (*Table, error) {
-	sc := cepSim(o)
-	sc.Duration = 1200
-	if o.Quick {
-		sc.Duration = 800
-	}
-	s, err := sim.New(sc)
-	if err != nil {
-		return nil, err
-	}
-	sub, err := core.New(core.Config{
-		Readers:     s.Readers(),
-		Locations:   s.Locations(),
-		Inference:   inference.DefaultConfig(),
-		Compression: core.Level2,
-	})
-	if err != nil {
-		return nil, err
-	}
-	var epochs [][]event.Event
-	var times []model.Epoch
-	objSet := make(map[model.Tag]bool)
-	for !s.Done() {
-		ob, err := s.Step()
-		if err != nil {
-			return nil, err
-		}
-		po, err := sub.ProcessEpoch(ob)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range po.Events {
-			objSet[e.Object] = true
-		}
-		epochs = append(epochs, po.Events)
-		times = append(times, ob.Time)
-	}
-	var objs []model.Tag
-	for g := range objSet {
-		objs = append(objs, g)
-	}
-	if len(objs) == 0 {
-		return nil, fmt.Errorf("cep-perf: stream produced no events")
-	}
-	span := times[len(times)-1] + 1
-
-	// Rows stop at minEvents or the time cap, whichever comes first: the
-	// 10k-subscription row is ~3 orders slower per event than idle, and a
-	// few million events of it would add nothing but wall-clock.
-	minEvents := int64(2_000_000)
-	maxElapsed := 10 * time.Second
-	if o.Quick {
-		minEvents = 200_000
-		maxElapsed = 2 * time.Second
-	}
-	t := &Table{
-		ID:        "cep-perf",
-		Title:     "Subscription-engine dispatch cost vs subscription count",
-		RowHeader: "load",
-		Columns:   []string{"Mevent/s", "s/Mevent"},
-	}
-	for _, load := range []struct {
-		label string
-		subs  int
-	}{
-		{"BenchmarkCEPDispatchIdle", 0},
-		{"BenchmarkCEPDispatch1kSubs", 1_000},
-		{"BenchmarkCEPDispatch10kSubs", 10_000},
-		{"BenchmarkCEPDispatch100kSubs", 100_000},
-	} {
-		engine := cep.NewEngine(cep.Config{})
-		for i := 0; i < load.subs; i++ {
-			g := objs[i%len(objs)]
-			var src string
-			if i%2 == 0 {
-				src = fmt.Sprintf("SEQ(missing() & tag(%d), NOT start()) WITHIN 60", g)
-			} else {
-				src = fmt.Sprintf("SEQ(start() & tag(%d) & level(case), NOT end()) WITHIN 80", g)
-			}
-			if _, err := engine.Subscribe(src); err != nil {
-				return nil, err
-			}
-		}
-		var done int64
-		var elapsed time.Duration
-		var offset model.Epoch
-		for done < minEvents && elapsed < maxElapsed {
-			start := time.Now()
-			for i := range epochs {
-				engine.Epoch(times[i]+offset, epochs[i])
-				done += int64(len(epochs[i]))
-			}
-			elapsed += time.Since(start)
-			// Shift the clock each pass so windows keep expiring and the
-			// measurement includes steady-state run turnover, not an
-			// ever-growing pinned-clock backlog.
-			offset += span
-		}
-		mps := float64(done) / 1e6 / elapsed.Seconds()
-		t.AddRow(load.label, mps, 1/mps)
-	}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("stream: %d epochs of the anomaly workload at level 2, replayed with a shifting clock until %dk events", len(epochs), minEvents/1000),
-		"subscriptions model per-object alerting: half anchored on Missing, half on StartLocation, each filtered to one tag",
-		"single-threaded dispatch under the engine mutex, as the pipeline loop drives it")
 	return t, nil
 }

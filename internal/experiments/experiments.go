@@ -24,28 +24,33 @@ type Options struct {
 
 	// Workers caps how many sweep cells run concurrently; 0 means
 	// runtime.NumCPU(). Results are collected into pre-sized slots, so
-	// rendered tables are byte-identical for any worker count. Timing
-	// columns (Table III, the partial-inference ablation) are measured
-	// per cell and contend for cores when cells run concurrently; use
-	// Workers = 1 when those absolute timings matter.
+	// rendered tables are byte-identical for any worker count. Drivers
+	// whose tables have Timed columns ignore it and run their cells one
+	// at a time.
 	Workers int
 }
 
 // Table is a printable experiment result: one labelled row per sweep
-// point, one column per series.
+// point, one column per series. The JSON form is the table's entry in a
+// spirebench -json report.
 type Table struct {
-	ID        string // e.g. "fig9a"
-	Title     string
-	RowHeader string
-	Columns   []string
-	Rows      []Row
-	Notes     []string
+	ID        string   `json:"id"` // e.g. "fig9a"
+	Title     string   `json:"title"`
+	RowHeader string   `json:"-"`
+	Columns   []string `json:"columns"`
+	Rows      []Row    `json:"rows"`
+	Notes     []string `json:"-"`
+
+	// Timed names the wall-clock columns. Every other column is a
+	// deterministic function of the fixed seeds and must reproduce
+	// exactly; timed columns vary from run to run and host to host.
+	Timed []string `json:"timed,omitempty"`
 }
 
 // Row is one sweep point.
 type Row struct {
-	Label  string
-	Values []float64
+	Label  string    `json:"label"`
+	Values []float64 `json:"values"`
 }
 
 // AddRow appends a row.
@@ -144,10 +149,7 @@ func Registry() map[string]Driver {
 			}
 			return []*Table{a, b, c}, nil
 		},
-		"bench-ingest":     BenchIngest,
-		"bench-zones":      BenchZones,
 		"cep":              one(CEPQuality),
-		"cep-perf":         one(CEPPerf),
 		"infercomp":        one(InferComp),
 		"ablation-partial": one(AblationPartialInference),
 		"ablation-prune":   one(AblationPruneThreshold),
@@ -159,7 +161,6 @@ func IDs() []string {
 	return []string{
 		"fig9a", "fig9b", "fig9c", "fig9d", "fig9e", "fig9f",
 		"table3", "fig10", "fig11", "fig11a", "fig11b", "fig11c",
-		"bench-ingest", "bench-zones", "cep", "cep-perf",
-		"infercomp", "ablation-partial", "ablation-prune",
+		"cep", "infercomp", "ablation-partial", "ablation-prune",
 	}
 }

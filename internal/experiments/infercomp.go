@@ -26,46 +26,40 @@ func InferComp(o Options) (*Table, error) {
 		Title:     "Component-at-a-time inference, seconds per complete pass",
 		RowHeader: "objects",
 		Columns:   []string{"serial", "cached", "speedup", "dirty-frac"},
+		Timed:     []string{"serial", "cached", "speedup"},
 	}
 
-	type iccell struct {
-		nodes     int
-		inferSec  float64
-		dirtyFrac float64
-	}
-	// Two cells per target: full sweep (cache off), then steady state.
-	const nv = 2
-	cells := make([]iccell, len(targets)*nv)
-	err := runCells(len(cells), o.Workers, func(i int) error {
+	// measure grows one graph and times its steady-state passes. Timed
+	// cells run one at a time, ignoring o.Workers, so no cell competes
+	// for cores with another.
+	measure := func(target int, disableCache bool) (nodes int, sec, frac float64, err error) {
 		icfg := inference.DefaultConfig()
 		icfg.PruneThreshold = 0.25
-		icfg.DisableCache = i%nv == 0
+		icfg.DisableCache = disableCache
 		p, err := newPerfGrowerCfg(icfg, 0.95)
 		if err != nil {
-			return err
+			return 0, 0, 0, err
 		}
-		if err := p.grow(targets[i/nv], 2); err != nil {
-			return err
+		if err := p.grow(target, 2); err != nil {
+			return 0, 0, 0, err
 		}
-		sec, frac, err := p.measureInfer(warm, epochs)
-		if err != nil {
-			return err
-		}
-		cells[i] = iccell{nodes: p.g.Len(), inferSec: sec, dirtyFrac: frac}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		sec, frac, err = p.measureInfer(warm, epochs)
+		return p.g.Len(), sec, frac, err
 	}
-	for r := range targets {
-		serial := cells[r*nv]
-		cached := cells[r*nv+1]
-		speedup := 0.0
-		if cached.inferSec > 0 {
-			speedup = serial.inferSec / cached.inferSec
+	for _, target := range targets {
+		nodes, serial, _, err := measure(target, true)
+		if err != nil {
+			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("%d", serial.nodes),
-			serial.inferSec, cached.inferSec, speedup, cached.dirtyFrac)
+		_, cached, dirtyFrac, err := measure(target, false)
+		if err != nil {
+			return nil, err
+		}
+		speedup := 0.0
+		if cached > 0 {
+			speedup = serial / cached
+		}
+		t.AddRow(fmt.Sprintf("%d", nodes), serial, cached, speedup, dirtyFrac)
 	}
 	t.Notes = append(t.Notes,
 		"identical outputs with the cache on and off are pinned byte-for-byte by the core equivalence tests",

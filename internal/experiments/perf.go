@@ -231,32 +231,23 @@ func Table3(o Options) (*Table, error) {
 		Title:     "Costs of update and inference operations, seconds per epoch (Expt 5)",
 		RowHeader: "objects",
 		Columns:   []string{"update", "inference", "total"},
+		Timed:     []string{"update", "inference", "total"},
 	}
-	type t3cell struct {
-		nodes      int
-		upd, infer float64
-	}
-	cells := make([]t3cell, len(targets))
-	err := runCells(len(targets), o.Workers, func(i int) error {
+	// Timed cells run one at a time, ignoring o.Workers, so no cell
+	// competes for cores with another.
+	for _, target := range targets {
 		p, err := newPerfGrower(0.25, 0.95)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := p.grow(targets[i], 2); err != nil {
-			return err
+		if err := p.grow(target, 2); err != nil {
+			return nil, err
 		}
 		upd, infd, err := p.measure(epochs)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		cells[i] = t3cell{nodes: p.g.Len(), upd: upd, infer: infd}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range cells {
-		t.AddRow(fmt.Sprintf("%d", c.nodes), c.upd, c.infer, c.upd+c.infer)
+		t.AddRow(fmt.Sprintf("%d", p.g.Len()), upd, infd, upd+infd)
 	}
 	t.Notes = append(t.Notes,
 		"paper shape: both costs well under the 1 s epoch, inference dominating; roughly linear growth in node count",

@@ -74,6 +74,34 @@ func runSingleSubstrate(t *testing.T, cfg sim.Config, lvl core.CompressionLevel)
 	return append(out, sub.Close(s.Now()+1)...)
 }
 
+// zoneOfReaders inverts a partition: reader ID → zone index.
+func zoneOfReaders(zones [][]model.Reader) map[model.ReaderID]int {
+	m := make(map[model.ReaderID]int)
+	for z, rs := range zones {
+		for _, r := range rs {
+			m[r.ID] = z
+		}
+	}
+	return m
+}
+
+// splitObservation splits one epoch's observation into per-zone
+// observations according to the reader→zone map. Every zone gets an
+// observation for the epoch, possibly with no readings — a zone's
+// substrate must see every epoch to keep its inference schedule aligned.
+func splitObservation(o *model.Observation, zoneOf map[model.ReaderID]int, n int) []*model.Observation {
+	out := make([]*model.Observation, n)
+	for z := range out {
+		out[z] = model.NewObservation(o.Time)
+	}
+	for r, tags := range o.ByReader {
+		if z, ok := zoneOf[r]; ok {
+			out[z].ByReader[r] = tags
+		}
+	}
+	return out
+}
+
 // runInProcessFederated interprets the warehouse with one substrate per
 // zone and merges the streams through the Merger directly (no network) —
 // the reference the networked cluster must reproduce exactly.
@@ -87,7 +115,7 @@ func runInProcessFederated(t *testing.T, cfg sim.Config, lvl core.CompressionLev
 	if err != nil {
 		t.Fatal(err)
 	}
-	zoneOf := sim.ZoneOfReaders(zones)
+	zoneOf := zoneOfReaders(zones)
 	subs := make([]*core.Substrate, nZones)
 	for z := range subs {
 		subs[z] = substrateFor(t, zones[z], s.Locations(), lvl)
@@ -99,7 +127,7 @@ func runInProcessFederated(t *testing.T, cfg sim.Config, lvl core.CompressionLev
 		if err != nil {
 			t.Fatal(err)
 		}
-		split := sim.SplitObservation(o, zoneOf, nZones)
+		split := splitObservation(o, zoneOf, nZones)
 		for z := 0; z < nZones; z++ {
 			eo, err := subs[z].ProcessEpoch(split[z])
 			if err != nil {
@@ -171,7 +199,7 @@ type zoneFeed func(s *sim.Simulator, zones [][]model.Reader, zone int) (federate
 // trace runInProcessFederated splits — staged into a reused batch. Every
 // zone worker steps its own simulator instance from the same seed.
 func stepFeed(s *sim.Simulator, zones [][]model.Reader, zone int) (federate.BatchSource, error) {
-	return &stepSource{s: s, zoneOf: sim.ZoneOfReaders(zones), zones: len(zones), zone: zone}, nil
+	return &stepSource{s: s, zoneOf: zoneOfReaders(zones), zones: len(zones), zone: zone}, nil
 }
 
 type stepSource struct {
@@ -190,7 +218,7 @@ func (z *stepSource) NextBatch() (*model.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return z.b.FromObservation(sim.SplitObservation(o, z.zoneOf, z.zones)[z.zone]), nil
+	return z.b.FromObservation(splitObservation(o, z.zoneOf, z.zones)[z.zone]), nil
 }
 
 // zoneBatchFeed is the zone's columnar zone-batch stream

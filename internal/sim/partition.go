@@ -41,31 +41,3 @@ func (s *Simulator) PartitionZones(n int) ([][]model.Reader, error) {
 	}
 	return zones, nil
 }
-
-// ZoneOfReaders inverts a partition: reader ID → zone index.
-func ZoneOfReaders(zones [][]model.Reader) map[model.ReaderID]int {
-	m := make(map[model.ReaderID]int)
-	for z, rs := range zones {
-		for _, r := range rs {
-			m[r.ID] = z
-		}
-	}
-	return m
-}
-
-// SplitObservation splits one epoch's observation into per-zone
-// observations according to the reader→zone map. Every zone gets an
-// observation for the epoch, possibly with no readings — a zone's
-// substrate must see every epoch to keep its inference schedule aligned.
-func SplitObservation(o *model.Observation, zoneOf map[model.ReaderID]int, n int) []*model.Observation {
-	out := make([]*model.Observation, n)
-	for z := range out {
-		out[z] = model.NewObservation(o.Time)
-	}
-	for r, tags := range o.ByReader {
-		if z, ok := zoneOf[r]; ok {
-			out[z].ByReader[r] = tags
-		}
-	}
-	return out
-}
