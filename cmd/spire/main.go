@@ -277,22 +277,23 @@ func run() error {
 		}()
 	}
 
-	// Feed observations to the runner, skipping epochs a restored snapshot
-	// already processed (the input is replayed from its beginning).
+	// Feed batches to the runner, skipping epochs a restored snapshot
+	// already processed (the input is replayed from its beginning). A
+	// few epochs of buffer let decoding run ahead of processing.
 	skipThrough := sub.LastEpoch()
-	obsCh := make(chan *model.Observation, 4)
+	in := make(chan *model.Batch, 4)
 	outCh := make(chan *core.EpochOutput, 4)
 	feedErr := make(chan error, 1)
 	runErr := make(chan error, 1)
 	go func() {
-		defer close(obsCh)
+		defer close(in)
 		if *simulate {
-			feedErr <- feedSim(s, skipThrough, obsCh)
+			feedErr <- feedSim(s, skipThrough, in)
 		} else {
-			feedErr <- feedStream(*input, skipThrough, obsCh)
+			feedErr <- feedStream(*input, skipThrough, in)
 		}
 	}()
-	go func() { runErr <- runner.Run(ctx, obsCh, outCh) }()
+	go func() { runErr <- runner.Run(ctx, in, outCh) }()
 
 	for po := range outCh {
 		if err := emit(po.Events); err != nil {
@@ -306,7 +307,7 @@ func run() error {
 		}
 	case errors.Is(err, context.Canceled):
 		// Interrupted: the feed goroutine may be blocked sending into
-		// obsCh, so don't wait on it. The runner has quiesced, so the
+		// in, so don't wait on it. The runner has quiesced, so the
 		// substrate is safe to snapshot; then fall through to the normal
 		// flush/dump path.
 		logMain.Warn("interrupted, flushing output and dumps")
@@ -371,25 +372,25 @@ func run() error {
 	return nil
 }
 
-// feedSim streams freshly simulated observations.
-func feedSim(s *sim.Simulator, skipThrough model.Epoch, obsCh chan<- *model.Observation) error {
+// feedSim streams freshly simulated batches.
+func feedSim(s *sim.Simulator, skipThrough model.Epoch, in chan<- *model.Batch) error {
 	for !s.Done() {
-		o, err := s.Step()
+		b, err := s.Step()
 		if err != nil {
 			return err
 		}
-		if o.Time <= skipThrough {
-			continue
+		if b.Time > skipThrough {
+			in <- b
 		}
-		obsCh <- o
 	}
 	return nil
 }
 
-// feedStream parses a raw binary reading stream into per-epoch
-// observations. Epoch-0 readings are treated as preamble and skipped, as
-// before.
-func feedStream(path string, skipThrough model.Epoch, obsCh chan<- *model.Observation) error {
+// feedStream parses a raw binary reading stream into per-epoch batches.
+// Epoch-0 readings are treated as preamble and skipped. An epoch is sent
+// only once the next one has decoded cleanly, so a torn record drops the
+// epoch it was read in.
+func feedStream(path string, skipThrough model.Epoch, in chan<- *model.Batch) error {
 	var src io.Reader = os.Stdin
 	if path != "-" {
 		f, err := os.Open(path)
@@ -399,33 +400,26 @@ func feedStream(path string, skipThrough model.Epoch, obsCh chan<- *model.Observ
 		defer f.Close()
 		src = f
 	}
-	r := stream.NewReader(src)
-	obs := model.NewObservation(0)
-	flushObs := func() {
-		if obs.Time == 0 || obs.Time <= skipThrough {
-			return
-		}
-		obsCh <- obs
-	}
+	r := stream.NewBatchReader(src)
+	held := model.NewBatch(0)
 	for {
-		rd, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
+		b := new(model.Batch)
+		switch err := r.ReadBatch(b); {
+		case err == io.EOF:
+			b = nil
+		case err != nil:
 			return err
+		case b.Time < held.Time:
+			return fmt.Errorf("raw stream not ordered by epoch (%d after %d)", b.Time, held.Time)
 		}
-		if rd.Time != obs.Time {
-			if rd.Time < obs.Time {
-				return fmt.Errorf("raw stream not ordered by epoch (%d after %d)", rd.Time, obs.Time)
-			}
-			flushObs()
-			obs = model.NewObservation(rd.Time)
+		if held.Time != 0 && held.Time > skipThrough {
+			in <- held
 		}
-		obs.Add(rd.Reader, rd.Tag)
+		if b == nil {
+			return nil
+		}
+		held = b
 	}
-	flushObs()
-	return nil
 }
 
 // pretty renders an event with decoded EPC identities instead of raw

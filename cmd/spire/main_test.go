@@ -78,14 +78,14 @@ func referenceStream(t *testing.T, level core.CompressionLevel) (epochs []model.
 	if err != nil {
 		t.Fatal(err)
 	}
-	obsCh := make(chan *model.Observation)
+	in := make(chan *model.Batch)
 	feedErr := make(chan error, 1)
 	go func() {
-		defer close(obsCh)
-		feedErr <- feedStream(tracePath, model.EpochNone, obsCh)
+		defer close(in)
+		feedErr <- feedStream(tracePath, model.EpochNone, in)
 	}()
-	for o := range obsCh {
-		out, err := sub.ProcessEpoch(o)
+	for o := range in {
+		out, err := sub.ProcessBatch(o)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -191,6 +191,7 @@ func run() error {
 	}
 	w := stream.NewWriter(dst)
 	var lastReadings, lastBytes int64
+	var b model.Batch
 	interrupted := false
 	for !s.Done() {
 		if ctx.Err() != nil {
@@ -202,11 +203,10 @@ func run() error {
 		if rec != nil {
 			mark = time.Now()
 		}
-		o, err := s.Step()
-		if err != nil {
+		if err := s.StepBatch(&b); err != nil {
 			return err
 		}
-		if err := w.WriteObservation(o); err != nil {
+		if err := w.WriteBatch(&b); err != nil {
 			return err
 		}
 		if reg != nil {
@@ -216,7 +216,7 @@ func run() error {
 		}
 		if rec != nil {
 			rec.EndEpoch(trace.Span{
-				Epoch:    o.Time,
+				Epoch:    b.Time,
 				Readings: w.Count() - lastReadings,
 				Bytes:    w.Bytes() - lastBytes,
 				UpdateNS: time.Since(mark).Nanoseconds(),

@@ -82,11 +82,11 @@ func main() {
 	}
 
 	for !s.Done() {
-		obs, err := s.Step()
+		b, err := s.Step()
 		if err != nil {
 			log.Fatal(err)
 		}
-		out, err := sub.ProcessEpoch(obs)
+		out, err := sub.ProcessBatch(b)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -75,20 +75,20 @@ func main() {
 	var perZone [2]int
 	handoffs := 0
 	for !s.Done() {
-		o, err := s.Step()
+		b, err := s.Step()
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Split the epoch's observation by zone.
-		var zobs [2]*model.Observation
-		for z := range zobs {
-			zobs[z] = model.NewObservation(o.Time)
+		// Split the epoch's reader groups by zone.
+		var zb [2]model.Batch
+		for z := range zb {
+			zb[z].Reset(b.Time)
 		}
-		for r, tags := range o.ByReader {
-			zobs[zoneOf[r]].ByReader[r] = tags
+		for i, g := range b.Groups {
+			zb[zoneOf[g.Reader]].AppendGroup(g.Reader, b.GroupTags(i))
 		}
 		for z := 0; z < 2; z++ {
-			out, err := subs[z].ProcessEpoch(zobs[z])
+			out, err := subs[z].ProcessBatch(&zb[z])
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -2,8 +2,8 @@
 // trace and print the compressed event stream it produces.
 //
 // This is the smallest end-to-end use of the library: build a simulator
-// (or any source of per-epoch observations), wire a core.Substrate over
-// its reader deployment, feed observations epoch by epoch, and consume
+// (or any source of per-epoch reading batches), wire a core.Substrate
+// over its reader deployment, feed batches epoch by epoch, and consume
 // the emitted events.
 //
 //	go run ./examples/quickstart
@@ -53,11 +53,11 @@ func main() {
 	}
 
 	for !s.Done() {
-		obs, err := s.Step()
+		b, err := s.Step()
 		if err != nil {
 			log.Fatal(err)
 		}
-		out, err := sub.ProcessEpoch(obs)
+		out, err := sub.ProcessBatch(b)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -65,12 +65,12 @@ func main() {
 			switch {
 			case e.Kind.Containment():
 				fmt.Printf("t=%-4d %-17s %s inside %s\n",
-					obs.Time, e.Kind, tag(e.Object), tag(e.Container))
+					b.Time, e.Kind, tag(e.Object), tag(e.Container))
 			case e.Location.Known():
 				fmt.Printf("t=%-4d %-17s %s at %s\n",
-					obs.Time, e.Kind, tag(e.Object), locName[e.Location])
+					b.Time, e.Kind, tag(e.Object), locName[e.Location])
 			default:
-				fmt.Printf("t=%-4d %-17s %s\n", obs.Time, e.Kind, tag(e.Object))
+				fmt.Printf("t=%-4d %-17s %s\n", b.Time, e.Kind, tag(e.Object))
 			}
 		}
 	}

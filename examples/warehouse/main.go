@@ -55,11 +55,11 @@ func main() {
 	retracted := 0
 	var allEvents []event.Event
 	for !s.Done() {
-		obs, err := s.Step()
+		b, err := s.Step()
 		if err != nil {
 			log.Fatal(err)
 		}
-		out, err := sub.ProcessEpoch(obs)
+		out, err := sub.ProcessBatch(b)
 		if err != nil {
 			log.Fatal(err)
 		}

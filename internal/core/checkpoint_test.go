@@ -19,13 +19,13 @@ import (
 )
 
 // buildTrace steps a fast warehouse trace and returns the per-epoch
-// observations along with the simulator (whose Readers/Locations describe
-// the deployment). Observations are returned pristine — feed clones to
-// the substrate, which consumes them destructively.
-func buildTrace(t *testing.T, duration model.Epoch) ([]*model.Observation, *sim.Simulator) {
+// batches along with the simulator (whose Readers/Locations describe the
+// deployment). Batches are returned pristine — feed clones to the
+// substrate, which consumes them destructively.
+func buildTrace(t *testing.T, duration model.Epoch) ([]*model.Batch, *sim.Simulator) {
 	t.Helper()
 	s := fastSim(t, func(c *sim.Config) { c.Duration = duration })
-	var trace []*model.Observation
+	var trace []*model.Batch
 	for !s.Done() {
 		o, err := s.Step()
 		if err != nil {
@@ -101,7 +101,7 @@ func testKillRestoreSweep(t *testing.T, level CompressionLevel) {
 	perEpoch := make([][]event.Event, len(trace))
 	snaps := make([][]byte, len(trace))
 	for i, o := range trace {
-		out, err := sub.ProcessEpoch(o.Clone())
+		out, err := sub.ProcessBatch(o.Clone())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func testKillRestoreSweep(t *testing.T, level CompressionLevel) {
 			stream = append(stream, perEpoch[i]...)
 		}
 		for _, o := range trace[k+1:] {
-			out, err := rsub.ProcessEpoch(o.Clone())
+			out, err := rsub.ProcessBatch(o.Clone())
 			if err != nil {
 				t.Fatalf("kill at epoch %d: continue: %v", trace[k].Time, err)
 			}
@@ -188,7 +188,7 @@ func TestSnapshotCorruption(t *testing.T) {
 	trace, s := buildTrace(t, 80)
 	sub := newSubstrate(t, s, Level2)
 	for _, o := range trace {
-		if _, err := sub.ProcessEpoch(o.Clone()); err != nil {
+		if _, err := sub.ProcessBatch(o.Clone()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,9 +241,9 @@ func TestRunnerCheckpointResume(t *testing.T) {
 
 	// Uninterrupted reference pass.
 	var want []event.Event
-	runAll := func(r *Runner, obs []*model.Observation) []event.Event {
+	runAll := func(r *Runner, obs []*model.Batch) []event.Event {
 		t.Helper()
-		in := make(chan *model.Observation)
+		in := make(chan *model.Batch)
 		out := make(chan *EpochOutput, 1)
 		errc := make(chan error, 1)
 		go func() { errc <- r.Run(context.Background(), in, out) }()
@@ -271,7 +271,7 @@ func TestRunnerCheckpointResume(t *testing.T) {
 	sub := newSubstrate(t, s, Level1)
 	runner := NewRunnerConfigured(sub, RunnerConfig{CheckpointPath: ckpt, CheckpointEvery: 10})
 	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan *model.Observation)
+	in := make(chan *model.Batch)
 	out := make(chan *EpochOutput, 1)
 	errc := make(chan error, 1)
 	go func() { errc <- runner.Run(ctx, in, out) }()

@@ -109,9 +109,6 @@ type Substrate struct {
 	stats    Stats
 	lastNow  model.Epoch
 
-	// staged is the batch ProcessEpoch converts an observation into.
-	staged model.Batch
-
 	// groupReaders is the reused per-epoch scratch aligning a batch's
 	// reader groups with resolved *model.Reader entries (nil = unknown).
 	groupReaders []*model.Reader
@@ -236,17 +233,6 @@ func (s *Substrate) Stats() Stats { return s.stats }
 // only: a nil watcher (the default) leaves the pipeline byte-identical
 // and allocation-free, mirroring the telemetry and trace contracts.
 func (s *Substrate) Watch(w *query.Watcher) { s.watch = w }
-
-// ProcessEpoch is the edge adapter for row-oriented feeds: Observation is
-// the boundary format, converted exactly once — here — into a
-// substrate-owned batch that ProcessBatch then consumes. The observation
-// itself is left untouched.
-func (s *Substrate) ProcessEpoch(o *model.Observation) (*EpochOutput, error) {
-	if o == nil {
-		return nil, fmt.Errorf("core: nil observation")
-	}
-	return s.ProcessBatch(s.staged.FromObservation(o))
-}
 
 // ProcessBatch runs the full substrate over one epoch's columnar batch:
 // dedup → graph update (per reader group) → inference → conflict
@@ -403,7 +389,7 @@ func (s *Substrate) finishEpoch(now model.Epoch, rawReadings int64, tel *Instrum
 		span.InferNS = d.Nanoseconds()
 		mark = next
 	}
-	inference.ResolveConflictsTraced(res, levelOf, rec)
+	inference.ResolveConflicts(res, levelOf, rec)
 	s.stats.InferenceTime += time.Since(start)
 	if timed {
 		next := time.Now()

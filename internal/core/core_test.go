@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"spire/internal/compress"
@@ -69,23 +71,47 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestProcessEpochGuards(t *testing.T) {
+// TestProcessBatchErrorParity pins ProcessBatch's error contract:
+// nil-input, non-monotonic-epoch, unknown-reader and invalid-batch errors,
+// with known readers' groups already applied when the unknown-reader
+// error surfaces and the failed epoch's timestamp consumed.
+func TestProcessBatchErrorParity(t *testing.T) {
 	s := fastSim(t, nil)
 	sub := newSubstrate(t, s, Level1)
-	if _, err := sub.ProcessEpoch(nil); err == nil {
-		t.Error("nil observation must fail")
+
+	if _, err := sub.ProcessBatch(nil); err == nil {
+		t.Fatal("nil batch must error")
 	}
-	o := model.NewObservation(5)
-	if _, err := sub.ProcessEpoch(o); err != nil {
-		t.Fatal(err)
+
+	known := s.Readers()[0]
+	item := epc.MustEncode(epc.Identity{Level: model.LevelItem, Company: 9, Serial: 1})
+	b := model.NewBatch(1)
+	b.AppendGroup(known.ID, []model.Tag{item})
+	b.AppendGroup(known.ID+1000, []model.Tag{item}) // not deployed
+	_, err := sub.ProcessBatch(b)
+	want := fmt.Sprintf("core: reading from unknown reader %d", known.ID+1000)
+	if err == nil || err.Error() != want {
+		t.Fatalf("unknown reader: got %v, want %q", err, want)
 	}
-	if _, err := sub.ProcessEpoch(model.NewObservation(5)); err == nil {
-		t.Error("non-advancing epoch must fail")
+	if n := sub.Graph().Node(item); n == nil {
+		t.Fatal("known reader's group must be applied before the unknown-reader error")
 	}
-	unk := model.NewObservation(6)
-	unk.Add(999, 1)
-	if _, err := sub.ProcessEpoch(unk); err == nil {
-		t.Error("reading from unknown reader must fail")
+
+	// The failed epoch still consumed its timestamp, and the error is the
+	// same on every retry.
+	_, err = sub.ProcessBatch(model.NewBatch(1))
+	if err == nil {
+		t.Fatal("non-monotonic epoch must error")
+	}
+	if _, again := sub.ProcessBatch(model.NewBatch(1)); again == nil || again.Error() != err.Error() {
+		t.Fatalf("repeated non-monotonic error %v, first %v", again, err)
+	}
+
+	bad := model.NewBatch(2)
+	bad.BeginReader(5)
+	bad.Groups[0].End = 7 // offsets no longer cover the tag column
+	if _, err := sub.ProcessBatch(bad); err == nil {
+		t.Fatal("invalid batch must error")
 	}
 }
 
@@ -102,7 +128,7 @@ func TestEndToEndWellFormed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := sub.ProcessEpoch(o)
+		out, err := sub.ProcessBatch(o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,11 +177,11 @@ func TestEndToEndLevel2Decompression(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out1, err := subL1.ProcessEpoch(o1)
+		out1, err := subL1.ProcessBatch(o1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out2, err := subL2.ProcessEpoch(o2)
+		out2, err := subL2.ProcessBatch(o2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +275,7 @@ func TestLosslessObservations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := sub.ProcessEpoch(o)
+		out, err := sub.ProcessBatch(o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +333,7 @@ func TestStationaryWorldQuiesces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := sub.ProcessEpoch(o)
+		out, err := sub.ProcessBatch(o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +360,7 @@ func TestDroppedItemReportedUncontained(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := sub.ProcessEpoch(o)
+		out, err := sub.ProcessBatch(o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,22 +418,23 @@ func TestWronglyRetiredObjectResurrects(t *testing.T) {
 		}
 		beltID := s.Readers()[1].ID // receiving belt
 		if victim == model.NoTag {
-			for _, g := range o.ByReader[beltID] {
-				if lvl := levelOfTag(g); lvl == model.LevelCase {
-					victim = g
+			for i, gr := range o.Groups {
+				if gr.Reader != beltID {
+					continue
+				}
+				if j := slices.IndexFunc(o.GroupTags(i), func(g model.Tag) bool { return levelOfTag(g) == model.LevelCase }); j >= 0 {
+					victim = o.GroupTags(i)[j]
 					// Miss the case in this epoch's belt reading.
-					kept := o.ByReader[beltID][:0]
-					for _, h := range o.ByReader[beltID] {
-						if h != g {
-							kept = append(kept, h)
-						}
+					o.Tags = slices.Delete(o.Tags, int(gr.Start)+j, int(gr.Start)+j+1)
+					o.Groups[i].End--
+					for k := i + 1; k < len(o.Groups); k++ {
+						o.Groups[k].Start--
+						o.Groups[k].End--
 					}
-					o.ByReader[beltID] = kept
-					break
 				}
 			}
 		}
-		if _, err := sub.ProcessEpoch(o); err != nil {
+		if _, err := sub.ProcessBatch(o); err != nil {
 			t.Fatal(err)
 		}
 		if victim != model.NoTag && s.Now() >= 20 {
@@ -445,7 +472,7 @@ func TestPartialInferenceEpochsRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := sub.ProcessEpoch(o)
+		out, err := sub.ProcessBatch(o)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,7 +36,7 @@ func seedSnapshot(f *testing.F) []byte {
 		if err != nil {
 			f.Fatal(err)
 		}
-		if _, err := sub.ProcessEpoch(o); err != nil {
+		if _, err := sub.ProcessBatch(o); err != nil {
 			f.Fatal(err)
 		}
 	}

@@ -118,7 +118,7 @@ func TestGoldenTraceIsDeterministic(t *testing.T) {
 	if len(traceA) != len(traceB) {
 		t.Fatalf("trace lengths differ: %d vs %d", len(traceA), len(traceB))
 	}
-	digest := func(trace []*model.Observation) string {
+	digest := func(trace []*model.Batch) string {
 		h := sha256.New()
 		for _, o := range trace {
 			for _, rd := range o.Readings() {

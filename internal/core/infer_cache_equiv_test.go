@@ -36,11 +36,11 @@ func newTunedSubstrate(t *testing.T, s *sim.Simulator, level CompressionLevel, d
 // runTraceSnap processes a whole trace, returning the per-epoch event
 // slices, the closing events, and the snapshot taken right after epoch
 // index mid and at the end.
-func runTraceSnap(t *testing.T, sub *Substrate, trace []*model.Observation, mid int) (perEpoch [][]event.Event, closing []event.Event, midSnap, endSnap []byte) {
+func runTraceSnap(t *testing.T, sub *Substrate, trace []*model.Batch, mid int) (perEpoch [][]event.Event, closing []event.Event, midSnap, endSnap []byte) {
 	t.Helper()
 	perEpoch = make([][]event.Event, len(trace))
 	for i, o := range trace {
-		out, err := sub.ProcessEpoch(o.Clone())
+		out, err := sub.ProcessBatch(o.Clone())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestInferCacheByteIdentity(t *testing.T) {
 			}
 			stream := flatten(refEpochs[:mid+1], nil)
 			for _, o := range trace[mid+1:] {
-				out, err := rsub.ProcessEpoch(o.Clone())
+				out, err := rsub.ProcessBatch(o.Clone())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -143,7 +143,7 @@ func FuzzInferCacheEquivalence(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var trace []*model.Observation
+	var trace []*model.Batch
 	for !s.Done() {
 		o, err := s.Step()
 		if err != nil {

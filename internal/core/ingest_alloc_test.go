@@ -6,15 +6,15 @@ import (
 	"spire/internal/model"
 )
 
-// gateRing builds a reusable ring of observations (two readers, fixed
-// tags) plus duplicate deliveries of the same epochs, so a steady-state
-// ingest loop can run indefinitely without constructing new input.
-func gateRing(n int) (obs, dups []*model.Observation) {
-	mk := func() *model.Observation {
-		return &model.Observation{ByReader: map[model.ReaderID][]model.Tag{
-			1: {10, 11, 12, 13},
-			2: {11, 12, 20, 21},
-		}}
+// gateRing builds a reusable ring of batches (two readers, fixed tags)
+// plus duplicate deliveries of the same epochs, so a steady-state ingest
+// loop can run indefinitely without constructing new input.
+func gateRing(n int) (obs, dups []*model.Batch) {
+	mk := func() *model.Batch {
+		b := &model.Batch{}
+		b.AppendGroup(1, []model.Tag{10, 11, 12, 13})
+		b.AppendGroup(2, []model.Tag{11, 12, 20, 21})
+		return b
 	}
 	for i := 0; i < n; i++ {
 		obs = append(obs, mk())

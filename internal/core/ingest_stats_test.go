@@ -16,23 +16,20 @@ import (
 
 // syntheticTrace builds a clean epoch-ordered trace with a couple of
 // readers; the gate only looks at epochs and per-reader tag sets.
-func syntheticTrace(epochs int) []*model.Observation {
-	trace := make([]*model.Observation, 0, epochs)
+func syntheticTrace(epochs int) []*model.Batch {
+	trace := make([]*model.Batch, 0, epochs)
 	for e := 1; e <= epochs; e++ {
-		trace = append(trace, &model.Observation{
-			Time: model.Epoch(e),
-			ByReader: map[model.ReaderID][]model.Tag{
-				1: {model.Tag(e), model.Tag(e + 1)},
-				2: {model.Tag(e + 1), model.Tag(1000 + e)},
-			},
-		})
+		b := model.NewBatch(model.Epoch(e))
+		b.AppendGroup(1, []model.Tag{model.Tag(e), model.Tag(e + 1)})
+		b.AppendGroup(2, []model.Tag{model.Tag(e + 1), model.Tag(1000 + e)})
+		trace = append(trace, b)
 	}
 	return trace
 }
 
 // runGateOnly drives one gate over a delivery sequence and returns the
 // epochs it emitted, in emission order.
-func runGateOnly(g *ingestGate, delivery []*model.Observation) []model.Epoch {
+func runGateOnly(g *ingestGate, delivery []*model.Batch) []model.Epoch {
 	var emitted []model.Epoch
 	for _, o := range delivery {
 		for _, r := range g.Offer(o.Clone()) {
@@ -45,7 +42,7 @@ func runGateOnly(g *ingestGate, delivery []*model.Observation) []model.Epoch {
 	return emitted
 }
 
-func distinctEpochs(delivery []*model.Observation) int {
+func distinctEpochs(delivery []*model.Batch) int {
 	seen := make(map[model.Epoch]bool)
 	for _, o := range delivery {
 		seen[o.Time] = true
@@ -54,9 +51,9 @@ func distinctEpochs(delivery []*model.Observation) int {
 }
 
 // TestIngestStatsConservation pins the accounting identity for all three
-// policies under mixed fault loads: every offered observation is counted
+// policies under mixed fault loads: every offered batch is counted
 // exactly once as Accepted, Stale, or Merged, and Accepted equals the
-// number of observations actually emitted.
+// number of batches actually emitted.
 func TestIngestStatsConservation(t *testing.T) {
 	trace := syntheticTrace(200)
 	cfgs := []sim.FaultConfig{
@@ -80,7 +77,7 @@ func TestIngestStatsConservation(t *testing.T) {
 					name, got, len(delivery), st)
 			}
 			if st.Accepted != int64(len(emitted)) {
-				t.Errorf("%s: Accepted = %d but %d observations emitted", name, st.Accepted, len(emitted))
+				t.Errorf("%s: Accepted = %d but %d batches emitted", name, st.Accepted, len(emitted))
 			}
 			switch policy {
 			case IngestStrict:
@@ -89,7 +86,7 @@ func TestIngestStatsConservation(t *testing.T) {
 					t.Errorf("%s: strict gate must pass everything through: %+v", name, st)
 				}
 			case IngestReject:
-				// Spec: an observation is accepted iff its epoch exceeds
+				// Spec: a batch is accepted iff its epoch exceeds
 				// every previously accepted epoch.
 				var wantAccepted, wantStale int64
 				last := model.Epoch(0)
@@ -142,7 +139,7 @@ func TestIngestStatsConservation(t *testing.T) {
 // and Reordered counters with the injector's ground truth. Seeds are
 // fixed, so each assertion is deterministic; the reorder window (16) is
 // deep enough that no single-pass adjacent-swap chain in these schedules
-// displaces an observation beyond repair.
+// displaces a batch beyond repair.
 func TestIngestStatsMatchInjectorTruth(t *testing.T) {
 	trace := syntheticTrace(300)
 	gateCfg := IngestConfig{Policy: IngestRepair, ReorderWindow: 16}

@@ -15,11 +15,11 @@ import (
 
 // buildTraceWithTruth steps a fast trace and maintains the ground-truth
 // level-1 event stream alongside, as the experiment harness does.
-func buildTraceWithTruth(t *testing.T, duration model.Epoch) ([]*model.Observation, []event.Event, *sim.Simulator) {
+func buildTraceWithTruth(t *testing.T, duration model.Epoch) ([]*model.Batch, []event.Event, *sim.Simulator) {
 	t.Helper()
 	s := fastSim(t, func(c *sim.Config) { c.Duration = duration })
 	truthComp := compress.NewLevel1(levelOf)
-	var trace []*model.Observation
+	var trace []*model.Batch
 	var truth []event.Event
 	for !s.Done() {
 		o, err := s.Step()
@@ -38,10 +38,10 @@ func buildTraceWithTruth(t *testing.T, duration model.Epoch) ([]*model.Observati
 
 // runGated feeds a delivery sequence through a configured runner and
 // returns the full output stream (including the closing events).
-func runGated(t *testing.T, sub *Substrate, cfg RunnerConfig, delivery []*model.Observation) ([]event.Event, IngestStats) {
+func runGated(t *testing.T, sub *Substrate, cfg RunnerConfig, delivery []*model.Batch) ([]event.Event, IngestStats) {
 	t.Helper()
 	r := NewRunnerConfigured(sub, cfg)
-	in := make(chan *model.Observation)
+	in := make(chan *model.Batch)
 	out := make(chan *EpochOutput, 1)
 	errc := make(chan error, 1)
 	go func() { errc <- r.Run(context.Background(), in, out) }()
@@ -139,9 +139,9 @@ func TestIngestPoliciesSurviveFullFaults(t *testing.T) {
 // the run instead of being papered over.
 func TestIngestStrictFailsOnDisorder(t *testing.T) {
 	trace, _, s := buildTraceWithTruth(t, 30)
-	delivery := []*model.Observation{trace[0], trace[2], trace[1]}
+	delivery := []*model.Batch{trace[0], trace[2], trace[1]}
 	r := NewRunnerConfigured(newSubstrate(t, s, Level1), RunnerConfig{})
-	in := make(chan *model.Observation, len(delivery))
+	in := make(chan *model.Batch, len(delivery))
 	out := make(chan *EpochOutput, len(delivery)+1)
 	for _, o := range delivery {
 		in <- o.Clone()
@@ -161,7 +161,7 @@ func TestIngestStrictFailsOnDisorder(t *testing.T) {
 // dropped as stale.
 func TestIngestGateRepairWindow(t *testing.T) {
 	g := newIngestGate(IngestConfig{Policy: IngestRepair, ReorderWindow: 4}, model.EpochNone)
-	mk := func(e model.Epoch) *model.Observation { return model.NewObservation(e) }
+	mk := func(e model.Epoch) *model.Batch { return model.NewBatch(e) }
 	var delivered []model.Epoch
 	offer := func(e model.Epoch) {
 		for _, o := range g.Offer(mk(e)) {
@@ -193,5 +193,41 @@ func TestIngestGateRepairWindow(t *testing.T) {
 	}
 	if g2.stats.Stale != 1 {
 		t.Errorf("late arrival beyond window: stats %+v", g2.stats)
+	}
+}
+
+// TestIngestGateMergeIsPerReaderUnion pins the repair policy's
+// duplicate-epoch merge: per reader, the buffered batch's tags (in-group
+// repeats included) come first, then the duplicate's tags it lacks
+// (repeats dropped); readers only one side has are kept, empty groups
+// included, and groups stay ascending.
+func TestIngestGateMergeIsPerReaderUnion(t *testing.T) {
+	g := newIngestGate(IngestConfig{Policy: IngestRepair, ReorderWindow: 4}, model.EpochNone)
+	first := model.NewBatch(1)
+	first.AppendGroup(2, []model.Tag{20, 21, 20})
+	first.AppendGroup(4, []model.Tag{40})
+	first.AppendGroup(6, nil)
+	dup := model.NewBatch(1)
+	dup.AppendGroup(1, []model.Tag{10, 10, 11})
+	dup.AppendGroup(2, []model.Tag{22, 21, 22})
+	dup.AppendGroup(5, nil)
+	dup.AppendGroup(6, []model.Tag{60})
+	g.Offer(first)
+	g.Offer(dup)
+	got := g.Drain()
+	if len(got) != 1 || g.stats.Merged != 1 {
+		t.Fatalf("delivered %d batches, stats %+v; want one merged batch", len(got), g.stats)
+	}
+	want := model.NewBatch(1)
+	want.AppendGroup(1, []model.Tag{10, 11})
+	want.AppendGroup(2, []model.Tag{20, 21, 20, 22})
+	want.AppendGroup(4, []model.Tag{40})
+	want.AppendGroup(5, nil)
+	want.AppendGroup(6, []model.Tag{60})
+	if err := got[0].Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got[0].Readings(), got[0].Groups) != fmt.Sprint(want.Readings(), want.Groups) {
+		t.Fatalf("merged %v %v, want %v %v", got[0].Groups, got[0].Tags, want.Groups, want.Tags)
 	}
 }

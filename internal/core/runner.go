@@ -22,7 +22,7 @@ type RunnerConfig struct {
 	Ingest IngestConfig
 }
 
-// Runner drives a Substrate from a channel of observations — the natural
+// Runner drives a Substrate from a channel of batches — the natural
 // shape for wiring SPIRE between a live reader feed and downstream
 // consumers. The substrate itself is single-threaded (epochs are causally
 // dependent), so the runner owns it exclusively; concurrency lives at the
@@ -56,7 +56,7 @@ func NewRunnerConfigured(sub *Substrate, cfg RunnerConfig) *Runner {
 // IngestStats reports the ingest gate's decisions so far.
 func (r *Runner) IngestStats() IngestStats { return r.gate.stats }
 
-// Run consumes observations until the input channel closes or the context
+// Run consumes batches until the input channel closes or the context
 // is cancelled, sending each epoch's output downstream. On clean input
 // exhaustion it emits a final EpochOutput carrying only the stream-closing
 // events (with Result == nil) before closing the output channel.
@@ -64,17 +64,20 @@ func (r *Runner) IngestStats() IngestStats { return r.gate.stats }
 // The returned error is nil on a clean run, the context's error on
 // cancellation, or the first processing error otherwise. The output
 // channel is always closed before Run returns.
-func (r *Runner) Run(ctx context.Context, in <-chan *model.Observation, out chan<- *EpochOutput) error {
+//
+// Run takes ownership of every batch it receives: the substrate consumes
+// batches destructively, so senders must not reuse them.
+func (r *Runner) Run(ctx context.Context, in <-chan *model.Batch, out chan<- *EpochOutput) error {
 	defer close(out)
 	for {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case o, ok := <-in:
+		case b, ok := <-in:
 			if !ok {
 				return r.finish(ctx, out)
 			}
-			if err := r.process(ctx, r.offerGate(o), out); err != nil {
+			if err := r.process(ctx, r.timeGate(func() []*model.Batch { return r.gate.Offer(b) }), out); err != nil {
 				return err
 			}
 		}
@@ -84,7 +87,7 @@ func (r *Runner) Run(ctx context.Context, in <-chan *model.Observation, out chan
 // finish runs the end-of-input tail: drain the gate, emit the
 // stream-closing events, and take the final checkpoint.
 func (r *Runner) finish(ctx context.Context, out chan<- *EpochOutput) error {
-	if err := r.process(ctx, r.drainGate(), out); err != nil {
+	if err := r.process(ctx, r.timeGate(r.gate.Drain), out); err != nil {
 		return err
 	}
 	closing := r.sub.Close(r.sub.LastEpoch() + 1)
@@ -104,45 +107,30 @@ func (r *Runner) finish(ctx context.Context, out chan<- *EpochOutput) error {
 	return nil
 }
 
-// offerGate and drainGate run the ingest gate, recording the stage latency
-// when the substrate is instrumented or traced.
-func (r *Runner) offerGate(o *model.Observation) []*model.Observation {
+// timeGate runs one ingest gate call, recording the stage latency when
+// the substrate is instrumented or traced.
+func (r *Runner) timeGate(gate func() []*model.Batch) []*model.Batch {
 	tel, rec := r.sub.tel, r.sub.rec
 	if tel == nil && rec == nil {
-		return r.gate.Offer(o)
+		return gate()
 	}
 	start := time.Now()
-	obs := r.gate.Offer(o)
+	ready := gate()
 	d := time.Since(start)
 	if tel != nil {
 		tel.StageIngest.Observe(d.Seconds())
 	}
 	rec.ObserveIngest(d.Nanoseconds())
-	return obs
+	return ready
 }
 
-func (r *Runner) drainGate() []*model.Observation {
-	tel, rec := r.sub.tel, r.sub.rec
-	if tel == nil && rec == nil {
-		return r.gate.Drain()
-	}
-	start := time.Now()
-	obs := r.gate.Drain()
-	d := time.Since(start)
-	if tel != nil {
-		tel.StageIngest.Observe(d.Seconds())
-	}
-	rec.ObserveIngest(d.Nanoseconds())
-	return obs
-}
-
-// process runs the substrate over gated observations, forwards the
-// outputs, and takes periodic checkpoints.
-func (r *Runner) process(ctx context.Context, obs []*model.Observation, out chan<- *EpochOutput) error {
-	for _, o := range obs {
-		po, err := r.sub.ProcessEpoch(o)
+// process runs the substrate over gated batches, forwards the outputs,
+// and takes periodic checkpoints.
+func (r *Runner) process(ctx context.Context, ready []*model.Batch, out chan<- *EpochOutput) error {
+	for _, b := range ready {
+		po, err := r.sub.ProcessBatch(b)
 		if err != nil {
-			return fmt.Errorf("core: epoch %d: %w", o.Time, err)
+			return fmt.Errorf("core: epoch %d: %w", b.Time, err)
 		}
 		// The substrate reuses its result buffers across epochs; the
 		// channel hands po to a consumer that may still be reading it
@@ -158,7 +146,7 @@ func (r *Runner) process(ctx context.Context, obs []*model.Observation, out chan
 			r.sinceCkpt++
 			if r.sinceCkpt >= r.cfg.CheckpointEvery {
 				if err := r.sub.SnapshotToFile(r.cfg.CheckpointPath); err != nil {
-					return fmt.Errorf("core: checkpoint at epoch %d: %w", o.Time, err)
+					return fmt.Errorf("core: checkpoint at epoch %d: %w", b.Time, err)
 				}
 				r.sinceCkpt = 0
 			}

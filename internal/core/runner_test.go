@@ -15,7 +15,7 @@ func TestRunnerProcessesStream(t *testing.T) {
 	sub := newSubstrate(t, s, Level1)
 	r := NewRunner(sub)
 
-	in := make(chan *model.Observation, 8)
+	in := make(chan *model.Batch, 8)
 	out := make(chan *EpochOutput, 8)
 	errc := make(chan error, 1)
 	go func() { errc <- r.Run(context.Background(), in, out) }()
@@ -63,7 +63,7 @@ func TestRunnerCancellation(t *testing.T) {
 	r := NewRunner(sub)
 	ctx, cancel := context.WithCancel(context.Background())
 
-	in := make(chan *model.Observation) // unbuffered: runner will block on receive
+	in := make(chan *model.Batch) // unbuffered: runner will block on receive
 	out := make(chan *EpochOutput)
 	errc := make(chan error, 1)
 	go func() { errc <- r.Run(ctx, in, out) }()
@@ -85,10 +85,10 @@ func TestRunnerPropagatesProcessingError(t *testing.T) {
 	s := fastSim(t, nil)
 	sub := newSubstrate(t, s, Level1)
 	r := NewRunner(sub)
-	in := make(chan *model.Observation, 2)
+	in := make(chan *model.Batch, 2)
 	out := make(chan *EpochOutput, 2)
-	bad := model.NewObservation(1)
-	bad.Add(12345, 1) // unknown reader
+	bad := model.NewBatch(1)
+	bad.AppendGroup(12345, []model.Tag{1}) // unknown reader
 	in <- bad
 	close(in)
 	errc := make(chan error, 1)

@@ -49,8 +49,8 @@ func warmInstrumented(tb testing.TB) (*Substrate, *model.Batch) {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		last.FromObservation(o)
-		if _, err := sub.ProcessEpoch(o); err != nil {
+		last = *o.Clone()
+		if _, err := sub.ProcessBatch(o); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -100,7 +100,7 @@ func hotEpoch(tb testing.TB, sub *Substrate, b *model.Batch, now model.Epoch, te
 		span.InferNS = d.Nanoseconds()
 		mark = next
 	}
-	inference.ResolveConflictsTraced(res, levelOf, rec)
+	inference.ResolveConflicts(res, levelOf, rec)
 	if timed {
 		d := time.Since(mark)
 		if tel != nil {

@@ -29,7 +29,7 @@ func testTraceTransparency(t *testing.T, level CompressionLevel) {
 		sub.Trace(rec)
 		var evs []event.Event
 		for _, o := range obsTrace {
-			out, err := sub.ProcessEpoch(o.Clone())
+			out, err := sub.ProcessBatch(o.Clone())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -37,7 +37,7 @@ func testInstrumentationTransparency(t *testing.T, level CompressionLevel) {
 		sub.Instrument(reg)
 		var evs []event.Event
 		for _, o := range trace {
-			out, err := sub.ProcessEpoch(o.Clone())
+			out, err := sub.ProcessBatch(o.Clone())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -45,7 +45,7 @@ func testWatchTransparency(t *testing.T, level CompressionLevel) {
 		sub.Watch(w)
 		var evs []event.Event
 		for _, o := range obsTrace {
-			out, err := sub.ProcessEpoch(o.Clone())
+			out, err := sub.ProcessBatch(o.Clone())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +161,7 @@ func TestWatchDispatchZeroAllocs(t *testing.T) {
 	var busy []event.Event
 	now := obsTrace[len(obsTrace)-1].Time
 	for _, o := range obsTrace {
-		out, err := sub.ProcessEpoch(o.Clone())
+		out, err := sub.ProcessBatch(o.Clone())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,12 +12,12 @@ import (
 	"spire/internal/telemetry"
 )
 
-// randomStream builds a deterministic sequence of observations with heavy
+// randomStream builds a deterministic sequence of epochs with heavy
 // reader overlap, within-reader repeats, and occasional long gaps (to
 // exercise the staleness window).
-func randomStream(seed int64, epochs int) []*model.Observation {
+func randomStream(seed int64, epochs int) []*rows {
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]*model.Observation, 0, epochs)
+	out := make([]*rows, 0, epochs)
 	now := model.Epoch(1)
 	for e := 0; e < epochs; e++ {
 		if rng.Intn(20) == 0 {
@@ -25,7 +25,7 @@ func randomStream(seed int64, epochs int) []*model.Observation {
 		} else {
 			now++
 		}
-		o := model.NewObservation(now)
+		o := newRows(now)
 		readers := rng.Intn(6)
 		for i := 0; i < readers; i++ {
 			r := model.ReaderID(1 + rng.Intn(8))
@@ -66,16 +66,16 @@ func instrument(d *Deduplicator) func() counterSet {
 
 // TestCleanBatchMatchesReference pins CleanBatch against the test-only
 // CleanReference oracle: the compacted batch must equal the resolved
-// observation, and history, counters, and persisted bytes must match.
+// epoch, and history, counters, and persisted bytes must match.
 func TestCleanBatchMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		diffAgainstReference(t, randomStream(seed, 300))
 	}
 }
 
-// diffAgainstReference runs one observation stream through CleanBatch and
+// diffAgainstReference runs one epoch stream through CleanBatch and
 // CleanReference side by side and fails on the first divergence.
-func diffAgainstReference(t *testing.T, stream []*model.Observation) {
+func diffAgainstReference(t *testing.T, stream []*rows) {
 	t.Helper()
 	ref := New()
 	bat := New()
@@ -84,11 +84,11 @@ func diffAgainstReference(t *testing.T, stream []*model.Observation) {
 	var b model.Batch
 	for i, o := range stream {
 		want := ref.CleanReference(o.Clone())
-		bat.CleanBatch(b.FromObservation(o))
+		bat.CleanBatch(o.batch(&b))
 		if err := b.Validate(); err != nil {
 			t.Fatalf("delivery %d epoch %d: invalid batch after CleanBatch: %v", i, o.Time, err)
 		}
-		if got := b.Observation(); !reflect.DeepEqual(got, want) {
+		if got := rowsOf(&b); !reflect.DeepEqual(got, want) {
 			t.Fatalf("delivery %d epoch %d: CleanBatch diverged:\n got %+v\nwant %+v", i, o.Time, got, want)
 		}
 	}
@@ -120,13 +120,13 @@ func FuzzIngestBatchEquivalence(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var trace []*model.Observation
+	var trace []*model.Batch
 	for !s.Done() {
-		o, err := s.Step()
+		b, err := s.Step()
 		if err != nil {
 			f.Fatal(err)
 		}
-		trace = append(trace, o)
+		trace = append(trace, b)
 	}
 
 	f.Add(int64(1), byte(0), byte(0), byte(0), byte(0), byte(0))
@@ -144,10 +144,10 @@ func FuzzIngestBatchEquivalence(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		readers := s.Readers()
-		var delivery []*model.Observation
-		for _, o := range sim.NewFaultInjector(fcfg).Apply(trace) {
-			o = o.Clone()
-			for _, rd := range o.Readings() {
+		var delivery []*rows
+		for _, b := range sim.NewFaultInjector(fcfg).Apply(trace) {
+			o := rowsOf(b)
+			for _, rd := range b.Readings() {
 				if rng.Float64() < fcfg.DuplicateRate {
 					o.Add(readers[rng.Intn(len(readers))].ID, rd.Tag)
 				}
@@ -163,9 +163,8 @@ func FuzzIngestBatchEquivalence(f *testing.F) {
 func TestCleanBatchForget(t *testing.T) {
 	d := New()
 	var b model.Batch
-	o := model.NewObservation(1)
-	o.Add(9, 10)
-	b.FromObservation(o)
+	b.Reset(1)
+	b.AppendGroup(9, []model.Tag{10})
 	d.CleanBatch(&b)
 	if d.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", d.Len())
@@ -174,12 +173,11 @@ func TestCleanBatchForget(t *testing.T) {
 	if d.Len() != 0 {
 		t.Fatalf("Len after Forget = %d, want 0", d.Len())
 	}
-	o2 := model.NewObservation(2)
+	o2 := newRows(2)
 	o2.Add(9, 10)
 	o2.Add(1, 10)
-	b.FromObservation(o2)
-	d.CleanBatch(&b)
-	got := b.Observation()
+	d.CleanBatch(o2.batch(&b))
+	got := rowsOf(&b)
 	if len(got.ByReader[1]) != 1 {
 		t.Errorf("forgotten tag must pick lowest reader: %v", got.ByReader)
 	}

@@ -9,14 +9,14 @@ import (
 // clean resolves o through the columnar path — the only resolver — and
 // writes the result back into o so the cases below can state inputs and
 // expectations per reader.
-func clean(d *Deduplicator, o *model.Observation) {
+func clean(d *Deduplicator, o *rows) {
 	var b model.Batch
-	o.ByReader = d.CleanBatch(b.FromObservation(o)).Observation().ByReader
+	o.ByReader = rowsOf(d.CleanBatch(o.batch(&b))).ByReader
 }
 
 func TestCleanNoDuplicates(t *testing.T) {
 	d := New()
-	o := model.NewObservation(1)
+	o := newRows(1)
 	o.Add(1, 10)
 	o.Add(2, 20)
 	clean(d, o)
@@ -28,11 +28,11 @@ func TestCleanNoDuplicates(t *testing.T) {
 func TestCleanAssignsToStickyReader(t *testing.T) {
 	d := New()
 	// Epoch 1: tag 10 read only by reader 2.
-	o1 := model.NewObservation(1)
+	o1 := newRows(1)
 	o1.Add(2, 10)
 	clean(d, o1)
 	// Epoch 2: read by overlapping readers 1 and 2 — sticks with 2.
-	o2 := model.NewObservation(2)
+	o2 := newRows(2)
 	o2.Add(1, 10)
 	o2.Add(2, 10)
 	clean(d, o2)
@@ -43,7 +43,7 @@ func TestCleanAssignsToStickyReader(t *testing.T) {
 
 func TestCleanUnknownTagPrefersLowestReader(t *testing.T) {
 	d := New()
-	o := model.NewObservation(1)
+	o := newRows(1)
 	o.Add(5, 10)
 	o.Add(3, 10)
 	clean(d, o)
@@ -54,10 +54,10 @@ func TestCleanUnknownTagPrefersLowestReader(t *testing.T) {
 
 func TestCleanSwitchesWhenOldReaderAbsent(t *testing.T) {
 	d := New()
-	o1 := model.NewObservation(1)
+	o1 := newRows(1)
 	o1.Add(7, 10)
 	clean(d, o1)
-	o2 := model.NewObservation(2)
+	o2 := newRows(2)
 	o2.Add(2, 10)
 	o2.Add(4, 10)
 	clean(d, o2)
@@ -65,7 +65,7 @@ func TestCleanSwitchesWhenOldReaderAbsent(t *testing.T) {
 		t.Errorf("tag must move to a current reader when the old one no longer sees it: %v", o2.ByReader)
 	}
 	// And the new assignment becomes sticky.
-	o3 := model.NewObservation(3)
+	o3 := newRows(3)
 	o3.Add(2, 10)
 	o3.Add(1, 10)
 	clean(d, o3)
@@ -76,7 +76,7 @@ func TestCleanSwitchesWhenOldReaderAbsent(t *testing.T) {
 
 func TestCleanDropsInReaderDuplicates(t *testing.T) {
 	d := New()
-	o := model.NewObservation(1)
+	o := newRows(1)
 	o.Add(1, 10)
 	o.Add(1, 10)
 	clean(d, o)
@@ -87,7 +87,7 @@ func TestCleanDropsInReaderDuplicates(t *testing.T) {
 
 func TestForget(t *testing.T) {
 	d := New()
-	o := model.NewObservation(1)
+	o := newRows(1)
 	o.Add(9, 10)
 	clean(d, o)
 	if d.Len() != 1 {
@@ -98,7 +98,7 @@ func TestForget(t *testing.T) {
 		t.Fatalf("Len after Forget = %d, want 0", d.Len())
 	}
 	// With history gone, assignment reverts to the deterministic default.
-	o2 := model.NewObservation(2)
+	o2 := newRows(2)
 	o2.Add(9, 10)
 	o2.Add(1, 10)
 	clean(d, o2)
@@ -112,13 +112,13 @@ func TestForget(t *testing.T) {
 // present-day tie against a reader that is co-reading the tag now.
 func TestCleanStaleHistoryDoesNotWin(t *testing.T) {
 	d := New()
-	o1 := model.NewObservation(1)
+	o1 := newRows(1)
 	o1.Add(7, 10)
 	clean(d, o1)
 	// Far outside the window, readers 3 and 7 both read the tag. Reader 7's
 	// history from epoch 1 is stale, so the deterministic lowest-reader rule
 	// applies instead of stickiness.
-	late := model.NewObservation(1 + DefaultStaleness + 1)
+	late := newRows(1 + DefaultStaleness + 1)
 	late.Add(7, 10)
 	late.Add(3, 10)
 	clean(d, late)
@@ -126,7 +126,7 @@ func TestCleanStaleHistoryDoesNotWin(t *testing.T) {
 		t.Fatalf("stale history must not win the tie: %v", late.ByReader)
 	}
 	// The fresh assignment is recorded and becomes sticky again.
-	next := model.NewObservation(late.Time + 1)
+	next := newRows(late.Time + 1)
 	next.Add(7, 10)
 	next.Add(3, 10)
 	clean(d, next)
@@ -146,10 +146,10 @@ func TestCleanStalenessBoundary(t *testing.T) {
 		{DefaultStaleness + 1, 3}, // just past it: stale
 	} {
 		d := New()
-		o1 := model.NewObservation(1)
+		o1 := newRows(1)
 		o1.Add(7, 10)
 		clean(d, o1)
-		o2 := model.NewObservation(1 + tc.gap)
+		o2 := newRows(1 + tc.gap)
 		o2.Add(7, 10)
 		o2.Add(3, 10)
 		clean(d, o2)
@@ -166,10 +166,10 @@ func TestCleanStalenessDisabled(t *testing.T) {
 	if d.Staleness() >= 0 {
 		t.Fatalf("Staleness() = %d, want negative", d.Staleness())
 	}
-	o1 := model.NewObservation(1)
+	o1 := newRows(1)
 	o1.Add(7, 10)
 	clean(d, o1)
-	o2 := model.NewObservation(1_000_000)
+	o2 := newRows(1_000_000)
 	o2.Add(7, 10)
 	o2.Add(3, 10)
 	clean(d, o2)

@@ -1,10 +1,68 @@
 package dedup
 
 import (
+	"slices"
 	"sort"
 
 	"spire/internal/model"
 )
+
+// rows is one epoch's readings as a reader → tags map: the shape the
+// reference resolver and the per-reader cases are written in.
+type rows struct {
+	Time     model.Epoch
+	ByReader map[model.ReaderID][]model.Tag
+}
+
+func newRows(t model.Epoch) *rows {
+	return &rows{Time: t, ByReader: make(map[model.ReaderID][]model.Tag)}
+}
+
+// Add records that reader r read tag g.
+func (o *rows) Add(r model.ReaderID, g model.Tag) {
+	o.ByReader[r] = append(o.ByReader[r], g)
+}
+
+// Total returns the number of readings.
+func (o *rows) Total() int {
+	n := 0
+	for _, tags := range o.ByReader {
+		n += len(tags)
+	}
+	return n
+}
+
+// Clone returns a deep copy.
+func (o *rows) Clone() *rows {
+	c := newRows(o.Time)
+	for r, tags := range o.ByReader {
+		c.ByReader[r] = slices.Clone(tags)
+	}
+	return c
+}
+
+// batch writes o into b, groups ascending by reader.
+func (o *rows) batch(b *model.Batch) *model.Batch {
+	readers := make([]model.ReaderID, 0, len(o.ByReader))
+	for r := range o.ByReader {
+		readers = append(readers, r)
+	}
+	slices.Sort(readers)
+	b.Reset(o.Time)
+	for _, r := range readers {
+		b.AppendGroup(r, o.ByReader[r])
+	}
+	return b
+}
+
+// rowsOf copies b into rows; an empty group becomes an empty entry.
+func rowsOf(b *model.Batch) *rows {
+	o := newRows(b.Time)
+	for i, g := range b.Groups {
+		o.ByReader[g.Reader] = append([]model.Tag{}, b.GroupTags(i)...)
+	}
+	return o
+}
 
 // history returns the recorded (reader, at) for tag g, if any.
 func (d *Deduplicator) history(g model.Tag) (model.ReaderID, model.Epoch, bool) {
@@ -33,11 +91,11 @@ func (d *Deduplicator) fresh(g model.Tag, now model.Epoch) bool {
 	return ok && now-at <= d.staleness
 }
 
-// CleanReference resolves duplicates in one epoch's observation in place,
+// CleanReference resolves duplicates in one epoch's rows in place,
 // allocating its working maps per call. It is the original implementation,
 // retained verbatim as the oracle that pins CleanBatch via differential
 // tests.
-func (d *Deduplicator) CleanReference(o *model.Observation) *model.Observation {
+func (d *Deduplicator) CleanReference(o *rows) *rows {
 	// Collect the readers that saw each tag this epoch.
 	readersOf := make(map[model.Tag][]model.ReaderID)
 	for r, tags := range o.ByReader {

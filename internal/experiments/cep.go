@@ -77,7 +77,7 @@ type cepMatches struct {
 // runCEPRow replays the shared clean trace (faulted per the row's
 // schedule) through a fresh substrate with the three detectors attached
 // behind the watcher, exactly as cmd/spire -subscribe wires them.
-func runCEPRow(trace []*model.Observation, s *sim.Simulator, d cepDropout) (*cepMatches, error) {
+func runCEPRow(trace []*model.Batch, s *sim.Simulator, d cepDropout) (*cepMatches, error) {
 	sub, err := core.New(core.Config{
 		Readers:     s.Readers(),
 		Locations:   s.Locations(),
@@ -114,10 +114,10 @@ func runCEPRow(trace []*model.Observation, s *sim.Simulator, d cepDropout) (*cep
 	engine.Attach(w)
 	sub.Watch(w)
 
-	// The injector clones every observation; for the clean row we must
-	// clone too, since the substrate consumes observations destructively
-	// and the trace is shared across rows.
-	var delivery []*model.Observation
+	// The injector clones every batch; for the clean row we must clone
+	// too, since the substrate consumes batches destructively and the
+	// trace is shared across rows.
+	var delivery []*model.Batch
 	if d.every > 0 {
 		inj := sim.NewFaultInjector(sim.FaultConfig{
 			Seed:         31 + int64(d.every),
@@ -126,13 +126,13 @@ func runCEPRow(trace []*model.Observation, s *sim.Simulator, d cepDropout) (*cep
 		})
 		delivery = inj.Apply(trace)
 	} else {
-		delivery = make([]*model.Observation, len(trace))
-		for i, o := range trace {
-			delivery[i] = o.Clone()
+		delivery = make([]*model.Batch, len(trace))
+		for i, b := range trace {
+			delivery[i] = b.Clone()
 		}
 	}
-	for _, o := range delivery {
-		if _, err := sub.ProcessEpoch(o); err != nil {
+	for _, b := range delivery {
+		if _, err := sub.ProcessBatch(b); err != nil {
 			return nil, err
 		}
 	}
@@ -226,13 +226,13 @@ func CEPQuality(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var trace []*model.Observation
+	var trace []*model.Batch
 	for !s.Done() {
-		ob, err := s.Step()
+		b, err := s.Step()
 		if err != nil {
 			return nil, err
 		}
-		trace = append(trace, ob)
+		trace = append(trace, b)
 	}
 	final := trace[len(trace)-1].Time
 

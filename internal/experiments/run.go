@@ -90,16 +90,16 @@ func runWith(rc runConfig, mapReaders func([]model.Reader) []model.Reader) (*run
 	world := s.World()
 	exclude := func(g model.Tag) bool { return world.LocationOf(g) == entry }
 
+	var b model.Batch
 	for !s.Done() {
-		o, err := s.Step()
-		if err != nil {
+		if err := s.StepBatch(&b); err != nil {
 			return nil, err
 		}
-		out.RawBytes += int64(o.Total()) * stream.ReadingSize
+		out.RawBytes += int64(b.Total()) * stream.ReadingSize
 		if n := world.Len(); n > out.PeakObjects {
 			out.PeakObjects = n
 		}
-		po, err := sub.ProcessEpoch(o)
+		po, err := sub.ProcessBatch(&b)
 		if err != nil {
 			return nil, err
 		}
@@ -149,13 +149,13 @@ func runSMURF(sc sim.Config, collect bool) (*runOutput, error) {
 	entry := s.EntryLocation()
 	exclude := func(g model.Tag) bool { return world.LocationOf(g) == entry }
 
+	var b model.Batch
 	for !s.Done() {
-		o, err := s.Step()
-		if err != nil {
+		if err := s.StepBatch(&b); err != nil {
 			return nil, err
 		}
-		out.RawBytes += int64(o.Total()) * stream.ReadingSize
-		res, err := cl.ProcessEpoch(o)
+		out.RawBytes += int64(b.Total()) * stream.ReadingSize
+		res, err := cl.ProcessBatch(&b)
 		if err != nil {
 			return nil, err
 		}

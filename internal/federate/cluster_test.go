@@ -65,7 +65,7 @@ func runSingleSubstrate(t *testing.T, cfg sim.Config, lvl core.CompressionLevel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eo, err := sub.ProcessEpoch(o)
+		eo, err := sub.ProcessBatch(o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,18 +85,18 @@ func zoneOfReaders(zones [][]model.Reader) map[model.ReaderID]int {
 	return m
 }
 
-// splitObservation splits one epoch's observation into per-zone
-// observations according to the reader→zone map. Every zone gets an
-// observation for the epoch, possibly with no readings — a zone's
-// substrate must see every epoch to keep its inference schedule aligned.
-func splitObservation(o *model.Observation, zoneOf map[model.ReaderID]int, n int) []*model.Observation {
-	out := make([]*model.Observation, n)
+// splitBatch splits one epoch's batch into per-zone batches according
+// to the reader→zone map. Every zone gets a batch for the epoch, possibly
+// with no readings — a zone's substrate must see every epoch to keep its
+// inference schedule aligned.
+func splitBatch(b *model.Batch, zoneOf map[model.ReaderID]int, n int) []*model.Batch {
+	out := make([]*model.Batch, n)
 	for z := range out {
-		out[z] = model.NewObservation(o.Time)
+		out[z] = model.NewBatch(b.Time)
 	}
-	for r, tags := range o.ByReader {
-		if z, ok := zoneOf[r]; ok {
-			out[z].ByReader[r] = tags
+	for i, g := range b.Groups {
+		if z, ok := zoneOf[g.Reader]; ok {
+			out[z].AppendGroup(g.Reader, b.GroupTags(i))
 		}
 	}
 	return out
@@ -127,9 +127,9 @@ func runInProcessFederated(t *testing.T, cfg sim.Config, lvl core.CompressionLev
 		if err != nil {
 			t.Fatal(err)
 		}
-		split := splitObservation(o, zoneOf, nZones)
+		split := splitBatch(o, zoneOf, nZones)
 		for z := 0; z < nZones; z++ {
-			eo, err := subs[z].ProcessEpoch(split[z])
+			eo, err := subs[z].ProcessBatch(split[z])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,8 +196,8 @@ func (k *killSource) NextBatch() (*model.Batch, error) {
 type zoneFeed func(s *sim.Simulator, zones [][]model.Reader, zone int) (federate.BatchSource, error)
 
 // stepFeed is the zone's share of the full-warehouse Step trace — the
-// trace runInProcessFederated splits — staged into a reused batch. Every
-// zone worker steps its own simulator instance from the same seed.
+// trace runInProcessFederated splits. Every zone worker steps its own
+// simulator instance from the same seed.
 func stepFeed(s *sim.Simulator, zones [][]model.Reader, zone int) (federate.BatchSource, error) {
 	return &stepSource{s: s, zoneOf: zoneOfReaders(zones), zones: len(zones), zone: zone}, nil
 }
@@ -207,7 +207,6 @@ type stepSource struct {
 	zoneOf map[model.ReaderID]int
 	zones  int
 	zone   int
-	b      model.Batch
 }
 
 func (z *stepSource) NextBatch() (*model.Batch, error) {
@@ -218,7 +217,7 @@ func (z *stepSource) NextBatch() (*model.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return z.b.FromObservation(splitObservation(o, z.zoneOf, z.zones)[z.zone]), nil
+	return splitBatch(o, z.zoneOf, z.zones)[z.zone], nil
 }
 
 // zoneBatchFeed is the zone's columnar zone-batch stream

@@ -165,6 +165,6 @@ func BenchmarkResolveConflicts(b *testing.B) {
 		for k, v := range base.Parents {
 			res.Parents[k] = v
 		}
-		ResolveConflicts(res, levelOf)
+		ResolveConflicts(res, levelOf, nil)
 	}
 }

@@ -31,15 +31,12 @@ import (
 // levelOf reports the packaging level of a tag (used only for ordering);
 // it is supplied by the caller so this package stays decoupled from the
 // tag codec.
-func ResolveConflicts(res *Result, levelOf func(model.Tag) model.Level) {
-	ResolveConflictsTraced(res, levelOf, nil)
-}
-
-// ResolveConflictsTraced is ResolveConflicts with decision provenance:
-// every Table I rule firing (and the children's majority poll preceding
-// Rules II-III) is recorded against the affected tag. A nil recorder
-// reduces to ResolveConflicts with no extra work.
-func ResolveConflictsTraced(res *Result, levelOf func(model.Tag) model.Level, rec *trace.Recorder) {
+//
+// rec, when non-nil, receives decision provenance: every Table I rule
+// firing (and the children's majority poll preceding Rules II-III) is
+// recorded against the affected tag. A nil recorder records nothing and
+// costs no extra work.
+func ResolveConflicts(res *Result, levelOf func(model.Tag) model.Level, rec *trace.Recorder) {
 	// Group chosen children per parent.
 	children := make(map[model.Tag][]model.Tag)
 	for child, parent := range res.Parents {

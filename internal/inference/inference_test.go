@@ -382,7 +382,7 @@ func TestResolveConflictsRuleI(t *testing.T) {
 			return model.LevelCase
 		}
 		return model.LevelItem
-	})
+	}, nil)
 	if res.Locations[20] != locA {
 		t.Errorf("rule I: child location = %v, want %v", res.Locations[20], locA)
 	}
@@ -408,7 +408,7 @@ func TestResolveConflictsRuleII(t *testing.T) {
 			return model.LevelCase
 		}
 		return model.LevelItem
-	})
+	}, nil)
 	if res.Locations[10] != locB {
 		t.Errorf("rule II: parent location = %v, want majority %v", res.Locations[10], locB)
 	}
@@ -429,7 +429,7 @@ func TestResolveConflictsRuleIINoMajority(t *testing.T) {
 		Parents:  map[model.Tag]model.Tag{21: 10, 22: 10},
 		Observed: map[model.Tag]bool{21: true, 22: true},
 	}
-	ResolveConflicts(res, func(model.Tag) model.Level { return model.LevelItem })
+	ResolveConflicts(res, func(model.Tag) model.Level { return model.LevelItem }, nil)
 	if res.Locations[10] != locA {
 		t.Errorf("no majority: parent location must stay %v, got %v", locA, res.Locations[10])
 	}
@@ -454,7 +454,7 @@ func TestResolveConflictsRuleIII(t *testing.T) {
 			return model.LevelCase
 		}
 		return model.LevelItem
-	})
+	}, nil)
 	if res.Locations[10] != locB {
 		t.Errorf("rule III: parent = %v, want %v", res.Locations[10], locB)
 	}
@@ -487,7 +487,7 @@ func TestResolveConflictsCascades(t *testing.T) {
 		default:
 			return model.LevelItem
 		}
-	})
+	}, nil)
 	if res.Locations[caseT] != locA {
 		t.Errorf("case = %v, want %v", res.Locations[caseT], locA)
 	}
@@ -502,7 +502,7 @@ func TestResolveConflictsSkipsWithheld(t *testing.T) {
 		Parents:   map[model.Tag]model.Tag{20: 10}, // parent 10 withheld
 		Observed:  map[model.Tag]bool{20: true},
 	}
-	ResolveConflicts(res, func(model.Tag) model.Level { return model.LevelItem })
+	ResolveConflicts(res, func(model.Tag) model.Level { return model.LevelItem }, nil)
 	if res.Locations[20] != locB || res.Parents[20] != 10 {
 		t.Error("withheld parent must leave children untouched")
 	}
@@ -566,7 +566,7 @@ func TestRandomizedInferenceTotalAndDeterministic(t *testing.T) {
 				t.Fatalf("epoch %d: nondeterministic parent for %d", now, tag)
 			}
 		}
-		ResolveConflicts(res, levelOf)
+		ResolveConflicts(res, levelOf, nil)
 		for tag, loc := range res.Locations {
 			if !loc.Known() && loc != model.LocationUnknown {
 				t.Fatalf("epoch %d: post-conflict verdict %v for %d", now, loc, tag)

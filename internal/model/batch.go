@@ -1,28 +1,20 @@
 package model
 
-import (
-	"cmp"
-	"slices"
-)
-
-// Batch is one epoch's readings in columnar form: a single flat tags
-// column plus a reader-group directory of [Start,End) offsets into it.
-// It carries exactly the information of an Observation — including
-// readers that interrogated but read nothing, which appear as empty
-// groups — but in two reused flat buffers instead of a map of slices,
-// so the ingest hot path (decode → dedup → graph update) touches no
-// per-epoch map allocations and iterates readings in index order.
+// Batch is one epoch's readings, grouped per reader: a single flat tags
+// column plus a reader-group directory of [Start,End) offsets into it. A
+// reader that interrogated but read nothing appears as an empty group.
+// The graph update consumes one reader group at a time, which is what
+// lets SPIRE tolerate coarsely synchronized readers. Two reused flat
+// buffers instead of a map of slices mean the ingest hot path (decode →
+// dedup → graph update) touches no per-epoch map allocations and
+// iterates readings in index order.
 //
 // Invariants (checked by Validate):
 //
 //   - Groups are sorted by strictly ascending ReaderID;
 //   - group offsets are non-decreasing, contiguous from 0 to len(Tags).
 //
-// A Batch is reused across epochs via Reset; conversion to and from
-// Observation is lossless (see FromObservation/Observation), so
-// checkpoints, the event log, and the HTTP API — all written in terms of
-// Observation and the substrate outputs — are untouched by the columnar
-// path.
+// A Batch is reused across epochs via Reset.
 type Batch struct {
 	Time Epoch
 	// Groups is the per-reader directory, ascending by reader ID.
@@ -54,8 +46,8 @@ func (b *Batch) Reset(t Epoch) {
 }
 
 // BeginReader opens a group for reader r. Callers must open groups in
-// ascending reader order (FromObservation sorts; the simulator's readers
-// are already ordered); Validate reports violations.
+// ascending reader order (the simulator's readers are already ordered);
+// Validate reports violations.
 func (b *Batch) BeginReader(r ReaderID) {
 	n := int32(len(b.Tags))
 	b.Groups = append(b.Groups, ReaderGroup{Reader: r, Start: n, End: n})
@@ -64,6 +56,13 @@ func (b *Batch) BeginReader(r ReaderID) {
 // Append records one tag for the most recently opened reader group.
 func (b *Batch) Append(g Tag) {
 	b.Tags = append(b.Tags, g)
+	b.Groups[len(b.Groups)-1].End = int32(len(b.Tags))
+}
+
+// AppendGroup opens a group for reader r holding a copy of tags.
+func (b *Batch) AppendGroup(r ReaderID, tags []Tag) {
+	b.BeginReader(r)
+	b.Tags = append(b.Tags, tags...)
 	b.Groups[len(b.Groups)-1].End = int32(len(b.Tags))
 }
 
@@ -106,38 +105,6 @@ type batchError struct{ msg string }
 
 func (e *batchError) Error() string { return "model: batch: " + e.msg }
 
-// FromObservation fills the batch from o, replacing its contents. Reader
-// groups come out sorted ascending; per-reader tag order is preserved.
-// Empty ByReader entries become empty groups, so the conversion is
-// lossless up to map iteration order.
-func (b *Batch) FromObservation(o *Observation) *Batch {
-	b.Reset(o.Time)
-	for r := range o.ByReader {
-		b.Groups = append(b.Groups, ReaderGroup{Reader: r})
-	}
-	slices.SortFunc(b.Groups, func(a, b ReaderGroup) int { return cmp.Compare(a.Reader, b.Reader) })
-	for i := range b.Groups {
-		g := &b.Groups[i]
-		g.Start = int32(len(b.Tags))
-		b.Tags = append(b.Tags, o.ByReader[g.Reader]...)
-		g.End = int32(len(b.Tags))
-	}
-	return b
-}
-
-// Observation materializes the batch as a freshly allocated Observation.
-// Empty groups become empty (non-nil-entry) ByReader slices, mirroring
-// what an active reader that read nothing produces.
-func (b *Batch) Observation() *Observation {
-	o := &Observation{Time: b.Time, ByReader: make(map[ReaderID][]Tag, len(b.Groups))}
-	for _, g := range b.Groups {
-		tags := make([]Tag, g.End-g.Start)
-		copy(tags, b.Tags[g.Start:g.End])
-		o.ByReader[g.Reader] = tags
-	}
-	return o
-}
-
 // Clone returns a deep copy of the batch.
 func (b *Batch) Clone() *Batch {
 	c := &Batch{
@@ -148,8 +115,8 @@ func (b *Batch) Clone() *Batch {
 	return c
 }
 
-// Readings flattens the batch into raw readings in group order — the
-// same deterministic ascending-reader order Observation.Readings uses.
+// Readings flattens the batch into raw readings in ascending reader
+// order.
 func (b *Batch) Readings() []Reading {
 	out := make([]Reading, 0, len(b.Tags))
 	for _, g := range b.Groups {

@@ -3,49 +3,71 @@ package model
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
-func TestBatchRoundTrip(t *testing.T) {
-	o := NewObservation(42)
-	o.Add(3, 100)
-	o.Add(3, 101)
-	o.Add(1, 200)
-	o.ByReader[7] = []Tag{} // active reader that read nothing
+// fromReadings rebuilds a batch from flat readings, opening a group at
+// every reader change.
+func fromReadings(t Epoch, rs []Reading) *Batch {
+	b := NewBatch(t)
+	for _, rd := range rs {
+		if n := len(b.Groups); n == 0 || b.Groups[n-1].Reader != rd.Reader {
+			b.BeginReader(rd.Reader)
+		}
+		b.Append(rd.Tag)
+	}
+	return b
+}
 
-	var b Batch
-	b.FromObservation(o)
+func TestBatchRoundTrip(t *testing.T) {
+	b := NewBatch(42)
+	b.AppendGroup(1, []Tag{200})
+	b.AppendGroup(3, []Tag{100, 101})
+	b.AppendGroup(7, nil) // active reader that read nothing
 	if err := b.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if b.Time != 42 || b.Total() != 3 {
-		t.Fatalf("Time=%d Total=%d, want 42/3", b.Time, b.Total())
+	if b.Time != 42 || b.Total() != 3 || len(b.Groups) != 3 {
+		t.Fatalf("Time=%d Total=%d groups=%d, want 42/3/3", b.Time, b.Total(), len(b.Groups))
 	}
-	got := b.Observation()
-	if !reflect.DeepEqual(got, o) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, o)
+	c := b.Clone()
+	if !reflect.DeepEqual(c, b) {
+		t.Fatalf("clone mismatch:\n got %+v\nwant %+v", c, b)
 	}
-	// The empty group must survive as a non-nil empty slice.
-	tags, ok := got.ByReader[7]
-	if !ok || tags == nil || len(tags) != 0 {
-		t.Fatalf("empty reader entry lost: %v (ok=%v)", tags, ok)
+	// The empty group must survive cloning, and the clone must not alias.
+	if c.Groups[2].Reader != 7 || c.Groups[2].Len() != 0 {
+		t.Fatalf("empty reader group lost: %+v", c.Groups)
+	}
+	c.Tags[0] = 999
+	if b.Tags[0] != 200 {
+		t.Fatal("clone aliases the tag column")
+	}
+	// Flat readings lose only the empty group.
+	got := fromReadings(b.Time, b.Readings())
+	b.Groups = b.Groups[:2]
+	if !reflect.DeepEqual(got, b) {
+		t.Fatalf("readings round trip mismatch:\n got %+v\nwant %+v", got, b)
 	}
 }
 
 func TestBatchGroupsAscending(t *testing.T) {
-	o := NewObservation(1)
-	for r := ReaderID(20); r >= 1; r-- {
-		o.Add(r, Tag(r)*10)
-	}
 	var b Batch
-	b.FromObservation(o)
-	for i := 1; i < len(b.Groups); i++ {
-		if b.Groups[i-1].Reader >= b.Groups[i].Reader {
-			t.Fatalf("groups not ascending at %d: %v", i, b.Groups)
-		}
+	for r := ReaderID(1); r <= 20; r++ {
+		b.AppendGroup(r, []Tag{Tag(r) * 10})
 	}
 	if err := b.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
+	}
+	b.AppendGroup(20, nil)
+	if err := b.Validate(); err == nil {
+		t.Fatal("Validate accepted a repeated reader group")
+	}
+	b.Reset(1)
+	b.AppendGroup(2, nil)
+	b.AppendGroup(1, nil)
+	if err := b.Validate(); err == nil {
+		t.Fatal("Validate accepted descending reader groups")
 	}
 }
 
@@ -100,36 +122,27 @@ func TestBatchRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var b Batch
 	for trial := 0; trial < 200; trial++ {
-		o := NewObservation(Epoch(trial))
-		nr := rng.Intn(8)
-		for i := 0; i < nr; i++ {
-			r := ReaderID(1 + rng.Intn(12))
-			if _, ok := o.ByReader[r]; ok {
+		b.Reset(Epoch(trial))
+		want := []Reading{}
+		for r := ReaderID(1); r <= 12; r++ {
+			if rng.Intn(3) != 0 {
 				continue
 			}
-			nt := rng.Intn(5)
-			tags := make([]Tag, 0, nt)
-			for j := 0; j < nt; j++ {
-				tags = append(tags, Tag(1+rng.Intn(30)))
+			b.BeginReader(r)
+			for j := rng.Intn(5); j > 0; j-- {
+				g := Tag(1 + rng.Intn(30))
+				b.Append(g)
+				want = append(want, Reading{Tag: g, Reader: r, Time: b.Time})
 			}
-			o.ByReader[r] = tags
 		}
-		b.FromObservation(o)
 		if err := b.Validate(); err != nil {
 			t.Fatalf("trial %d: Validate: %v", trial, err)
 		}
-		got := b.Observation()
-		if got.Time != o.Time || len(got.ByReader) != len(o.ByReader) {
-			t.Fatalf("trial %d: shape mismatch", trial)
+		if got := b.Readings(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: readings %v, want %v", trial, got, want)
 		}
-		for r, tags := range o.ByReader {
-			if !reflect.DeepEqual(got.ByReader[r], tags) {
-				t.Fatalf("trial %d reader %d: %v != %v", trial, r, got.ByReader[r], tags)
-			}
-		}
-		// Reading order must match Observation.Readings exactly.
-		if !reflect.DeepEqual(b.Readings(), o.Readings()) {
-			t.Fatalf("trial %d: reading order diverged", trial)
+		if c := b.Clone(); !reflect.DeepEqual(c.Readings(), want) || !slices.Equal(c.Groups, b.Groups) {
+			t.Fatalf("trial %d: clone diverged", trial)
 		}
 	}
 }

@@ -8,10 +8,7 @@
 // Location table, and an Epoch is a discrete timestamp.
 package model
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Tag identifies an RFID-tagged object. The packaging level is encoded in
 // the tag itself (see package epc), mirroring the EPCglobal tag data
@@ -147,66 +144,4 @@ type Reading struct {
 	Tag    Tag
 	Reader ReaderID
 	Time   Epoch
-}
-
-// Observation is the set of readings produced across all readers at one
-// epoch, grouped per reader. The graph update consumes one reader group at
-// a time, which is what lets SPIRE tolerate coarsely synchronized readers.
-type Observation struct {
-	Time Epoch
-	// ByReader holds, for each reader that interrogated this epoch, the
-	// tags it read. Readers that read nothing may appear with empty
-	// slices; readers that did not interrogate are absent.
-	ByReader map[ReaderID][]Tag
-}
-
-// NewObservation returns an empty observation for epoch t.
-func NewObservation(t Epoch) *Observation {
-	return &Observation{Time: t, ByReader: make(map[ReaderID][]Tag)}
-}
-
-// Add records that reader r read tag g at this epoch.
-func (o *Observation) Add(r ReaderID, g Tag) {
-	o.ByReader[r] = append(o.ByReader[r], g)
-}
-
-// Clone returns a deep copy of the observation. ProcessEpoch mutates its
-// input in place (dedup, tombstone filtering), so callers that feed one
-// observation to several consumers — fault injectors, replay tests — must
-// clone first.
-func (o *Observation) Clone() *Observation {
-	c := &Observation{Time: o.Time, ByReader: make(map[ReaderID][]Tag, len(o.ByReader))}
-	for r, tags := range o.ByReader {
-		cp := make([]Tag, len(tags))
-		copy(cp, tags)
-		c.ByReader[r] = cp
-	}
-	return c
-}
-
-// Total returns the total number of readings in the observation.
-func (o *Observation) Total() int {
-	n := 0
-	for _, tags := range o.ByReader {
-		n += len(tags)
-	}
-	return n
-}
-
-// Readings flattens the observation into raw readings in ascending reader
-// order (useful for wire encoding and for measuring the raw input size).
-// The order is deterministic.
-func (o *Observation) Readings() []Reading {
-	readers := make([]ReaderID, 0, len(o.ByReader))
-	for r := range o.ByReader {
-		readers = append(readers, r)
-	}
-	slices.Sort(readers)
-	out := make([]Reading, 0, o.Total())
-	for _, r := range readers {
-		for _, g := range o.ByReader[r] {
-			out = append(out, Reading{Tag: g, Reader: r, Time: o.Time})
-		}
-	}
-	return out
 }

@@ -74,25 +74,6 @@ func TestReaderActive(t *testing.T) {
 	}
 }
 
-func TestObservation(t *testing.T) {
-	o := NewObservation(42)
-	o.Add(1, Tag(100))
-	o.Add(1, Tag(101))
-	o.Add(2, Tag(102))
-	if o.Total() != 3 {
-		t.Fatalf("Total = %d, want 3", o.Total())
-	}
-	rs := o.Readings()
-	if len(rs) != 3 {
-		t.Fatalf("Readings len = %d, want 3", len(rs))
-	}
-	for _, r := range rs {
-		if r.Time != 42 {
-			t.Errorf("reading time = %d, want 42", r.Time)
-		}
-	}
-}
-
 func testLocations() []Location {
 	return []Location{
 		{ID: 0, Name: "door"},

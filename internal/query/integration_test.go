@@ -47,7 +47,7 @@ func TestPipelineIntoStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := sub.ProcessEpoch(o)
+		out, err := sub.ProcessBatch(o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestDurableReplayMatchesDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := sub.ProcessEpoch(o)
+		out, err := sub.ProcessBatch(o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestLevel2StreamThroughDecompressorIntoStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := sub.ProcessEpoch(o)
+		out, err := sub.ProcessBatch(o)
 		if err != nil {
 			t.Fatal(err)
 		}

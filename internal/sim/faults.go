@@ -2,19 +2,17 @@ package sim
 
 import (
 	"math/rand"
-	"sort"
 
 	"spire/internal/model"
 	"spire/internal/stream"
 )
 
 // Fault injection for ingest hardening tests. A FaultInjector perturbs a
-// clean per-epoch observation trace the way a real reader deployment
-// fails: whole-reader dropout bursts, duplicated deliveries, adjacent
-// swaps (out-of-order arrival), and lost epochs. It is deterministic
-// under a fixed seed and never mutates the input trace — every emitted
-// observation is a fresh clone, since the substrate consumes observations
-// destructively.
+// clean per-epoch batch trace the way a real reader deployment fails:
+// whole-reader dropout bursts, duplicated deliveries, adjacent swaps
+// (out-of-order arrival), and lost epochs. It is deterministic under a
+// fixed seed and never mutates the input trace — every emitted batch is
+// a fresh clone, since the substrate consumes batches destructively.
 
 // FaultConfig parameterizes the injector. Zero values disable each fault.
 type FaultConfig struct {
@@ -27,15 +25,15 @@ type FaultConfig struct {
 	DropoutEvery model.Epoch
 	DropoutLen   model.Epoch
 
-	// DuplicateRate is the per-observation probability of being delivered
+	// DuplicateRate is the per-batch probability of being delivered
 	// twice in a row.
 	DuplicateRate float64
 
-	// SwapRate is the per-position probability of swapping an observation
-	// with its successor in delivery order (out-of-order arrival).
+	// SwapRate is the per-position probability of swapping a batch with
+	// its successor in delivery order (out-of-order arrival).
 	SwapRate float64
 
-	// DropEpochRate is the per-observation probability of the whole
+	// DropEpochRate is the per-batch probability of the whole
 	// epoch's delivery being lost (an epoch gap).
 	DropEpochRate float64
 }
@@ -43,13 +41,13 @@ type FaultConfig struct {
 // FaultStats counts the faults Apply actually injected — the ground
 // truth the ingest-gate accounting tests reconcile IngestStats against.
 type FaultStats struct {
-	Duplicates    int64 // observations delivered twice
+	Duplicates    int64 // batches delivered twice
 	DroppedEpochs int64 // whole-epoch deliveries lost
 	Swaps         int64 // adjacent delivery-order swaps performed
 	DropoutEpochs int64 // reader-epochs silenced by dropout bursts
 }
 
-// FaultInjector applies a FaultConfig to observation traces.
+// FaultInjector applies a FaultConfig to batch traces.
 type FaultInjector struct {
 	cfg   FaultConfig
 	rng   *rand.Rand
@@ -67,24 +65,26 @@ func NewFaultInjector(cfg FaultConfig) *FaultInjector {
 
 // Apply returns the faulted delivery sequence for a clean epoch-ordered
 // trace. The input is not modified.
-func (f *FaultInjector) Apply(trace []*model.Observation) []*model.Observation {
-	out := make([]*model.Observation, 0, len(trace))
+func (f *FaultInjector) Apply(trace []*model.Batch) []*model.Batch {
+	out := make([]*model.Batch, 0, len(trace))
 	var burstVictim model.ReaderID
 	burstUntil := model.Epoch(-1)
-	for _, o := range trace {
-		c := o.Clone()
-
+	for _, b := range trace {
+		dropout := false
 		if f.cfg.DropoutEvery > 0 && f.cfg.DropoutLen > 0 {
-			if c.Time%f.cfg.DropoutEvery == 0 {
-				burstVictim = f.pickReader(c)
-				burstUntil = c.Time + f.cfg.DropoutLen
+			if b.Time%f.cfg.DropoutEvery == 0 {
+				burstVictim = f.pickReader(b)
+				burstUntil = b.Time + f.cfg.DropoutLen
 			}
-			if c.Time < burstUntil {
-				if _, present := c.ByReader[burstVictim]; present {
-					f.stats.DropoutEpochs++
-				}
-				delete(c.ByReader, burstVictim)
+			dropout = b.Time < burstUntil
+		}
+		c := model.NewBatch(b.Time)
+		for i, g := range b.Groups {
+			if dropout && g.Reader == burstVictim {
+				f.stats.DropoutEpochs++
+				continue
 			}
+			c.AppendGroup(g.Reader, b.GroupTags(i))
 		}
 
 		if f.cfg.DropEpochRate > 0 && f.rng.Float64() < f.cfg.DropEpochRate {
@@ -108,18 +108,13 @@ func (f *FaultInjector) Apply(trace []*model.Observation) []*model.Observation {
 	return out
 }
 
-// pickReader chooses the burst victim among the readers present in o,
+// pickReader chooses the burst victim among the reader groups of b,
 // deterministically given the rng state.
-func (f *FaultInjector) pickReader(o *model.Observation) model.ReaderID {
-	ids := make([]model.ReaderID, 0, len(o.ByReader))
-	for r := range o.ByReader {
-		ids = append(ids, r)
-	}
-	if len(ids) == 0 {
+func (f *FaultInjector) pickReader(b *model.Batch) model.ReaderID {
+	if len(b.Groups) == 0 {
 		return 0
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids[f.rng.Intn(len(ids))]
+	return b.Groups[f.rng.Intn(len(b.Groups))].Reader
 }
 
 // TruncateMidRecord cuts a raw binary reading stream in the middle of the

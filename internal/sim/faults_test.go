@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"spire/internal/model"
@@ -10,22 +11,22 @@ import (
 )
 
 // syntheticTrace builds a small epoch-ordered trace with two readers.
-func syntheticTrace(n int) []*model.Observation {
-	trace := make([]*model.Observation, 0, n)
+func syntheticTrace(n int) []*model.Batch {
+	trace := make([]*model.Batch, 0, n)
 	for e := model.Epoch(1); e <= model.Epoch(n); e++ {
-		o := model.NewObservation(e)
-		o.Add(1, model.Tag(100+uint64(e)))
-		o.Add(2, model.Tag(200+uint64(e)))
-		trace = append(trace, o)
+		b := model.NewBatch(e)
+		b.AppendGroup(1, []model.Tag{model.Tag(100 + uint64(e))})
+		b.AppendGroup(2, []model.Tag{model.Tag(200 + uint64(e))})
+		trace = append(trace, b)
 	}
 	return trace
 }
 
 func TestFaultInjectorDeterministicAndNonMutating(t *testing.T) {
 	trace := syntheticTrace(60)
-	pristine := make([]*model.Observation, len(trace))
-	for i, o := range trace {
-		pristine[i] = o.Clone()
+	pristine := make([]*model.Batch, len(trace))
+	for i, b := range trace {
+		pristine[i] = b.Clone()
 	}
 	cfg := FaultConfig{
 		Seed:          5,
@@ -43,11 +44,11 @@ func TestFaultInjectorDeterministicAndNonMutating(t *testing.T) {
 	if !reflect.DeepEqual(trace, pristine) {
 		t.Fatal("Apply mutated the input trace")
 	}
-	// The emitted observations must be clones, not aliases.
-	for _, o := range a {
+	// The emitted batches must be clones, not aliases.
+	for _, b := range a {
 		for i := range trace {
-			if o == trace[i] {
-				t.Fatal("Apply emitted an input observation by reference")
+			if b == trace[i] || &b.Tags[0] == &trace[i].Tags[0] {
+				t.Fatal("Apply emitted an input batch by reference")
 			}
 		}
 	}
@@ -62,12 +63,12 @@ func TestFaultInjectorFaultKinds(t *testing.T) {
 
 	dup := NewFaultInjector(FaultConfig{Seed: 1, DuplicateRate: 0.5}).Apply(trace)
 	if len(dup) <= len(trace) {
-		t.Errorf("duplicates: %d observations from %d", len(dup), len(trace))
+		t.Errorf("duplicates: %d batches from %d", len(dup), len(trace))
 	}
 
 	lossy := NewFaultInjector(FaultConfig{Seed: 1, DropEpochRate: 0.3}).Apply(trace)
 	if len(lossy) >= len(trace) {
-		t.Errorf("epoch drops: %d observations from %d", len(lossy), len(trace))
+		t.Errorf("epoch drops: %d batches from %d", len(lossy), len(trace))
 	}
 
 	swapped := NewFaultInjector(FaultConfig{Seed: 1, SwapRate: 0.5}).Apply(trace)
@@ -83,9 +84,18 @@ func TestFaultInjectorFaultKinds(t *testing.T) {
 
 	dropped := NewFaultInjector(FaultConfig{Seed: 1, DropoutEvery: 10, DropoutLen: 3}).Apply(trace)
 	silenced := 0
-	for i, o := range dropped {
-		if len(o.ByReader) < len(trace[i].ByReader) {
+	for i, b := range dropped {
+		if err := b.Validate(); err != nil {
+			t.Fatalf("epoch %d: %v", b.Time, err)
+		}
+		if len(b.Groups) < len(trace[i].Groups) {
 			silenced++
+			// The survivor keeps its own readings.
+			g := b.Groups[0]
+			want := model.Tag(100*uint64(g.Reader) + uint64(b.Time))
+			if !slices.Equal(b.GroupTags(0), []model.Tag{want}) {
+				t.Fatalf("epoch %d: survivor reader %d holds %v, want [%d]", b.Time, g.Reader, b.GroupTags(0), want)
+			}
 		}
 	}
 	if silenced == 0 {

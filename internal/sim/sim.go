@@ -222,25 +222,20 @@ func (s *Simulator) ExitLocation() model.LocationID { return s.locExit }
 func (s *Simulator) Departed() []model.Tag { return s.departed }
 
 // Step advances the warehouse by one epoch and returns the epoch's raw
-// (pre-deduplication) observation.
-func (s *Simulator) Step() (*model.Observation, error) {
-	s.now++
-	s.world.SetNow(s.now)
-	s.departed = s.departed[:0]
-
-	if err := s.advance(); err != nil {
+// (pre-deduplication) readings in a freshly allocated batch.
+func (s *Simulator) Step() (*model.Batch, error) {
+	b := new(model.Batch)
+	if err := s.StepBatch(b); err != nil {
 		return nil, err
 	}
-	return s.observe(), nil
+	return b, nil
 }
 
 // StepBatch advances the warehouse by one epoch like Step but emits the
-// readings straight into the reused batch b, skipping the per-epoch
-// observation map entirely — the entry point the ingest benchmarks use
-// to generate million-tag epochs without allocation. The RNG draw order
-// is identical to Step (readers in deployment order, which is ascending
-// by ID; tags in world order), so a same-seed simulator produces the
-// same trace whichever entry point drives it.
+// readings into the reused batch b — the entry point the ingest
+// benchmarks use to generate million-tag epochs without allocation.
+// Readers are visited in deployment order, which is ascending by ID, and
+// tags in world order.
 func (s *Simulator) StepBatch(b *model.Batch) error {
 	s.now++
 	s.world.SetNow(s.now)
@@ -253,9 +248,9 @@ func (s *Simulator) StepBatch(b *model.Batch) error {
 	return nil
 }
 
-// observeBatch is observe writing into batch columns. Any change to one
-// must be mirrored in the other; the StepBatch equivalence test pins the
-// two together.
+// observeBatch draws the epoch's readings into b: every active reader
+// interrogates the objects at its location, each responding with the
+// configured read rate per interrogation.
 func (s *Simulator) observeBatch(b *model.Batch) {
 	b.Reset(s.now)
 	for i := range s.readers {
@@ -655,33 +650,4 @@ func (s *Simulator) inject() error {
 	}
 	s.inbounds = append(s.inbounds, in)
 	return nil
-}
-
-// observe produces the epoch's readings: every active reader interrogates
-// the objects at its location, each responding with the configured read
-// rate per interrogation.
-func (s *Simulator) observe() *model.Observation {
-	o := model.NewObservation(s.now)
-	for i := range s.readers {
-		r := &s.readers[i]
-		if !r.Active(s.now) {
-			continue
-		}
-		interrogations := s.cfg.NonShelfInterrogations
-		if r.Period > 1 {
-			interrogations = 1
-		}
-		miss := 1.0
-		for k := 0; k < interrogations; k++ {
-			miss *= 1 - r.ReadRate
-		}
-		detect := 1 - miss
-		o.ByReader[r.ID] = o.ByReader[r.ID][:0]
-		for _, g := range s.world.At(r.Location) {
-			if s.rng.Float64() < detect {
-				o.Add(r.ID, g)
-			}
-		}
-	}
-	return o
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"spire/internal/epc"
@@ -149,7 +150,7 @@ func TestPerfectReadRateSeesEverything(t *testing.T) {
 				continue
 			}
 			want := s.World().At(r.Location)
-			got := o.ByReader[r.ID]
+			got := readerTags(o, r.ID)
 			if len(got) != len(want) {
 				t.Fatalf("epoch %d reader %d: read %d of %d objects",
 					s.Now(), r.ID, len(got), len(want))
@@ -238,12 +239,8 @@ func TestTheftsProduceUnknownLocations(t *testing.T) {
 		if s2.Now() <= thefts[0].At {
 			continue
 		}
-		for _, tags := range o.ByReader {
-			for _, g := range tags {
-				if g == stolen {
-					t.Fatalf("stolen case %d read at epoch %d", stolen, s2.Now())
-				}
-			}
+		if slices.Contains(o.Tags, stolen) {
+			t.Fatalf("stolen case %d read at epoch %d", stolen, s2.Now())
 		}
 	}
 }
@@ -309,8 +306,8 @@ func TestShelfReaderPeriodicity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for r, tags := range o.ByReader {
-			if r >= readerShelfBase && len(tags) > 0 && s.Now()%10 != 0 {
+		for _, g := range o.Groups {
+			if r := g.Reader; r >= readerShelfBase && g.Len() > 0 && s.Now()%10 != 0 {
 				t.Fatalf("shelf reader %d read off its period at epoch %d", r, s.Now())
 			}
 		}
@@ -419,4 +416,14 @@ func TestPopulationReachesSteadyState(t *testing.T) {
 	if peak > 12*perPallet {
 		t.Errorf("population peak %d suggests objects never depart", peak)
 	}
+}
+
+// readerTags returns the tags reader r read in b (nil if r has no group).
+func readerTags(b *model.Batch, r model.ReaderID) []model.Tag {
+	for i, g := range b.Groups {
+		if g.Reader == r {
+			return b.GroupTags(i)
+		}
+	}
+	return nil
 }

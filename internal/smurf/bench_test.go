@@ -7,7 +7,7 @@ import (
 	"spire/internal/model"
 )
 
-func BenchmarkProcessEpoch(b *testing.B) {
+func BenchmarkProcessBatch(b *testing.B) {
 	readers := []model.Reader{{ID: 1, Location: 0, Period: 1, ReadRate: 1}}
 	c, err := New(DefaultConfig(), readers)
 	if err != nil {
@@ -15,22 +15,24 @@ func BenchmarkProcessEpoch(b *testing.B) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	// Warm with 2000 tags.
-	warm := model.NewObservation(1)
+	warm := model.NewBatch(1)
+	warm.BeginReader(1)
 	for i := 0; i < 2000; i++ {
-		warm.Add(1, model.Tag(i+1))
+		warm.Append(model.Tag(i + 1))
 	}
-	if _, err := c.ProcessEpoch(warm); err != nil {
+	if _, err := c.ProcessBatch(warm); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o := model.NewObservation(model.Epoch(i + 2))
+		o := model.NewBatch(model.Epoch(i + 2))
+		o.BeginReader(1)
 		for g := 1; g <= 2000; g++ {
 			if rng.Float64() < 0.85 {
-				o.Add(1, model.Tag(g))
+				o.Append(model.Tag(g))
 			}
 		}
-		if _, err := c.ProcessEpoch(o); err != nil {
+		if _, err := c.ProcessBatch(o); err != nil {
 			b.Fatal(err)
 		}
 	}

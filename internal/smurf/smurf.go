@@ -126,27 +126,33 @@ func (c *Cleaner) window(p float64) int {
 	return w
 }
 
-// ProcessEpoch ingests one epoch's observation and returns the smoothed
+// ProcessBatch ingests one epoch's readings and returns the smoothed
 // interpretation as an inference.Result: every tag within its smoothing
 // window is reported present at the location of the reader that read it
 // last; a tag whose window has been missed w* times in a row is reported
-// away (model.LocationUnknown). SMURF infers no containment, so Parents
-// maps every tag to model.NoTag.
-func (c *Cleaner) ProcessEpoch(o *model.Observation) (*inference.Result, error) {
-	now := o.Time
+// away (model.LocationUnknown). A tag read by several readers in one
+// epoch belongs to the lowest reader ID, the deduplicator's fallback
+// tie-break. SMURF infers no containment, so Parents maps every tag to
+// model.NoTag. The batch is not modified.
+func (c *Cleaner) ProcessBatch(b *model.Batch) (*inference.Result, error) {
+	now := b.Time
 	// Ingest readings: the reading reassigns ownership to its reader.
-	for rid, tags := range o.ByReader {
-		r, ok := c.readers[rid]
+	// Groups ascend by reader, so a tag already read this epoch keeps
+	// its lower reader.
+	for i, gr := range b.Groups {
+		r, ok := c.readers[gr.Reader]
 		if !ok {
-			return nil, fmt.Errorf("smurf: reading from unknown reader %d", rid)
+			return nil, fmt.Errorf("smurf: reading from unknown reader %d", gr.Reader)
 		}
-		for _, g := range tags {
+		for _, g := range b.GroupTags(i) {
 			st := c.states[g]
 			if st == nil {
 				st = &tagState{p: 1}
 				c.states[g] = st
+			} else if st.lastAt == now {
+				continue
 			}
-			st.owner = rid
+			st.owner = gr.Reader
 			st.loc = r.Location
 			st.period = r.Period
 			st.lastAt = now

@@ -22,10 +22,10 @@ func newCleaner(t *testing.T, cfg Config) *Cleaner {
 	return c
 }
 
-func obs(now model.Epoch, reader model.ReaderID, tags ...model.Tag) *model.Observation {
-	o := model.NewObservation(now)
-	o.ByReader[reader] = tags
-	return o
+func obs(now model.Epoch, reader model.ReaderID, tags ...model.Tag) *model.Batch {
+	b := model.NewBatch(now)
+	b.AppendGroup(reader, tags)
+	return b
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -52,7 +52,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestUnknownReaderRejected(t *testing.T) {
 	c := newCleaner(t, DefaultConfig())
-	if _, err := c.ProcessEpoch(obs(1, 99, 5)); err == nil {
+	if _, err := c.ProcessBatch(obs(1, 99, 5)); err == nil {
 		t.Error("unknown reader must fail")
 	}
 }
@@ -62,12 +62,12 @@ func TestSmoothsOverMissedReadings(t *testing.T) {
 	// Read every epoch for a while, then a couple of misses: the tag must
 	// remain present at its location.
 	for e := model.Epoch(1); e <= 10; e++ {
-		if _, err := c.ProcessEpoch(obs(e, 1, 7)); err != nil {
+		if _, err := c.ProcessBatch(obs(e, 1, 7)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for e := model.Epoch(11); e <= 12; e++ {
-		res, err := c.ProcessEpoch(obs(e, 1))
+		res, err := c.ProcessBatch(obs(e, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,13 +83,13 @@ func TestSmoothsOverMissedReadings(t *testing.T) {
 func TestLongAbsenceReportsAway(t *testing.T) {
 	c := newCleaner(t, DefaultConfig())
 	for e := model.Epoch(1); e <= 10; e++ {
-		if _, err := c.ProcessEpoch(obs(e, 1, 7)); err != nil {
+		if _, err := c.ProcessBatch(obs(e, 1, 7)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var last model.LocationID
 	for e := model.Epoch(11); e <= 60; e++ {
-		res, err := c.ProcessEpoch(obs(e, 1))
+		res, err := c.ProcessBatch(obs(e, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestTransitionDetectionShrinksWindow(t *testing.T) {
 	c := newCleaner(t, cfg)
 	// Dense reads build a confident rate estimate.
 	for e := model.Epoch(1); e <= 30; e++ {
-		if _, err := c.ProcessEpoch(obs(e, 1, 7)); err != nil {
+		if _, err := c.ProcessBatch(obs(e, 1, 7)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,7 +114,7 @@ func TestTransitionDetectionShrinksWindow(t *testing.T) {
 	// pre-silence window grown the decisive factor is detection).
 	away := model.Epoch(-1)
 	for e := model.Epoch(31); e <= 80; e++ {
-		res, err := c.ProcessEpoch(obs(e, 1))
+		res, err := c.ProcessBatch(obs(e, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,14 +131,33 @@ func TestTransitionDetectionShrinksWindow(t *testing.T) {
 	}
 }
 
+// TestSameEpochReadGoesToLowestReader pins the tie-break when two
+// readers read one tag in the same epoch: the lowest reader ID owns it,
+// on every fresh cleaner.
+func TestSameEpochReadGoesToLowestReader(t *testing.T) {
+	b := model.NewBatch(1)
+	b.AppendGroup(1, []model.Tag{42})
+	b.AppendGroup(2, []model.Tag{42})
+	for i := 0; i < 200; i++ {
+		c := newCleaner(t, DefaultConfig())
+		res, err := c.ProcessBatch(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Locations[42]; got != 0 {
+			t.Fatalf("cleaner %d: location = %v, want L0 (reader 1)", i, got)
+		}
+	}
+}
+
 func TestLocationFollowsMostRecentReader(t *testing.T) {
 	c := newCleaner(t, DefaultConfig())
 	for e := model.Epoch(1); e <= 5; e++ {
-		if _, err := c.ProcessEpoch(obs(e, 1, 7)); err != nil {
+		if _, err := c.ProcessBatch(obs(e, 1, 7)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := c.ProcessEpoch(obs(6, 2, 7))
+	res, err := c.ProcessBatch(obs(6, 2, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +178,13 @@ func TestSparseReaderTagHeldPresent(t *testing.T) {
 	// cycles, not wall-clock epochs.
 	c := newCleaner(t, DefaultConfig())
 	for e := model.Epoch(1); e <= 200; e++ {
-		var o *model.Observation
+		var o *model.Batch
 		if e%20 == 0 {
 			o = obs(e, 3, 7)
 		} else {
 			o = obs(e, 3)
 		}
-		res, err := c.ProcessEpoch(o)
+		res, err := c.ProcessBatch(o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +196,7 @@ func TestSparseReaderTagHeldPresent(t *testing.T) {
 
 func TestForgetAndLen(t *testing.T) {
 	c := newCleaner(t, DefaultConfig())
-	if _, err := c.ProcessEpoch(obs(1, 1, 7, 8)); err != nil {
+	if _, err := c.ProcessBatch(obs(1, 1, 7, 8)); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 2 {
@@ -197,13 +216,13 @@ func TestNoisyStreamAccuracy(t *testing.T) {
 	present, rawHits, smoothHits := 0, 0, 0
 	for e := model.Epoch(1); e <= 400; e++ {
 		read := rng.Float64() < 0.7
-		var o *model.Observation
+		var o *model.Batch
 		if read {
 			o = obs(e, 1, 7)
 		} else {
 			o = obs(e, 1)
 		}
-		res, err := c.ProcessEpoch(o)
+		res, err := c.ProcessBatch(o)
 		if err != nil {
 			t.Fatal(err)
 		}

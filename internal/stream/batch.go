@@ -1,22 +1,20 @@
 package stream
 
 import (
-	"fmt"
+	"cmp"
 	"io"
+	"slices"
 
 	"spire/internal/model"
 )
 
-// Columnar entry points for the wire format. The raw stream is already
-// epoch-major and (as Writer emits it) reader-grouped within each epoch,
-// which is exactly a model.Batch laid out flat — so one epoch can be
-// decoded straight into reused batch columns without building the
-// per-epoch observation map the record-at-a-time path needs.
+// Batch entry points for the wire format. The raw stream is epoch-major
+// and (as WriteBatch emits it) reader-grouped within each epoch, which is
+// exactly a model.Batch laid out flat — so one epoch can be decoded
+// straight into reused batch columns.
 
-// WriteBatch emits every reading of the batch. Groups are already in
-// ascending reader order (the Batch invariant), so unlike
-// WriteObservation no per-epoch sort is needed and the bytes produced
-// are identical to WriteObservation on the equivalent observation.
+// WriteBatch emits every reading of the batch, grouped by reader in
+// ascending reader order (the Batch invariant).
 func (w *Writer) WriteBatch(b *model.Batch) error {
 	for _, g := range b.Groups {
 		for _, tag := range b.Tags[g.Start:g.End] {
@@ -31,13 +29,16 @@ func (w *Writer) WriteBatch(b *model.Batch) error {
 // BatchReader decodes a raw reading stream one epoch at a time into a
 // caller-provided reused batch. Note the wire format cannot represent a
 // reader that interrogated but read nothing, so empty groups do not
-// round-trip — the same caveat the observation path has always had.
+// round-trip.
 type BatchReader struct {
 	r       *Reader
 	pending model.Reading
 	has     bool
-	err     error              // look-ahead error, surfaced on the next call
-	scratch *model.Observation // regroup fallback for foreign writers
+	err     error // look-ahead error, surfaced on the next call
+
+	// regroup scratch for streams from foreign writers
+	groups []model.ReaderGroup
+	tags   []model.Tag
 }
 
 // NewBatchReader returns a BatchReader decoding from r.
@@ -48,12 +49,15 @@ func NewBatchReader(r io.Reader) *BatchReader {
 // Count returns the number of records decoded successfully so far.
 func (br *BatchReader) Count() int64 { return br.r.Count() }
 
-// ReadBatch fills b with the next epoch's readings, replacing its
-// contents. Epochs must be non-decreasing across the stream; within an
-// epoch readings may arrive in any reader order (streams from Writer are
-// already reader-grouped ascending and decode with zero extra work;
-// anything else is regrouped). Returns io.EOF at a clean end of stream
-// and a *CorruptError on a torn record, as Reader.Read does.
+// ReadBatch fills b with the next run of same-epoch readings, replacing
+// its contents. Checking that epochs increase from one batch to the next
+// is left to the caller. Within an epoch readings may arrive in any
+// reader order (streams from WriteBatch are already reader-grouped
+// ascending and decode with zero extra work; anything else is
+// regrouped). Returns io.EOF at a clean end of stream and a
+// *CorruptError on a torn record, as Reader.Read does; the batch before
+// a torn record is returned intact and the error surfaces on the next
+// call.
 func (br *BatchReader) ReadBatch(b *model.Batch) error {
 	if !br.has {
 		if br.err != nil {
@@ -81,16 +85,12 @@ func (br *BatchReader) ReadBatch(b *model.Batch) error {
 		b.Append(rd.Tag)
 		next, err := br.r.Read()
 		if err != nil {
-			// The completed epoch is intact either way; a torn record
-			// belongs to the next epoch and surfaces on the next call.
+			// A torn record surfaces on the next call.
 			br.has = false
 			if err != io.EOF {
 				br.err = err
 			}
 			break
-		}
-		if next.Time < epoch {
-			return fmt.Errorf("stream: readings not ordered by epoch (%d after %d)", next.Time, epoch)
 		}
 		br.pending = next
 	}
@@ -100,21 +100,21 @@ func (br *BatchReader) ReadBatch(b *model.Batch) error {
 	return nil
 }
 
-// regroup rebuilds b with its groups merged and sorted ascending, for
-// streams whose epochs interleave readers (not produced by Writer, so
-// the extra allocation here is off the hot path).
+// regroup rebuilds b with each reader's runs merged into one group and
+// the groups sorted ascending, keeping every reader's tags in arrival
+// order, for streams whose epochs interleave readers (not produced by
+// WriteBatch, so the copy here is off the hot path).
 func (br *BatchReader) regroup(b *model.Batch) {
-	if br.scratch == nil {
-		br.scratch = model.NewObservation(b.Time)
-	}
-	o := br.scratch
-	o.Time = b.Time
-	clear(o.ByReader)
-	for i := range b.Groups {
-		r := b.Groups[i].Reader
-		for _, tag := range b.GroupTags(i) {
-			o.Add(r, tag)
+	br.groups = append(br.groups[:0], b.Groups...)
+	br.tags = append(br.tags[:0], b.Tags...)
+	slices.SortStableFunc(br.groups, func(x, y model.ReaderGroup) int { return cmp.Compare(x.Reader, y.Reader) })
+	b.Reset(b.Time)
+	for _, g := range br.groups {
+		if n := len(b.Groups); n == 0 || b.Groups[n-1].Reader != g.Reader {
+			b.BeginReader(g.Reader)
+		}
+		for _, tag := range br.tags[g.Start:g.End] {
+			b.Append(tag)
 		}
 	}
-	b.FromObservation(o)
 }

@@ -5,57 +5,55 @@ import (
 	"errors"
 	"io"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
 	"spire/internal/model"
 )
 
-func randomObservation(rng *rand.Rand, t model.Epoch) *model.Observation {
-	o := model.NewObservation(t)
+func randomBatch(rng *rand.Rand, t model.Epoch) *model.Batch {
+	b := model.NewBatch(t)
 	for r := model.ReaderID(1); r <= 6; r++ {
 		if rng.Intn(4) == 0 {
 			continue
 		}
-		n := rng.Intn(8)
-		for k := 0; k < n; k++ {
-			o.Add(r, model.Tag(rng.Intn(40)+1))
-		}
-		if n == 0 {
-			o.ByReader[r] = []model.Tag{} // interrogated, read nothing
+		b.BeginReader(r) // an empty group: interrogated, read nothing
+		for k := rng.Intn(8); k > 0; k-- {
+			b.Append(model.Tag(rng.Intn(40) + 1))
 		}
 	}
-	return o
+	return b
 }
 
-// TestWriteBatchMatchesWriteObservation pins the wire bytes: a batch and
-// its equivalent observation serialize identically.
-func TestWriteBatchMatchesWriteObservation(t *testing.T) {
+// TestWriteBatchMatchesReadings pins the wire bytes: a batch serializes
+// as its readings in ascending reader order, record by record.
+func TestWriteBatchMatchesReadings(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	var fromObs, fromBatch bytes.Buffer
-	wo, wb := NewWriter(&fromObs), NewWriter(&fromBatch)
-	var b model.Batch
+	var fromReadings, fromBatch bytes.Buffer
+	wr, wb := NewWriter(&fromReadings), NewWriter(&fromBatch)
 	for e := model.Epoch(1); e <= 50; e++ {
-		o := randomObservation(rng, e)
-		if err := wo.WriteObservation(o); err != nil {
-			t.Fatal(err)
+		b := randomBatch(rng, e)
+		for _, rd := range b.Readings() {
+			if err := wr.Write(rd); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := wb.WriteBatch(b.FromObservation(o)); err != nil {
+		if err := wb.WriteBatch(b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := wo.Flush(); err != nil {
+	if err := wr.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := wb.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(fromObs.Bytes(), fromBatch.Bytes()) {
-		t.Fatal("WriteBatch bytes differ from WriteObservation")
+	if !bytes.Equal(fromReadings.Bytes(), fromBatch.Bytes()) {
+		t.Fatal("WriteBatch bytes differ from the batch's readings")
 	}
-	if wo.Count() != wb.Count() || wo.Bytes() != wb.Bytes() {
+	if wr.Count() != wb.Count() || wr.Bytes() != wb.Bytes() {
 		t.Fatalf("writer accounting differs: %d/%d vs %d/%d",
-			wo.Count(), wo.Bytes(), wb.Count(), wb.Bytes())
+			wr.Count(), wr.Bytes(), wb.Count(), wb.Bytes())
 	}
 }
 
@@ -67,21 +65,17 @@ func TestBatchReaderRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	var want []*model.Observation
+	var want []*model.Batch
 	for e := model.Epoch(1); e <= 60; e++ {
-		o := randomObservation(rng, e)
-		if o.Total() == 0 {
+		b := randomBatch(rng, e)
+		if b.Total() == 0 {
 			continue // an epoch with no readings does not appear on the wire
 		}
-		if err := w.WriteObservation(o); err != nil {
+		if err := w.WriteBatch(b); err != nil {
 			t.Fatal(err)
 		}
-		for r, tags := range o.ByReader {
-			if len(tags) == 0 {
-				delete(o.ByReader, r)
-			}
-		}
-		want = append(want, o)
+		b.Groups = slices.DeleteFunc(b.Groups, func(g model.ReaderGroup) bool { return g.Len() == 0 })
+		want = append(want, b)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -106,8 +100,8 @@ func TestBatchReaderRoundTrip(t *testing.T) {
 		if err := b.Validate(); err != nil {
 			t.Fatalf("epoch %d: %v", b.Time, err)
 		}
-		if got := b.Observation(); !reflect.DeepEqual(got, want[i]) {
-			t.Fatalf("epoch %d: decoded %+v, want %+v", b.Time, got, want[i])
+		if b.Time != want[i].Time || !slices.Equal(b.Groups, want[i].Groups) || !slices.Equal(b.Tags, want[i].Tags) {
+			t.Fatalf("epoch %d: decoded %+v, want %+v", b.Time, b, want[i])
 		}
 	}
 	if br.Count() != w.Count() {
@@ -142,9 +136,12 @@ func TestBatchReaderRegroups(t *testing.T) {
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	want := map[model.ReaderID][]model.Tag{1: {11}, 2: {13}, 3: {10, 12}}
-	if got := b.Observation().ByReader; !reflect.DeepEqual(got, want) {
-		t.Fatalf("regrouped batch = %v, want %v", got, want)
+	want := model.NewBatch(5)
+	want.AppendGroup(1, []model.Tag{11})
+	want.AppendGroup(2, []model.Tag{13})
+	want.AppendGroup(3, []model.Tag{10, 12})
+	if !slices.Equal(b.Groups, want.Groups) || !slices.Equal(b.Tags, want.Tags) {
+		t.Fatalf("regrouped batch = %+v, want %+v", b, want)
 	}
 }
 
@@ -187,11 +184,11 @@ func TestBatchReaderSteadyStateAllocs(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	for e := model.Epoch(1); e <= 400; e++ {
-		o := randomObservation(rng, e)
-		if o.Total() == 0 {
-			o.Add(1, 7)
+		b := randomBatch(rng, e)
+		if b.Total() == 0 {
+			b.AppendGroup(7, []model.Tag{7})
 		}
-		if err := w.WriteObservation(o); err != nil {
+		if err := w.WriteBatch(b); err != nil {
 			t.Fatal(err)
 		}
 	}

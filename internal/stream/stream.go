@@ -98,28 +98,6 @@ func (w *Writer) Write(r model.Reading) error {
 	return nil
 }
 
-// WriteObservation emits every reading in the observation, grouped by
-// reader in ascending reader order for determinism.
-func (w *Writer) WriteObservation(o *model.Observation) error {
-	readers := make([]model.ReaderID, 0, len(o.ByReader))
-	for r := range o.ByReader {
-		readers = append(readers, r)
-	}
-	for i := 1; i < len(readers); i++ {
-		for j := i; j > 0 && readers[j] < readers[j-1]; j-- {
-			readers[j], readers[j-1] = readers[j-1], readers[j]
-		}
-	}
-	for _, r := range readers {
-		for _, g := range o.ByReader[r] {
-			if err := w.Write(model.Reading{Tag: g, Reader: r, Time: o.Time}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // Flush flushes the internal buffer.
 func (w *Writer) Flush() error { return w.w.Flush() }
 

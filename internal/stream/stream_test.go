@@ -69,39 +69,6 @@ func TestWriterReaderStream(t *testing.T) {
 	}
 }
 
-func TestWriteObservationDeterministicOrder(t *testing.T) {
-	enc := func() []byte {
-		o := model.NewObservation(9)
-		o.Add(3, 30)
-		o.Add(1, 10)
-		o.Add(1, 11)
-		o.Add(2, 20)
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		if err := w.WriteObservation(o); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	a, b := enc(), enc()
-	if !bytes.Equal(a, b) {
-		t.Error("WriteObservation must be deterministic")
-	}
-	rs, err := NewReader(bytes.NewReader(a)).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 4 {
-		t.Fatalf("got %d readings, want 4", len(rs))
-	}
-	if rs[0].Reader != 1 || rs[3].Reader != 3 {
-		t.Errorf("readings not in reader order: %+v", rs)
-	}
-}
-
 func TestReaderTruncated(t *testing.T) {
 	b := AppendReading(nil, model.Reading{Tag: 1, Reader: 1, Time: 1})
 	r := NewReader(bytes.NewReader(b[:ReadingSize-3]))

@@ -137,11 +137,11 @@ func buildSnapshot() ([]byte, error) {
 		return nil, err
 	}
 	for !s.Done() {
-		o, err := s.Step()
+		b, err := s.Step()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := sub.ProcessEpoch(o); err != nil {
+		if _, err := sub.ProcessBatch(b); err != nil {
 			return nil, err
 		}
 	}
