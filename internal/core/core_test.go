@@ -71,6 +71,28 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestProcessEpochGuards checks the per-epoch input guards: a nil
+// batch, an epoch that does not advance and a reading from an unknown
+// reader are each rejected.
+func TestProcessEpochGuards(t *testing.T) {
+	s := fastSim(t, nil)
+	sub := newSubstrate(t, s, Level1)
+	if _, err := sub.ProcessBatch(nil); err == nil {
+		t.Error("nil batch must fail")
+	}
+	if _, err := sub.ProcessBatch(model.NewBatch(5)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sub.ProcessBatch(model.NewBatch(5)); err == nil {
+		t.Error("non-advancing epoch must fail")
+	}
+	unk := model.NewBatch(6)
+	unk.AppendGroup(999, []model.Tag{1})
+	if _, err := sub.ProcessBatch(unk); err == nil {
+		t.Error("reading from unknown reader must fail")
+	}
+}
+
 // TestProcessBatchErrorParity pins ProcessBatch's error contract:
 // nil-input, non-monotonic-epoch, unknown-reader and invalid-batch errors,
 // with known readers' groups already applied when the unknown-reader

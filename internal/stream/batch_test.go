@@ -25,9 +25,10 @@ func randomBatch(rng *rand.Rand, t model.Epoch) *model.Batch {
 	return b
 }
 
-// TestWriteBatchMatchesReadings pins the wire bytes: a batch serializes
-// as its readings in ascending reader order, record by record.
-func TestWriteBatchMatchesReadings(t *testing.T) {
+// TestWriteBatchMatchesWriteObservation pins the wire bytes: a batch
+// serializes exactly as its readings written record by record, in
+// ascending reader order.
+func TestWriteBatchMatchesWriteObservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var fromReadings, fromBatch bytes.Buffer
 	wr, wb := NewWriter(&fromReadings), NewWriter(&fromBatch)

@@ -69,6 +69,41 @@ func TestWriterReaderStream(t *testing.T) {
 	}
 }
 
+// TestWriteObservationDeterministicOrder pins how one epoch is written:
+// the same batch encodes to the same bytes every time, one record per
+// reading, readers in ascending order.
+func TestWriteObservationDeterministicOrder(t *testing.T) {
+	enc := func() []byte {
+		b := model.NewBatch(9)
+		b.AppendGroup(1, []model.Tag{10, 11})
+		b.AppendGroup(2, []model.Tag{20})
+		b.AppendGroup(3, []model.Tag{30})
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		if err := w.WriteBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	a, b := enc(), enc()
+	if !bytes.Equal(a, b) {
+		t.Error("WriteBatch must be deterministic")
+	}
+	rs, err := NewReader(bytes.NewReader(a)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != 4 {
+		t.Fatalf("got %d readings, want 4", len(rs))
+	}
+	if rs[0].Reader != 1 || rs[3].Reader != 3 {
+		t.Errorf("readings not in reader order: %+v", rs)
+	}
+}
+
 func TestReaderTruncated(t *testing.T) {
 	b := AppendReading(nil, model.Reading{Tag: 1, Reader: 1, Time: 1})
 	r := NewReader(bytes.NewReader(b[:ReadingSize-3]))
