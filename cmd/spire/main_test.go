@@ -42,7 +42,7 @@ func TestMain(m *testing.M) {
 		}
 		defer os.RemoveAll(dir)
 		binDir = dir
-		for _, name := range []string{"spire", "spiresim", "spirezone", "spirefed", "spirebench", "spirebenchdiff"} {
+		for _, name := range []string{"spire", "spiresim", "spirezone", "spirefed", "spirebench", "spirebenchdiff", "spiredecompress"} {
 			out, err := exec.Command("go", "build", "-o", filepath.Join(dir, name), "spire/cmd/"+name).CombinedOutput()
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "go build %s: %v\n%s", name, err, out)
@@ -197,6 +197,89 @@ func TestEventStreamMatchesSubstrate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDecompressMatchesLevel1 runs spiredecompress over a level-2 stream
+// spire wrote: per object, its output must equal spire's level-1 stream of
+// the same simulation. A stream whose containments form a cycle must fail
+// the run with an error message, not crash it.
+func TestDecompressMatchesLevel1(t *testing.T) {
+	dir := t.TempDir()
+	l1, l2, dec := filepath.Join(dir, "l1.bin"), filepath.Join(dir, "l2.bin"), filepath.Join(dir, "dec.bin")
+	runSpire(t, "-simulate", "-duration", "1500", "-level", "1", "-o", l1)
+	runSpire(t, "-simulate", "-duration", "1500", "-level", "2", "-o", l2)
+	var last model.Epoch // the epoch spire closed the stream at
+	for _, e := range readEvents(t, l2) {
+		last = max(last, e.Emitted())
+	}
+	if out, err := exec.Command(filepath.Join(binDir, "spiredecompress"),
+		"-i", l2, "-o", dec, "-close", fmt.Sprint(last)).CombinedOutput(); err != nil {
+		t.Fatalf("spiredecompress: %v\n%s", err, out)
+	}
+	got, want := readEvents(t, dec), readEvents(t, l1)
+	gl, gc := event.SplitStreams(got)
+	wl, wc := event.SplitStreams(want)
+	if !slices.Equal(gc, wc) {
+		t.Fatalf("containment streams differ: %d vs %d events", len(gc), len(wc))
+	}
+	perObj := func(evs []event.Event) map[model.Tag][]event.Event {
+		m := make(map[model.Tag][]event.Event)
+		for _, e := range evs {
+			m[e.Object] = append(m[e.Object], e)
+		}
+		return m
+	}
+	gm, wm := perObj(gl), perObj(wl)
+	if len(gm) != len(wm) {
+		t.Errorf("location events for %d objects, want %d", len(gm), len(wm))
+	}
+	for obj, ws := range wm {
+		if gs := gm[obj]; !slices.Equal(gs, ws) {
+			t.Errorf("object %d:\ngot:  %v\nwant: %v", obj, gs, ws)
+		}
+	}
+
+	cycle := filepath.Join(dir, "cycle.bin")
+	f, err := os.Create(cycle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := event.NewWriter(f)
+	for _, e := range []event.Event{
+		event.NewStartContainment(1, 2, 1),
+		event.NewStartContainment(2, 1, 1),
+		event.NewMissing(1, 0, 1),
+	} {
+		if err := w.Write(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	out, err := exec.Command(filepath.Join(binDir, "spiredecompress"), "-i", cycle, "-o", filepath.Join(dir, "cycle-out.bin")).CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("cycle stream: want exit status 1, got err=%v\n%s", err, out)
+	}
+	if !strings.HasPrefix(string(out), "spiredecompress: ") || !strings.Contains(string(out), "cycle") {
+		t.Fatalf("cycle stream: want an error message naming the cycle, got:\n%s", out)
+	}
+}
+
+// readEvents decodes a binary event stream file.
+func readEvents(t *testing.T, path string) []event.Event {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	evs, err := event.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return evs
 }
 
 // TestRemovedFlagsRejected pins that the flags deleted with the ingest

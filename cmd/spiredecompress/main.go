@@ -98,10 +98,7 @@ func run() error {
 			return err
 		}
 		inBytes += int64(event.WireSize(e))
-		t := e.Vs
-		if e.Kind == event.EndLocation || e.Kind == event.EndContainment {
-			t = e.Ve
-		}
+		t := e.Emitted()
 		if t != batchTime {
 			if err := flush(); err != nil {
 				return err

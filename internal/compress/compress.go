@@ -129,6 +129,21 @@ func (st *objState) compressContainment(obj model.Tag, newParent model.Tag, now 
 	return true
 }
 
+// compressLocation updates the location pair of one object to its newly
+// inferred location and stages the End/Start or Missing messages.
+func (st *objState) compressLocation(obj model.Tag, loc model.LocationID, now model.Epoch, ems *[]emission) {
+	switch {
+	case loc.Known():
+		st.missing = false
+		if !st.locOpen || st.loc != loc {
+			st.closeLocation(obj, now, ems)
+			st.openLocation(obj, loc, now, ems)
+		}
+	default: // model.LocationUnknown: away from every known location
+		st.goMissing(obj, now, ems)
+	}
+}
+
 // closeLocation stages the EndLocation for an open pair, if any.
 func (st *objState) closeLocation(obj model.Tag, now model.Epoch, ems *[]emission) {
 	if st.locOpen {

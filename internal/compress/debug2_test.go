@@ -102,7 +102,8 @@ func TestDebugDivergence(t *testing.T) {
 	}
 	t.Logf("diverging object: %d", target)
 	for _, r := range log {
-		if r.ev.Object == target || r.ev.Container == target || (r.ev.Kind.Containment() && d.parents[r.ev.Object] == target) {
+		parent, _, _ := d.objs.Get(r.ev.Object).Container()
+		if r.ev.Object == target || r.ev.Container == target || (r.ev.Kind.Containment() && parent == target) {
 			t.Logf("e%03d %s %v", r.epoch, r.src, r.ev)
 		}
 	}

@@ -2,7 +2,7 @@ package compress
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"spire/internal/event"
 	"spire/internal/model"
@@ -19,19 +19,12 @@ import (
 // compressor guarantees containment messages precede location messages and
 // containers precede their contents, which Step relies on.
 type Decompressor struct {
-	children map[model.Tag]map[model.Tag]struct{}
-	parents  map[model.Tag]model.Tag
-
-	// Open location pair per object in the *reconstructed* stream.
-	loc   map[model.Tag]model.LocationID
-	locVs map[model.Tag]model.Epoch
-
-	// lastClosed remembers where and when each object's pair last closed;
-	// the zero-length-couple handling below uses it to distinguish "this
-	// object's stay here was already closed this epoch" (cascade did the
-	// work) from "the object arrived here this epoch" (a genuine
-	// zero-length stay that must be reproduced).
-	lastClosed map[model.Tag]closedPair
+	// objs holds each object's reconstructed location pair and level-2
+	// containment pair. The payload, where and when the location pair
+	// last closed, tells the zero-length-couple handling below "this stay
+	// was already closed this epoch" (a cascade did the work) from "the
+	// object arrived here this epoch" (a genuine zero-length stay).
+	objs *event.Intervals[closedPair]
 
 	// pending holds the containments started in the current epoch; after
 	// the epoch's location events are processed, children that still
@@ -40,7 +33,7 @@ type Decompressor struct {
 	// cannot happen eagerly).
 	pending []event.Event
 
-	out []emission
+	out []event.Event
 }
 
 // closedPair records the closing of an object's location pair.
@@ -51,20 +44,20 @@ type closedPair struct {
 
 // NewDecompressor creates an empty decompressor.
 func NewDecompressor() *Decompressor {
-	return &Decompressor{
-		children:   make(map[model.Tag]map[model.Tag]struct{}),
-		parents:    make(map[model.Tag]model.Tag),
-		loc:        make(map[model.Tag]model.LocationID),
-		locVs:      make(map[model.Tag]model.Epoch),
-		lastClosed: make(map[model.Tag]closedPair),
-	}
+	return &Decompressor{objs: event.NewIntervals[closedPair]()}
+}
+
+// obj returns the tracker entry for g, adding it if needed.
+func (d *Decompressor) obj(g model.Tag) *event.Entry[closedPair] {
+	return d.objs.Track(g, closedPair{loc: model.LocationNone, at: model.EpochNone})
 }
 
 // Step decompresses one epoch's worth of level-2 events and returns the
 // corresponding level-1 events, in the order the level-2 compressor (and
 // its Retire calls) emitted them. A batch may contain several
 // containment-phase/location-phase segments — one per Compress or Retire
-// call — which are processed in sequence.
+// call — which are processed in sequence. Malformed input, including a
+// containment that would close a cycle, is rejected with an error.
 func (d *Decompressor) Step(events []event.Event) ([]event.Event, error) {
 	d.out = d.out[:0]
 	for len(events) > 0 {
@@ -82,22 +75,23 @@ func (d *Decompressor) Step(events []event.Event) ([]event.Event, error) {
 		}
 		events = events[i:]
 	}
-	out := make([]event.Event, len(d.out))
-	for i, em := range d.out {
-		out[i] = em.ev
-	}
-	return out, nil
+	return slices.Clone(d.out), nil
 }
 
 func (d *Decompressor) stepSegment(events []event.Event) error {
 	d.pending = d.pending[:0]
 	phase := 0
 	for _, e := range events {
+		if err := e.Validate(); err != nil {
+			return fmt.Errorf("compress: %w", err)
+		}
 		if e.Kind.Containment() {
 			if phase == 1 {
 				return fmt.Errorf("compress: containment event %v after location events in segment", e)
 			}
-			d.applyContainment(e)
+			if err := d.applyContainment(e); err != nil {
+				return err
+			}
 		} else {
 			phase = 1
 		}
@@ -119,11 +113,12 @@ func (d *Decompressor) stepSegment(events []event.Event) error {
 			n := events[i+1]
 			if n.Kind == event.EndLocation && n.Object == e.Object &&
 				n.Location == e.Location && n.Vs == e.Vs && n.Ve == e.Vs {
-				if cur, open := d.loc[e.Object]; open {
-					d.endCascade(e.Object, cur, n.Ve)
-				} else if lc, ok := d.lastClosed[e.Object]; !ok || lc.at != n.Ve || lc.loc != e.Location {
-					d.startPair(e.Object, e.Location, e.Vs)
-					d.endPair(e.Object, n.Ve)
+				o := d.obj(e.Object)
+				if cur, _, open := o.Location(); open {
+					d.endCascade(o, cur, n.Ve)
+				} else if lc := o.Payload; lc.at != n.Ve || lc.loc != e.Location {
+					d.startPair(o, e.Location, e.Vs)
+					d.endPair(o, n.Ve)
 				}
 				i++
 				continue
@@ -134,7 +129,7 @@ func (d *Decompressor) stepSegment(events []event.Event) error {
 		// closes depends on where the container finally settles this
 		// epoch, so judge it after the alignment pass below.
 		if e.Kind == event.EndLocation {
-			if _, contained := d.parents[e.Object]; contained {
+			if _, _, contained := d.objs.Get(e.Object).Container(); contained {
 				deferredEnds = append(deferredEnds, e)
 				continue
 			}
@@ -145,12 +140,13 @@ func (d *Decompressor) stepSegment(events []event.Event) error {
 	// a child that joined a container which emitted no location event this
 	// epoch inherits the container's open pair now.
 	for _, e := range d.pending {
-		if d.parents[e.Object] != e.Container {
+		o := d.objs.Get(e.Object)
+		if p, _, _ := o.Container(); p != e.Container {
 			continue // re-parented or detached again within the epoch
 		}
-		if ploc, ok := d.loc[e.Container]; ok {
-			if cloc, open := d.loc[e.Object]; !open || cloc != ploc {
-				d.startCascade(e.Object, ploc, e.Vs)
+		if ploc, _, ok := d.objs.Get(e.Container).Location(); ok {
+			if cloc, _, open := o.Location(); !open || cloc != ploc {
+				d.startCascade(o, ploc, e.Vs)
 			}
 		}
 	}
@@ -165,62 +161,39 @@ func (d *Decompressor) stepSegment(events []event.Event) error {
 // level-2 Close detaches containments before its location ends, so
 // contained objects' reconstructed pairs are left for this sweep.
 func (d *Decompressor) Close(now model.Epoch) []event.Event {
-	objs := make([]model.Tag, 0, len(d.loc))
-	for obj := range d.loc {
-		objs = append(objs, obj)
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
 	d.out = d.out[:0]
-	for _, obj := range objs {
-		d.endPair(obj, now)
-	}
-	out := make([]event.Event, len(d.out))
-	for i, em := range d.out {
-		out[i] = em.ev
-	}
-	return out
+	d.objs.EachOpen(func(o *event.Entry[closedPair]) { d.endPair(o, now) })
+	return slices.Clone(d.out)
 }
 
-func (d *Decompressor) applyContainment(e event.Event) {
-	// Containment messages pass through unchanged.
-	d.out = append(d.out, emission{ev: e})
+func (d *Decompressor) applyContainment(e event.Event) error {
+	o := d.obj(e.Object)
 	switch e.Kind {
 	case event.StartContainment:
-		if d.parents[e.Object] == e.Container {
-			return
+		if c, _, open := o.Container(); open && c == e.Container {
+			break
 		}
-		d.detach(e.Object)
-		d.parents[e.Object] = e.Container
-		kids := d.children[e.Container]
-		if kids == nil {
-			kids = make(map[model.Tag]struct{})
-			d.children[e.Container] = kids
+		if err := d.objs.Contain(o, e.Container, e.Vs); err != nil {
+			return fmt.Errorf("compress: %v: %w", e, err)
 		}
-		kids[e.Object] = struct{}{}
 		d.pending = append(d.pending, e)
 	case event.EndContainment:
-		if d.parents[e.Object] == e.Container {
-			d.detach(e.Object)
+		if c, _, open := o.Container(); open && c == e.Container {
+			d.objs.Release(o)
 		}
 	}
-}
-
-func (d *Decompressor) detach(obj model.Tag) {
-	if p, ok := d.parents[obj]; ok {
-		delete(d.children[p], obj)
-		if len(d.children[p]) == 0 {
-			delete(d.children, p)
-		}
-		delete(d.parents, obj)
-	}
+	// Containment messages pass through unchanged.
+	d.out = append(d.out, e)
+	return nil
 }
 
 func (d *Decompressor) applyLocation(e event.Event) {
+	o := d.obj(e.Object)
 	switch e.Kind {
 	case event.StartLocation:
-		d.startCascade(e.Object, e.Location, e.Vs)
+		d.startCascade(o, e.Location, e.Vs)
 	case event.EndLocation:
-		cur, open := d.loc[e.Object]
+		cur, _, open := o.Location()
 		if !open || cur != e.Location {
 			// The pair this event refers to was already closed (or moved)
 			// by a container's cascading update earlier in the epoch.
@@ -229,85 +202,70 @@ func (d *Decompressor) applyLocation(e event.Event) {
 		// Suppress the artificial close that level-2 emits when an object
 		// becomes contained in a container already open at the same
 		// location: in the level-1 view the pair simply continues.
-		if p, contained := d.parents[e.Object]; contained {
-			if ploc, ok := d.loc[p]; ok && ploc == e.Location {
+		if p, _, contained := o.Container(); contained {
+			if ploc, _, ok := d.objs.Get(p).Location(); ok && ploc == e.Location {
 				return
 			}
 		}
-		d.endCascade(e.Object, e.Location, e.Ve)
+		d.endCascade(o, e.Location, e.Ve)
 	case event.Missing:
-		d.missingCascade(e.Object, e.Location, e.Vs)
+		d.missingCascade(o, e.Location, e.Vs)
 	}
 }
 
-// startCascade opens a pair at loc for obj and, recursively, for its
+// startCascade opens a pair at loc for o and, recursively, for its
 // contents, skipping duplicates (already open at the same location).
-func (d *Decompressor) startCascade(obj model.Tag, loc model.LocationID, t model.Epoch) {
-	if cur, open := d.loc[obj]; open {
+func (d *Decompressor) startCascade(o *event.Entry[closedPair], loc model.LocationID, t model.Epoch) {
+	if cur, _, open := o.Location(); open {
 		if cur == loc {
 			// Duplicate: e.g. the StartLocation level-2 emits when a
 			// containment ends but the object has not actually moved.
 			return
 		}
-		d.endPair(obj, t)
+		d.endPair(o, t)
 	}
-	d.startPair(obj, loc, t)
-	for _, c := range d.childList(obj) {
-		d.startCascade(c, loc, t)
+	d.startPair(o, loc, t)
+	for _, c := range d.objs.Contents(o.Tag()) {
+		d.startCascade(d.objs.Get(c), loc, t)
 	}
 }
 
-// endCascade closes obj's pair at loc and recurses into the contents that
+// endCascade closes o's pair at loc and recurses into the contents that
 // shared that location. A child open elsewhere did not co-reside with the
 // departing container (it joined this very epoch from the container's
 // destination); its pair is left for the container's Start cascade or the
 // deferred alignment.
-func (d *Decompressor) endCascade(obj model.Tag, loc model.LocationID, t model.Epoch) {
-	if cur, open := d.loc[obj]; !open || cur != loc {
+func (d *Decompressor) endCascade(o *event.Entry[closedPair], loc model.LocationID, t model.Epoch) {
+	if cur, _, open := o.Location(); !open || cur != loc {
 		return
 	}
-	d.endPair(obj, t)
-	for _, c := range d.childList(obj) {
-		d.endCascade(c, loc, t)
+	d.endPair(o, t)
+	for _, c := range d.objs.Contents(o.Tag()) {
+		d.endCascade(d.objs.Get(c), loc, t)
 	}
 }
 
-func (d *Decompressor) missingCascade(obj model.Tag, from model.LocationID, t model.Epoch) {
-	d.endPair(obj, t)
-	d.out = append(d.out, emission{ev: event.NewMissing(obj, from, t)})
-	for _, c := range d.childList(obj) {
-		d.missingCascade(c, from, t)
+func (d *Decompressor) missingCascade(o *event.Entry[closedPair], from model.LocationID, t model.Epoch) {
+	d.endPair(o, t)
+	d.out = append(d.out, event.NewMissing(o.Tag(), from, t))
+	for _, c := range d.objs.Contents(o.Tag()) {
+		d.missingCascade(d.objs.Get(c), from, t)
 	}
 }
 
-func (d *Decompressor) startPair(obj model.Tag, loc model.LocationID, t model.Epoch) {
-	d.out = append(d.out, emission{ev: event.NewStartLocation(obj, loc, t)})
-	d.loc[obj] = loc
-	d.locVs[obj] = t
+func (d *Decompressor) startPair(o *event.Entry[closedPair], loc model.LocationID, t model.Epoch) {
+	d.out = append(d.out, event.NewStartLocation(o.Tag(), loc, t))
+	o.OpenLocation(loc, t)
 }
 
-// endPair closes obj's open pair, rewriting Vs to the reconstructed pair's
+// endPair closes o's open pair, rewriting Vs to the reconstructed pair's
 // true start (level-2 pairs can start later than the level-1 ones).
-func (d *Decompressor) endPair(obj model.Tag, t model.Epoch) {
-	loc, open := d.loc[obj]
+func (d *Decompressor) endPair(o *event.Entry[closedPair], t model.Epoch) {
+	loc, vs, open := o.Location()
 	if !open {
 		return
 	}
-	d.out = append(d.out, emission{ev: event.NewEndLocation(obj, loc, d.locVs[obj], t)})
-	d.lastClosed[obj] = closedPair{loc: loc, at: t}
-	delete(d.loc, obj)
-	delete(d.locVs, obj)
-}
-
-func (d *Decompressor) childList(obj model.Tag) []model.Tag {
-	kids := d.children[obj]
-	if len(kids) == 0 {
-		return nil
-	}
-	out := make([]model.Tag, 0, len(kids))
-	for c := range kids {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	d.out = append(d.out, event.NewEndLocation(o.Tag(), loc, vs, t))
+	o.Payload = closedPair{loc: loc, at: t}
+	o.CloseLocation()
 }

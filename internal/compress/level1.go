@@ -15,11 +15,12 @@ type Level1 struct {
 	levelOf LevelFunc
 	states  map[model.Tag]*objState
 	rec     *trace.Recorder
+	section string // snapshot section tag of the level
 }
 
 // NewLevel1 creates a range compressor.
 func NewLevel1(levelOf LevelFunc) *Level1 {
-	return &Level1{levelOf: levelOf, states: make(map[model.Tag]*objState)}
+	return &Level1{levelOf: levelOf, states: make(map[model.Tag]*objState), section: sectionLevel1}
 }
 
 func (c *Level1) state(obj model.Tag) *objState {
@@ -50,18 +51,7 @@ func (c *Level1) Compress(res *inference.Result) []event.Event {
 			st.compressContainment(obj, newParent, now, &ems)
 		}
 
-		// Location stream.
-		loc := res.Locations[obj]
-		switch {
-		case loc.Known():
-			st.missing = false
-			if !st.locOpen || st.loc != loc {
-				st.closeLocation(obj, now, &ems)
-				st.openLocation(obj, loc, now, &ems)
-			}
-		default: // model.LocationUnknown: away from every known location
-			st.goMissing(obj, now, &ems)
-		}
+		st.compressLocation(obj, res.Locations[obj], now, &ems)
 	}
 	return finish(ems)
 }
@@ -91,3 +81,9 @@ func (c *Level1) Close(now model.Epoch) []event.Event {
 	c.states = make(map[model.Tag]*objState)
 	return finish(ems)
 }
+
+// SetTracer attaches a decision-provenance recorder. Level 2 records a
+// suppression decision for each traced object whose location update is
+// withheld because a container reports for it (§V-C); level 1 emits every
+// state change explicitly, so it has no suppression decisions to record.
+func (c *Level1) SetTracer(rec *trace.Recorder) { c.rec = rec }

@@ -13,30 +13,15 @@ import (
 // recoverable from its container's, so only top-level containers emit
 // location events. When a containment starts, the child's open location
 // pair is closed; when it ends, a fresh pair opens at the child's current
-// location.
+// location. Level2 shares Level1's state and everything but Compress and
+// Retire.
 type Level2 struct {
-	levelOf LevelFunc
-	states  map[model.Tag]*objState
-	rec     *trace.Recorder
+	Level1
 }
 
 // NewLevel2 creates a containment-based compressor.
 func NewLevel2(levelOf LevelFunc) *Level2 {
-	return &Level2{levelOf: levelOf, states: make(map[model.Tag]*objState)}
-}
-
-func (c *Level2) state(obj model.Tag) *objState {
-	st, ok := c.states[obj]
-	if !ok {
-		st = &objState{
-			level:     c.levelOf(obj),
-			loc:       model.LocationNone,
-			lastKnown: model.LocationNone,
-			parent:    model.NoTag,
-		}
-		c.states[obj] = st
-	}
-	return st
+	return &Level2{Level1{levelOf: levelOf, states: make(map[model.Tag]*objState), section: sectionLevel2}}
 }
 
 // Compress turns one epoch's inference result into level-2 output events.
@@ -67,32 +52,17 @@ func (c *Level2) Compress(res *inference.Result) []event.Event {
 			// not re-report it if detached while still missing.
 			if loc.Known() {
 				st.lastKnown = loc
-				st.missing = false
-			} else {
-				st.missing = true
 			}
+			st.missing = !loc.Known()
 			if c.rec != nil && c.rec.Traces(obj) {
-				rloc := loc
-				if !loc.Known() {
-					rloc = st.lastKnown
-				}
 				c.rec.Record(trace.Record{
 					Epoch: now, Tag: obj, Mech: trace.MechSuppressed,
-					Loc: rloc, Other: st.parent,
+					Loc: st.lastKnown, Other: st.parent,
 				})
 			}
 			continue
 		}
-		switch {
-		case loc.Known():
-			st.missing = false
-			if !st.locOpen || st.loc != loc {
-				st.closeLocation(obj, now, &ems)
-				st.openLocation(obj, loc, now, &ems)
-			}
-		default:
-			st.goMissing(obj, now, &ems)
-		}
+		st.compressLocation(obj, loc, now, &ems)
 	}
 	return finish(ems)
 }
@@ -106,31 +76,13 @@ func (c *Level2) Compress(res *inference.Result) []event.Event {
 // to its true beginning.
 func (c *Level2) Retire(obj model.Tag, now model.Epoch) []event.Event {
 	st, ok := c.states[obj]
-	if !ok {
-		return nil
+	if !ok || st.parent == model.NoTag || st.missing || !st.lastKnown.Known() {
+		return c.Level1.Retire(obj, now)
 	}
-	wasContained := st.parent != model.NoTag
 	var ems []emission
 	st.compressContainment(obj, model.NoTag, now, &ems)
-	out := finish(ems)
-	if wasContained && !st.missing && st.lastKnown.Known() {
-		out = append(out,
-			event.NewStartLocation(obj, st.lastKnown, now),
-			event.NewEndLocation(obj, st.lastKnown, now, now))
-	} else if st.locOpen {
-		out = append(out, event.NewEndLocation(obj, st.loc, st.locVs, now))
-	}
 	delete(c.states, obj)
-	return out
-}
-
-// Close ends every open pair at epoch now.
-func (c *Level2) Close(now model.Epoch) []event.Event {
-	var ems []emission
-	for obj, st := range c.states {
-		st.compressContainment(obj, model.NoTag, now, &ems)
-		st.closeLocation(obj, now, &ems)
-	}
-	c.states = make(map[model.Tag]*objState)
-	return finish(ems)
+	return append(finish(ems),
+		event.NewStartLocation(obj, st.lastKnown, now),
+		event.NewEndLocation(obj, st.lastKnown, now, now))
 }

@@ -25,15 +25,18 @@ const (
 // validate the count before allocating.
 const stateEncSize = 8 + 1 + 8 + 1 + 8 + 8 + 8 + 8 + 1
 
-func encodeStates(e *checkpoint.Encoder, states map[model.Tag]*objState) {
-	tags := make([]model.Tag, 0, len(states))
-	for t := range states {
+// EncodeState appends the compressor's open-interval state to e, under
+// the section tag of its level.
+func (c *Level1) EncodeState(e *checkpoint.Encoder) {
+	e.Section(c.section)
+	tags := make([]model.Tag, 0, len(c.states))
+	for t := range c.states {
 		tags = append(tags, t)
 	}
 	sort.Slice(tags, func(i, j int) bool { return tags[i] < tags[j] })
 	e.Uint64(uint64(len(tags)))
 	for _, t := range tags {
-		st := states[t]
+		st := c.states[t]
 		e.Uint64(uint64(t))
 		e.Uint8(uint8(st.level))
 		e.Int64(int64(st.loc))
@@ -46,7 +49,23 @@ func encodeStates(e *checkpoint.Encoder, states map[model.Tag]*objState) {
 	}
 }
 
-func decodeStates(d *checkpoint.Decoder) (map[model.Tag]*objState, error) {
+// DecodeLevel1 reconstructs a level-1 compressor from d. levelOf is
+// configuration and comes from the caller, as in NewLevel1.
+func DecodeLevel1(d *checkpoint.Decoder, levelOf LevelFunc) (*Level1, error) {
+	return decodeLevel(d, sectionLevel1, levelOf)
+}
+
+// DecodeLevel2 reconstructs a level-2 compressor from d.
+func DecodeLevel2(d *checkpoint.Decoder, levelOf LevelFunc) (*Level2, error) {
+	c, err := decodeLevel(d, sectionLevel2, levelOf)
+	if err != nil {
+		return nil, err
+	}
+	return &Level2{*c}, nil
+}
+
+func decodeLevel(d *checkpoint.Decoder, section string, levelOf LevelFunc) (*Level1, error) {
+	d.Section(section)
 	n := d.Count(stateEncSize)
 	states := make(map[model.Tag]*objState, n)
 	for i := 0; i < n; i++ {
@@ -72,38 +91,8 @@ func decodeStates(d *checkpoint.Decoder) (map[model.Tag]*objState, error) {
 		}
 		states[t] = st
 	}
-	return states, d.Err()
-}
-
-// EncodeState appends the level-1 compressor's open-interval state to e.
-func (c *Level1) EncodeState(e *checkpoint.Encoder) {
-	e.Section(sectionLevel1)
-	encodeStates(e, c.states)
-}
-
-// DecodeLevel1 reconstructs a level-1 compressor from d. levelOf is
-// configuration and comes from the caller, as in NewLevel1.
-func DecodeLevel1(d *checkpoint.Decoder, levelOf LevelFunc) (*Level1, error) {
-	d.Section(sectionLevel1)
-	states, err := decodeStates(d)
-	if err != nil {
-		return nil, err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
-	return &Level1{levelOf: levelOf, states: states}, nil
-}
-
-// EncodeState appends the level-2 compressor's open-interval state to e.
-func (c *Level2) EncodeState(e *checkpoint.Encoder) {
-	e.Section(sectionLevel2)
-	encodeStates(e, c.states)
-}
-
-// DecodeLevel2 reconstructs a level-2 compressor from d.
-func DecodeLevel2(d *checkpoint.Decoder, levelOf LevelFunc) (*Level2, error) {
-	d.Section(sectionLevel2)
-	states, err := decodeStates(d)
-	if err != nil {
-		return nil, err
-	}
-	return &Level2{levelOf: levelOf, states: states}, nil
+	return &Level1{levelOf: levelOf, states: states, section: section}, nil
 }

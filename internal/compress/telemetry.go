@@ -51,11 +51,12 @@ func (ins *Instruments) Record(openLocs, openConts int, events int, bytes int64)
 	ins.Bytes.Add(bytes)
 }
 
-// opens counts the open location and containment intervals across a
-// compressor's tracked states: one O(n) read-only pass, cheap next to the
-// per-epoch sort Compress already does.
-func opens(states map[model.Tag]*objState) (locs, conts int) {
-	for _, st := range states {
+// Opens reports the number of open location and containment intervals:
+// one O(n) read-only pass, cheap next to the per-epoch sort Compress
+// already does. Level-2 location intervals count only uncontained
+// objects, whose locations are the ones actually being reported.
+func (c *Level1) Opens() (locs, conts int) {
+	for _, st := range c.states {
 		if st.locOpen {
 			locs++
 		}
@@ -65,11 +66,3 @@ func opens(states map[model.Tag]*objState) (locs, conts int) {
 	}
 	return locs, conts
 }
-
-// Opens reports the number of open location and containment intervals.
-func (c *Level1) Opens() (locs, conts int) { return opens(c.states) }
-
-// Opens reports the number of open location and containment intervals.
-// Level-2 location intervals count only uncontained objects, whose
-// locations are the ones actually being reported.
-func (c *Level2) Opens() (locs, conts int) { return opens(c.states) }

@@ -13,6 +13,7 @@ import (
 	"slices"
 	"time"
 
+	"spire/internal/checkpoint"
 	"spire/internal/compress"
 	"spire/internal/dedup"
 	"spire/internal/epc"
@@ -152,6 +153,7 @@ type compressor interface {
 	Close(model.Epoch) []event.Event
 	Opens() (locations, containments int)
 	SetTracer(*trace.Recorder)
+	EncodeState(*checkpoint.Encoder)
 }
 
 // New builds a substrate.

@@ -137,14 +137,7 @@ func (s *Substrate) Snapshot(w io.Writer) error {
 
 	s.dedup.EncodeState(e)
 	s.graph.EncodeState(e)
-	switch c := s.comp.(type) {
-	case *compress.Level1:
-		c.EncodeState(e)
-	case *compress.Level2:
-		c.EncodeState(e)
-	default:
-		return fmt.Errorf("core: snapshot: unknown compressor type %T", s.comp)
-	}
+	s.comp.EncodeState(e)
 	return e.Flush(w)
 }
 

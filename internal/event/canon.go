@@ -23,15 +23,6 @@ func canonRank(e Event) int {
 	}
 }
 
-// emitTime is the instant an event is emitted: Ve for end messages (the
-// interval closes then), Vs for starts and alarms.
-func emitTime(e Event) int64 {
-	if e.Kind == EndLocation || e.Kind == EndContainment {
-		return int64(e.Ve)
-	}
-	return int64(e.Vs)
-}
-
 // CanonicalSort stable-sorts a stream into a canonical normal form:
 // by emission time, then object, then kind (closes before opens before
 // alarms), then payload. Two well-formed streams describing the same
@@ -46,7 +37,7 @@ func emitTime(e Event) int64 {
 // Check well-formedness on the raw stream, equality on the canonical one.
 func CanonicalSort(events []Event) {
 	slices.SortStableFunc(events, func(a, b Event) int {
-		if c := cmp.Compare(emitTime(a), emitTime(b)); c != 0 {
+		if c := cmp.Compare(a.Emitted(), b.Emitted()); c != 0 {
 			return c
 		}
 		if c := cmp.Compare(a.Object, b.Object); c != 0 {

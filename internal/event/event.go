@@ -98,6 +98,15 @@ func (e Event) String() string {
 	}
 }
 
+// Emitted is the epoch the event is emitted at: Ve for end messages (the
+// interval closes then), Vs for starts and alarms.
+func (e Event) Emitted() model.Epoch {
+	if e.Kind == EndLocation || e.Kind == EndContainment {
+		return e.Ve
+	}
+	return e.Vs
+}
+
 // NewStartLocation builds a StartLocation message opening at vs.
 func NewStartLocation(obj model.Tag, loc model.LocationID, vs model.Epoch) Event {
 	return Event{Kind: StartLocation, Object: obj, Location: loc, Vs: vs, Ve: model.InfiniteEpoch}

@@ -55,17 +55,9 @@ import (
 // ZoneID identifies one source substrate.
 type ZoneID int
 
-// objState tracks an object's merged state.
+// objState is the merger's payload on an object's merged open pairs.
 type objState struct {
 	owner ZoneID
-
-	locOpen bool
-	loc     model.LocationID
-	locVs   model.Epoch
-
-	contOpen  bool
-	container model.Tag
-	contVs    model.Epoch
 
 	// missing latches after a forwarded Missing so repeated alarms for
 	// one disappearance collapse to one; cleared by the next
@@ -73,12 +65,8 @@ type objState struct {
 	missing bool
 }
 
-// pendingMissing is a Missing message staged until the epoch barrier.
-type pendingMissing struct {
-	obj  model.Tag
-	from model.LocationID
-	at   model.Epoch
-}
+// entry is one object's merged open pairs and merger state.
+type entry = event.Entry[objState]
 
 // Merger reconciles per-zone streams. Feed batches in epoch order (all
 // zones' batches for epoch t before any batch for t+1) and, once every
@@ -86,10 +74,10 @@ type pendingMissing struct {
 // Missing messages; within an epoch, feed zones in any fixed order. It
 // is not safe for concurrent use.
 type Merger struct {
-	states   map[model.Tag]*objState
+	states   *event.Intervals[objState]
 	lastTime model.Epoch
 	out      []event.Event
-	pending  []pendingMissing
+	pending  []event.Event // Missing messages staged until the epoch barrier
 
 	// claims records each object's last asserted location in the current
 	// epoch — set by forwarded location events, including an End whose
@@ -101,31 +89,22 @@ type Merger struct {
 	claims map[model.Tag]model.LocationID
 
 	// touched lists the objects applied since the last barrier (with
-	// repeats), and children maps a container to the objects whose
-	// containment named it when it opened — entries go stale when that
-	// containment closes and are pruned when next scanned. Together they
-	// bound the barrier's conflict check to what this epoch changed.
-	touched  []model.Tag
-	children map[model.Tag][]model.Tag
+	// repeats); with the containers' contents it bounds the barrier's
+	// conflict check to what this epoch changed.
+	touched []model.Tag
 }
 
 // NewMerger returns an empty merger.
 func NewMerger() *Merger {
 	return &Merger{
-		states:   make(map[model.Tag]*objState),
+		states:   event.NewIntervals[objState](),
 		lastTime: model.EpochNone,
 		claims:   make(map[model.Tag]model.LocationID),
-		children: make(map[model.Tag][]model.Tag),
 	}
 }
 
-func (m *Merger) state(g model.Tag) *objState {
-	st, ok := m.states[g]
-	if !ok {
-		st = &objState{owner: -1, loc: model.LocationNone, container: model.NoTag}
-		m.states[g] = st
-	}
-	return st
+func (m *Merger) state(g model.Tag) *entry {
+	return m.states.Track(g, objState{owner: -1})
 }
 
 // Ingest merges one zone's batch for one epoch and returns the merged
@@ -165,10 +144,7 @@ func (m *Merger) ingest(zone ZoneID, events []event.Event) error {
 		if err := e.Validate(); err != nil {
 			return fmt.Errorf("federate: zone %d: %w", zone, err)
 		}
-		emitted := e.Vs
-		if e.Kind == event.EndLocation || e.Kind == event.EndContainment {
-			emitted = e.Ve
-		}
+		emitted := e.Emitted()
 		if emitted < m.lastTime {
 			return fmt.Errorf("federate: zone %d: event %v at %d before merged stream time %d",
 				zone, e, emitted, m.lastTime)
@@ -179,7 +155,9 @@ func (m *Merger) ingest(zone ZoneID, events []event.Event) error {
 		if emitted > m.lastTime && m.lastTime != model.EpochNone {
 			m.barrier()
 		}
-		m.apply(zone, e)
+		if err := m.apply(zone, e); err != nil {
+			return fmt.Errorf("federate: zone %d: %w", zone, err)
+		}
 		if emitted > m.lastTime {
 			m.lastTime = emitted
 		}
@@ -220,9 +198,10 @@ func (m *Merger) barrier() {
 // per-substrate rule that a missing object keeps its containment.
 func (m *Merger) resolveContainmentConflicts() {
 	for _, g := range m.conflicts() {
-		st := m.states[g]
-		m.emit(event.NewEndContainment(g, st.container, st.contVs, m.lastTime))
-		st.contOpen = false
+		o := m.states.Get(g)
+		c, vs, _ := o.Container()
+		m.emit(event.NewEndContainment(g, c, vs, m.lastTime))
+		m.states.Release(o)
 	}
 }
 
@@ -230,64 +209,50 @@ func (m *Merger) resolveContainmentConflicts() {
 // contradicts their container's location. The previous barrier closed
 // every contradiction, and clearing its claims only turns locations
 // unknown, so a new contradiction needs an event applied since to one of
-// its two ends: it is a touched object, or an open-containment child of
-// a touched container.
+// its two ends: it is a touched object, or one of a touched container's
+// contents.
 func (m *Merger) conflicts() []model.Tag {
 	slices.Sort(m.touched)
 	m.touched = slices.Compact(m.touched)
 	var objs []model.Tag
 	for _, g := range m.touched {
-		if m.conflicted(g, m.states[g]) {
+		if m.conflicted(m.states.Get(g)) {
 			objs = append(objs, g)
 		}
-		kids := m.children[g][:0]
-		for _, c := range m.children[g] {
-			st := m.states[c]
-			if !st.contOpen || st.container != g || slices.Contains(kids, c) {
-				continue // stale or repeated entry
-			}
-			kids = append(kids, c)
-			if m.conflicted(c, st) {
+		for _, c := range m.states.Contents(g) {
+			if m.conflicted(m.states.Get(c)) {
 				objs = append(objs, c)
 			}
-		}
-		if len(kids) == 0 {
-			delete(m.children, g)
-		} else {
-			m.children[g] = kids
 		}
 	}
 	slices.Sort(objs)
 	return slices.Compact(objs)
 }
 
-// conflicted reports whether g's open containment contradicts its
+// conflicted reports whether o's open containment contradicts its
 // container's location.
-func (m *Merger) conflicted(g model.Tag, st *objState) bool {
-	if !st.contOpen {
+func (m *Merger) conflicted(o *entry) bool {
+	c, _, open := o.Container()
+	if !open {
 		return false
 	}
-	childLoc, childKnown := m.effectiveLoc(g, st)
+	childLoc, childKnown := m.effectiveLoc(o.Tag())
 	if !childKnown {
 		return false
 	}
-	parent, ok := m.states[st.container]
-	if !ok {
-		return false
-	}
-	parentLoc, parentKnown := m.effectiveLoc(st.container, parent)
+	parentLoc, parentKnown := m.effectiveLoc(c)
 	return parentKnown && parentLoc != childLoc
 }
 
 // effectiveLoc is the object's location as of this epoch's barrier: the
 // location it asserted this epoch (even if the interval closed again),
 // else its open interval's location, else unknown.
-func (m *Merger) effectiveLoc(g model.Tag, st *objState) (model.LocationID, bool) {
+func (m *Merger) effectiveLoc(g model.Tag) (model.LocationID, bool) {
 	if l, ok := m.claims[g]; ok {
 		return l, true
 	}
-	if st.locOpen {
-		return st.loc, true
+	if loc, _, open := m.states.Get(g).Location(); open {
+		return loc, true
 	}
 	return model.LocationNone, false
 }
@@ -296,84 +261,85 @@ func (m *Merger) effectiveLoc(g model.Tag, st *objState) (model.LocationID, bool
 // state, appending forwarded alarms to m.out.
 func (m *Merger) flushPending() {
 	for _, p := range m.pending {
-		st := m.state(p.obj)
-		if st.locOpen || st.missing {
+		o := m.state(p.Object)
+		if _, _, open := o.Location(); open || o.Payload.missing {
 			continue // picked up by another zone, or already alarmed
 		}
-		st.missing = true
-		m.emit(event.NewMissing(p.obj, p.from, p.at))
+		o.Payload.missing = true
+		m.emit(p)
 	}
 	m.pending = m.pending[:0]
 }
 
-func (m *Merger) apply(zone ZoneID, e event.Event) {
-	st := m.state(e.Object)
+func (m *Merger) apply(zone ZoneID, e event.Event) error {
+	o := m.state(e.Object)
+	st := &o.Payload
 	m.touched = append(m.touched, e.Object)
+	loc, locVs, locOpen := o.Location()
+	cont, contVs, contOpen := o.Container()
 	switch e.Kind {
 	case event.StartLocation:
 		// The reporting zone takes ownership; close any stale interval
 		// from the previous owner at the handoff epoch. A same-epoch
-		// handoff (e.Vs == st.locVs) clamps the stale interval to the
+		// handoff (e.Vs == locVs) clamps the stale interval to the
 		// single-epoch interval [Vs, Vs] — suppressing the End instead
 		// would orphan the already-emitted Start.
-		if st.locOpen {
-			if st.owner == zone && st.loc == e.Location {
-				return // duplicate of the already-open interval
+		if locOpen {
+			if st.owner == zone && loc == e.Location {
+				return nil // duplicate of the already-open interval
 			}
-			m.emit(event.NewEndLocation(e.Object, st.loc, st.locVs, e.Vs))
+			m.emit(event.NewEndLocation(e.Object, loc, locVs, e.Vs))
 		}
 		st.owner = zone
-		st.locOpen = true
-		st.loc = e.Location
-		st.locVs = e.Vs
 		st.missing = false
+		o.OpenLocation(e.Location, e.Vs)
 		m.claims[e.Object] = e.Location
 		m.emit(event.NewStartLocation(e.Object, e.Location, e.Vs))
 	case event.EndLocation:
-		if st.owner != zone || !st.locOpen || st.loc != e.Location {
-			return // stale view from a zone that lost the object
+		if st.owner != zone || !locOpen || loc != e.Location {
+			return nil // stale view from a zone that lost the object
 		}
-		st.locOpen = false
+		o.CloseLocation()
 		m.claims[e.Object] = e.Location
-		m.emit(event.NewEndLocation(e.Object, e.Location, st.locVs, e.Ve))
+		m.emit(event.NewEndLocation(e.Object, e.Location, locVs, e.Ve))
 	case event.Missing:
 		if st.owner != zone && st.owner != -1 {
-			return // only the owner may declare the object missing
+			return nil // only the owner may declare the object missing
 		}
 		// First reporter of an unclaimed object becomes its owner, so
 		// later duplicate alarms from other zones drop.
 		st.owner = zone
-		if st.locOpen {
-			m.emit(event.NewEndLocation(e.Object, st.loc, st.locVs, e.Vs))
-			st.locOpen = false
+		if locOpen {
+			m.emit(event.NewEndLocation(e.Object, loc, locVs, e.Vs))
+			o.CloseLocation()
 		}
 		// Defer the alarm to the epoch barrier: another zone may claim
 		// the object later in this same epoch, which retracts it.
-		m.pending = append(m.pending, pendingMissing{obj: e.Object, from: e.Location, at: e.Vs})
+		m.pending = append(m.pending, event.NewMissing(e.Object, e.Location, e.Vs))
 	case event.StartContainment:
-		if st.contOpen && st.container == e.Container {
+		if contOpen && cont == e.Container {
 			// Same containment re-observed from a (possibly different)
 			// zone: nothing new to report, but the reporter is now the
 			// most recent observer and takes ownership.
 			st.owner = zone
-			return
+			return nil
 		}
-		if st.contOpen {
-			m.emit(event.NewEndContainment(e.Object, st.container, st.contVs, e.Vs))
+		if err := m.states.Contain(o, e.Container, e.Vs); err != nil {
+			return err
+		}
+		if contOpen {
+			m.emit(event.NewEndContainment(e.Object, cont, contVs, e.Vs))
 		}
 		st.owner = zone
-		st.contOpen = true
-		st.container = e.Container
-		st.contVs = e.Vs
-		m.children[e.Container] = append(m.children[e.Container], e.Object)
 		m.emit(event.NewStartContainment(e.Object, e.Container, e.Vs))
 	case event.EndContainment:
-		if st.owner != zone || !st.contOpen || st.container != e.Container {
-			return // stale view from a zone that lost the object
+		if st.owner != zone || !contOpen || cont != e.Container {
+			return nil // stale view from a zone that lost the object
 		}
-		st.contOpen = false
-		m.emit(event.NewEndContainment(e.Object, e.Container, st.contVs, e.Ve))
+		m.states.Release(o)
+		m.emit(event.NewEndContainment(e.Object, e.Container, contVs, e.Ve))
 	}
+	return nil
 }
 
 func (m *Merger) emit(e event.Event) { m.out = append(m.out, e) }
@@ -390,26 +356,20 @@ func (m *Merger) Close(now model.Epoch) []event.Event {
 // closeOpen ends every open merged interval at epoch now, in tag order,
 // appending to m.out.
 func (m *Merger) closeOpen(now model.Epoch) {
-	tags := make([]model.Tag, 0, len(m.states))
-	for g := range m.states {
-		tags = append(tags, g)
-	}
-	slices.Sort(tags)
-	for _, g := range tags {
-		st := m.states[g]
-		if st.contOpen {
-			m.emit(event.NewEndContainment(g, st.container, st.contVs, now))
-			st.contOpen = false
+	m.states.EachOpen(func(o *entry) {
+		if c, vs, open := o.Container(); open {
+			m.emit(event.NewEndContainment(o.Tag(), c, vs, now))
+			m.states.Release(o)
 		}
-		if st.locOpen {
-			m.emit(event.NewEndLocation(g, st.loc, st.locVs, now))
-			st.locOpen = false
+		if loc, vs, open := o.Location(); open {
+			m.emit(event.NewEndLocation(o.Tag(), loc, vs, now))
+			o.CloseLocation()
 		}
-	}
+	})
 }
 
 // Objects reports the number of objects the merger has seen.
-func (m *Merger) Objects() int { return len(m.states) }
+func (m *Merger) Objects() int { return m.states.Len() }
 
 // NewParallelMerger returns NewMerger().
 //

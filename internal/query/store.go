@@ -59,7 +59,6 @@ type Store struct {
 	conts    map[model.Tag][]Containment
 	missing  map[model.Tag][]MissingReport
 	byLoc    map[model.LocationID][]occupancy
-	children map[model.Tag]map[model.Tag]struct{} // open containments, inverted
 	objects  map[model.Tag]struct{}
 	events   int64
 	lastTime model.Epoch
@@ -80,7 +79,6 @@ func NewStore() *Store {
 		conts:    make(map[model.Tag][]Containment),
 		missing:  make(map[model.Tag][]MissingReport),
 		byLoc:    make(map[model.LocationID][]occupancy),
-		children: make(map[model.Tag]map[model.Tag]struct{}),
 		objects:  make(map[model.Tag]struct{}),
 		lastTime: model.EpochNone,
 	}
@@ -102,10 +100,7 @@ func (s *Store) feed(e event.Event) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
-	emitted := e.Vs
-	if e.Kind == event.EndLocation || e.Kind == event.EndContainment {
-		emitted = e.Ve
-	}
+	emitted := e.Emitted()
 	if emitted < s.lastTime {
 		return fmt.Errorf("query: event %v emitted at %d before stream time %d", e, emitted, s.lastTime)
 	}
@@ -136,12 +131,6 @@ func (s *Store) feed(e event.Event) error {
 			return fmt.Errorf("query: %v while a containment interval is open", e)
 		}
 		s.conts[e.Object] = append(conts, Containment{Container: e.Container, Vs: e.Vs, Ve: model.InfiniteEpoch})
-		kids := s.children[e.Container]
-		if kids == nil {
-			kids = make(map[model.Tag]struct{})
-			s.children[e.Container] = kids
-		}
-		kids[e.Object] = struct{}{}
 		s.objects[e.Container] = struct{}{}
 	case event.EndContainment:
 		conts := s.conts[e.Object]
@@ -153,7 +142,6 @@ func (s *Store) feed(e event.Event) error {
 			return fmt.Errorf("query: %v does not match open interval %+v", e, conts[n-1])
 		}
 		conts[n-1].Ve = e.Ve
-		delete(s.children[e.Container], e.Object)
 	case event.Missing:
 		if stays := s.stays[e.Object]; len(stays) > 0 && stays[len(stays)-1].Ve == model.InfiniteEpoch {
 			return fmt.Errorf("query: %v inside an open location interval", e)
