@@ -60,14 +60,7 @@ experiments-full:
 	go run ./cmd/spirebench -expt all
 
 tools:
-	go build -o bin/spire ./cmd/spire
-	go build -o bin/spiresim ./cmd/spiresim
-	go build -o bin/spirebench ./cmd/spirebench
-	go build -o bin/spirebenchdiff ./cmd/spirebenchdiff
-	go build -o bin/spirequery ./cmd/spirequery
-	go build -o bin/spiredecompress ./cmd/spiredecompress
-	go build -o bin/spirefed ./cmd/spirefed
-	go build -o bin/spirezone ./cmd/spirezone
+	go build -o bin/ ./cmd/...
 
 clean:
 	rm -rf bin

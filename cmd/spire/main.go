@@ -48,19 +48,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
-
-	"strings"
 
 	"spire/internal/cep"
+	"spire/internal/cli"
 	"spire/internal/core"
 	"spire/internal/epc"
 	"spire/internal/event"
-	"spire/internal/httpapi"
 	"spire/internal/inference"
 	"spire/internal/model"
 	"spire/internal/query"
@@ -69,12 +63,6 @@ import (
 	"spire/internal/telemetry"
 	"spire/internal/trace"
 )
-
-// multiFlag collects a repeatable string flag.
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ", ") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
 func main() {
 	if err := run(); err != nil {
@@ -85,40 +73,34 @@ func main() {
 
 func run() error {
 	simCfg := sim.DefaultConfig()
+	icfg := inference.DefaultConfig()
+	cli.RegisterSim(flag.CommandLine, &simCfg)
+	flag.Float64Var(&simCfg.ReadRate, "read-rate", simCfg.ReadRate, "simulated read rate (with -simulate)")
+	flag.Int64Var((*int64)(&simCfg.ShelfPeriod), "shelf-period", int64(simCfg.ShelfPeriod), "shelf reader period (with -simulate)")
+	flag.Float64Var(&icfg.Beta, "beta", icfg.Beta, "edge inference β")
+	flag.Float64Var(&icfg.Gamma, "gamma", icfg.Gamma, "node inference γ")
+	flag.Float64Var(&icfg.Theta, "theta", icfg.Theta, "node inference θ")
+	flag.BoolVar(&icfg.AdaptiveBeta, "adaptive-beta", false, "use the adaptive β heuristic")
+	flag.Float64Var(&icfg.PruneThreshold, "prune", 0, "edge prune threshold (0 = off)")
 	var (
 		input    = flag.String("input", "", "raw stream file ('-' for stdin); readings must come from the default warehouse layout")
 		simulate = flag.Bool("simulate", false, "generate the trace in-process instead of reading one")
 		out      = flag.String("o", "", "write events in binary wire format to this file instead of printing")
 		level    = flag.Int("level", 1, "compression level (1 = range, 2 = containment-based)")
-		duration = flag.Int64("duration", int64(simCfg.Duration), "simulated duration in epochs (with -simulate)")
-		rate     = flag.Float64("read-rate", simCfg.ReadRate, "simulated read rate (with -simulate)")
-		shelfP   = flag.Int64("shelf-period", int64(simCfg.ShelfPeriod), "shelf reader period (with -simulate)")
-		theft    = flag.Int64("theft-interval", int64(simCfg.TheftInterval), "simulated theft interval (with -simulate)")
-		seed     = flag.Int64("seed", simCfg.Seed, "simulation seed (with -simulate)")
-		beta     = flag.Float64("beta", inference.DefaultConfig().Beta, "edge inference β")
-		gamma    = flag.Float64("gamma", inference.DefaultConfig().Gamma, "node inference γ")
-		theta    = flag.Float64("theta", inference.DefaultConfig().Theta, "node inference θ")
-		adaptive = flag.Bool("adaptive-beta", false, "use the adaptive β heuristic")
-		prune    = flag.Float64("prune", 0, "edge prune threshold (0 = off)")
 
 		ckptPath  = flag.String("checkpoint", "", "write atomic pipeline snapshots to this file")
 		ckptEvery = flag.Int("checkpoint-every", 60, "epochs between checkpoints (with -checkpoint)")
 		restore   = flag.String("restore", "", "resume from a snapshot file written by -checkpoint")
 		policy    = flag.String("ingest-policy", "strict", "malformed-input policy: strict, reject, or repair")
 
-		metricsAddr = flag.String("metrics-addr", "", "serve GET /metrics (Prometheus text format) on this address while running")
-		pprofFlag   = flag.Bool("pprof", false, "also serve /debug/pprof on -metrics-addr")
-		telDump     = flag.Bool("telemetry-dump", false, "print a final metrics snapshot to stderr after the run")
-
-		traceEpochs = flag.Int("trace-epochs", 0, "flight-recorder capacity in epochs (0 = default 256 when tracing is otherwise enabled)")
-		traceTags   = flag.String("trace-tags", "", "record per-tag decision provenance: 'all' or comma-separated decimal tags")
-		traceDump   = flag.String("trace-dump", "", "write the flight recorder and provenance records as JSONL to this file at exit")
-		logSpec     = flag.String("log-level", "", "log level (debug|info|warn|error), optionally per component: 'warn,ingest=debug'")
+		traceTags = flag.String("trace-tags", "", "record per-tag decision provenance: 'all' or comma-separated decimal tags")
 	)
-	var subscribePatterns multiFlag
+	srv := cli.RegisterServe(flag.CommandLine)
+	obs := cli.RegisterRecorder(flag.CommandLine)
+	var subscribePatterns cli.MultiFlag
 	flag.Var(&subscribePatterns, "subscribe", "register a complex-event subscription pattern, e.g. 'SEQ(missing(), NOT start()) WITHIN 120' (repeatable); matches log as they fire, and -metrics-addr additionally serves /v1/subscriptions")
 	flag.Parse()
-	logging, err := trace.NewLogging(os.Stderr, *logSpec)
+	logging, err := srv.Logging(false)
 	if err != nil {
 		return err
 	}
@@ -131,11 +113,6 @@ func run() error {
 		return fmt.Errorf("unknown ingest policy %q (want strict, reject, or repair)", *policy)
 	}
 
-	simCfg.Seed = *seed
-	simCfg.Duration = model.Epoch(*duration)
-	simCfg.ReadRate = *rate
-	simCfg.ShelfPeriod = model.Epoch(*shelfP)
-	simCfg.TheftInterval = model.Epoch(*theft)
 	s, err := sim.New(simCfg)
 	if err != nil {
 		return err
@@ -151,10 +128,6 @@ func run() error {
 		}
 		logMain.Info("restored snapshot", "path", *restore, "epoch", sub.LastEpoch())
 	} else {
-		icfg := inference.DefaultConfig()
-		icfg.Beta, icfg.Gamma, icfg.Theta = *beta, *gamma, *theta
-		icfg.AdaptiveBeta = *adaptive
-		icfg.PruneThreshold = *prune
 		sub, err = core.New(core.Config{
 			Readers:     s.Readers(),
 			Locations:   s.Locations(),
@@ -170,32 +143,23 @@ func run() error {
 	// uninstrumented hot path. Instrument after the restore branch so a
 	// resumed run is observable too.
 	var reg *telemetry.Registry
-	if *metricsAddr != "" || *telDump || *pprofFlag {
+	if srv.Addr() != "" || obs.TelemetryDump {
 		reg = telemetry.NewRegistry()
 		sub.Instrument(reg)
 	}
 
 	// Tracing is likewise opt-in: any trace flag attaches a recorder.
 	var rec *trace.Recorder
-	if *traceEpochs > 0 || *traceTags != "" || *traceDump != "" {
+	if obs.Tracing() || *traceTags != "" {
 		all, tags, err := trace.ParseTags(*traceTags)
 		if err != nil {
 			return err
 		}
-		rec = trace.New(trace.Config{Epochs: *traceEpochs, All: all, Tags: tags})
+		rec = trace.New(trace.Config{Epochs: obs.TraceEpochs, All: all, Tags: tags})
 		sub.Trace(rec)
 	}
-	// On panic, salvage the flight recorder before dying: the last few
-	// epochs' spans are exactly the forensics a crash needs.
-	defer func() {
-		if p := recover(); p != nil {
-			if rec != nil {
-				fmt.Fprintln(os.Stderr, "spire: panic, dumping flight recorder:")
-				_ = rec.DumpJSONL(os.Stderr)
-			}
-			panic(p)
-		}
-	}()
+	ctx, end := cli.Start(rec)
+	defer end()
 
 	// Subscriptions are opt-in like telemetry and tracing: the engine
 	// rides the watcher hook behind the substrate, so with no -subscribe
@@ -221,31 +185,8 @@ func run() error {
 		sub.Watch(w)
 	}
 
-	if *metricsAddr != "" || *pprofFlag {
-		addr := *metricsAddr
-		if addr == "" {
-			addr = "localhost:0"
-		}
-		h := httpapi.New(nil, nil).EnableMetrics(reg)
-		if *pprofFlag {
-			h.EnablePprof()
-		}
-		if rec != nil {
-			h.EnableTrace(rec)
-		}
-		if engine != nil {
-			h.EnableCEP(engine)
-		}
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			return fmt.Errorf("metrics listener: %w", err)
-		}
-		logMain.Info("serving metrics", "url", fmt.Sprintf("http://%s/metrics", ln.Addr()))
-		go func() {
-			if err := http.Serve(ln, h); err != nil {
-				logMain.Error("metrics server failed", "error", err)
-			}
-		}()
+	if err := cli.Listen(srv.Addr(), cli.Plane{Metrics: reg, Pprof: srv.Pprof, Trace: rec, CEP: engine}, logMain); err != nil {
+		return err
 	}
 
 	emit, flush, err := makeSink(*out)
@@ -258,24 +199,6 @@ func run() error {
 		CheckpointEvery: *ckptEvery,
 		Ingest:          core.IngestConfig{Policy: ingestPolicy},
 	})
-
-	// SIGINT/SIGTERM cancel the runner's context for a graceful shutdown:
-	// the output sink, a final checkpoint, and the telemetry/trace dumps
-	// all still flush. SIGQUIT dumps the flight recorder to stderr and
-	// lets the run continue.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if rec != nil {
-		sigq := make(chan os.Signal, 1)
-		signal.Notify(sigq, syscall.SIGQUIT)
-		defer signal.Stop(sigq)
-		go func() {
-			for range sigq {
-				fmt.Fprintln(os.Stderr, "spire: SIGQUIT, dumping flight recorder:")
-				_ = rec.DumpJSONL(os.Stderr)
-			}
-		}()
-	}
 
 	// Feed batches to the runner, skipping epochs a restored snapshot
 	// already processed (the input is replayed from its beginning). A
@@ -349,27 +272,7 @@ func run() error {
 			"accepted", ist.Accepted, "stale", ist.Stale,
 			"merged", ist.Merged, "reordered", ist.Reordered)
 	}
-	if *telDump {
-		fmt.Fprintln(os.Stderr, "spire: final telemetry snapshot:")
-		if err := reg.WritePrometheus(os.Stderr); err != nil {
-			return err
-		}
-	}
-	if *traceDump != "" {
-		f, err := os.Create(*traceDump)
-		if err != nil {
-			return fmt.Errorf("trace dump: %w", err)
-		}
-		if err := rec.DumpJSONL(f); err != nil {
-			f.Close()
-			return fmt.Errorf("trace dump: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		logMain.Info("wrote trace dump", "path", *traceDump)
-	}
-	return nil
+	return obs.Dump(reg, rec, logMain)
 }
 
 // feedSim streams freshly simulated batches.

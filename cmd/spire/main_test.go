@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -42,12 +43,9 @@ func TestMain(m *testing.M) {
 		}
 		defer os.RemoveAll(dir)
 		binDir = dir
-		for _, name := range []string{"spire", "spiresim", "spirezone", "spirefed", "spirebench", "spirebenchdiff", "spiredecompress"} {
-			out, err := exec.Command("go", "build", "-o", filepath.Join(dir, name), "spire/cmd/"+name).CombinedOutput()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "go build %s: %v\n%s", name, err, out)
-				return 1
-			}
+		if out, err := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "spire/cmd/...").CombinedOutput(); err != nil {
+			fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
+			return 1
 		}
 		tracePath = filepath.Join(dir, "trace.bin")
 		out, err := exec.Command(filepath.Join(dir, "spiresim"), "-duration", "1500", "-pallet-interval", "100", "-shelf-time", "300", "-read-rate", "0.85", "-o", tracePath).CombinedOutput()
@@ -59,11 +57,11 @@ func TestMain(m *testing.M) {
 	}())
 }
 
-// referenceStream interprets the trace with an in-process substrate built
-// the way main builds it and returns the printed event stream split at
-// epoch boundaries: lines[i] holds epoch epochs[i]'s events, and the final
-// entry (epoch InfiniteEpoch) the stream-closing events.
-func referenceStream(t *testing.T, level core.CompressionLevel) (epochs []model.Epoch, lines []string) {
+// referenceBatches interprets the trace with an in-process substrate
+// built the way main builds it and returns its output one epoch at a
+// time: batches[i] holds epoch epochs[i]'s events, and the final entry
+// (epoch InfiniteEpoch) the stream-closing events.
+func referenceBatches(t *testing.T, level core.CompressionLevel) (epochs []model.Epoch, batches [][]event.Event) {
 	t.Helper()
 	s, err := sim.New(sim.DefaultConfig())
 	if err != nil {
@@ -89,21 +87,28 @@ func referenceStream(t *testing.T, level core.CompressionLevel) (epochs []model.
 		if err != nil {
 			t.Fatal(err)
 		}
-		var b strings.Builder
-		for _, e := range out.Events {
-			fmt.Fprintln(&b, pretty(e))
-		}
 		epochs = append(epochs, o.Time)
-		lines = append(lines, b.String())
+		batches = append(batches, slices.Clone(out.Events)) // the substrate may reuse its output buffers
 	}
 	if err := <-feedErr; err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	for _, e := range sub.Close(sub.LastEpoch() + 1) {
-		fmt.Fprintln(&b, pretty(e))
+	return append(epochs, model.InfiniteEpoch), append(batches, sub.Close(sub.LastEpoch()+1))
+}
+
+// referenceStream is referenceBatches printed: lines[i] holds epoch
+// epochs[i]'s events in the notation spire prints.
+func referenceStream(t *testing.T, level core.CompressionLevel) (epochs []model.Epoch, lines []string) {
+	t.Helper()
+	epochs, batches := referenceBatches(t, level)
+	for _, evs := range batches {
+		var b strings.Builder
+		for _, e := range evs {
+			fmt.Fprintln(&b, pretty(e))
+		}
+		lines = append(lines, b.String())
 	}
-	return append(epochs, model.InfiniteEpoch), append(lines, b.String())
+	return epochs, lines
 }
 
 func runSpire(t *testing.T, args ...string) []byte {
@@ -284,14 +289,17 @@ func readEvents(t *testing.T, path string) []event.Event {
 
 // TestRemovedFlagsRejected pins that the flags deleted with the ingest
 // and inference worker pools, the observation zone feed, the sharded
-// coordinator merge and the bench timing threshold are unknown to the
-// flag package — not silently accepted.
+// coordinator merge, the bench timing threshold and spiresim's no-op
+// tracing and subscription flags are unknown to the flag package — not
+// silently accepted.
 func TestRemovedFlagsRejected(t *testing.T) {
 	for _, tc := range []struct{ bin, flag, value string }{
 		{"spire", "-ingest-workers", "1"},
 		{"spire", "-infer-workers", "2"},
 		{"spiresim", "-ingest-workers", "1"},
 		{"spiresim", "-infer-workers", "1"},
+		{"spiresim", "-trace-tags", "all"},
+		{"spiresim", "-subscribe", "SEQ(missing()) WITHIN 60"},
 		{"spirezone", "-feed", "obs"},
 		{"spirefed", "-serial-merge", "true"},
 		{"spirefed", "-merge-shards", "4"},
@@ -500,5 +508,74 @@ func TestClusterMatchesMerger(t *testing.T) {
 	}
 	if sha(got) != sha(want) {
 		t.Fatalf("merged stream sha %s (%d bytes), in-process Merger %s (%d bytes)", sha(got), len(got), sha(want), len(want))
+	}
+}
+
+// TestFederateLogsOnce drives a one-zone cluster with -log-level info and
+// the query API on: each coordinator diagnostic is logged once, as a
+// structured record, and the API's /v1/stats answers while the merged
+// stream is served.
+func TestFederateLogsOnce(t *testing.T) {
+	fed := exec.Command(filepath.Join(binDir, "spirefed"), "-zones", "1", "-listen", "127.0.0.1:0",
+		"-serve", "127.0.0.1:0", "-log-level", "info")
+	stderr, err := fed.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer fed.Process.Kill()
+	var log strings.Builder
+	lines := bufio.NewScanner(stderr)
+	// waitFor reads spirefed's log up to the first line containing s and
+	// returns that line.
+	waitFor := func(s string) string {
+		t.Helper()
+		for lines.Scan() {
+			log.WriteString(lines.Text() + "\n")
+			if strings.Contains(lines.Text(), s) {
+				return lines.Text()
+			}
+		}
+		t.Fatalf("spirefed log ended before %q:\n%s", s, log.String())
+		return ""
+	}
+	_, api, _ := strings.Cut(waitFor("msg=serving"), "url=")
+	_, addr, _ := strings.Cut(waitFor("coordinating 1 zones on "), " on ")
+
+	zone := exec.Command(filepath.Join(binDir, "spirezone"), "-zone", "0", "-zones", "1",
+		"-addr", addr, "-duration", "300", "-q")
+	if out, err := zone.CombinedOutput(); err != nil {
+		t.Fatalf("spirezone: %v\n%s", err, out)
+	}
+	waitFor("query API stays up")
+
+	resp, err := (&http.Client{Timeout: 10 * time.Second}).Get(api + "v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats struct {
+		Pipeline struct {
+			MergedEpochs int64 `json:"merged_epochs"`
+		} `json:"pipeline"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if err != nil || stats.Pipeline.MergedEpochs == 0 {
+		t.Fatalf("/v1/stats: %+v, %v", stats, err)
+	}
+
+	if err := fed.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	for lines.Scan() {
+		log.WriteString(lines.Text() + "\n")
+	}
+	if err := fed.Wait(); err != nil {
+		t.Fatalf("spirefed: %v\n%s", err, log.String())
+	}
+	if n := strings.Count(log.String(), "zone connected"); n != 1 || strings.Contains(log.String(), "coordinator:") {
+		t.Fatalf("want one structured \"zone connected\" record and no printf line, got %d:\n%s", n, log.String())
 	}
 }

@@ -20,22 +20,16 @@
 package main
 
 import (
-	"bufio"
-	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"sync"
-	"syscall"
 	"time"
 
+	"spire/internal/cli"
 	"spire/internal/event"
 	"spire/internal/federate"
-	"spire/internal/httpapi"
 	"spire/internal/model"
 	"spire/internal/query"
 	"spire/internal/telemetry"
@@ -51,35 +45,27 @@ func main() {
 
 func run() error {
 	var (
-		zones       = flag.Int("zones", 2, "number of zone workers to coordinate")
-		listen      = flag.String("listen", "127.0.0.1:7412", "address to accept zone workers on")
-		out         = flag.String("o", "", "write the merged stream to this file (binary event wire format)")
-		serve       = flag.String("serve", "", "serve the query API for the merged stream on this address")
-		straggler   = flag.Duration("straggler-timeout", 30*time.Second, "max barrier stall before failing and naming the lagging zone")
-		warnFrac    = flag.Float64("straggler-warn", 0.5, "fraction of -straggler-timeout after which a stalled barrier logs a near-miss naming the lagging zone")
-		metricsAddr = flag.String("metrics-addr", "", "serve the cluster health plane on this address: /metrics, /v1/cluster, /healthz, /readyz, /debug/fedtrace")
-		pprofFlag   = flag.Bool("pprof", false, "also serve /debug/pprof on -metrics-addr")
-		logSpec     = flag.String("log-level", "", "log level (debug|info|warn|error), optionally per component: 'warn,federate=debug'")
-		quiet       = flag.Bool("q", false, "suppress progress logging")
+		zones     = flag.Int("zones", 2, "number of zone workers to coordinate")
+		listen    = flag.String("listen", "127.0.0.1:7412", "address to accept zone workers on")
+		out       = flag.String("o", "", "write the merged stream to this file (binary event wire format)")
+		serve     = flag.String("serve", "", "serve the query API for the merged stream on this address")
+		straggler = flag.Duration("straggler-timeout", 30*time.Second, "max barrier stall before failing and naming the lagging zone")
+		warnFrac  = flag.Float64("straggler-warn", 0.5, "fraction of -straggler-timeout after which a stalled barrier logs a near-miss naming the lagging zone")
+		quiet     = flag.Bool("q", false, "suppress progress logging")
 	)
+	srv := cli.RegisterServe(flag.CommandLine)
 	flag.Parse()
-
-	logf := func(format string, args ...any) {
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "spirefed: "+format+"\n", args...)
-		}
-	}
-	logging, err := trace.NewLogging(os.Stderr, *logSpec)
+	logging, err := srv.Logging(*quiet)
 	if err != nil {
 		return err
 	}
+	logMain := logging.Component("spirefed")
 
 	var sink struct {
 		mu     sync.Mutex // serializes Feed with query API reads
 		store  *query.Store
 		w      *event.Writer
 		file   *os.File
-		buf    *bufio.Writer
 		events int64
 		epochs int64
 	}
@@ -89,23 +75,17 @@ func run() error {
 			return err
 		}
 		sink.file = f
-		sink.buf = bufio.NewWriter(f)
-		sink.w = event.NewWriter(sink.buf)
+		sink.w = event.NewWriter(f)
 	}
 	if *serve != "" {
 		sink.store = query.NewStore()
 	}
 
-	var fedLog *slog.Logger
-	if *logSpec != "" {
-		fedLog = logging.Component("federate")
-	}
 	coord, err := federate.NewCoordinator(federate.CoordinatorConfig{
 		Zones:                 *zones,
 		StragglerTimeout:      *straggler,
 		StragglerWarnFraction: *warnFrac,
-		Logf:                  logf,
-		Log:                   fedLog,
+		Log:                   logging.Component("federate"),
 		Sink: func(epoch model.Epoch, events []event.Event) error {
 			sink.mu.Lock()
 			defer sink.mu.Unlock()
@@ -130,77 +110,63 @@ func run() error {
 		return err
 	}
 
-	if *metricsAddr != "" {
+	if addr := srv.Addr(); addr != "" {
 		reg := telemetry.NewRegistry()
 		coord.Instrument(reg)
 		rec := trace.NewConnRecorder(0)
 		coord.TraceConn(rec)
-		plane := httpapi.New(nil, nil).
-			EnableMetrics(reg).
-			EnableClusterStatus(func() any { return coord.Status() }).
-			EnableHealth(coord.Ready).
-			EnableConnTrace(rec)
-		if *pprofFlag {
-			plane.EnablePprof()
-		}
-		mln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
+		if err := cli.Listen(addr, cli.Plane{
+			Metrics: reg,
+			Pprof:   srv.Pprof,
+			Cluster: func() any { return coord.Status() },
+			Ready:   coord.Ready,
+			Conn:    rec,
+		}, logMain); err != nil {
 			return err
 		}
-		defer mln.Close()
-		go http.Serve(mln, plane) //nolint:errcheck — dies with the process
-		logf("cluster health plane on %s", mln.Addr())
 	}
-
-	if *serve != "" {
-		api := httpapi.New(sink.store, func() any {
-			sink.mu.Lock()
-			defer sink.mu.Unlock()
+	// The query API holds sink.mu around every request, stats included.
+	if err := cli.Listen(*serve, cli.Plane{
+		Store: sink.store,
+		Lock:  &sink.mu,
+		Stats: func() any {
 			return map[string]any{
 				"zones":         *zones,
 				"merged_epochs": sink.epochs,
 				"merged_events": sink.events,
 			}
-		})
-		locked := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			sink.mu.Lock()
-			defer sink.mu.Unlock()
-			api.ServeHTTP(w, r)
-		})
-		hln, err := net.Listen("tcp", *serve)
-		if err != nil {
-			return err
-		}
-		defer hln.Close()
-		go http.Serve(hln, locked) //nolint:errcheck — dies with the process
-		logf("query API on %s", hln.Addr())
+		},
+	}, logMain); err != nil {
+		return err
 	}
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return err
 	}
-	logf("coordinating %d zones on %s", *zones, ln.Addr())
+	if !*quiet {
+		fmt.Fprintf(os.Stderr, "spirefed: coordinating %d zones on %s\n", *zones, ln.Addr())
+	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
+	ctx, end := cli.Start(nil)
+	defer end()
 	if err := coord.Serve(ctx, ln); err != nil {
 		return err
 	}
 
 	if sink.w != nil {
-		if err := sink.buf.Flush(); err != nil {
+		if err := sink.w.Flush(); err != nil {
 			return err
 		}
 		if err := sink.file.Close(); err != nil {
 			return err
 		}
-		logf("wrote %d events (%d bytes) to %s", sink.w.Count(), sink.w.Bytes(), *out)
+		logMain.Info("wrote merged stream", "path", *out, "events", sink.w.Count(), "bytes", sink.w.Bytes())
 	}
-	logf("merged %d epochs, %d events from %d zones", sink.epochs, sink.events, *zones)
+	logMain.Info("cluster run complete", "epochs", sink.epochs, "events", sink.events, "zones", *zones)
 	// With -serve, keep answering queries until interrupted.
 	if *serve != "" {
-		logf("cluster run complete; query API stays up (interrupt to exit)")
+		logMain.Info("query API stays up; interrupt to exit")
 		<-ctx.Done()
 	}
 	return nil

@@ -25,42 +25,18 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
+	"log/slog"
 	"os"
-	"strings"
 
 	"spire/internal/cep"
+	"spire/internal/cli"
 	"spire/internal/compress"
 	"spire/internal/epc"
 	"spire/internal/event"
 	"spire/internal/eventlog"
-	"spire/internal/httpapi"
 	"spire/internal/model"
 	"spire/internal/query"
 )
-
-// multiFlag collects repeated occurrences of a string flag.
-type multiFlag []string
-
-func (m *multiFlag) String() string { return strings.Join(*m, ",") }
-
-func (m *multiFlag) Set(v string) error {
-	*m = append(*m, v)
-	return nil
-}
-
-// dispatchEpoch reconstructs the epoch a stored event was dispatched in:
-// start and Missing messages are emitted when the interval opens, end
-// messages when it closes. The live pipeline dispatches in this order,
-// so replaying with these epochs reproduces the watcher's clock.
-func dispatchEpoch(e event.Event) model.Epoch {
-	switch e.Kind {
-	case event.EndLocation, event.EndContainment:
-		return e.Ve
-	default:
-		return e.Vs
-	}
-}
 
 func main() {
 	if err := run(); err != nil {
@@ -83,7 +59,7 @@ func run() error {
 		loc        = flag.Int64("loc", -1, "location id for -at occupancy queries")
 		serve      = flag.String("serve", "", "serve the loaded stream over HTTP on this address (e.g. :8080)")
 	)
-	var watch multiFlag
+	var watch cli.MultiFlag
 	flag.Var(&watch, "watch", "replay the stream through this complex-event pattern and print matches (repeatable)")
 	flag.Parse()
 
@@ -109,23 +85,38 @@ func run() error {
 	if *level2 {
 		dec = compress.NewDecompressor()
 	}
-	feed := func(e event.Event) error {
+	// A stream is stored in emission order, so a run of events with one
+	// Emitted epoch is one epoch's output: the batch the decompressor
+	// steps, as the live pipeline produced it.
+	var batch []event.Event
+	flush := func() error {
+		evs := batch
+		batch = nil
 		if dec != nil {
-			out, err := dec.Step([]event.Event{e})
-			if err != nil {
+			var err error
+			if evs, err = dec.Step(evs); err != nil {
 				return err
 			}
-			if engine != nil {
-				for _, o := range out {
-					watchEvent(engine, &clock, o)
-				}
-			}
-			return store.Feed(out...)
 		}
+		// Each event reaches the engine at the epoch it was dispatched in.
+		// The clock only moves forward, like the live watcher's: a closing
+		// interval can carry a Ve older than epochs already replayed.
 		if engine != nil {
-			watchEvent(engine, &clock, e)
+			for i := range evs {
+				clock = max(clock, evs[i].Emitted())
+				engine.Epoch(clock, evs[i:i+1])
+			}
 		}
-		return store.Feed(e)
+		return store.Feed(evs...)
+	}
+	feed := func(e event.Event) error {
+		if len(batch) > 0 && e.Emitted() != batch[0].Emitted() {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+		batch = append(batch, e)
+		return nil
 	}
 
 	switch {
@@ -156,6 +147,10 @@ func run() error {
 		return fmt.Errorf("one of -events or -log is required")
 	}
 
+	if err := flush(); err != nil {
+		return err
+	}
+
 	if engine != nil {
 		// Resolve windows that closed by the last reconstructed epoch;
 		// anything still open is pending, not matched.
@@ -169,8 +164,13 @@ func run() error {
 	}
 
 	if *serve != "" {
-		fmt.Fprintf(os.Stderr, "spirequery: serving %d events over http on %s\n", store.Events(), *serve)
-		return http.ListenAndServe(*serve, httpapi.New(store, nil))
+		ctx, end := cli.Start(nil)
+		defer end()
+		if err := cli.Listen(*serve, cli.Plane{Store: store}, slog.Default()); err != nil {
+			return err
+		}
+		<-ctx.Done()
+		return nil
 	}
 
 	ran := engine != nil
@@ -231,17 +231,6 @@ func run() error {
 		return fmt.Errorf("no query requested (try -summary)")
 	}
 	return nil
-}
-
-// watchEvent feeds one stored event into the engine at its reconstructed
-// dispatch epoch. The clock only moves forward: a closing interval can
-// carry a Ve older than epochs already replayed, and the engine clock is
-// monotonic like the live watcher's.
-func watchEvent(e *cep.Engine, clock *model.Epoch, ev event.Event) {
-	if t := dispatchEpoch(ev); t > *clock {
-		*clock = t
-	}
-	e.Epoch(*clock, []event.Event{ev})
 }
 
 func name(g model.Tag) string {

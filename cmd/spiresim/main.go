@@ -15,25 +15,17 @@
 // on SIGQUIT, or via GET /debug/trace on the metrics listener. None of
 // these affect the generated stream. SIGINT/SIGTERM stop generation
 // early but still flush the stream writer and the dumps; the truncated
-// stream stays well-formed. -log-level sets the structured log level,
-// optionally per component.
+// stream stays well-formed. The shared flag groups are internal/cli's.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
 	"time"
 
-	"spire/internal/cep"
-	"spire/internal/httpapi"
+	"spire/internal/cli"
 	"spire/internal/model"
 	"spire/internal/sim"
 	"spire/internal/stream"
@@ -48,77 +40,38 @@ func main() {
 	}
 }
 
-// multiFlag collects repeated occurrences of a string flag.
-type multiFlag []string
-
-func (m *multiFlag) String() string { return strings.Join(*m, ",") }
-
-func (m *multiFlag) Set(v string) error {
-	*m = append(*m, v)
-	return nil
+// epochVar registers an epoch-valued flag bound to p, defaulting to *p.
+func epochVar(p *model.Epoch, name, usage string) {
+	flag.Int64Var((*int64)(p), name, int64(*p), usage)
 }
 
 func run() error {
 	cfg := sim.DefaultConfig()
-	var (
-		out     = flag.String("o", "", "output file (default stdout)")
-		quiet   = flag.Bool("q", false, "suppress the summary on stderr")
-		seed    = flag.Int64("seed", cfg.Seed, "random seed")
-		dur     = flag.Int64("duration", int64(cfg.Duration), "simulation length in epochs (seconds)")
-		pallets = flag.Int64("pallet-interval", int64(cfg.PalletInterval), "epochs between pallet arrivals")
-		casesMn = flag.Int("cases-min", cfg.CasesMin, "minimum cases per pallet")
-		casesMx = flag.Int("cases-max", cfg.CasesMax, "maximum cases per pallet")
-		items   = flag.Int("items", cfg.ItemsPerCase, "items per case")
-		rate    = flag.Float64("read-rate", cfg.ReadRate, "per-interrogation read rate (0..1)")
-		shelfP  = flag.Int64("shelf-period", int64(cfg.ShelfPeriod), "shelf reader period in epochs")
-		shelves = flag.Int("shelves", cfg.NumShelves, "number of shelf locations")
-		shelfT  = flag.Int64("shelf-time", int64(cfg.ShelfTime), "mean shelving duration in epochs")
-		theft   = flag.Int64("theft-interval", int64(cfg.TheftInterval), "epochs between thefts (0 = none)")
-		misrt   = flag.Int64("misroute-interval", int64(cfg.MisrouteInterval), "epochs between misroutes — cases diverted off outbound pallets (0 = none)")
-		coldP   = flag.Int("cold-case-period", cfg.ColdCasePeriod, "every Nth injected case is cold-chain cargo on the cold shelf (0 = none)")
-		excI    = flag.Int64("excursion-interval", int64(cfg.ExcursionInterval), "epochs between cold-chain excursions (0 = none; needs -cold-case-period)")
-		excD    = flag.Int64("excursion-dwell", int64(cfg.ExcursionDwell), "epochs an excursed cold case dwells on a warm shelf")
-		shufI   = flag.Int64("cold-shuffle-interval", int64(cfg.ColdShuffleInterval), "epochs between benign cold-case shuffles (0 = none; needs -cold-case-period)")
-		shufD   = flag.Int64("cold-shuffle-dwell", int64(cfg.ColdShuffleDwell), "epochs a shuffled cold case dwells on a warm shelf")
-
-		metricsAddr = flag.String("metrics-addr", "", "serve GET /metrics (Prometheus text format) on this address while generating")
-		telDump     = flag.Bool("telemetry-dump", false, "print a final metrics snapshot to stderr")
-
-		traceEpochs = flag.Int("trace-epochs", 0, "flight-recorder capacity in epochs (0 = default 256 when tracing is otherwise enabled)")
-		traceTags   = flag.String("trace-tags", "", "accepted for symmetry with cmd/spire; the generator makes no per-tag decisions, so only epoch spans are recorded")
-		traceDump   = flag.String("trace-dump", "", "write the flight recorder as JSONL to this file at exit")
-		logSpec     = flag.String("log-level", "", "log level (debug|info|warn|error), optionally per component: 'warn,metrics=debug'")
-	)
-	var subscribePatterns multiFlag
-	flag.Var(&subscribePatterns, "subscribe", "accepted for symmetry with cmd/spire: patterns are validated, but the generator runs no interpretation, so nothing matches here — pipe the stream into spire -subscribe instead")
+	cli.RegisterSim(flag.CommandLine, &cfg)
+	epochVar(&cfg.PalletInterval, "pallet-interval", "epochs between pallet arrivals")
+	flag.IntVar(&cfg.CasesMin, "cases-min", cfg.CasesMin, "minimum cases per pallet")
+	flag.IntVar(&cfg.CasesMax, "cases-max", cfg.CasesMax, "maximum cases per pallet")
+	flag.IntVar(&cfg.ItemsPerCase, "items", cfg.ItemsPerCase, "items per case")
+	flag.Float64Var(&cfg.ReadRate, "read-rate", cfg.ReadRate, "per-interrogation read rate (0..1)")
+	epochVar(&cfg.ShelfPeriod, "shelf-period", "shelf reader period in epochs")
+	flag.IntVar(&cfg.NumShelves, "shelves", cfg.NumShelves, "number of shelf locations")
+	epochVar(&cfg.ShelfTime, "shelf-time", "mean shelving duration in epochs")
+	epochVar(&cfg.MisrouteInterval, "misroute-interval", "epochs between misroutes — cases diverted off outbound pallets (0 = none)")
+	flag.IntVar(&cfg.ColdCasePeriod, "cold-case-period", cfg.ColdCasePeriod, "every Nth injected case is cold-chain cargo on the cold shelf (0 = none)")
+	epochVar(&cfg.ExcursionInterval, "excursion-interval", "epochs between cold-chain excursions (0 = none; needs -cold-case-period)")
+	epochVar(&cfg.ExcursionDwell, "excursion-dwell", "epochs an excursed cold case dwells on a warm shelf")
+	epochVar(&cfg.ColdShuffleInterval, "cold-shuffle-interval", "epochs between benign cold-case shuffles (0 = none; needs -cold-case-period)")
+	epochVar(&cfg.ColdShuffleDwell, "cold-shuffle-dwell", "epochs a shuffled cold case dwells on a warm shelf")
+	out := flag.String("o", "", "output file (default stdout)")
+	quiet := flag.Bool("q", false, "suppress the summary on stderr")
+	srv := cli.RegisterServe(flag.CommandLine)
+	obs := cli.RegisterRecorder(flag.CommandLine)
 	flag.Parse()
-	logging, err := trace.NewLogging(os.Stderr, *logSpec)
+	logging, err := srv.Logging(false)
 	if err != nil {
 		return err
 	}
 	logMain := logging.Component("spiresim")
-
-	cfg.Seed = *seed
-	cfg.Duration = model.Epoch(*dur)
-	cfg.PalletInterval = model.Epoch(*pallets)
-	cfg.CasesMin, cfg.CasesMax = *casesMn, *casesMx
-	cfg.ItemsPerCase = *items
-	cfg.ReadRate = *rate
-	cfg.ShelfPeriod = model.Epoch(*shelfP)
-	cfg.NumShelves = *shelves
-	cfg.ShelfTime = model.Epoch(*shelfT)
-	cfg.TheftInterval = model.Epoch(*theft)
-	cfg.MisrouteInterval = model.Epoch(*misrt)
-	cfg.ColdCasePeriod = *coldP
-	cfg.ExcursionInterval, cfg.ExcursionDwell = model.Epoch(*excI), model.Epoch(*excD)
-	cfg.ColdShuffleInterval, cfg.ColdShuffleDwell = model.Epoch(*shufI), model.Epoch(*shufD)
-
-	for _, p := range subscribePatterns {
-		if err := cep.Validate(p); err != nil {
-			return fmt.Errorf("-subscribe %q: %w", p, err)
-		}
-		logMain.Warn("pattern accepted but the generator runs no interpretation; pipe into spire -subscribe to match it", "pattern", p)
-	}
 
 	s, err := sim.New(cfg)
 	if err != nil {
@@ -129,7 +82,7 @@ func run() error {
 	// the simulator state, so the generated stream is unaffected.
 	var reg *telemetry.Registry
 	var epochsC, readingsC, bytesC *telemetry.Counter
-	if *metricsAddr != "" || *telDump {
+	if srv.Addr() != "" || obs.TelemetryDump {
 		reg = telemetry.NewRegistry()
 		epochsC = reg.Counter("spiresim_epochs_total", "Simulated epochs generated.")
 		readingsC = reg.Counter("spiresim_readings_total", "Raw tag readings written.")
@@ -139,45 +92,14 @@ func run() error {
 	// The generator makes no per-tag inference decisions, so its recorder
 	// carries epoch spans only: per-epoch readings, bytes, and wall-clock.
 	var rec *trace.Recorder
-	if *traceEpochs > 0 || *traceTags != "" || *traceDump != "" {
-		if _, _, err := trace.ParseTags(*traceTags); err != nil {
-			return err
-		}
-		rec = trace.New(trace.Config{Epochs: *traceEpochs})
+	if obs.Tracing() {
+		rec = trace.New(trace.Config{Epochs: obs.TraceEpochs})
 	}
+	ctx, end := cli.Start(rec)
+	defer end()
 
-	if *metricsAddr != "" {
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			return fmt.Errorf("metrics listener: %w", err)
-		}
-		h := httpapi.New(nil, nil).EnableMetrics(reg)
-		if rec != nil {
-			h.EnableTrace(rec)
-		}
-		logMain.Info("serving metrics", "url", fmt.Sprintf("http://%s/metrics", ln.Addr()))
-		go func() {
-			if err := http.Serve(ln, h); err != nil {
-				logMain.Error("metrics server failed", "error", err)
-			}
-		}()
-	}
-
-	// SIGINT/SIGTERM stop generation at the next epoch boundary; the
-	// writer and dumps still flush below, so a truncated stream stays
-	// well-formed. SIGQUIT dumps the flight recorder and continues.
-	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSig()
-	if rec != nil {
-		sigq := make(chan os.Signal, 1)
-		signal.Notify(sigq, syscall.SIGQUIT)
-		defer signal.Stop(sigq)
-		go func() {
-			for range sigq {
-				fmt.Fprintln(os.Stderr, "spiresim: SIGQUIT, dumping flight recorder:")
-				_ = rec.DumpJSONL(os.Stderr)
-			}
-		}()
+	if err := cli.Listen(srv.Addr(), cli.Plane{Metrics: reg, Pprof: srv.Pprof, Trace: rec}, logMain); err != nil {
+		return err
 	}
 
 	var dst io.Writer = os.Stdout
@@ -229,25 +151,8 @@ func run() error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	if *telDump {
-		fmt.Fprintln(os.Stderr, "spiresim: final telemetry snapshot:")
-		if err := reg.WritePrometheus(os.Stderr); err != nil {
-			return err
-		}
-	}
-	if *traceDump != "" {
-		f, err := os.Create(*traceDump)
-		if err != nil {
-			return fmt.Errorf("trace dump: %w", err)
-		}
-		if err := rec.DumpJSONL(f); err != nil {
-			f.Close()
-			return fmt.Errorf("trace dump: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		logMain.Info("wrote trace dump", "path", *traceDump)
+	if err := obs.Dump(reg, rec, logMain); err != nil {
+		return err
 	}
 	if !*quiet {
 		logMain.Info("generation complete",

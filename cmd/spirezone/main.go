@@ -28,19 +28,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 
+	"spire/internal/cli"
 	"spire/internal/core"
 	"spire/internal/federate"
-	"spire/internal/httpapi"
 	"spire/internal/inference"
 	"spire/internal/model"
 	"spire/internal/sim"
@@ -58,22 +52,18 @@ func main() {
 func run() error {
 	simCfg := sim.DefaultConfig()
 	var (
-		zone        = flag.Int("zone", -1, "this worker's zone ID (0-based)")
-		zones       = flag.Int("zones", 2, "total zones in the cluster")
-		addr        = flag.String("addr", "127.0.0.1:7412", "coordinator address")
-		level       = flag.Int("level", 1, "compression level (1 or 2)")
-		ckpt        = flag.String("checkpoint", "", "checkpoint file; written on ack, resumed from when present")
-		ckptEvery   = flag.Int64("checkpoint-every", 50, "epochs between checkpoint snapshots")
-		ackWindow   = flag.Int("ack-window", 64, "max epochs in flight past the coordinator's acks")
-		jitterSeed  = flag.Int64("jitter-seed", 0, "seed for reconnect-backoff jitter (0 derives one from the clock and zone)")
-		metricsAddr = flag.String("metrics-addr", "", "serve the worker health plane on this address: /metrics, /v1/cluster, /healthz, /readyz, /debug/fedtrace")
-		pprofFlag   = flag.Bool("pprof", false, "also serve /debug/pprof on -metrics-addr")
-		logSpec     = flag.String("log-level", "", "log level (debug|info|warn|error), optionally per component: 'warn,federate=debug'")
-		quiet       = flag.Bool("q", false, "suppress progress logging")
+		zone       = flag.Int("zone", -1, "this worker's zone ID (0-based)")
+		zones      = flag.Int("zones", 2, "total zones in the cluster")
+		addr       = flag.String("addr", "127.0.0.1:7412", "coordinator address")
+		level      = flag.Int("level", 1, "compression level (1 or 2)")
+		ckpt       = flag.String("checkpoint", "", "checkpoint file; written on ack, resumed from when present")
+		ckptEvery  = flag.Int64("checkpoint-every", 50, "epochs between checkpoint snapshots")
+		ackWindow  = flag.Int("ack-window", 64, "max epochs in flight past the coordinator's acks")
+		jitterSeed = flag.Int64("jitter-seed", 0, "seed for reconnect-backoff jitter (0 derives one from the clock and zone)")
+		quiet      = flag.Bool("q", false, "suppress progress logging")
 	)
-	flag.Int64Var(&simCfg.Seed, "seed", simCfg.Seed, "simulation seed (identical across the cluster)")
-	flag.Int64Var((*int64)(&simCfg.Duration), "duration", int64(simCfg.Duration), "simulation length in epochs")
-	flag.Int64Var((*int64)(&simCfg.TheftInterval), "theft-interval", int64(simCfg.TheftInterval), "steal a shelved case every N epochs (0 disables)")
+	cli.RegisterSim(flag.CommandLine, &simCfg)
+	srv := cli.RegisterServe(flag.CommandLine)
 	flag.Parse()
 
 	if *zone < 0 || *zone >= *zones {
@@ -88,19 +78,11 @@ func run() error {
 		return err
 	}
 
-	logf := func(format string, args ...any) {
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "spirezone: "+format+"\n", args...)
-		}
-	}
-	logging, err := trace.NewLogging(os.Stderr, *logSpec)
+	logging, err := srv.Logging(*quiet)
 	if err != nil {
 		return err
 	}
-	var fedLog *slog.Logger
-	if *logSpec != "" {
-		fedLog = logging.Component("federate")
-	}
+	logMain := logging.Component("spirezone").With("zone", *zone)
 
 	var sub *core.Substrate
 	if *ckpt != "" {
@@ -108,7 +90,7 @@ func run() error {
 			if sub, err = core.RestoreSubstrateFromFile(*ckpt); err != nil {
 				return fmt.Errorf("restore %s: %w", *ckpt, err)
 			}
-			logf("zone %d: resumed from checkpoint at epoch %d", *zone, sub.LastEpoch())
+			logMain.Info("resumed from checkpoint", "epoch", sub.LastEpoch())
 		}
 	}
 	if sub == nil {
@@ -132,37 +114,30 @@ func run() error {
 		CheckpointEvery: model.Epoch(*ckptEvery),
 		AckWindow:       *ackWindow,
 		JitterSeed:      *jitterSeed,
-		Logf:            logf,
-		Log:             fedLog,
+		Log:             logging.Component("federate"),
 	})
 	if err != nil {
 		return err
 	}
 
-	if *metricsAddr != "" {
+	if addr := srv.Addr(); addr != "" {
 		reg := telemetry.NewRegistry()
 		w.Instrument(reg)
 		rec := trace.NewConnRecorder(0)
 		w.TraceConn(rec)
-		plane := httpapi.New(nil, nil).
-			EnableMetrics(reg).
-			EnableClusterStatus(func() any { return w.Status() }).
-			EnableHealth(w.Ready).
-			EnableConnTrace(rec)
-		if *pprofFlag {
-			plane.EnablePprof()
-		}
-		mln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
+		if err := cli.Listen(addr, cli.Plane{
+			Metrics: reg,
+			Pprof:   srv.Pprof,
+			Cluster: func() any { return w.Status() },
+			Ready:   w.Ready,
+			Conn:    rec,
+		}, logMain); err != nil {
 			return err
 		}
-		defer mln.Close()
-		go http.Serve(mln, plane) //nolint:errcheck — dies with the process
-		logf("zone %d: health plane on %s", *zone, mln.Addr())
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
+	ctx, end := cli.Start(nil)
+	defer end()
 
 	streams, err := s.PartitionZonesBatch(*zones)
 	if err != nil {
@@ -172,7 +147,7 @@ func run() error {
 		return err
 	}
 	st := sub.Stats()
-	logf("zone %d: done — %d epochs, %d readings, %d events (%d bytes)",
-		*zone, st.Epochs, st.Readings, st.Events, st.EventBytes)
+	logMain.Info("zone done", "epochs", st.Epochs, "readings", st.Readings,
+		"events", st.Events, "event_bytes", st.EventBytes)
 	return nil
 }

@@ -334,7 +334,7 @@ func TestDetectorsParse(t *testing.T) {
 		MisroutePattern(l, 300),
 		ColdChainPattern(l, 25),
 	} {
-		if err := Validate(src); err != nil {
+		if _, err := Parse(src); err != nil {
 			t.Errorf("detector %q: %v", src, err)
 		}
 	}

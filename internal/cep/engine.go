@@ -622,10 +622,3 @@ func (e *Engine) heapPop() *run {
 	r.inHeap = false
 	return r
 }
-
-// Validate parses src and reports the first error, for flag validation
-// without building an engine.
-func Validate(src string) error {
-	_, err := Parse(src)
-	return err
-}

@@ -38,12 +38,9 @@ type CoordinatorConfig struct {
 	// timeout (default 0.5; clamped to (0, 1)).
 	StragglerWarnFraction float64
 
-	// Logf, when set, receives connection and progress diagnostics in
-	// printf form. Log receives the same transitions as structured
-	// records (and near-miss warnings at warn level); nil discards them.
-	// The two are independent.
-	Logf func(format string, args ...any)
-	Log  *slog.Logger
+	// Log receives connection and progress diagnostics as structured
+	// records (near-miss warnings at warn level); nil discards them.
+	Log *slog.Logger
 }
 
 // zoneConn tracks one zone's delivery and ack state.
@@ -104,9 +101,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	if cfg.StragglerWarnFraction <= 0 || cfg.StragglerWarnFraction >= 1 {
 		cfg.StragglerWarnFraction = 0.5
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
 	}
 	if cfg.Log == nil {
 		cfg.Log = slog.New(slog.DiscardHandler)
@@ -182,7 +176,6 @@ func (c *Coordinator) handleConn(ctx context.Context, conn net.Conn) {
 		err = fmt.Errorf("first frame is %s, want hello", hello.Type)
 	}
 	if err != nil {
-		c.cfg.Logf("coordinator: bad handshake from %v: %v", conn.RemoteAddr(), err)
 		c.cfg.Log.Warn("bad handshake", "remote", fmt.Sprint(conn.RemoteAddr()), "err", err)
 		if errors.Is(err, stream.ErrProtocolVersion) {
 			// Tell a worker speaking another version which one this is;
@@ -192,7 +185,6 @@ func (c *Coordinator) handleConn(ctx context.Context, conn net.Conn) {
 		return
 	}
 	if hello.Zone < 0 || hello.Zone >= c.cfg.Zones {
-		c.cfg.Logf("coordinator: zone %d out of range [0,%d)", hello.Zone, c.cfg.Zones)
 		c.cfg.Log.Warn("zone out of range", "zone", hello.Zone, "zones", c.cfg.Zones)
 		return
 	}
@@ -218,7 +210,6 @@ func (c *Coordinator) handleConn(ctx context.Context, conn net.Conn) {
 	zoneAt(c.tel.ZoneConnected, hello.Zone).Set(1)
 	c.ctrace.Record(trace.ConnEvent{Kind: trace.ConnConnect, Zone: hello.Zone, Epoch: acked,
 		Detail: "handshake complete; acked mark sent"})
-	c.cfg.Logf("coordinator: zone %d connected (acked through %d)", hello.Zone, acked)
 	c.cfg.Log.Info("zone connected", "zone", hello.Zone, "acked", int64(acked), "worker_epoch", int64(hello.Epoch))
 
 	defer func() {
@@ -238,7 +229,6 @@ func (c *Coordinator) handleConn(ctx context.Context, conn net.Conn) {
 		f, n, err := stream.ReadFrameCountInto(conn, scratch[:0])
 		if err != nil {
 			if ctx.Err() == nil {
-				c.cfg.Logf("coordinator: zone %d connection lost: %v", hello.Zone, err)
 				c.cfg.Log.Warn("zone connection lost", "zone", hello.Zone, "err", err)
 				c.ctrace.Record(trace.ConnEvent{Kind: trace.ConnLost, Zone: hello.Zone,
 					Detail: err.Error()})
@@ -259,11 +249,9 @@ func (c *Coordinator) handleConn(ctx context.Context, conn net.Conn) {
 			zc.mu.Lock()
 			zc.finalSent = true
 			zc.mu.Unlock()
-			c.cfg.Logf("coordinator: zone %d said goodbye (acked %d)", hello.Zone, f.Epoch)
 			c.cfg.Log.Info("zone goodbye", "zone", hello.Zone, "acked", int64(f.Epoch))
 			return
 		default:
-			c.cfg.Logf("coordinator: zone %d sent unexpected %s frame", hello.Zone, f.Type)
 			c.cfg.Log.Warn("unexpected frame", "zone", hello.Zone, "frame", f.Type.String())
 			return
 		}
@@ -422,7 +410,6 @@ func (c *Coordinator) mergeLoop(ctx context.Context) error {
 		}
 		c.ack(next)
 		if final {
-			c.cfg.Logf("coordinator: merged final epoch %d; %d events total", next, c.MergedEvents())
 			c.cfg.Log.Info("final epoch merged", "epoch", int64(next), "events", c.MergedEvents())
 			c.lingerForFinalAcks(ctx)
 			return nil
@@ -523,8 +510,6 @@ func (c *Coordinator) nearMiss(wanted model.Epoch, waited time.Duration) {
 	c.ctrace.Record(trace.ConnEvent{Kind: trace.ConnNearMiss, Epoch: wanted,
 		Detail:     fmt.Sprintf("zones %v", missing),
 		DurationMS: float64(waited.Milliseconds())})
-	c.cfg.Logf("coordinator: barrier near-miss: epoch %d still missing from zones %v after %v (timeout %v)",
-		wanted, missing, waited, c.cfg.StragglerTimeout)
 	c.cfg.Log.Warn("barrier near-miss", "epoch", int64(wanted), "zones", fmt.Sprint(missing),
 		"waited", waited.String(), "timeout", c.cfg.StragglerTimeout.String())
 }
@@ -565,7 +550,6 @@ func (c *Coordinator) ack(epoch model.Epoch) {
 		zc.mu.Lock()
 		if zc.conn != nil {
 			if err := stream.WriteFrame(zc.conn, &stream.Frame{Type: stream.FrameAck, Epoch: epoch}); err != nil {
-				c.cfg.Logf("coordinator: ack %d to zone %d: %v", epoch, z, err)
 				c.cfg.Log.Warn("ack write failed", "zone", z, "epoch", int64(epoch), "err", err)
 				zc.conn.Close()
 				zc.conn = nil
@@ -616,7 +600,6 @@ func (c *Coordinator) lingerForFinalAcks(ctx context.Context) {
 			return
 		case <-deadline:
 			record(pending)
-			c.cfg.Logf("coordinator: zones %v never received the final ack; exiting anyway", pending)
 			c.cfg.Log.Warn("final ack undelivered", "zones", fmt.Sprint(pending))
 			return
 		case <-tick.C:

@@ -73,11 +73,9 @@ type WorkerConfig struct {
 	MaxBackoff  time.Duration
 	JitterSeed  int64
 
-	// Logf, when set, receives progress and retry diagnostics in printf
-	// form. Log receives connection transitions as structured records;
-	// nil discards them.
-	Logf func(format string, args ...any)
-	Log  *slog.Logger
+	// Log receives progress, retry and connection diagnostics as
+	// structured records; nil discards them.
+	Log *slog.Logger
 }
 
 type epochBatch struct {
@@ -154,9 +152,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	if cfg.JitterSeed == 0 {
 		cfg.JitterSeed = time.Now().UnixNano() ^ (int64(cfg.Zone) << 32)
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
 	}
 	if cfg.Log == nil {
 		cfg.Log = slog.New(slog.DiscardHandler)
@@ -347,7 +342,6 @@ func (w *Worker) sendBatch(ctx context.Context, b *epochBatch) error {
 		if err := w.writeBatch(b); err == nil {
 			return nil
 		} else {
-			w.cfg.Logf("zone %d: send epoch %d: %v; reconnecting", w.cfg.Zone, b.epoch, err)
 			w.cfg.Log.Warn("send failed", "zone", int(w.cfg.Zone), "epoch", int64(b.epoch), "err", err)
 			w.dropConn()
 		}
@@ -400,7 +394,6 @@ func (w *Worker) ensureConn(ctx context.Context) error {
 		w.setStatus(func(s *WorkerStatus) { s.BackoffMS = sleep.Milliseconds() })
 		w.ctrace.Record(trace.ConnEvent{Kind: trace.ConnConnectFailed, Zone: int(w.cfg.Zone),
 			Detail: err.Error(), DurationMS: float64(sleep.Milliseconds())})
-		w.cfg.Logf("zone %d: connect attempt %d: %v; retrying in %v", w.cfg.Zone, attempt+1, err, sleep)
 		w.cfg.Log.Warn("connect failed", "zone", int(w.cfg.Zone), "attempt", attempt+1,
 			"err", err, "retry_in", sleep.String())
 		select {
@@ -546,13 +539,11 @@ func (w *Worker) awaitAck(ctx context.Context) error {
 		// lost. The caller re-checks its condition before the next
 		// awaitAck redials.
 		w.drainAcks()
-		w.cfg.Logf("zone %d: connection lost waiting for ack: %v", w.cfg.Zone, err)
 		w.cfg.Log.Warn("connection lost", "zone", int(w.cfg.Zone), "err", err)
 		w.ctrace.Record(trace.ConnEvent{Kind: trace.ConnLost, Zone: int(w.cfg.Zone), Detail: err.Error()})
 		w.dropConn()
 		return nil
 	case <-time.After(w.cfg.AckTimeout):
-		w.cfg.Logf("zone %d: no ack within %v; reconnecting", w.cfg.Zone, w.cfg.AckTimeout)
 		w.cfg.Log.Warn("ack stall", "zone", int(w.cfg.Zone), "timeout", w.cfg.AckTimeout.String())
 		w.tel.AckStalls.Inc()
 		w.setStatus(func(s *WorkerStatus) { s.AckStalls++ })
@@ -599,7 +590,6 @@ func (w *Worker) takeSnapshot(epoch model.Epoch) {
 	}
 	var buf bytes.Buffer
 	if err := w.cfg.Substrate.Snapshot(&buf); err != nil {
-		w.cfg.Logf("zone %d: snapshot at epoch %d: %v", w.cfg.Zone, epoch, err)
 		w.cfg.Log.Warn("snapshot failed", "zone", int(w.cfg.Zone), "epoch", int64(epoch), "err", err)
 		return
 	}
@@ -626,7 +616,6 @@ func (w *Worker) persistSnapshot() {
 			start = time.Now()
 		}
 		if err := writeFileAtomic(w.cfg.CheckpointPath, w.snapData); err != nil {
-			w.cfg.Logf("zone %d: checkpoint write: %v", w.cfg.Zone, err)
 			w.cfg.Log.Warn("checkpoint write failed", "zone", int(w.cfg.Zone), "err", err)
 			return
 		}
@@ -638,7 +627,6 @@ func (w *Worker) persistSnapshot() {
 		w.setStatus(func(s *WorkerStatus) { s.CheckpointEpoch = epoch })
 		w.ctrace.Record(trace.ConnEvent{Kind: trace.ConnCheckpoint, Zone: int(w.cfg.Zone),
 			Epoch: epoch, Detail: fmt.Sprintf("%d bytes", size)})
-		w.cfg.Logf("zone %d: checkpoint at epoch %d persisted", w.cfg.Zone, epoch)
 		w.cfg.Log.Info("checkpoint persisted", "zone", int(w.cfg.Zone), "epoch", int64(epoch), "bytes", size)
 		w.snapEpoch = model.EpochNone
 		w.snapData = nil
