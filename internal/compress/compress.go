@@ -21,10 +21,10 @@
 package compress
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"spire/internal/event"
-	"spire/internal/inference"
 	"spire/internal/model"
 )
 
@@ -68,18 +68,14 @@ type emission struct {
 // levels) come before their contents, then tag order, then the staging
 // sequence (which puts an object's End before its Start).
 func sortEpoch(ems []emission) {
-	sort.SliceStable(ems, func(i, j int) bool {
-		ci, cj := ems[i].ev.Kind.Containment(), ems[j].ev.Kind.Containment()
-		if ci != cj {
-			return ci
+	slices.SortStableFunc(ems, func(a, b emission) int {
+		if ca, cb := a.ev.Kind.Containment(), b.ev.Kind.Containment(); ca != cb {
+			if ca {
+				return -1
+			}
+			return 1
 		}
-		if ems[i].level != ems[j].level {
-			return ems[i].level > ems[j].level
-		}
-		if ems[i].ev.Object != ems[j].ev.Object {
-			return ems[i].ev.Object < ems[j].ev.Object
-		}
-		return ems[i].seq < ems[j].seq
+		return cmp.Or(cmp.Compare(b.level, a.level), cmp.Compare(a.ev.Object, b.ev.Object), cmp.Compare(a.seq, b.seq))
 	})
 }
 
@@ -93,16 +89,6 @@ func finish(ems []emission) []event.Event {
 		out[i] = e.ev
 	}
 	return out
-}
-
-// sortedTags returns the result's interpreted objects in tag order.
-func sortedTags(res *inference.Result) []model.Tag {
-	tags := make([]model.Tag, 0, len(res.Locations))
-	for t := range res.Locations {
-		tags = append(tags, t)
-	}
-	sort.Slice(tags, func(i, j int) bool { return tags[i] < tags[j] })
-	return tags
 }
 
 // compressContainment updates the containment pair of one object and

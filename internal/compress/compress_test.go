@@ -1,6 +1,8 @@
 package compress
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"spire/internal/event"
@@ -380,4 +382,58 @@ func compareByObject(t *testing.T, got, want []event.Event) {
 			t.Errorf("object %d: unexpected location events %v", obj, gm[obj])
 		}
 	}
+}
+
+// TestSparseResultRereadsMaps pins the sparse input form against stale
+// rows: a producer that clears and refills one Result's maps every epoch,
+// as the benchmark's ground-truth stream does, must be read afresh each
+// time — by Rows and by Compress — exactly as if it had built a new
+// Result.
+func TestSparseResultRereadsMaps(t *testing.T) {
+	reused := &inference.Result{
+		Now:       1,
+		Locations: map[model.Tag]model.LocationID{tP: l1, tC1: l1, tI1: l2},
+		Parents:   map[model.Tag]model.Tag{tP: model.NoTag, tC1: tP, tI1: model.NoTag},
+		Observed:  map[model.Tag]bool{tP: true},
+	}
+	rows := reused.Rows()
+	if len(rows) != 3 || rows[0].Tag != tP || !rows[0].Observed || rows[1].Parent != tP {
+		t.Fatalf("first read: rows %+v", rows)
+	}
+	viaReused, viaFresh := NewLevel1(levelOfT), NewLevel1(levelOfT)
+	fresh := func() *inference.Result {
+		return &inference.Result{
+			Now:       reused.Now,
+			Locations: maps.Clone(reused.Locations),
+			Parents:   maps.Clone(reused.Parents),
+			Observed:  map[model.Tag]bool{},
+		}
+	}
+	wantEvents(t, viaReused.Compress(reused), viaFresh.Compress(fresh()))
+
+	// Refill in place: the case moves to l3 on its own, the pallet drops
+	// out of the result, a new item arrives, and the first item keeps its
+	// containment (no Parents entry).
+	reused.Now = 2
+	clear(reused.Locations)
+	clear(reused.Parents)
+	reused.Locations[tC1], reused.Parents[tC1] = l3, model.NoTag
+	reused.Locations[tI2], reused.Parents[tI2] = l2, model.NoTag
+	reused.Locations[tI1] = l4
+	want := []inference.Verdict{
+		{Tag: tC1, Location: l3, Parent: model.NoTag, HasParent: true},
+		{Tag: tI1, Location: l4},
+		{Tag: tI2, Location: l2, Parent: model.NoTag, HasParent: true},
+	}
+	if got := reused.Rows(); !slices.Equal(got, want) {
+		t.Fatalf("second read after refill: rows %+v, want %+v", got, want)
+	}
+	if _, ok := reused.Lookup(tP); ok {
+		t.Error("cleared tag still has a row")
+	}
+	got := viaReused.Compress(reused)
+	if len(got) == 0 {
+		t.Fatal("refilled result compressed to nothing")
+	}
+	wantEvents(t, got, viaFresh.Compress(fresh()))
 }

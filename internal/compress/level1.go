@@ -43,15 +43,15 @@ func (c *Level1) state(obj model.Tag) *objState {
 func (c *Level1) Compress(res *inference.Result) []event.Event {
 	var ems []emission
 	now := res.Now
-	for _, obj := range sortedTags(res) {
-		st := c.state(obj)
+	for _, v := range res.Rows() {
+		st := c.state(v.Tag)
 
 		// Containment stream.
-		if newParent, ok := res.Parents[obj]; ok {
-			st.compressContainment(obj, newParent, now, &ems)
+		if v.HasParent {
+			st.compressContainment(v.Tag, v.Parent, now, &ems)
 		}
 
-		st.compressLocation(obj, res.Locations[obj], now, &ems)
+		st.compressLocation(v.Tag, v.Location, now, &ems)
 	}
 	return finish(ems)
 }

@@ -28,13 +28,13 @@ func NewLevel2(levelOf LevelFunc) *Level2 {
 func (c *Level2) Compress(res *inference.Result) []event.Event {
 	var ems []emission
 	now := res.Now
-	for _, obj := range sortedTags(res) {
-		st := c.state(obj)
+	for _, v := range res.Rows() {
+		obj, st := v.Tag, c.state(v.Tag)
 
 		contained := st.parent != model.NoTag
-		if newParent, ok := res.Parents[obj]; ok {
-			st.compressContainment(obj, newParent, now, &ems)
-			nowContained := newParent != model.NoTag
+		if v.HasParent {
+			st.compressContainment(obj, v.Parent, now, &ems)
+			nowContained := v.Parent != model.NoTag
 			if nowContained && !contained {
 				// Containment starts: close the child's own pair — from
 				// here its location rides on the container's reports.
@@ -43,7 +43,7 @@ func (c *Level2) Compress(res *inference.Result) []event.Event {
 			contained = nowContained
 		}
 
-		loc := res.Locations[obj]
+		loc := v.Location
 		if contained {
 			// Location suppressed; remember the child's virtual location
 			// so a later containment end can reopen the pair correctly.

@@ -9,7 +9,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 	"time"
 
@@ -129,10 +128,16 @@ type Substrate struct {
 	// nil keeps the pipeline byte-identical and allocation-free.
 	watch *query.Watcher
 
-	// raw is the pooled KeepRawResult copy, reset and refilled each epoch
-	// instead of allocating fresh maps; it shares the Result lifetime
-	// contract of ProcessBatch.
+	// raw is the pooled KeepRawResult copy, refilled each epoch instead of
+	// allocating fresh rows; it shares the Result lifetime contract of
+	// ProcessBatch.
 	raw inference.Result
+
+	// Exit-walk scratch: the row indices walked, a per-row seen column and
+	// the contained rows.
+	exitWalk []int32
+	exitSeen []bool
+	exitKids []int32
 
 	// tombstones are tags already retired through an exit. A retired
 	// object is often still within the exit reader's range for a few more
@@ -369,18 +374,7 @@ func (s *Substrate) finishEpoch(now model.Epoch, rawReadings int64, tel *Instrum
 	var raw *inference.Result
 	if s.cfg.KeepRawResult {
 		raw = &s.raw
-		raw.Now = res.Now
-		raw.Partial = res.Partial
-		raw.Observed = res.Observed
-		if raw.Locations == nil {
-			raw.Locations = make(map[model.Tag]model.LocationID, len(res.Locations))
-			raw.Parents = make(map[model.Tag]model.Tag, len(res.Parents))
-		} else {
-			clear(raw.Locations)
-			clear(raw.Parents)
-		}
-		maps.Copy(raw.Locations, res.Locations)
-		maps.Copy(raw.Parents, res.Parents)
+		res.CopyTo(raw)
 	}
 	if timed {
 		next := time.Now()
@@ -413,12 +407,9 @@ func (s *Substrate) finishEpoch(now model.Epoch, rawReadings int64, tel *Instrum
 	retired := s.exitSet(res)
 	for _, g := range retired {
 		if rec != nil && rec.Traces(g) {
-			loc, ok := res.Locations[g]
-			if !ok {
-				loc = model.LocationNone
-			}
+			v, _ := res.Lookup(g)
 			rec.Record(trace.Record{
-				Epoch: now, Tag: g, Mech: trace.MechRetired, Loc: loc,
+				Epoch: now, Tag: g, Mech: trace.MechRetired, Loc: v.Location,
 			})
 		}
 		out.Events = append(out.Events, s.comp.Retire(g, now)...)
@@ -469,44 +460,49 @@ func (s *Substrate) finishEpoch(now model.Epoch, rawReadings int64, tel *Instrum
 
 // exitSet collects the objects retiring this epoch: those observed at an
 // exit location plus, transitively, the objects whose chosen container is
-// retiring. Sorted containers-first (level descending, then tag).
+// retiring. Sorted containers-first (level descending, then tag). The walk
+// runs over the result's rows, finding a container's contents among the
+// contained rows sorted by parent; only the returned slice is allocated.
 func (s *Substrate) exitSet(res *inference.Result) []model.Tag {
 	if len(s.exits) == 0 {
 		return nil
 	}
-	var seeds []model.Tag
-	for g, obs := range res.Observed {
-		if obs && s.exits[res.Locations[g]] {
-			seeds = append(seeds, g)
+	rows := res.Rows()
+	walk := s.exitWalk[:0]
+	for i, v := range rows {
+		if v.Observed && s.exits[v.Location] {
+			walk = append(walk, int32(i))
 		}
 	}
-	if len(seeds) == 0 {
+	if len(walk) == 0 {
 		return nil
 	}
-	sortTags(seeds) // one deterministic order for the whole walk
-	children := make(map[model.Tag][]model.Tag)
-	for c, p := range res.Parents {
-		if p != model.NoTag {
-			children[p] = append(children[p], c)
+	seen := slices.Grow(s.exitSeen[:0], len(rows))[:len(rows)]
+	clear(seen)
+	for _, i := range walk {
+		seen[i] = true
+	}
+	kids := s.exitKids[:0]
+	for i, v := range rows {
+		if v.HasParent && v.Parent != model.NoTag {
+			kids = append(kids, int32(i))
 		}
 	}
-	set := make(map[model.Tag]bool)
-	var walk func(model.Tag)
-	walk = func(g model.Tag) {
-		if set[g] {
-			return
-		}
-		set[g] = true
-		for _, c := range children[g] {
-			walk(c)
+	slices.SortFunc(kids, func(a, b int32) int { return cmp.Or(cmp.Compare(rows[a].Parent, rows[b].Parent), cmp.Compare(a, b)) })
+	for k := 0; k < len(walk); k++ {
+		g := rows[walk[k]].Tag
+		j, _ := slices.BinarySearchFunc(kids, g, func(c int32, t model.Tag) int { return cmp.Compare(rows[c].Parent, t) })
+		for ; j < len(kids) && rows[kids[j]].Parent == g; j++ {
+			if c := kids[j]; !seen[c] {
+				seen[c] = true
+				walk = append(walk, c)
+			}
 		}
 	}
-	for _, g := range seeds {
-		walk(g)
-	}
-	out := make([]model.Tag, 0, len(set))
-	for g := range set {
-		out = append(out, g)
+	s.exitWalk, s.exitSeen, s.exitKids = walk, seen, kids
+	out := make([]model.Tag, len(walk))
+	for k, i := range walk {
+		out[k] = rows[i].Tag
 	}
 	slices.SortFunc(out, func(a, b model.Tag) int {
 		if la, lb := levelOf(a), levelOf(b); la != lb {
@@ -515,13 +511,6 @@ func (s *Substrate) exitSet(res *inference.Result) []model.Tag {
 		return cmp.Compare(a, b)
 	})
 	return out
-}
-
-// sortTags sorts a tag slice ascending — the one comparator shared by
-// every deterministic-ordering site (retire walks, tombstone snapshots,
-// impacted-tag seeds) instead of a per-call sort.Slice closure.
-func sortTags(tags []model.Tag) {
-	slices.Sort(tags)
 }
 
 // Close ends all open pairs at epoch now, producing the closing events of

@@ -308,11 +308,11 @@ func TestLosslessObservations(t *testing.T) {
 		for _, g := range out.Retired {
 			retired[g] = true
 		}
-		for g, seen := range out.Result.Observed {
+		for _, v := range out.Result.Rows() {
 			// Objects retired this epoch close their interval at the
 			// observation epoch itself (a half-open zero-length stay).
-			if seen && !retired[g] {
-				observed = append(observed, obs{at: o.Time, obj: g, loc: out.Result.Locations[g]})
+			if v.Observed && !retired[v.Tag] {
+				observed = append(observed, obs{at: o.Time, obj: v.Tag, loc: v.Location})
 			}
 		}
 	}

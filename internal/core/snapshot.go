@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"spire/internal/checkpoint"
@@ -129,7 +130,7 @@ func (s *Substrate) Snapshot(w io.Writer) error {
 	for g := range s.tombstones {
 		tombs = append(tombs, g)
 	}
-	sortTags(tombs)
+	slices.Sort(tombs)
 	e.Uint64(uint64(len(tombs)))
 	for _, g := range tombs {
 		e.Uint64(uint64(g))

@@ -217,3 +217,56 @@ func BenchmarkEpochLoopBaseline(b *testing.B) {
 		hotEpoch(b, sub, o, now, nil, nil)
 	}
 }
+
+// TestEpochTailAllocs pins the map-free epoch tail: once warm, partial and
+// complete inference and Table I conflict resolution allocate nothing per
+// epoch, and the exit walk allocates only the Retired slice it returns
+// (EpochOutput.Retired outlives the call). Each measured step replays the
+// steady-state batch through the graph first, so every pass sweeps real
+// work; the graph update itself is allocation-free once warm.
+func TestEpochTailAllocs(t *testing.T) {
+	sub, o := warmInstrumented(t)
+	now := sub.LastEpoch()
+	pass := func(mode inference.Mode) *inference.Result {
+		now++
+		o.Time = now
+		readers := sub.groupReaders[:0]
+		for i := range o.Groups {
+			readers = append(readers, sub.readers[o.Groups[i].Reader])
+		}
+		sub.groupReaders = readers
+		if err := sub.graph.UpdateBatch(o, readers); err != nil {
+			t.Fatal(err)
+		}
+		return sub.inf.Infer(sub.graph, now, mode)
+	}
+	if got := testing.AllocsPerRun(100, func() { pass(inference.Partial) }); got != 0 {
+		t.Errorf("partial Infer allocates %.1f allocs/op, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { pass(inference.Complete) }); got != 0 {
+		t.Errorf("complete Infer allocates %.1f allocs/op, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		inference.ResolveConflicts(pass(inference.Complete), levelOf, nil)
+	}); got != 0 {
+		t.Errorf("Infer + ResolveConflicts allocates %.1f allocs/op, want 0", got)
+	}
+
+	// Treat a location the replayed batch reads as an exit, so the walk
+	// has seeds and their contents to collect; exitSet only reads.
+	for _, gr := range o.Groups {
+		if gr.End > gr.Start {
+			sub.exits[sub.readers[gr.Reader].Location] = true
+			break
+		}
+	}
+	res := pass(inference.Complete)
+	inference.ResolveConflicts(res, levelOf, nil)
+	var retired []model.Tag
+	if got := testing.AllocsPerRun(100, func() { retired = sub.exitSet(res) }); got != 1 {
+		t.Errorf("exit walk allocates %.1f allocs/op, want 1 (the Retired slice)", got)
+	}
+	if len(retired) == 0 {
+		t.Fatal("exit walk collected nothing: the pin exercised no work")
+	}
+}

@@ -72,8 +72,8 @@ func BenchmarkCompleteInference(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res := inf.Infer(g, now, Complete)
-				if len(res.Locations) != g.Len() {
-					b.Fatalf("incomplete verdicts: %d of %d", len(res.Locations), g.Len())
+				if len(res.Rows()) != g.Len() {
+					b.Fatalf("incomplete verdicts: %d of %d", len(res.Rows()), g.Len())
 				}
 			}
 			b.ReportMetric(float64(g.Len()), "nodes")
@@ -114,8 +114,8 @@ func benchInferComponents(b *testing.B, disableCache, steady bool) {
 			now++
 		}
 		res := inf.Infer(g, now, Complete)
-		if len(res.Locations) != g.Len() {
-			b.Fatalf("incomplete verdicts: %d of %d", len(res.Locations), g.Len())
+		if len(res.Rows()) != g.Len() {
+			b.Fatalf("incomplete verdicts: %d of %d", len(res.Rows()), g.Len())
 		}
 	}
 	b.StopTimer()
@@ -150,21 +150,12 @@ func BenchmarkResolveConflicts(b *testing.B) {
 		return l
 	}
 	base := inf.Infer(g, now, Complete)
+	var res Result
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Conflict resolution mutates; copy the maps per iteration.
-		res := &Result{
-			Now:       base.Now,
-			Locations: make(map[model.Tag]model.LocationID, len(base.Locations)),
-			Parents:   make(map[model.Tag]model.Tag, len(base.Parents)),
-			Observed:  base.Observed,
-		}
-		for k, v := range base.Locations {
-			res.Locations[k] = v
-		}
-		for k, v := range base.Parents {
-			res.Parents[k] = v
-		}
-		ResolveConflicts(res, levelOf, nil)
+		// Conflict resolution mutates; copy the rows per iteration.
+		base.CopyTo(&res)
+		ResolveConflicts(&res, levelOf, nil)
 	}
 }

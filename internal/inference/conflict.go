@@ -1,7 +1,8 @@
 package inference
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"spire/internal/model"
 	"spire/internal/trace"
@@ -26,7 +27,8 @@ import (
 //	    the child's location.
 //
 // Parents are processed from the highest packaging level down so an
-// override cascades to grandchildren. The result is mutated in place.
+// override cascades to grandchildren. The result's rows are updated in
+// place.
 //
 // levelOf reports the packaging level of a tag (used only for ordering);
 // it is supplied by the caller so this package stays decoupled from the
@@ -37,52 +39,55 @@ import (
 // recorded against the affected tag. A nil recorder records nothing and
 // costs no extra work.
 func ResolveConflicts(res *Result, levelOf func(model.Tag) model.Level, rec *trace.Recorder) {
-	// Group chosen children per parent.
-	children := make(map[model.Tag][]model.Tag)
-	for child, parent := range res.Parents {
-		if parent == model.NoTag {
-			continue
+	rows := res.Rows()
+	// A sparse-form result is resolved in row form from here on.
+	res.Locations, res.Parents, res.Observed = nil, nil, nil
+
+	// Group chosen children per parent: highest level first, ties in tag
+	// order for determinism; rows are tag-sorted, so each group's
+	// children come out in tag order too.
+	pairs := res.pairs[:0]
+	for i, v := range rows {
+		if v.HasParent && v.Parent != model.NoTag {
+			pairs = append(pairs, childPair{level: levelOf(v.Parent), parent: v.Parent, child: int32(i)})
 		}
-		if _, ok := res.Locations[child]; !ok {
-			continue // withheld under partial inference: nothing reported
-		}
-		children[parent] = append(children[parent], child)
 	}
-	parents := make([]model.Tag, 0, len(children))
-	for p := range children {
-		parents = append(parents, p)
-	}
-	// Highest level first; ties in tag order for determinism.
-	sort.Slice(parents, func(i, j int) bool {
-		li, lj := levelOf(parents[i]), levelOf(parents[j])
-		if li != lj {
-			return li > lj
+	slices.SortFunc(pairs, func(a, b childPair) int {
+		if a.level != b.level {
+			return cmp.Compare(b.level, a.level)
 		}
-		return parents[i] < parents[j]
+		return cmp.Or(cmp.Compare(a.parent, b.parent), cmp.Compare(a.child, b.child))
 	})
+	res.pairs = pairs
 
 	// A location is "settled" when it was directly observed or inherited
 	// from a settled container higher up the pass; the children's poll may
 	// not override a settled location, otherwise a rule-I override at the
 	// pallet level would be undone when the case is later processed as a
 	// parent itself.
-	settled := make(map[model.Tag]bool, len(res.Observed))
-	for tag, obs := range res.Observed {
-		if obs {
-			settled[tag] = true
-		}
+	settled := res.settled[:0]
+	for _, v := range rows {
+		settled = append(settled, v.Observed)
 	}
+	res.settled = settled
 
-	for _, p := range parents {
-		kids := children[p]
-		sort.Slice(kids, func(i, j int) bool { return kids[i] < kids[j] })
-		ploc, ok := res.Locations[p]
+	for len(pairs) > 0 {
+		p := pairs[0].parent
+		n := 1
+		for n < len(pairs) && pairs[n].parent == p {
+			n++
+		}
+		kids := pairs[:n]
+		pairs = pairs[n:]
+		pi, ok := findRow(rows, p)
 		if !ok {
 			// The parent itself was withheld (partial inference). Leave
 			// the children as they are: no parent location to enforce.
 			continue
 		}
-		if !settled[p] {
+		prow := &rows[pi]
+		ploc := prow.Location
+		if !settled[pi] {
 			// Rules II/III preamble: the parent's location is inferred, so
 			// poll the children before enforcing anything. A strict
 			// majority of the children voting for one known location
@@ -90,78 +95,88 @@ func ResolveConflicts(res *Result, levelOf func(model.Tag) model.Level, rec *tra
 			// Children with "unknown" verdicts carry no location evidence
 			// (they are typically the parent's own missed readings), so
 			// the majority is taken over the children that actually vote
-			// a known location.
-			votes := make(map[model.LocationID]int)
-			total := 0
-			for _, c := range kids {
-				if loc, ok := res.Locations[c]; ok && loc.Known() {
-					votes[loc]++
+			// a known location, each vote a unit of mass.
+			votes := res.votes[:0]
+			total := 0.0
+			for _, k := range kids {
+				if loc := rows[k.child].Location; loc.Known() {
+					votes = addMass(votes, loc, 1)
 					total++
 				}
 			}
-			bestLoc, bestN := model.LocationNone, 0
-			for loc, n := range votes {
-				if n > bestN || (n == bestN && (bestLoc == model.LocationNone || loc < bestLoc)) {
-					bestLoc, bestN = loc, n
+			res.votes = votes
+			best := propagation{loc: model.LocationNone}
+			for _, v := range votes {
+				if v.p > best.p || (v.p == best.p && (best.loc == model.LocationNone || v.loc < best.loc)) {
+					best = v
 				}
 			}
-			if bestN*2 > total {
-				if rec != nil && ploc != bestLoc && rec.Traces(p) {
+			if best.p*2 > total {
+				if rec != nil && ploc != best.loc && rec.Traces(p) {
 					rec.Record(trace.Record{
 						Epoch: res.Now, Tag: p, Mech: trace.MechMajorityPoll,
-						Loc: bestLoc, Aux: int32(bestN),
+						Loc: best.loc, Aux: int32(best.p),
 					})
 				}
-				ploc = bestLoc
-				res.Locations[p] = ploc
+				ploc = best.loc
+				prow.Location = ploc
 			}
 		}
-		for _, c := range kids {
-			cloc, ok := res.Locations[c]
-			if !ok || cloc == ploc {
+		for _, k := range kids {
+			c := &rows[k.child]
+			cloc := c.Location
+			if cloc == ploc {
 				continue
 			}
 			switch {
-			case res.Observed[c] && !res.Observed[p]:
+			case c.Observed && !prow.Observed:
 				// Rule II: an observed child that still disagrees ends its
 				// containment — we report that the child has no container.
-				res.Parents[c] = model.NoTag
-				if rec != nil && rec.Traces(c) {
+				c.Parent = model.NoTag
+				if rec != nil && rec.Traces(c.Tag) {
 					rec.Record(trace.Record{
-						Epoch: res.Now, Tag: c, Mech: trace.MechRuleII,
+						Epoch: res.Now, Tag: c.Tag, Mech: trace.MechRuleII,
 						Loc: cloc, Other: p,
 					})
 				}
-			case res.Observed[c] && res.Observed[p]:
+			case c.Observed && prow.Observed:
 				// Both observed in different locations: the graph update
 				// would have dropped the edge, so this cannot arise from a
 				// single consistent epoch; keep the observations and end
 				// the containment defensively.
-				res.Parents[c] = model.NoTag
-				if rec != nil && rec.Traces(c) {
+				c.Parent = model.NoTag
+				if rec != nil && rec.Traces(c.Tag) {
 					rec.Record(trace.Record{
-						Epoch: res.Now, Tag: c, Mech: trace.MechRuleII,
+						Epoch: res.Now, Tag: c.Tag, Mech: trace.MechRuleII,
 						Loc: cloc, Other: p, Aux: 1,
 					})
 				}
 			default:
 				// Rules I and III: containment wins, the child's inferred
 				// location is overridden by the parent's.
-				res.Locations[c] = ploc
-				if settled[p] {
-					settled[c] = true
+				c.Location = ploc
+				if settled[pi] {
+					settled[k.child] = true
 				}
-				if rec != nil && rec.Traces(c) {
+				if rec != nil && rec.Traces(c.Tag) {
 					mech := trace.MechRuleIII
-					if res.Observed[p] {
+					if prow.Observed {
 						mech = trace.MechRuleI
 					}
 					rec.Record(trace.Record{
-						Epoch: res.Now, Tag: c, Mech: mech,
+						Epoch: res.Now, Tag: c.Tag, Mech: mech,
 						Loc: ploc, Other: p,
 					})
 				}
 			}
 		}
 	}
+}
+
+// childPair is one chosen containment (rows[child] in parent), keyed for
+// Table I's processing order.
+type childPair struct {
+	parent model.Tag
+	child  int32
+	level  model.Level
 }

@@ -115,12 +115,12 @@ func TestResolveConflictsTracedRules(t *testing.T) {
 			ResolveConflicts(tc.res, tc.levelOf, rec)
 
 			for g, want := range tc.wantLoc {
-				if got := tc.res.Locations[g]; got != want {
+				if got := verdictOf(tc.res, g).Location; got != want {
 					t.Errorf("tag %d location = %v, want %v", g, got, want)
 				}
 			}
 			for g, want := range tc.wantParent {
-				if got := tc.res.Parents[g]; got != want {
+				if got := verdictOf(tc.res, g).Parent; got != want {
 					t.Errorf("tag %d parent = %v, want %v", g, got, want)
 				}
 			}
@@ -167,7 +167,7 @@ func TestResolveConflictsTracedRuleIIDefensive(t *testing.T) {
 	}
 	rec := trace.New(trace.Config{All: true})
 	ResolveConflicts(res, caseItemLevels, rec)
-	if res.Parents[20] != model.NoTag {
+	if verdictOf(res, 20).Parent != model.NoTag {
 		t.Error("both-observed conflict must end the containment")
 	}
 	recs := rec.TagRecords(20)

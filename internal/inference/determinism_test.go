@@ -60,7 +60,7 @@ func TestInferBitsIndependentOfInsertionOrder(t *testing.T) {
 		var fp []uint64
 		for _, tg := range tags {
 			n := g.Node(tg)
-			fp = append(fp, uint64(tg), uint64(res.Locations[tg]), uint64(res.Parents[tg]))
+			fp = append(fp, uint64(tg), uint64(verdictOf(res, tg).Location), uint64(verdictOf(res, tg).Parent))
 			for _, e := range n.Parents() {
 				if e.InferStamp != inf.stamp {
 					t.Fatalf("edge %d→%d not stamped by the pass", e.Parent.Tag, tg)

@@ -13,67 +13,100 @@ import (
 )
 
 // Result is the outcome of one inference pass: the most likely location
-// and most likely container per object.
+// and most likely container per object, as one Verdict row per
+// interpreted object sorted by tag. Read it through Rows or Lookup.
 type Result struct {
 	Now     model.Epoch
 	Partial bool
 
-	// Locations maps each interpreted object to its most likely location,
-	// which may be model.LocationUnknown (the object is away from every
-	// known location — a missing object under complete inference).
-	// Objects whose verdict was withheld (partial inference) or that lie
-	// outside the partial halo are absent.
+	// Locations, Parents and Observed are the sparse input form, for
+	// producers outside the pass (ground truth, baselines): an object's
+	// row is its Locations entry, with its Parents and Observed entries
+	// when present. Infer leaves them nil. When Locations is non-nil,
+	// Rows rebuilds the rows from the maps on every call, so a caller may
+	// clear and refill them between reads.
 	Locations map[model.Tag]model.LocationID
+	Parents   map[model.Tag]model.Tag
+	Observed  map[model.Tag]bool
 
-	// Parents maps each interpreted object to its most likely container;
-	// model.NoTag records the positive verdict "no container". Objects
-	// outside the partial halo are absent.
-	Parents map[model.Tag]model.Tag
+	rows []Verdict
 
-	// Observed marks the objects read in this epoch (the colored nodes).
-	Observed map[model.Tag]bool
+	// Conflict-resolution scratch, reused across epochs.
+	pairs   []childPair
+	settled []bool
+	votes   []propagation
 }
 
-// Clone returns a deep copy of the result with freshly allocated maps.
-// Infer reuses its Result across calls; callers that retain a result past
-// the next Infer call — or hand it to another goroutine — must clone it.
+// Verdict is one interpreted object's row. Objects whose verdict was
+// withheld (partial inference) or that lie outside the partial halo have
+// no row.
+type Verdict struct {
+	Tag      model.Tag
+	Location model.LocationID // possibly LocationUnknown: missing from every known location
+	Observed bool             // read in this epoch (a colored node)
+	// Parent is the most likely container; model.NoTag is the positive
+	// verdict "no container". HasParent is false only for a sparse-form
+	// object with no Parents entry, whose containment is left as it was.
+	HasParent bool
+	Parent    model.Tag
+}
+
+// Rows returns the verdicts sorted by tag. The slice is the result's own
+// storage: conflict resolution updates it in place.
+func (r *Result) Rows() []Verdict {
+	if r.Locations != nil {
+		r.rows = r.rows[:0]
+		for g, loc := range r.Locations {
+			p, ok := r.Parents[g]
+			r.rows = append(r.rows, Verdict{Tag: g, Location: loc, Parent: p, HasParent: ok, Observed: r.Observed[g]})
+		}
+		sortRows(r.rows)
+	}
+	return r.rows
+}
+
+// Lookup returns tag's row, or the zero Verdict and false when the result
+// has none.
+func (r *Result) Lookup(tag model.Tag) (Verdict, bool) {
+	rows := r.Rows()
+	if i, ok := findRow(rows, tag); ok {
+		return rows[i], true
+	}
+	return Verdict{}, false
+}
+
+// CopyTo overwrites dst with r's verdicts in row form, reusing dst's
+// storage.
+func (r *Result) CopyTo(dst *Result) {
+	dst.Now, dst.Partial = r.Now, r.Partial
+	dst.Locations, dst.Parents, dst.Observed = nil, nil, nil
+	dst.rows = append(dst.rows[:0], r.Rows()...)
+}
+
+// Clone returns a deep copy of the result in row form. Infer reuses its
+// Result across calls; callers that retain a result past the next Infer
+// call — or hand it to another goroutine — must clone it.
 func (r *Result) Clone() *Result {
 	if r == nil {
 		return nil
 	}
-	out := &Result{
-		Now:       r.Now,
-		Partial:   r.Partial,
-		Locations: make(map[model.Tag]model.LocationID, len(r.Locations)),
-		Parents:   make(map[model.Tag]model.Tag, len(r.Parents)),
-		Observed:  make(map[model.Tag]bool, len(r.Observed)),
-	}
-	for k, v := range r.Locations {
-		out.Locations[k] = v
-	}
-	for k, v := range r.Parents {
-		out.Parents[k] = v
-	}
-	for k, v := range r.Observed {
-		out.Observed[k] = v
-	}
+	out := &Result{}
+	r.CopyTo(out)
 	return out
 }
 
-// reset prepares a pooled result for a new pass, clearing (or lazily
-// allocating) its maps.
-func (r *Result) reset(now model.Epoch, partial bool) {
-	r.Now = now
-	r.Partial = partial
-	if r.Locations == nil {
-		r.Locations = make(map[model.Tag]model.LocationID)
-		r.Parents = make(map[model.Tag]model.Tag)
-		r.Observed = make(map[model.Tag]bool)
-		return
-	}
-	clear(r.Locations)
-	clear(r.Parents)
-	clear(r.Observed)
+// add appends one interpreted object's row.
+func (r *Result) add(tag model.Tag, loc model.LocationID, parent model.Tag, observed bool) {
+	r.rows = append(r.rows, Verdict{Tag: tag, Location: loc, Parent: parent, HasParent: true, Observed: observed})
+}
+
+// findRow binary-searches tag-sorted rows for tag.
+func findRow(rows []Verdict, tag model.Tag) (int, bool) {
+	return slices.BinarySearchFunc(rows, tag, func(v Verdict, t model.Tag) int { return cmp.Compare(v.Tag, t) })
+}
+
+func sortRows(rows []Verdict) {
+	slices.SortFunc(rows, func(a, b Verdict) int { return cmp.Compare(a.Tag, b.Tag) })
 }
 
 // PassStats summarizes one Infer call for telemetry: how many connected
@@ -99,8 +132,7 @@ type PassStats struct {
 // backing arrays are kept to avoid churn when it settles again.
 type compSlab struct {
 	epoch model.Epoch
-	tags  []model.Tag
-	pars  []model.Tag
+	rows  []Verdict
 }
 
 // Inferencer runs the iterative inference algorithm. It keeps reusable
@@ -145,7 +177,8 @@ func (inf *Inferencer) LastStats() PassStats { return inf.stats }
 var passStamps atomic.Uint64
 
 // propagation is a location with a probability mass: one determined
-// neighbor color feeding node inference, or one candidate's summed belief.
+// neighbor color feeding node inference, one candidate's summed belief,
+// or one location's Table I vote count.
 type propagation struct {
 	loc model.LocationID
 	p   float64
@@ -192,13 +225,13 @@ func (inf *Inferencer) Config() Config { return inf.cfg }
 // Under Partial mode only nodes with d ≤ PartialHops are interpreted and
 // "unknown" location verdicts are withheld from the result (§IV-D).
 //
-// The returned Result and its maps are scratch owned by the Inferencer:
+// The returned Result and its rows are scratch owned by the Inferencer:
 // they stay valid until the next Infer call on the same Inferencer, which
 // resets and reuses them. Callers that keep a result longer — or pass it
 // to another goroutine — must take a Clone first.
 func (inf *Inferencer) Infer(g *graph.Graph, now model.Epoch, mode Mode) *Result {
 	res := &inf.res
-	res.reset(now, mode == Partial)
+	res.Now, res.Partial, res.rows = now, mode == Partial, res.rows[:0]
 	inf.stamp = passStamps.Add(1)
 	inf.now = now
 	inf.stats = PassStats{}
@@ -217,19 +250,20 @@ func (inf *Inferencer) Infer(g *graph.Graph, now model.Epoch, mode Mode) *Result
 		}
 		if caching {
 			if sl := inf.reusableSlab(c); sl != nil {
-				fillFromSlab(sl, res)
+				res.rows = append(res.rows, sl.rows...)
 				inf.stats.CleanComponents++
 				inf.stats.NodesCached += c.Len()
 				continue
 			}
 		}
 		inf.stats.DirtyComponents++
+		first := len(res.rows)
 		settled := inf.sweepComponent(g, c, res, mode)
 		if !caching {
 			continue
 		}
 		if settled {
-			inf.storeSlab(c, res, now)
+			inf.storeSlab(c, res.rows[first:], now)
 		} else if sl := inf.slabs[c.ID()]; sl != nil {
 			sl.epoch = model.EpochNone
 		}
@@ -239,6 +273,7 @@ func (inf *Inferencer) Infer(g *graph.Graph, now model.Epoch, mode Mode) *Result
 		// removed).
 		inf.evictDeadSlabs(comps)
 	}
+	sortRows(res.rows)
 	return res
 }
 
@@ -263,31 +298,17 @@ func (inf *Inferencer) reusableSlab(c *graph.Component) *compSlab {
 	return sl
 }
 
-// fillFromSlab replays a settled component's verdicts into res: every
-// member is at its last-known location with probability below the
-// unknown mass, i.e. LocationUnknown, with its cached parent verdict.
-func fillFromSlab(sl *compSlab, res *Result) {
-	for i, tag := range sl.tags {
-		res.Locations[tag] = model.LocationUnknown
-		res.Parents[tag] = sl.pars[i]
-	}
-}
-
-// storeSlab records the verdicts of a component that settled at epoch
-// now, reusing the previous slab's storage when present.
-func (inf *Inferencer) storeSlab(c *graph.Component, res *Result, now model.Epoch) {
+// storeSlab records the rows of a component that settled at epoch now —
+// one per member, as a complete sweep appends them — reusing the previous
+// slab's storage when present.
+func (inf *Inferencer) storeSlab(c *graph.Component, rows []Verdict, now model.Epoch) {
 	sl := inf.slabs[c.ID()]
 	if sl == nil {
 		sl = &compSlab{}
 		inf.slabs[c.ID()] = sl
 	}
 	sl.epoch = now
-	sl.tags = sl.tags[:0]
-	sl.pars = sl.pars[:0]
-	for _, n := range c.Members() {
-		sl.tags = append(sl.tags, n.Tag)
-		sl.pars = append(sl.pars, res.Parents[n.Tag])
-	}
+	sl.rows = append(sl.rows[:0], rows...)
 }
 
 // evictDeadSlabs drops slabs keyed by component ids that no longer exist,
@@ -326,8 +347,6 @@ func (inf *Inferencer) sweepComponent(g *graph.Graph, c *graph.Component, res *R
 			n.InferDist, n.DistStamp = 0, stamp
 			n.InferLoc, n.LocStamp = n.RecentColor, stamp
 			inf.frontier = append(inf.frontier, n)
-			res.Observed[n.Tag] = true
-			res.Locations[n.Tag] = n.RecentColor
 		}
 	}
 	if len(inf.frontier) > 0 {
@@ -335,7 +354,7 @@ func (inf *Inferencer) sweepComponent(g *graph.Graph, c *graph.Component, res *R
 	}
 	sortNodes(inf.frontier)
 	for _, n := range inf.frontier {
-		res.Parents[n.Tag] = inf.edgeInference(g, n)
+		res.add(n.Tag, n.RecentColor, inf.edgeInference(g, n), true)
 	}
 	inf.stats.NodesInferred += len(inf.frontier)
 
@@ -371,8 +390,7 @@ func (inf *Inferencer) sweepComponent(g *graph.Graph, c *graph.Component, res *R
 				// than a true disappearance.
 				continue
 			}
-			res.Parents[n.Tag] = parent
-			res.Locations[n.Tag] = loc
+			res.add(n.Tag, loc, parent, false)
 			if loc != model.LocationUnknown {
 				settled = false
 			}
@@ -393,9 +411,9 @@ func (inf *Inferencer) sweepComponent(g *graph.Graph, c *graph.Component, res *R
 		}
 		sortNodes(inf.rest)
 		for _, n := range inf.rest {
-			res.Parents[n.Tag] = inf.edgeInference(g, n)
+			parent := inf.edgeInference(g, n)
 			loc := inf.nodeInference(n)
-			res.Locations[n.Tag] = loc
+			res.add(n.Tag, loc, parent, false)
 			if loc != model.LocationUnknown {
 				settled = false
 			}
@@ -496,7 +514,7 @@ func (inf *Inferencer) nodeInference(n *graph.Node) model.LocationID {
 			age = 1
 		}
 		fade = 1 / math.Pow(age, inf.cfg.Theta)
-		inf.addBelief(n.RecentColor, (1-gamma)*fade)
+		inf.probs = addMass(inf.probs, n.RecentColor, (1-gamma)*fade)
 	}
 	pUnknown := (1 - gamma) * (1 - fade)
 
@@ -518,7 +536,7 @@ func (inf *Inferencer) nodeInference(n *graph.Node) model.LocationID {
 	}
 	if z2 > 0 {
 		for _, pr := range inf.props {
-			inf.addBelief(pr.loc, gamma*pr.p/z2)
+			inf.probs = addMass(inf.probs, pr.loc, gamma*pr.p/z2)
 		}
 	}
 
@@ -552,16 +570,16 @@ func (inf *Inferencer) propagate(e *graph.Edge, other *graph.Node) {
 	inf.props = append(inf.props, propagation{loc: other.InferLoc, p: e.InferProb})
 }
 
-// addBelief adds mass to loc's entry in probs. A node sees a handful of
+// addMass adds mass to loc's entry in ps. A node sees a handful of
 // distinct colors at most, so a linear probe beats a map.
-func (inf *Inferencer) addBelief(loc model.LocationID, mass float64) {
-	for i := range inf.probs {
-		if inf.probs[i].loc == loc {
-			inf.probs[i].p += mass
-			return
+func addMass(ps []propagation, loc model.LocationID, mass float64) []propagation {
+	for i := range ps {
+		if ps[i].loc == loc {
+			ps[i].p += mass
+			return ps
 		}
 	}
-	inf.probs = append(inf.probs, propagation{loc: loc, p: mass})
+	return append(ps, propagation{loc: loc, p: mass})
 }
 
 func sortNodes(nodes []*graph.Node) {

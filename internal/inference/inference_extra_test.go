@@ -60,10 +60,10 @@ func TestPartialHaloRadius(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PartialHops = 2
 	res := newInf(t, cfg).Infer(g, 2, Partial)
-	if _, ok := res.Locations[c1]; !ok {
+	if _, ok := res.Lookup(c1); !ok {
 		t.Error("d=1 node must be covered at l=2")
 	}
-	if _, ok := res.Locations[p1]; !ok {
+	if _, ok := res.Lookup(p1); !ok {
 		t.Error("d=2 node must be covered at l=2")
 	}
 }
@@ -87,8 +87,8 @@ func TestAdaptiveBetaUsedByInference(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AdaptiveBeta = true
 	res := newInf(t, cfg).Infer(g, 12, Complete)
-	if res.Parents[i1] != c1 {
-		t.Errorf("adaptive-β parent = %d, want confirmed %d", res.Parents[i1], c1)
+	if verdictOf(res, i1).Parent != c1 {
+		t.Errorf("adaptive-β parent = %d, want confirmed %d", verdictOf(res, i1).Parent, c1)
 	}
 	n := g.Node(i1)
 	if got := n.AdaptiveBeta(0.4); got != 0 {
@@ -113,8 +113,8 @@ func TestPruneThresholdExtreme(t *testing.T) {
 	if g.Node(i1).NumParents() != 1 {
 		t.Errorf("only the confirmed edge may survive 0.5; %d remain", g.Node(i1).NumParents())
 	}
-	if res.Parents[i1] != c1 {
-		t.Errorf("parent = %d, want %d", res.Parents[i1], c1)
+	if verdictOf(res, i1).Parent != c1 {
+		t.Errorf("parent = %d, want %d", verdictOf(res, i1).Parent, c1)
 	}
 }
 

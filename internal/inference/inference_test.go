@@ -27,6 +27,12 @@ func tag(t *testing.T, lvl model.Level, serial uint32) model.Tag {
 	return epc.MustEncode(epc.Identity{Level: lvl, Company: 1, Serial: serial})
 }
 
+// verdictOf reads tag's row, or the zero Verdict when res has none.
+func verdictOf(res *Result, tag model.Tag) Verdict {
+	v, _ := res.Lookup(tag)
+	return v
+}
+
 func levelOf(g model.Tag) model.Level {
 	l, _ := epc.LevelOf(g)
 	return l
@@ -106,10 +112,10 @@ func TestObservedNodesKeepTheirColor(t *testing.T) {
 	i1 := tag(t, model.LevelItem, 1)
 	mustUpdate(t, g, dockReader, 1, i1)
 	res := newInf(t, DefaultConfig()).Infer(g, 1, Complete)
-	if res.Locations[i1] != locA {
-		t.Errorf("observed node location = %v, want %v", res.Locations[i1], locA)
+	if verdictOf(res, i1).Location != locA {
+		t.Errorf("observed node location = %v, want %v", verdictOf(res, i1).Location, locA)
 	}
-	if !res.Observed[i1] {
+	if !verdictOf(res, i1).Observed {
 		t.Error("node must be marked observed")
 	}
 }
@@ -125,8 +131,8 @@ func TestEdgeInferencePrefersConfirmedParent(t *testing.T) {
 	mustUpdate(t, g, packReader, 2, c1, c2, i1)
 	mustUpdate(t, g, packReader, 3, c1, c2, i1)
 	res := newInf(t, DefaultConfig()).Infer(g, 3, Complete)
-	if res.Parents[i1] != c1 {
-		t.Errorf("parent = %d, want confirmed case %d", res.Parents[i1], c1)
+	if verdictOf(res, i1).Parent != c1 {
+		t.Errorf("parent = %d, want confirmed case %d", verdictOf(res, i1).Parent, c1)
 	}
 }
 
@@ -146,14 +152,14 @@ func TestEdgeInferenceHistoryOutweighsStaleConfirmation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Beta = 0.9
 	res := newInf(t, cfg).Infer(g, 9, Complete)
-	if res.Parents[i1] != c2 {
-		t.Errorf("parent = %d, want history-backed case %d", res.Parents[i1], c2)
+	if verdictOf(res, i1).Parent != c2 {
+		t.Errorf("parent = %d, want history-backed case %d", verdictOf(res, i1).Parent, c2)
 	}
 	// With β=0 (all weight on confirmation) c1 must still win.
 	cfg.Beta = 0
 	res = newInf(t, cfg).Infer(g, 9, Complete)
-	if res.Parents[i1] != c1 {
-		t.Errorf("β=0 parent = %d, want confirmed case %d", res.Parents[i1], c1)
+	if verdictOf(res, i1).Parent != c1 {
+		t.Errorf("β=0 parent = %d, want confirmed case %d", verdictOf(res, i1).Parent, c1)
 	}
 }
 
@@ -162,8 +168,8 @@ func TestEdgeInferenceNoParent(t *testing.T) {
 	p := tag(t, model.LevelPallet, 1)
 	mustUpdate(t, g, dockReader, 1, p)
 	res := newInf(t, DefaultConfig()).Infer(g, 1, Complete)
-	if res.Parents[p] != model.NoTag {
-		t.Errorf("top-level pallet parent = %d, want none", res.Parents[p])
+	if verdictOf(res, p).Parent != model.NoTag {
+		t.Errorf("top-level pallet parent = %d, want none", verdictOf(res, p).Parent)
 	}
 }
 
@@ -176,16 +182,16 @@ func TestNodeInferenceContinuedStayThenUnknown(t *testing.T) {
 	inf := newInf(t, DefaultConfig())
 	// One missed epoch: believe continued stay.
 	res := inf.Infer(g, 6, Complete)
-	if res.Locations[i1] != locA {
-		t.Errorf("after 1 missed epoch location = %v, want %v (continued stay)", res.Locations[i1], locA)
+	if verdictOf(res, i1).Location != locA {
+		t.Errorf("after 1 missed epoch location = %v, want %v (continued stay)", verdictOf(res, i1).Location, locA)
 	}
-	if res.Observed[i1] {
+	if verdictOf(res, i1).Observed {
 		t.Error("missed object must not be marked observed")
 	}
 	// Long absence: belief fades to "unknown".
 	res = inf.Infer(g, 60, Complete)
-	if res.Locations[i1] != model.LocationUnknown {
-		t.Errorf("after 55 missed epochs location = %v, want unknown", res.Locations[i1])
+	if verdictOf(res, i1).Location != model.LocationUnknown {
+		t.Errorf("after 55 missed epochs location = %v, want unknown", verdictOf(res, i1).Location)
 	}
 }
 
@@ -199,10 +205,10 @@ func TestThetaControlsFadeRate(t *testing.T) {
 	fast := DefaultConfig()
 	fast.Theta = 3
 	at := model.Epoch(6)
-	if got := newInf(t, slow).Infer(g, at, Complete).Locations[i1]; got != locA {
+	if got := verdictOf(newInf(t, slow).Infer(g, at, Complete), i1).Location; got != locA {
 		t.Errorf("low θ must keep believing the stay; got %v", got)
 	}
-	if got := newInf(t, fast).Infer(g, at, Complete).Locations[i1]; got != model.LocationUnknown {
+	if got := verdictOf(newInf(t, fast).Infer(g, at, Complete), i1).Location; got != model.LocationUnknown {
 		t.Errorf("high θ must drop the belief quickly; got %v", got)
 	}
 }
@@ -219,11 +225,11 @@ func TestNodeInferenceMovesWithContainer(t *testing.T) {
 	mustUpdate(t, g, packReader, 2, c1)
 	mustUpdate(t, g, packReader, 3, c1)
 	res := newInf(t, DefaultConfig()).Infer(g, 3, Complete)
-	if res.Locations[i1] != locC {
-		t.Errorf("item location = %v, want %v (propagated from its container)", res.Locations[i1], locC)
+	if verdictOf(res, i1).Location != locC {
+		t.Errorf("item location = %v, want %v (propagated from its container)", verdictOf(res, i1).Location, locC)
 	}
-	if res.Parents[i1] != c1 {
-		t.Errorf("item parent = %d, want %d", res.Parents[i1], c1)
+	if verdictOf(res, i1).Parent != c1 {
+		t.Errorf("item parent = %d, want %d", verdictOf(res, i1).Parent, c1)
 	}
 }
 
@@ -238,13 +244,13 @@ func TestGammaZeroIgnoresContainment(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Gamma = 0
 	res := newInf(t, cfg).Infer(g, 10, Complete)
-	if res.Locations[i1] == locC {
+	if verdictOf(res, i1).Location == locC {
 		t.Error("γ=0 must not propagate the container's location")
 	}
 	cfg.Gamma = 1
 	res = newInf(t, cfg).Infer(g, 10, Complete)
-	if res.Locations[i1] != locC {
-		t.Errorf("γ=1 must fully adopt the container's location; got %v", res.Locations[i1])
+	if verdictOf(res, i1).Location != locC {
+		t.Errorf("γ=1 must fully adopt the container's location; got %v", verdictOf(res, i1).Location)
 	}
 }
 
@@ -265,14 +271,14 @@ func TestIterativeInferenceReachesDistanceTwo(t *testing.T) {
 	mustUpdate(t, g, packReader, 7, i1)
 	mustUpdate(t, g, packReader, 8, i1)
 	res := newInf(t, DefaultConfig()).Infer(g, 8, Complete)
-	if res.Locations[i1] != locC {
-		t.Fatalf("item location = %v", res.Locations[i1])
+	if verdictOf(res, i1).Location != locC {
+		t.Fatalf("item location = %v", verdictOf(res, i1).Location)
 	}
-	if res.Locations[c1] != locC {
-		t.Errorf("case (d=1) location = %v, want %v", res.Locations[c1], locC)
+	if verdictOf(res, c1).Location != locC {
+		t.Errorf("case (d=1) location = %v, want %v", verdictOf(res, c1).Location, locC)
 	}
-	if res.Locations[p1] != locC {
-		t.Errorf("pallet (d=2) location = %v, want %v", res.Locations[p1], locC)
+	if verdictOf(res, p1).Location != locC {
+		t.Errorf("pallet (d=2) location = %v, want %v", verdictOf(res, p1).Location, locC)
 	}
 }
 
@@ -285,10 +291,10 @@ func TestIsolatedComponentStillInterpreted(t *testing.T) {
 	// Epoch 6: nothing is read; complete inference must still interpret
 	// both isolated nodes.
 	res := newInf(t, DefaultConfig()).Infer(g, 6, Complete)
-	if _, ok := res.Locations[i1]; !ok {
+	if _, ok := res.Lookup(i1); !ok {
 		t.Error("complete inference must cover unobserved components")
 	}
-	if got := res.Locations[i2]; got != locC {
+	if got := verdictOf(res, i2).Location; got != locC {
 		t.Errorf("recently seen isolated node = %v, want %v", got, locC)
 	}
 }
@@ -308,16 +314,16 @@ func TestPartialInferenceWithholdsUnknownAndLimitsHops(t *testing.T) {
 	if !res.Partial {
 		t.Error("result must be marked partial")
 	}
-	if _, ok := res.Locations[i1]; !ok {
+	if _, ok := res.Lookup(i1); !ok {
 		t.Error("observed node must be reported")
 	}
-	if _, ok := res.Locations[c1]; !ok {
+	if _, ok := res.Lookup(c1); !ok {
 		t.Error("d=1 neighbor must be interpreted under partial inference")
 	}
-	if _, ok := res.Locations[p1]; ok {
+	if _, ok := res.Lookup(p1); ok {
 		t.Error("d=2 node must be outside the l=1 partial halo")
 	}
-	if _, ok := res.Locations[far]; ok {
+	if _, ok := res.Lookup(far); ok {
 		t.Error("disconnected node must not be interpreted under partial inference")
 	}
 
@@ -332,15 +338,15 @@ func TestPartialInferenceWithholdsUnknownAndLimitsHops(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Gamma = 0 // suppress propagation so the verdict is driven by fade
 	res = newInf(t, cfg).Infer(g2, 100, Partial)
-	if loc, ok := res.Locations[c2]; ok {
-		t.Errorf("unknown verdict must be withheld under partial inference; got %v", loc)
+	if v, ok := res.Lookup(c2); ok {
+		t.Errorf("unknown verdict must be withheld under partial inference; got %v", v.Location)
 	}
-	if _, ok := res.Parents[c2]; ok {
+	if v, ok := res.Lookup(c2); ok && v.HasParent {
 		t.Error("withheld node must not report a parent either")
 	}
 	// Complete inference does report the unknown.
 	res = newInf(t, cfg).Infer(g2, 100, Complete)
-	if loc := res.Locations[c2]; loc != model.LocationUnknown {
+	if loc := verdictOf(res, c2).Location; loc != model.LocationUnknown {
 		t.Errorf("complete inference verdict = %v, want unknown", loc)
 	}
 }
@@ -364,8 +370,8 @@ func TestPruningRemovesWeakEdges(t *testing.T) {
 	if g.Node(i1).ParentEdge(c1) == nil {
 		t.Error("the confirmed edge must survive pruning")
 	}
-	if res.Parents[i1] != c1 {
-		t.Errorf("parent = %d, want %d", res.Parents[i1], c1)
+	if verdictOf(res, i1).Parent != c1 {
+		t.Errorf("parent = %d, want %d", verdictOf(res, i1).Parent, c1)
 	}
 }
 
@@ -383,10 +389,10 @@ func TestResolveConflictsRuleI(t *testing.T) {
 		}
 		return model.LevelItem
 	}, nil)
-	if res.Locations[20] != locA {
-		t.Errorf("rule I: child location = %v, want %v", res.Locations[20], locA)
+	if verdictOf(res, 20).Location != locA {
+		t.Errorf("rule I: child location = %v, want %v", verdictOf(res, 20).Location, locA)
 	}
-	if res.Parents[20] != 10 {
+	if verdictOf(res, 20).Parent != 10 {
 		t.Error("rule I must not end the containment")
 	}
 }
@@ -409,13 +415,13 @@ func TestResolveConflictsRuleII(t *testing.T) {
 		}
 		return model.LevelItem
 	}, nil)
-	if res.Locations[10] != locB {
-		t.Errorf("rule II: parent location = %v, want majority %v", res.Locations[10], locB)
+	if verdictOf(res, 10).Location != locB {
+		t.Errorf("rule II: parent location = %v, want majority %v", verdictOf(res, 10).Location, locB)
 	}
-	if res.Parents[23] != model.NoTag {
+	if verdictOf(res, 23).Parent != model.NoTag {
 		t.Error("rule II: observed child still in conflict must lose its containment")
 	}
-	if res.Parents[21] != 10 || res.Parents[22] != 10 {
+	if verdictOf(res, 21).Parent != 10 || verdictOf(res, 22).Parent != 10 {
 		t.Error("rule II: agreeing children keep their containment")
 	}
 }
@@ -430,10 +436,10 @@ func TestResolveConflictsRuleIINoMajority(t *testing.T) {
 		Observed: map[model.Tag]bool{21: true, 22: true},
 	}
 	ResolveConflicts(res, func(model.Tag) model.Level { return model.LevelItem }, nil)
-	if res.Locations[10] != locA {
-		t.Errorf("no majority: parent location must stay %v, got %v", locA, res.Locations[10])
+	if verdictOf(res, 10).Location != locA {
+		t.Errorf("no majority: parent location must stay %v, got %v", locA, verdictOf(res, 10).Location)
 	}
-	if res.Parents[21] != model.NoTag || res.Parents[22] != model.NoTag {
+	if verdictOf(res, 21).Parent != model.NoTag || verdictOf(res, 22).Parent != model.NoTag {
 		t.Error("no majority: both conflicting observed children end containment")
 	}
 }
@@ -455,13 +461,13 @@ func TestResolveConflictsRuleIII(t *testing.T) {
 		}
 		return model.LevelItem
 	}, nil)
-	if res.Locations[10] != locB {
-		t.Errorf("rule III: parent = %v, want %v", res.Locations[10], locB)
+	if verdictOf(res, 10).Location != locB {
+		t.Errorf("rule III: parent = %v, want %v", verdictOf(res, 10).Location, locB)
 	}
-	if res.Locations[23] != locB {
-		t.Errorf("rule III: inferred child overridden to %v, got %v", locB, res.Locations[23])
+	if verdictOf(res, 23).Location != locB {
+		t.Errorf("rule III: inferred child overridden to %v, got %v", locB, verdictOf(res, 23).Location)
 	}
-	if res.Parents[23] != 10 {
+	if verdictOf(res, 23).Parent != 10 {
 		t.Error("rule III keeps the containment")
 	}
 }
@@ -488,11 +494,11 @@ func TestResolveConflictsCascades(t *testing.T) {
 			return model.LevelItem
 		}
 	}, nil)
-	if res.Locations[caseT] != locA {
-		t.Errorf("case = %v, want %v", res.Locations[caseT], locA)
+	if verdictOf(res, caseT).Location != locA {
+		t.Errorf("case = %v, want %v", verdictOf(res, caseT).Location, locA)
 	}
-	if res.Locations[item] != locA {
-		t.Errorf("item = %v, want %v (cascaded)", res.Locations[item], locA)
+	if verdictOf(res, item).Location != locA {
+		t.Errorf("item = %v, want %v (cascaded)", verdictOf(res, item).Location, locA)
 	}
 }
 
@@ -503,7 +509,7 @@ func TestResolveConflictsSkipsWithheld(t *testing.T) {
 		Observed:  map[model.Tag]bool{20: true},
 	}
 	ResolveConflicts(res, func(model.Tag) model.Level { return model.LevelItem }, nil)
-	if res.Locations[20] != locB || res.Parents[20] != 10 {
+	if verdictOf(res, 20).Location != locB || verdictOf(res, 20).Parent != 10 {
 		t.Error("withheld parent must leave children untouched")
 	}
 }
@@ -541,35 +547,36 @@ func TestRandomizedInferenceTotalAndDeterministic(t *testing.T) {
 		count := 0
 		g.Nodes(func(n *graph.Node) {
 			count++
-			loc, ok := res.Locations[n.Tag]
+			v, ok := res.Lookup(n.Tag)
+			loc := v.Location
 			if !ok {
 				t.Fatalf("epoch %d: node %d has no verdict", now, n.Tag)
 			}
 			if !loc.Known() && loc != model.LocationUnknown {
 				t.Fatalf("epoch %d: node %d verdict %v", now, n.Tag, loc)
 			}
-			if _, ok := res.Parents[n.Tag]; !ok {
+			if !v.HasParent {
 				t.Fatalf("epoch %d: node %d has no parent verdict", now, n.Tag)
 			}
 		})
-		if len(res.Locations) != count {
-			t.Fatalf("epoch %d: %d verdicts for %d nodes", now, len(res.Locations), count)
+		if len(res.Rows()) != count {
+			t.Fatalf("epoch %d: %d verdicts for %d nodes", now, len(res.Rows()), count)
 		}
 		res2 := inf2.Infer(g, now, Complete)
-		for tag, loc := range res.Locations {
-			if res2.Locations[tag] != loc {
-				t.Fatalf("epoch %d: nondeterministic location for %d", now, tag)
+		for _, v := range res.Rows() {
+			if verdictOf(res2, v.Tag).Location != v.Location {
+				t.Fatalf("epoch %d: nondeterministic location for %d", now, v.Tag)
 			}
 		}
-		for tag, p := range res.Parents {
-			if res2.Parents[tag] != p {
-				t.Fatalf("epoch %d: nondeterministic parent for %d", now, tag)
+		for _, v := range res.Rows() {
+			if verdictOf(res2, v.Tag).Parent != v.Parent {
+				t.Fatalf("epoch %d: nondeterministic parent for %d", now, v.Tag)
 			}
 		}
 		ResolveConflicts(res, levelOf, nil)
-		for tag, loc := range res.Locations {
-			if !loc.Known() && loc != model.LocationUnknown {
-				t.Fatalf("epoch %d: post-conflict verdict %v for %d", now, loc, tag)
+		for _, v := range res.Rows() {
+			if loc := v.Location; !loc.Known() && loc != model.LocationUnknown {
+				t.Fatalf("epoch %d: post-conflict verdict %v for %d", now, loc, v.Tag)
 			}
 		}
 	}

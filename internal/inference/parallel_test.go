@@ -2,7 +2,7 @@ package inference
 
 import (
 	"fmt"
-	"maps"
+	"slices"
 	"testing"
 
 	"spire/internal/epc"
@@ -104,14 +104,8 @@ func compareResults(t *testing.T, label string, got, want *Result) {
 		t.Fatalf("%s: header mismatch: got (%d,%v) want (%d,%v)",
 			label, got.Now, got.Partial, want.Now, want.Partial)
 	}
-	if !maps.Equal(got.Locations, want.Locations) {
-		t.Fatalf("%s: Locations diverge: %d vs %d entries", label, len(got.Locations), len(want.Locations))
-	}
-	if !maps.Equal(got.Parents, want.Parents) {
-		t.Fatalf("%s: Parents diverge: %d vs %d entries", label, len(got.Parents), len(want.Parents))
-	}
-	if !maps.Equal(got.Observed, want.Observed) {
-		t.Fatalf("%s: Observed diverge", label)
+	if !slices.Equal(got.Rows(), want.Rows()) {
+		t.Fatalf("%s: verdict rows diverge: %d vs %d rows", label, len(got.Rows()), len(want.Rows()))
 	}
 }
 
@@ -164,8 +158,8 @@ func TestInferMatchesReference(t *testing.T) {
 						t.Fatalf("%s: stats cover %d+%d of %d nodes",
 							label, st.NodesInferred, st.NodesCached, gA.Len())
 					}
-					if len(resA.Locations) != gA.Len() {
-						t.Fatalf("%s: %d verdicts for %d nodes", label, len(resA.Locations), gA.Len())
+					if len(resA.Rows()) != gA.Len() {
+						t.Fatalf("%s: %d verdicts for %d nodes", label, len(resA.Rows()), gA.Len())
 					}
 				}
 			}
@@ -246,8 +240,8 @@ func TestInferTracedTagForcesRecompute(t *testing.T) {
 	if st.DirtyComponents != 1 {
 		t.Fatalf("traced component not re-inferred: %d dirty components", st.DirtyComponents)
 	}
-	if loc, ok := res.Locations[traced]; !ok || loc != model.LocationUnknown {
-		t.Fatalf("traced tag verdict changed under re-inference: %v (present=%v)", loc, ok)
+	if v, ok := res.Lookup(traced); !ok || v.Location != model.LocationUnknown {
+		t.Fatalf("traced tag verdict changed under re-inference: %v (present=%v)", v.Location, ok)
 	}
 	recs := rec.TagRecords(traced)
 	if len(recs) == 0 {

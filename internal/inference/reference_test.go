@@ -9,7 +9,7 @@ import (
 
 // InferReference runs the paper's global layer-interleaved sweep — the
 // pre-sharding Infer, kept verbatim in structure — and returns a freshly
-// allocated Result. It is the oracle for the differential tests pinning
+// allocated Result in the sparse map form. It is the oracle for the differential tests pinning
 // the component-at-a-time Infer: both must produce identical results and
 // identical graph side effects (edge pruning) on identical graphs, with
 // the slab cache on or off.
@@ -19,8 +19,13 @@ import (
 // so stamps the same node and edge scratch slots), so the comparison
 // exercises exactly the component partition and the caching.
 func (inf *Inferencer) InferReference(g *graph.Graph, now model.Epoch, mode Mode) *Result {
-	res := &Result{}
-	res.reset(now, mode == Partial)
+	res := &Result{
+		Now:       now,
+		Partial:   mode == Partial,
+		Locations: make(map[model.Tag]model.LocationID),
+		Parents:   make(map[model.Tag]model.Tag),
+		Observed:  make(map[model.Tag]bool),
+	}
 	inf.stamp = passStamps.Add(1)
 	inf.now = now
 	dist := make(map[model.Tag]int32)

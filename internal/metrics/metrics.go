@@ -26,21 +26,21 @@ type Accuracy struct {
 // paper's warm-up entry door — are skipped, as are objects absent from
 // either the result (withheld) or the world (already departed).
 func (a *Accuracy) Observe(res *inference.Result, truthLoc func(model.Tag) model.LocationID, truthParent func(model.Tag) model.Tag, exclude func(model.Tag) bool) {
-	for g, loc := range res.Locations {
-		want := truthLoc(g)
+	for _, v := range res.Rows() {
+		want := truthLoc(v.Tag)
 		if want == model.LocationNone {
 			continue // not in the world (departed)
 		}
-		if exclude != nil && exclude(g) {
+		if exclude != nil && exclude(v.Tag) {
 			continue
 		}
 		a.LocTotal++
-		if loc != want {
+		if v.Location != want {
 			a.LocWrong++
 		}
-		if p, ok := res.Parents[g]; ok {
+		if v.HasParent {
 			a.ContTotal++
-			if p != truthParent(g) {
+			if v.Parent != truthParent(v.Tag) {
 				a.ContWrong++
 			}
 		}

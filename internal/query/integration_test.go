@@ -56,9 +56,9 @@ func TestPipelineIntoStore(t *testing.T) {
 		}
 		// Sample a few reported states to verify later.
 		if o.Time%37 == 0 {
-			for g, loc := range out.Result.Locations {
-				if loc.Known() {
-					checks = append(checks, check{at: o.Time, obj: g, loc: loc})
+			for _, v := range out.Result.Rows() {
+				if v.Location.Known() {
+					checks = append(checks, check{at: o.Time, obj: v.Tag, loc: v.Location})
 					break
 				}
 			}

@@ -115,7 +115,8 @@ func run() error {
 }
 
 // buildSnapshot runs a small deterministic simulation through the
-// substrate and snapshots the resulting state.
+// substrate and snapshots the resulting state, with the wall-clock stage
+// times zeroed so every run writes the same seed bytes.
 func buildSnapshot() ([]byte, error) {
 	cfg := sim.DefaultConfig()
 	cfg.Duration = 60
@@ -149,5 +150,50 @@ func buildSnapshot() ([]byte, error) {
 	if err := sub.Snapshot(&buf); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	snap, err := zeroStageTimes(buf.Bytes())
+	if err != nil {
+		return nil, err
+	}
+	// The patch must have hit exactly the two stage times.
+	restored, err := core.RestoreSubstrate(bytes.NewReader(snap))
+	if err != nil {
+		return nil, fmt.Errorf("zeroed snapshot does not restore: %w", err)
+	}
+	want := sub.Stats()
+	want.UpdateTime, want.InferenceTime = 0, 0
+	if got := restored.Stats(); got != want {
+		return nil, fmt.Errorf("zeroed snapshot restores stats %+v, want %+v", got, want)
+	}
+	return snap, nil
+}
+
+// zeroStageTimes re-frames a substrate snapshot with its UpdateTime and
+// InferenceTime fields set to zero. They are the fourth and fifth 8-byte
+// fields after the "SUBS" section tag (last epoch, epochs and readings
+// come first); the checkpoint codec copies the body byte by byte and
+// writes a fresh header and checksum.
+func zeroStageTimes(snap []byte) ([]byte, error) {
+	d, err := checkpoint.NewDecoder(bytes.NewReader(snap))
+	if err != nil {
+		return nil, err
+	}
+	body := make([]byte, d.Remaining())
+	for i := range body {
+		body[i] = d.Uint8()
+	}
+	at := bytes.Index(body, []byte("SUBS"))
+	times := at + 4 + 3*8
+	if at < 0 || times+2*8 > len(body) {
+		return nil, fmt.Errorf("snapshot has no SUBS section with stage times")
+	}
+	clear(body[times : times+2*8])
+	e := checkpoint.NewEncoder()
+	for _, b := range body {
+		e.Uint8(b)
+	}
+	var out bytes.Buffer
+	if err := e.Flush(&out); err != nil {
+		return nil, err
+	}
+	return out.Bytes(), nil
 }
