@@ -138,17 +138,6 @@ type Substrate struct {
 	exitWalk []int32
 	exitSeen []bool
 	exitKids []int32
-
-	// tombstones are tags already retired through an exit. A retired
-	// object is often still within the exit reader's range for a few more
-	// epochs, so readings of tombstoned tags by exit readers are ignored —
-	// that keeps departed objects from flapping back into the graph as
-	// ghosts. A reading by any *other* reader, though, is evidence the
-	// retirement was wrong (e.g. a case whose stale containment made it
-	// look like it left inside a departing pallet, when it was really
-	// missed on the receiving belt): the tag is resurrected and processed
-	// normally.
-	tombstones map[model.Tag]struct{}
 }
 
 // compressor is the shared surface of the two compression levels.
@@ -184,15 +173,14 @@ func New(cfg Config) (*Substrate, error) {
 		return nil, err
 	}
 	s := &Substrate{
-		cfg:        cfg,
-		readers:    make(map[model.ReaderID]*model.Reader, len(cfg.Readers)),
-		exits:      make(map[model.LocationID]bool),
-		dedup:      dedup.NewWithStaleness(cfg.DedupStaleness),
-		graph:      g,
-		inf:        inf,
-		schedule:   inference.NewSchedule(cfg.Readers),
-		lastNow:    model.EpochNone,
-		tombstones: make(map[model.Tag]struct{}),
+		cfg:      cfg,
+		readers:  make(map[model.ReaderID]*model.Reader, len(cfg.Readers)),
+		exits:    make(map[model.LocationID]bool),
+		dedup:    dedup.NewWithStaleness(cfg.DedupStaleness),
+		graph:    g,
+		inf:      inf,
+		schedule: inference.NewSchedule(cfg.Readers),
+		lastNow:  model.EpochNone,
 	}
 	for i := range cfg.Readers {
 		r := &cfg.Readers[i]
@@ -289,7 +277,7 @@ func (s *Substrate) ProcessBatch(b *model.Batch) (*EpochOutput, error) {
 	}
 
 	s.dedup.CleanBatch(b)
-	s.filterTombstones(b)
+	s.filterRetired(b)
 
 	if timed {
 		next := time.Now()
@@ -329,11 +317,19 @@ func (s *Substrate) ProcessBatch(b *model.Batch) (*EpochOutput, error) {
 	return s.finishEpoch(now, rawReadings, tel, rec, timed, mark, &span), nil
 }
 
-// filterTombstones compacts the tag column in place: an exit reader's
-// reading of a departed tag is a residual and is dropped; any other
-// reader's reading resurrects the tag (see Substrate.tombstones).
-func (s *Substrate) filterTombstones(b *model.Batch) {
-	if len(s.tombstones) == 0 {
+// filterRetired compacts the tag column in place. A tag retired through
+// an exit is often still within the exit reader's range for a few more
+// epochs, so an exit reader's reading of it is a residual and is dropped —
+// that keeps departed objects from flapping back into the graph as
+// ghosts. A reading by any *other* reader, though, is evidence the
+// retirement was wrong (e.g. a case whose stale containment made it look
+// like it left inside a departing pallet, when it was really missed on
+// the receiving belt): the tag is resurrected and processed normally.
+// Dedup has already picked each tag's reader, and its directory carries
+// the retired mark of every kept reading. Without exit locations no tag
+// is ever retired.
+func (s *Substrate) filterRetired(b *model.Batch) {
+	if len(s.exits) == 0 {
 		return
 	}
 	w := int32(0)
@@ -344,11 +340,11 @@ func (s *Substrate) filterTombstones(b *model.Batch) {
 		start := w
 		for p := gr.Start; p < gr.End; p++ {
 			g := b.Tags[p]
-			if _, dead := s.tombstones[g]; dead {
+			if s.dedup.RetiredAt(p) {
 				if atExit {
 					continue // residual reading of a departed object
 				}
-				delete(s.tombstones, g) // wrongly retired: resurrect
+				s.dedup.ResurrectAt(p) // wrongly retired
 				if s.rec != nil {
 					s.rec.Record(trace.Record{
 						Epoch: b.Time, Tag: g, Mech: trace.MechResurrected,
@@ -414,8 +410,7 @@ func (s *Substrate) finishEpoch(now model.Epoch, rawReadings int64, tel *Instrum
 		}
 		out.Events = append(out.Events, s.comp.Retire(g, now)...)
 		s.graph.RemoveNode(g)
-		s.dedup.Forget(g)
-		s.tombstones[g] = struct{}{}
+		s.dedup.Retire(g)
 	}
 	out.Retired = retired
 

@@ -475,7 +475,7 @@ func TestWronglyRetiredObjectResurrects(t *testing.T) {
 	if n.NumChildren() == 0 {
 		t.Error("resurrected case must regain its item edges")
 	}
-	if _, dead := sub.tombstones[victim]; dead {
+	if slices.Contains(sub.dedup.Retired(), victim) {
 		t.Error("victim must not remain tombstoned")
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"slices"
 	"time"
 
 	"spire/internal/checkpoint"
@@ -126,11 +125,7 @@ func (s *Substrate) Snapshot(w io.Writer) error {
 	e.Int64(s.stats.Events)
 	e.Int64(s.stats.EventBytes)
 	e.Int64(s.stats.RawBytes)
-	tombs := make([]model.Tag, 0, len(s.tombstones))
-	for g := range s.tombstones {
-		tombs = append(tombs, g)
-	}
-	slices.Sort(tombs)
+	tombs := s.dedup.Retired()
 	e.Uint64(uint64(len(tombs)))
 	for _, g := range tombs {
 		e.Uint64(uint64(g))
@@ -175,7 +170,7 @@ func RestoreSubstrate(r io.Reader) (*Substrate, error) {
 		if g == model.NoTag {
 			return nil, fmt.Errorf("%w: tombstone %d has zero tag", checkpoint.ErrCorrupt, i)
 		}
-		s.tombstones[g] = struct{}{}
+		s.dedup.Retire(g)
 	}
 	if err := d.Err(); err != nil {
 		return nil, err

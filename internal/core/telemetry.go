@@ -115,6 +115,3 @@ func (s *Substrate) Instrument(reg *telemetry.Registry) *Instruments {
 	}
 	return s.tel
 }
-
-// Telemetry returns the attached instruments (nil when uninstrumented).
-func (s *Substrate) Telemetry() *Instruments { return s.tel }

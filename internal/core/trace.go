@@ -15,6 +15,3 @@ func (s *Substrate) Trace(rec *trace.Recorder) {
 	s.inf.SetTracer(rec)
 	s.comp.SetTracer(rec)
 }
-
-// Tracer returns the attached recorder (nil when untraced).
-func (s *Substrate) Tracer() *trace.Recorder { return s.rec }

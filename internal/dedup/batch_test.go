@@ -158,8 +158,8 @@ func FuzzIngestBatchEquivalence(f *testing.F) {
 	})
 }
 
-// TestCleanBatchForget exercises history removal against the sharded
-// store and batch scratch.
+// TestCleanBatchForget exercises history removal against the directory
+// and batch scratch.
 func TestCleanBatchForget(t *testing.T) {
 	d := New()
 	var b model.Batch
@@ -209,23 +209,5 @@ func TestCleanBatchSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("CleanBatch allocates %.1f/op in steady state, want 0", allocs)
-	}
-}
-
-func TestShardOfStable(t *testing.T) {
-	// The shard function participates in no persisted format, but spread
-	// matters: dense tag ranges must not collapse into few shards.
-	var hit [NumShards]bool
-	for g := model.Tag(1); g <= 256; g++ {
-		hit[shardOf(g)] = true
-	}
-	n := 0
-	for _, h := range hit {
-		if h {
-			n++
-		}
-	}
-	if n < NumShards/2 {
-		t.Fatalf("dense tags hit only %d/%d shards", n, NumShards)
 	}
 }

@@ -8,13 +8,19 @@
 // determinism.
 //
 // CleanBatch, over the columnar model.Batch, is the only resolver; it runs
-// on the caller's goroutine. The per-tag history store is split into a
-// fixed number of tag-hash shards (NumShards) that keep each map small;
-// snapshot encoding sorts tags globally, so persisted bytes do not depend
-// on the shard layout.
+// on the caller's goroutine. Per-tag state lives in a dense directory: one
+// tag → slot map, looked up once per reading, whose slots hold the tag's
+// history, the running epoch's occurrence list and the retired bit the
+// substrate's exit policy sets (Retire). Freed slots are reused from a
+// free list; snapshot encoding sorts tags, so persisted bytes do not
+// depend on the slot layout.
 package dedup
 
-import "spire/internal/model"
+import (
+	"slices"
+
+	"spire/internal/model"
+)
 
 // DefaultStaleness is the default recency window for the cross-epoch
 // tie-break: a reader's past claim on a tag counts only if it read the tag
@@ -24,63 +30,48 @@ import "spire/internal/model"
 // winning ties against a currently co-reading reader forever.
 const DefaultStaleness model.Epoch = 300
 
-// NumShards is the fixed number of tag-hash shards in the history store.
-const NumShards = 32
-
-// shard holds the per-tag history for one tag-hash class, plus the
-// columnar scratch used by CleanBatch.
-type shard struct {
-	lastReader map[model.Tag]model.ReaderID
-	lastAt     map[model.Tag]model.Epoch
-
-	// occ is the reused per-epoch occurrence scratch: for each tag of
-	// this shard read in the current batch, the (reader, position) pairs
-	// in group order. Entries are lazily reset via stamp comparison.
-	occ  map[model.Tag]*occEntry
-	tags []model.Tag // tags of this shard touched in the current batch
+// slot is one tag's directory entry, live while the tag has history or
+// is retired. stamp is the CleanBatch pass that last read the tag; head
+// and tail are that pass's first and last positions of it, linked through
+// occurrence.next.
+type slot struct {
+	tag        model.Tag
+	at         model.Epoch // epoch of the last assignment (valid when hist)
+	stamp      uint64
+	reader     model.ReaderID // reader of the last assignment (valid when hist)
+	head, tail int32
+	hist       bool // the tag has recorded history
+	retired    bool // the tag left through an exit (see Retire)
 }
 
-// occurrence is one appearance of a tag in a batch: the reader that
-// reported it and its position in the tag column.
+// occurrence is one position of the batch being cleaned: its reader, the
+// next position of the same tag (-1 at the end), the verdict and the
+// tag's slot. After compaction occ[p].slot is the slot of the tag kept at
+// position p.
 type occurrence struct {
 	reader model.ReaderID
-	pos    int32
-}
-
-// occEntry is the reused per-tag scratch of one shard.
-type occEntry struct {
-	stamp uint64
-	occs  []occurrence
-}
-
-// shardOf maps a tag to its history shard with a splitmix64-style
-// finalizer, so adjacent tag IDs (the simulator allocates them densely)
-// spread across shards.
-func shardOf(g model.Tag) uint32 {
-	x := uint64(g)
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return uint32(x) & (NumShards - 1)
+	next   int32
+	slot   uint32
+	keep   bool
 }
 
 // Deduplicator tracks per-tag reading history across epochs. It is not
 // safe for concurrent use.
 type Deduplicator struct {
-	shards [NumShards]shard
+	dir     map[model.Tag]uint32
+	slots   []slot
+	free    []uint32
+	tracked int // slots with history
 
 	// staleness is the recency window; negative means history never
 	// expires.
 	staleness model.Epoch
 
-	// stamp versions the reused scratch: entries whose stamp differs from
-	// the current value are logically empty.
-	stamp uint64
-
-	// keep is the reused per-position verdict column of CleanBatch.
-	keep []bool
+	// stamp numbers CleanBatch passes; occ is the per-position scratch and
+	// touched the slots the running pass read, in first-appearance order.
+	stamp   uint64
+	occ     []occurrence
+	touched []uint32
 
 	// ins are the optional telemetry instruments (nil when disabled); see
 	// telemetry.go.
@@ -98,22 +89,26 @@ func NewWithStaleness(window model.Epoch) *Deduplicator {
 	if window == 0 {
 		window = DefaultStaleness
 	}
-	d := &Deduplicator{staleness: window}
-	for i := range d.shards {
-		d.shards[i].lastReader = make(map[model.Tag]model.ReaderID)
-		d.shards[i].lastAt = make(map[model.Tag]model.Epoch)
-	}
-	return d
+	return &Deduplicator{dir: make(map[model.Tag]uint32), staleness: window}
 }
 
-// Staleness returns the configured recency window (negative = never
-// expires).
-func (d *Deduplicator) Staleness() model.Epoch { return d.staleness }
-
-// freshAt reports whether history recorded at epoch `at` is recent enough
-// at epoch now to decide a tie.
-func (d *Deduplicator) freshAt(at, now model.Epoch) bool {
-	return d.staleness < 0 || now-at <= d.staleness
+// slotOf returns g's slot, taking one from the free list (or growing the
+// directory) when g has none.
+func (d *Deduplicator) slotOf(g model.Tag) uint32 {
+	if s, ok := d.dir[g]; ok {
+		return s
+	}
+	var s uint32
+	if n := len(d.free); n > 0 {
+		s = d.free[n-1]
+		d.free = d.free[:n-1]
+		d.slots[s] = slot{tag: g}
+	} else {
+		s = uint32(len(d.slots))
+		d.slots = append(d.slots, slot{tag: g})
+	}
+	d.dir[g] = s
+	return s
 }
 
 // CleanBatch resolves duplicates in one epoch's columnar batch in place,
@@ -123,73 +118,66 @@ func (d *Deduplicator) freshAt(at, now model.Epoch) bool {
 // map-per-epoch oracle.
 func (d *Deduplicator) CleanBatch(b *model.Batch) *model.Batch {
 	d.stamp++
-	if cap(d.keep) < len(b.Tags) {
-		d.keep = make([]bool, len(b.Tags))
+	if cap(d.occ) < len(b.Tags) {
+		d.occ = make([]occurrence, len(b.Tags))
 	}
-	d.keep = d.keep[:len(b.Tags)]
+	d.occ = d.occ[:len(b.Tags)]
 
-	// Pass 1: collect occurrences in group order. Groups are ascending by
-	// reader, so each tag's occurrence list is already sorted by reader —
-	// the lowest-ID tie-break falls out of occs[0].
+	// Pass 1: link each tag's occurrences in group order. Groups are
+	// ascending by reader, so each list is already sorted by reader — the
+	// lowest-ID tie-break falls out of the head.
 	for i := range b.Groups {
 		g := b.Groups[i]
 		for p := g.Start; p < g.End; p++ {
-			tag := b.Tags[p]
-			sh := &d.shards[shardOf(tag)]
-			if sh.occ == nil {
-				sh.occ = make(map[model.Tag]*occEntry)
+			s := d.slotOf(b.Tags[p])
+			sl := &d.slots[s]
+			if sl.stamp != d.stamp {
+				sl.stamp, sl.head = d.stamp, p
+				d.touched = append(d.touched, s)
+			} else {
+				d.occ[sl.tail].next = p
 			}
-			e := sh.occ[tag]
-			if e == nil {
-				e = &occEntry{}
-				sh.occ[tag] = e
-			}
-			if e.stamp != d.stamp {
-				e.stamp = d.stamp
-				e.occs = e.occs[:0]
-				sh.tags = append(sh.tags, tag)
-			}
-			e.occs = append(e.occs, occurrence{reader: g.Reader, pos: p})
+			sl.tail = p
+			d.occ[p] = occurrence{reader: g.Reader, next: -1, slot: s}
 		}
 	}
 
 	// Pass 2: per tag, decide the winner, mark keeps, and record the
 	// assignment as the tag's new history.
 	var dups, reassigns int64
-	for s := range d.shards {
-		sh := &d.shards[s]
-		for _, tag := range sh.tags {
-			occs := sh.occ[tag].occs
-			winner := occs[0].reader
-			multi := len(occs) > 1
-			last, lastOK := sh.lastReader[tag]
-			if multi {
-				dups++
-				if lastOK && d.freshAt(sh.lastAt[tag], b.Time) {
-					for _, oc := range occs {
-						if oc.reader == last {
-							winner = last
-							break
-						}
+	for _, s := range d.touched {
+		sl := &d.slots[s]
+		winner := d.occ[sl.head].reader
+		if sl.head == sl.tail {
+			d.occ[sl.head].keep = true
+		} else {
+			dups++
+			// History decides a tie only while it is fresh.
+			if sl.hist && (d.staleness < 0 || b.Time-sl.at <= d.staleness) {
+				for p := sl.head; p >= 0; p = d.occ[p].next {
+					if d.occ[p].reader == sl.reader {
+						winner = sl.reader
+						break
 					}
 				}
 			}
-			marked := false
-			for _, oc := range occs {
-				k := oc.reader == winner && !marked
-				if k {
-					marked = true
-				}
-				d.keep[oc.pos] = k
-			}
-			if multi && lastOK && last != winner {
+			if sl.hist && sl.reader != winner {
 				reassigns++
 			}
-			sh.lastReader[tag] = winner
-			sh.lastAt[tag] = b.Time
+			marked := false
+			for p := sl.head; p >= 0; p = d.occ[p].next {
+				k := !marked && d.occ[p].reader == winner
+				marked = marked || k
+				d.occ[p].keep = k
+			}
 		}
-		sh.tags = sh.tags[:0]
+		if !sl.hist {
+			sl.hist = true
+			d.tracked++
+		}
+		sl.reader, sl.at = winner, b.Time
 	}
+	d.touched = d.touched[:0]
 
 	// Compaction: squeeze out dropped positions, fixing group offsets in
 	// place. Empty groups are kept — an active reader that read nothing is
@@ -199,36 +187,75 @@ func (d *Deduplicator) CleanBatch(b *model.Batch) *model.Batch {
 		g := &b.Groups[i]
 		start := w
 		for p := g.Start; p < g.End; p++ {
-			if d.keep[p] {
+			if oc := d.occ[p]; oc.keep {
 				b.Tags[w] = b.Tags[p]
+				d.occ[w].slot = oc.slot
 				w++
 			}
 		}
 		g.Start, g.End = start, w
 	}
 	b.Tags = b.Tags[:w]
+	d.occ = d.occ[:w]
 
 	if d.ins != nil {
 		d.ins.Duplicates.Add(dups)
 		d.ins.Reassignments.Add(reassigns)
-		d.ins.Tracked.Set(int64(d.Len()))
+		d.ins.Tracked.Set(int64(d.tracked))
 	}
 	return b
 }
 
 // Forget drops a tag's history (e.g. after the object exits the world).
+// A retired tag keeps its mark.
 func (d *Deduplicator) Forget(g model.Tag) {
-	sh := &d.shards[shardOf(g)]
-	delete(sh.lastReader, g)
-	delete(sh.lastAt, g)
-	delete(sh.occ, g)
+	if s, ok := d.dir[g]; ok {
+		d.forget(s)
+	}
 }
 
-// Len reports the number of tags currently tracked.
-func (d *Deduplicator) Len() int {
-	n := 0
-	for i := range d.shards {
-		n += len(d.shards[i].lastReader)
+// forget drops slot s's history and frees the slot unless it is retired.
+func (d *Deduplicator) forget(s uint32) {
+	sl := &d.slots[s]
+	if sl.hist {
+		sl.hist = false
+		d.tracked--
 	}
-	return n
+	if !sl.retired {
+		delete(d.dir, sl.tag)
+		d.free = append(d.free, s)
+	}
 }
+
+// Retire forgets a tag and marks it retired. The mark only carries the
+// substrate's exit policy: CleanBatch resolves a retired tag's readings
+// as any other's, and the caller reads the mark of each kept reading with
+// RetiredAt.
+func (d *Deduplicator) Retire(g model.Tag) {
+	s := d.slotOf(g)
+	d.slots[s].retired = true
+	d.forget(s)
+}
+
+// RetiredAt reports whether the tag kept at position p of the batch last
+// cleaned is retired.
+func (d *Deduplicator) RetiredAt(p int32) bool { return d.slots[d.occ[p].slot].retired }
+
+// ResurrectAt clears the retired mark of the tag kept at position p of the
+// batch last cleaned.
+func (d *Deduplicator) ResurrectAt(p int32) { d.slots[d.occ[p].slot].retired = false }
+
+// Retired returns the retired tags in ascending order.
+func (d *Deduplicator) Retired() []model.Tag {
+	var tags []model.Tag
+	for i := range d.slots {
+		if d.slots[i].retired {
+			tags = append(tags, d.slots[i].tag)
+		}
+	}
+	slices.Sort(tags)
+	return tags
+}
+
+// Len reports the number of tags with recorded history.
+func (d *Deduplicator) Len() int { return d.tracked }

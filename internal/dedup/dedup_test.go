@@ -163,8 +163,8 @@ func TestCleanStalenessBoundary(t *testing.T) {
 // negative window means history never expires.
 func TestCleanStalenessDisabled(t *testing.T) {
 	d := NewWithStaleness(-1)
-	if d.Staleness() >= 0 {
-		t.Fatalf("Staleness() = %d, want negative", d.Staleness())
+	if d.staleness >= 0 {
+		t.Fatalf("staleness = %d, want negative", d.staleness)
 	}
 	o1 := newRows(1)
 	o1.Add(7, 10)

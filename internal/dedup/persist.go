@@ -1,8 +1,9 @@
 package dedup
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"spire/internal/checkpoint"
 	"spire/internal/model"
@@ -20,30 +21,28 @@ const sectionDedup = "DDUP"
 // epoch), used to validate the count before allocating.
 const entryEncSize = 8 + 8 + 8
 
-// EncodeState appends the dedup history to e. Tags are collected across
-// all shards and sorted globally, so the encoding is byte-identical to the
-// pre-sharded store for the same history.
+// EncodeState appends the dedup history to e, in tag order.
 func (d *Deduplicator) EncodeState(e *checkpoint.Encoder) {
 	e.Section(sectionDedup)
-	tags := make([]model.Tag, 0, d.Len())
-	for i := range d.shards {
-		for g := range d.shards[i].lastReader {
-			tags = append(tags, g)
+	live := make([]uint32, 0, d.tracked)
+	for s := range d.slots {
+		if d.slots[s].hist {
+			live = append(live, uint32(s))
 		}
 	}
-	sort.Slice(tags, func(i, j int) bool { return tags[i] < tags[j] })
-	e.Uint64(uint64(len(tags)))
-	for _, g := range tags {
-		sh := &d.shards[shardOf(g)]
-		e.Uint64(uint64(g))
-		e.Int64(int64(sh.lastReader[g]))
-		e.Int64(int64(sh.lastAt[g]))
+	slices.SortFunc(live, func(a, b uint32) int { return cmp.Compare(d.slots[a].tag, d.slots[b].tag) })
+	e.Uint64(uint64(len(live)))
+	for _, s := range live {
+		sl := &d.slots[s]
+		e.Uint64(uint64(sl.tag))
+		e.Int64(int64(sl.reader))
+		e.Int64(int64(sl.at))
 	}
 }
 
-// DecodeState fills an empty Deduplicator from dec. The receiver's
-// staleness window is preserved (it comes from configuration, not the
-// snapshot).
+// DecodeState fills the history of a Deduplicator that has none from dec;
+// retired marks may already be set. The receiver's staleness window is
+// preserved (it comes from configuration, not the snapshot).
 func (d *Deduplicator) DecodeState(dec *checkpoint.Decoder) error {
 	dec.Section(sectionDedup)
 	n := dec.Count(entryEncSize)
@@ -57,12 +56,12 @@ func (d *Deduplicator) DecodeState(dec *checkpoint.Decoder) error {
 		if g == model.NoTag {
 			return fmt.Errorf("%w: dedup entry %d has zero tag", checkpoint.ErrCorrupt, i)
 		}
-		sh := &d.shards[shardOf(g)]
-		if _, dup := sh.lastReader[g]; dup {
+		sl := &d.slots[d.slotOf(g)]
+		if sl.hist {
 			return fmt.Errorf("%w: duplicate dedup entry for tag %d", checkpoint.ErrCorrupt, g)
 		}
-		sh.lastReader[g] = r
-		sh.lastAt[g] = at
+		sl.hist, sl.reader, sl.at = true, r, at
+		d.tracked++
 	}
 	return dec.Err()
 }

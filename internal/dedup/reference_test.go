@@ -66,19 +66,21 @@ func rowsOf(b *model.Batch) *rows {
 
 // history returns the recorded (reader, at) for tag g, if any.
 func (d *Deduplicator) history(g model.Tag) (model.ReaderID, model.Epoch, bool) {
-	sh := &d.shards[shardOf(g)]
-	r, ok := sh.lastReader[g]
-	if !ok {
+	s, ok := d.dir[g]
+	if !ok || !d.slots[s].hist {
 		return 0, 0, false
 	}
-	return r, sh.lastAt[g], true
+	return d.slots[s].reader, d.slots[s].at, true
 }
 
 // record stores the assignment of tag g to reader r at epoch now.
 func (d *Deduplicator) record(g model.Tag, r model.ReaderID, now model.Epoch) {
-	sh := &d.shards[shardOf(g)]
-	sh.lastReader[g] = r
-	sh.lastAt[g] = now
+	sl := &d.slots[d.slotOf(g)]
+	if !sl.hist {
+		sl.hist = true
+		d.tracked++
+	}
+	sl.reader, sl.at = r, now
 }
 
 // fresh reports whether the recorded history for tag g is recent enough at
@@ -87,7 +89,7 @@ func (d *Deduplicator) fresh(g model.Tag, now model.Epoch) bool {
 	if d.staleness < 0 {
 		return true
 	}
-	at, ok := d.shards[shardOf(g)].lastAt[g]
+	_, at, ok := d.history(g)
 	return ok && now-at <= d.staleness
 }
 

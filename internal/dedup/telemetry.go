@@ -15,9 +15,6 @@ type Instruments struct {
 	Reassignments *telemetry.Counter
 	// Tracked is the number of tags with recorded reading history.
 	Tracked *telemetry.Gauge
-	// Shards is the fixed tag-hash shard count of the history store
-	// (NumShards). Constant per process.
-	Shards *telemetry.Gauge
 }
 
 // NewInstruments registers the dedup metrics on reg. Returns nil when reg
@@ -33,17 +30,10 @@ func NewInstruments(reg *telemetry.Registry) *Instruments {
 			"Duplicate resolutions that moved a tag to a different reader than its last assignment."),
 		Tracked: reg.Gauge("spire_dedup_tracked_tags",
 			"Tags with recorded reading history."),
-		Shards: reg.Gauge("spire_dedup_shards",
-			"Fixed tag-hash shard count of the dedup history store."),
 	}
 }
 
 // Instrument attaches ins to the deduplicator; pass nil to detach.
 // Instrumentation only observes the existing decisions — it can never
 // change which reader wins a tag.
-func (d *Deduplicator) Instrument(ins *Instruments) {
-	d.ins = ins
-	if ins != nil {
-		ins.Shards.Set(NumShards)
-	}
-}
+func (d *Deduplicator) Instrument(ins *Instruments) { d.ins = ins }

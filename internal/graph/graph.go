@@ -421,22 +421,6 @@ func (g *Graph) ColoredNodes(lvl model.Level, color model.LocationID, now model.
 	return g.colored[lvl][color]
 }
 
-// EachColored calls f for every node observed in epoch now. Iteration
-// order is deterministic: by level, then ascending color, then insertion
-// order within a bucket.
-func (g *Graph) EachColored(now model.Epoch, f func(*Node)) {
-	if g.coloredAt != now {
-		return
-	}
-	for lvl := range g.colored {
-		for _, list := range g.colored[lvl] {
-			for _, n := range list {
-				f(n)
-			}
-		}
-	}
-}
-
 // beginEpoch lazily resets the per-epoch colored index.
 func (g *Graph) beginEpoch(now model.Epoch) {
 	if g.coloredAt == now {

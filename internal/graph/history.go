@@ -59,13 +59,7 @@ func (h History) Bit(i int) bool {
 }
 
 // Ones returns the number of set bits.
-func (h History) Ones() int {
-	n := 0
-	for b := h.bits; b != 0; b &= b - 1 {
-		n++
-	}
-	return n
-}
+func (h History) Ones() int { return bits.OnesCount64(h.bits) }
 
 // Weight computes the normalized Zipf-weighted co-location score of Eq. 1:
 //
@@ -75,11 +69,15 @@ func (h History) Ones() int {
 // so the most recent bit has finite weight — identical at the paper's
 // chosen α = 0. The numerator adds the weights of the set bits only, in
 // ascending bit order — the additions a walk over all S bits would
-// perform, in the same order, so the score is exact for every α.
-// t must come from ZipfWeights(size, α).
+// perform, in the same order, so the score is exact for every α. When
+// every weight is 1 (α = 0) that sum of ones is the set-bit count, which
+// is exact. t must come from ZipfWeights(size, α).
 func (h History) Weight(t *ZipfTable) float64 {
 	if len(t.w) != h.size {
 		panic(fmt.Sprintf("graph: weight table size %d != history size %d", len(t.w), h.size))
+	}
+	if t.unit {
+		return float64(h.Ones()) / t.den
 	}
 	var num float64
 	for b := h.bits; b != 0; b &= b - 1 {
@@ -90,19 +88,21 @@ func (h History) Weight(t *ZipfTable) float64 {
 
 // ZipfTable is the Eq. 1 weight table 1/(i+1)^α for i in [0, size)
 // together with its sum, the normalizing denominator (≥ 1: the first
-// weight is 1 for every α).
+// weight is 1 for every α), and whether every weight is exactly 1.
 type ZipfTable struct {
-	w   []float64
-	den float64
+	w    []float64
+	den  float64
+	unit bool
 }
 
 // ZipfWeights precomputes the weight table for histories of the given
 // size, summing the denominator once in ascending order.
 func ZipfWeights(size int, alpha float64) *ZipfTable {
-	t := &ZipfTable{w: make([]float64, size)}
+	t := &ZipfTable{w: make([]float64, size), unit: true}
 	for i := range t.w {
 		t.w[i] = 1 / math.Pow(float64(i+1), alpha)
 		t.den += t.w[i]
+		t.unit = t.unit && t.w[i] == 1
 	}
 	return t
 }

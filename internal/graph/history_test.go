@@ -207,6 +207,11 @@ func TestHistoryWeightMatchesAllBitsLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for _, size := range exactSizes {
 		for _, alpha := range exactAlphas {
+			// Unit weights (α = 0, or S = 1) take the set-bit-count path;
+			// the others walk the bits.
+			if unit := ZipfWeights(size, alpha).unit; unit != (alpha == 0 || size == 1) {
+				t.Fatalf("S=%d α=%v: unit table = %v", size, alpha, unit)
+			}
 			for _, bits := range []uint64{0, 1, 1 << 63, ^uint64(0), 0xAAAAAAAAAAAAAAAA} {
 				checkWeightExact(t, size, alpha, bits)
 			}

@@ -8,6 +8,3 @@ import "spire/internal/trace"
 // recording; the update hot path then takes no extra work. Recording is
 // observation-only and never influences the update procedure.
 func (g *Graph) SetTracer(rec *trace.Recorder) { g.rec = rec }
-
-// Tracer returns the attached recorder (nil when untraced).
-func (g *Graph) Tracer() *trace.Recorder { return g.rec }

@@ -148,8 +148,9 @@ type Inferencer struct {
 	now model.Epoch
 
 	// scratch reused across epochs
-	res      Result // pooled result; see Infer's contract
-	stamp    uint64 // stamp of the running pass, matched against the node and edge scratch stamps
+	fades    []float64 // Eq. 3's fade 1/age^θ by integer age, filled on first use; see fade
+	res      Result    // pooled result; see Infer's contract
+	stamp    uint64    // stamp of the running pass, matched against the node and edge scratch stamps
 	frontier []*graph.Node
 	next     []*graph.Node
 	rest     []*graph.Node
@@ -447,7 +448,7 @@ func (inf *Inferencer) edgeInference(g *graph.Graph, n *graph.Node) model.Tag {
 	var best *graph.Edge
 	var bestConf float64
 	for _, e := range n.Parents() {
-		conf := beta * e.History.Weight(inf.zipf)
+		conf := float64(beta * e.History.Weight(inf.zipf)) // rounded: never fused into the sum below
 		if n.ConfirmedEdge == e {
 			conf += 1 - beta
 		}
@@ -509,12 +510,8 @@ func (inf *Inferencer) nodeInference(n *graph.Node) model.LocationID {
 	// The fading belief in the most recent observation.
 	fade := 0.0
 	if n.SeenAt != model.EpochNone && n.RecentColor.Known() {
-		age := float64(inf.now - n.SeenAt)
-		if age < 1 {
-			age = 1
-		}
-		fade = 1 / math.Pow(age, inf.cfg.Theta)
-		inf.probs = addMass(inf.probs, n.RecentColor, (1-gamma)*fade)
+		fade = inf.fade(max(inf.now-n.SeenAt, 1))
+		inf.probs = addMass(inf.probs, n.RecentColor, float64((1-gamma)*fade)) // rounded, as in edgeInference
 	}
 	pUnknown := (1 - gamma) * (1 - fade)
 
@@ -556,6 +553,22 @@ func (inf *Inferencer) nodeInference(n *graph.Node) model.LocationID {
 		})
 	}
 	return best
+}
+
+// fadeCap bounds the fade table; older ages compute their fade directly.
+const fadeCap = 1 << 12
+
+// fade returns Eq. 3's fading belief 1/age^θ for an integer age ≥ 1. Ages
+// below fadeCap read it from a table that grows to the oldest age met,
+// each entry computed once by the same expression.
+func (inf *Inferencer) fade(age model.Epoch) float64 {
+	if age >= fadeCap {
+		return 1 / math.Pow(float64(age), inf.cfg.Theta)
+	}
+	for model.Epoch(len(inf.fades)) <= age {
+		inf.fades = append(inf.fades, 1/math.Pow(float64(len(inf.fades)), inf.cfg.Theta))
+	}
+	return inf.fades[age]
 }
 
 // propagate queues other's settled color, if it has a known one this pass,

@@ -32,7 +32,10 @@ func (inf *Inferencer) InferReference(g *graph.Graph, now model.Epoch, mode Mode
 
 	// Layer d=0: the colored nodes.
 	var frontier, next []*graph.Node
-	g.EachColored(now, func(n *graph.Node) {
+	g.Nodes(func(n *graph.Node) {
+		if !n.Colored(now) {
+			return
+		}
 		dist[n.Tag] = 0
 		n.InferLoc, n.LocStamp = n.RecentColor, inf.stamp
 		frontier = append(frontier, n)

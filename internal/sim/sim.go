@@ -345,7 +345,9 @@ func (s *Simulator) advance() error {
 		} else {
 			c.shelf = s.locShelf0 + model.LocationID(s.rng.Intn(s.cfg.NumShelves))
 		}
-		span := float64(s.cfg.ShelfTime) * (0.5 + s.rng.Float64())
+		// float64(…) rounds the inlined Float64 product, so no
+		// architecture fuses it into the addition.
+		span := float64(s.cfg.ShelfTime) * (0.5 + float64(s.rng.Float64()))
 		c.until = now + model.Epoch(span)
 		if err := s.world.Move(c.tag, c.shelf); err != nil {
 			return err
@@ -563,7 +565,7 @@ func (s *Simulator) divert(p *palletUnit, now model.Epoch) error {
 	} else {
 		c.shelf = s.locShelf0 + model.LocationID(s.rng.Intn(s.cfg.NumShelves))
 	}
-	span := float64(s.cfg.ShelfTime) * (0.5 + s.rng.Float64())
+	span := float64(s.cfg.ShelfTime) * (0.5 + float64(s.rng.Float64())) // unfused, as above
 	c.until = now + model.Epoch(span)
 	if err := s.world.Move(c.tag, c.shelf); err != nil {
 		return err

@@ -182,7 +182,9 @@ func (c *Cleaner) ProcessBatch(b *model.Batch) (*inference.Result, error) {
 			if st.lastAt == now {
 				hit = 1
 			}
-			st.p = (1-c.cfg.Alpha)*st.p + c.cfg.Alpha*hit
+			// Each product rounds before the sum (no fused multiply-add
+			// on any architecture).
+			st.p = float64((1-c.cfg.Alpha)*st.p) + float64(c.cfg.Alpha*hit)
 			if st.p < c.cfg.FloorP {
 				st.p = c.cfg.FloorP
 			}
