@@ -1,9 +1,11 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
+	"spire/internal/epc"
 	"spire/internal/inference"
 	"spire/internal/model"
 	"spire/internal/sim"
@@ -227,7 +229,8 @@ func BenchmarkEpochLoopBaseline(b *testing.B) {
 func TestEpochTailAllocs(t *testing.T) {
 	sub, o := warmInstrumented(t)
 	now := sub.LastEpoch()
-	pass := func(mode inference.Mode) *inference.Result {
+	// replay applies the batch, then the extra reader's tags if any.
+	replay := func(extra *model.Reader, tags ...model.Tag) {
 		now++
 		o.Time = now
 		readers := sub.groupReaders[:0]
@@ -238,6 +241,14 @@ func TestEpochTailAllocs(t *testing.T) {
 		if err := sub.graph.UpdateBatch(o, readers); err != nil {
 			t.Fatal(err)
 		}
+		if extra != nil {
+			if err := sub.graph.Update(extra, tags, now); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pass := func(mode inference.Mode) *inference.Result {
+		replay(nil)
 		return sub.inf.Infer(sub.graph, now, mode)
 	}
 	if got := testing.AllocsPerRun(100, func() { pass(inference.Partial) }); got != 0 {
@@ -250,6 +261,58 @@ func TestEpochTailAllocs(t *testing.T) {
 		inference.ResolveConflicts(pass(inference.Complete), levelOf, nil)
 	}); got != 0 {
 		t.Errorf("Infer + ResolveConflicts allocates %.1f allocs/op, want 0", got)
+	}
+
+	// Churn: every epoch one new tag arrives, read alone at a location of
+	// its own so it stays a singleton, and the oldest arrival is removed.
+	// The node count holds, so ranking the arrivals and writing their rows
+	// may not allocate; only a new peak node count may. The slab cache is
+	// off here: it allocates a slab per newly settled component id.
+	lone := &model.Reader{ID: 1 << 20, Location: model.LocationID(len(sub.cfg.Locations) + 1)}
+	cfg := sub.cfg.Inference
+	cfg.DisableCache = true
+	inf, err := inference.New(cfg, sub.graph.Config().HistorySize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arrived []model.Tag
+	var mallocs, epochs uint64
+	peak := sub.graph.Len()
+	for i := 0; i < 200; i++ {
+		lvl := model.LevelItem
+		if i%2 == 0 {
+			lvl = model.LevelPallet // above every other tag, else inside the order
+		}
+		tag := epc.MustEncode(epc.Identity{Level: lvl, Company: 9, Serial: uint32(i + 1)})
+		arrived = append(arrived, tag)
+		if len(arrived) > 8 {
+			sub.graph.RemoveNode(arrived[0])
+			arrived = arrived[1:]
+		}
+		replay(lone, tag)
+		mode := inference.Complete
+		if i%3 > 0 {
+			mode = inference.Partial
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := inf.Infer(sub.graph, now, mode)
+		inference.ResolveConflicts(res, levelOf, nil)
+		runtime.ReadMemStats(&after)
+		if _, ok := res.Lookup(tag); !ok {
+			t.Fatalf("churn epoch %d: no row for the arriving tag", i)
+		}
+		if n := sub.graph.Len(); n > peak {
+			peak = n
+		} else if i >= 10 {
+			mallocs += after.Mallocs - before.Mallocs
+			epochs++
+		}
+	}
+	// Averaged and rounded down as testing.AllocsPerRun does, which
+	// absorbs the fade table's rare doubling as the oldest age grows.
+	if epochs == 0 || mallocs/epochs != 0 {
+		t.Errorf("churn: Infer + ResolveConflicts allocate %d times in %d epochs at a steady node count", mallocs, epochs)
 	}
 
 	// Treat a location the replayed batch reads as an exit, so the walk

@@ -19,14 +19,21 @@ import (
 //
 // Identity is maintained incrementally where cheap and lazily where not:
 //
-//   - AddEdge unions the two endpoint components (smaller member list
-//     merged into the larger, the union keeping the smaller id);
+//   - AddEdge unions the two endpoint components (the smaller member list
+//     merged into the larger);
 //   - edge or node removal only ever *splits* a component, which cannot be
 //     resolved locally, so the affected component is marked stale and
 //     repartitioned by BFS on the next Components call;
-//   - a component's id is the smallest member tag — unique across the
+//   - member lists are kept in ascending tag order through both, so a
+//     component's id is its first member's tag — unique across the
 //     partition, and stable for untouched components so per-component
 //     caches keyed by id survive across epochs.
+//
+// The graph keeps its nodes in one tag order as well, Node.rank being a
+// node's position. A new node above every tag is appended ranked, others
+// wait unranked in pending, and removed ones stay in place; Components
+// merges and drops them, and renumbers from the lowest position that
+// changed.
 //
 // Dirtiness: dirtyAt is the last epoch in which any member was read
 // (which covers coloring, color changes, and node creation — see
@@ -39,7 +46,6 @@ import (
 // Component is one connected component of the graph. It is owned and
 // mutated by the graph; consumers treat it as read-only.
 type Component struct {
-	id      model.Tag
 	members []*Node
 	dirtyAt model.Epoch
 	stale   bool
@@ -49,12 +55,12 @@ type Component struct {
 // unique across the live partition. An id is stable while the component
 // is untouched; merges and rebuilds may retire or reuse it, but any such
 // change also advances DirtyAt.
-func (c *Component) ID() model.Tag { return c.id }
+func (c *Component) ID() model.Tag { return c.members[0].Tag }
 
 // Len returns the number of member nodes.
 func (c *Component) Len() int { return len(c.members) }
 
-// Members returns the member nodes in unspecified order. The slice is
+// Members returns the member nodes in ascending tag order. The slice is
 // owned by the graph; do not mutate. Stale components (pending rebuild)
 // are never handed out by Components, so every listed node belongs to
 // the component.
@@ -78,9 +84,9 @@ func (n *Node) Component() *Component { return n.comp }
 
 // newComponent registers a fresh singleton component for n.
 func (g *Graph) newComponent(n *Node) {
-	c := &Component{id: n.Tag, members: []*Node{n}, dirtyAt: model.EpochNone}
+	c := &Component{members: []*Node{n}, dirtyAt: model.EpochNone}
 	n.comp = c
-	g.comps[c] = struct{}{}
+	g.compOrder = append(g.compOrder, c)
 	g.compOrderOK = false
 }
 
@@ -95,18 +101,19 @@ func (g *Graph) unionComponents(a, b *Component, now model.Epoch) {
 		a, b = b, a
 	}
 	for _, n := range b.members {
-		n.comp = a
+		if n.comp != nil { // a stale list may hold removed nodes
+			n.comp = a
+		}
 	}
-	a.members = append(a.members, b.members...)
-	if b.id < a.id {
-		a.id = b.id
-	}
+	a.members, _ = mergeByTag(a.members, b.members)
 	if b.dirtyAt > a.dirtyAt {
 		a.dirtyAt = b.dirtyAt
 	}
-	a.stale = a.stale || b.stale
+	if b.stale {
+		g.markStale(a)
+	}
+	b.members = nil // merged away: the stale queue and compOrder drop it
 	a.touch(now)
-	delete(g.comps, b)
 	g.compOrderOK = false
 }
 
@@ -116,34 +123,37 @@ func (g *Graph) unionComponents(a, b *Component, now model.Epoch) {
 func (g *Graph) markStale(c *Component) {
 	if c != nil && !c.stale {
 		c.stale = true
-		g.anyStale = true
+		g.stale = append(g.stale, c)
 	}
 }
 
 // Components returns the live connected components sorted by id,
 // repartitioning any components made stale by edge or node removals
-// since the last call. Every component produced by a rebuild is stamped
-// dirty at now. The returned slice and the components are owned by the
-// graph and valid until the next mutation.
+// since the last call, and renumbers the node ranks. Every component
+// produced by a rebuild is stamped dirty at now. The returned slice and
+// the components are owned by the graph and valid until the next
+// mutation.
 func (g *Graph) Components(now model.Epoch) []*Component {
-	if g.anyStale {
-		g.staleScratch = g.staleScratch[:0]
-		for c := range g.comps {
-			if c.stale {
-				g.staleScratch = append(g.staleScratch, c)
-			}
-		}
-		for _, c := range g.staleScratch {
+	g.rankNodes()
+	for _, c := range g.stale {
+		if c.members != nil {
 			g.rebuildComponent(c, now)
 		}
-		g.anyStale = false
 	}
+	clear(g.stale)
+	g.stale = g.stale[:0]
 	if !g.compOrderOK {
-		g.compOrder = g.compOrder[:0]
-		for c := range g.comps {
-			g.compOrder = append(g.compOrder, c)
+		// Drop the components merged away or rebuilt; the survivors are
+		// still nearly in id order.
+		live := g.compOrder[:0]
+		for _, c := range g.compOrder {
+			if c.members != nil {
+				live = append(live, c)
+			}
 		}
-		slices.SortFunc(g.compOrder, func(a, b *Component) int { return cmp.Compare(a.id, b.id) })
+		clear(g.compOrder[len(live):])
+		g.compOrder = live
+		slices.SortFunc(live, func(a, b *Component) int { return cmp.Compare(a.ID(), b.ID()) })
 		g.compOrderOK = true
 	}
 	return g.compOrder
@@ -151,25 +161,23 @@ func (g *Graph) Components(now model.Epoch) []*Component {
 
 // rebuildComponent repartitions a stale component by BFS over its
 // surviving members. Members removed from the graph (comp == nil) or
-// already claimed by a newer component are skipped.
+// already claimed by a new component are skipped. The BFS only labels;
+// the new member lists are then filled from c's tag-sorted list, so each
+// comes out sorted.
 func (g *Graph) rebuildComponent(c *Component, now model.Epoch) {
-	delete(g.comps, c)
 	g.compOrderOK = false
 	g.compStamp++
 	stamp := g.compStamp
 	for _, seed := range c.members {
-		if seed.comp != c || seed.compSeen == stamp {
+		if seed.comp != c {
 			continue
 		}
-		nc := &Component{id: seed.Tag, dirtyAt: now}
+		nc := &Component{dirtyAt: now}
 		seed.compSeen = stamp
 		nc.members = append(nc.members, seed)
 		// The members slice doubles as the BFS queue.
 		for qi := 0; qi < len(nc.members); qi++ {
 			m := nc.members[qi]
-			if m.Tag < nc.id {
-				nc.id = m.Tag
-			}
 			m.comp = nc
 			for _, e := range m.parents {
 				if p := e.Parent; p.compSeen != stamp {
@@ -184,6 +192,54 @@ func (g *Graph) rebuildComponent(c *Component, now model.Epoch) {
 				}
 			}
 		}
-		g.comps[nc] = struct{}{}
+		nc.members = nc.members[:0]
+		g.compOrder = append(g.compOrder, nc)
 	}
+	for _, m := range c.members {
+		if m.comp != nil {
+			m.comp.members = append(m.comp.members, m)
+		}
+	}
+	c.members = nil
+}
+
+// mergeByTag merges the tag-sorted src into the tag-sorted dst from the
+// back, so only the part of dst above src's smallest tag moves, and
+// returns the merged slice and the lowest position that changed.
+func mergeByTag(dst, src []*Node) ([]*Node, int) {
+	i, k := len(dst)-1, len(dst)+len(src)-1
+	dst = append(dst, src...)
+	for j := len(src) - 1; j >= 0; k-- {
+		if i >= 0 && dst[i].Tag > src[j].Tag {
+			dst[k] = dst[i]
+			i--
+		} else {
+			dst[k] = src[j]
+			j--
+		}
+	}
+	return dst, k + 1
+}
+
+// rankNodes merges the nodes added since the last call into the tag
+// order, then drops the removed ones and renumbers the ranks, both from
+// the lowest position that changed.
+func (g *Graph) rankNodes() {
+	if len(g.pending) > 0 {
+		slices.SortFunc(g.pending, func(a, b *Node) int { return cmp.Compare(a.Tag, b.Tag) })
+		var from int
+		g.order, from = mergeByTag(g.order, g.pending)
+		g.orderFrom = min(g.orderFrom, from)
+		clear(g.pending)
+		g.pending = g.pending[:0]
+	}
+	live := g.order[:g.orderFrom]
+	for _, n := range g.order[g.orderFrom:] {
+		if n.comp != nil { // removed nodes have none
+			n.rank = int32(len(live))
+			live = append(live, n)
+		}
+	}
+	clear(g.order[len(live):])
+	g.order, g.orderFrom = live, len(live)
 }

@@ -187,6 +187,46 @@ func TestComponentsSortedAndStableIDs(t *testing.T) {
 // TestComponentsRandomizedInvariant drives a random mutation mix and
 // validates the partition via CheckInvariants plus an independent BFS
 // count after every epoch.
+// TestRemovedNodeStaysRemoved: a node removed from a component that then
+// merges into a larger one before the next Components call must not
+// come back as a component of its own — it has no node in the graph, so
+// it would get a verdict every pass.
+func TestRemovedNodeStaysRemoved(t *testing.T) {
+	g := mustGraph(t)
+	seq := mustSeq(t)
+	p, _ := seq.Next(model.LevelPallet)
+	c1, _ := seq.Next(model.LevelCase)
+	c2, _ := seq.Next(model.LevelCase)
+	i1, _ := seq.Next(model.LevelItem)
+	i2, _ := seq.Next(model.LevelItem)
+	shelf := &model.Reader{ID: 1, Location: 7}
+	dock := &model.Reader{ID: 2, Location: 8}
+	update := func(r *model.Reader, now model.Epoch, tags ...model.Tag) {
+		t.Helper()
+		if err := g.Update(r, tags, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	update(shelf, 1, p, c1)
+	update(dock, 1, c2, i1, i2)
+	g.Components(1)
+	g.RemoveNode(c1) // {p, c1} goes stale, still listing c1
+	update(shelf, 2, p, c2)
+	total := 0
+	for _, c := range g.Components(2) {
+		total += c.Len()
+		if slices.ContainsFunc(c.Members(), func(n *Node) bool { return n.Tag == c1 }) {
+			t.Fatalf("removed node %d is back in component %d", c1, c.ID())
+		}
+	}
+	if total != g.Len() || g.Len() != 4 {
+		t.Fatalf("partition covers %d nodes, graph holds %d, want 4", total, g.Len())
+	}
+	if err := g.CheckInvariants(2); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestComponentsRandomizedInvariant(t *testing.T) {
 	g := mustGraph(t)
 	seq := mustSeq(t)

@@ -79,14 +79,15 @@ type Node struct {
 	BetaEither int
 	BetaOne    int
 
-	// InferDist/DistStamp and InferLoc/LocStamp are scratch storage owned
-	// by the inference package: the BFS hop distance assigned to this node
-	// by the sweep whose stamp is DistStamp, and the location verdict
-	// settled for it by the sweep whose stamp is LocStamp (the same
-	// stamped-slot idiom as Edge.InferProb/InferStamp). A stamp differing
-	// from the running pass means "not reached / not settled this pass" —
-	// no per-epoch map or clearing needed.
-	InferDist int32
+	// rank is the node's position in the graph's tag order (components.go).
+	rank int32
+
+	// DistStamp and InferLoc/LocStamp are scratch storage owned by the
+	// inference package: the stamp of the sweep that reached this node,
+	// and the location verdict settled for it by the sweep whose stamp is
+	// LocStamp (the same stamped-slot idiom as Edge.InferProb/InferStamp).
+	// A stamp differing from the running pass means "not reached / not
+	// settled this pass" — no per-epoch map or clearing needed.
 	InferLoc  model.LocationID
 	DistStamp uint64
 	LocStamp  uint64
@@ -100,6 +101,10 @@ type Node struct {
 	comp     *Component // connected component (see components.go)
 	compSeen uint64     // rebuild-BFS visit stamp, owned by rebuildComponent
 }
+
+// Rank returns the node's position in the graph's ascending tag order,
+// as renumbered by the last Components call.
+func (n *Node) Rank() int { return int(n.rank) }
 
 // Colored reports whether the node was observed in epoch now.
 func (n *Node) Colored(now model.Epoch) bool { return n.SeenAt == now }
@@ -243,15 +248,20 @@ type Graph struct {
 	// the list, so no live pointer can alias a recycled edge.
 	freeEdges []*Edge
 
+	// order holds the nodes in ascending tag order, each at its rank,
+	// still listing nodes removed at or after orderFrom; pending holds
+	// added nodes not yet merged in (see components.go).
+	order     []*Node
+	pending   []*Node
+	orderFrom int
+
 	// Connected-component bookkeeping (see components.go): the live
-	// partition, its cached id-sorted order, the stale queue scratch, and
-	// the rebuild-BFS visit stamp counter.
-	comps        map[*Component]struct{}
-	compOrder    []*Component
-	compOrderOK  bool
-	anyStale     bool
-	staleScratch []*Component
-	compStamp    uint64
+	// partition in id order, the queue of stale components, and the
+	// rebuild-BFS visit stamp counter.
+	compOrder   []*Component
+	compOrderOK bool
+	stale       []*Component
+	compStamp   uint64
 
 	// stepNodes is Update's reused step-1 scratch: the nodes colored by
 	// the current reader's reading set, by level.
@@ -272,7 +282,6 @@ func New(cfg Config) (*Graph, error) {
 		cfg:       cfg,
 		nodes:     make(map[model.Tag]*Node),
 		coloredAt: model.EpochNone,
-		comps:     make(map[*Component]struct{}),
 	}
 	return g, nil
 }
@@ -309,8 +318,17 @@ func (g *Graph) addNode(tag model.Tag, lvl model.Level) *Node {
 		SeenAt:      model.EpochNone,
 		NewColorAt:  model.EpochNone,
 		ConfirmedAt: model.EpochNone,
+		rank:        -1,
 	}
 	g.nodes[tag] = n
+	// A tag above every other is ranked at the end at once (restore adds
+	// nodes in tag order); any other waits in pending for rankNodes.
+	if last := len(g.order) - 1; last < 0 || g.order[last].Tag < tag {
+		n.rank = int32(len(g.order))
+		g.order = append(g.order, n)
+	} else {
+		g.pending = append(g.pending, n)
+	}
 	g.newComponent(n)
 	return n
 }
@@ -394,31 +412,17 @@ func (g *Graph) RemoveNode(tag model.Tag) {
 	}
 	// Drop the node from the colored index of the current epoch, if there.
 	if n.SeenAt == g.coloredAt && n.RecentColor.Known() && int(n.RecentColor) < len(g.colored[n.Level]) {
-		lvl := int(n.Level)
-		list := g.colored[lvl][n.RecentColor]
-		for i, m := range list {
-			if m == n {
-				list[i] = list[len(list)-1]
-				g.colored[lvl][n.RecentColor] = list[:len(list)-1]
-				break
-			}
-		}
+		g.removeFromIndex(n)
 	}
 	// The node's edges are already gone (their removal marked the
 	// component stale), but an isolated node's removal must queue the
 	// rebuild itself so the member list sheds the dead entry.
 	g.markStale(n.comp)
 	n.comp = nil
-	delete(g.nodes, tag)
-}
-
-// ColoredNodes returns the nodes observed in epoch now at the given level
-// and color. The slice is owned by the graph; do not mutate.
-func (g *Graph) ColoredNodes(lvl model.Level, color model.LocationID, now model.Epoch) []*Node {
-	if g.coloredAt != now || !color.Known() || int(color) >= len(g.colored[lvl]) {
-		return nil
+	if n.rank >= 0 {
+		g.orderFrom = min(g.orderFrom, int(n.rank))
 	}
-	return g.colored[lvl][color]
+	delete(g.nodes, tag)
 }
 
 // beginEpoch lazily resets the per-epoch colored index.

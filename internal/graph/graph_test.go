@@ -358,26 +358,35 @@ func TestRemoveNode(t *testing.T) {
 		t.Errorf("invariants: %v", err)
 	}
 	g.RemoveNode(c) // idempotent
-	if len(g.ColoredNodes(model.LevelCase, locA, 1)) != 0 {
+	if len(coloredNodes(g, model.LevelCase, locA, 1)) != 0 {
 		t.Error("removed node must leave the colored index")
 	}
+}
+
+// coloredNodes reads the colored index's bucket for level and color in
+// epoch now: nil when the index belongs to another epoch.
+func coloredNodes(g *Graph, lvl model.Level, color model.LocationID, now model.Epoch) []*Node {
+	if g.coloredAt != now || int(color) >= len(g.colored[lvl]) {
+		return nil
+	}
+	return g.colored[lvl][color]
 }
 
 func TestColoredIndexResetsAcrossEpochs(t *testing.T) {
 	g := newGraph(t)
 	i := tag(t, model.LevelItem, 1)
 	mustUpdate(t, g, dockReader, 1, i)
-	if len(g.ColoredNodes(model.LevelItem, locA, 1)) != 1 {
+	if len(coloredNodes(g, model.LevelItem, locA, 1)) != 1 {
 		t.Fatal("node must be indexed in its epoch")
 	}
-	if g.ColoredNodes(model.LevelItem, locA, 2) != nil {
+	if coloredNodes(g, model.LevelItem, locA, 2) != nil {
 		t.Error("index query for a later epoch must be empty")
 	}
 	mustUpdate(t, g, beltReader, 2, i)
-	if len(g.ColoredNodes(model.LevelItem, locA, 2)) != 0 {
+	if len(coloredNodes(g, model.LevelItem, locA, 2)) != 0 {
 		t.Error("stale bucket must be cleared on epoch change")
 	}
-	if len(g.ColoredNodes(model.LevelItem, locB, 2)) != 1 {
+	if len(coloredNodes(g, model.LevelItem, locB, 2)) != 1 {
 		t.Error("node must appear in its new bucket")
 	}
 }

@@ -2,28 +2,32 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"spire/internal/model"
 )
 
 // CheckInvariants verifies the structural invariants of the graph model
 // after all reader sets of epoch now have been applied. It is used by
-// tests and by the property-based suite; it is O(V+E).
+// tests and by the property-based suite; it is O(V+E), and renumbers the
+// tag order as Components does.
 //
 // Invariants checked:
 //   - edge spans are in strictly ascending partner-tag order, every edge
 //     sits in both its endpoints' spans, and the edge count matches;
-//   - a parent edge never points from a lower to a higher node within the
-//     same... more precisely, Parent.Level > Child.Level always (edges may
-//     cross layers but always point downward);
+//   - Parent.Level > Child.Level always (edges may cross layers but
+//     always point downward);
 //   - no edge connects two nodes observed in different locations in epoch
 //     now (they must have been removed in step 3);
 //   - a node's confirmed edge, if set, is one of its parent edges;
 //   - every node observed in epoch now appears exactly once in the colored
 //     index under its level and color;
-//   - every node belongs to a registered component whose member list
+//   - every node belongs to a live component whose member list
 //     contains it, both endpoints of every edge share a component, and a
-//     non-stale component's id is the smallest member tag.
+//     non-stale component's members are strictly tag-ascending (so its
+//     id, the first member's tag, is the smallest);
+//   - the graph's tag order lists every live node once, ascending, each
+//     at its rank.
 func (g *Graph) CheckInvariants(now model.Epoch) error {
 	edgeSeen := 0
 	for tag, n := range g.nodes {
@@ -111,51 +115,47 @@ func (g *Graph) CheckInvariants(now model.Epoch) error {
 // the node's own comp pointer; edges must never cross components even
 // when stale, since staleness only ever defers a split.
 func (g *Graph) checkComponentInvariants() error {
+	checked := make(map[*Component]bool)
 	for tag, n := range g.nodes {
 		c := n.comp
-		if c == nil {
-			return fmt.Errorf("graph: node %d has nil component", tag)
+		if c == nil || c.members == nil {
+			return fmt.Errorf("graph: node %d has no live component", tag)
 		}
-		if _, ok := g.comps[c]; !ok {
-			return fmt.Errorf("graph: node %d points at unregistered component %d", tag, c.id)
-		}
-		found := false
-		for _, m := range c.members {
-			if m == n {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("graph: node %d missing from member list of component %d", tag, c.id)
+		if !slices.Contains(c.members, n) {
+			return fmt.Errorf("graph: node %d missing from member list of component %d", tag, c.ID())
 		}
 		for _, e := range n.parents {
 			if e.Parent.comp != e.Child.comp {
 				return fmt.Errorf("graph: edge %d→%d crosses components %d and %d",
-					e.Parent.Tag, e.Child.Tag, e.Parent.comp.id, e.Child.comp.id)
+					e.Parent.Tag, e.Child.Tag, e.Parent.comp.ID(), e.Child.comp.ID())
+			}
+		}
+		if c.stale || checked[c] {
+			continue
+		}
+		checked[c] = true
+		for i, m := range c.members {
+			if m.comp != c {
+				return fmt.Errorf("graph: non-stale component %d lists foreign node %d", c.ID(), m.Tag)
+			}
+			if i > 0 && c.members[i-1].Tag >= m.Tag {
+				return fmt.Errorf("graph: component %d members not tag-ascending at %d", c.ID(), m.Tag)
 			}
 		}
 	}
-	for c := range g.comps {
-		if c.stale {
-			continue
-		}
-		min := model.Tag(0)
-		live := 0
-		for _, m := range c.members {
-			if m.comp != c {
-				return fmt.Errorf("graph: non-stale component %d lists foreign node %d", c.id, m.Tag)
-			}
-			if live == 0 || m.Tag < min {
-				min = m.Tag
-			}
-			live++
-		}
-		if live == 0 {
-			return fmt.Errorf("graph: registered component %d has no members", c.id)
-		}
-		if c.id != min {
-			return fmt.Errorf("graph: component id %d but smallest member is %d", c.id, min)
+	return g.checkOrder()
+}
+
+// checkOrder renumbers the tag order, as Components does, and checks
+// that it lists every node once, strictly ascending, each at its rank.
+func (g *Graph) checkOrder() error {
+	g.rankNodes()
+	if len(g.order) != len(g.nodes) || len(g.pending) != 0 {
+		return fmt.Errorf("graph: order lists %d+%d of %d nodes", len(g.order), len(g.pending), len(g.nodes))
+	}
+	for i, n := range g.order {
+		if g.nodes[n.Tag] != n || int(n.rank) != i || i > 0 && g.order[i-1].Tag >= n.Tag {
+			return fmt.Errorf("graph: order position %d holds node %d of rank %d", i, n.Tag, n.rank)
 		}
 	}
 	return nil

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"slices"
 
 	"spire/internal/checkpoint"
 	"spire/internal/model"
@@ -20,9 +19,10 @@ import (
 // stamp could collide with a fresh pass and leak a stale probability.
 // Restored edges carry zeroed scratch, which no pass stamp ever matches.
 //
-// Nodes are written in sorted tag order and each node's parent edges as
-// its span stands (ascending parent tag), so equal graphs always produce
-// identical bytes.
+// Nodes are written in the graph's tag order and each node's parent edges
+// as its span stands (ascending parent tag), so equal graphs always
+// produce identical bytes. Restore adds them in that order, so each is
+// ranked as it is added.
 
 const sectionGraph = "GRPH"
 
@@ -38,15 +38,9 @@ func (g *Graph) EncodeState(e *checkpoint.Encoder) {
 	e.Section(sectionGraph)
 	e.Uint64(uint64(g.cfg.HistorySize))
 
-	tags := make([]model.Tag, 0, len(g.nodes))
-	for t := range g.nodes {
-		tags = append(tags, t)
-	}
-	slices.Sort(tags)
-
-	e.Uint64(uint64(len(tags)))
-	for _, t := range tags {
-		n := g.nodes[t]
+	g.rankNodes()
+	e.Uint64(uint64(len(g.order)))
+	for _, n := range g.order {
 		e.Uint64(uint64(n.Tag))
 		e.Uint8(uint8(n.Level))
 		e.Int64(int64(n.RecentColor))
@@ -64,8 +58,8 @@ func (g *Graph) EncodeState(e *checkpoint.Encoder) {
 	}
 
 	e.Uint64(uint64(g.edges))
-	for _, t := range tags {
-		for _, ed := range g.nodes[t].parents {
+	for _, n := range g.order {
+		for _, ed := range n.parents {
 			e.Uint64(uint64(ed.Parent.Tag))
 			e.Uint64(uint64(ed.Child.Tag))
 			e.Uint64(ed.History.bits)

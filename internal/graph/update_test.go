@@ -69,10 +69,10 @@ func TestSameEpochRecolorMovesIndexBucket(t *testing.T) {
 	if got := g.Node(i).ColorAt(1); got != locB {
 		t.Errorf("color = %v, want most recent reader's %v", got, locB)
 	}
-	if n := len(g.ColoredNodes(model.LevelItem, locA, 1)); n != 0 {
+	if n := len(coloredNodes(g, model.LevelItem, locA, 1)); n != 0 {
 		t.Errorf("old bucket still holds %d nodes", n)
 	}
-	if n := len(g.ColoredNodes(model.LevelItem, locB, 1)); n != 1 {
+	if n := len(coloredNodes(g, model.LevelItem, locB, 1)); n != 1 {
 		t.Errorf("new bucket holds %d nodes, want 1", n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -60,7 +61,7 @@ func (r *Result) Rows() []Verdict {
 			p, ok := r.Parents[g]
 			r.rows = append(r.rows, Verdict{Tag: g, Location: loc, Parent: p, HasParent: ok, Observed: r.Observed[g]})
 		}
-		sortRows(r.rows)
+		slices.SortFunc(r.rows, func(a, b Verdict) int { return cmp.Compare(a.Tag, b.Tag) })
 	}
 	return r.rows
 }
@@ -95,18 +96,35 @@ func (r *Result) Clone() *Result {
 	return out
 }
 
-// add appends one interpreted object's row.
-func (r *Result) add(tag model.Tag, loc model.LocationID, parent model.Tag, observed bool) {
-	r.rows = append(r.rows, Verdict{Tag: tag, Location: loc, Parent: parent, HasParent: true, Observed: observed})
+// put writes n's row at its rank and marks the rank present.
+func (inf *Inferencer) put(n *graph.Node, v Verdict) {
+	r := n.Rank()
+	inf.res.rows[r] = v
+	inf.present[r>>6] |= 1 << (r & 63)
+}
+
+// add writes the row of an object the sweep interpreted.
+func (inf *Inferencer) add(n *graph.Node, loc model.LocationID, parent model.Tag, observed bool) {
+	inf.put(n, Verdict{Tag: n.Tag, Location: loc, Parent: parent, HasParent: true, Observed: observed})
+}
+
+// compactRows moves the present rows, in rank and so in tag order, to the
+// front of the rows' backing and clears the bitmap.
+func (inf *Inferencer) compactRows() {
+	rows, k := inf.res.rows, 0
+	for wi, w := range inf.present {
+		for ; w != 0; w &= w - 1 {
+			rows[k] = rows[wi<<6|bits.TrailingZeros64(w)]
+			k++
+		}
+		inf.present[wi] = 0
+	}
+	inf.res.rows = rows[:k]
 }
 
 // findRow binary-searches tag-sorted rows for tag.
 func findRow(rows []Verdict, tag model.Tag) (int, bool) {
 	return slices.BinarySearchFunc(rows, tag, func(v Verdict, t model.Tag) int { return cmp.Compare(v.Tag, t) })
-}
-
-func sortRows(rows []Verdict) {
-	slices.SortFunc(rows, func(a, b Verdict) int { return cmp.Compare(a.Tag, b.Tag) })
 }
 
 // PassStats summarizes one Infer call for telemetry: how many connected
@@ -150,6 +168,7 @@ type Inferencer struct {
 	// scratch reused across epochs
 	fades    []float64 // Eq. 3's fade 1/age^θ by integer age, filled on first use; see fade
 	res      Result    // pooled result; see Infer's contract
+	present  []uint64  // bitmap over node ranks: which rows the running pass wrote
 	stamp    uint64    // stamp of the running pass, matched against the node and edge scratch stamps
 	frontier []*graph.Node
 	next     []*graph.Node
@@ -221,7 +240,8 @@ func (inf *Inferencer) Config() Config { return inf.cfg }
 // settled component untouched since its last sweep replays its cached
 // slab, and under Partial mode an unread component intersects no halo and
 // is skipped outright. Outputs are byte-identical with the cache on or
-// off.
+// off. Each row is written at its node's rank in the graph's tag order,
+// so the rows come out tag-sorted with no sort.
 //
 // Under Partial mode only nodes with d ≤ PartialHops are interpreted and
 // "unknown" location verdicts are withheld from the result (§IV-D).
@@ -232,15 +252,19 @@ func (inf *Inferencer) Config() Config { return inf.cfg }
 // to another goroutine — must take a Clone first.
 func (inf *Inferencer) Infer(g *graph.Graph, now model.Epoch, mode Mode) *Result {
 	res := &inf.res
-	res.Now, res.Partial, res.rows = now, mode == Partial, res.rows[:0]
+	res.Now, res.Partial = now, mode == Partial
 	inf.stamp = passStamps.Add(1)
 	inf.now = now
 	inf.stats = PassStats{}
 	caching := mode == Complete && !inf.cfg.DisableCache
 
-	// Edges pruned mid-sweep only mark their component stale; comps and
-	// the member lists stay as they are until the next Components call.
+	// Edges pruned mid-sweep only mark their component stale; comps, the
+	// member lists and the ranks stay as they are until the next
+	// Components call. The rows and the bitmap grow only at a new peak
+	// node count; compactRows leaves the bitmap clear.
 	comps := g.Components(now)
+	res.rows = slices.Grow(res.rows[:0], g.Len())[:g.Len()]
+	inf.present = slices.Grow(inf.present[:0], (g.Len()+63)>>6)[:(g.Len()+63)>>6]
 	for _, c := range comps {
 		// A component read this epoch has DirtyAt() == now (update step 1
 		// touches every read tag), so under Partial mode any other
@@ -251,20 +275,21 @@ func (inf *Inferencer) Infer(g *graph.Graph, now model.Epoch, mode Mode) *Result
 		}
 		if caching {
 			if sl := inf.reusableSlab(c); sl != nil {
-				res.rows = append(res.rows, sl.rows...)
+				for i, n := range c.Members() {
+					inf.put(n, sl.rows[i])
+				}
 				inf.stats.CleanComponents++
 				inf.stats.NodesCached += c.Len()
 				continue
 			}
 		}
 		inf.stats.DirtyComponents++
-		first := len(res.rows)
-		settled := inf.sweepComponent(g, c, res, mode)
+		settled := inf.sweepComponent(g, c, mode)
 		if !caching {
 			continue
 		}
 		if settled {
-			inf.storeSlab(c, res.rows[first:], now)
+			inf.storeSlab(c, now)
 		} else if sl := inf.slabs[c.ID()]; sl != nil {
 			sl.epoch = model.EpochNone
 		}
@@ -274,7 +299,7 @@ func (inf *Inferencer) Infer(g *graph.Graph, now model.Epoch, mode Mode) *Result
 		// removed).
 		inf.evictDeadSlabs(comps)
 	}
-	sortRows(res.rows)
+	inf.compactRows()
 	return res
 }
 
@@ -300,16 +325,19 @@ func (inf *Inferencer) reusableSlab(c *graph.Component) *compSlab {
 }
 
 // storeSlab records the rows of a component that settled at epoch now —
-// one per member, as a complete sweep appends them — reusing the previous
-// slab's storage when present.
-func (inf *Inferencer) storeSlab(c *graph.Component, rows []Verdict, now model.Epoch) {
+// one per member, in member order, as a complete sweep writes them —
+// reusing the previous slab's storage when present.
+func (inf *Inferencer) storeSlab(c *graph.Component, now model.Epoch) {
 	sl := inf.slabs[c.ID()]
 	if sl == nil {
 		sl = &compSlab{}
 		inf.slabs[c.ID()] = sl
 	}
 	sl.epoch = now
-	sl.rows = append(sl.rows[:0], rows...)
+	sl.rows = sl.rows[:0]
+	for _, n := range c.Members() {
+		sl.rows = append(sl.rows, inf.res.rows[n.Rank()])
+	}
 }
 
 // evictDeadSlabs drops slabs keyed by component ids that no longer exist,
@@ -329,14 +357,15 @@ func (inf *Inferencer) evictDeadSlabs(comps []*graph.Component) {
 }
 
 // sweepComponent runs the §IV-C layered sweep over one component, writing
-// its verdicts into res, and reports whether the component settled:
+// its verdicts at their ranks, and reports whether the component settled:
 // complete mode, and every member verdict came out LocationUnknown — the
-// absorbing state that makes the verdicts cacheable. The distance
-// classification and the settled colors live in the pass-stamped
-// InferDist/DistStamp and InferLoc/LocStamp scratch on the nodes (a stamp
-// other than the running pass means "not reached" / "not settled"), so no
-// per-pass map is needed.
-func (inf *Inferencer) sweepComponent(g *graph.Graph, c *graph.Component, res *Result, mode Mode) bool {
+// absorbing state that makes the verdicts cacheable. Reached nodes and
+// the settled colors live in the pass-stamped DistStamp and
+// InferLoc/LocStamp scratch on the nodes (a stamp other than the running
+// pass means "not reached" / "not settled"), so no per-pass map is
+// needed. The members are tag-sorted, so the d=0 layer and the
+// unreached rest, filters of them, are too; only layers d ≥ 1 sort.
+func (inf *Inferencer) sweepComponent(g *graph.Graph, c *graph.Component, mode Mode) bool {
 	stamp, now := inf.stamp, inf.now
 	settled := mode == Complete
 
@@ -345,7 +374,7 @@ func (inf *Inferencer) sweepComponent(g *graph.Graph, c *graph.Component, res *R
 	inf.frontier = inf.frontier[:0]
 	for _, n := range c.Members() {
 		if n.Colored(now) {
-			n.InferDist, n.DistStamp = 0, stamp
+			n.DistStamp = stamp
 			n.InferLoc, n.LocStamp = n.RecentColor, stamp
 			inf.frontier = append(inf.frontier, n)
 		}
@@ -353,9 +382,8 @@ func (inf *Inferencer) sweepComponent(g *graph.Graph, c *graph.Component, res *R
 	if len(inf.frontier) > 0 {
 		settled = false
 	}
-	sortNodes(inf.frontier)
 	for _, n := range inf.frontier {
-		res.add(n.Tag, n.RecentColor, inf.edgeInference(g, n), true)
+		inf.add(n, n.RecentColor, inf.edgeInference(g, n), true)
 	}
 	inf.stats.NodesInferred += len(inf.frontier)
 
@@ -369,13 +397,13 @@ func (inf *Inferencer) sweepComponent(g *graph.Graph, c *graph.Component, res *R
 		for _, n := range inf.frontier {
 			for _, e := range n.Parents() {
 				if p := e.Parent; p.DistStamp != stamp {
-					p.InferDist, p.DistStamp = d, stamp
+					p.DistStamp = stamp
 					inf.next = append(inf.next, p)
 				}
 			}
 			for _, e := range n.Children() {
 				if ch := e.Child; ch.DistStamp != stamp {
-					ch.InferDist, ch.DistStamp = d, stamp
+					ch.DistStamp = stamp
 					inf.next = append(inf.next, ch)
 				}
 			}
@@ -391,7 +419,7 @@ func (inf *Inferencer) sweepComponent(g *graph.Graph, c *graph.Component, res *R
 				// than a true disappearance.
 				continue
 			}
-			res.add(n.Tag, loc, parent, false)
+			inf.add(n, loc, parent, false)
 			if loc != model.LocationUnknown {
 				settled = false
 			}
@@ -410,11 +438,10 @@ func (inf *Inferencer) sweepComponent(g *graph.Graph, c *graph.Component, res *R
 				inf.rest = append(inf.rest, n)
 			}
 		}
-		sortNodes(inf.rest)
 		for _, n := range inf.rest {
 			parent := inf.edgeInference(g, n)
 			loc := inf.nodeInference(n)
-			res.add(n.Tag, loc, parent, false)
+			inf.add(n, loc, parent, false)
 			if loc != model.LocationUnknown {
 				settled = false
 			}
