@@ -24,10 +24,10 @@ bench:
 benchmark:
 	go run ./benchmark -workload all
 
-# Inference sweep benchmarks: full re-sweep (cache off) and cached steady
-# state, with allocation counts.
+# Inference sweep benchmark: the complete component sweep, with
+# allocation counts.
 bench-infer:
-	go test -run '^$$' -bench 'InferComponents' -benchmem ./internal/inference/
+	go test -run '^$$' -bench 'InferComponentsSerial' -benchmem ./internal/inference/
 
 # Subscription-engine quality and dispatch cost: the cep experiment
 # (detector P/R/F1 vs reader dropout) plus the Go dispatch benchmarks.

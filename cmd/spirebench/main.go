@@ -11,8 +11,8 @@
 // Independent sweep cells run concurrently (-j, default all CPUs); table
 // output is identical for any worker count. Every column is a
 // deterministic function of the fixed seeds except the wall-clock columns
-// a table declares timed (Table III, the partial-inference ablation's
-// cost and infercomp's pass times); those cells always run one at a time.
+// a table declares timed (Table III and the partial-inference ablation's
+// cost); those cells always run one at a time.
 package main
 
 import (

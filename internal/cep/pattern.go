@@ -194,15 +194,6 @@ func Parse(src string) (*Pattern, error) {
 	return p, nil
 }
 
-// MustParse is Parse for the built-in detectors and tests.
-func MustParse(src string) *Pattern {
-	p, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // validate enforces the structural rules shared by engine and reference.
 func (p *Pattern) validate() error {
 	if len(p.Steps) == 0 {

@@ -25,7 +25,10 @@ func TestPropertyWindowSpan(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		g := &gen{data: propBytes(seed, 256)}
 		src := genPattern(g)
-		p := MustParse(src)
+		p, err := Parse(src)
+		if err != nil {
+			t.Fatalf("seed %d: parse %q: %v", seed, src, err)
+		}
 		e := NewEngine(Config{MaxRuns: 1 << 20, MaxMatches: 1 << 20})
 		id, err := e.Subscribe(src)
 		if err != nil {

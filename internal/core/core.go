@@ -438,7 +438,6 @@ func (s *Substrate) finishEpoch(now model.Epoch, rawReadings int64, tel *Instrum
 		tel.InferDirty.Add(int64(ist.DirtyComponents))
 		tel.InferClean.Add(int64(ist.CleanComponents))
 		tel.InferNodesRun.Add(int64(ist.NodesInferred))
-		tel.InferNodesCached.Add(int64(ist.NodesCached))
 		tel.Graph.Record(s.graph)
 		openLocs, openConts := s.comp.Opens()
 		tel.Comp.Record(openLocs, openConts, len(out.Events), evBytes)

@@ -1,0 +1,121 @@
+package core
+
+import (
+	"bytes"
+	"testing"
+
+	"spire/internal/event"
+	"spire/internal/model"
+	"spire/internal/sim"
+)
+
+// FuzzFaultedDeliveryRestore drives fault-injected delivery sequences
+// (dropout bursts, duplicates, swaps, lost epochs) through the repairing
+// ingest gate into a level-2 substrate, kills it after a fuzzed epoch,
+// restores it from its snapshot and replays the remaining epochs. The
+// combined event stream must be well formed and byte-identical to the
+// uninterrupted run's, and so must the final snapshots. The faults come
+// from the fuzzed parameters, so the fuzzer explores the space of broken
+// reader feeds.
+func FuzzFaultedDeliveryRestore(f *testing.F) {
+	cfg := sim.DefaultConfig()
+	cfg.Duration = 80
+	cfg.PalletInterval = 40
+	cfg.ItemsPerCase = 3
+	cfg.ShelfTime = 60
+	cfg.ShelfPeriod = 10
+	s, err := sim.New(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var trace []*model.Batch
+	for !s.Done() {
+		o, err := s.Step()
+		if err != nil {
+			f.Fatal(err)
+		}
+		trace = append(trace, o)
+	}
+
+	f.Add(int64(1), byte(0), byte(0), byte(0), byte(0), byte(0), uint16(0))
+	f.Add(int64(2), byte(30), byte(30), byte(10), byte(10), byte(3), uint16(20))
+	f.Add(int64(3), byte(60), byte(0), byte(25), byte(7), byte(2), uint16(41))
+	f.Add(int64(4), byte(0), byte(60), byte(0), byte(15), byte(5), uint16(79))
+	f.Fuzz(func(t *testing.T, seed int64, dup, swap, drop, burstEvery, burstLen byte, kill uint16) {
+		fcfg := sim.FaultConfig{
+			Seed:          seed,
+			DuplicateRate: float64(dup%64) / 100,
+			SwapRate:      float64(swap%64) / 100,
+			DropEpochRate: float64(drop%32) / 100,
+			DropoutEvery:  model.Epoch(burstEvery % 20),
+			DropoutLen:    model.Epoch(burstLen % 5),
+		}
+		delivery := sim.NewFaultInjector(fcfg).Apply(trace)
+		ingest := IngestConfig{Policy: IngestRepair}
+
+		ref := newSubstrate(t, s, Level2)
+		refEvents, _ := runGated(t, ref, RunnerConfig{Ingest: ingest}, delivery)
+		refSnap := zeroedSnapshot(t, ref)
+
+		// The epochs the gate hands the substrate, in processing order.
+		gate := newIngestGate(ingest, model.EpochNone)
+		var gated []*model.Batch
+		for _, o := range delivery {
+			gated = append(gated, gate.Offer(o.Clone())...)
+		}
+		gated = append(gated, gate.Drain()...)
+		if len(gated) == 0 {
+			return
+		}
+		k := int(kill) % len(gated)
+
+		sub := newSubstrate(t, s, Level2)
+		var stream []event.Event
+		for _, o := range gated[:k+1] {
+			out, err := sub.ProcessBatch(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream = append(stream, out.Events...)
+		}
+		var snap bytes.Buffer
+		if err := sub.Snapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		rsub, err := RestoreSubstrate(&snap)
+		if err != nil {
+			t.Fatalf("kill after epoch %d: restore: %v", gated[k].Time, err)
+		}
+		for _, o := range gated[k+1:] {
+			out, err := rsub.ProcessBatch(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream = append(stream, out.Events...)
+		}
+		stream = append(stream, rsub.Close(rsub.LastEpoch()+1)...)
+
+		if err := event.CheckWellFormed(stream, false); err != nil {
+			t.Fatalf("kill after epoch %d: %v", gated[k].Time, err)
+		}
+		if !bytes.Equal(encodeEvents(t, stream), encodeEvents(t, refEvents)) {
+			t.Fatalf("kill after epoch %d: restored stream differs from the uninterrupted run (%d vs %d events)",
+				gated[k].Time, len(stream), len(refEvents))
+		}
+		if !bytes.Equal(zeroedSnapshot(t, rsub), refSnap) {
+			t.Fatalf("kill after epoch %d: final snapshot differs from the uninterrupted run", gated[k].Time)
+		}
+	})
+}
+
+// zeroedSnapshot returns sub's snapshot with the wall-clock stage times
+// zeroed, so two runs of the same input compare byte for byte.
+func zeroedSnapshot(t *testing.T, sub *Substrate) []byte {
+	t.Helper()
+	zeroWallClock(sub)
+	var buf bytes.Buffer
+	if err := sub.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}

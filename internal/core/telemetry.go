@@ -40,14 +40,12 @@ type Instruments struct {
 	IngestReadings   *telemetry.Counter
 	IngestBatchBytes *telemetry.Counter
 
-	// Inference pass accounting: components swept vs skipped
-	// (spire_infer_components_total{state=dirty|clean}), nodes inferred vs
-	// served from the settled-slab cache
-	// (spire_infer_nodes_total{state=inferred|cached}).
-	InferDirty       *telemetry.Counter
-	InferClean       *telemetry.Counter
-	InferNodesRun    *telemetry.Counter
-	InferNodesCached *telemetry.Counter
+	// Inference pass accounting: components swept vs skipped by partial
+	// inference (spire_infer_components_total{state=dirty|clean}) and
+	// nodes inferred (spire_infer_nodes_total{state=inferred}).
+	InferDirty    *telemetry.Counter
+	InferClean    *telemetry.Counter
+	InferNodesRun *telemetry.Counter
 
 	Graph *graph.Instruments
 	Comp  *compress.Instruments
@@ -92,8 +90,6 @@ func NewInstruments(reg *telemetry.Registry, level CompressionLevel) *Instrument
 			"Connected components handled by an inference pass, by state.", "state", "clean"),
 		InferNodesRun: reg.Counter("spire_infer_nodes_total",
 			"Nodes handled by an inference pass, by state.", "state", "inferred"),
-		InferNodesCached: reg.Counter("spire_infer_nodes_total",
-			"Nodes handled by an inference pass, by state.", "state", "cached"),
 		Graph: graph.NewInstruments(reg),
 		Comp:  compress.NewInstruments(reg, levelLabel),
 		Dedup: dedup.NewInstruments(reg),

@@ -117,7 +117,6 @@ func hotEpoch(tb testing.TB, sub *Substrate, b *model.Batch, now model.Epoch, te
 		tel.InferDirty.Add(int64(ist.DirtyComponents))
 		tel.InferClean.Add(int64(ist.CleanComponents))
 		tel.InferNodesRun.Add(int64(ist.NodesInferred))
-		tel.InferNodesCached.Add(int64(ist.NodesCached))
 		tel.Graph.Record(sub.graph)
 		openLocs, openConts := sub.comp.Opens()
 		tel.Comp.Record(openLocs, openConts, 0, 0)
@@ -149,7 +148,6 @@ func TestInstrumentedHotPathAllocs(t *testing.T) {
 		tel.InferDirty.Add(int64(ist.DirtyComponents))
 		tel.InferClean.Add(int64(ist.CleanComponents))
 		tel.InferNodesRun.Add(int64(ist.NodesInferred))
-		tel.InferNodesCached.Add(int64(ist.NodesCached))
 		tel.Graph.Record(sub.graph)
 		openLocs, openConts := sub.comp.Opens()
 		tel.Comp.Record(openLocs, openConts, 3, 64)
@@ -266,12 +264,10 @@ func TestEpochTailAllocs(t *testing.T) {
 	// Churn: every epoch one new tag arrives, read alone at a location of
 	// its own so it stays a singleton, and the oldest arrival is removed.
 	// The node count holds, so ranking the arrivals and writing their rows
-	// may not allocate; only a new peak node count may. The slab cache is
-	// off here: it allocates a slab per newly settled component id.
+	// may not allocate; only a new peak node count may. The inferencer
+	// runs the substrate's own configuration.
 	lone := &model.Reader{ID: 1 << 20, Location: model.LocationID(len(sub.cfg.Locations) + 1)}
-	cfg := sub.cfg.Inference
-	cfg.DisableCache = true
-	inf, err := inference.New(cfg, sub.graph.Config().HistorySize)
+	inf, err := inference.New(sub.cfg.Inference, sub.graph.Config().HistorySize)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -219,9 +219,6 @@ func (l *Log) Close() error {
 // Appended returns the number of events appended by this Log instance.
 func (l *Log) Appended() int64 { return l.appended }
 
-// SegmentIndex returns the index of the segment currently being written.
-func (l *Log) SegmentIndex() int { return l.segIndex }
-
 // Dir returns the log directory.
 func (l *Log) Dir() string { return l.dir }
 

@@ -73,7 +73,7 @@ func TestRotation(t *testing.T) {
 	if err := l.Append(sampleEvents(50)...); err != nil {
 		t.Fatal(err)
 	}
-	if l.SegmentIndex() == 0 {
+	if l.segIndex == 0 {
 		t.Error("tiny segment cap must have rotated")
 	}
 	if err := l.Close(); err != nil {
@@ -285,8 +285,8 @@ func TestOpenEmptyDirCreatesSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if l.SegmentIndex() != 0 || l.Dir() != dir {
-		t.Errorf("fresh log segment=%d dir=%q", l.SegmentIndex(), l.Dir())
+	if l.segIndex != 0 || l.Dir() != dir {
+		t.Errorf("fresh log segment=%d dir=%q", l.segIndex, l.Dir())
 	}
 	if got := replayAll(t, dir); len(got) != 0 {
 		t.Errorf("fresh log replayed %d events", len(got))

@@ -150,7 +150,6 @@ func Registry() map[string]Driver {
 			return []*Table{a, b, c}, nil
 		},
 		"cep":              one(CEPQuality),
-		"infercomp":        one(InferComp),
 		"ablation-partial": one(AblationPartialInference),
 		"ablation-prune":   one(AblationPruneThreshold),
 	}
@@ -161,6 +160,6 @@ func IDs() []string {
 	return []string{
 		"fig9a", "fig9b", "fig9c", "fig9d", "fig9e", "fig9f",
 		"table3", "fig10", "fig11", "fig11a", "fig11b", "fig11c",
-		"cep", "infercomp", "ablation-partial", "ablation-prune",
+		"cep", "ablation-partial", "ablation-prune",
 	}
 }

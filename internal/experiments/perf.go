@@ -41,18 +41,12 @@ const (
 	perfItems       = 20
 )
 
+// newPerfGrower returns an empty grower whose inference prunes edges below
+// prune. Growers with equal parameters grow identical graphs: the rng seed
+// is fixed and inference never feeds back into the read schedule.
 func newPerfGrower(prune float64, readRate float64) (*perfGrower, error) {
 	icfg := inference.DefaultConfig()
 	icfg.PruneThreshold = prune
-	return newPerfGrowerCfg(icfg, readRate)
-}
-
-// newPerfGrowerCfg is newPerfGrower with full control of the inference
-// configuration (worker pool, settled-slab cache), for the
-// component-sharding experiment. Growers built with the same
-// configuration-independent parameters produce identical graphs: the rng
-// seed is fixed and inference never feeds back into the read schedule.
-func newPerfGrowerCfg(icfg inference.Config, readRate float64) (*perfGrower, error) {
 	g, err := graph.New(graph.Config{})
 	if err != nil {
 		return nil, err
@@ -183,38 +177,6 @@ func (p *perfGrower) measure(epochs int) (updateSec, inferSec float64, err error
 	}
 	n := float64(epochs)
 	return upd.Seconds() / n, infd.Seconds() / n, nil
-}
-
-// measureInfer times steady-state complete-inference passes (one per
-// epoch, after that epoch's shelf scans) and reports the average fraction
-// of nodes actually swept rather than served from the settled-slab cache.
-// The warm epochs let components settle into the cache before timing.
-func (p *perfGrower) measureInfer(warm, epochs int) (inferSec, dirtyFrac float64, err error) {
-	for k := 0; k < warm; k++ {
-		p.now++
-		if err := p.shelfScan(); err != nil {
-			return 0, 0, err
-		}
-		p.inf.Infer(p.g, p.now, inference.Complete)
-	}
-	var infd time.Duration
-	var swept, total float64
-	for k := 0; k < epochs; k++ {
-		p.now++
-		if err := p.shelfScan(); err != nil {
-			return 0, 0, err
-		}
-		start := time.Now()
-		p.inf.Infer(p.g, p.now, inference.Complete)
-		infd += time.Since(start)
-		st := p.inf.LastStats()
-		swept += float64(st.NodesInferred)
-		total += float64(st.NodesInferred + st.NodesCached)
-	}
-	if total == 0 {
-		return 0, 0, fmt.Errorf("infercomp: no nodes visited")
-	}
-	return infd.Seconds() / float64(epochs), swept / total, nil
 }
 
 // Table3 reproduces the processing-speed experiment (Expt 5): per-epoch

@@ -13,9 +13,8 @@ import (
 // components: every edge is created between two same-colored nodes, so no
 // path ever crosses a component boundary, and the inference sweep of one
 // component reads and writes nothing of another. The inference package
-// exploits that independence to skip clean work — unread components under
-// partial inference, settled ones served from cached verdict slabs — which
-// makes component identity part of the graph's contract.
+// sweeps one component at a time and, under partial inference, skips the
+// components no reader saw this epoch.
 //
 // Identity is maintained incrementally where cheap and lazily where not:
 //
@@ -25,9 +24,8 @@ import (
 //     resolved locally, so the affected component is marked stale and
 //     repartitioned by BFS on the next Components call;
 //   - member lists are kept in ascending tag order through both, so a
-//     component's id is its first member's tag — unique across the
-//     partition, and stable for untouched components so per-component
-//     caches keyed by id survive across epochs.
+//     component's id is its first member's tag, unique across the
+//     partition.
 //
 // The graph keeps its nodes in one tag order as well, Node.rank being a
 // node's position. A new node above every tag is appended ranked, others
@@ -35,13 +33,11 @@ import (
 // merges and drops them, and renumbers from the lowest position that
 // changed.
 //
-// Dirtiness: dirtyAt is the last epoch in which any member was read
-// (which covers coloring, color changes, and node creation — see
-// update.go step 1) or the component gained an edge; removals (retire,
-// prune, color-mismatch drop) go through the stale path, and the rebuild
-// stamps every resulting component dirty at the rebuild epoch. A consumer
-// holding per-component state from epoch e may keep it exactly while
-// DirtyAt() <= e.
+// Dirtiness: DirtyAt() is never earlier than the last epoch in which a
+// member was read (update.go step 1 touches every read tag's component),
+// so a component with DirtyAt() != now had no reading this epoch — the
+// partial-inference skip. Edge unions and rebuilds stamp their epoch too,
+// which only makes the skip more conservative.
 
 // Component is one connected component of the graph. It is owned and
 // mutated by the graph; consumers treat it as read-only.
@@ -52,9 +48,7 @@ type Component struct {
 }
 
 // ID returns the component's identity: the smallest member tag. Ids are
-// unique across the live partition. An id is stable while the component
-// is untouched; merges and rebuilds may retire or reuse it, but any such
-// change also advances DirtyAt.
+// unique across the live partition.
 func (c *Component) ID() model.Tag { return c.members[0].Tag }
 
 // Len returns the number of member nodes.
@@ -66,8 +60,8 @@ func (c *Component) Len() int { return len(c.members) }
 // the component.
 func (c *Component) Members() []*Node { return c.members }
 
-// DirtyAt returns the epoch of the last dirtying touch (model.EpochNone
-// for a never-touched component).
+// DirtyAt returns the epoch of the last touch: a member read, an edge
+// added or a rebuild (model.EpochNone for a never-touched component).
 func (c *Component) DirtyAt() model.Epoch { return c.dirtyAt }
 
 // touch marks the component dirty as of epoch now.
@@ -106,9 +100,6 @@ func (g *Graph) unionComponents(a, b *Component, now model.Epoch) {
 		}
 	}
 	a.members, _ = mergeByTag(a.members, b.members)
-	if b.dirtyAt > a.dirtyAt {
-		a.dirtyAt = b.dirtyAt
-	}
 	if b.stale {
 		g.markStale(a)
 	}

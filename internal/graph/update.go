@@ -46,8 +46,8 @@ func (g *Graph) Update(reader *model.Reader, tags []model.Tag, now model.Epoch) 
 		if n == nil {
 			n = g.addNode(tag, lvl)
 		}
-		// A read tag dirties its component: its color, fade clock, or
-		// history may change, so cached per-component verdicts are void.
+		// A read tag dirties its component: partial inference must sweep
+		// it this epoch.
 		n.comp.touch(now)
 		if n.SeenAt == now {
 			if n.RecentColor == c {

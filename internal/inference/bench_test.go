@@ -81,47 +81,24 @@ func BenchmarkCompleteInference(b *testing.B) {
 	}
 }
 
-// The component variants cover the two operating points of the pass: the
-// full re-sweep with the cache off (the Table III baseline shape), and
-// cached steady state where the stream has gone quiet and passes serve
-// settled slabs.
+// BenchmarkInferComponentsSerial measures the component-at-a-time
+// complete sweep on the Table III shape, with allocation counts.
 func BenchmarkInferComponentsSerial(b *testing.B) {
-	benchInferComponents(b, true, false)
-}
-
-func BenchmarkInferComponentsCachedSteadyState(b *testing.B) {
-	benchInferComponents(b, false, true)
-}
-
-func benchInferComponents(b *testing.B, disableCache, steady bool) {
-	cfg := DefaultConfig()
-	cfg.DisableCache = disableCache
 	g, now := buildWarehouseGraph(b, 64, 4, 20)
-	inf, err := New(cfg, g.Config().HistorySize)
+	inf, err := New(DefaultConfig(), g.Config().HistorySize)
 	if err != nil {
 		b.Fatal(err)
-	}
-	if steady {
-		for i := 0; i < 4; i++ { // let every component settle into the cache
-			now++
-			inf.Infer(g, now, Complete)
-		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if steady {
-			now++
-		}
 		res := inf.Infer(g, now, Complete)
 		if len(res.Rows()) != g.Len() {
 			b.Fatalf("incomplete verdicts: %d of %d", len(res.Rows()), g.Len())
 		}
 	}
 	b.StopTimer()
-	st := inf.LastStats()
-	b.ReportMetric(float64(st.NodesInferred), "nodes-inferred")
-	b.ReportMetric(float64(st.NodesCached), "nodes-cached")
+	b.ReportMetric(float64(inf.LastStats().NodesInferred), "nodes-inferred")
 }
 
 // BenchmarkPartialInference measures the halo-limited pass the substrate

@@ -45,13 +45,6 @@ type Config struct {
 
 	// PartialHops is l, the halo radius of partial inference (§IV-D).
 	PartialHops int
-
-	// DisableCache turns off the settled-component verdict-slab cache,
-	// forcing every component to be re-swept each epoch. Outputs are
-	// byte-identical either way; used by tests and benchmarks to isolate
-	// the sweep cost. Runtime tuning only — never serialized into
-	// checkpoints.
-	DisableCache bool
 }
 
 // DefaultConfig returns the parameter setting the paper converges on for

@@ -30,8 +30,7 @@ func TestInferBitsIndependentOfInsertionOrder(t *testing.T) {
 
 	const last = model.Epoch(12)
 	cfg := DefaultConfig()
-	cfg.Alpha = 0.5         // unequal Eq. 1 weights: confidences with busy mantissas
-	cfg.DisableCache = true // every run re-sweeps
+	cfg.Alpha = 0.5 // unequal Eq. 1 weights: confidences with busy mantissas
 	build := func(descending bool) *graph.Graph {
 		g := newGraph(t)
 		for e := model.Epoch(1); e <= last; e++ {

@@ -96,16 +96,12 @@ func (r *Result) Clone() *Result {
 	return out
 }
 
-// put writes n's row at its rank and marks the rank present.
-func (inf *Inferencer) put(n *graph.Node, v Verdict) {
-	r := n.Rank()
-	inf.res.rows[r] = v
-	inf.present[r>>6] |= 1 << (r & 63)
-}
-
-// add writes the row of an object the sweep interpreted.
+// add writes the row of an object the sweep interpreted at its node's
+// rank and marks the rank present.
 func (inf *Inferencer) add(n *graph.Node, loc model.LocationID, parent model.Tag, observed bool) {
-	inf.put(n, Verdict{Tag: n.Tag, Location: loc, Parent: parent, HasParent: true, Observed: observed})
+	r := n.Rank()
+	inf.res.rows[r] = Verdict{Tag: n.Tag, Location: loc, Parent: parent, HasParent: true, Observed: observed}
+	inf.present[r>>6] |= 1 << (r & 63)
 }
 
 // compactRows moves the present rows, in rank and so in tag order, to the
@@ -128,29 +124,15 @@ func findRow(rows []Verdict, tag model.Tag) (int, bool) {
 }
 
 // PassStats summarizes one Infer call for telemetry: how many connected
-// components were swept versus skipped, and how many nodes each path
-// covered. Under complete inference a component is "clean" when its
-// cached verdict slab was reused; under partial inference, when it had no
-// reading this epoch and therefore lies outside every halo.
+// components were swept versus skipped, and how many nodes the sweep
+// covered. A component is "clean" when partial inference skipped it: it
+// had no reading this epoch and therefore lies outside every halo.
+// Complete inference sweeps every component.
 type PassStats struct {
 	DirtyComponents int // components swept this pass
-	CleanComponents int // components skipped (cache hit or outside all halos)
+	CleanComponents int // components skipped by partial inference
 	NodesInferred   int // nodes that went through edge/node inference
-	NodesCached     int // nodes whose verdicts were served from a slab
-}
-
-// compSlab caches the verdicts of a settled component: every member
-// inferred LocationUnknown at epoch `epoch`. All-unknown is an absorbing
-// state for an untouched component — fading belief only decays further,
-// and with no known member there is nothing to propagate (Eqs. 3-4) — and
-// its parent verdicts (Eqs. 1-2) depend only on per-edge state that
-// dirtying would have invalidated, so the slab replays the sweep's exact
-// output while DirtyAt() <= epoch. An epoch of model.EpochNone marks the
-// slab invalid (the component was re-swept and found unsettled); the
-// backing arrays are kept to avoid churn when it settles again.
-type compSlab struct {
-	epoch model.Epoch
-	rows  []Verdict
+	NodesCached     int // always zero; kept until benchmark/ stops reading it
 }
 
 // Inferencer runs the iterative inference algorithm. It keeps reusable
@@ -175,8 +157,7 @@ type Inferencer struct {
 	rest     []*graph.Node
 	pruned   []*graph.Edge
 	props    []propagation
-	probs    []propagation           // per-location belief of the node under inference
-	slabs    map[model.Tag]*compSlab // settled-component cache, keyed by component id
+	probs    []propagation // per-location belief of the node under inference
 	stats    PassStats
 }
 
@@ -214,9 +195,8 @@ func New(cfg Config, historySize int) (*Inferencer, error) {
 		return nil, fmt.Errorf("inference: history size %d out of range", historySize)
 	}
 	return &Inferencer{
-		cfg:   cfg,
-		zipf:  graph.ZipfWeights(historySize, cfg.Alpha),
-		slabs: make(map[model.Tag]*compSlab),
+		cfg:  cfg,
+		zipf: graph.ZipfWeights(historySize, cfg.Alpha),
 	}, nil
 }
 
@@ -236,12 +216,10 @@ func (inf *Inferencer) Config() Config { return inf.cfg }
 // The sweep runs one connected component at a time, in id order, on the
 // calling goroutine: no edge ever crosses a component boundary, so the
 // layer-interleaved global sweep of the paper produces the same verdicts
-// as a component-at-a-time sweep. Components exist to skip clean work — a
-// settled component untouched since its last sweep replays its cached
-// slab, and under Partial mode an unread component intersects no halo and
-// is skipped outright. Outputs are byte-identical with the cache on or
-// off. Each row is written at its node's rank in the graph's tag order,
-// so the rows come out tag-sorted with no sort.
+// as a component-at-a-time sweep. Under Partial mode an unread component
+// intersects no halo and is skipped outright; Complete mode sweeps every
+// component. Each row is written at its node's rank in the graph's tag
+// order, so the rows come out tag-sorted with no sort.
 //
 // Under Partial mode only nodes with d ≤ PartialHops are interpreted and
 // "unknown" location verdicts are withheld from the result (§IV-D).
@@ -256,7 +234,6 @@ func (inf *Inferencer) Infer(g *graph.Graph, now model.Epoch, mode Mode) *Result
 	inf.stamp = passStamps.Add(1)
 	inf.now = now
 	inf.stats = PassStats{}
-	caching := mode == Complete && !inf.cfg.DisableCache
 
 	// Edges pruned mid-sweep only mark their component stale; comps, the
 	// member lists and the ranks stay as they are until the next
@@ -273,101 +250,22 @@ func (inf *Inferencer) Infer(g *graph.Graph, now model.Epoch, mode Mode) *Result
 			inf.stats.CleanComponents++
 			continue
 		}
-		if caching {
-			if sl := inf.reusableSlab(c); sl != nil {
-				for i, n := range c.Members() {
-					inf.put(n, sl.rows[i])
-				}
-				inf.stats.CleanComponents++
-				inf.stats.NodesCached += c.Len()
-				continue
-			}
-		}
 		inf.stats.DirtyComponents++
-		settled := inf.sweepComponent(g, c, mode)
-		if !caching {
-			continue
-		}
-		if settled {
-			inf.storeSlab(c, now)
-		} else if sl := inf.slabs[c.ID()]; sl != nil {
-			sl.epoch = model.EpochNone
-		}
-	}
-	if caching {
-		// Drop slabs whose component id no longer exists (merged away or
-		// removed).
-		inf.evictDeadSlabs(comps)
+		inf.sweepComponent(g, c, mode)
 	}
 	inf.compactRows()
 	return res
 }
 
-// reusableSlab returns the slab that replays component c's complete-mode
-// sweep, or nil when c must be swept: no settled slab, the component was
-// dirtied after the slab epoch, or a member is traced (provenance
-// records must fire every epoch, so traced components are re-inferred —
-// the recompute of a settled component has no graph side effects and
-// reproduces the slab's verdicts exactly).
-func (inf *Inferencer) reusableSlab(c *graph.Component) *compSlab {
-	sl := inf.slabs[c.ID()]
-	if sl == nil || sl.epoch == model.EpochNone || c.DirtyAt() > sl.epoch {
-		return nil
-	}
-	if inf.rec != nil {
-		for _, n := range c.Members() {
-			if inf.rec.Traces(n.Tag) {
-				return nil
-			}
-		}
-	}
-	return sl
-}
-
-// storeSlab records the rows of a component that settled at epoch now —
-// one per member, in member order, as a complete sweep writes them —
-// reusing the previous slab's storage when present.
-func (inf *Inferencer) storeSlab(c *graph.Component, now model.Epoch) {
-	sl := inf.slabs[c.ID()]
-	if sl == nil {
-		sl = &compSlab{}
-		inf.slabs[c.ID()] = sl
-	}
-	sl.epoch = now
-	sl.rows = sl.rows[:0]
-	for _, n := range c.Members() {
-		sl.rows = append(sl.rows, inf.res.rows[n.Rank()])
-	}
-}
-
-// evictDeadSlabs drops slabs keyed by component ids that no longer exist,
-// bounding cache memory. comps is sorted by id (Graph.Components).
-func (inf *Inferencer) evictDeadSlabs(comps []*graph.Component) {
-	if len(inf.slabs) == 0 {
-		return
-	}
-	for id := range inf.slabs {
-		_, live := slices.BinarySearchFunc(comps, id, func(c *graph.Component, id model.Tag) int {
-			return cmp.Compare(c.ID(), id)
-		})
-		if !live {
-			delete(inf.slabs, id)
-		}
-	}
-}
-
 // sweepComponent runs the §IV-C layered sweep over one component, writing
-// its verdicts at their ranks, and reports whether the component settled:
-// complete mode, and every member verdict came out LocationUnknown — the
-// absorbing state that makes the verdicts cacheable. Reached nodes and
-// the settled colors live in the pass-stamped DistStamp and
-// InferLoc/LocStamp scratch on the nodes (a stamp other than the running
-// pass means "not reached" / "not settled"), so no per-pass map is
-// needed. The members are tag-sorted, so the d=0 layer and the
-// unreached rest, filters of them, are too; only layers d ≥ 1 sort.
-func (inf *Inferencer) sweepComponent(g *graph.Graph, c *graph.Component, mode Mode) bool {
+// its verdicts at their ranks. Reached nodes and the settled colors live
+// in the pass-stamped DistStamp and InferLoc/LocStamp scratch on the nodes
+// (a stamp other than the running pass means "not reached" / "not
+// settled"), so no per-pass map is needed. The members are tag-sorted, so
+// the d=0 layer and the unreached rest, filters of them, are too; only
+// layers d ≥ 1 sort.
+func (inf *Inferencer) sweepComponent(g *graph.Graph, c *graph.Component, mode Mode) {
 	stamp, now := inf.stamp, inf.now
-	settled := mode == Complete
 
 	// Layer d=0: the colored members. Their location verdict is their
 	// observation; edge inference estimates their most likely parents.
@@ -378,9 +276,6 @@ func (inf *Inferencer) sweepComponent(g *graph.Graph, c *graph.Component, mode M
 			n.InferLoc, n.LocStamp = n.RecentColor, stamp
 			inf.frontier = append(inf.frontier, n)
 		}
-	}
-	if len(inf.frontier) > 0 {
-		settled = false
 	}
 	for _, n := range inf.frontier {
 		inf.add(n, n.RecentColor, inf.edgeInference(g, n), true)
@@ -420,9 +315,6 @@ func (inf *Inferencer) sweepComponent(g *graph.Graph, c *graph.Component, mode M
 				continue
 			}
 			inf.add(n, loc, parent, false)
-			if loc != model.LocationUnknown {
-				settled = false
-			}
 		}
 		inf.stats.NodesInferred += len(inf.frontier)
 	}
@@ -440,15 +332,10 @@ func (inf *Inferencer) sweepComponent(g *graph.Graph, c *graph.Component, mode M
 		}
 		for _, n := range inf.rest {
 			parent := inf.edgeInference(g, n)
-			loc := inf.nodeInference(n)
-			inf.add(n, loc, parent, false)
-			if loc != model.LocationUnknown {
-				settled = false
-			}
+			inf.add(n, inf.nodeInference(n), parent, false)
 		}
 		inf.stats.NodesInferred += len(inf.rest)
 	}
-	return settled
 }
 
 // edgeInference applies Eqs. 1-2 to the incoming edges of n, stores each

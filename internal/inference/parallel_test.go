@@ -8,14 +8,13 @@ import (
 	"spire/internal/epc"
 	"spire/internal/graph"
 	"spire/internal/model"
-	"spire/internal/trace"
 )
 
 // The component-at-a-time Infer must be indistinguishable from the global
 // layer-interleaved reference sweep: identical Results and identical
-// graph side effects (edge pruning) with the settled-slab cache on or
-// off, under both modes, on a stream with real churn (staggered scans,
-// missed reads, objects moving between shelves).
+// graph side effects (edge pruning) under both modes, on a stream with
+// real churn (staggered scans, missed reads, objects moving between
+// shelves).
 
 // churnScenario is a deterministic multi-shelf workload generator. Shelf
 // s is scanned in epoch e when (e+s)%3 == 0; a scanned shelf misses some
@@ -116,30 +115,26 @@ func baseConfig() Config {
 }
 
 // TestInferMatchesReference is the differential pin: Infer vs the
-// retained global reference, in lockstep on twin graphs, with the cache
-// on and off and a complete pass every 4th epoch.
+// retained global reference, in lockstep on twin graphs, with a complete
+// pass every 4th epoch. With cache=true one Inferencer keeps its scratch
+// (fade table, pooled result, row bitmap, sweep queues) across the whole
+// run, as in production; with cache=false a fresh Inferencer runs every
+// epoch. Both must match the reference, so reused scratch carries no
+// state from one pass into the next.
 func TestInferMatchesReference(t *testing.T) {
-	for _, disableCache := range []bool{false, true} {
-		t.Run(fmt.Sprintf("cache=%v", !disableCache), func(t *testing.T) {
-			cfg := baseConfig()
-			cfg.DisableCache = disableCache
-
-			gA := newGraph(t)
-			gB := newGraph(t)
-			infA, err := New(cfg, gA.Config().HistorySize)
-			if err != nil {
-				t.Fatal(err)
-			}
-			infB, err := New(baseConfig(), gB.Config().HistorySize)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, cache := range []bool{true, false} {
+		t.Run(fmt.Sprintf("cache=%v", cache), func(t *testing.T) {
+			gA, gB := newGraph(t), newGraph(t)
+			infA, infB := newInf(t, baseConfig()), newInf(t, baseConfig())
 			sc := newChurnScenario(t, 6, 2, 3)
 			for e := model.Epoch(1); e <= 64; e++ {
 				sc.step(t, e, gA, gB)
 				mode := Partial
 				if e%4 == 0 {
 					mode = Complete
+				}
+				if !cache {
+					infA = newInf(t, baseConfig())
 				}
 				resA := infA.Infer(gA, e, mode)
 				resB := infB.InferReference(gB, e, mode)
@@ -153,10 +148,8 @@ func TestInferMatchesReference(t *testing.T) {
 					t.Fatalf("%s: %v", label, err)
 				}
 				if mode == Complete {
-					st := infA.LastStats()
-					if st.NodesInferred+st.NodesCached != gA.Len() {
-						t.Fatalf("%s: stats cover %d+%d of %d nodes",
-							label, st.NodesInferred, st.NodesCached, gA.Len())
+					if st := infA.LastStats(); st.NodesInferred != gA.Len() {
+						t.Fatalf("%s: stats cover %d of %d nodes", label, st.NodesInferred, gA.Len())
 					}
 					if len(resA.Rows()) != gA.Len() {
 						t.Fatalf("%s: %d verdicts for %d nodes", label, len(resA.Rows()), gA.Len())
@@ -167,118 +160,17 @@ func TestInferMatchesReference(t *testing.T) {
 	}
 }
 
-// TestInferCachedSteadyState pins the incremental win: once the stream
-// goes quiet every component settles, passes touch zero nodes, and the
-// cached verdicts still match the reference sweep byte for byte.
-func TestInferCachedSteadyState(t *testing.T) {
-	cfg := baseConfig()
-	gA := newGraph(t)
-	gB := newGraph(t)
-	infA, err := New(cfg, gA.Config().HistorySize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	infB, err := New(baseConfig(), gB.Config().HistorySize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := newChurnScenario(t, 4, 2, 3)
-	var e model.Epoch
-	for e = 1; e <= 24; e++ {
-		sc.step(t, e, gA, gB)
-		compareResults(t, fmt.Sprintf("warm epoch %d", e),
-			infA.Infer(gA, e, Complete), infB.InferReference(gB, e, Complete))
-	}
-	// Quiet stream: no updates at all. After the fading belief of the
-	// last readings drops below the unknown mass (age 2 at θ=1.25), every
-	// component is settled and cached.
-	for ; e <= 40; e++ {
-		resA := infA.Infer(gA, e, Complete)
-		compareResults(t, fmt.Sprintf("quiet epoch %d", e), resA, infB.InferReference(gB, e, Complete))
-		if e >= 30 {
-			st := infA.LastStats()
-			if st.DirtyComponents != 0 || st.NodesInferred != 0 {
-				t.Fatalf("quiet epoch %d: %d dirty components, %d nodes inferred; want all cached",
-					e, st.DirtyComponents, st.NodesInferred)
-			}
-			if st.NodesCached != gA.Len() || st.CleanComponents == 0 {
-				t.Fatalf("quiet epoch %d: %d of %d nodes cached over %d clean components",
-					e, st.NodesCached, gA.Len(), st.CleanComponents)
-			}
-		}
-	}
-}
-
-// TestInferTracedTagForcesRecompute pins the provenance exception: a
-// traced tag inside a settled, cache-eligible component forces its
-// component to be re-inferred so the per-epoch records keep firing.
-func TestInferTracedTagForcesRecompute(t *testing.T) {
-	cfg := baseConfig()
-	g := newGraph(t)
-	inf, err := New(cfg, g.Config().HistorySize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := newChurnScenario(t, 2, 1, 2)
-	var e model.Epoch
-	for e = 1; e <= 12; e++ {
-		sc.step(t, e, g)
-		inf.Infer(g, e, Complete)
-	}
-	for ; e <= 20; e++ { // quiet: let everything settle into the cache
-		inf.Infer(g, e, Complete)
-	}
-	if st := inf.LastStats(); st.DirtyComponents != 0 {
-		t.Fatalf("precondition failed: %d dirty components before tracing", st.DirtyComponents)
-	}
-
-	traced := sc.groups[0][len(sc.groups[0])-1] // one settled item
-	rec := trace.New(trace.Config{Tags: []model.Tag{traced}})
-	inf.SetTracer(rec)
-	res := inf.Infer(g, e, Complete)
-	st := inf.LastStats()
-	if st.DirtyComponents != 1 {
-		t.Fatalf("traced component not re-inferred: %d dirty components", st.DirtyComponents)
-	}
-	if v, ok := res.Lookup(traced); !ok || v.Location != model.LocationUnknown {
-		t.Fatalf("traced tag verdict changed under re-inference: %v (present=%v)", v.Location, ok)
-	}
-	recs := rec.TagRecords(traced)
-	if len(recs) == 0 {
-		t.Fatal("no provenance records for traced tag in cached component")
-	}
-	found := false
-	for _, r := range recs {
-		if r.Epoch == e && r.Mech == trace.MechNodeInference {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no node-inference record at epoch %d for traced tag", e)
-	}
-
-	// Detaching the recorder re-enables the cache for that component.
-	inf.SetTracer(nil)
-	inf.Infer(g, e+1, Complete)
-	if st := inf.LastStats(); st.DirtyComponents != 0 {
-		t.Fatalf("component still dirty after tracer detached: %d", st.DirtyComponents)
-	}
-}
-
 // TestInferAllocsSerial pins the pass-stamped node scratch (no per-pass
-// distance or color map) and the pooled sweep state: a warm pass
-// allocates nothing, with the cache off
-// (full re-sweep) and in cached steady state.
+// distance or color map) and the pooled sweep state: a warm complete pass
+// allocates nothing, on a fixed graph and as the epoch advances.
 func TestInferAllocsSerial(t *testing.T) {
-	run := func(name string, disableCache bool, advance bool) {
-		cfg := DefaultConfig()
-		cfg.DisableCache = disableCache
+	run := func(name string, advance bool) {
 		g, now := buildWarehouseGraph(t, 8, 2, 5)
-		inf, err := New(cfg, g.Config().HistorySize)
+		inf, err := New(DefaultConfig(), g.Config().HistorySize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 4; i++ { // warm scratch, settle the cache
+		for i := 0; i < 4; i++ { // warm scratch
 			if advance {
 				now++
 			}
@@ -294,6 +186,6 @@ func TestInferAllocsSerial(t *testing.T) {
 			t.Errorf("%s: Infer allocates %.1f allocs/op, want 0", name, allocs)
 		}
 	}
-	run("full-sweep", true, false)
-	run("cached-steady-state", false, true)
+	run("fixed-epoch", false)
+	run("advancing-epoch", true)
 }

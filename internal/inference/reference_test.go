@@ -9,15 +9,15 @@ import (
 
 // InferReference runs the paper's global layer-interleaved sweep — the
 // pre-sharding Infer, kept verbatim in structure — and returns a freshly
-// allocated Result in the sparse map form. It is the oracle for the differential tests pinning
-// the component-at-a-time Infer: both must produce identical results and
-// identical graph side effects (edge pruning) on identical graphs, with
-// the slab cache on or off.
+// allocated Result in the sparse map form. It is the oracle for the
+// differential tests pinning the component-at-a-time Infer: both must
+// produce identical results and identical graph side effects (edge
+// pruning) on identical graphs.
 //
-// Unlike Infer it allocates its sweep scratch per call and never touches
-// the slab cache; it shares the per-edge/per-node inference kernels (and
-// so stamps the same node and edge scratch slots), so the comparison
-// exercises exactly the component partition and the caching.
+// Unlike Infer it allocates its sweep scratch per call; it shares the
+// per-edge/per-node inference kernels (and so stamps the same node and
+// edge scratch slots), so the comparison exercises exactly the component
+// partition, the partial-mode skip and the rank-ordered rows.
 func (inf *Inferencer) InferReference(g *graph.Graph, now model.Epoch, mode Mode) *Result {
 	res := &Result{
 		Now:       now,

@@ -144,8 +144,8 @@ func TestWorldContainMovesSubtree(t *testing.T) {
 	if w.Contained(3, 1, 0) {
 		t.Error("Contained is direct containment only; item is not directly in the pallet")
 	}
-	if got := w.TopLevelContainer(3); got != 1 {
-		t.Errorf("TopLevelContainer(3) = %d, want 1", got)
+	if got := topLevelContainer(w, 3); got != 1 {
+		t.Errorf("topLevelContainer(3) = %d, want 1", got)
 	}
 }
 
@@ -312,7 +312,7 @@ func TestQuickSubtreeColocation(t *testing.T) {
 			return false
 		}
 		for i := 0; i < n; i++ {
-			if w.TopLevelContainer(Tag(i+1)) == 1 && w.LocationOf(Tag(i+1)) != loc {
+			if topLevelContainer(w, Tag(i+1)) == 1 && w.LocationOf(Tag(i+1)) != loc {
 				return false
 			}
 		}
@@ -328,4 +328,21 @@ func mustEnter(t *testing.T, w *World, tag Tag, lvl Level, loc LocationID) {
 	if _, err := w.Enter(tag, lvl, loc); err != nil {
 		t.Fatalf("Enter(%d): %v", tag, err)
 	}
+}
+
+// topLevelContainer follows parent links to the outermost container of
+// tag. A loose object is its own top-level container.
+func topLevelContainer(w *World, tag Tag) Tag {
+	st, ok := w.objects[tag]
+	if !ok {
+		return NoTag
+	}
+	for st.Parent != NoTag {
+		p, ok := w.objects[st.Parent]
+		if !ok {
+			break
+		}
+		st = p
+	}
+	return st.Tag
 }

@@ -280,20 +280,3 @@ func (w *World) AtAppend(dst []Tag, loc LocationID) []Tag {
 	slices.Sort(dst[start:])
 	return dst
 }
-
-// TopLevelContainer follows parent links to the outermost container of
-// tag. A loose object is its own top-level container.
-func (w *World) TopLevelContainer(tag Tag) Tag {
-	st, ok := w.objects[tag]
-	if !ok {
-		return NoTag
-	}
-	for st.Parent != NoTag {
-		p, ok := w.objects[st.Parent]
-		if !ok {
-			break
-		}
-		st = p
-	}
-	return st.Tag
-}
