@@ -255,22 +255,11 @@ func (s *Substrate) ProcessBatch(b *model.Batch) (*EpochOutput, error) {
 	s.stats.Readings += rawReadings
 	s.stats.RawBytes += rawReadings * stream.ReadingSize
 
-	// Telemetry and trace marks. Clock reads run only when at least one
-	// observer is attached (timed), and every recording call is
-	// observation-only — the transparency tests pin that enabling
-	// telemetry or tracing changes no output byte.
+	// Every recording call is observation-only: the transparency tests pin
+	// that enabling telemetry or tracing changes no output byte.
 	tel, rec := s.tel, s.rec
-	timed := tel != nil || rec != nil
-	var mark time.Time
-	if timed {
-		mark = time.Now()
-	}
-	var span trace.Span
-	if rec != nil {
-		rec.BeginEpoch(now)
-		span.Epoch = now
-		span.Readings = rawReadings
-	}
+	clock := stageClock{last: time.Now()}
+	rec.BeginEpoch(now)
 	if tel != nil {
 		tel.IngestReadings.Add(rawReadings)
 		tel.IngestBatchBytes.Add(b.SizeBytes())
@@ -278,18 +267,8 @@ func (s *Substrate) ProcessBatch(b *model.Batch) (*EpochOutput, error) {
 
 	s.dedup.CleanBatch(b)
 	s.filterRetired(b)
+	clock.dedup = clock.lap()
 
-	if timed {
-		next := time.Now()
-		d := next.Sub(mark)
-		if tel != nil {
-			tel.StageDedup.Observe(d.Seconds())
-		}
-		span.DedupNS = d.Nanoseconds()
-		mark = next
-	}
-
-	start := time.Now()
 	readers := s.groupReaders[:0]
 	for i := range b.Groups {
 		readers = append(readers, s.readers[b.Groups[i].Reader])
@@ -303,18 +282,97 @@ func (s *Substrate) ProcessBatch(b *model.Batch) (*EpochOutput, error) {
 			return nil, fmt.Errorf("core: reading from unknown reader %d", b.Groups[i].Reader)
 		}
 	}
-	s.stats.UpdateTime += time.Since(start)
-	if timed {
-		next := time.Now()
-		d := next.Sub(mark)
-		if tel != nil {
-			tel.StageUpdate.Observe(d.Seconds())
+	clock.update = clock.lap()
+
+	mode := s.schedule.ModeAt(now)
+	res := s.inf.Infer(s.graph, now, mode)
+	var raw *inference.Result
+	if s.cfg.KeepRawResult {
+		raw = &s.raw
+		res.CopyTo(raw)
+	}
+	clock.infer = clock.lap()
+	inference.ResolveConflicts(res, levelOf, rec)
+	clock.conflict = clock.lap()
+
+	out := &EpochOutput{Result: res, RawResult: raw, Mode: mode}
+	out.Events = s.comp.Compress(res)
+
+	// Exit handling (§IV-C graph pruning): objects observed at an exit
+	// location this epoch left the world properly; they are retired
+	// together with everything they (reportedly) contain, containers
+	// first.
+	retired := s.exitSet(res)
+	for _, g := range retired {
+		if rec.Traces(g) {
+			v, _ := res.Lookup(g)
+			rec.Record(trace.Record{
+				Epoch: now, Tag: g, Mech: trace.MechRetired, Loc: v.Location,
+			})
 		}
-		span.UpdateNS = d.Nanoseconds()
-		mark = next
+		out.Events = append(out.Events, s.comp.Retire(g, now)...)
+		s.graph.RemoveNode(g)
+		s.dedup.Retire(g)
+	}
+	out.Retired = retired
+
+	if s.watch != nil {
+		s.watch.BeginEpoch(now)
+		s.watch.Dispatch(out.Events...)
+		s.watch.EndEpoch(now)
 	}
 
-	return s.finishEpoch(now, rawReadings, tel, rec, timed, mark, &span), nil
+	evBytes := event.StreamSize(out.Events)
+	s.stats.Events += int64(len(out.Events))
+	s.stats.EventBytes += evBytes
+	clock.compress = clock.lap()
+
+	s.stats.UpdateTime += clock.update
+	s.stats.InferenceTime += clock.infer + clock.conflict
+	if tel != nil {
+		tel.StageDedup.Observe(clock.dedup.Seconds())
+		tel.StageUpdate.Observe(clock.update.Seconds())
+		tel.StageInfer.Observe(clock.infer.Seconds())
+		tel.StageConflict.Observe(clock.conflict.Seconds())
+		tel.StageCompress.Observe(clock.compress.Seconds())
+		tel.Epochs.Inc()
+		tel.Readings.Add(rawReadings)
+		tel.Retired.Add(int64(len(retired)))
+		ist := s.inf.LastStats()
+		tel.InferDirty.Add(int64(ist.DirtyComponents))
+		tel.InferClean.Add(int64(ist.CleanComponents))
+		tel.InferNodesRun.Add(int64(ist.NodesInferred))
+		tel.Graph.Record(s.graph)
+		openLocs, openConts := s.comp.Opens()
+		tel.Comp.Record(openLocs, openConts, len(out.Events), evBytes)
+	}
+	if rec != nil {
+		rec.EndEpoch(trace.Span{
+			Epoch: now, Partial: res.Partial,
+			Readings: rawReadings, Events: int64(len(out.Events)), Bytes: evBytes, Retired: int64(len(retired)),
+			DedupNS: clock.dedup.Nanoseconds(), UpdateNS: clock.update.Nanoseconds(), InferNS: clock.infer.Nanoseconds(),
+			ConflictNS: clock.conflict.Nanoseconds(), CompressNS: clock.compress.Nanoseconds(),
+		})
+	}
+	return out, nil
+}
+
+// stageClock times one epoch's pipeline stages. ProcessBatch reads the
+// clock once at the start and once at each stage boundary, six reads an
+// epoch whether or not anything observes it, and fills Stats, the stage
+// histograms and the flight span from these laps.
+type stageClock struct {
+	last                                     time.Time
+	dedup, update, infer, conflict, compress time.Duration
+}
+
+// lap returns the time since the previous boundary and starts the next
+// stage.
+func (c *stageClock) lap() time.Duration {
+	now := time.Now()
+	d := now.Sub(c.last)
+	c.last = now
+	return d
 }
 
 // filterRetired compacts the tag column in place. A tag retired through
@@ -358,98 +416,6 @@ func (s *Substrate) filterRetired(b *model.Batch) {
 		gr.Start, gr.End = start, w
 	}
 	b.Tags = b.Tags[:w]
-}
-
-// finishEpoch runs the pipeline tail — inference, conflict resolution,
-// compression, and exit retirement — once the epoch's readings have been
-// applied to the graph.
-func (s *Substrate) finishEpoch(now model.Epoch, rawReadings int64, tel *Instruments, rec *trace.Recorder, timed bool, mark time.Time, span *trace.Span) *EpochOutput {
-	start := time.Now()
-	mode := s.schedule.ModeAt(now)
-	res := s.inf.Infer(s.graph, now, mode)
-	var raw *inference.Result
-	if s.cfg.KeepRawResult {
-		raw = &s.raw
-		res.CopyTo(raw)
-	}
-	if timed {
-		next := time.Now()
-		d := next.Sub(mark)
-		if tel != nil {
-			tel.StageInfer.Observe(d.Seconds())
-		}
-		span.InferNS = d.Nanoseconds()
-		mark = next
-	}
-	inference.ResolveConflicts(res, levelOf, rec)
-	s.stats.InferenceTime += time.Since(start)
-	if timed {
-		next := time.Now()
-		d := next.Sub(mark)
-		if tel != nil {
-			tel.StageConflict.Observe(d.Seconds())
-		}
-		span.ConflictNS = d.Nanoseconds()
-		mark = next
-	}
-
-	out := &EpochOutput{Result: res, RawResult: raw, Mode: mode}
-	out.Events = s.comp.Compress(res)
-
-	// Exit handling (§IV-C graph pruning): objects observed at an exit
-	// location this epoch left the world properly; they are retired
-	// together with everything they (reportedly) contain, containers
-	// first.
-	retired := s.exitSet(res)
-	for _, g := range retired {
-		if rec != nil && rec.Traces(g) {
-			v, _ := res.Lookup(g)
-			rec.Record(trace.Record{
-				Epoch: now, Tag: g, Mech: trace.MechRetired, Loc: v.Location,
-			})
-		}
-		out.Events = append(out.Events, s.comp.Retire(g, now)...)
-		s.graph.RemoveNode(g)
-		s.dedup.Retire(g)
-	}
-	out.Retired = retired
-
-	if s.watch != nil {
-		s.watch.BeginEpoch(now)
-		s.watch.Dispatch(out.Events...)
-		s.watch.EndEpoch(now)
-	}
-
-	evBytes := event.StreamSize(out.Events)
-	s.stats.Events += int64(len(out.Events))
-	s.stats.EventBytes += evBytes
-	if timed {
-		d := time.Since(mark)
-		if tel != nil {
-			tel.StageCompress.Observe(d.Seconds())
-		}
-		span.CompressNS = d.Nanoseconds()
-	}
-	if tel != nil {
-		tel.Epochs.Inc()
-		tel.Readings.Add(rawReadings)
-		tel.Retired.Add(int64(len(retired)))
-		ist := s.inf.LastStats()
-		tel.InferDirty.Add(int64(ist.DirtyComponents))
-		tel.InferClean.Add(int64(ist.CleanComponents))
-		tel.InferNodesRun.Add(int64(ist.NodesInferred))
-		tel.Graph.Record(s.graph)
-		openLocs, openConts := s.comp.Opens()
-		tel.Comp.Record(openLocs, openConts, len(out.Events), evBytes)
-	}
-	if rec != nil {
-		span.Partial = res.Partial
-		span.Events = int64(len(out.Events))
-		span.Bytes = evBytes
-		span.Retired = int64(len(retired))
-		rec.EndEpoch(*span)
-	}
-	return out
 }
 
 // exitSet collects the objects retiring this epoch: those observed at an

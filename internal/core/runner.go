@@ -107,20 +107,16 @@ func (r *Runner) finish(ctx context.Context, out chan<- *EpochOutput) error {
 	return nil
 }
 
-// timeGate runs one ingest gate call, recording the stage latency when
-// the substrate is instrumented or traced.
+// timeGate runs one ingest gate call and records its latency as the
+// ingest stage.
 func (r *Runner) timeGate(gate func() []*model.Batch) []*model.Batch {
-	tel, rec := r.sub.tel, r.sub.rec
-	if tel == nil && rec == nil {
-		return gate()
-	}
 	start := time.Now()
 	ready := gate()
 	d := time.Since(start)
-	if tel != nil {
+	if tel := r.sub.tel; tel != nil {
 		tel.StageIngest.Observe(d.Seconds())
 	}
-	rec.ObserveIngest(d.Nanoseconds())
+	r.sub.rec.ObserveIngest(d.Nanoseconds())
 	return ready
 }
 

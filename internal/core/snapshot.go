@@ -215,13 +215,9 @@ func RestoreSubstrate(r io.Reader) (*Substrate, error) {
 func (s *Substrate) LastEpoch() model.Epoch { return s.lastNow }
 
 // SnapshotToFile writes a snapshot to path atomically (tmp + fsync +
-// rename), so a crash mid-checkpoint leaves the previous snapshot intact.
-// On an instrumented substrate the snapshot size and write latency are
-// recorded; the written bytes are identical either way.
+// rename), so a crash mid-checkpoint leaves the previous snapshot intact,
+// and records its size and write latency on an instrumented substrate.
 func (s *Substrate) SnapshotToFile(path string) error {
-	if s.tel == nil {
-		return checkpoint.WriteFileAtomic(path, s.Snapshot)
-	}
 	start := time.Now()
 	var written int64
 	err := checkpoint.WriteFileAtomic(path, func(w io.Writer) error {
@@ -230,7 +226,7 @@ func (s *Substrate) SnapshotToFile(path string) error {
 		written = cw.N
 		return err
 	})
-	if err == nil {
+	if err == nil && s.tel != nil {
 		s.tel.Ckpt.ObserveWrite(written, time.Since(start))
 	}
 	return err

@@ -16,10 +16,9 @@ import (
 // Instruments feeds a live scrape endpoint and is deliberately external to
 // all persisted state.
 //
-// A nil *Instruments is the disabled mode: every metric inside is nil and
-// every recording call a no-op. ProcessBatch additionally skips its
-// clock reads entirely when the substrate is uninstrumented, so the
-// disabled hot path is byte-for-byte the pre-telemetry code path.
+// A nil *Instruments records nothing. The stage clock runs either way
+// (Stats takes its update and inference laps), so instrumenting adds only
+// the allocation-free recording calls.
 type Instruments struct {
 	// Stage latency histograms, one per pipeline stage
 	// (spire_epoch_stage_seconds{stage=...}).

@@ -60,20 +60,11 @@ func warmInstrumented(tb testing.TB) (*Substrate, *model.Batch) {
 }
 
 // hotEpoch replays one epoch of the hot loop against the warm substrate,
-// with the same stage sequence and the same tel/rec gating as
-// ProcessBatch. Nil tel and rec is the unobserved baseline.
+// with the same stage clock and the same tel/rec gating as ProcessBatch.
+// Nil tel and rec is the unobserved baseline.
 func hotEpoch(tb testing.TB, sub *Substrate, b *model.Batch, now model.Epoch, tel *Instruments, rec *trace.Recorder) {
-	timed := tel != nil || rec != nil
-	var mark time.Time
-	if timed {
-		mark = time.Now()
-	}
-	var span trace.Span
-	if rec != nil {
-		rec.BeginEpoch(now)
-		span.Epoch = now
-		span.Readings = int64(b.Total())
-	}
+	clock := stageClock{last: time.Now()}
+	rec.BeginEpoch(now)
 	b.Time = now
 	readers := sub.groupReaders[:0]
 	for i := range b.Groups {
@@ -83,34 +74,17 @@ func hotEpoch(tb testing.TB, sub *Substrate, b *model.Batch, now model.Epoch, te
 	if err := sub.graph.UpdateBatch(b, readers); err != nil {
 		tb.Fatal(err)
 	}
-	if timed {
-		next := time.Now()
-		d := next.Sub(mark)
-		if tel != nil {
-			tel.StageUpdate.Observe(d.Seconds())
-		}
-		span.UpdateNS = d.Nanoseconds()
-		mark = next
-	}
+	clock.update = clock.lap()
 	res := sub.inf.Infer(sub.graph, now, inference.Complete)
-	if timed {
-		next := time.Now()
-		d := next.Sub(mark)
-		if tel != nil {
-			tel.StageInfer.Observe(d.Seconds())
-		}
-		span.InferNS = d.Nanoseconds()
-		mark = next
-	}
+	clock.infer = clock.lap()
 	inference.ResolveConflicts(res, levelOf, rec)
-	if timed {
-		d := time.Since(mark)
-		if tel != nil {
-			tel.StageConflict.Observe(d.Seconds())
-		}
-		span.ConflictNS = d.Nanoseconds()
-	}
+	clock.conflict = clock.lap()
+	sub.stats.UpdateTime += clock.update
+	sub.stats.InferenceTime += clock.infer + clock.conflict
 	if tel != nil {
+		tel.StageUpdate.Observe(clock.update.Seconds())
+		tel.StageInfer.Observe(clock.infer.Seconds())
+		tel.StageConflict.Observe(clock.conflict.Seconds())
 		tel.Epochs.Inc()
 		tel.Readings.Add(int64(b.Total()))
 		ist := sub.InferStats()
@@ -122,7 +96,8 @@ func hotEpoch(tb testing.TB, sub *Substrate, b *model.Batch, now model.Epoch, te
 		tel.Comp.Record(openLocs, openConts, 0, 0)
 	}
 	if rec != nil {
-		rec.EndEpoch(span)
+		rec.EndEpoch(trace.Span{Epoch: now, Readings: int64(b.Total()), UpdateNS: clock.update.Nanoseconds(),
+			InferNS: clock.infer.Nanoseconds(), ConflictNS: clock.conflict.Nanoseconds()})
 	}
 }
 

@@ -86,7 +86,7 @@ type Coordinator struct {
 	barrier      model.Epoch // epoch the barrier is merging or waiting for
 	mergedEpochs int64
 	nearMisses   int64
-	lingerSecs   float64
+	linger       time.Duration // final-ack wait after the last merge
 
 	events int64
 }
@@ -135,14 +135,6 @@ func (c *Coordinator) MergedEvents() int64 {
 	defer c.mu.Unlock()
 	return c.events
 }
-
-// timed reports whether the coordinator should read the clock for
-// latency metrics — the same gating contract as the epoch pipeline:
-// uninstrumented runs take no timing branches.
-func (c *Coordinator) timed() bool { return c.instrumented() || c.ctrace != nil }
-
-// instrumented reports whether metrics are attached.
-func (c *Coordinator) instrumented() bool { return c.tel != &noCoordinatorInstruments }
 
 // Serve accepts workers on ln and merges until every zone has delivered
 // its Fin and the final epoch is merged, then returns nil. It returns an
@@ -197,17 +189,18 @@ func (c *Coordinator) handleConn(ctx context.Context, conn net.Conn) {
 	zc.mu.Lock()
 	if zc.conn != nil {
 		zc.conn.Close() // a reconnecting worker replaces its old link
+		zc.conn = nil
 	}
-	zc.conn = conn
-	zc.everConnected = true
-	zc.connects++
 	err = stream.WriteFrame(conn, &stream.Frame{Type: stream.FrameHelloAck, Epoch: acked})
+	if err == nil {
+		zc.conn = conn
+		zc.everConnected = true
+		zc.connects++
+	}
 	zc.mu.Unlock()
 	if err != nil {
 		return
 	}
-	zoneAt(c.tel.ZoneConnects, hello.Zone).Inc()
-	zoneAt(c.tel.ZoneConnected, hello.Zone).Set(1)
 	c.ctrace.Record(trace.ConnEvent{Kind: trace.ConnConnect, Zone: hello.Zone, Epoch: acked,
 		Detail: "handshake complete; acked mark sent"})
 	c.cfg.Log.Info("zone connected", "zone", hello.Zone, "acked", int64(acked), "worker_epoch", int64(hello.Epoch))
@@ -216,7 +209,6 @@ func (c *Coordinator) handleConn(ctx context.Context, conn net.Conn) {
 		zc.mu.Lock()
 		if zc.conn == conn {
 			zc.conn = nil
-			zoneAt(c.tel.ZoneConnected, hello.Zone).Set(0)
 		}
 		zc.mu.Unlock()
 	}()
@@ -277,11 +269,8 @@ func (c *Coordinator) deliver(zone ZoneID, f *stream.Frame) bool {
 		zc.finAt = f.Epoch
 		c.cfg.Log.Info("zone finished", "zone", int(zone), "epoch", int64(f.Epoch))
 	}
-	if c.instrumented() {
-		zoneAt(c.tel.ZoneEpochs, int(zone)).Inc()
-		zoneAt(c.tel.ZoneEvents, int(zone)).Add(int64(len(f.Events)))
-		c.updateZoneGaugesLocked()
-	}
+	zoneAt(c.tel.ZoneEpochs, int(zone)).Inc()
+	zoneAt(c.tel.ZoneEvents, int(zone)).Add(int64(len(f.Events)))
 	select {
 	case c.notify <- struct{}{}:
 	default:
@@ -307,46 +296,19 @@ func (c *Coordinator) putEvents(ev []event.Event) {
 	c.evPool.Put(&ev)
 }
 
-// updateZoneGaugesLocked refreshes the per-zone lag and pending gauges
-// from the delivery state. Caller holds c.mu; only called instrumented.
-func (c *Coordinator) updateZoneGaugesLocked() {
-	leader := model.EpochNone
-	for _, zc := range c.zones {
-		if zc.highest > leader {
-			leader = zc.highest
-		}
-	}
-	for z, zc := range c.zones {
-		var lag int64
-		if zc.highest != model.EpochNone && leader > zc.highest {
-			lag = int64(leader - zc.highest)
-		} else if zc.highest == model.EpochNone && leader != model.EpochNone {
-			lag = int64(leader) + 1
-		}
-		zoneAt(c.tel.ZoneLag, z).Set(lag)
-		zoneAt(c.tel.ZonePending, z).Set(int64(len(zc.batches)))
-	}
-}
-
 // mergeLoop advances the epoch barrier: epoch T merges once every zone
 // has delivered T, zones ingest in fixed order 0..N-1, the barrier's
 // deferred resolutions run, the merged events go to the sink, and T is
 // acked to every zone.
 func (c *Coordinator) mergeLoop(ctx context.Context) error {
 	next := model.EpochNone // next epoch to merge; EpochNone until known
-	var wantSince time.Time // when the barrier started wanting `next`
-	if c.timed() {
-		wantSince = time.Now()
-	}
+	wantSince := time.Now() // when the barrier started wanting `next`
 	for {
 		c.mu.Lock()
 		if next == model.EpochNone {
 			next = c.firstEpochLocked()
 		}
 		c.barrier = next
-		if next != model.EpochNone {
-			c.tel.BarrierEpoch.Set(int64(next))
-		}
 		ready := next != model.EpochNone && c.readyLocked(next)
 		final := ready && c.allFinAtLocked(next)
 		var batches [][]event.Event
@@ -355,9 +317,6 @@ func (c *Coordinator) mergeLoop(ctx context.Context) error {
 			for z, zc := range c.zones {
 				batches[z] = zc.batches[next]
 				delete(zc.batches, next)
-			}
-			if c.instrumented() {
-				c.updateZoneGaugesLocked()
 			}
 		}
 		c.mu.Unlock()
@@ -369,12 +328,10 @@ func (c *Coordinator) mergeLoop(ctx context.Context) error {
 			continue
 		}
 
-		if c.instrumented() && !wantSince.IsZero() {
-			// Time-at-barrier for this epoch: from the moment the barrier
-			// began wanting it (right after the previous merge) until every
-			// zone's batch arrived and the merge starts.
-			c.tel.BarrierWait.Observe(time.Since(wantSince).Seconds())
-		}
+		// Time-at-barrier for this epoch: from the moment the barrier
+		// began wanting it (right after the previous merge) until every
+		// zone's batch arrived and the merge starts.
+		c.tel.BarrierWait.Observe(time.Since(wantSince).Seconds())
 
 		// The Fin batches carry every zone's closing events, emitted at
 		// the final epoch; there MergeEpoch also ends every interval still
@@ -401,8 +358,6 @@ func (c *Coordinator) mergeLoop(ctx context.Context) error {
 			c.final = next
 		}
 		c.mu.Unlock()
-		c.tel.MergedEpochs.Inc()
-		c.tel.MergedEvents.Add(int64(len(merged)))
 		if c.cfg.Sink != nil {
 			if err := c.cfg.Sink(next, merged); err != nil {
 				return fmt.Errorf("federate: coordinator sink at epoch %d: %w", next, err)
@@ -415,9 +370,7 @@ func (c *Coordinator) mergeLoop(ctx context.Context) error {
 			return nil
 		}
 		next++
-		if c.timed() {
-			wantSince = time.Now()
-		}
+		wantSince = time.Now()
 	}
 }
 
@@ -504,9 +457,6 @@ func (c *Coordinator) nearMiss(wanted model.Epoch, waited time.Duration) {
 		c.zones[z].nearMisses++
 	}
 	c.mu.Unlock()
-	for _, z := range missing {
-		zoneAt(c.tel.NearMisses, z).Inc()
-	}
 	c.ctrace.Record(trace.ConnEvent{Kind: trace.ConnNearMiss, Epoch: wanted,
 		Detail:     fmt.Sprintf("zones %v", missing),
 		DurationMS: float64(waited.Milliseconds())})
@@ -553,7 +503,6 @@ func (c *Coordinator) ack(epoch model.Epoch) {
 				c.cfg.Log.Warn("ack write failed", "zone", z, "epoch", int64(epoch), "err", err)
 				zc.conn.Close()
 				zc.conn = nil
-				zoneAt(c.tel.ZoneConnected, z).Set(0)
 			}
 		}
 		zc.mu.Unlock()
@@ -573,9 +522,8 @@ func (c *Coordinator) lingerForFinalAcks(ctx context.Context) {
 	record := func(pending []int) {
 		lingered := time.Since(start)
 		c.mu.Lock()
-		c.lingerSecs = lingered.Seconds()
+		c.linger = lingered
 		c.mu.Unlock()
-		c.tel.LingerMS.Set(lingered.Milliseconds())
 		c.tel.LingerMissed.Add(int64(len(pending)))
 		c.ctrace.Record(trace.ConnEvent{Kind: trace.ConnFinalLinger,
 			Detail:     fmt.Sprintf("pending zones %v", pending),

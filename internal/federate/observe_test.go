@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -27,21 +29,23 @@ import (
 
 // observedCluster is one networked cluster run with every observability
 // layer optionally attached, plus the artifacts the transparency test
-// compares: the merged stream and each zone's final on-disk checkpoint.
+// compares: the merged stream and each zone's final on-disk checkpoint,
+// kept in dir.
 type observedCluster struct {
 	events      []event.Event
 	checkpoints map[int][]byte
+	dir         string
 
-	coordTel *federate.CoordinatorInstruments
+	coordReg *telemetry.Registry
 	status   federate.ClusterStatus
 }
 
 // runObservedCluster runs an nZones cluster over loopback TCP with
 // checkpointing on. With instrument set, the coordinator and every
 // worker get a telemetry registry, a connection flight recorder, and a
-// structured logger, and pollers hammer Status()/Ready() on both sides
-// throughout the run — the configuration the transparency test must
-// prove changes nothing.
+// structured logger, and pollers hammer Status()/Ready() and scrape the
+// registries on both sides throughout the run — the configuration the
+// transparency test must prove changes nothing.
 func runObservedCluster(t *testing.T, cfg sim.Config, lvl core.CompressionLevel, nZones int, instrument bool) observedCluster {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -78,14 +82,16 @@ func runObservedCluster(t *testing.T, cfg sim.Config, lvl core.CompressionLevel,
 		}()
 	}
 	if instrument {
-		oc.coordTel = coord.Instrument(telemetry.NewRegistry())
+		oc.coordReg = telemetry.NewRegistry()
+		coord.Instrument(oc.coordReg)
 		coord.TraceConn(trace.NewConnRecorder(64))
-		poll(func() { coord.Status(); coord.Ready() })
+		poll(func() { coord.Status(); coord.Ready(); oc.coordReg.Snapshot() })
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- coord.Serve(context.Background(), ln) }()
 
 	dir := t.TempDir()
+	oc.dir = dir
 	oc.checkpoints = make(map[int][]byte, nZones)
 	workerErrs := make([]error, nZones)
 	ckpts := make([]string, nZones)
@@ -131,9 +137,10 @@ func runObservedCluster(t *testing.T, cfg sim.Config, lvl core.CompressionLevel,
 					return err
 				}
 				if instrument {
-					w.Instrument(telemetry.NewRegistry())
+					reg := telemetry.NewRegistry()
+					w.Instrument(reg)
 					w.TraceConn(trace.NewConnRecorder(64))
-					poll(func() { w.Status(); w.Ready() })
+					poll(func() { w.Status(); w.Ready(); reg.Snapshot() })
 				}
 				src, err := zoneBatchFeed(s, zones, z)
 				if err != nil {
@@ -223,7 +230,7 @@ func TestInstrumentedClusterMatchesPlain(t *testing.T) {
 
 			// The instruments must have watched the same run they left
 			// untouched: merged-event count is ground truth.
-			if got, want := inst.coordTel.MergedEvents.Value(), int64(len(inst.events)); got != want {
+			if got, want := samples(inst.coordReg)["spire_fed_merged_events_total"], int64(len(inst.events)); got != want {
 				t.Errorf("spire_fed_merged_events_total = %d, want %d", got, want)
 			}
 			st := inst.status
@@ -242,6 +249,114 @@ func TestInstrumentedClusterMatchesPlain(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// samples scrapes reg into a name{labels} → value map.
+func samples(reg *telemetry.Registry) map[string]int64 {
+	out := make(map[string]int64)
+	for _, m := range reg.Snapshot() {
+		key := m.Name
+		if m.Labels != "" {
+			key += "{" + m.Labels + "}"
+		}
+		out[key] = int64(m.Value)
+	}
+	return out
+}
+
+// coordStatusSamples is what the coordinator's status-backed families
+// must scrape as, given the ClusterStatus they are read from.
+func coordStatusSamples(st federate.ClusterStatus) map[string]int64 {
+	want := map[string]int64{
+		"spire_fed_merged_epochs_total": st.MergedEpochs,
+		"spire_fed_merged_events_total": st.MergedEvents,
+		"spire_fed_barrier_epoch":       max(int64(st.BarrierEpoch), 0),
+		"spire_fed_final_linger_ms":     time.Duration(math.Round(st.FinalLingerS * 1e9)).Milliseconds(),
+	}
+	for _, zs := range st.Zones {
+		zl := fmt.Sprintf(`{zone="%d"}`, zs.Zone)
+		want["spire_fed_zone_lag_epochs"+zl] = zs.Lag
+		want["spire_fed_zone_pending_batches"+zl] = int64(zs.ReplayDepth)
+		want["spire_fed_zone_connected"+zl] = 0
+		if zs.Connected {
+			want["spire_fed_zone_connected"+zl] = 1
+		}
+		want["spire_fed_zone_connects_total"+zl] = zs.Connects
+		want["spire_fed_straggler_near_miss_total"+zl] = zs.NearMisses
+	}
+	return want
+}
+
+// workerStatusSamples is the worker's counterpart of coordStatusSamples.
+func workerStatusSamples(st federate.WorkerStatus) map[string]int64 {
+	zl := fmt.Sprintf(`{zone="%d"}`, st.Zone)
+	return map[string]int64{
+		"spire_fed_worker_replay_depth" + zl:           int64(st.ReplayDepth),
+		"spire_fed_worker_replay_high_water" + zl:      int64(st.ReplayHighWater),
+		"spire_fed_worker_ack_window" + zl:             int64(st.AckWindow),
+		"spire_fed_worker_ack_stalls_total" + zl:       st.AckStalls,
+		"spire_fed_worker_connects_total" + zl:         st.Connects,
+		"spire_fed_worker_connect_failures_total" + zl: st.ConnectFailures,
+		"spire_fed_worker_backoff_ms" + zl:             st.BackoffMS,
+	}
+}
+
+// sameStatus reports whether two cluster snapshots agree on everything
+// but the age of each zone's last delivery.
+func sameStatus(a, b federate.ClusterStatus) bool {
+	a.Zones, b.Zones = slices.Clone(a.Zones), slices.Clone(b.Zones)
+	for i := range a.Zones {
+		a.Zones[i].SecondsSinceDelivery = 0
+	}
+	for i := range b.Zones {
+		b.Zones[i].SecondsSinceDelivery = 0
+	}
+	return reflect.DeepEqual(a, b)
+}
+
+// checkSamples reports every wanted sample the scrape lacks or disagrees
+// with. Safe to call from a poller goroutine.
+func checkSamples(t *testing.T, what string, got, want map[string]int64) {
+	for k, v := range want {
+		if g, ok := got[k]; !ok {
+			t.Errorf("%s: no scraped sample %s", what, k)
+		} else if g != v {
+			t.Errorf("%s: scraped %s = %d, status says %d", what, k, g, v)
+		}
+	}
+}
+
+// TestWorkerCheckpointDurable: a checkpointing cluster run leaves exactly
+// one checkpoint per zone in the directory, with no temporary file beside
+// it, and each restores to a substrate at a checkpoint epoch. (That the
+// write fsyncs the file and the directory is not observable here.)
+func TestWorkerCheckpointDurable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster test is not short")
+	}
+	const nZones = 2
+	oc := runObservedCluster(t, clusterSimConfig(), core.Level2, nZones, false)
+	entries, err := os.ReadDir(oc.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{"zone-0.ckpt", "zone-1.ckpt"}; !slices.Equal(names, want) {
+		t.Fatalf("checkpoint directory holds %q, want %q", names, want)
+	}
+	for _, name := range names {
+		sub, err := core.RestoreSubstrateFromFile(filepath.Join(oc.dir, name))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		// A fresh worker snapshots every 100 epochs counted from EpochNone.
+		if e := sub.LastEpoch(); e <= 0 || (e-model.EpochNone)%100 != 0 {
+			t.Errorf("%s restores at epoch %d, not a checkpoint epoch", name, e)
+		}
 	}
 }
 
@@ -292,7 +407,9 @@ func (b *lockedBuffer) String() string {
 // lag, zero lag for the healthy zone, replayed batches parked at the
 // barrier), the near-miss counter fires against zone 1 only, a
 // warn-level log names it, and the run still completes byte-identically
-// to the reference — a near-miss is a warning, not a failure.
+// to the reference — a near-miss is a warning, not a failure. Every
+// status-backed metric family scrapes as the Status() field it is read
+// from, on the coordinator mid-stall and at the end, and on each worker.
 func TestClusterStatusGroundTruthUnderStraggler(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster test is not short")
@@ -326,7 +443,8 @@ func TestClusterStatusGroundTruthUnderStraggler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tel := coord.Instrument(telemetry.NewRegistry())
+	coordReg := telemetry.NewRegistry()
+	coord.Instrument(coordReg)
 	rec := trace.NewConnRecorder(64)
 	coord.TraceConn(rec)
 	serveErr := make(chan error, 1)
@@ -334,9 +452,11 @@ func TestClusterStatusGroundTruthUnderStraggler(t *testing.T) {
 
 	// Poll the status plane through the run, keeping the snapshot with
 	// the deepest observed lag — the view an operator's dashboard would
-	// have shown mid-stall.
+	// have shown mid-stall. A scrape between two equal Status() snapshots
+	// saw that state too, so it must agree with it field for field.
 	pollDone := make(chan struct{})
 	var worst federate.ClusterStatus
+	var stalledScrapes int
 	var pollWG sync.WaitGroup
 	pollWG.Add(1)
 	go func() {
@@ -347,6 +467,13 @@ func TestClusterStatusGroundTruthUnderStraggler(t *testing.T) {
 				return
 			default:
 				st := coord.Status()
+				got := samples(coordReg)
+				if after := coord.Status(); sameStatus(st, after) {
+					checkSamples(t, "mid-run coordinator", got, coordStatusSamples(st))
+					if st.Zones[slowZone].Lag > 0 {
+						stalledScrapes++
+					}
+				}
 				if worst.Zones == nil || st.Zones[slowZone].Lag > worst.Zones[slowZone].Lag {
 					worst = st
 				}
@@ -357,6 +484,8 @@ func TestClusterStatusGroundTruthUnderStraggler(t *testing.T) {
 
 	var wg sync.WaitGroup
 	workerErrs := make([]error, nZones)
+	workers := make([]*federate.Worker, nZones)
+	workerRegs := make([]*telemetry.Registry, nZones)
 	for z := 0; z < nZones; z++ {
 		wg.Add(1)
 		go func(z int) {
@@ -391,6 +520,8 @@ func TestClusterStatusGroundTruthUnderStraggler(t *testing.T) {
 				if err != nil {
 					return err
 				}
+				workers[z], workerRegs[z] = w, telemetry.NewRegistry()
+				w.Instrument(workerRegs[z])
 				src, err := zoneBatchFeed(s, zones, z)
 				if err != nil {
 					return err
@@ -413,6 +544,17 @@ func TestClusterStatusGroundTruthUnderStraggler(t *testing.T) {
 	}
 	close(pollDone)
 	pollWG.Wait()
+	if stalledScrapes == 0 {
+		t.Error("no scrape landed between two equal mid-stall Status() snapshots")
+	}
+	checkSamples(t, "final coordinator", samples(coordReg), coordStatusSamples(coord.Status()))
+	for z, w := range workers {
+		st := w.Status()
+		if st.Connects == 0 || st.ReplayHighWater == 0 {
+			t.Errorf("zone %d worker status %+v: the run left no link history to compare", z, st)
+		}
+		checkSamples(t, fmt.Sprintf("zone %d worker", z), samples(workerRegs[z]), workerStatusSamples(st))
+	}
 
 	// Ground truth, side 1: the live snapshot named the culprit.
 	if worst.Zones == nil {
@@ -442,8 +584,8 @@ func TestClusterStatusGroundTruthUnderStraggler(t *testing.T) {
 	if n := final.Zones[1-slowZone].NearMisses; n != 0 {
 		t.Errorf("healthy zone charged with %d near-misses", n)
 	}
-	if got := tel.NearMisses[slowZone].Value(); got == 0 {
-		t.Error("spire_fed_straggler_near_miss_total{zone=1} = 0, want > 0")
+	if got := samples(coordReg)[fmt.Sprintf(`spire_fed_straggler_near_miss_total{zone="%d"}`, slowZone)]; got == 0 {
+		t.Errorf("spire_fed_straggler_near_miss_total{zone=\"%d\"} = 0, want > 0", slowZone)
 	}
 
 	// Side 3: the operator-facing signals name the zone before any

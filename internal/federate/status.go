@@ -96,7 +96,7 @@ func (c *Coordinator) Status() ClusterStatus {
 		Done:              c.final != model.EpochNone,
 		NearMisses:        c.nearMisses,
 		StragglerTimeoutS: c.cfg.StragglerTimeout.Seconds(),
-		FinalLingerS:      c.lingerSecs,
+		FinalLingerS:      c.linger.Seconds(),
 	}
 	leader := model.EpochNone
 	for _, zc := range c.zones {

@@ -9,10 +9,10 @@ import (
 	"log/slog"
 	"math/rand"
 	"net"
-	"os"
 	"sync"
 	"time"
 
+	"spire/internal/checkpoint"
 	"spire/internal/core"
 	"spire/internal/event"
 	"spire/internal/model"
@@ -82,7 +82,7 @@ type epochBatch struct {
 	epoch  model.Epoch
 	events []event.Event
 	fin    bool
-	sentAt time.Time // first submit time, for ack RTT; zero uninstrumented
+	sentAt time.Time // first submit time, for ack RTT
 
 	// wire is the batch's encoded frame (length prefix included), built
 	// once at first send and written verbatim on every replay. Owning
@@ -177,10 +177,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 // TraceConn attaches a connection flight recorder; nil detaches. Call
 // before RunBatches.
 func (w *Worker) TraceConn(rec *trace.ConnRecorder) { w.ctrace = rec }
-
-// timed reports whether the worker should read the clock for latency
-// metrics; uninstrumented runs take no timing branches.
-func (w *Worker) timed() bool { return w.tel != &noWorkerInstruments || w.ctrace != nil }
 
 // jitterBackoff spreads one backoff sleep uniformly over [d/2, d]
 // (full-jitter on the upper half). The cap keeps the upper bound at the
@@ -295,9 +291,7 @@ func (w *Worker) submit(ctx context.Context, b *epochBatch) error {
 	if b.epoch <= w.lastAcked {
 		return nil // already merged before a restart; nothing to send
 	}
-	if w.timed() {
-		b.sentAt = time.Now()
-	}
+	b.sentAt = time.Now()
 	w.buffer = append(w.buffer, b)
 	w.tel.EpochsSubmitted.Inc()
 	w.noteReplayDepth()
@@ -312,17 +306,13 @@ func (w *Worker) submit(ctx context.Context, b *epochBatch) error {
 	return nil
 }
 
-// noteReplayDepth refreshes the replay-depth gauge and high-water mark
-// from the current buffer.
+// noteReplayDepth refreshes the replay depth and high-water mark from
+// the current buffer.
 func (w *Worker) noteReplayDepth() {
 	depth := len(w.buffer)
-	w.tel.ReplayDepth.Set(int64(depth))
 	w.setStatus(func(s *WorkerStatus) {
 		s.ReplayDepth = depth
-		if depth > s.ReplayHighWater {
-			s.ReplayHighWater = depth
-			w.tel.ReplayHighWater.Set(int64(depth))
-		}
+		s.ReplayHighWater = max(s.ReplayHighWater, depth)
 	})
 }
 
@@ -387,11 +377,11 @@ func (w *Worker) ensureConn(ctx context.Context) error {
 		if errors.Is(err, stream.ErrProtocolVersion) {
 			return fmt.Errorf("federate: zone %d: %w", w.cfg.Zone, err)
 		}
-		w.tel.ConnectFailures.Inc()
-		w.setStatus(func(s *WorkerStatus) { s.ConnectFailures++ })
 		sleep := jitterBackoff(w.rng, backoff)
-		w.tel.BackoffMS.Set(sleep.Milliseconds())
-		w.setStatus(func(s *WorkerStatus) { s.BackoffMS = sleep.Milliseconds() })
+		w.setStatus(func(s *WorkerStatus) {
+			s.ConnectFailures++
+			s.BackoffMS = sleep.Milliseconds()
+		})
 		w.ctrace.Record(trace.ConnEvent{Kind: trace.ConnConnectFailed, Zone: int(w.cfg.Zone),
 			Detail: err.Error(), DurationMS: float64(sleep.Milliseconds())})
 		w.cfg.Log.Warn("connect failed", "zone", int(w.cfg.Zone), "attempt", attempt+1,
@@ -434,9 +424,7 @@ func (w *Worker) connectOnce(ctx context.Context) error {
 	w.rderr = make(chan error, 1)
 	go readAcks(conn, w.acks, w.rderr, w.tel.RxBytes)
 	w.handleAck(f.Epoch)
-	w.tel.Connects.Inc()
 	w.tel.Connected.Set(1)
-	w.tel.BackoffMS.Set(0)
 	w.setStatus(func(s *WorkerStatus) {
 		s.State = ZoneStreaming
 		s.Connects++
@@ -447,10 +435,7 @@ func (w *Worker) connectOnce(ctx context.Context) error {
 	w.cfg.Log.Info("connected", "zone", int(w.cfg.Zone), "coordinator_acked", int64(f.Epoch),
 		"replaying", len(w.buffer))
 	// Re-send whatever the coordinator is missing, oldest first.
-	var replayStart time.Time
-	if w.timed() && len(w.buffer) > 0 {
-		replayStart = time.Now()
-	}
+	replayStart := time.Now()
 	for _, b := range w.buffer {
 		if err := w.writeBatch(b); err != nil {
 			w.dropConn()
@@ -459,12 +444,9 @@ func (w *Worker) connectOnce(ctx context.Context) error {
 	}
 	if n := len(w.buffer); n > 0 {
 		w.tel.ReplayedEpochs.Add(int64(n))
-		var tookMS float64
-		if !replayStart.IsZero() {
-			tookMS = float64(time.Since(replayStart).Milliseconds())
-		}
 		w.ctrace.Record(trace.ConnEvent{Kind: trace.ConnReplay, Zone: int(w.cfg.Zone),
-			Epoch: w.buffer[n-1].epoch, Detail: fmt.Sprintf("%d epochs re-sent", n), DurationMS: tookMS})
+			Epoch: w.buffer[n-1].epoch, Detail: fmt.Sprintf("%d epochs re-sent", n),
+			DurationMS: float64(time.Since(replayStart).Milliseconds())})
 	}
 	return nil
 }
@@ -545,7 +527,6 @@ func (w *Worker) awaitAck(ctx context.Context) error {
 		return nil
 	case <-time.After(w.cfg.AckTimeout):
 		w.cfg.Log.Warn("ack stall", "zone", int(w.cfg.Zone), "timeout", w.cfg.AckTimeout.String())
-		w.tel.AckStalls.Inc()
 		w.setStatus(func(s *WorkerStatus) { s.AckStalls++ })
 		w.ctrace.Record(trace.ConnEvent{Kind: trace.ConnAckStall, Zone: int(w.cfg.Zone),
 			DurationMS: float64(w.cfg.AckTimeout.Milliseconds())})
@@ -565,9 +546,7 @@ func (w *Worker) handleAck(a model.Epoch) {
 	w.lastAcked = a
 	i := 0
 	for i < len(w.buffer) && w.buffer[i].epoch <= a {
-		if !w.buffer[i].sentAt.IsZero() {
-			w.tel.AckRTT.Observe(time.Since(w.buffer[i].sentAt).Seconds())
-		}
+		w.tel.AckRTT.Observe(time.Since(w.buffer[i].sentAt).Seconds())
 		i++
 	}
 	w.tel.EpochsAcked.Add(int64(i))
@@ -584,10 +563,7 @@ func (w *Worker) takeSnapshot(epoch model.Epoch) {
 	if w.cfg.CheckpointPath == "" {
 		return
 	}
-	var start time.Time
-	if w.timed() {
-		start = time.Now()
-	}
+	start := time.Now()
 	var buf bytes.Buffer
 	if err := w.cfg.Substrate.Snapshot(&buf); err != nil {
 		w.cfg.Log.Warn("snapshot failed", "zone", int(w.cfg.Zone), "epoch", int64(epoch), "err", err)
@@ -595,10 +571,7 @@ func (w *Worker) takeSnapshot(epoch model.Epoch) {
 	}
 	w.snapEpoch = epoch
 	w.snapData = buf.Bytes()
-	w.snapSecs = 0
-	if !start.IsZero() {
-		w.snapSecs = time.Since(start).Seconds()
-	}
+	w.snapSecs = time.Since(start).Seconds()
 	// The ack may already be past us (acks can outrun snapshots when the
 	// window is deep); persist immediately in that case.
 	w.persistSnapshot()
@@ -611,11 +584,12 @@ func (w *Worker) persistSnapshot() {
 		return
 	}
 	if w.snapEpoch != model.EpochNone && w.snapEpoch <= w.lastAcked {
-		var start time.Time
-		if w.timed() {
-			start = time.Now()
-		}
-		if err := writeFileAtomic(w.cfg.CheckpointPath, w.snapData); err != nil {
+		start := time.Now()
+		err := checkpoint.WriteFileAtomic(w.cfg.CheckpointPath, func(f io.Writer) error {
+			_, err := f.Write(w.snapData)
+			return err
+		})
+		if err != nil {
 			w.cfg.Log.Warn("checkpoint write failed", "zone", int(w.cfg.Zone), "err", err)
 			return
 		}
@@ -631,12 +605,4 @@ func (w *Worker) persistSnapshot() {
 		w.snapEpoch = model.EpochNone
 		w.snapData = nil
 	}
-}
-
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

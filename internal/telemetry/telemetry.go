@@ -182,6 +182,7 @@ type child struct {
 	ctr    *Counter
 	gauge  *Gauge
 	hist   *Histogram
+	fn     func() int64 // CounterFunc/GaugeFunc: the value, read at Snapshot
 }
 
 // family groups the children sharing a metric name; Prometheus requires
@@ -248,7 +249,7 @@ func escapeLabel(s string) string {
 // Returns nil if the registry is nil. Registering the same name and labels
 // twice returns the existing metric; re-registering a name with a
 // different kind panics (a wiring bug, not a runtime condition).
-func (r *Registry) lookup(name, help string, kind metricKind, buckets []float64, labels []string) *child {
+func (r *Registry) lookup(name, help string, kind metricKind, buckets []float64, fn func() int64, labels []string) *child {
 	if r == nil {
 		return nil
 	}
@@ -267,13 +268,14 @@ func (r *Registry) lookup(name, help string, kind metricKind, buckets []float64,
 			return c
 		}
 	}
-	c := &child{labels: ls}
-	switch kind {
-	case kindCounter:
+	c := &child{labels: ls, fn: fn}
+	switch {
+	case fn != nil:
+	case kind == kindCounter:
 		c.ctr = &Counter{}
-	case kindGauge:
+	case kind == kindGauge:
 		c.gauge = &Gauge{}
-	case kindHistogram:
+	case kind == kindHistogram:
 		h := &Histogram{bounds: append([]float64(nil), f.buckets...)}
 		if !slices.IsSorted(h.bounds) {
 			panic(fmt.Sprintf("telemetry: %s bucket bounds not sorted", name))
@@ -288,7 +290,7 @@ func (r *Registry) lookup(name, help string, kind metricKind, buckets []float64,
 // Counter registers (or finds) a counter. Labels are alternating key,
 // value pairs. Returns nil on a nil registry.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	c := r.lookup(name, help, kindCounter, nil, labels)
+	c := r.lookup(name, help, kindCounter, nil, nil, labels)
 	if c == nil {
 		return nil
 	}
@@ -297,18 +299,32 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 
 // Gauge registers (or finds) a gauge. Returns nil on a nil registry.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	c := r.lookup(name, help, kindGauge, nil, labels)
+	c := r.lookup(name, help, kindGauge, nil, nil, labels)
 	if c == nil {
 		return nil
 	}
 	return c.gauge
 }
 
+// CounterFunc registers a counter whose value is f's result at Snapshot
+// time, for a count some other structure already keeps; f must be
+// monotone and safe to call from any goroutine. The first registration
+// of a name and label set wins. No-op on a nil registry.
+func (r *Registry) CounterFunc(name, help string, f func() int64, labels ...string) {
+	r.lookup(name, help, kindCounter, nil, f, labels)
+}
+
+// GaugeFunc registers a gauge whose value is f's result at Snapshot
+// time (see CounterFunc). No-op on a nil registry.
+func (r *Registry) GaugeFunc(name, help string, f func() int64, labels ...string) {
+	r.lookup(name, help, kindGauge, nil, f, labels)
+}
+
 // Histogram registers (or finds) a histogram with the given bucket upper
 // bounds (sorted ascending; +Inf is implicit). The bounds of the first
 // registration win for the whole family. Returns nil on a nil registry.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...string) *Histogram {
-	c := r.lookup(name, help, kindHistogram, buckets, labels)
+	c := r.lookup(name, help, kindHistogram, buckets, nil, labels)
 	if c == nil {
 		return nil
 	}
@@ -339,7 +355,9 @@ type MetricSnapshot struct {
 // Snapshot returns every registered metric, sorted by name then label set.
 // The order is stable across calls with the same registrations, and
 // snapshotting mutates nothing, so back-to-back snapshots of quiescent
-// state are identical. Returns nil on a nil registry.
+// state are identical. Func-backed values are read after the registry
+// lock is released, so a value function may take its owner's locks.
+// Returns nil on a nil registry.
 func (r *Registry) Snapshot() []MetricSnapshot {
 	if r == nil {
 		return nil
@@ -358,12 +376,14 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 		slices.SortFunc(children, func(a, b *child) int { return strings.Compare(a.labels, b.labels) })
 		for _, c := range children {
 			m := MetricSnapshot{Name: f.name, Labels: c.labels, Help: f.help, Type: f.kind.String()}
-			switch f.kind {
-			case kindCounter:
+			switch {
+			case c.fn != nil:
+				m.Value = float64(c.fn())
+			case f.kind == kindCounter:
 				m.Value = float64(c.ctr.Value())
-			case kindGauge:
+			case f.kind == kindGauge:
 				m.Value = float64(c.gauge.Value())
-			case kindHistogram:
+			case f.kind == kindHistogram:
 				h := c.hist
 				var cum uint64
 				m.Buckets = make([]Bucket, 0, len(h.bounds)+1)

@@ -67,6 +67,39 @@ func TestCounterAndGauge(t *testing.T) {
 	}
 }
 
+// TestFuncMetrics: a CounterFunc or GaugeFunc child reports its
+// function's value at each Snapshot, renders like any other child of its
+// kind, and keeps its first registration.
+func TestFuncMetrics(t *testing.T) {
+	r := NewRegistry()
+	var n, depth int64
+	r.CounterFunc("spire_fn_total", "A count kept elsewhere.", func() int64 { return n }, "zone", "0")
+	r.GaugeFunc("spire_fn_depth", "A depth kept elsewhere.", func() int64 { return depth })
+	r.GaugeFunc("spire_fn_depth", "A depth kept elsewhere.", func() int64 { return -1 })
+	n, depth = 3, 7
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP spire_fn_depth A depth kept elsewhere.
+# TYPE spire_fn_depth gauge
+spire_fn_depth 7
+# HELP spire_fn_total A count kept elsewhere.
+# TYPE spire_fn_total counter
+spire_fn_total{zone="0"} 3
+`
+	if got := sb.String(); got != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+	n = 4
+	if snap := r.Snapshot(); snap[1].Value != 4 {
+		t.Errorf("second snapshot reads %v, want the function's new value 4", snap[1].Value)
+	}
+	var nilReg *Registry
+	nilReg.CounterFunc("x", "", func() int64 { return 1 })
+	nilReg.GaugeFunc("x", "", func() int64 { return 1 })
+}
+
 func TestKindConflictPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("spire_conflict", "")

@@ -15,9 +15,10 @@
 // Two properties drive the design, mirroring the telemetry layer:
 //
 //   - Transparent disablement. Every method is a no-op on a nil
-//     *Recorder, and producers gate their recording calls on rec != nil,
-//     so the untraced hot path takes no extra clock reads and no
-//     allocations. Recording is observation-only: a traced run produces
+//     *Recorder, and producers skip building records when rec is nil,
+//     so the untraced hot path allocates nothing for tracing. Span
+//     timings come from the substrate's stage clock, which runs traced or
+//     not. Recording is observation-only: a traced run produces
 //     byte-identical event streams, stores, and checkpoints (pinned by
 //     the transparency tests in internal/core).
 //
@@ -176,47 +177,24 @@ const (
 	DropConfirmation  int32 = 2
 )
 
-// Config sizes a Recorder. The zero value of any field selects its
-// default.
+// Config sizes a Recorder.
 type Config struct {
 	// Epochs is the flight-recorder capacity: how many of the most recent
-	// epoch spans are retained. Default 256.
+	// epoch spans are retained. Zero selects 256.
 	Epochs int
-	// PerTag is the per-tag record ring capacity. Default 32.
-	PerTag int
-	// MaxTags caps the number of distinct tags with live record rings;
-	// further tags are counted but not stored. Default 65536.
-	MaxTags int
 	// All traces every tag; otherwise only Tags are traced. With neither,
 	// the recorder keeps the flight ring and mechanism counters only.
 	All  bool
 	Tags []model.Tag
-	// ConflictStorm flags an epoch span as anomalous when at least this
-	// many conflict-resolution decisions fired. Default 32.
-	ConflictStorm int
-	// EdgeChurn flags an epoch span when at least this many edges were
-	// dropped or pruned. Default 1024.
-	EdgeChurn int
 }
 
-func (c Config) withDefaults() Config {
-	if c.Epochs <= 0 {
-		c.Epochs = 256
-	}
-	if c.PerTag <= 0 {
-		c.PerTag = 32
-	}
-	if c.MaxTags <= 0 {
-		c.MaxTags = 1 << 16
-	}
-	if c.ConflictStorm <= 0 {
-		c.ConflictStorm = 32
-	}
-	if c.EdgeChurn <= 0 {
-		c.EdgeChurn = 1024
-	}
-	return c
-}
+// The recorder's fixed bounds and anomaly thresholds.
+const (
+	perTag        = 32      // records kept per traced tag
+	maxTags       = 1 << 16 // tags with live rings; further tags' records are counted as dropped
+	conflictStorm = 32      // conflict-resolution decisions that flag an epoch span
+	edgeChurn     = 1024    // dropped or pruned edges that flag an epoch span
+)
 
 // ParseTags parses a -trace-tags flag value: "all", "" (no per-tag
 // tracing), or a comma-separated list of decimal tags.
@@ -281,8 +259,7 @@ func (r *tagRing) snapshot() []Record {
 
 // Recorder captures provenance records and epoch spans. A nil *Recorder
 // is the disabled mode: every method is a no-op (or returns a zero
-// value), and producers additionally gate their recording code on
-// rec != nil so disabled runs take no extra clock reads.
+// value), and producers gate the work of building records on rec != nil.
 type Recorder struct {
 	cfg    Config
 	all    bool
@@ -299,9 +276,11 @@ type Recorder struct {
 	droppedTags int64 // records lost to the MaxTags cap
 }
 
-// New creates a Recorder. Fields of cfg left zero take their defaults.
+// New creates a Recorder.
 func New(cfg Config) *Recorder {
-	cfg = cfg.withDefaults()
+	if cfg.Epochs <= 0 {
+		cfg.Epochs = 256
+	}
 	rec := &Recorder{
 		cfg:       cfg,
 		all:       cfg.All,
@@ -351,12 +330,12 @@ func (rec *Recorder) Record(r Record) {
 	if rec.all || rec.filter[r.Tag] {
 		ring := rec.tags[r.Tag]
 		if ring == nil {
-			if len(rec.tags) >= rec.cfg.MaxTags {
+			if len(rec.tags) >= maxTags {
 				rec.droppedTags++
 				rec.mu.Unlock()
 				return
 			}
-			ring = &tagRing{recs: make([]Record, rec.cfg.PerTag)}
+			ring = &tagRing{recs: make([]Record, perTag)}
 			rec.tags[r.Tag] = ring
 		}
 		ring.push(r)
@@ -406,10 +385,10 @@ func (rec *Recorder) EndEpoch(span Span) {
 	span.EdgesDropped = rec.counts[MechEdgeDropped] + rec.counts[MechEdgePruned]
 	span.Confirmations = rec.counts[MechConfirmed]
 	span.Resurrections = rec.counts[MechResurrected]
-	if span.Conflicts >= int64(rec.cfg.ConflictStorm) {
+	if span.Conflicts >= conflictStorm {
 		span.Anomalies = append(span.Anomalies, AnomalyConflictStorm)
 	}
-	if span.EdgesDropped >= int64(rec.cfg.EdgeChurn) {
+	if span.EdgesDropped >= edgeChurn {
 		span.Anomalies = append(span.Anomalies, AnomalyEdgeChurn)
 	}
 	if rec.lastEpoch != model.EpochNone && span.Epoch > rec.lastEpoch+1 {
@@ -477,7 +456,7 @@ func (rec *Recorder) TracedTags() []model.Tag {
 	return out
 }
 
-// DroppedTags reports how many records were discarded because the MaxTags
+// DroppedTags reports how many records were discarded because the maxTags
 // cap was reached. Zero on a nil receiver.
 func (rec *Recorder) DroppedTags() int64 {
 	if rec == nil {

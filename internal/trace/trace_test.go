@@ -86,8 +86,7 @@ func TestNilRecorderNoOps(t *testing.T) {
 // records a tag accumulates, the retained window is exactly the ring
 // capacity, holding the newest records in order.
 func TestTagRingBounded(t *testing.T) {
-	const perTag = 8
-	rec := New(Config{All: true, PerTag: perTag})
+	rec := New(Config{All: true})
 	const total = 10 * perTag
 	for i := 0; i < total; i++ {
 		rec.Record(Record{Epoch: model.Epoch(i), Tag: 42, Mech: MechDirectRead, Aux: int32(i)})
@@ -125,14 +124,25 @@ func TestFlightRingBounded(t *testing.T) {
 }
 
 // TestMaxTagsCap: past the cap, records of new tags are counted as
-// dropped instead of growing the tag map without bound.
+// dropped instead of growing the tag map without bound. All but four of
+// the cap's rings are planted as one shared ring, so the test reaches
+// the cap without allocating a ring per tag.
 func TestMaxTagsCap(t *testing.T) {
-	rec := New(Config{All: true, MaxTags: 4})
+	rec := New(Config{All: true})
+	planted := &tagRing{recs: make([]Record, perTag)}
+	for g := model.Tag(1 << 32); len(rec.tags) < maxTags-4; g++ {
+		rec.tags[g] = planted
+	}
 	for g := model.Tag(1); g <= 10; g++ {
 		rec.Record(Record{Epoch: 1, Tag: g, Mech: MechDirectRead})
 	}
-	if got := len(rec.TracedTags()); got != 4 {
-		t.Errorf("tag rings = %d, want cap 4", got)
+	if got := len(rec.TracedTags()); got != maxTags {
+		t.Errorf("tag rings = %d, want cap %d", got, maxTags)
+	}
+	for g := model.Tag(1); g <= 10; g++ {
+		if kept := len(rec.TagRecords(g)) == 1; kept != (g <= 4) {
+			t.Errorf("tag %d kept = %v, want the first four new tags kept", g, kept)
+		}
 	}
 	if got := rec.DroppedTags(); got != 6 {
 		t.Errorf("dropped = %d, want 6", got)
@@ -153,21 +163,31 @@ func TestFilteredTracing(t *testing.T) {
 
 // TestEndEpochCountersAndAnomalies: EndEpoch aggregates the epoch's
 // mechanism counts into the span and flags conflict storms, edge churn,
-// and epoch gaps.
+// and epoch gaps, each exactly at its threshold.
 func TestEndEpochCountersAndAnomalies(t *testing.T) {
-	rec := New(Config{ConflictStorm: 3, EdgeChurn: 4})
+	rec := New(Config{})
 
+	// One conflict short of a storm: counted, not flagged.
 	rec.BeginEpoch(1)
-	rec.Record(Record{Epoch: 1, Tag: 1, Mech: MechRuleI})
-	rec.Record(Record{Epoch: 1, Tag: 2, Mech: MechRuleII})
-	rec.Record(Record{Epoch: 1, Tag: 3, Mech: MechMajorityPoll})
-	rec.Record(Record{Epoch: 1, Tag: 4, Mech: MechEdgeCreated})
-	rec.Record(Record{Epoch: 1, Tag: 4, Mech: MechConfirmed})
+	for i := 0; i < conflictStorm-1; i++ {
+		rec.Record(Record{Epoch: 1, Tag: 1, Mech: MechRuleI})
+	}
 	rec.EndEpoch(Span{Epoch: 1})
+	if sp := rec.Spans()[0]; sp.Conflicts != conflictStorm-1 || len(sp.Anomalies) != 0 {
+		t.Errorf("below the storm threshold: %+v", sp)
+	}
+
+	rec.BeginEpoch(2)
+	for i := 0; i < conflictStorm; i++ {
+		rec.Record(Record{Epoch: 2, Tag: model.Tag(i), Mech: []Mechanism{MechRuleI, MechRuleII, MechRuleIII, MechMajorityPoll}[i%4]})
+	}
+	rec.Record(Record{Epoch: 2, Tag: 4, Mech: MechEdgeCreated})
+	rec.Record(Record{Epoch: 2, Tag: 4, Mech: MechConfirmed})
+	rec.EndEpoch(Span{Epoch: 2})
 
 	spans := rec.Spans()
 	sp := spans[len(spans)-1]
-	if sp.Conflicts != 3 || sp.EdgesCreated != 1 || sp.Confirmations != 1 {
+	if sp.Conflicts != conflictStorm || sp.EdgesCreated != 1 || sp.Confirmations != 1 {
 		t.Errorf("span counters wrong: %+v", sp)
 	}
 	if len(sp.Anomalies) != 1 || sp.Anomalies[0] != AnomalyConflictStorm {
@@ -177,7 +197,7 @@ func TestEndEpochCountersAndAnomalies(t *testing.T) {
 	// Counters reset between epochs; dropped+pruned edges flag churn, and
 	// skipping epoch 3 flags a gap.
 	rec.BeginEpoch(4)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < edgeChurn/2; i++ {
 		rec.Record(Record{Epoch: 4, Tag: 9, Mech: MechEdgeDropped})
 		rec.Record(Record{Epoch: 4, Tag: 9, Mech: MechEdgePruned})
 	}
@@ -187,8 +207,8 @@ func TestEndEpochCountersAndAnomalies(t *testing.T) {
 	if sp.Conflicts != 0 {
 		t.Errorf("conflict counter leaked across epochs: %+v", sp)
 	}
-	if sp.EdgesDropped != 4 {
-		t.Errorf("edges dropped = %d, want 4", sp.EdgesDropped)
+	if sp.EdgesDropped != edgeChurn {
+		t.Errorf("edges dropped = %d, want %d", sp.EdgesDropped, edgeChurn)
 	}
 	wantAnoms := map[string]bool{AnomalyEdgeChurn: true, AnomalyEpochGap: true}
 	if len(sp.Anomalies) != 2 || !wantAnoms[sp.Anomalies[0]] || !wantAnoms[sp.Anomalies[1]] {
