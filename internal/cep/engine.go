@@ -5,6 +5,7 @@ import (
 
 	"spire/internal/event"
 	"spire/internal/model"
+	"spire/internal/ring"
 )
 
 // Config bounds per-subscription engine state.
@@ -78,12 +79,8 @@ type subscription struct {
 	runHead, runTail *run
 	nrun             int
 
-	// Bounded match ring.
-	ring    []Match
-	rstart  int
-	rlen    int
+	matches ring.Ring[Match] // overwrites count as backpressure drops
 	total   uint64
-	dropped uint64
 	evicted uint64
 }
 
@@ -155,7 +152,7 @@ func (e *Engine) SubscribeFunc(src string, fn func(Match)) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.nextID++
-	s := &subscription{id: e.nextID, pat: p, fn: fn}
+	s := &subscription{id: e.nextID, pat: p, fn: fn, matches: ring.New[Match](e.cfg.MaxMatches)}
 	e.subs[s.id] = s
 	for k := event.StartLocation; k <= event.Missing; k++ {
 		if !p.Steps[0].Kinds.Has(k) {
@@ -287,11 +284,7 @@ func (e *Engine) Matches(id int) (ms []Match, st SubStats, ok bool) {
 	if !found {
 		return nil, SubStats{}, false
 	}
-	ms = make([]Match, 0, s.rlen)
-	for i := 0; i < s.rlen; i++ {
-		ms = append(ms, s.ring[(s.rstart+i)%len(s.ring)])
-	}
-	return ms, e.statsOf(s), true
+	return s.matches.AppendTo(make([]Match, 0, s.matches.Len())), e.statsOf(s), true
 }
 
 // Subscriptions lists the live subscriptions' stats, ascending by id.
@@ -313,7 +306,7 @@ func (e *Engine) Subscriptions() []SubStats {
 func (e *Engine) statsOf(s *subscription) SubStats {
 	return SubStats{
 		ID: s.id, Pattern: s.pat.String(), Runs: s.nrun,
-		Matches: s.total, Buffer: s.rlen, Dropped: s.dropped, Evicted: s.evicted,
+		Matches: s.total, Buffer: s.matches.Len(), Dropped: uint64(s.matches.Overwritten()), Evicted: s.evicted,
 	}
 }
 
@@ -481,39 +474,17 @@ func (e *Engine) resolve(r *run) {
 	e.killRun(r)
 }
 
-// emit appends a match to the subscription's bounded ring, growing it
-// geometrically up to the cap and then dropping the oldest buffered match
+// emit appends a match to the subscription's bounded ring, which grows
+// geometrically up to the cap and then drops the oldest buffered match
 // on overflow.
 func (e *Engine) emit(s *subscription, m Match) {
 	s.total++
 	if e.tel != nil {
 		e.tel.Matches.Inc()
 	}
-	if s.rlen == len(s.ring) {
-		if len(s.ring) < e.cfg.MaxMatches {
-			n := 2 * len(s.ring)
-			if n == 0 {
-				n = 16
-			}
-			if n > e.cfg.MaxMatches {
-				n = e.cfg.MaxMatches
-			}
-			ring := make([]Match, n)
-			for i := 0; i < s.rlen; i++ {
-				ring[i] = s.ring[(s.rstart+i)%len(s.ring)]
-			}
-			s.ring, s.rstart = ring, 0
-		} else {
-			s.rstart = (s.rstart + 1) % len(s.ring)
-			s.rlen--
-			s.dropped++
-			if e.tel != nil {
-				e.tel.Dropped.Inc()
-			}
-		}
+	if s.matches.Push(m) && e.tel != nil {
+		e.tel.Dropped.Inc()
 	}
-	s.ring[(s.rstart+s.rlen)%len(s.ring)] = m
-	s.rlen++
 	if s.fn != nil {
 		s.fn(m)
 	}

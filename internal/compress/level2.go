@@ -54,7 +54,7 @@ func (c *Level2) Compress(res *inference.Result) []event.Event {
 				st.lastKnown = loc
 			}
 			st.missing = !loc.Known()
-			if c.rec != nil && c.rec.Traces(obj) {
+			if c.rec.Traces(obj) {
 				c.rec.Record(trace.Record{
 					Epoch: now, Tag: obj, Mech: trace.MechSuppressed,
 					Loc: st.lastKnown, Other: st.parent,

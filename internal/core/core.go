@@ -259,14 +259,13 @@ func (s *Substrate) ProcessBatch(b *model.Batch) (*EpochOutput, error) {
 	// that enabling telemetry or tracing changes no output byte.
 	tel, rec := s.tel, s.rec
 	clock := stageClock{last: time.Now()}
-	rec.BeginEpoch(now)
 	if tel != nil {
 		tel.IngestReadings.Add(rawReadings)
 		tel.IngestBatchBytes.Add(b.SizeBytes())
 	}
 
 	s.dedup.CleanBatch(b)
-	s.filterRetired(b)
+	resurrected := s.filterRetired(b)
 	clock.dedup = clock.lap()
 
 	readers := s.groupReaders[:0]
@@ -292,7 +291,7 @@ func (s *Substrate) ProcessBatch(b *model.Batch) (*EpochOutput, error) {
 		res.CopyTo(raw)
 	}
 	clock.infer = clock.lap()
-	inference.ResolveConflicts(res, levelOf, rec)
+	conflicts := inference.ResolveConflicts(res, levelOf, rec)
 	clock.conflict = clock.lap()
 
 	out := &EpochOutput{Result: res, RawResult: raw, Mode: mode}
@@ -347,11 +346,14 @@ func (s *Substrate) ProcessBatch(b *model.Batch) (*EpochOutput, error) {
 		tel.Comp.Record(openLocs, openConts, len(out.Events), evBytes)
 	}
 	if rec != nil {
+		gst := s.graph.LastStats()
 		rec.EndEpoch(trace.Span{
 			Epoch: now, Partial: res.Partial,
 			Readings: rawReadings, Events: int64(len(out.Events)), Bytes: evBytes, Retired: int64(len(retired)),
 			DedupNS: clock.dedup.Nanoseconds(), UpdateNS: clock.update.Nanoseconds(), InferNS: clock.infer.Nanoseconds(),
 			ConflictNS: clock.conflict.Nanoseconds(), CompressNS: clock.compress.Nanoseconds(),
+			Conflicts: conflicts, EdgesCreated: gst.EdgesCreated, Confirmations: gst.Confirmations,
+			EdgesDropped: gst.EdgesDropped + int64(s.inf.LastStats().EdgesPruned), Resurrections: resurrected,
 		})
 	}
 	return out, nil
@@ -385,10 +387,10 @@ func (c *stageClock) lap() time.Duration {
 // the receiving belt): the tag is resurrected and processed normally.
 // Dedup has already picked each tag's reader, and its directory carries
 // the retired mark of every kept reading. Without exit locations no tag
-// is ever retired.
-func (s *Substrate) filterRetired(b *model.Batch) {
+// is ever retired. It returns the number of tags resurrected.
+func (s *Substrate) filterRetired(b *model.Batch) (resurrected int64) {
 	if len(s.exits) == 0 {
-		return
+		return 0
 	}
 	w := int32(0)
 	for i := range b.Groups {
@@ -403,7 +405,8 @@ func (s *Substrate) filterRetired(b *model.Batch) {
 					continue // residual reading of a departed object
 				}
 				s.dedup.ResurrectAt(p) // wrongly retired
-				if s.rec != nil {
+				resurrected++
+				if s.rec.Traces(g) {
 					s.rec.Record(trace.Record{
 						Epoch: b.Time, Tag: g, Mech: trace.MechResurrected,
 						Loc: model.LocationNone, Reader: gr.Reader,
@@ -416,6 +419,7 @@ func (s *Substrate) filterRetired(b *model.Batch) {
 		gr.Start, gr.End = start, w
 	}
 	b.Tags = b.Tags[:w]
+	return resurrected
 }
 
 // exitSet collects the objects retiring this epoch: those observed at an

@@ -64,7 +64,6 @@ func warmInstrumented(tb testing.TB) (*Substrate, *model.Batch) {
 // Nil tel and rec is the unobserved baseline.
 func hotEpoch(tb testing.TB, sub *Substrate, b *model.Batch, now model.Epoch, tel *Instruments, rec *trace.Recorder) {
 	clock := stageClock{last: time.Now()}
-	rec.BeginEpoch(now)
 	b.Time = now
 	readers := sub.groupReaders[:0]
 	for i := range b.Groups {
@@ -146,12 +145,10 @@ func TestInstrumentedHotPathAllocs(t *testing.T) {
 			instrumented, baseline)
 	}
 
-	// The same bar holds for tracing. A recorder with no traced tags still
-	// rides the hot loop (flight spans, mechanism counters) but keeps all
-	// per-tag storage off; its records land in preallocated rings, so the
-	// untraced-tags hot path must match the baseline exactly. The fully
-	// disabled mode (nil recorder) is gated out before any call and cannot
-	// do better than this.
+	// The same bar holds for tracing. A recorder takes records for traced
+	// tags only, and spans carry counts the pipeline keeps anyway, so a
+	// recorder with no traced tags must match the baseline exactly. The
+	// fully disabled mode (nil recorder) cannot do better than this.
 	recOff := trace.New(trace.Config{})
 	sub.graph.SetTracer(recOff)
 	sub.inf.SetTracer(recOff)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"spire/internal/event"
@@ -195,5 +196,42 @@ func TestGoldenScenariosTraced(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSpanCountsIndependentOfTracedTags: a span's decision counts come
+// from the stages that decide, so a spans-only recorder reports exactly
+// what an all-tags recorder does, epoch for epoch.
+func TestSpanCountsIndependentOfTracedTags(t *testing.T) {
+	obsTrace, s := buildTrace(t, 400)
+	run := func(cfg trace.Config) []trace.Span {
+		cfg.Epochs = len(obsTrace)
+		rec := trace.New(cfg)
+		sub := newSubstrate(t, s, Level2)
+		sub.Trace(rec)
+		for _, o := range obsTrace {
+			if _, err := sub.ProcessBatch(o.Clone()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rec.Spans()
+	}
+	spansOnly, all := run(trace.Config{}), run(trace.Config{All: true})
+	if len(spansOnly) != len(obsTrace) || len(all) != len(obsTrace) {
+		t.Fatalf("spans: %d spans-only, %d all-tags; want %d each", len(spansOnly), len(all), len(obsTrace))
+	}
+	var conflicts, created int64
+	for i, a := range spansOnly {
+		b := all[i]
+		if a.Conflicts != b.Conflicts || a.EdgesCreated != b.EdgesCreated || a.EdgesDropped != b.EdgesDropped ||
+			a.Confirmations != b.Confirmations || a.Resurrections != b.Resurrections ||
+			!slices.Equal(a.Anomalies, b.Anomalies) {
+			t.Fatalf("epoch %d: spans-only %+v, all-tags %+v", a.Epoch, a, b)
+		}
+		conflicts += a.Conflicts
+		created += a.EdgesCreated
+	}
+	if conflicts == 0 || created == 0 {
+		t.Errorf("vacuous run: %d conflicts, %d edges created", conflicts, created)
 	}
 }

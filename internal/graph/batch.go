@@ -8,6 +8,7 @@ import "spire/internal/model"
 // readers after the epoch). A malformed tag errors mid-stream, with the
 // earlier groups already applied.
 func (g *Graph) UpdateBatch(b *model.Batch, readers []*model.Reader) error {
+	g.stats = UpdateStats{}
 	for i := range b.Groups {
 		if readers[i] == nil {
 			continue
@@ -18,3 +19,13 @@ func (g *Graph) UpdateBatch(b *model.Batch, readers []*model.Reader) error {
 	}
 	return nil
 }
+
+// UpdateStats counts one UpdateBatch's Fig. 4 decisions for the flight
+// recorder: edges created (step 2), dropped (step 3) and confirmed by a
+// special reader (step 4).
+type UpdateStats struct {
+	EdgesCreated, EdgesDropped, Confirmations int64
+}
+
+// LastStats returns the decisions of the most recent UpdateBatch.
+func (g *Graph) LastStats() UpdateStats { return g.stats }

@@ -269,7 +269,8 @@ type Graph struct {
 
 	// rec is the optional decision-provenance recorder (nil when
 	// untraced); see trace.go. Recording never mutates graph state.
-	rec *trace.Recorder
+	rec   *trace.Recorder
+	stats UpdateStats // the running UpdateBatch's decisions; see LastStats
 }
 
 // New creates an empty graph.
@@ -366,7 +367,8 @@ func (g *Graph) AddEdge(parent, child *Node, now model.Epoch) *Edge {
 	parent.children = slices.Insert(parent.children, ci, e)
 	g.edges++
 	g.unionComponents(parent.comp, child.comp, now)
-	if g.rec != nil {
+	g.stats.EdgesCreated++
+	if g.rec.Traces(child.Tag) {
 		g.rec.Record(trace.Record{
 			Epoch: now, Tag: child.Tag, Mech: trace.MechEdgeCreated,
 			Loc: model.LocationNone, Other: parent.Tag,

@@ -65,7 +65,7 @@ func (g *Graph) Update(reader *model.Reader, tags []model.Tag, now model.Epoch) 
 		n.SeenAt = now
 		g.colored[lvl][c] = append(g.colored[lvl][c], n)
 		batch[lvl] = append(batch[lvl], n)
-		if g.rec != nil && g.rec.Traces(tag) {
+		if g.rec.Traces(tag) {
 			g.rec.Record(trace.Record{
 				Epoch: now, Tag: tag, Mech: trace.MechDirectRead,
 				Loc: c, Reader: reader.ID,
@@ -189,11 +189,14 @@ func (g *Graph) visitEdges(v *Node, c model.LocationID, now model.Epoch, reader 
 			e.History.SetRecent(true)
 			if confirmParent != nil {
 				if p, ok := confirmParent[e.Child.Tag]; ok && p == e.Parent.Tag {
-					if g.rec != nil && e.Child.ConfirmedEdge != e {
-						g.rec.Record(trace.Record{
-							Epoch: now, Tag: e.Child.Tag, Mech: trace.MechConfirmed,
-							Loc: c, Other: e.Parent.Tag, Reader: reader,
-						})
+					if e.Child.ConfirmedEdge != e {
+						g.stats.Confirmations++
+						if g.rec.Traces(e.Child.Tag) {
+							g.rec.Record(trace.Record{
+								Epoch: now, Tag: e.Child.Tag, Mech: trace.MechConfirmed,
+								Loc: c, Other: e.Parent.Tag, Reader: reader,
+							})
+						}
 					}
 					e.Child.ConfirmedEdge = e
 					e.Child.ConfirmedAt = now
@@ -241,9 +244,11 @@ func (g *Graph) visitEdges(v *Node, c model.LocationID, now model.Epoch, reader 
 	}
 }
 
-// recordDrop records a step-3 edge removal when tracing is enabled.
+// recordDrop counts a step-3 edge removal and records it when the child
+// is traced.
 func (g *Graph) recordDrop(e *Edge, now model.Epoch, reader model.ReaderID, reason int32) {
-	if g.rec == nil {
+	g.stats.EdgesDropped++
+	if !g.rec.Traces(e.Child.Tag) {
 		return
 	}
 	g.rec.Record(trace.Record{

@@ -18,7 +18,6 @@ import (
 func newTraceServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	rec := trace.New(trace.Config{All: true})
-	rec.BeginEpoch(5)
 	rec.Record(trace.Record{Epoch: 5, Tag: 10, Mech: trace.MechDirectRead, Loc: 1, Reader: 2})
 	rec.Record(trace.Record{Epoch: 5, Tag: 20, Mech: trace.MechEdgeInference, Other: 10, Prob: 0.8})
 	rec.Record(trace.Record{Epoch: 5, Tag: 20, Mech: trace.MechRuleI, Loc: 1, Other: 10})

@@ -34,11 +34,11 @@ import (
 // it is supplied by the caller so this package stays decoupled from the
 // tag codec.
 //
-// rec, when non-nil, receives decision provenance: every Table I rule
-// firing (and the children's majority poll preceding Rules II-III) is
-// recorded against the affected tag. A nil recorder records nothing and
-// costs no extra work.
-func ResolveConflicts(res *Result, levelOf func(model.Tag) model.Level, rec *trace.Recorder) {
+// It returns the number of Table I decisions: rule firings plus the
+// children's majority polls that moved a parent (the preamble of Rules
+// II-III). rec receives each decision about a traced tag as provenance;
+// a nil recorder records nothing and costs no extra work.
+func ResolveConflicts(res *Result, levelOf func(model.Tag) model.Level, rec *trace.Recorder) (decisions int64) {
 	rows := res.Rows()
 	// A sparse-form result is resolved in row form from here on.
 	res.Locations, res.Parents, res.Observed = nil, nil, nil
@@ -112,11 +112,14 @@ func ResolveConflicts(res *Result, levelOf func(model.Tag) model.Level, rec *tra
 				}
 			}
 			if best.p*2 > total {
-				if rec != nil && ploc != best.loc && rec.Traces(p) {
-					rec.Record(trace.Record{
-						Epoch: res.Now, Tag: p, Mech: trace.MechMajorityPoll,
-						Loc: best.loc, Aux: int32(best.p),
-					})
+				if ploc != best.loc {
+					decisions++
+					if rec.Traces(p) {
+						rec.Record(trace.Record{
+							Epoch: res.Now, Tag: p, Mech: trace.MechMajorityPoll,
+							Loc: best.loc, Aux: int32(best.p),
+						})
+					}
 				}
 				ploc = best.loc
 				prow.Location = ploc
@@ -128,12 +131,13 @@ func ResolveConflicts(res *Result, levelOf func(model.Tag) model.Level, rec *tra
 			if cloc == ploc {
 				continue
 			}
+			decisions++
 			switch {
 			case c.Observed && !prow.Observed:
 				// Rule II: an observed child that still disagrees ends its
 				// containment — we report that the child has no container.
 				c.Parent = model.NoTag
-				if rec != nil && rec.Traces(c.Tag) {
+				if rec.Traces(c.Tag) {
 					rec.Record(trace.Record{
 						Epoch: res.Now, Tag: c.Tag, Mech: trace.MechRuleII,
 						Loc: cloc, Other: p,
@@ -145,7 +149,7 @@ func ResolveConflicts(res *Result, levelOf func(model.Tag) model.Level, rec *tra
 				// single consistent epoch; keep the observations and end
 				// the containment defensively.
 				c.Parent = model.NoTag
-				if rec != nil && rec.Traces(c.Tag) {
+				if rec.Traces(c.Tag) {
 					rec.Record(trace.Record{
 						Epoch: res.Now, Tag: c.Tag, Mech: trace.MechRuleII,
 						Loc: cloc, Other: p, Aux: 1,
@@ -158,7 +162,7 @@ func ResolveConflicts(res *Result, levelOf func(model.Tag) model.Level, rec *tra
 				if settled[pi] {
 					settled[k.child] = true
 				}
-				if rec != nil && rec.Traces(c.Tag) {
+				if rec.Traces(c.Tag) {
 					mech := trace.MechRuleIII
 					if prow.Observed {
 						mech = trace.MechRuleI
@@ -171,6 +175,7 @@ func ResolveConflicts(res *Result, levelOf func(model.Tag) model.Level, rec *tra
 			}
 		}
 	}
+	return decisions
 }
 
 // childPair is one chosen containment (rows[child] in parent), keyed for

@@ -123,15 +123,16 @@ func findRow(rows []Verdict, tag model.Tag) (int, bool) {
 	return slices.BinarySearchFunc(rows, tag, func(v Verdict, t model.Tag) int { return cmp.Compare(v.Tag, t) })
 }
 
-// PassStats summarizes one Infer call for telemetry: how many connected
-// components were swept versus skipped, and how many nodes the sweep
-// covered. A component is "clean" when partial inference skipped it: it
+// PassStats summarizes one Infer call for telemetry and the flight
+// recorder: how many connected components were swept versus skipped, how
+// many nodes the sweep covered, and how many edges it pruned. A component is "clean" when partial inference skipped it: it
 // had no reading this epoch and therefore lies outside every halo.
 // Complete inference sweeps every component.
 type PassStats struct {
 	DirtyComponents int // components swept this pass
 	CleanComponents int // components skipped by partial inference
 	NodesInferred   int // nodes that went through edge/node inference
+	EdgesPruned     int // low-confidence edges pruned (§IV-C)
 	NodesCached     int // always zero; kept until benchmark/ stops reading it
 }
 
@@ -345,7 +346,7 @@ func (inf *Inferencer) sweepComponent(g *graph.Graph, c *graph.Component, mode M
 // Eq. 2 normalizer is summed in an order fixed by the graph alone and the
 // lowest tag wins a confidence tie by being met first.
 func (inf *Inferencer) edgeInference(g *graph.Graph, n *graph.Node) model.Tag {
-	traced := inf.rec != nil && inf.rec.Traces(n.Tag)
+	traced := inf.rec.Traces(n.Tag)
 	if n.NumParents() == 0 {
 		if traced {
 			inf.recordEdgeChoice(n.Tag, model.NoTag, 0, 0)
@@ -377,8 +378,9 @@ func (inf *Inferencer) edgeInference(g *graph.Graph, n *graph.Node) model.Tag {
 			best, bestConf = e, conf
 		}
 	}
+	inf.stats.EdgesPruned += len(inf.pruned)
 	for _, e := range inf.pruned {
-		if inf.rec != nil {
+		if traced {
 			inf.rec.Record(trace.Record{
 				Epoch: inf.now, Tag: e.Child.Tag, Mech: trace.MechEdgePruned,
 				Loc: model.LocationNone, Other: e.Parent.Tag,
@@ -460,7 +462,7 @@ func (inf *Inferencer) nodeInference(n *graph.Node) model.LocationID {
 		}
 	}
 	n.InferLoc, n.LocStamp = best, inf.stamp
-	if inf.rec != nil && inf.rec.Traces(n.Tag) {
+	if inf.rec.Traces(n.Tag) {
 		inf.rec.Record(trace.Record{
 			Epoch: inf.now, Tag: n.Tag, Mech: trace.MechNodeInference,
 			Loc: best, Prob: bestP, Aux: int32(len(inf.props)),

@@ -82,9 +82,6 @@ func (w *World) SetNow(t Epoch) {
 // "unknown" location).
 func (w *World) Locations() []Location { return w.locations }
 
-// NumLocations returns the number of pre-defined locations.
-func (w *World) NumLocations() int { return len(w.locations) }
-
 // Enter adds a new object to the world at the given location.
 func (w *World) Enter(tag Tag, lvl Level, loc LocationID) (*ObjectState, error) {
 	if tag == NoTag {

@@ -215,9 +215,6 @@ func (s *Simulator) ColdShelf() model.LocationID { return s.locShelf0 }
 // PackagingLocation returns the outbound pallet-assembly area.
 func (s *Simulator) PackagingLocation() model.LocationID { return s.locPack }
 
-// ExitLocation returns the exit door.
-func (s *Simulator) ExitLocation() model.LocationID { return s.locExit }
-
 // Departed returns the tags that left the world during the last Step.
 func (s *Simulator) Departed() []model.Tag { return s.departed }
 

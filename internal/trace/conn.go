@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"spire/internal/model"
+	"spire/internal/ring"
 )
 
 // ConnEventKind labels one entry of the federate connection flight
@@ -48,11 +49,8 @@ type ConnEvent struct {
 // recorder: instrumented code records unconditionally, and whether a
 // recorder is attached is decided once at wiring time.
 type ConnRecorder struct {
-	mu      sync.Mutex
-	ring    []ConnEvent
-	next    int
-	filled  bool
-	dropped int64
+	mu     sync.Mutex
+	events ring.Ring[ConnEvent]
 }
 
 // NewConnRecorder returns a recorder retaining the most recent capacity
@@ -61,7 +59,7 @@ func NewConnRecorder(capacity int) *ConnRecorder {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &ConnRecorder{ring: make([]ConnEvent, capacity)}
+	return &ConnRecorder{events: ring.New[ConnEvent](capacity)}
 }
 
 // Record appends one event, stamping Wall with the current time when the
@@ -75,16 +73,8 @@ func (r *ConnRecorder) Record(e ConnEvent) {
 		e.Wall = time.Now()
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.filled {
-		r.dropped++
-	}
-	r.ring[r.next] = e
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-		r.filled = true
-	}
+	r.events.Push(e)
+	r.mu.Unlock()
 }
 
 // Events returns the retained events, oldest first. Nil on a nil
@@ -95,13 +85,7 @@ func (r *ConnRecorder) Events() []ConnEvent {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.filled {
-		return append([]ConnEvent(nil), r.ring[:r.next]...)
-	}
-	out := make([]ConnEvent, 0, len(r.ring))
-	out = append(out, r.ring[r.next:]...)
-	out = append(out, r.ring[:r.next]...)
-	return out
+	return r.events.AppendTo(nil)
 }
 
 // Dropped reports how many events have been overwritten by newer ones.
@@ -111,5 +95,5 @@ func (r *ConnRecorder) Dropped() int64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dropped
+	return r.events.Overwritten()
 }

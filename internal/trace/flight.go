@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"io"
+	"slices"
 
 	"spire/internal/model"
 )
@@ -16,9 +18,8 @@ const (
 )
 
 // Span is one epoch's flight-recorder entry: what the pipeline did and
-// how long each stage took. The pipeline fills the identity, timing, and
-// stream fields; EndEpoch fills the mechanism counters and anomalies from
-// the epoch's records.
+// how long each stage took. The pipeline fills every field but the
+// anomalies, which EndEpoch flags.
 type Span struct {
 	Epoch   model.Epoch `json:"epoch"`
 	Partial bool        `json:"partial,omitempty"`
@@ -36,7 +37,9 @@ type Span struct {
 	ConflictNS int64 `json:"conflict_ns,omitempty"`
 	CompressNS int64 `json:"compress_ns,omitempty"`
 
-	// Mechanism counters aggregated by EndEpoch.
+	// Decision counts, each taken by the stage that decides: Table I
+	// rulings, Fig. 4 edges created, dropped (plus §IV-C pruning) and
+	// confirmed, and tombstone resurrections.
 	Conflicts     int64 `json:"conflicts,omitempty"`
 	EdgesCreated  int64 `json:"edges_created,omitempty"`
 	EdgesDropped  int64 `json:"edges_dropped,omitempty"`
@@ -84,9 +87,9 @@ func toRecordLine(r Record) recordLine {
 	return line
 }
 
-// DumpJSONL writes the flight recorder's spans followed by every traced
-// tag's records (tags sorted, records oldest first), one JSON object per
-// line. Nothing is written on a nil receiver.
+// DumpJSONL writes the flight recorder's spans followed by the window's
+// records (tags sorted, each tag's records oldest first), one JSON object
+// per line. Nothing is written on a nil receiver.
 func (rec *Recorder) DumpJSONL(w io.Writer) error {
 	if rec == nil {
 		return nil
@@ -98,11 +101,11 @@ func (rec *Recorder) DumpJSONL(w io.Writer) error {
 			return err
 		}
 	}
-	for _, g := range rec.TracedTags() {
-		for _, r := range rec.TagRecords(g) {
-			if err := enc.Encode(toRecordLine(r)); err != nil {
-				return err
-			}
+	recs := rec.window()
+	slices.SortStableFunc(recs, func(a, b Record) int { return cmp.Compare(a.Tag, b.Tag) })
+	for _, r := range recs {
+		if err := enc.Encode(toRecordLine(r)); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()

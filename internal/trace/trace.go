@@ -15,16 +15,18 @@
 // Two properties drive the design, mirroring the telemetry layer:
 //
 //   - Transparent disablement. Every method is a no-op on a nil
-//     *Recorder, and producers skip building records when rec is nil,
-//     so the untraced hot path allocates nothing for tracing. Span
-//     timings come from the substrate's stage clock, which runs traced or
-//     not. Recording is observation-only: a traced run produces
-//     byte-identical event streams, stores, and checkpoints (pinned by
-//     the transparency tests in internal/core).
+//     *Recorder, and producers skip building records unless
+//     rec.Traces(tag), so the untraced hot path allocates nothing for
+//     tracing. Span timings and decision counts come from the pipeline,
+//     which keeps them traced or not. Recording is observation-only: a
+//     traced run produces byte-identical event streams, stores, and
+//     checkpoints (pinned by the transparency tests in internal/core).
 //
-//   - Bounded memory. Per-tag records live in fixed-capacity rings that
-//     overwrite their oldest entry; epoch spans live in a fixed-capacity
-//     flight ring. Memory is bounded regardless of run length.
+//   - Bounded memory. Traced tags' records share one recency window, the
+//     newest 1<<20 records (56 MB when full); epoch spans live in a
+//     flight ring. Both overwrite their oldest entry, so memory is bounded
+//     regardless of run length or tag count, and a tag stays explainable
+//     while its newest records are in the window.
 //
 // The recorder is internally synchronized: the single-threaded pipeline
 // records while HTTP handlers (/v1/explain, /debug/trace) read
@@ -39,6 +41,7 @@ import (
 	"sync"
 
 	"spire/internal/model"
+	"spire/internal/ring"
 )
 
 // Mechanism identifies the pipeline decision behind a Record, citing the
@@ -140,7 +143,7 @@ func (m Mechanism) Citation() string {
 
 // Record is one provenance fact: a decision the pipeline made about Tag
 // at Epoch. It is a fixed-size value — no pointers, no strings — so
-// recording never allocates once a tag's ring exists.
+// recording allocates only while the window grows to its bound.
 //
 // Field semantics by mechanism:
 //
@@ -183,15 +186,14 @@ type Config struct {
 	// epoch spans are retained. Zero selects 256.
 	Epochs int
 	// All traces every tag; otherwise only Tags are traced. With neither,
-	// the recorder keeps the flight ring and mechanism counters only.
+	// the recorder keeps epoch spans only.
 	All  bool
 	Tags []model.Tag
 }
 
-// The recorder's fixed bounds and anomaly thresholds.
+// The recorder's fixed bound and anomaly thresholds.
 const (
-	perTag        = 32      // records kept per traced tag
-	maxTags       = 1 << 16 // tags with live rings; further tags' records are counted as dropped
+	windowCap     = 1 << 20 // newest traced records kept, across all tags
 	conflictStorm = 32      // conflict-resolution decisions that flag an epoch span
 	edgeChurn     = 1024    // dropped or pruned edges that flag an epoch span
 )
@@ -220,60 +222,19 @@ func ParseTags(s string) (all bool, tags []model.Tag, err error) {
 	return false, tags, nil
 }
 
-// tagRing is a fixed-capacity overwrite-oldest ring of Records.
-type tagRing struct {
-	recs []Record
-	next int
-	n    int
-}
-
-func (r *tagRing) push(rec Record) {
-	if r.n < len(r.recs) {
-		r.recs[r.next] = rec
-		r.next++
-		r.n++
-		if r.next == len(r.recs) {
-			r.next = 0
-		}
-		return
-	}
-	r.recs[r.next] = rec
-	r.next++
-	if r.next == len(r.recs) {
-		r.next = 0
-	}
-}
-
-// snapshot returns the ring's records oldest-first.
-func (r *tagRing) snapshot() []Record {
-	out := make([]Record, 0, r.n)
-	start := r.next - r.n
-	if start < 0 {
-		start += len(r.recs)
-	}
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.recs[(start+i)%len(r.recs)])
-	}
-	return out
-}
-
 // Recorder captures provenance records and epoch spans. A nil *Recorder
 // is the disabled mode: every method is a no-op (or returns a zero
-// value), and producers gate the work of building records on rec != nil.
+// value), and producers gate the work of building records on
+// rec.Traces(tag).
 type Recorder struct {
 	cfg    Config
-	all    bool
 	filter map[model.Tag]bool // nil when all or when no per-tag tracing
 
-	mu          sync.Mutex
-	tags        map[model.Tag]*tagRing
-	counts      [numMechanisms]int64 // current-epoch mechanism counters
-	pendIngest  int64                // ingest ns observed since the last span
-	flight      []Span               // fixed-capacity ring
-	flightNext  int
-	flightN     int
-	lastEpoch   model.Epoch
-	droppedTags int64 // records lost to the MaxTags cap
+	mu         sync.Mutex
+	records    ring.Ring[Record] // the provenance window over traced tags
+	flight     ring.Ring[Span]
+	pendIngest int64 // ingest ns observed since the last span
+	lastEpoch  model.Epoch
 }
 
 // New creates a Recorder.
@@ -283,9 +244,8 @@ func New(cfg Config) *Recorder {
 	}
 	rec := &Recorder{
 		cfg:       cfg,
-		all:       cfg.All,
-		tags:      make(map[model.Tag]*tagRing),
-		flight:    make([]Span, cfg.Epochs),
+		records:   ring.New[Record](windowCap),
+		flight:    ring.New[Span](cfg.Epochs),
 		lastEpoch: model.EpochNone,
 	}
 	if !cfg.All && len(cfg.Tags) > 0 {
@@ -306,40 +266,25 @@ func (rec *Recorder) Config() Config {
 	return rec.cfg
 }
 
-// Traces reports whether per-tag records are kept for tag. It reads only
+// Traces reports whether records are kept for tag. It reads only
 // immutable state, so it is safe without the lock — producers use it to
 // skip building records for untraced tags on hot paths.
 func (rec *Recorder) Traces(g model.Tag) bool {
 	if rec == nil {
 		return false
 	}
-	return rec.all || rec.filter[g]
+	return rec.cfg.All || rec.filter[g]
 }
 
-// Record stores one provenance record. The mechanism is always counted
-// into the current epoch's span; the record itself is kept only when the
-// tag is traced. No-op on a nil receiver.
+// Record stores one provenance record of a traced tag in the window,
+// overwriting the oldest record at capacity; records of untraced tags
+// are ignored. No-op on a nil receiver.
 func (rec *Recorder) Record(r Record) {
-	if rec == nil {
+	if !rec.Traces(r.Tag) {
 		return
 	}
 	rec.mu.Lock()
-	if r.Mech < numMechanisms {
-		rec.counts[r.Mech]++
-	}
-	if rec.all || rec.filter[r.Tag] {
-		ring := rec.tags[r.Tag]
-		if ring == nil {
-			if len(rec.tags) >= maxTags {
-				rec.droppedTags++
-				rec.mu.Unlock()
-				return
-			}
-			ring = &tagRing{recs: make([]Record, perTag)}
-			rec.tags[r.Tag] = ring
-		}
-		ring.push(r)
-	}
+	rec.records.Push(r)
 	rec.mu.Unlock()
 }
 
@@ -354,55 +299,27 @@ func (rec *Recorder) ObserveIngest(ns int64) {
 	rec.mu.Unlock()
 }
 
-// BeginEpoch opens a new epoch: subsequent Record calls count into the
-// span that EndEpoch closes. No-op on a nil receiver.
-func (rec *Recorder) BeginEpoch(now model.Epoch) {
-	if rec == nil {
-		return
-	}
-	rec.mu.Lock()
-	for i := range rec.counts {
-		rec.counts[i] = 0
-	}
-	rec.mu.Unlock()
-	_ = now // the epoch is carried by the span at EndEpoch
-}
-
-// EndEpoch completes span with the epoch's mechanism counters and anomaly
-// flags, then pushes it onto the flight ring (overwriting the oldest span
-// at capacity). The caller fills Epoch, stage timings, and stream counts.
-// No-op on a nil receiver.
+// EndEpoch flags span's anomalies and pushes it onto the flight ring
+// (overwriting the oldest span at capacity). The caller fills everything
+// else. No-op on a nil receiver.
 func (rec *Recorder) EndEpoch(span Span) {
 	if rec == nil {
 		return
 	}
-	rec.mu.Lock()
-	span.IngestNS += rec.pendIngest
-	rec.pendIngest = 0
-	span.Conflicts = rec.counts[MechMajorityPoll] + rec.counts[MechRuleI] +
-		rec.counts[MechRuleII] + rec.counts[MechRuleIII]
-	span.EdgesCreated = rec.counts[MechEdgeCreated]
-	span.EdgesDropped = rec.counts[MechEdgeDropped] + rec.counts[MechEdgePruned]
-	span.Confirmations = rec.counts[MechConfirmed]
-	span.Resurrections = rec.counts[MechResurrected]
 	if span.Conflicts >= conflictStorm {
 		span.Anomalies = append(span.Anomalies, AnomalyConflictStorm)
 	}
 	if span.EdgesDropped >= edgeChurn {
 		span.Anomalies = append(span.Anomalies, AnomalyEdgeChurn)
 	}
+	rec.mu.Lock()
+	span.IngestNS += rec.pendIngest
+	rec.pendIngest = 0
 	if rec.lastEpoch != model.EpochNone && span.Epoch > rec.lastEpoch+1 {
 		span.Anomalies = append(span.Anomalies, AnomalyEpochGap)
 	}
 	rec.lastEpoch = span.Epoch
-	rec.flight[rec.flightNext] = span
-	rec.flightNext++
-	if rec.flightNext == len(rec.flight) {
-		rec.flightNext = 0
-	}
-	if rec.flightN < len(rec.flight) {
-		rec.flightN++
-	}
+	rec.flight.Push(span)
 	rec.mu.Unlock()
 }
 
@@ -414,55 +331,43 @@ func (rec *Recorder) Spans() []Span {
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	out := make([]Span, 0, rec.flightN)
-	start := rec.flightNext - rec.flightN
-	if start < 0 {
-		start += len(rec.flight)
-	}
-	for i := 0; i < rec.flightN; i++ {
-		out = append(out, rec.flight[(start+i)%len(rec.flight)])
-	}
-	return out
+	return rec.flight.AppendTo(nil)
 }
 
-// TagRecords returns the retained records for tag, oldest first. Nil when
-// the tag has none or the receiver is nil.
+// TagRecords returns tag's records in the window, oldest first. Nil when
+// the window holds none or the receiver is nil.
 func (rec *Recorder) TagRecords(g model.Tag) []Record {
 	if rec == nil {
 		return nil
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	ring := rec.tags[g]
-	if ring == nil {
-		return nil
+	var out []Record
+	for i := 0; i < rec.records.Len(); i++ {
+		if r := rec.records.At(i); r.Tag == g {
+			out = append(out, r)
+		}
 	}
-	return ring.snapshot()
-}
-
-// TracedTags returns the tags with live record rings, sorted. Nil on a
-// nil receiver.
-func (rec *Recorder) TracedTags() []model.Tag {
-	if rec == nil {
-		return nil
-	}
-	rec.mu.Lock()
-	out := make([]model.Tag, 0, len(rec.tags))
-	for g := range rec.tags {
-		out = append(out, g)
-	}
-	rec.mu.Unlock()
-	slices.Sort(out)
 	return out
 }
 
-// DroppedTags reports how many records were discarded because the maxTags
-// cap was reached. Zero on a nil receiver.
-func (rec *Recorder) DroppedTags() int64 {
+// TracedTags returns the tags with records in the window, sorted. Nil on
+// a nil receiver.
+func (rec *Recorder) TracedTags() []model.Tag {
+	var out []model.Tag
+	for _, r := range rec.window() {
+		out = append(out, r.Tag)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// window copies the provenance window, oldest first.
+func (rec *Recorder) window() []Record {
 	if rec == nil {
-		return 0
+		return nil
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	return rec.droppedTags
+	return rec.records.AppendTo(nil)
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -59,7 +60,6 @@ func TestNilRecorderNoOps(t *testing.T) {
 	var rec *Recorder
 	rec.Record(Record{Tag: 1, Mech: MechDirectRead})
 	rec.ObserveIngest(100)
-	rec.BeginEpoch(1)
 	rec.EndEpoch(Span{Epoch: 1})
 	if rec.Traces(1) {
 		t.Error("nil recorder must trace nothing")
@@ -70,9 +70,6 @@ func TestNilRecorderNoOps(t *testing.T) {
 	if rec.Explain(1) != nil {
 		t.Error("nil recorder must explain nothing")
 	}
-	if rec.DroppedTags() != 0 {
-		t.Error("nil recorder reports dropped tags")
-	}
 	var buf bytes.Buffer
 	if err := rec.DumpJSONL(&buf); err != nil || buf.Len() != 0 {
 		t.Error("nil recorder must dump nothing")
@@ -82,23 +79,55 @@ func TestNilRecorderNoOps(t *testing.T) {
 	}
 }
 
+// TestNoTagStarvation: the provenance window is bounded by recency, not
+// by tag count, so a tag first recorded after 65 536 others is still
+// explainable.
+func TestNoTagStarvation(t *testing.T) {
+	rec := New(Config{All: true})
+	const late = model.Tag(1<<16 + 2)
+	for g := model.Tag(1); g < late; g++ {
+		rec.Record(Record{Epoch: 1, Tag: g, Mech: MechDirectRead, Loc: 1})
+	}
+	rec.Record(Record{Epoch: 2, Tag: late, Mech: MechDirectRead, Loc: 3})
+	ex := rec.Explain(late)
+	if ex == nil || ex.AsOf != 2 || ex.Location != model.LocationID(3).String() {
+		t.Fatalf("tag seen after %d others: explanation %+v", late-1, ex)
+	}
+	if got := len(rec.TracedTags()); got != int(late) {
+		t.Errorf("traced tags = %d, want %d", got, late)
+	}
+}
+
+// TestWindowKeepsNewest: past its capacity the window drops the oldest
+// records, whichever tag they belong to.
+func TestWindowKeepsNewest(t *testing.T) {
+	rec := New(Config{All: true})
+	rec.Record(Record{Epoch: 0, Tag: 1, Mech: MechDirectRead})
+	for i := 0; i < windowCap; i++ {
+		rec.Record(Record{Epoch: model.Epoch(i + 1), Tag: 2, Mech: MechDirectRead})
+	}
+	if rec.Explain(1) != nil || len(rec.TagRecords(2)) != windowCap {
+		t.Errorf("window past capacity: tag 1 %d records, tag 2 %d; want 0 and %d",
+			len(rec.TagRecords(1)), len(rec.TagRecords(2)), windowCap)
+	}
+}
+
 // TestTagRingBounded is the boundedness property test: however many
-// records a tag accumulates, the retained window is exactly the ring
+// records a tag accumulates, the retained window is exactly the window
 // capacity, holding the newest records in order.
 func TestTagRingBounded(t *testing.T) {
 	rec := New(Config{All: true})
-	const total = 10 * perTag
+	const total = 2*windowCap + 7
 	for i := 0; i < total; i++ {
 		rec.Record(Record{Epoch: model.Epoch(i), Tag: 42, Mech: MechDirectRead, Aux: int32(i)})
 	}
 	recs := rec.TagRecords(42)
-	if len(recs) != perTag {
-		t.Fatalf("ring holds %d records, want capacity %d", len(recs), perTag)
+	if len(recs) != windowCap {
+		t.Fatalf("window holds %d records, want capacity %d", len(recs), windowCap)
 	}
 	for i, r := range recs {
-		want := int32(total - perTag + i)
-		if r.Aux != want {
-			t.Errorf("record %d Aux = %d, want %d (newest window, oldest first)", i, r.Aux, want)
+		if want := int32(total - windowCap + i); r.Aux != want {
+			t.Fatalf("record %d Aux = %d, want %d (newest window, oldest first)", i, r.Aux, want)
 		}
 	}
 }
@@ -109,7 +138,6 @@ func TestFlightRingBounded(t *testing.T) {
 	rec := New(Config{Epochs: epochs})
 	const total = 5 * epochs
 	for i := 1; i <= total; i++ {
-		rec.BeginEpoch(model.Epoch(i))
 		rec.EndEpoch(Span{Epoch: model.Epoch(i)})
 	}
 	spans := rec.Spans()
@@ -120,32 +148,6 @@ func TestFlightRingBounded(t *testing.T) {
 		if want := model.Epoch(total - epochs + i + 1); sp.Epoch != want {
 			t.Errorf("span %d epoch = %d, want %d", i, sp.Epoch, want)
 		}
-	}
-}
-
-// TestMaxTagsCap: past the cap, records of new tags are counted as
-// dropped instead of growing the tag map without bound. All but four of
-// the cap's rings are planted as one shared ring, so the test reaches
-// the cap without allocating a ring per tag.
-func TestMaxTagsCap(t *testing.T) {
-	rec := New(Config{All: true})
-	planted := &tagRing{recs: make([]Record, perTag)}
-	for g := model.Tag(1 << 32); len(rec.tags) < maxTags-4; g++ {
-		rec.tags[g] = planted
-	}
-	for g := model.Tag(1); g <= 10; g++ {
-		rec.Record(Record{Epoch: 1, Tag: g, Mech: MechDirectRead})
-	}
-	if got := len(rec.TracedTags()); got != maxTags {
-		t.Errorf("tag rings = %d, want cap %d", got, maxTags)
-	}
-	for g := model.Tag(1); g <= 10; g++ {
-		if kept := len(rec.TagRecords(g)) == 1; kept != (g <= 4) {
-			t.Errorf("tag %d kept = %v, want the first four new tags kept", g, kept)
-		}
-	}
-	if got := rec.DroppedTags(); got != 6 {
-		t.Errorf("dropped = %d, want 6", got)
 	}
 }
 
@@ -161,55 +163,38 @@ func TestFilteredTracing(t *testing.T) {
 	}
 }
 
-// TestEndEpochCountersAndAnomalies: EndEpoch aggregates the epoch's
-// mechanism counts into the span and flags conflict storms, edge churn,
-// and epoch gaps, each exactly at its threshold.
+// TestEndEpochCountersAndAnomalies: EndEpoch keeps the span's counts as
+// the pipeline filled them and flags conflict storms, edge churn, and
+// epoch gaps, each exactly at its threshold.
 func TestEndEpochCountersAndAnomalies(t *testing.T) {
 	rec := New(Config{})
-
-	// One conflict short of a storm: counted, not flagged.
-	rec.BeginEpoch(1)
-	for i := 0; i < conflictStorm-1; i++ {
-		rec.Record(Record{Epoch: 1, Tag: 1, Mech: MechRuleI})
+	last := func() Span {
+		spans := rec.Spans()
+		return spans[len(spans)-1]
 	}
-	rec.EndEpoch(Span{Epoch: 1})
-	if sp := rec.Spans()[0]; sp.Conflicts != conflictStorm-1 || len(sp.Anomalies) != 0 {
+
+	// One conflict short of a storm: kept, not flagged.
+	rec.EndEpoch(Span{Epoch: 1, Conflicts: conflictStorm - 1})
+	if sp := last(); sp.Conflicts != conflictStorm-1 || len(sp.Anomalies) != 0 {
 		t.Errorf("below the storm threshold: %+v", sp)
 	}
 
-	rec.BeginEpoch(2)
-	for i := 0; i < conflictStorm; i++ {
-		rec.Record(Record{Epoch: 2, Tag: model.Tag(i), Mech: []Mechanism{MechRuleI, MechRuleII, MechRuleIII, MechMajorityPoll}[i%4]})
-	}
-	rec.Record(Record{Epoch: 2, Tag: 4, Mech: MechEdgeCreated})
-	rec.Record(Record{Epoch: 2, Tag: 4, Mech: MechConfirmed})
-	rec.EndEpoch(Span{Epoch: 2})
-
-	spans := rec.Spans()
-	sp := spans[len(spans)-1]
-	if sp.Conflicts != conflictStorm || sp.EdgesCreated != 1 || sp.Confirmations != 1 {
+	rec.EndEpoch(Span{Epoch: 2, Conflicts: conflictStorm, EdgesCreated: 1, Confirmations: 1})
+	if sp := last(); sp.Conflicts != conflictStorm || sp.EdgesCreated != 1 || sp.Confirmations != 1 {
 		t.Errorf("span counters wrong: %+v", sp)
 	}
-	if len(sp.Anomalies) != 1 || sp.Anomalies[0] != AnomalyConflictStorm {
+	if sp := last(); len(sp.Anomalies) != 1 || sp.Anomalies[0] != AnomalyConflictStorm {
 		t.Errorf("anomalies = %v, want [%s]", sp.Anomalies, AnomalyConflictStorm)
 	}
 
-	// Counters reset between epochs; dropped+pruned edges flag churn, and
-	// skipping epoch 3 flags a gap.
-	rec.BeginEpoch(4)
-	for i := 0; i < edgeChurn/2; i++ {
-		rec.Record(Record{Epoch: 4, Tag: 9, Mech: MechEdgeDropped})
-		rec.Record(Record{Epoch: 4, Tag: 9, Mech: MechEdgePruned})
+	// Dropped edges one short of churn are not flagged; at the threshold,
+	// with epoch 3 skipped, both churn and a gap are.
+	rec.EndEpoch(Span{Epoch: 3, EdgesDropped: edgeChurn - 1})
+	if sp := last(); len(sp.Anomalies) != 0 {
+		t.Errorf("below the churn threshold: %+v", sp)
 	}
-	rec.EndEpoch(Span{Epoch: 4})
-	spans = rec.Spans()
-	sp = spans[len(spans)-1]
-	if sp.Conflicts != 0 {
-		t.Errorf("conflict counter leaked across epochs: %+v", sp)
-	}
-	if sp.EdgesDropped != edgeChurn {
-		t.Errorf("edges dropped = %d, want %d", sp.EdgesDropped, edgeChurn)
-	}
+	rec.EndEpoch(Span{Epoch: 5, EdgesDropped: edgeChurn})
+	sp := last()
 	wantAnoms := map[string]bool{AnomalyEdgeChurn: true, AnomalyEpochGap: true}
 	if len(sp.Anomalies) != 2 || !wantAnoms[sp.Anomalies[0]] || !wantAnoms[sp.Anomalies[1]] {
 		t.Errorf("anomalies = %v, want edge-churn + epoch-gap", sp.Anomalies)
@@ -218,20 +203,17 @@ func TestEndEpochCountersAndAnomalies(t *testing.T) {
 	// Ingest time accumulated before EndEpoch lands on the next span.
 	rec.ObserveIngest(150)
 	rec.ObserveIngest(50)
-	rec.BeginEpoch(5)
-	rec.EndEpoch(Span{Epoch: 5})
-	spans = rec.Spans()
-	if got := spans[len(spans)-1].IngestNS; got != 200 {
+	rec.EndEpoch(Span{Epoch: 6})
+	if got := last().IngestNS; got != 200 {
 		t.Errorf("ingest ns = %d, want 200", got)
 	}
 }
 
 func TestDumpJSONL(t *testing.T) {
 	rec := New(Config{All: true})
-	rec.BeginEpoch(1)
+	rec.Record(Record{Epoch: 1, Tag: 8, Mech: MechEdgeInference, Other: 7, Prob: 0.9})
 	rec.Record(Record{Epoch: 1, Tag: 7, Mech: MechDirectRead, Loc: 0, Reader: 3})
 	rec.Record(Record{Epoch: 1, Tag: 7, Mech: MechNodeInference, Loc: 2, Prob: 0.75, Aux: 3})
-	rec.Record(Record{Epoch: 1, Tag: 8, Mech: MechEdgeInference, Other: 7, Prob: 0.9})
 	rec.EndEpoch(Span{Epoch: 1, Readings: 10, Events: 2})
 
 	var buf bytes.Buffer
@@ -239,6 +221,7 @@ func TestDumpJSONL(t *testing.T) {
 		t.Fatal(err)
 	}
 	var spans, records int
+	var order []string // record lines as tag:mechanism: tags sorted, each oldest first
 	sc := bufio.NewScanner(&buf)
 	for sc.Scan() {
 		var line map[string]any
@@ -253,6 +236,7 @@ func TestDumpJSONL(t *testing.T) {
 			}
 		case "record":
 			records++
+			order = append(order, fmt.Sprint(line["tag"], ":", line["mechanism"]))
 			if line["mechanism"] == "" || line["citation"] == "" {
 				t.Errorf("record line lacks mechanism/citation: %v", line)
 			}
@@ -262,6 +246,9 @@ func TestDumpJSONL(t *testing.T) {
 	}
 	if spans != 1 || records != 3 {
 		t.Errorf("dump has %d spans and %d records, want 1 and 3", spans, records)
+	}
+	if want := []string{"7:direct-read", "7:node-inference", "8:edge-inference"}; !slices.Equal(order, want) {
+		t.Errorf("record order = %v, want %v", order, want)
 	}
 }
 
