@@ -194,7 +194,7 @@ func run() error {
 		return err
 	}
 
-	runner := core.NewRunnerConfigured(sub, core.RunnerConfig{
+	runner := core.NewRunner(sub, core.RunnerConfig{
 		CheckpointPath:  *ckptPath,
 		CheckpointEvery: *ckptEvery,
 		Ingest:          core.IngestConfig{Policy: ingestPolicy},

@@ -24,36 +24,7 @@ import (
 // interface methods, test-only helpers an open roadmap item owns — are
 // listed with their reason in testdata/exports_allowlist.txt.
 func TestExportsHaveCallers(t *testing.T) {
-	const module = "spire"
-	type file struct {
-		dir string // package import path
-		ast *ast.File
-	}
-	fset := token.NewFileSet()
-	var files []file
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if d.Name() == "testdata" || (p != "." && strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files = append(files, file{path.Join(module, filepath.ToSlash(filepath.Dir(p))), f})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	files := parseModule(t)
 
 	// Every use: bare identifiers per package, qualified ones per
 	// imported package, and method-like selectors by name.
@@ -67,21 +38,12 @@ func TestExportsHaveCallers(t *testing.T) {
 		m[pkg][name]++
 	}
 	for _, f := range files {
-		imports := map[string]string{} // local name → import path
-		for _, spec := range f.ast.Imports {
-			ip, _ := strconv.Unquote(spec.Path.Value)
-			name := path.Base(ip)
-			if spec.Name != nil {
-				name = spec.Name.Name
-			}
-			imports[name] = ip
-		}
 		var visit func(ast.Node) bool
 		visit = func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					count(qualified, imports[x.Name], n.Sel.Name)
+				if x, ok := n.X.(*ast.Ident); ok && f.imports[x.Name] != "" {
+					count(qualified, f.imports[x.Name], n.Sel.Name)
 					return false
 				}
 				selected[n.Sel.Name]++
@@ -131,6 +93,57 @@ func TestExportsHaveCallers(t *testing.T) {
 	for key := range allowed {
 		t.Errorf("testdata/exports_allowlist.txt lists %s, which is not an exported func or method", key)
 	}
+}
+
+// module is the module path in go.mod.
+const module = "spire"
+
+// goFile is one parsed non-test Go file of the module.
+type goFile struct {
+	dir     string // package import path
+	ast     *ast.File
+	imports map[string]string // local name → import path
+}
+
+// parseModule parses every non-test Go file of the module, skipping
+// testdata and hidden directories.
+func parseModule(t *testing.T) []goFile {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []goFile
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == "testdata" || (p != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		imports := map[string]string{}
+		for _, spec := range f.Imports {
+			ip, _ := strconv.Unquote(spec.Path.Value)
+			name := path.Base(ip)
+			if spec.Name != nil {
+				name = spec.Name.Name
+			}
+			imports[name] = ip
+		}
+		files = append(files, goFile{path.Join(module, filepath.ToSlash(filepath.Dir(p))), f, imports})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // recvName returns the type name of a method receiver.

@@ -244,7 +244,7 @@ func TestAnchorCannotSatisfyTwoSteps(t *testing.T) {
 }
 
 func TestRunCapEviction(t *testing.T) {
-	e := NewEngine(Config{MaxRuns: 2})
+	e := NewEngine(Config{maxRuns: 2})
 	var evictions []model.Epoch
 	e.testEvict = func(t1, _ model.Epoch) { evictions = append(evictions, t1) }
 	ms, id := collect(t, e, "SEQ(start(1), start(2)) WITHIN 100")
@@ -274,7 +274,7 @@ func TestRunCapEviction(t *testing.T) {
 }
 
 func TestMatchRingBackpressure(t *testing.T) {
-	e := NewEngine(Config{MaxMatches: 3})
+	e := NewEngine(Config{maxMatches: 3})
 	_, id := collect(t, e, "SEQ(missing())")
 	for i := 1; i <= 5; i++ {
 		e.Epoch(model.Epoch(i), []event.Event{event.NewMissing(7, 1, model.Epoch(i))})
@@ -346,7 +346,7 @@ func TestDetectorsParse(t *testing.T) {
 
 func TestTelemetryCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	e := NewEngine(Config{MaxRuns: 1, MaxMatches: 1})
+	e := NewEngine(Config{maxRuns: 1, maxMatches: 1})
 	tel := e.Instrument(reg)
 	_, err := e.Subscribe("SEQ(missing())")
 	if err != nil {

@@ -8,23 +8,24 @@ import (
 	"spire/internal/ring"
 )
 
-// Config bounds per-subscription engine state.
+// Config bounds per-subscription engine state. Callers pass Config{};
+// the bounds are set only by this package's tests.
 type Config struct {
-	// MaxRuns caps the active (partial-match) runs a subscription may
-	// hold; exceeding it evicts the oldest run. 0 selects DefaultMaxRuns.
-	MaxRuns int
-	// MaxMatches caps a subscription's match buffer; exceeding it drops
+	// maxRuns caps the active (partial-match) runs a subscription may
+	// hold; exceeding it evicts the oldest run. 0 selects defaultMaxRuns.
+	maxRuns int
+	// maxMatches caps a subscription's match buffer; exceeding it drops
 	// the oldest match and increments the drop counter (drop-oldest
-	// backpressure). 0 selects DefaultMaxMatches.
-	MaxMatches int
+	// backpressure). 0 selects defaultMaxMatches.
+	maxMatches int
 }
 
 // Default state bounds: generous enough for the warehouse detectors,
 // small enough that a hostile pattern (e.g. any() anchoring a run on
 // every event) cannot grow engine state with the stream.
 const (
-	DefaultMaxRuns    = 256
-	DefaultMaxMatches = 1024
+	defaultMaxRuns    = 256
+	defaultMaxMatches = 1024
 )
 
 // Match is one completed pattern instance.
@@ -124,11 +125,11 @@ type Engine struct {
 
 // NewEngine builds an engine.
 func NewEngine(cfg Config) *Engine {
-	if cfg.MaxRuns <= 0 {
-		cfg.MaxRuns = DefaultMaxRuns
+	if cfg.maxRuns <= 0 {
+		cfg.maxRuns = defaultMaxRuns
 	}
-	if cfg.MaxMatches <= 0 {
-		cfg.MaxMatches = DefaultMaxMatches
+	if cfg.maxMatches <= 0 {
+		cfg.maxMatches = defaultMaxMatches
 	}
 	return &Engine{
 		cfg:     cfg,
@@ -152,7 +153,7 @@ func (e *Engine) SubscribeFunc(src string, fn func(Match)) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.nextID++
-	s := &subscription{id: e.nextID, pat: p, fn: fn, matches: ring.New[Match](e.cfg.MaxMatches)}
+	s := &subscription{id: e.nextID, pat: p, fn: fn, matches: ring.New[Match](e.cfg.maxMatches)}
 	e.subs[s.id] = s
 	for k := event.StartLocation; k <= event.Missing; k++ {
 		if !p.Steps[0].Kinds.Has(k) {
@@ -441,7 +442,7 @@ func (e *Engine) startRun(s *subscription, now model.Epoch, ev event.Event) {
 	s.nrun++
 	e.nrun++
 
-	if s.nrun > e.cfg.MaxRuns {
+	if s.nrun > e.cfg.maxRuns {
 		victim := s.runHead // oldest by construction: t1 is monotonic
 		s.evicted++
 		if e.tel != nil {

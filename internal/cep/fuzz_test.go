@@ -31,7 +31,7 @@ func FuzzCEPMatchEquivalence(f *testing.F) {
 		}
 		stream := genStream(g)
 
-		e := NewEngine(Config{MaxRuns: 1 << 20, MaxMatches: 1 << 20})
+		e := NewEngine(Config{maxRuns: 1 << 20, maxMatches: 1 << 20})
 		id, err := e.Subscribe(src)
 		if err != nil {
 			t.Fatalf("subscribe %q: %v", src, err)

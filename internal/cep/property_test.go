@@ -29,7 +29,7 @@ func TestPropertyWindowSpan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: parse %q: %v", seed, src, err)
 		}
-		e := NewEngine(Config{MaxRuns: 1 << 20, MaxMatches: 1 << 20})
+		e := NewEngine(Config{maxRuns: 1 << 20, maxMatches: 1 << 20})
 		id, err := e.Subscribe(src)
 		if err != nil {
 			t.Fatalf("seed %d: subscribe %q: %v", seed, src, err)
@@ -84,7 +84,7 @@ func TestPropertyEvictionOldestFirst(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		g := &gen{data: propBytes(seed+1000, 256)}
 		src := genPattern(g)
-		e := NewEngine(Config{MaxRuns: 2 + g.n(4), MaxMatches: 1 << 10})
+		e := NewEngine(Config{maxRuns: 2 + g.n(4), maxMatches: 1 << 10})
 		if _, err := e.Subscribe(src); err != nil {
 			t.Fatalf("seed %d: subscribe %q: %v", seed, src, err)
 		}
@@ -109,7 +109,7 @@ func TestPropertyBoundedChurn(t *testing.T) {
 		total = 100_000
 		live  = 64 // subscriptions kept live at any moment
 	)
-	e := NewEngine(Config{MaxRuns: 8, MaxMatches: 16})
+	e := NewEngine(Config{maxRuns: 8, maxMatches: 16})
 	rng := rand.New(rand.NewSource(7))
 
 	stop := make(chan struct{})
@@ -170,10 +170,10 @@ func TestPropertyBoundedChurn(t *testing.T) {
 	if st.Subs != live {
 		t.Fatalf("want %d live subscriptions after churn, got %d", live, st.Subs)
 	}
-	// Every live subscription holds at most MaxRuns runs; the heap may
+	// Every live subscription holds at most maxRuns runs; the heap may
 	// additionally hold lazily-dead entries not yet popped, but it can
 	// never exceed the total number of runs ever pushed and still pending
-	// — bound it generously by live*MaxRuns plus the dead backlog cap.
+	// — bound it generously by live*maxRuns plus the dead backlog cap.
 	if st.Runs > live*8 {
 		t.Fatalf("runs unbounded: %d live subs cap 8 but %d runs", live, st.Runs)
 	}

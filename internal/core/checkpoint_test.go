@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -229,6 +231,45 @@ func TestSnapshotCorruption(t *testing.T) {
 	}
 }
 
+// TestSnapshotReservedWords: the config section keeps a zero word where
+// Eq. 1's S and α and the dedup window were once written. A snapshot
+// with any of them set is corrupt.
+func TestSnapshotReservedWords(t *testing.T) {
+	trace, s := buildTrace(t, 40)
+	sub := newSubstrate(t, s, Level1)
+	for _, o := range trace {
+		if _, err := sub.ProcessBatch(o.Clone()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := sub.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap := buf.Bytes()
+	// The config section ends with the dedup window's word; S and α sit
+	// before the 51 bytes of inference parameters, level, warmup
+	// location and raw-result flag.
+	e := checkpoint.NewEncoder()
+	encodeConfig(e, &sub.cfg)
+	var cfgBuf bytes.Buffer
+	if err := e.Flush(&cfgBuf); err != nil {
+		t.Fatal(err)
+	}
+	end := cfgBuf.Len()
+	for name, off := range map[string]int{"S": end - 8 - 51 - 16, "α": end - 8 - 51 - 8, "window": end - 8} {
+		dam := append([]byte(nil), snap...)
+		if binary.BigEndian.Uint64(dam[off:]) != 0 {
+			t.Fatalf("%s: word at %d is not the reserved zero", name, off)
+		}
+		binary.BigEndian.PutUint64(dam[off:], 32)
+		binary.BigEndian.PutUint32(dam[20:24], crc32.Checksum(dam[24:], crc32.MakeTable(crc32.Castagnoli)))
+		if _, err := RestoreSubstrate(bytes.NewReader(dam)); !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Errorf("%s word set: got %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
 // TestRunnerCheckpointResume drives the runner end to end: checkpoint
 // every N epochs, cancel mid-run right after a checkpoint boundary (the
 // "kill"), restore from the file, and resume with the full input replayed
@@ -265,11 +306,11 @@ func TestRunnerCheckpointResume(t *testing.T) {
 		<-done
 		return evs
 	}
-	want = runAll(NewRunner(newSubstrate(t, s, Level1)), trace)
+	want = runAll(NewRunner(newSubstrate(t, s, Level1), RunnerConfig{}), trace)
 
 	// Killed pass: process the first killAfter epochs, then cancel.
 	sub := newSubstrate(t, s, Level1)
-	runner := NewRunnerConfigured(sub, RunnerConfig{CheckpointPath: ckpt, CheckpointEvery: 10})
+	runner := NewRunner(sub, RunnerConfig{CheckpointPath: ckpt, CheckpointEvery: 10})
 	ctx, cancel := context.WithCancel(context.Background())
 	in := make(chan *model.Batch)
 	out := make(chan *EpochOutput, 1)
@@ -295,7 +336,7 @@ func TestRunnerCheckpointResume(t *testing.T) {
 	if rsub.LastEpoch() != trace[killAfter-1].Time {
 		t.Fatalf("checkpoint at epoch %d, want %d", rsub.LastEpoch(), trace[killAfter-1].Time)
 	}
-	resumed := NewRunnerConfigured(rsub, RunnerConfig{
+	resumed := NewRunner(rsub, RunnerConfig{
 		CheckpointPath:  ckpt,
 		CheckpointEvery: 10,
 		Ingest:          IngestConfig{Policy: IngestReject},

@@ -43,7 +43,6 @@ type Config struct {
 	// retire observed objects after inference.
 	Locations []model.Location
 
-	Graph     graph.Config
 	Inference inference.Config
 
 	// Compression selects level-1 or level-2 output (default level 1).
@@ -60,11 +59,6 @@ type Config struct {
 	// experiments (Expts 1-4) score raw inference; only the output-stream
 	// experiment includes conflict resolution.
 	KeepRawResult bool
-
-	// DedupStaleness is the recency window of the deduplication tie-break
-	// (see dedup.NewWithStaleness): zero selects dedup.DefaultStaleness,
-	// negative disables expiry.
-	DedupStaleness model.Epoch
 }
 
 // Stats accumulates the per-epoch costs reported in Table III.
@@ -164,11 +158,7 @@ func New(cfg Config) (*Substrate, error) {
 	if cfg.Compression != Level1 && cfg.Compression != Level2 {
 		return nil, fmt.Errorf("core: unknown compression level %d", cfg.Compression)
 	}
-	g, err := graph.New(cfg.Graph)
-	if err != nil {
-		return nil, err
-	}
-	inf, err := inference.New(cfg.Inference, g.Config().HistorySize)
+	inf, err := inference.New(cfg.Inference)
 	if err != nil {
 		return nil, err
 	}
@@ -176,8 +166,8 @@ func New(cfg Config) (*Substrate, error) {
 		cfg:      cfg,
 		readers:  make(map[model.ReaderID]*model.Reader, len(cfg.Readers)),
 		exits:    make(map[model.LocationID]bool),
-		dedup:    dedup.NewWithStaleness(cfg.DedupStaleness),
-		graph:    g,
+		dedup:    dedup.New(),
+		graph:    graph.New(),
 		inf:      inf,
 		schedule: inference.NewSchedule(cfg.Readers),
 		lastNow:  model.EpochNone,

@@ -141,3 +141,32 @@ func TestGoldenTraceIsDeterministic(t *testing.T) {
 		t.Fatal("fault injector not deterministic under fixed seed")
 	}
 }
+
+// TestGoldenSnapshot pins the checkpoint bytes as the scenarios above pin
+// the event stream: the SHA-256 of the clean scenario's final snapshot,
+// with the wall-clock stage times zeroed, is in testdata/golden. It
+// changes only with the snapshot format or the substrate state it
+// captures; regenerate it with -update like the event digests.
+func TestGoldenSnapshot(t *testing.T) {
+	trace, s := buildTrace(t, 200)
+	sub := newSubstrate(t, s, goldenScenarios[0].level)
+	runGated(t, sub, RunnerConfig{}, trace)
+	sum := sha256.Sum256(zeroedSnapshot(t, sub))
+	got := hex.EncodeToString(sum[:])
+
+	path := filepath.Join("testdata", "golden", "clean.snapshot.sha256")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("updated %s = %s", path, got)
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden digest (regenerate with -update): %v", err)
+	}
+	if want := strings.TrimSpace(string(raw)); got != want {
+		t.Errorf("final snapshot digest changed\ngot:  %s\nwant: %s", got, want)
+	}
+}

@@ -59,17 +59,13 @@ func ParseIngestPolicy(s string) (IngestPolicy, bool) {
 	return IngestStrict, false
 }
 
-// DefaultReorderWindow is the repair policy's default reorder depth, in
-// epochs.
-const DefaultReorderWindow = 8
+// reorderWindow is how many epochs behind the newest seen epoch a batch
+// may arrive and still be repaired into order (repair policy only).
+const reorderWindow = 8
 
 // IngestConfig parameterizes the gate.
 type IngestConfig struct {
 	Policy IngestPolicy
-	// ReorderWindow is how many epochs behind the newest seen epoch an
-	// batch may arrive and still be repaired into order (repair
-	// policy only). Zero selects DefaultReorderWindow.
-	ReorderWindow int
 }
 
 // IngestStats counts the gate's decisions.
@@ -84,13 +80,14 @@ type IngestStats struct {
 // the batches now ready for processing, in epoch order;
 // Drain flushes the reorder buffer at end of input.
 type ingestGate struct {
-	cfg   IngestConfig
-	last  model.Epoch // last epoch handed out (or processed before restore)
-	seen  model.Epoch // newest epoch ever offered (repair)
-	buf   map[model.Epoch]*model.Batch
-	arr   map[model.Epoch]int // arrival sequence of buffered epochs
-	seq   int
-	stats IngestStats
+	cfg    IngestConfig
+	window model.Epoch // reorder depth; reorderWindow outside tests
+	last   model.Epoch // last epoch handed out (or processed before restore)
+	seen   model.Epoch // newest epoch ever offered (repair)
+	buf    map[model.Epoch]*model.Batch
+	arr    map[model.Epoch]int // arrival sequence of buffered epochs
+	seq    int
+	stats  IngestStats
 
 	// Reused per-call scratch: the flush work lists, the merge's copy of
 	// the buffered batch, and the merge dedup set. Offer/Drain return
@@ -103,15 +100,13 @@ type ingestGate struct {
 }
 
 func newIngestGate(cfg IngestConfig, last model.Epoch) *ingestGate {
-	if cfg.ReorderWindow <= 0 {
-		cfg.ReorderWindow = DefaultReorderWindow
-	}
 	return &ingestGate{
-		cfg:  cfg,
-		last: last,
-		seen: model.EpochNone,
-		buf:  make(map[model.Epoch]*model.Batch),
-		arr:  make(map[model.Epoch]int),
+		cfg:    cfg,
+		window: reorderWindow,
+		last:   last,
+		seen:   model.EpochNone,
+		buf:    make(map[model.Epoch]*model.Batch),
+		arr:    make(map[model.Epoch]int),
 	}
 }
 
@@ -158,7 +153,7 @@ func (g *ingestGate) offerRepair(b *model.Batch) []*model.Batch {
 	}
 	// Deliver every buffered epoch old enough that nothing earlier can
 	// still arrive within the window.
-	return g.flushThrough(g.seen - model.Epoch(g.cfg.ReorderWindow))
+	return g.flushThrough(g.seen - g.window)
 }
 
 // flushThrough delivers buffered epochs <= limit in epoch order.

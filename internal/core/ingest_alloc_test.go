@@ -29,7 +29,7 @@ func gateRing(n int) (obs, dups []*model.Batch) {
 // the scratch hoist, every flush built a fresh ready slice and output
 // slice and every merge a fresh seen map.
 func TestIngestGateSteadyStateAllocs(t *testing.T) {
-	repair := newIngestGate(IngestConfig{Policy: IngestRepair, ReorderWindow: 4}, 0)
+	repair := newWindowGate(IngestRepair, 4, 0)
 	obs, dups := gateRing(16)
 	epoch := model.Epoch(0)
 	repairStep := func() {

@@ -68,7 +68,7 @@ func TestIngestStatsConservation(t *testing.T) {
 		delivery := sim.NewFaultInjector(fcfg).Apply(trace)
 		for _, policy := range []IngestPolicy{IngestStrict, IngestReject, IngestRepair} {
 			name := fmt.Sprintf("seed=%d/%s", fcfg.Seed, policy)
-			gate := newIngestGate(IngestConfig{Policy: policy, ReorderWindow: 16}, 0)
+			gate := newWindowGate(policy, 16, 0)
 			emitted := runGateOnly(gate, delivery)
 			st := gate.stats
 
@@ -142,7 +142,6 @@ func TestIngestStatsConservation(t *testing.T) {
 // displaces a batch beyond repair.
 func TestIngestStatsMatchInjectorTruth(t *testing.T) {
 	trace := syntheticTrace(300)
-	gateCfg := IngestConfig{Policy: IngestRepair, ReorderWindow: 16}
 
 	// Duplicates only: every duplicate arrives while its original is
 	// still buffered, so Merged equals the injected duplicate count
@@ -154,7 +153,7 @@ func TestIngestStatsMatchInjectorTruth(t *testing.T) {
 		if truth.Duplicates == 0 {
 			t.Fatalf("seed %d: injector produced no duplicates", seed)
 		}
-		gate := newIngestGate(gateCfg, 0)
+		gate := newWindowGate(IngestRepair, 16, 0)
 		runGateOnly(gate, delivery)
 		st := gate.stats
 		if st.Merged != truth.Duplicates || st.Stale != 0 {
@@ -179,7 +178,7 @@ func TestIngestStatsMatchInjectorTruth(t *testing.T) {
 		if truth.Swaps == 0 {
 			t.Fatalf("seed %d: injector performed no swaps", seed)
 		}
-		gate := newIngestGate(gateCfg, 0)
+		gate := newWindowGate(IngestRepair, 16, 0)
 		runGateOnly(gate, delivery)
 		st := gate.stats
 		if st.Merged != 0 || st.Stale != 0 {
@@ -202,7 +201,7 @@ func TestIngestStatsMatchInjectorTruth(t *testing.T) {
 		})
 		delivery := inj.Apply(trace)
 		truth := inj.Stats()
-		gate := newIngestGate(gateCfg, 0)
+		gate := newWindowGate(IngestRepair, 16, 0)
 		runGateOnly(gate, delivery)
 		st := gate.stats
 		if st.Merged+st.Stale != truth.Duplicates {

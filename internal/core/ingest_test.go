@@ -40,7 +40,7 @@ func buildTraceWithTruth(t *testing.T, duration model.Epoch) ([]*model.Batch, []
 // returns the full output stream (including the closing events).
 func runGated(t *testing.T, sub *Substrate, cfg RunnerConfig, delivery []*model.Batch) ([]event.Event, IngestStats) {
 	t.Helper()
-	r := NewRunnerConfigured(sub, cfg)
+	r := NewRunner(sub, cfg)
 	in := make(chan *model.Batch)
 	out := make(chan *EpochOutput, 1)
 	errc := make(chan error, 1)
@@ -62,6 +62,14 @@ func runGated(t *testing.T, sub *Substrate, cfg RunnerConfig, delivery []*model.
 	}
 	<-done
 	return evs, r.IngestStats()
+}
+
+// newWindowGate is an ingest gate whose repair policy reorders up to
+// window epochs deep instead of reorderWindow.
+func newWindowGate(policy IngestPolicy, window, last model.Epoch) *ingestGate {
+	g := newIngestGate(IngestConfig{Policy: policy}, last)
+	g.window = window
+	return g
 }
 
 // TestRepairReproducesCleanRun is the repair policy's equivalence
@@ -140,7 +148,7 @@ func TestIngestPoliciesSurviveFullFaults(t *testing.T) {
 func TestIngestStrictFailsOnDisorder(t *testing.T) {
 	trace, _, s := buildTraceWithTruth(t, 30)
 	delivery := []*model.Batch{trace[0], trace[2], trace[1]}
-	r := NewRunnerConfigured(newSubstrate(t, s, Level1), RunnerConfig{})
+	r := NewRunner(newSubstrate(t, s, Level1), RunnerConfig{})
 	in := make(chan *model.Batch, len(delivery))
 	out := make(chan *EpochOutput, len(delivery)+1)
 	for _, o := range delivery {
@@ -160,7 +168,7 @@ func TestIngestStrictFailsOnDisorder(t *testing.T) {
 // arrivals within the window are reordered into place, later ones are
 // dropped as stale.
 func TestIngestGateRepairWindow(t *testing.T) {
-	g := newIngestGate(IngestConfig{Policy: IngestRepair, ReorderWindow: 4}, model.EpochNone)
+	g := newWindowGate(IngestRepair, 4, model.EpochNone)
 	mk := func(e model.Epoch) *model.Batch { return model.NewBatch(e) }
 	var delivered []model.Epoch
 	offer := func(e model.Epoch) {
@@ -184,7 +192,7 @@ func TestIngestGateRepairWindow(t *testing.T) {
 	}
 
 	// An arrival behind the already-delivered frontier is beyond repair.
-	g2 := newIngestGate(IngestConfig{Policy: IngestRepair, ReorderWindow: 2}, model.EpochNone)
+	g2 := newWindowGate(IngestRepair, 2, model.EpochNone)
 	var out2 []model.Epoch
 	for _, e := range []model.Epoch{1, 2, 3, 4, 5, 6, 1} {
 		for _, o := range g2.Offer(mk(e)) {
@@ -202,7 +210,7 @@ func TestIngestGateRepairWindow(t *testing.T) {
 // (repeats dropped); readers only one side has are kept, empty groups
 // included, and groups stay ascending.
 func TestIngestGateMergeIsPerReaderUnion(t *testing.T) {
-	g := newIngestGate(IngestConfig{Policy: IngestRepair, ReorderWindow: 4}, model.EpochNone)
+	g := newWindowGate(IngestRepair, 4, model.EpochNone)
 	first := model.NewBatch(1)
 	first.AppendGroup(2, []model.Tag{20, 21, 20})
 	first.AppendGroup(4, []model.Tag{40})

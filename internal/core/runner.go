@@ -34,18 +34,13 @@ type Runner struct {
 	sinceCkpt int
 }
 
-// NewRunner wraps a substrate with default behavior (strict ingest, no
-// checkpoints). The substrate must not be used elsewhere while the runner
-// is active.
-func NewRunner(sub *Substrate) *Runner {
-	return NewRunnerConfigured(sub, RunnerConfig{})
-}
-
-// NewRunnerConfigured wraps a substrate with the given runner
-// configuration. The ingest gate starts at the substrate's last processed
-// epoch, so a runner over a restored substrate treats already-processed
-// epochs as stale under the reject/repair policies.
-func NewRunnerConfigured(sub *Substrate, cfg RunnerConfig) *Runner {
+// NewRunner wraps a substrate with the given runner configuration; the
+// zero RunnerConfig is strict ingest and no checkpoints. The ingest gate
+// starts at the substrate's last processed epoch, so a runner over a
+// restored substrate treats already-processed epochs as stale under the
+// reject/repair policies. The substrate must not be used elsewhere while
+// the runner is active.
+func NewRunner(sub *Substrate, cfg RunnerConfig) *Runner {
 	return &Runner{
 		sub:  sub,
 		cfg:  cfg,

@@ -13,7 +13,7 @@ import (
 func TestRunnerProcessesStream(t *testing.T) {
 	s := fastSim(t, func(c *sim.Config) { c.Duration = 120 })
 	sub := newSubstrate(t, s, Level1)
-	r := NewRunner(sub)
+	r := NewRunner(sub, RunnerConfig{})
 
 	in := make(chan *model.Batch, 8)
 	out := make(chan *EpochOutput, 8)
@@ -60,7 +60,7 @@ func TestRunnerProcessesStream(t *testing.T) {
 func TestRunnerCancellation(t *testing.T) {
 	s := fastSim(t, nil)
 	sub := newSubstrate(t, s, Level1)
-	r := NewRunner(sub)
+	r := NewRunner(sub, RunnerConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 
 	in := make(chan *model.Batch) // unbuffered: runner will block on receive
@@ -84,7 +84,7 @@ func TestRunnerCancellation(t *testing.T) {
 func TestRunnerPropagatesProcessingError(t *testing.T) {
 	s := fastSim(t, nil)
 	sub := newSubstrate(t, s, Level1)
-	r := NewRunner(sub)
+	r := NewRunner(sub, RunnerConfig{})
 	in := make(chan *model.Batch, 2)
 	out := make(chan *EpochOutput, 2)
 	bad := model.NewBatch(1)

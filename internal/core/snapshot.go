@@ -58,8 +58,8 @@ func encodeConfig(e *checkpoint.Encoder, cfg *Config) {
 		e.String(l.Name)
 		e.Bool(l.Exit)
 	}
-	e.Uint64(uint64(cfg.Graph.HistorySize))
-	e.Float64(cfg.Inference.Alpha)
+	e.Uint64(0) // reserved: Eq. 1's S, now graph.HistorySize
+	e.Uint64(0) // reserved: Eq. 1's α, now 0
 	e.Float64(cfg.Inference.Beta)
 	e.Bool(cfg.Inference.AdaptiveBeta)
 	e.Float64(cfg.Inference.Gamma)
@@ -69,7 +69,7 @@ func encodeConfig(e *checkpoint.Encoder, cfg *Config) {
 	e.Uint8(uint8(cfg.Compression))
 	e.Int64(int64(cfg.WarmupLocation))
 	e.Bool(cfg.KeepRawResult)
-	e.Int64(int64(cfg.DedupStaleness))
+	e.Uint64(0) // reserved: the dedup window, now dedup.Staleness
 }
 
 func decodeConfig(d *checkpoint.Decoder) (Config, error) {
@@ -94,8 +94,7 @@ func decodeConfig(d *checkpoint.Decoder) (Config, error) {
 		l.Name = d.String()
 		l.Exit = d.Bool()
 	}
-	cfg.Graph.HistorySize = int(d.Int64())
-	cfg.Inference.Alpha = d.Float64()
+	reserved := d.Uint64() | d.Uint64() // S and α: zero words until the format drops them
 	cfg.Inference.Beta = d.Float64()
 	cfg.Inference.AdaptiveBeta = d.Bool()
 	cfg.Inference.Gamma = d.Float64()
@@ -105,7 +104,10 @@ func decodeConfig(d *checkpoint.Decoder) (Config, error) {
 	cfg.Compression = CompressionLevel(d.Uint8())
 	cfg.WarmupLocation = model.LocationID(d.Int64())
 	cfg.KeepRawResult = d.Bool()
-	cfg.DedupStaleness = model.Epoch(d.Int64())
+	reserved |= d.Uint64()
+	if d.Err() == nil && reserved != 0 {
+		return cfg, fmt.Errorf("%w: reserved config word set", checkpoint.ErrCorrupt)
+	}
 	return cfg, d.Err()
 }
 
@@ -182,10 +184,6 @@ func RestoreSubstrate(r io.Reader) (*Substrate, error) {
 	g, err := graph.DecodeState(d)
 	if err != nil {
 		return nil, err
-	}
-	if g.Config().HistorySize != s.graph.Config().HistorySize {
-		return nil, fmt.Errorf("%w: graph history size %d does not match configured %d",
-			checkpoint.ErrCorrupt, g.Config().HistorySize, s.graph.Config().HistorySize)
 	}
 	s.graph = g
 	switch s.cfg.Compression {

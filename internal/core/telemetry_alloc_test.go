@@ -239,7 +239,7 @@ func TestEpochTailAllocs(t *testing.T) {
 	// may not allocate; only a new peak node count may. The inferencer
 	// runs the substrate's own configuration.
 	lone := &model.Reader{ID: 1 << 20, Location: model.LocationID(len(sub.cfg.Locations) + 1)}
-	inf, err := inference.New(sub.cfg.Inference, sub.graph.Config().HistorySize)
+	inf, err := inference.New(sub.cfg.Inference)
 	if err != nil {
 		t.Fatal(err)
 	}

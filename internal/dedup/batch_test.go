@@ -21,7 +21,7 @@ func randomStream(seed int64, epochs int) []*rows {
 	now := model.Epoch(1)
 	for e := 0; e < epochs; e++ {
 		if rng.Intn(20) == 0 {
-			now += DefaultStaleness + model.Epoch(rng.Intn(10))
+			now += Staleness + model.Epoch(rng.Intn(10))
 		} else {
 			now++
 		}

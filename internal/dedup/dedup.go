@@ -22,13 +22,13 @@ import (
 	"spire/internal/model"
 )
 
-// DefaultStaleness is the default recency window for the cross-epoch
+// Staleness is the recency window for the cross-epoch
 // tie-break: a reader's past claim on a tag counts only if it read the tag
 // within this many epochs. At the paper's one-second epochs this is five
 // minutes — long enough to ride out dropout bursts, short enough that a
 // reader which saw the tag in some earlier era of the trace does not keep
 // winning ties against a currently co-reading reader forever.
-const DefaultStaleness model.Epoch = 300
+const Staleness model.Epoch = 300
 
 // slot is one tag's directory entry, live while the tag has history or
 // is retired. stamp is the CleanBatch pass that last read the tag; head
@@ -63,10 +63,6 @@ type Deduplicator struct {
 	free    []uint32
 	tracked int // slots with history
 
-	// staleness is the recency window; negative means history never
-	// expires.
-	staleness model.Epoch
-
 	// stamp numbers CleanBatch passes; occ is the per-position scratch and
 	// touched the slots the running pass read, in first-appearance order.
 	stamp   uint64
@@ -78,19 +74,8 @@ type Deduplicator struct {
 	ins *Instruments
 }
 
-// New creates an empty Deduplicator with the default staleness window.
-func New() *Deduplicator { return NewWithStaleness(DefaultStaleness) }
-
-// NewWithStaleness creates an empty Deduplicator whose cross-epoch
-// tie-break only honors history at most window epochs old. A negative
-// window disables expiry (history always wins ties); zero selects
-// DefaultStaleness.
-func NewWithStaleness(window model.Epoch) *Deduplicator {
-	if window == 0 {
-		window = DefaultStaleness
-	}
-	return &Deduplicator{dir: make(map[model.Tag]uint32), staleness: window}
-}
+// New creates an empty Deduplicator.
+func New() *Deduplicator { return &Deduplicator{dir: make(map[model.Tag]uint32)} }
 
 // slotOf returns g's slot, taking one from the free list (or growing the
 // directory) when g has none.
@@ -153,7 +138,7 @@ func (d *Deduplicator) CleanBatch(b *model.Batch) *model.Batch {
 		} else {
 			dups++
 			// History decides a tie only while it is fresh.
-			if sl.hist && (d.staleness < 0 || b.Time-sl.at <= d.staleness) {
+			if sl.hist && b.Time-sl.at <= Staleness {
 				for p := sl.head; p >= 0; p = d.occ[p].next {
 					if d.occ[p].reader == sl.reader {
 						winner = sl.reader

@@ -118,7 +118,7 @@ func TestCleanStaleHistoryDoesNotWin(t *testing.T) {
 	// Far outside the window, readers 3 and 7 both read the tag. Reader 7's
 	// history from epoch 1 is stale, so the deterministic lowest-reader rule
 	// applies instead of stickiness.
-	late := newRows(1 + DefaultStaleness + 1)
+	late := newRows(1 + Staleness + 1)
 	late.Add(7, 10)
 	late.Add(3, 10)
 	clean(d, late)
@@ -142,8 +142,8 @@ func TestCleanStalenessBoundary(t *testing.T) {
 		gap        model.Epoch
 		wantReader model.ReaderID
 	}{
-		{DefaultStaleness, 7},     // at the boundary: still fresh
-		{DefaultStaleness + 1, 3}, // just past it: stale
+		{Staleness, 7},     // at the boundary: still fresh
+		{Staleness + 1, 3}, // just past it: stale
 	} {
 		d := New()
 		o1 := newRows(1)
@@ -156,24 +156,5 @@ func TestCleanStalenessBoundary(t *testing.T) {
 		if len(o2.ByReader[tc.wantReader]) != 1 {
 			t.Errorf("gap %d: want reader %d to keep the tag: %v", tc.gap, tc.wantReader, o2.ByReader)
 		}
-	}
-}
-
-// TestCleanStalenessDisabled keeps the pre-window behavior reachable: a
-// negative window means history never expires.
-func TestCleanStalenessDisabled(t *testing.T) {
-	d := NewWithStaleness(-1)
-	if d.staleness >= 0 {
-		t.Fatalf("staleness = %d, want negative", d.staleness)
-	}
-	o1 := newRows(1)
-	o1.Add(7, 10)
-	clean(d, o1)
-	o2 := newRows(1_000_000)
-	o2.Add(7, 10)
-	o2.Add(3, 10)
-	clean(d, o2)
-	if len(o2.ByReader[7]) != 1 {
-		t.Errorf("with expiry disabled the old reader must still win: %v", o2.ByReader)
 	}
 }

@@ -11,9 +11,7 @@ import (
 
 // Snapshot serialization of the deduplication history. Every tracked tag
 // carries its sticky reader and the epoch it was last assigned; entries
-// are written in tag order for byte-stable output. The staleness window is
-// configuration, not state — the restoring side supplies it when it
-// constructs the Deduplicator.
+// are written in tag order for byte-stable output.
 
 const sectionDedup = "DDUP"
 
@@ -41,8 +39,7 @@ func (d *Deduplicator) EncodeState(e *checkpoint.Encoder) {
 }
 
 // DecodeState fills the history of a Deduplicator that has none from dec;
-// retired marks may already be set. The receiver's staleness window is
-// preserved (it comes from configuration, not the snapshot).
+// retired marks may already be set.
 func (d *Deduplicator) DecodeState(dec *checkpoint.Decoder) error {
 	dec.Section(sectionDedup)
 	n := dec.Count(entryEncSize)

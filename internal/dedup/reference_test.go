@@ -86,11 +86,8 @@ func (d *Deduplicator) record(g model.Tag, r model.ReaderID, now model.Epoch) {
 // fresh reports whether the recorded history for tag g is recent enough at
 // epoch now to decide a tie.
 func (d *Deduplicator) fresh(g model.Tag, now model.Epoch) bool {
-	if d.staleness < 0 {
-		return true
-	}
 	_, at, ok := d.history(g)
-	return ok && now-at <= d.staleness
+	return ok && now-at <= Staleness
 }
 
 // CleanReference resolves duplicates in one epoch's rows in place,

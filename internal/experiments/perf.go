@@ -47,11 +47,7 @@ const (
 func newPerfGrower(prune float64, readRate float64) (*perfGrower, error) {
 	icfg := inference.DefaultConfig()
 	icfg.PruneThreshold = prune
-	g, err := graph.New(graph.Config{})
-	if err != nil {
-		return nil, err
-	}
-	inf, err := inference.New(icfg, g.Config().HistorySize)
+	inf, err := inference.New(icfg)
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +56,7 @@ func newPerfGrower(prune float64, readRate float64) (*perfGrower, error) {
 		return nil, err
 	}
 	p := &perfGrower{
-		g:         g,
+		g:         graph.New(),
 		inf:       inf,
 		seq:       seq,
 		rng:       rand.New(rand.NewSource(11)),

@@ -5,7 +5,6 @@ import (
 	"spire/internal/core"
 	"spire/internal/epc"
 	"spire/internal/event"
-	"spire/internal/graph"
 	"spire/internal/inference"
 	"spire/internal/metrics"
 	"spire/internal/model"
@@ -18,7 +17,6 @@ import (
 type runConfig struct {
 	Sim         sim.Config
 	Inference   inference.Config
-	Graph       graph.Config
 	Compression core.CompressionLevel
 
 	// CollectEvents keeps the full output (and ground-truth) event
@@ -78,7 +76,6 @@ func runWith(rc runConfig, mapReaders func([]model.Reader) []model.Reader) (*run
 		Locations:     s.Locations(),
 		Inference:     rc.Inference,
 		Compression:   rc.Compression,
-		Graph:         rc.Graph,
 		KeepRawResult: true,
 	})
 	if err != nil {
@@ -138,10 +135,7 @@ func runSMURF(sc sim.Config, collect bool) (*runOutput, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, err := smurf.New(smurf.DefaultConfig(), s.Readers())
-	if err != nil {
-		return nil, err
-	}
+	cl := smurf.New(s.Readers())
 	comp := compress.NewLevel1(levelOf)
 	truthComp := compress.NewLevel1(levelOf)
 	out := &runOutput{Thefts: make(map[model.Tag]model.Epoch)}

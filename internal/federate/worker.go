@@ -29,6 +29,10 @@ type BatchSource interface {
 	NextBatch() (*model.Batch, error)
 }
 
+// ackTimeout bounds a worker's wait for an ack when its window is full;
+// on expiry the connection is presumed dead and redialed.
+const ackTimeout = 15 * time.Second
+
 // WorkerConfig configures a zone worker.
 type WorkerConfig struct {
 	// Zone is this worker's zone ID (0-based, dense).
@@ -58,10 +62,6 @@ type WorkerConfig struct {
 	// AckWindow bounds how many epochs the worker may run ahead of the
 	// coordinator's acks (default 64).
 	AckWindow int
-	// AckTimeout bounds the wait for an ack when the window is full
-	// (default 15s); on expiry the connection is presumed dead and
-	// redialed.
-	AckTimeout time.Duration
 
 	// BaseBackoff and MaxBackoff shape the capped exponential backoff
 	// between connection attempts (defaults 50ms and 3s). Each sleep is
@@ -140,9 +140,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	if cfg.AckWindow <= 0 {
 		cfg.AckWindow = 64
-	}
-	if cfg.AckTimeout <= 0 {
-		cfg.AckTimeout = 15 * time.Second
 	}
 	if cfg.BaseBackoff <= 0 {
 		cfg.BaseBackoff = 50 * time.Millisecond
@@ -525,11 +522,11 @@ func (w *Worker) awaitAck(ctx context.Context) error {
 		w.ctrace.Record(trace.ConnEvent{Kind: trace.ConnLost, Zone: int(w.cfg.Zone), Detail: err.Error()})
 		w.dropConn()
 		return nil
-	case <-time.After(w.cfg.AckTimeout):
-		w.cfg.Log.Warn("ack stall", "zone", int(w.cfg.Zone), "timeout", w.cfg.AckTimeout.String())
+	case <-time.After(ackTimeout):
+		w.cfg.Log.Warn("ack stall", "zone", int(w.cfg.Zone), "timeout", ackTimeout.String())
 		w.setStatus(func(s *WorkerStatus) { s.AckStalls++ })
 		w.ctrace.Record(trace.ConnEvent{Kind: trace.ConnAckStall, Zone: int(w.cfg.Zone),
-			DurationMS: float64(w.cfg.AckTimeout.Milliseconds())})
+			DurationMS: float64(ackTimeout.Milliseconds())})
 		w.dropConn()
 		return nil
 	case <-ctx.Done():

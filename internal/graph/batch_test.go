@@ -111,8 +111,8 @@ func applySerial(t *testing.T, g *Graph, b *model.Batch, readers []*model.Reader
 // path) with batched updates, exercising free-list recycling and stale
 // component rebuilds against the per-group Update sweep.
 func TestUpdateBatchRetirement(t *testing.T) {
-	ref, _ := New(Config{})
-	bat, _ := New(Config{})
+	ref := New()
+	bat := New()
 	scn := newBatchScenario(99)
 	for now := model.Epoch(1); now <= 150; now++ {
 		b, readers := scn.step(now)
@@ -135,7 +135,7 @@ func TestUpdateBatchRetirement(t *testing.T) {
 // entry skips its group, matching the core path that reports unknown
 // readers after the epoch.
 func TestUpdateBatchSkipsNilReaders(t *testing.T) {
-	g, _ := New(Config{})
+	g := New()
 	item := epc.MustEncode(epc.Identity{Level: model.LevelItem, Company: 1, Serial: 1})
 	b := model.NewBatch(1)
 	b.BeginReader(1)
@@ -159,7 +159,7 @@ func TestUpdateBatchSkipsNilReaders(t *testing.T) {
 // tag without a valid packaging level errors mid-stream, with earlier
 // groups already applied.
 func TestUpdateBatchInvalidTagErrorsMidStream(t *testing.T) {
-	g, _ := New(Config{})
+	g := New()
 	good := epc.MustEncode(epc.Identity{Level: model.LevelItem, Company: 1, Serial: 2})
 	b := model.NewBatch(1)
 	b.BeginReader(1)

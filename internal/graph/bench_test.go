@@ -12,10 +12,7 @@ import (
 // colored by the shelf reader in epoch 1.
 func buildShelf(b *testing.B, nCases, nItems int) (*Graph, *model.Reader, []model.Tag) {
 	b.Helper()
-	g, err := New(Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := New()
 	reader := &model.Reader{ID: 1, Location: 0, Period: 1}
 	var tags []model.Tag
 	seq, err := epc.NewSequencer(3)
@@ -80,10 +77,7 @@ func BenchmarkUpdateFirstContact(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := New(Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		g := New()
 		if err := g.Update(reader, tags, 1); err != nil {
 			b.Fatal(err)
 		}
@@ -95,10 +89,7 @@ func BenchmarkUpdateFirstContact(b *testing.B) {
 // batch.
 func BenchmarkIngestUpdate(b *testing.B) {
 	const shelves, items = 64, 20
-	g, err := New(Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := New()
 	seq, err := epc.NewSequencer(3)
 	if err != nil {
 		b.Fatal(err)
@@ -138,21 +129,17 @@ func BenchmarkIngestUpdate(b *testing.B) {
 	b.ReportMetric(float64(batch.Total()), "readings/op")
 }
 
+// weightSink keeps BenchmarkHistoryWeight's result alive.
+var weightSink float64
+
 // BenchmarkHistoryWeight measures the Eq. 1 hot path.
 func BenchmarkHistoryWeight(b *testing.B) {
-	h, err := NewHistory(32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 32; i++ {
+	var h History
+	for i := 0; i < HistorySize; i++ {
 		h.SetRecent(i%3 != 0)
 		h.Shift()
 	}
-	w := ZipfWeights(32, 0)
-	b.ResetTimer()
-	var sink float64
 	for i := 0; i < b.N; i++ {
-		sink += h.Weight(w)
+		weightSink += h.Weight()
 	}
-	_ = sink
 }

@@ -286,10 +286,7 @@ func TestComponentsRandomizedInvariant(t *testing.T) {
 // mustGraph and mustSeq keep the component tests terse.
 func mustGraph(t *testing.T) *Graph {
 	t.Helper()
-	g, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := New()
 	return g
 }
 

@@ -15,38 +15,11 @@
 package graph
 
 import (
-	"fmt"
 	"slices"
 
 	"spire/internal/model"
 	"spire/internal/trace"
 )
-
-// Config parameterizes the graph model.
-type Config struct {
-	// HistorySize is S, the length of each edge's recent_colocations
-	// bit-vector. The paper finds S=32 sufficient.
-	HistorySize int
-}
-
-// DefaultHistorySize is the paper's chosen S.
-const DefaultHistorySize = 32
-
-func (c *Config) withDefaults() Config {
-	out := *c
-	if out.HistorySize == 0 {
-		out.HistorySize = DefaultHistorySize
-	}
-	return out
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.HistorySize < 1 || c.HistorySize > MaxHistorySize {
-		return fmt.Errorf("graph: HistorySize %d out of range [1,%d]", c.HistorySize, MaxHistorySize)
-	}
-	return nil
-}
 
 // Node is one object in the graph. Fields are mutated only by the graph
 // update procedure; other packages read them.
@@ -228,7 +201,6 @@ func (e *Edge) Confirmed() bool { return e.Child.ConfirmedEdge == e }
 // Graph is the time-varying colored graph. It is not safe for concurrent
 // mutation.
 type Graph struct {
-	cfg   Config
 	nodes map[model.Tag]*Node
 	edges int
 
@@ -274,21 +246,12 @@ type Graph struct {
 }
 
 // New creates an empty graph.
-func New(cfg Config) (*Graph, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	g := &Graph{
-		cfg:       cfg,
+func New() *Graph {
+	return &Graph{
 		nodes:     make(map[model.Tag]*Node),
 		coloredAt: model.EpochNone,
 	}
-	return g, nil
 }
-
-// Config returns the graph's configuration.
-func (g *Graph) Config() Config { return g.cfg }
 
 // Node returns the node for tag, or nil.
 func (g *Graph) Node(tag model.Tag) *Node { return g.nodes[tag] }
@@ -341,10 +304,6 @@ func (g *Graph) AddEdge(parent, child *Node, now model.Epoch) *Edge {
 	if ok {
 		return child.parents[pi]
 	}
-	h, err := NewHistory(g.cfg.HistorySize)
-	if err != nil {
-		panic(err) // validated at construction
-	}
 	var e *Edge
 	if n := len(g.freeEdges); n > 0 {
 		e = g.freeEdges[n-1]
@@ -356,7 +315,6 @@ func (g *Graph) AddEdge(parent, child *Node, now model.Epoch) *Edge {
 	*e = Edge{
 		Parent:       parent,
 		Child:        child,
-		History:      h,
 		UpdateTime:   model.EpochNone,
 		CreatedAt:    now,
 		conflictedAt: model.EpochNone,
@@ -459,7 +417,7 @@ func (g *Graph) ensureColor(c model.LocationID) {
 // index are not charged. A test pins both to unsafe.Sizeof.
 const (
 	NodeSizeBytes = 160
-	EdgeSizeBytes = 80 + 2*8
+	EdgeSizeBytes = 72 + 2*8
 )
 
 // ApproxBytes estimates the resident size of the graph.

@@ -1,9 +1,14 @@
 package graph
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
+	"spire/internal/checkpoint"
 	"spire/internal/epc"
 	"spire/internal/model"
 )
@@ -28,15 +33,6 @@ func tag(t *testing.T, lvl model.Level, serial uint32) model.Tag {
 	return epc.MustEncode(epc.Identity{Level: lvl, Company: 1, Serial: serial})
 }
 
-func newGraph(t *testing.T) *Graph {
-	t.Helper()
-	g, err := New(Config{HistorySize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
 func mustUpdate(t *testing.T, g *Graph, r *model.Reader, now model.Epoch, tags ...model.Tag) {
 	t.Helper()
 	if err := g.Update(r, tags, now); err != nil {
@@ -47,24 +43,8 @@ func mustUpdate(t *testing.T, g *Graph, r *model.Reader, now model.Epoch, tags .
 	}
 }
 
-func TestConfigDefaults(t *testing.T) {
-	g, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Config().HistorySize != DefaultHistorySize {
-		t.Errorf("default HistorySize = %d, want %d", g.Config().HistorySize, DefaultHistorySize)
-	}
-	if _, err := New(Config{HistorySize: -3}); err == nil {
-		t.Error("negative history size must fail")
-	}
-	if _, err := New(Config{HistorySize: 100}); err == nil {
-		t.Error("oversized history must fail")
-	}
-}
-
 func TestUpdateCreatesAndColorsNodes(t *testing.T) {
-	g := newGraph(t)
+	g := New()
 	item := tag(t, model.LevelItem, 1)
 	mustUpdate(t, g, dockReader, 1, item)
 
@@ -90,7 +70,7 @@ func TestUpdateCreatesAndColorsNodes(t *testing.T) {
 }
 
 func TestUpdateErrors(t *testing.T) {
-	g := newGraph(t)
+	g := New()
 	if err := g.Update(nil, nil, 1); err == nil {
 		t.Error("nil reader must fail")
 	}
@@ -104,7 +84,7 @@ func TestUpdateErrors(t *testing.T) {
 }
 
 func TestSameColorReobservationIsNotNew(t *testing.T) {
-	g := newGraph(t)
+	g := New()
 	item := tag(t, model.LevelItem, 1)
 	mustUpdate(t, g, dockReader, 1, item)
 	mustUpdate(t, g, dockReader, 5, item)
@@ -118,7 +98,7 @@ func TestSameColorReobservationIsNotNew(t *testing.T) {
 }
 
 func TestEdgeCreationAdjacentLayers(t *testing.T) {
-	g := newGraph(t)
+	g := New()
 	c1 := tag(t, model.LevelCase, 1)
 	c2 := tag(t, model.LevelCase, 2)
 	i1 := tag(t, model.LevelItem, 1)
@@ -139,7 +119,7 @@ func TestEdgeCreationAdjacentLayers(t *testing.T) {
 func TestEdgeCreationCrossLayer(t *testing.T) {
 	// An item observed with a pallet but no case links directly to the
 	// pallet (the paper's layer-crossing flexibility).
-	g := newGraph(t)
+	g := New()
 	p := tag(t, model.LevelPallet, 1)
 	i := tag(t, model.LevelItem, 1)
 	mustUpdate(t, g, dockReader, 1, p, i)
@@ -149,7 +129,7 @@ func TestEdgeCreationCrossLayer(t *testing.T) {
 }
 
 func TestEdgeCreationPrefersAdjacentLayer(t *testing.T) {
-	g := newGraph(t)
+	g := New()
 	p := tag(t, model.LevelPallet, 1)
 	c := tag(t, model.LevelCase, 1)
 	i := tag(t, model.LevelItem, 1)
@@ -167,7 +147,7 @@ func TestEdgeCreationPrefersAdjacentLayer(t *testing.T) {
 }
 
 func TestNoEdgesAcrossColors(t *testing.T) {
-	g := newGraph(t)
+	g := New()
 	c := tag(t, model.LevelCase, 1)
 	i := tag(t, model.LevelItem, 1)
 	mustUpdate(t, g, dockReader, 1, c)
@@ -178,7 +158,7 @@ func TestNoEdgesAcrossColors(t *testing.T) {
 }
 
 func TestEdgeRemovalOnColorSplit(t *testing.T) {
-	g := newGraph(t)
+	g := New()
 	c := tag(t, model.LevelCase, 1)
 	i := tag(t, model.LevelItem, 1)
 	mustUpdate(t, g, dockReader, 1, c, i)
@@ -194,7 +174,7 @@ func TestEdgeRemovalOnColorSplit(t *testing.T) {
 }
 
 func TestEdgeSurvivesWhenPartnerUnobserved(t *testing.T) {
-	g := newGraph(t)
+	g := New()
 	c := tag(t, model.LevelCase, 1)
 	i := tag(t, model.LevelItem, 1)
 	mustUpdate(t, g, dockReader, 1, c, i)
@@ -203,16 +183,16 @@ func TestEdgeSurvivesWhenPartnerUnobserved(t *testing.T) {
 	if e == nil {
 		t.Fatal("edge to an unobserved partner must survive (missed reading, not a move)")
 	}
-	if e.History.Bit(0) {
+	if bit(e.History, 0) {
 		t.Error("missed partner must record negative co-location evidence")
 	}
-	if !e.History.Bit(1) {
+	if !bit(e.History, 1) {
 		t.Error("the earlier co-location must have shifted to bit 1")
 	}
 }
 
 func TestCoLocationHistoryAccumulates(t *testing.T) {
-	g := newGraph(t)
+	g := New()
 	c := tag(t, model.LevelCase, 1)
 	i := tag(t, model.LevelItem, 1)
 	for e := model.Epoch(1); e <= 5; e++ {
@@ -229,7 +209,7 @@ func TestConfirmingReaderSetsParentAndPrunes(t *testing.T) {
 	// at the dock (ambiguous), then case 2 is scanned alone with item 4 on
 	// the belt, confirming case 2 as item 4's container and case 2 as a
 	// top-level container.
-	g := newGraph(t)
+	g := New()
 	pallet1 := tag(t, model.LevelPallet, 1)
 	case2 := tag(t, model.LevelCase, 2)
 	case3 := tag(t, model.LevelCase, 3)
@@ -267,7 +247,7 @@ func TestConfirmingReaderSetsParentAndPrunes(t *testing.T) {
 func TestConfirmingReaderAmbiguousGroupDoesNothing(t *testing.T) {
 	// Two cases on the belt at once: the "one at a time" premise is
 	// violated, so nothing may be confirmed.
-	g := newGraph(t)
+	g := New()
 	case1 := tag(t, model.LevelCase, 1)
 	case2 := tag(t, model.LevelCase, 2)
 	item := tag(t, model.LevelItem, 1)
@@ -278,7 +258,7 @@ func TestConfirmingReaderAmbiguousGroupDoesNothing(t *testing.T) {
 }
 
 func TestConflictsCountAfterConfirmation(t *testing.T) {
-	g := newGraph(t)
+	g := New()
 	c := tag(t, model.LevelCase, 1)
 	i := tag(t, model.LevelItem, 1)
 	mustUpdate(t, g, beltReader, 1, c, i) // confirm c contains i
@@ -301,7 +281,7 @@ func TestConflictRevisedWhenPartnerColoredLater(t *testing.T) {
 	// item is processed by another reader at the same location (e.g. two
 	// readers covering one area). The pessimistic conflict recorded on
 	// the first visit must be revised on the second.
-	g := newGraph(t)
+	g := New()
 	c := tag(t, model.LevelCase, 1)
 	i := tag(t, model.LevelItem, 1)
 	mustUpdate(t, g, beltReader, 1, c, i) // confirm
@@ -313,7 +293,7 @@ func TestConflictRevisedWhenPartnerColoredLater(t *testing.T) {
 		t.Errorf("Conflicts = %d, want 0 (revised on second visit)", n.Conflicts)
 	}
 	e := n.ParentEdge(c)
-	if !e.History.Bit(0) {
+	if !bit(e.History, 0) {
 		t.Error("co-location bit must be set once both endpoints are colored")
 	}
 	if n.BetaEither != 2 || n.BetaOne != 0 {
@@ -322,7 +302,7 @@ func TestConflictRevisedWhenPartnerColoredLater(t *testing.T) {
 }
 
 func TestAdaptiveBetaCounters(t *testing.T) {
-	g := newGraph(t)
+	g := New()
 	c := tag(t, model.LevelCase, 1)
 	i := tag(t, model.LevelItem, 1)
 	mustUpdate(t, g, beltReader, 1, c, i) // confirm; both read
@@ -342,7 +322,7 @@ func TestAdaptiveBetaCounters(t *testing.T) {
 }
 
 func TestRemoveNode(t *testing.T) {
-	g := newGraph(t)
+	g := New()
 	c := tag(t, model.LevelCase, 1)
 	i1 := tag(t, model.LevelItem, 1)
 	i2 := tag(t, model.LevelItem, 2)
@@ -373,7 +353,7 @@ func coloredNodes(g *Graph, lvl model.Level, color model.LocationID, now model.E
 }
 
 func TestColoredIndexResetsAcrossEpochs(t *testing.T) {
-	g := newGraph(t)
+	g := New()
 	i := tag(t, model.LevelItem, 1)
 	mustUpdate(t, g, dockReader, 1, i)
 	if len(coloredNodes(g, model.LevelItem, locA, 1)) != 1 {
@@ -392,7 +372,7 @@ func TestColoredIndexResetsAcrossEpochs(t *testing.T) {
 }
 
 func TestAddEdgeIdempotent(t *testing.T) {
-	g := newGraph(t)
+	g := New()
 	c := tag(t, model.LevelCase, 1)
 	i := tag(t, model.LevelItem, 1)
 	mustUpdate(t, g, dockReader, 1, c, i)
@@ -408,7 +388,7 @@ func TestAddEdgeIdempotent(t *testing.T) {
 }
 
 func TestApproxBytesGrows(t *testing.T) {
-	g := newGraph(t)
+	g := New()
 	empty := g.ApproxBytes()
 	mustUpdate(t, g, dockReader, 1, tag(t, model.LevelCase, 1), tag(t, model.LevelItem, 1))
 	if g.ApproxBytes() <= empty {
@@ -419,7 +399,7 @@ func TestApproxBytesGrows(t *testing.T) {
 // TestPaperRunningExample walks the observation sequence of Fig. 1 /
 // Fig. 3 and checks the structural outcomes the paper describes.
 func TestPaperRunningExample(t *testing.T) {
-	g := newGraph(t)
+	g := New()
 	p1 := tag(t, model.LevelPallet, 1)
 	c2 := tag(t, model.LevelCase, 2)
 	c3 := tag(t, model.LevelCase, 3)
@@ -480,7 +460,7 @@ func TestPaperRunningExample(t *testing.T) {
 func TestRandomizedUpdatesKeepInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	readers := []*model.Reader{dockReader, beltReader, packReader}
-	g := newGraph(t)
+	g := New()
 	pool := make([]model.Tag, 0, 60)
 	for s := uint32(1); s <= 20; s++ {
 		pool = append(pool,
@@ -518,6 +498,31 @@ func TestRandomizedUpdatesKeepInvariants(t *testing.T) {
 			if err := g.CheckInvariants(now); err != nil {
 				t.Fatalf("epoch %d after removal: %v", now, err)
 			}
+		}
+	}
+}
+
+// TestDecodeRejectsOtherHistorySize: the graph section's history-size
+// word must read HistorySize. Any other size is corrupt, even one every
+// edge's bits would fit.
+func TestDecodeRejectsOtherHistorySize(t *testing.T) {
+	g := New()
+	mustUpdate(t, g, dockReader, 1, tag(t, model.LevelCase, 1), tag(t, model.LevelItem, 1))
+	snap := encodeGraph(g)
+	const word = 24 + 4 // the frame header, then the section tag
+	for _, size := range []uint64{HistorySize, 8, 64, 0} {
+		binary.BigEndian.PutUint64(snap[word:], size)
+		binary.BigEndian.PutUint32(snap[20:24], crc32.Checksum(snap[24:], crc32.MakeTable(crc32.Castagnoli)))
+		d, err := checkpoint.NewDecoder(bytes.NewReader(snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = DecodeState(d)
+		if size == HistorySize && err != nil {
+			t.Fatalf("history size %d: %v", size, err)
+		}
+		if size != HistorySize && !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Errorf("history size %d: got %v, want ErrCorrupt", size, err)
 		}
 	}
 }

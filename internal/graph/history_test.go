@@ -7,227 +7,126 @@ import (
 	"testing/quick"
 )
 
-func TestNewHistoryBounds(t *testing.T) {
-	for _, bad := range []int{0, -1, 65} {
-		if _, err := NewHistory(bad); err == nil {
-			t.Errorf("NewHistory(%d) should fail", bad)
-		}
+// bit reports the evidence bit i epochs back (0 = most recent).
+func bit(h History, i int) bool { return h>>uint(i)&1 == 1 }
+
+// historyOf builds a history whose bit i is bits' bit i, the way the
+// update procedure does: one SetRecent per epoch, oldest first.
+func historyOf(bits uint32) History {
+	var h History
+	for i := HistorySize - 1; i >= 0; i-- {
+		h.Shift()
+		h.SetRecent(bits>>uint(i)&1 == 1)
 	}
-	for _, ok := range []int{1, 32, 64} {
-		h, err := NewHistory(ok)
-		if err != nil {
-			t.Errorf("NewHistory(%d): %v", ok, err)
-		}
-		if h.Size() != ok {
-			t.Errorf("Size = %d, want %d", h.Size(), ok)
-		}
-	}
+	return h
 }
 
 func TestHistoryShiftAndSet(t *testing.T) {
-	h, _ := NewHistory(4)
+	var h History
 	h.SetRecent(true) // [1]
 	h.Shift()         // [_,1]
 	h.SetRecent(true) // [1,1]
 	h.Shift()         // [_,1,1]
 	h.SetRecent(false)
-	if !h.Bit(1) || !h.Bit(2) || h.Bit(0) {
-		t.Errorf("bits wrong after shifts: %v %v %v", h.Bit(0), h.Bit(1), h.Bit(2))
+	if !bit(h, 1) || !bit(h, 2) || bit(h, 0) {
+		t.Errorf("bits wrong after shifts: %v %v %v", bit(h, 0), bit(h, 1), bit(h, 2))
 	}
 	if h.Ones() != 2 {
 		t.Errorf("Ones = %d, want 2", h.Ones())
 	}
-	// Bits fall off the end after size shifts.
-	for i := 0; i < 4; i++ {
+	// The older bit survives until S shifts after it was set, then falls
+	// off the end.
+	for i := 0; i < HistorySize-3; i++ {
 		h.Shift()
 	}
-	if h.Ones() != 0 {
-		t.Errorf("history must expire after %d shifts, Ones = %d", 4, h.Ones())
-	}
-}
-
-func TestHistoryBitOutOfRange(t *testing.T) {
-	h, _ := NewHistory(4)
-	h.SetRecent(true)
-	if h.Bit(-1) || h.Bit(4) || h.Bit(100) {
-		t.Error("out-of-range bits must read false")
-	}
-}
-
-func TestHistorySize64NoOverflow(t *testing.T) {
-	h, _ := NewHistory(64)
-	h.SetRecent(true)
-	for i := 0; i < 63; i++ {
-		h.Shift()
-	}
-	if !h.Bit(63) {
-		t.Error("bit must survive 63 shifts in a size-64 history")
+	if !bit(h, HistorySize-1) || h.Ones() != 2 {
+		t.Fatalf("bit set S-1 shifts ago must survive: %032b", uint32(h))
 	}
 	h.Shift()
+	h.Shift()
 	if h.Ones() != 0 {
-		t.Error("bit must expire after 64 shifts")
+		t.Errorf("history must expire after %d shifts, Ones = %d", HistorySize, h.Ones())
 	}
 }
 
-func TestZipfWeights(t *testing.T) {
-	t0 := ZipfWeights(4, 0)
-	for i, v := range t0.w {
-		if v != 1 {
-			t.Errorf("α=0 weight[%d] = %v, want 1", i, v)
-		}
-	}
-	if t0.den != 4 {
-		t.Errorf("α=0 denominator = %v, want 4", t0.den)
-	}
-	t1 := ZipfWeights(3, 1)
-	want := []float64{1, 0.5, 1.0 / 3}
-	for i := range want {
-		if math.Abs(t1.w[i]-want[i]) > 1e-12 {
-			t.Errorf("α=1 weight[%d] = %v, want %v", i, t1.w[i], want[i])
-		}
-	}
-	if math.Abs(t1.den-11.0/6) > 1e-12 {
-		t.Errorf("α=1 denominator = %v, want 11/6", t1.den)
-	}
-}
-
+// TestHistoryWeightEquallyWeighted: at the paper's α = 0 every Zipf
+// weight 1/(i+1)^α is 1, so k set bits weigh k/S wherever they sit.
 func TestHistoryWeightEquallyWeighted(t *testing.T) {
-	h, _ := NewHistory(8)
-	w := ZipfWeights(8, 0)
-	if got := h.Weight(w); got != 0 {
-		t.Errorf("empty history weight = %v, want 0", got)
-	}
-	h.SetRecent(true)
-	h.Shift()
-	h.SetRecent(true) // two of eight bits set
-	if got, want := h.Weight(w), 0.25; math.Abs(got-want) > 1e-12 {
-		t.Errorf("weight = %v, want %v", got, want)
+	var h History
+	for k := 0; k <= HistorySize; k++ {
+		if got, want := h.Weight(), float64(k)/HistorySize; got != want {
+			t.Errorf("%d set bits: weight = %v, want %v", k, got, want)
+		}
+		h.Shift()
+		h.SetRecent(true)
 	}
 }
 
+// TestHistoryWeightRecency: α = 0 weighs all S bits equally, so the
+// newest bit and the oldest weigh the same.
 func TestHistoryWeightRecency(t *testing.T) {
-	// With α>0 a recent bit must weigh more than an old one.
-	w := ZipfWeights(8, 1.5)
-	recent, _ := NewHistory(8)
+	var recent, old History
 	recent.SetRecent(true)
-	old, _ := NewHistory(8)
 	old.SetRecent(true)
-	for i := 0; i < 7; i++ {
+	for i := 0; i < HistorySize-1; i++ {
 		old.Shift()
 	}
-	if recent.Weight(w) <= old.Weight(w) {
-		t.Errorf("recent bit weight %v must exceed old bit weight %v",
-			recent.Weight(w), old.Weight(w))
+	if recent.Weight() != old.Weight() {
+		t.Errorf("recent bit weight %v != old bit weight %v", recent.Weight(), old.Weight())
 	}
 }
 
-func TestHistoryWeightPanicsOnSizeMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Weight with wrong table size must panic")
-		}
-	}()
-	h, _ := NewHistory(8)
-	h.Weight(ZipfWeights(4, 0))
-}
-
-// Property: Weight is always in [0,1], monotone in set bits, and a full
-// history weighs exactly 1.
+// Property: Weight is always in [0,1], and a full history weighs
+// exactly 1.
 func TestQuickHistoryWeightBounds(t *testing.T) {
-	f := func(bits uint64, alphaQ uint8) bool {
-		alpha := float64(alphaQ%40) / 10 // 0.0 .. 3.9
-		w := ZipfWeights(32, alpha)
-		h, _ := NewHistory(32)
-		for i := 0; i < 32; i++ {
-			h.SetRecent(bits>>uint(i)&1 == 1)
-			if i < 31 {
-				h.Shift()
-			}
-		}
-		v := h.Weight(w)
-		if v < 0 || v > 1+1e-12 {
-			return false
-		}
-		full, _ := NewHistory(32)
-		for i := 0; i < 32; i++ {
-			full.SetRecent(true)
-			if i < 31 {
-				full.Shift()
-			}
-		}
-		return math.Abs(full.Weight(w)-1) < 1e-12
+	f := func(bits uint32) bool {
+		v := historyOf(bits).Weight()
+		return v >= 0 && v <= 1 && historyOf(^uint32(0)).Weight() == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// weightAllBits is the Eq. 1 loop History.Weight replaced, kept verbatim
-// as the oracle: it walks all S bits, summing the denominator as it goes.
-func weightAllBits(h History, weights []float64) float64 {
+// weightAllBits is Eq. 1 as the paper writes it, at α = 0: it walks all
+// S bits, adding each bit's Zipf weight to the numerator when the bit is
+// set and to the denominator always.
+func weightAllBits(h History) float64 {
 	var num, den float64
-	for i := 0; i < h.size; i++ {
-		den += weights[i]
-		if h.bits>>uint(i)&1 == 1 {
-			num += weights[i]
+	for i := 0; i < HistorySize; i++ {
+		w := 1 / math.Pow(float64(i+1), 0)
+		den += w
+		if bit(h, i) {
+			num += w
 		}
-	}
-	if den == 0 {
-		return 0
 	}
 	return num / den
 }
 
-// checkWeightExact requires the set-bits walk to reproduce the all-bits
-// loop to the last bit of the float, for one (S, α, bits).
-func checkWeightExact(t *testing.T, size int, alpha float64, bits uint64) {
+// checkWeightExact requires the popcount to reproduce Eq. 1's loop to
+// the last bit of the float.
+func checkWeightExact(t *testing.T, bits uint32) {
 	t.Helper()
-	h, err := NewHistory(size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.bits = bits
-	if size < 64 {
-		h.bits &= 1<<uint(size) - 1 // Shift never leaves a bit beyond S
-	}
-	tab := ZipfWeights(size, alpha)
-	got, want := h.Weight(tab), weightAllBits(h, tab.w)
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("S=%d α=%v bits=%#x: Weight = %v (%#x), all-bits loop = %v (%#x)",
-			size, alpha, h.bits, got, math.Float64bits(got), want, math.Float64bits(want))
+	h := historyOf(bits)
+	if got, want := h.Weight(), weightAllBits(h); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("bits=%#x: Weight = %v (%#x), all-bits loop = %v (%#x)",
+			bits, got, math.Float64bits(got), want, math.Float64bits(want))
 	}
 }
 
-var (
-	exactSizes  = []int{1, 31, 32, 64}
-	exactAlphas = []float64{0, 0.5, 1, 2}
-)
-
 func TestHistoryWeightMatchesAllBitsLoop(t *testing.T) {
+	for _, bits := range []uint32{0, 1, 1 << 31, ^uint32(0), 0xAAAAAAAA} {
+		checkWeightExact(t, bits)
+	}
 	rng := rand.New(rand.NewSource(20))
-	for _, size := range exactSizes {
-		for _, alpha := range exactAlphas {
-			// Unit weights (α = 0, or S = 1) take the set-bit-count path;
-			// the others walk the bits.
-			if unit := ZipfWeights(size, alpha).unit; unit != (alpha == 0 || size == 1) {
-				t.Fatalf("S=%d α=%v: unit table = %v", size, alpha, unit)
-			}
-			for _, bits := range []uint64{0, 1, 1 << 63, ^uint64(0), 0xAAAAAAAAAAAAAAAA} {
-				checkWeightExact(t, size, alpha, bits)
-			}
-			for i := 0; i < 500; i++ {
-				checkWeightExact(t, size, alpha, rng.Uint64())
-			}
-		}
+	for i := 0; i < 2000; i++ {
+		checkWeightExact(t, rng.Uint32())
 	}
 }
 
 func FuzzHistoryWeightMatchesAllBitsLoop(f *testing.F) {
-	f.Add(uint8(0), uint8(0), uint64(0))
-	f.Add(uint8(2), uint8(3), uint64(0xDEADBEEFCAFEF00D))
-	f.Add(uint8(3), uint8(1), ^uint64(0))
-	f.Fuzz(func(t *testing.T, sizeIdx, alphaIdx uint8, bits uint64) {
-		checkWeightExact(t, exactSizes[int(sizeIdx)%len(exactSizes)],
-			exactAlphas[int(alphaIdx)%len(exactAlphas)], bits)
-	})
+	f.Add(uint32(0))
+	f.Add(uint32(0xCAFEF00D))
+	f.Add(^uint32(0))
+	f.Fuzz(checkWeightExact)
 }

@@ -36,7 +36,7 @@ const (
 // EncodeState appends the graph's complete cumulative state to e.
 func (g *Graph) EncodeState(e *checkpoint.Encoder) {
 	e.Section(sectionGraph)
-	e.Uint64(uint64(g.cfg.HistorySize))
+	e.Uint64(HistorySize)
 
 	g.rankNodes()
 	e.Uint64(uint64(len(g.order)))
@@ -62,7 +62,7 @@ func (g *Graph) EncodeState(e *checkpoint.Encoder) {
 		for _, ed := range n.parents {
 			e.Uint64(uint64(ed.Parent.Tag))
 			e.Uint64(uint64(ed.Child.Tag))
-			e.Uint64(ed.History.bits)
+			e.Uint64(uint64(ed.History))
 			e.Int64(int64(ed.UpdateTime))
 			e.Int64(int64(ed.CreatedAt))
 			e.Int64(int64(ed.conflictedAt))
@@ -80,13 +80,10 @@ func DecodeState(d *checkpoint.Decoder) (*Graph, error) {
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	if hist < 1 || hist > MaxHistorySize {
-		return nil, fmt.Errorf("%w: graph history size %d", checkpoint.ErrCorrupt, hist)
+	if hist != HistorySize {
+		return nil, fmt.Errorf("%w: graph history size %d, want %d", checkpoint.ErrCorrupt, hist, HistorySize)
 	}
-	g, err := New(Config{HistorySize: int(hist)})
-	if err != nil {
-		return nil, err
-	}
+	g := New()
 
 	type confirm struct {
 		child  model.Tag
@@ -152,11 +149,11 @@ func DecodeState(d *checkpoint.Decoder) (*Graph, error) {
 		if child.ParentEdge(ptag) != nil {
 			return nil, fmt.Errorf("%w: duplicate graph edge %d→%d", checkpoint.ErrCorrupt, ptag, ctag)
 		}
-		if hist < 64 && bits>>hist != 0 {
-			return nil, fmt.Errorf("%w: graph edge %d→%d history bits exceed size %d", checkpoint.ErrCorrupt, ptag, ctag, hist)
+		if bits>>HistorySize != 0 {
+			return nil, fmt.Errorf("%w: graph edge %d→%d history bits exceed size %d", checkpoint.ErrCorrupt, ptag, ctag, HistorySize)
 		}
 		ed := g.AddEdge(parent, child, createdAt)
-		ed.History.bits = bits
+		ed.History = History(bits)
 		ed.UpdateTime = updateTime
 		ed.conflictedAt = conflictedAt
 		ed.betaOneAt = betaOneAt

@@ -56,7 +56,7 @@ func TestAddEdgeOrderIndependent(t *testing.T) {
 		}
 	}
 	build := func(order []pair) *Graph {
-		g := newGraph(t)
+		g := New()
 		for _, c := range cases {
 			g.addNode(c, model.LevelCase)
 		}
@@ -116,7 +116,7 @@ func TestRemovalUnderIteration(t *testing.T) {
 	}
 
 	t.Run("color-mismatch", func(t *testing.T) {
-		g := newGraph(t)
+		g := New()
 		pallets, items := serials(model.LevelPallet, 1), serials(model.LevelItem, 1)
 		c := tag(t, model.LevelCase, 1)
 		all := slices.Concat([]model.Tag{c}, pallets, items)
@@ -138,7 +138,7 @@ func TestRemovalUnderIteration(t *testing.T) {
 	})
 
 	t.Run("confirmation-then-remove-node", func(t *testing.T) {
-		g := newGraph(t)
+		g := New()
 		pallets, cases := serials(model.LevelPallet, 1), serials(model.LevelCase, 1)
 		it := tag(t, model.LevelItem, 1)
 		mustUpdate(t, g, dockReader, 1, slices.Concat([]model.Tag{it}, pallets, cases)...)

@@ -11,7 +11,7 @@ import (
 // to a pallet while its case is missed; when the case shows up at the
 // same location, adjacent-layer edges form alongside.
 func TestCrossLayerEdgeResolvesWhenMiddleAppears(t *testing.T) {
-	g := newGraph(t)
+	g := New()
 	p := tag(t, model.LevelPallet, 1)
 	c := tag(t, model.LevelCase, 1)
 	i := tag(t, model.LevelItem, 1)
@@ -39,7 +39,7 @@ func TestCrossLayerEdgeResolvesWhenMiddleAppears(t *testing.T) {
 // TestConfirmedEdgeClearedOnRemoval: dropping the confirmed edge must
 // clear the node's confirmation pointer.
 func TestConfirmedEdgeClearedOnRemoval(t *testing.T) {
-	g := newGraph(t)
+	g := New()
 	c := tag(t, model.LevelCase, 1)
 	i := tag(t, model.LevelItem, 1)
 	mustUpdate(t, g, beltReader, 1, c, i)
@@ -62,7 +62,7 @@ func TestConfirmedEdgeClearedOnRemoval(t *testing.T) {
 // and a tag reaches two readers in one epoch, the most recent reader wins
 // and the colored index stays consistent.
 func TestSameEpochRecolorMovesIndexBucket(t *testing.T) {
-	g := newGraph(t)
+	g := New()
 	i := tag(t, model.LevelItem, 1)
 	mustUpdate(t, g, dockReader, 1, i)
 	mustUpdate(t, g, beltReader, 1, i)
@@ -81,7 +81,7 @@ func TestSameEpochRecolorMovesIndexBucket(t *testing.T) {
 // location processing overlapping groups in one epoch must not
 // double-shift edge histories.
 func TestHistoryShiftsOncePerEpochWithTwoReaders(t *testing.T) {
-	g := newGraph(t)
+	g := New()
 	dock2 := &model.Reader{ID: 9, Location: locA, Period: 1}
 	c := tag(t, model.LevelCase, 1)
 	i := tag(t, model.LevelItem, 1)
@@ -95,13 +95,13 @@ func TestHistoryShiftsOncePerEpochWithTwoReaders(t *testing.T) {
 	if e == nil {
 		t.Fatal("edge must survive")
 	}
-	if !e.History.Bit(0) {
+	if !bit(e.History, 0) {
 		t.Error("bit 0 must be revised to co-located once both sides were seen")
 	}
-	if !e.History.Bit(1) {
+	if !bit(e.History, 1) {
 		t.Error("bit 1 must hold epoch 1's co-location (exactly one shift)")
 	}
-	if e.History.Bit(2) {
+	if bit(e.History, 2) {
 		t.Error("no third bit may be set: the history shifted twice, not once per epoch")
 	}
 }
@@ -109,7 +109,7 @@ func TestHistoryShiftsOncePerEpochWithTwoReaders(t *testing.T) {
 // TestConfirmationRequiresAdjacentLevel: a pallet-level confirming reader
 // must not confirm items (two levels down) to anything.
 func TestConfirmationRequiresAdjacentLevel(t *testing.T) {
-	g := newGraph(t)
+	g := New()
 	outBelt := &model.Reader{ID: 8, Location: locB, Period: 1,
 		Confirming: true, ConfirmLevel: model.LevelPallet}
 	p := tag(t, model.LevelPallet, 1)
@@ -130,7 +130,7 @@ func TestConfirmationRequiresAdjacentLevel(t *testing.T) {
 
 // TestEdgeCountAfterChurn: edges stay bookkept through add/remove cycles.
 func TestEdgeCountAfterChurn(t *testing.T) {
-	g := newGraph(t)
+	g := New()
 	c := tag(t, model.LevelCase, 1)
 	i1 := tag(t, model.LevelItem, 1)
 	i2 := tag(t, model.LevelItem, 2)
@@ -158,7 +158,7 @@ func TestEdgeCountAfterChurn(t *testing.T) {
 
 // TestRemoveEdgeDirect exercises the exported RemoveEdge path.
 func TestRemoveEdgeDirect(t *testing.T) {
-	g := newGraph(t)
+	g := New()
 	c := tag(t, model.LevelCase, 1)
 	i := tag(t, model.LevelItem, 1)
 	mustUpdate(t, g, beltReader, 1, c, i)
@@ -179,7 +179,7 @@ func TestRemoveEdgeDirect(t *testing.T) {
 
 // TestSnapshotStats covers the monitoring snapshot.
 func TestSnapshotStats(t *testing.T) {
-	g := newGraph(t)
+	g := New()
 	c := tag(t, model.LevelCase, 1)
 	i1 := tag(t, model.LevelItem, 1)
 	i2 := tag(t, model.LevelItem, 2)
@@ -202,7 +202,7 @@ func TestSnapshotStats(t *testing.T) {
 
 // TestVisitAccessors covers the edge-span accessors.
 func TestVisitAccessors(t *testing.T) {
-	g := newGraph(t)
+	g := New()
 	c := tag(t, model.LevelCase, 1)
 	i1 := tag(t, model.LevelItem, 1)
 	i2 := tag(t, model.LevelItem, 2)

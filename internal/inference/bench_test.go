@@ -14,10 +14,7 @@ import (
 // so the iterative sweep has real work at d ≥ 1.
 func buildWarehouseGraph(b testing.TB, nShelves, casesPerShelf, itemsPerCase int) (*graph.Graph, model.Epoch) {
 	b.Helper()
-	g, err := graph.New(graph.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := graph.New()
 	seq, err := epc.NewSequencer(3)
 	if err != nil {
 		b.Fatal(err)
@@ -65,7 +62,7 @@ func BenchmarkCompleteInference(b *testing.B) {
 	for _, shelves := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("shelves=%d", shelves), func(b *testing.B) {
 			g, now := buildWarehouseGraph(b, shelves, 4, 20)
-			inf, err := New(DefaultConfig(), g.Config().HistorySize)
+			inf, err := New(DefaultConfig())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -85,7 +82,7 @@ func BenchmarkCompleteInference(b *testing.B) {
 // complete sweep on the Table III shape, with allocation counts.
 func BenchmarkInferComponentsSerial(b *testing.B) {
 	g, now := buildWarehouseGraph(b, 64, 4, 20)
-	inf, err := New(DefaultConfig(), g.Config().HistorySize)
+	inf, err := New(DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -105,7 +102,7 @@ func BenchmarkInferComponentsSerial(b *testing.B) {
 // runs between complete-inference epochs.
 func BenchmarkPartialInference(b *testing.B) {
 	g, now := buildWarehouseGraph(b, 16, 4, 20)
-	inf, err := New(DefaultConfig(), g.Config().HistorySize)
+	inf, err := New(DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -118,7 +115,7 @@ func BenchmarkPartialInference(b *testing.B) {
 // BenchmarkResolveConflicts measures the post-processing pass.
 func BenchmarkResolveConflicts(b *testing.B) {
 	g, now := buildWarehouseGraph(b, 16, 4, 20)
-	inf, err := New(DefaultConfig(), g.Config().HistorySize)
+	inf, err := New(DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

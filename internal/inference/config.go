@@ -12,12 +12,9 @@ import (
 	"spire/internal/model"
 )
 
-// Config holds the inference parameters of Equations 1-4.
+// Config holds the inference parameters of Equations 2-4. Eq. 1's Zipf
+// exponent is the paper's α = 0 (graph.History.Weight).
 type Config struct {
-	// Alpha is the Zipf exponent weighting the co-location history
-	// (Eq. 1). α=0 weighs all S bits equally — the paper's best setting.
-	Alpha float64
-
 	// Beta partitions belief between recent co-location history (β) and
 	// the last special-reader confirmation (1-β) in Eq. 2.
 	Beta float64
@@ -48,10 +45,9 @@ type Config struct {
 }
 
 // DefaultConfig returns the parameter setting the paper converges on for
-// its workloads: α=0, β=0.4, γ=0.4, θ=1.25, l=1, pruning off.
+// its workloads: β=0.4, γ=0.4, θ=1.25, l=1, pruning off.
 func DefaultConfig() Config {
 	return Config{
-		Alpha:       0,
 		Beta:        0.4,
 		Gamma:       0.4,
 		Theta:       1.25,
@@ -61,9 +57,6 @@ func DefaultConfig() Config {
 
 // Validate checks parameter ranges.
 func (c Config) Validate() error {
-	if c.Alpha < 0 {
-		return fmt.Errorf("inference: Alpha %v must be >= 0", c.Alpha)
-	}
 	if c.Beta < 0 || c.Beta > 1 {
 		return fmt.Errorf("inference: Beta %v out of [0,1]", c.Beta)
 	}

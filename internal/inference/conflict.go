@@ -105,9 +105,11 @@ func ResolveConflicts(res *Result, levelOf func(model.Tag) model.Level, rec *tra
 				}
 			}
 			res.votes = votes
+			// Ties need no break: two locations tied at the top count
+			// m make total ≥ 2m, so neither is a strict majority.
 			best := propagation{loc: model.LocationNone}
 			for _, v := range votes {
-				if v.p > best.p || (v.p == best.p && (best.loc == model.LocationNone || v.loc < best.loc)) {
+				if v.p > best.p {
 					best = v
 				}
 			}

@@ -29,10 +29,8 @@ func TestInferBitsIndependentOfInsertionOrder(t *testing.T) {
 	slices.Sort(tags)
 
 	const last = model.Epoch(12)
-	cfg := DefaultConfig()
-	cfg.Alpha = 0.5 // unequal Eq. 1 weights: confidences with busy mantissas
 	build := func(descending bool) *graph.Graph {
-		g := newGraph(t)
+		g := graph.New()
 		for e := model.Epoch(1); e <= last; e++ {
 			// Each epoch misses a different third of the tags, so every
 			// edge carries its own history; the last epoch reads only the
@@ -74,7 +72,7 @@ func TestInferBitsIndependentOfInsertionOrder(t *testing.T) {
 	multiParent := 0
 	for _, descending := range []bool{false, true} {
 		g := build(descending)
-		inf := newInf(t, cfg)
+		inf := newInf(t, DefaultConfig())
 		for run := 0; run < 20; run++ {
 			got := fingerprint(g, inf)
 			if want == nil {

@@ -14,7 +14,7 @@ func TestFadeTableExact(t *testing.T) {
 	for _, theta := range []float64{0, 0.5, 1.25, 3} {
 		cfg := DefaultConfig()
 		cfg.Theta = theta
-		inf, err := New(cfg, 32)
+		inf, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package inference
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -140,8 +139,7 @@ type PassStats struct {
 // scratch buffers — including the Result it returns — so one Inferencer
 // should be reused across epochs; it is not safe for concurrent use.
 type Inferencer struct {
-	cfg  Config
-	zipf *graph.ZipfTable // Eq. 1 weights, sized to the graph's history length
+	cfg Config
 
 	// rec is the optional decision-provenance recorder (nil when
 	// untraced); now mirrors the epoch of the running pass for records.
@@ -186,19 +184,12 @@ type propagation struct {
 	p   float64
 }
 
-// New creates an Inferencer for graphs with the given co-location history
-// size.
-func New(cfg Config, historySize int) (*Inferencer, error) {
+// New creates an Inferencer.
+func New(cfg Config) (*Inferencer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if historySize < 1 || historySize > graph.MaxHistorySize {
-		return nil, fmt.Errorf("inference: history size %d out of range", historySize)
-	}
-	return &Inferencer{
-		cfg:  cfg,
-		zipf: graph.ZipfWeights(historySize, cfg.Alpha),
-	}, nil
+	return &Inferencer{cfg: cfg}, nil
 }
 
 // Config returns the inference parameters in use.
@@ -363,7 +354,7 @@ func (inf *Inferencer) edgeInference(g *graph.Graph, n *graph.Node) model.Tag {
 	var best *graph.Edge
 	var bestConf float64
 	for _, e := range n.Parents() {
-		conf := float64(beta * e.History.Weight(inf.zipf)) // rounded: never fused into the sum below
+		conf := float64(beta * e.History.Weight()) // rounded: never fused into the sum below
 		if n.ConfirmedEdge == e {
 			conf += 1 - beta
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"spire/internal/graph"
 	"spire/internal/model"
 )
 
@@ -11,7 +12,7 @@ import (
 // node's surviving incoming edges the probabilities sum to 1 and the
 // chosen parent carries the maximum.
 func TestEdgeProbabilitiesNormalized(t *testing.T) {
-	g := newGraph(t)
+	g := graph.New()
 	c1 := tag(t, model.LevelCase, 1)
 	c2 := tag(t, model.LevelCase, 2)
 	c3 := tag(t, model.LevelCase, 3)
@@ -50,7 +51,7 @@ func TestEdgeProbabilitiesNormalized(t *testing.T) {
 // TestPartialHalonRadius widens PartialHops and checks the halo boundary
 // moves accordingly.
 func TestPartialHaloRadius(t *testing.T) {
-	g := newGraph(t)
+	g := graph.New()
 	p1 := tag(t, model.LevelPallet, 1)
 	c1 := tag(t, model.LevelCase, 1)
 	i1 := tag(t, model.LevelItem, 1)
@@ -72,7 +73,7 @@ func TestPartialHaloRadius(t *testing.T) {
 // consistently co-read should, under adaptive β, trust the confirmation
 // even when a noisy co-location history favors another case.
 func TestAdaptiveBetaUsedByInference(t *testing.T) {
-	g := newGraph(t)
+	g := graph.New()
 	c1 := tag(t, model.LevelCase, 1)
 	c2 := tag(t, model.LevelCase, 2)
 	i1 := tag(t, model.LevelItem, 1)
@@ -99,7 +100,7 @@ func TestAdaptiveBetaUsedByInference(t *testing.T) {
 // TestPruneThresholdOneKeepsNothingUnconfirmed: at an extreme threshold
 // only the confirmation term can survive.
 func TestPruneThresholdExtreme(t *testing.T) {
-	g := newGraph(t)
+	g := graph.New()
 	c1 := tag(t, model.LevelCase, 1)
 	c2 := tag(t, model.LevelCase, 2)
 	i1 := tag(t, model.LevelItem, 1)

@@ -38,18 +38,9 @@ func levelOf(g model.Tag) model.Level {
 	return l
 }
 
-func newGraph(t *testing.T) *graph.Graph {
-	t.Helper()
-	g, err := graph.New(graph.Config{HistorySize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
 func newInf(t *testing.T, cfg Config) *Inferencer {
 	t.Helper()
-	inf, err := New(cfg, 8)
+	inf, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +59,6 @@ func TestConfigValidate(t *testing.T) {
 		t.Errorf("default config invalid: %v", err)
 	}
 	bad := []Config{
-		{Alpha: -1, Beta: 0.4, Gamma: 0.4, Theta: 1, PartialHops: 1},
 		{Beta: 1.5, Gamma: 0.4, Theta: 1, PartialHops: 1},
 		{Beta: 0.4, Gamma: -0.1, Theta: 1, PartialHops: 1},
 		{Beta: 0.4, Gamma: 0.4, Theta: -2, PartialHops: 1},
@@ -80,8 +70,8 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
-	if _, err := New(DefaultConfig(), 0); err == nil {
-		t.Error("New with bad history size must fail")
+	if _, err := New(bad[0]); err == nil {
+		t.Error("New must validate")
 	}
 }
 
@@ -108,7 +98,7 @@ func TestScheduleLCM(t *testing.T) {
 }
 
 func TestObservedNodesKeepTheirColor(t *testing.T) {
-	g := newGraph(t)
+	g := graph.New()
 	i1 := tag(t, model.LevelItem, 1)
 	mustUpdate(t, g, dockReader, 1, i1)
 	res := newInf(t, DefaultConfig()).Infer(g, 1, Complete)
@@ -121,7 +111,7 @@ func TestObservedNodesKeepTheirColor(t *testing.T) {
 }
 
 func TestEdgeInferencePrefersConfirmedParent(t *testing.T) {
-	g := newGraph(t)
+	g := graph.New()
 	c1 := tag(t, model.LevelCase, 1)
 	c2 := tag(t, model.LevelCase, 2)
 	i1 := tag(t, model.LevelItem, 1)
@@ -139,32 +129,36 @@ func TestEdgeInferencePrefersConfirmedParent(t *testing.T) {
 func TestEdgeInferenceHistoryOutweighsStaleConfirmation(t *testing.T) {
 	// With high β the recent co-location history with c2 must eventually
 	// outweigh c1's old confirmation.
-	g := newGraph(t)
+	g := graph.New()
 	c1 := tag(t, model.LevelCase, 1)
 	c2 := tag(t, model.LevelCase, 2)
 	i1 := tag(t, model.LevelItem, 1)
 	mustUpdate(t, g, beltReader, 1, c1, i1) // confirm c1→i1
 	// i1 then travels with c2 while c1 goes unobserved, so the confirmed
 	// edge's co-location history decays to nothing.
-	for e := model.Epoch(2); e <= 9; e++ {
+	last := model.Epoch(1 + graph.HistorySize)
+	for e := model.Epoch(2); e <= last; e++ {
 		mustUpdate(t, g, packReader, e, c2, i1)
+	}
+	if h := g.Node(i1).ParentEdge(c1).History; h.Ones() != 0 {
+		t.Fatalf("confirmed edge history %032b must have expired", uint32(h))
 	}
 	cfg := DefaultConfig()
 	cfg.Beta = 0.9
-	res := newInf(t, cfg).Infer(g, 9, Complete)
+	res := newInf(t, cfg).Infer(g, last, Complete)
 	if verdictOf(res, i1).Parent != c2 {
 		t.Errorf("parent = %d, want history-backed case %d", verdictOf(res, i1).Parent, c2)
 	}
 	// With β=0 (all weight on confirmation) c1 must still win.
 	cfg.Beta = 0
-	res = newInf(t, cfg).Infer(g, 9, Complete)
+	res = newInf(t, cfg).Infer(g, last, Complete)
 	if verdictOf(res, i1).Parent != c1 {
 		t.Errorf("β=0 parent = %d, want confirmed case %d", verdictOf(res, i1).Parent, c1)
 	}
 }
 
 func TestEdgeInferenceNoParent(t *testing.T) {
-	g := newGraph(t)
+	g := graph.New()
 	p := tag(t, model.LevelPallet, 1)
 	mustUpdate(t, g, dockReader, 1, p)
 	res := newInf(t, DefaultConfig()).Infer(g, 1, Complete)
@@ -174,7 +168,7 @@ func TestEdgeInferenceNoParent(t *testing.T) {
 }
 
 func TestNodeInferenceContinuedStayThenUnknown(t *testing.T) {
-	g := newGraph(t)
+	g := graph.New()
 	i1 := tag(t, model.LevelItem, 1)
 	for e := model.Epoch(1); e <= 5; e++ {
 		mustUpdate(t, g, dockReader, e, i1)
@@ -196,7 +190,7 @@ func TestNodeInferenceContinuedStayThenUnknown(t *testing.T) {
 }
 
 func TestThetaControlsFadeRate(t *testing.T) {
-	g := newGraph(t)
+	g := graph.New()
 	i1 := tag(t, model.LevelItem, 1)
 	mustUpdate(t, g, dockReader, 1, i1)
 
@@ -217,7 +211,7 @@ func TestNodeInferenceMovesWithContainer(t *testing.T) {
 	// An item confirmed inside a case follows the case to a new location
 	// once its own fading color has decayed (the paper's "movement to a
 	// new location" case).
-	g := newGraph(t)
+	g := graph.New()
 	c1 := tag(t, model.LevelCase, 1)
 	i1 := tag(t, model.LevelItem, 1)
 	mustUpdate(t, g, beltReader, 1, c1, i1) // confirm at belt
@@ -233,8 +227,37 @@ func TestNodeInferenceMovesWithContainer(t *testing.T) {
 	}
 }
 
+// TestNodeInferenceTieGoesToLowerLocation pins Eq. 4's tie-break among
+// known locations: item 1 missed the last read of its two candidate
+// cases, and with γ = 1 its own fading color weighs nothing, so each
+// case's color arrives with exactly half the mass. The lower location ID
+// must win, whichever case holds it.
+func TestNodeInferenceTieGoesToLowerLocation(t *testing.T) {
+	c1 := tag(t, model.LevelCase, 1)
+	c2 := tag(t, model.LevelCase, 2)
+	i1 := tag(t, model.LevelItem, 1)
+	cfg := DefaultConfig()
+	cfg.Gamma = 1
+	for _, r := range [][2]*model.Reader{{dockReader, packReader}, {packReader, dockReader}} {
+		g := graph.New()
+		mustUpdate(t, g, r[0], 1, c1, i1) // edge c1→i1
+		mustUpdate(t, g, r[1], 2, c2, i1) // edge c2→i1; c1 unread
+		mustUpdate(t, g, r[0], 3, c1)     // i1 unread: one set bit per edge
+		mustUpdate(t, g, r[1], 3, c2)
+		res := newInf(t, cfg).Infer(g, 3, Complete)
+		e1, e2 := g.Node(i1).ParentEdge(c1), g.Node(i1).ParentEdge(c2)
+		if e1 == nil || e2 == nil || e1.InferProb != 0.5 || e2.InferProb != 0.5 {
+			t.Fatalf("setup: want two parent edges of probability 0.5, got %v and %v", e1, e2)
+		}
+		if got := verdictOf(res, i1).Location; got != locA {
+			t.Errorf("case 1 at %v: tied item location = %v, want the lower location %v",
+				r[0].Location, got, locA)
+		}
+	}
+}
+
 func TestGammaZeroIgnoresContainment(t *testing.T) {
-	g := newGraph(t)
+	g := graph.New()
 	c1 := tag(t, model.LevelCase, 1)
 	i1 := tag(t, model.LevelItem, 1)
 	mustUpdate(t, g, beltReader, 1, c1, i1)
@@ -257,7 +280,7 @@ func TestGammaZeroIgnoresContainment(t *testing.T) {
 func TestIterativeInferenceReachesDistanceTwo(t *testing.T) {
 	// pallet→case→item chain: only the item is observed; the case (d=1)
 	// and the pallet (d=2) must both inherit its color through the chain.
-	g := newGraph(t)
+	g := graph.New()
 	p1 := tag(t, model.LevelPallet, 1)
 	c1 := tag(t, model.LevelCase, 1)
 	i1 := tag(t, model.LevelItem, 1)
@@ -283,7 +306,7 @@ func TestIterativeInferenceReachesDistanceTwo(t *testing.T) {
 }
 
 func TestIsolatedComponentStillInterpreted(t *testing.T) {
-	g := newGraph(t)
+	g := graph.New()
 	i1 := tag(t, model.LevelItem, 1)
 	i2 := tag(t, model.LevelItem, 2)
 	mustUpdate(t, g, dockReader, 1, i1)
@@ -300,7 +323,7 @@ func TestIsolatedComponentStillInterpreted(t *testing.T) {
 }
 
 func TestPartialInferenceWithholdsUnknownAndLimitsHops(t *testing.T) {
-	g := newGraph(t)
+	g := graph.New()
 	p1 := tag(t, model.LevelPallet, 1)
 	c1 := tag(t, model.LevelCase, 1)
 	i1 := tag(t, model.LevelItem, 1)
@@ -328,7 +351,7 @@ func TestPartialInferenceWithholdsUnknownAndLimitsHops(t *testing.T) {
 	}
 
 	// Withholding: a d=1 node whose verdict is "unknown" must be absent.
-	g2 := newGraph(t)
+	g2 := graph.New()
 	c2 := tag(t, model.LevelCase, 2)
 	i2 := tag(t, model.LevelItem, 2)
 	mustUpdate(t, g2, dockReader, 1, c2, i2)
@@ -352,7 +375,7 @@ func TestPartialInferenceWithholdsUnknownAndLimitsHops(t *testing.T) {
 }
 
 func TestPruningRemovesWeakEdges(t *testing.T) {
-	g := newGraph(t)
+	g := graph.New()
 	c1 := tag(t, model.LevelCase, 1)
 	c2 := tag(t, model.LevelCase, 2)
 	i1 := tag(t, model.LevelItem, 1)
@@ -519,7 +542,7 @@ func TestResolveConflictsSkipsWithheld(t *testing.T) {
 func TestRandomizedInferenceTotalAndDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	readers := []*model.Reader{dockReader, beltReader, packReader}
-	g := newGraph(t)
+	g := graph.New()
 	pool := make([]model.Tag, 0, 30)
 	for s := uint32(1); s <= 10; s++ {
 		pool = append(pool,

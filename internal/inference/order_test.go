@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"spire/internal/epc"
+	"spire/internal/graph"
 	"spire/internal/model"
 )
 
@@ -23,7 +24,7 @@ func TestOrderUnderChurn(t *testing.T) {
 	for _, cache := range []bool{true, false} {
 		t.Run(fmt.Sprintf("cache=%v", cache), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(41))
-			gA, gB := newGraph(t), newGraph(t)
+			gA, gB := graph.New(), graph.New()
 			infA, infB := newInf(t, baseConfig()), newInf(t, baseConfig())
 			readers := make([]*model.Reader, 4)
 			for i := range readers {

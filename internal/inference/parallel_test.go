@@ -124,7 +124,7 @@ func baseConfig() Config {
 func TestInferMatchesReference(t *testing.T) {
 	for _, cache := range []bool{true, false} {
 		t.Run(fmt.Sprintf("cache=%v", cache), func(t *testing.T) {
-			gA, gB := newGraph(t), newGraph(t)
+			gA, gB := graph.New(), graph.New()
 			infA, infB := newInf(t, baseConfig()), newInf(t, baseConfig())
 			sc := newChurnScenario(t, 6, 2, 3)
 			for e := model.Epoch(1); e <= 64; e++ {
@@ -166,7 +166,7 @@ func TestInferMatchesReference(t *testing.T) {
 func TestInferAllocsSerial(t *testing.T) {
 	run := func(name string, advance bool) {
 		g, now := buildWarehouseGraph(t, 8, 2, 5)
-		inf, err := New(DefaultConfig(), g.Config().HistorySize)
+		inf, err := New(DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

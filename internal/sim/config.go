@@ -60,8 +60,9 @@ type Config struct {
 	// are uniform in [0.5, 1.5] × ShelfTime.
 	ShelfTime model.Epoch
 
-	// Dwell times for the transitional stages, in epochs.
-	EntryDwell, BeltDwell, PackDwell, ExitDwell model.Epoch
+	// Dwell times at the entry door and on each belt, in epochs;
+	// packaging and the exit door take packDwell and exitDwell.
+	EntryDwell, BeltDwell model.Epoch
 
 	// TheftInterval, when positive, steals one random shelved case (with
 	// its contents) every TheftInterval epochs — the anomaly workload of
@@ -124,8 +125,6 @@ func DefaultConfig() Config {
 		ShelfTime:              3600,
 		EntryDwell:             4,
 		BeltDwell:              3,
-		PackDwell:              5,
-		ExitDwell:              3,
 	}
 }
 
@@ -161,7 +160,7 @@ func (c Config) Validate() error {
 	if c.ShelfTime < 1 {
 		return fmt.Errorf("sim: ShelfTime %d must be positive", c.ShelfTime)
 	}
-	if c.EntryDwell < 1 || c.BeltDwell < 1 || c.PackDwell < 1 || c.ExitDwell < 1 {
+	if c.EntryDwell < 1 || c.BeltDwell < 1 {
 		return fmt.Errorf("sim: dwell times must be positive")
 	}
 	if c.TheftInterval < 0 {
@@ -209,6 +208,12 @@ const (
 	ReaderBeltOut
 	ReaderExit
 	readerShelfBase // shelf readers are readerShelfBase+i
+)
+
+// Dwell times at the packaging area and the exit door, in epochs.
+const (
+	packDwell model.Epoch = 5
+	exitDwell model.Epoch = 3
 )
 
 // ColdCompany is the EPC company prefix cold-chain cargo is tagged

@@ -300,7 +300,7 @@ func (s *Simulator) advance() error {
 			c.state = caseWaitBeltIn
 			s.beltInQueue = append(s.beltInQueue, c)
 		}
-		in.until = now + s.cfg.ExitDwell
+		in.until = now + exitDwell
 		if err := s.world.Move(in.pallet, s.locExit); err != nil {
 			return err
 		}
@@ -404,7 +404,7 @@ func (s *Simulator) advance() error {
 		if _, err := s.world.Enter(ptag, model.LevelPallet, s.locPack); err != nil {
 			return err
 		}
-		p := &palletUnit{tag: ptag, cases: group, until: now + s.cfg.PackDwell}
+		p := &palletUnit{tag: ptag, cases: group, until: now + packDwell}
 		for _, c := range group {
 			if err := s.world.Contain(c.tag, ptag); err != nil {
 				return err
@@ -435,7 +435,7 @@ func (s *Simulator) advance() error {
 	// Shipping belt: one pallet at a time.
 	if s.beltOutBusy != nil && now >= s.beltOutBusy.until {
 		p := s.beltOutBusy
-		p.until = now + s.cfg.ExitDwell
+		p.until = now + exitDwell
 		if err := s.world.Move(p.tag, s.locExit); err != nil {
 			return err
 		}

@@ -9,10 +9,7 @@ import (
 
 func BenchmarkProcessBatch(b *testing.B) {
 	readers := []model.Reader{{ID: 1, Location: 0, Period: 1, ReadRate: 1}}
-	c, err := New(DefaultConfig(), readers)
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := New(readers)
 	rng := rand.New(rand.NewSource(1))
 	// Warm with 2000 tags.
 	warm := model.NewBatch(1)

@@ -35,40 +35,20 @@ import (
 	"spire/internal/model"
 )
 
-// Config parameterizes the cleaner.
-type Config struct {
-	// Delta is the allowed false-negative probability of the completeness
-	// condition (typical: 0.05).
-	Delta float64
-	// MinWindow and MaxWindow clamp w*, in owner-reader cycles.
-	MinWindow, MaxWindow int
-	// Alpha is the EWMA weight for the per-cycle detection estimate.
-	Alpha float64
-	// FloorP bounds p̂ away from zero so w* stays finite.
-	FloorP float64
-}
-
-// DefaultConfig returns the conventional SMURF parameters.
-func DefaultConfig() Config {
-	return Config{Delta: 0.05, MinWindow: 2, MaxWindow: 30, Alpha: 0.1, FloorP: 0.1}
-}
-
-// Validate checks parameter ranges.
-func (c Config) Validate() error {
-	if c.Delta <= 0 || c.Delta >= 1 {
-		return fmt.Errorf("smurf: Delta %v out of (0,1)", c.Delta)
-	}
-	if c.MinWindow < 1 || c.MaxWindow < c.MinWindow {
-		return fmt.Errorf("smurf: window range [%d,%d] invalid", c.MinWindow, c.MaxWindow)
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		return fmt.Errorf("smurf: Alpha %v out of (0,1]", c.Alpha)
-	}
-	if c.FloorP <= 0 || c.FloorP > 1 {
-		return fmt.Errorf("smurf: FloorP %v out of (0,1]", c.FloorP)
-	}
-	return nil
-}
+// SMURF's parameters, at the values of the SMURF paper's experiments.
+const (
+	// delta is δ, the completeness condition's allowed probability that a
+	// present tag goes unread for a whole window: w* = ⌈ln(1/δ)/p̂⌉.
+	delta float64 = 0.05
+	// minWindow and maxWindow clamp w*, in owner-reader cycles; the
+	// maximum bounds how long a departed tag is still smoothed in.
+	minWindow, maxWindow = 2, 30
+	// ewma is the weight of the newest cycle in p̂, SMURF's estimate of
+	// the per-cycle detection probability from the readings it has seen.
+	ewma float64 = 0.1
+	// floorP bounds p̂ away from zero, so w* stays finite.
+	floorP float64 = 0.1
+)
 
 // tagState is the per-tag smoothing state.
 type tagState struct {
@@ -84,18 +64,13 @@ type tagState struct {
 // Cleaner smooths a raw RFID stream tag by tag. It is not safe for
 // concurrent use.
 type Cleaner struct {
-	cfg     Config
 	readers map[model.ReaderID]model.Reader
 	states  map[model.Tag]*tagState
 }
 
 // New builds a Cleaner for the given reader deployment.
-func New(cfg Config, readers []model.Reader) (*Cleaner, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func New(readers []model.Reader) *Cleaner {
 	c := &Cleaner{
-		cfg:     cfg,
 		readers: make(map[model.ReaderID]model.Reader, len(readers)),
 		states:  make(map[model.Tag]*tagState),
 	}
@@ -105,7 +80,7 @@ func New(cfg Config, readers []model.Reader) (*Cleaner, error) {
 		}
 		c.readers[r.ID] = r
 	}
-	return c, nil
+	return c
 }
 
 // Len reports the number of tags currently tracked.
@@ -115,15 +90,8 @@ func (c *Cleaner) Len() int { return len(c.states) }
 func (c *Cleaner) Forget(g model.Tag) { delete(c.states, g) }
 
 // window returns w* for the tag's current detection estimate.
-func (c *Cleaner) window(p float64) int {
-	w := int(math.Ceil(math.Log(1/c.cfg.Delta) / p))
-	if w < c.cfg.MinWindow {
-		w = c.cfg.MinWindow
-	}
-	if w > c.cfg.MaxWindow {
-		w = c.cfg.MaxWindow
-	}
-	return w
+func window(p float64) int {
+	return min(max(int(math.Ceil(math.Log(1/delta)/p)), minWindow), maxWindow)
 }
 
 // ProcessBatch ingests one epoch's readings and returns the smoothed
@@ -171,7 +139,7 @@ func (c *Cleaner) ProcessBatch(b *model.Batch) (*inference.Result, error) {
 		// Long-dead tags are forgotten so memory and per-epoch work stay
 		// proportional to the live population; the downstream compressor
 		// has latched their Missing state already.
-		if !st.present && now-st.lastAt > 4*model.Epoch(c.cfg.MaxWindow)*st.period {
+		if !st.present && now-st.lastAt > 4*maxWindow*st.period {
 			delete(c.states, g)
 			continue
 		}
@@ -184,15 +152,15 @@ func (c *Cleaner) ProcessBatch(b *model.Batch) (*inference.Result, error) {
 			}
 			// Each product rounds before the sum (no fused multiply-add
 			// on any architecture).
-			st.p = float64((1-c.cfg.Alpha)*st.p) + float64(c.cfg.Alpha*hit)
-			if st.p < c.cfg.FloorP {
-				st.p = c.cfg.FloorP
+			st.p = float64((1-ewma)*st.p) + float64(ewma*hit)
+			if st.p < floorP {
+				st.p = floorP
 			}
 			if st.lastAt != now && st.present {
 				st.misses++
 			}
 		}
-		if st.present && st.misses >= c.window(st.p) {
+		if st.present && st.misses >= window(st.p) {
 			st.present = false
 		}
 		res.Parents[g] = model.NoTag

@@ -13,52 +13,21 @@ var testReaders = []model.Reader{
 	{ID: 3, Location: 2, Period: 20, ReadRate: 1}, // shelf-like reader
 }
 
-func newCleaner(t *testing.T, cfg Config) *Cleaner {
-	t.Helper()
-	c, err := New(cfg, testReaders)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 func obs(now model.Epoch, reader model.ReaderID, tags ...model.Tag) *model.Batch {
 	b := model.NewBatch(now)
 	b.AppendGroup(reader, tags)
 	return b
 }
 
-func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []Config{
-		{Delta: 0, MinWindow: 1, MaxWindow: 10, Alpha: 0.1, FloorP: 0.1},
-		{Delta: 1, MinWindow: 1, MaxWindow: 10, Alpha: 0.1, FloorP: 0.1},
-		{Delta: 0.05, MinWindow: 0, MaxWindow: 10, Alpha: 0.1, FloorP: 0.1},
-		{Delta: 0.05, MinWindow: 9, MaxWindow: 5, Alpha: 0.1, FloorP: 0.1},
-		{Delta: 0.05, MinWindow: 1, MaxWindow: 10, Alpha: 0, FloorP: 0.1},
-		{Delta: 0.05, MinWindow: 1, MaxWindow: 10, Alpha: 0.1, FloorP: 0},
-	}
-	for i, c := range bad {
-		if c.Validate() == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
-	}
-	if _, err := New(Config{}, testReaders); err == nil {
-		t.Error("New must validate")
-	}
-}
-
 func TestUnknownReaderRejected(t *testing.T) {
-	c := newCleaner(t, DefaultConfig())
+	c := New(testReaders)
 	if _, err := c.ProcessBatch(obs(1, 99, 5)); err == nil {
 		t.Error("unknown reader must fail")
 	}
 }
 
 func TestSmoothsOverMissedReadings(t *testing.T) {
-	c := newCleaner(t, DefaultConfig())
+	c := New(testReaders)
 	// Read every epoch for a while, then a couple of misses: the tag must
 	// remain present at its location.
 	for e := model.Epoch(1); e <= 10; e++ {
@@ -81,7 +50,7 @@ func TestSmoothsOverMissedReadings(t *testing.T) {
 }
 
 func TestLongAbsenceReportsAway(t *testing.T) {
-	c := newCleaner(t, DefaultConfig())
+	c := New(testReaders)
 	for e := model.Epoch(1); e <= 10; e++ {
 		if _, err := c.ProcessBatch(obs(e, 1, 7)); err != nil {
 			t.Fatal(err)
@@ -101,8 +70,7 @@ func TestLongAbsenceReportsAway(t *testing.T) {
 }
 
 func TestTransitionDetectionShrinksWindow(t *testing.T) {
-	cfg := DefaultConfig()
-	c := newCleaner(t, cfg)
+	c := New(testReaders)
 	// Dense reads build a confident rate estimate.
 	for e := model.Epoch(1); e <= 30; e++ {
 		if _, err := c.ProcessBatch(obs(e, 1, 7)); err != nil {
@@ -139,7 +107,7 @@ func TestSameEpochReadGoesToLowestReader(t *testing.T) {
 	b.AppendGroup(1, []model.Tag{42})
 	b.AppendGroup(2, []model.Tag{42})
 	for i := 0; i < 200; i++ {
-		c := newCleaner(t, DefaultConfig())
+		c := New(testReaders)
 		res, err := c.ProcessBatch(b)
 		if err != nil {
 			t.Fatal(err)
@@ -151,7 +119,7 @@ func TestSameEpochReadGoesToLowestReader(t *testing.T) {
 }
 
 func TestLocationFollowsMostRecentReader(t *testing.T) {
-	c := newCleaner(t, DefaultConfig())
+	c := New(testReaders)
 	for e := model.Epoch(1); e <= 5; e++ {
 		if _, err := c.ProcessBatch(obs(e, 1, 7)); err != nil {
 			t.Fatal(err)
@@ -176,7 +144,7 @@ func TestSparseReaderTagHeldPresent(t *testing.T) {
 	// A tag owned by a period-20 (shelf-like) reader must be held present
 	// between that reader's interrogation cycles: windows count owner
 	// cycles, not wall-clock epochs.
-	c := newCleaner(t, DefaultConfig())
+	c := New(testReaders)
 	for e := model.Epoch(1); e <= 200; e++ {
 		var o *model.Batch
 		if e%20 == 0 {
@@ -195,7 +163,7 @@ func TestSparseReaderTagHeldPresent(t *testing.T) {
 }
 
 func TestForgetAndLen(t *testing.T) {
-	c := newCleaner(t, DefaultConfig())
+	c := New(testReaders)
 	if _, err := c.ProcessBatch(obs(1, 1, 7, 8)); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +180,7 @@ func TestNoisyStreamAccuracy(t *testing.T) {
 	// Statistical sanity: with a 0.7 read rate, the smoothed presence must
 	// be far more accurate than the raw readings.
 	rng := rand.New(rand.NewSource(3))
-	c := newCleaner(t, DefaultConfig())
+	c := New(testReaders)
 	present, rawHits, smoothHits := 0, 0, 0
 	for e := model.Epoch(1); e <= 400; e++ {
 		read := rng.Float64() < 0.7
