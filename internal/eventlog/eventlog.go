@@ -61,12 +61,18 @@ type Options struct {
 type Log struct {
 	dir      string
 	opts     Options
-	seg      *os.File
+	seg      segment
 	segIndex int
 	segSize  int64
 	appended int64
 	unsynced int
 	buf      []byte
+}
+
+// segment is the part of the open segment file a Log writes through.
+type segment interface {
+	io.WriteCloser
+	Sync() error
 }
 
 func segName(i int) string { return fmt.Sprintf("events-%08d.seg", i) }
@@ -157,30 +163,34 @@ func (l *Log) rotate(i int) error {
 	return nil
 }
 
-// Append frames and writes events to the log.
+// Append frames events into one buffer and writes it once, or early at a
+// record that fills SyncEvery or the segment: syncs and rotations fall at
+// the same records as with a write per event.
 func (l *Log) Append(events ...event.Event) error {
 	if l.seg == nil {
 		return errors.New("eventlog: log is closed")
 	}
+	framed := 0
 	for _, e := range events {
-		payload, err := event.Append(l.buf[:0], e)
+		n := len(l.buf)
+		buf, err := event.Append(append(l.buf, make([]byte, headerSize)...), e)
 		if err != nil {
+			l.buf = l.buf[:n]
+			return errors.Join(err, l.flush(framed))
+		}
+		payload := buf[n+headerSize:]
+		binary.BigEndian.PutUint16(buf[n:], uint16(len(payload)))
+		binary.BigEndian.PutUint32(buf[n+2:], crc32.Checksum(payload, castagnoli))
+		l.buf, framed = buf, framed+1
+		syncDue := l.opts.SyncEvery > 0 && l.unsynced+framed >= l.opts.SyncEvery
+		if !syncDue && l.segSize+int64(len(l.buf)) < l.opts.MaxSegmentBytes {
+			continue
+		}
+		if err := l.flush(framed); err != nil {
 			return err
 		}
-		l.buf = payload
-		var hdr [headerSize]byte
-		binary.BigEndian.PutUint16(hdr[0:2], uint16(len(payload)))
-		binary.BigEndian.PutUint32(hdr[2:6], crc32.Checksum(payload, castagnoli))
-		if _, err := l.seg.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := l.seg.Write(payload); err != nil {
-			return err
-		}
-		l.segSize += int64(headerSize + len(payload))
-		l.appended++
-		l.unsynced++
-		if l.opts.SyncEvery > 0 && l.unsynced >= l.opts.SyncEvery {
+		framed = 0
+		if syncDue {
 			if err := l.Sync(); err != nil {
 				return err
 			}
@@ -191,7 +201,31 @@ func (l *Log) Append(events ...event.Event) error {
 			}
 		}
 	}
-	return nil
+	return l.flush(framed)
+}
+
+// flush writes the records framed in l.buf. Only whole records that reached
+// the file count; a write that fails part-way leaves a torn tail for Open.
+func (l *Log) flush(records int) error {
+	if len(l.buf) == 0 {
+		return nil
+	}
+	written, err := l.seg.Write(l.buf)
+	if err != nil {
+		cut := written
+		for records, written = 0, 0; written < cut; records++ {
+			next := written + headerSize + int(binary.BigEndian.Uint16(l.buf[written:]))
+			if next > cut {
+				break
+			}
+			written = next
+		}
+	}
+	l.segSize += int64(written)
+	l.appended += int64(records)
+	l.unsynced += records
+	l.buf = l.buf[:0]
+	return err
 }
 
 // Sync flushes the current segment to stable storage.

@@ -31,6 +31,70 @@ func benchStream(nObjects, moves int) []event.Event {
 	return out
 }
 
+// churnStream builds a well-formed stream of nItems items packed in
+// nItems/20 cases at 8 locations: every epoch, moves items change case
+// and location, and one move in seven instead reports the item missing;
+// a missing item returns on its next turn.
+func churnStream(nItems, epochs, moves int) []event.Event {
+	nCases := nItems / 20
+	type state struct {
+		loc     model.LocationID
+		cont    model.Tag
+		since   model.Epoch
+		missing bool
+	}
+	items := make([]state, nItems)
+	var out []event.Event
+	for i := range items {
+		g := model.Tag(nCases + 1 + i)
+		items[i] = state{loc: model.LocationID(i % 8), cont: model.Tag(i%nCases + 1), since: 1}
+		out = append(out,
+			event.NewStartContainment(g, items[i].cont, 1),
+			event.NewStartLocation(g, items[i].loc, 1))
+	}
+	k := 0
+	for t := model.Epoch(2); t <= model.Epoch(epochs); t++ {
+		for m := 0; m < moves; m, k = m+1, k+1 {
+			i := k % nItems
+			st, g := &items[i], model.Tag(nCases+1+i)
+			switch {
+			case st.missing:
+				st.loc, st.cont = (st.loc+1)%8, st.cont%model.Tag(nCases)+1
+				out = append(out,
+					event.NewStartContainment(g, st.cont, t),
+					event.NewStartLocation(g, st.loc, t))
+				st.missing = false
+			case k%7 == 0:
+				out = append(out,
+					event.NewEndContainment(g, st.cont, st.since, t),
+					event.NewEndLocation(g, st.loc, st.since, t),
+					event.NewMissing(g, st.loc, t))
+				st.missing = true
+			default:
+				out = append(out,
+					event.NewEndContainment(g, st.cont, st.since, t),
+					event.NewEndLocation(g, st.loc, st.since, t))
+				st.loc, st.cont = (st.loc+1)%8, st.cont%model.Tag(nCases)+1
+				out = append(out,
+					event.NewStartContainment(g, st.cont, t),
+					event.NewStartLocation(g, st.loc, t))
+			}
+			st.since = t
+		}
+	}
+	return out
+}
+
+// churnStore feeds a churnStream of 10 000 items over 400 epochs.
+func churnStore(b *testing.B) (*Store, model.Epoch) {
+	const epochs = 400
+	s := NewStore()
+	if err := s.Feed(churnStream(10000, epochs, 100)...); err != nil {
+		b.Fatal(err)
+	}
+	return s, epochs
+}
+
 func BenchmarkStoreFeed(b *testing.B) {
 	evs := benchStream(1000, 20000)
 	b.ResetTimer()
@@ -59,8 +123,30 @@ func BenchmarkObjectsAt(b *testing.B) {
 	if err := s.Feed(benchStream(1000, 20000)...); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.ObjectsAt(model.LocationID(i%8), model.Epoch(i%100000))
+	}
+}
+
+// BenchmarkContentsAt lists a case's contents at the stream head, the
+// serving read mix's container query.
+func BenchmarkContentsAt(b *testing.B) {
+	s, head := churnStore(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.ContentsAt(model.Tag(i%500+1), head)
+	}
+}
+
+// BenchmarkMissingAt lists the missing set at the stream head.
+func BenchmarkMissingAt(b *testing.B) {
+	s, head := churnStore(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.MissingAt(head)
 	}
 }

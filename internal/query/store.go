@@ -23,6 +23,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"spire/internal/event"
@@ -59,9 +60,17 @@ type Store struct {
 	conts    map[model.Tag][]Containment
 	missing  map[model.Tag][]MissingReport
 	byLoc    map[model.LocationID][]occupancy
-	objects  map[model.Tag]struct{}
+	byCont   map[model.Tag][]model.Tag // objects that ever entered each container
+	missFrom map[model.Tag]model.Epoch // open missing spells: object → start
+	spells   []spell                   // closed missing spells, in ve order
 	events   int64
 	lastTime model.Epoch
+}
+
+// spell is a span [vs, ve) during which MissingAt lists object.
+type spell struct {
+	object model.Tag
+	vs, ve model.Epoch
 }
 
 // occupancy is a stay projected onto its location's index. The stays
@@ -79,7 +88,8 @@ func NewStore() *Store {
 		conts:    make(map[model.Tag][]Containment),
 		missing:  make(map[model.Tag][]MissingReport),
 		byLoc:    make(map[model.LocationID][]occupancy),
-		objects:  make(map[model.Tag]struct{}),
+		byCont:   make(map[model.Tag][]model.Tag),
+		missFrom: make(map[model.Tag]model.Epoch),
 		lastTime: model.EpochNone,
 	}
 }
@@ -105,7 +115,6 @@ func (s *Store) feed(e event.Event) error {
 		return fmt.Errorf("query: event %v emitted at %d before stream time %d", e, emitted, s.lastTime)
 	}
 	s.lastTime = emitted
-	s.objects[e.Object] = struct{}{}
 
 	switch e.Kind {
 	case event.StartLocation:
@@ -115,6 +124,10 @@ func (s *Store) feed(e event.Event) error {
 		}
 		s.stays[e.Object] = append(stays, Stay{Location: e.Location, Vs: e.Vs, Ve: model.InfiniteEpoch})
 		s.byLoc[e.Location] = append(s.byLoc[e.Location], occupancy{object: e.Object, vs: e.Vs})
+		if vs, ok := s.missFrom[e.Object]; ok {
+			s.spells = append(s.spells, spell{object: e.Object, vs: vs, ve: e.Vs})
+			delete(s.missFrom, e.Object)
+		}
 	case event.EndLocation:
 		stays := s.stays[e.Object]
 		n := len(stays)
@@ -125,13 +138,19 @@ func (s *Store) feed(e event.Event) error {
 			return fmt.Errorf("query: %v does not match open interval %+v", e, stays[n-1])
 		}
 		stays[n-1].Ve = e.Ve
+		// A stay opened in the last Missing's epoch is no re-sighting.
+		if r := s.missing[e.Object]; len(r) > 0 && r[len(r)-1].At == e.Vs {
+			s.missFrom[e.Object] = e.Ve
+		}
 	case event.StartContainment:
 		conts := s.conts[e.Object]
 		if n := len(conts); n > 0 && conts[n-1].Ve == model.InfiniteEpoch {
 			return fmt.Errorf("query: %v while a containment interval is open", e)
 		}
 		s.conts[e.Object] = append(conts, Containment{Container: e.Container, Vs: e.Vs, Ve: model.InfiniteEpoch})
-		s.objects[e.Container] = struct{}{}
+		if in := s.byCont[e.Container]; len(in) == 0 || in[len(in)-1] != e.Object {
+			s.byCont[e.Container] = append(in, e.Object)
+		}
 	case event.EndContainment:
 		conts := s.conts[e.Object]
 		n := len(conts)
@@ -147,6 +166,9 @@ func (s *Store) feed(e event.Event) error {
 			return fmt.Errorf("query: %v inside an open location interval", e)
 		}
 		s.missing[e.Object] = append(s.missing[e.Object], MissingReport{From: e.Location, At: e.Vs})
+		if _, ok := s.missFrom[e.Object]; !ok {
+			s.missFrom[e.Object] = e.Vs
+		}
 	}
 	s.events++
 	return nil
@@ -157,17 +179,21 @@ func (s *Store) Events() int64 { return s.events }
 
 // Known reports whether the stream has mentioned the object at all.
 func (s *Store) Known(obj model.Tag) bool {
-	_, ok := s.objects[obj]
-	return ok
+	return len(s.stays[obj]) > 0 || len(s.conts[obj]) > 0 || len(s.missing[obj]) > 0 || len(s.byCont[obj]) > 0
 }
 
 // Objects returns every object the stream has mentioned, in tag order.
 func (s *Store) Objects() []model.Tag {
-	out := make([]model.Tag, 0, len(s.objects))
-	for g := range s.objects {
+	out := appendKeys(appendKeys(make([]model.Tag, 0, len(s.stays)), s.stays), s.conts)
+	out = appendKeys(appendKeys(out, s.missing), s.byCont)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+func appendKeys[V any](out []model.Tag, m map[model.Tag]V) []model.Tag {
+	for g := range m {
 		out = append(out, g)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -225,21 +251,13 @@ func (s *Store) TopContainerAt(obj model.Tag, t model.Epoch) model.Tag {
 // tag order.
 func (s *Store) ContentsAt(container model.Tag, t model.Epoch) []model.Tag {
 	var out []model.Tag
-	// Scan the containment intervals naming this container. For the open
-	// set the inverted index is exact; historical queries re-check the
-	// intervals of every object that ever named it.
-	for g, conts := range s.conts {
-		i := sort.Search(len(conts), func(i int) bool { return conts[i].Vs > t })
-		if i == 0 {
-			continue
-		}
-		c := conts[i-1]
-		if c.Container == container && covers(c.Vs, c.Ve, t) {
+	for _, g := range s.byCont[container] {
+		if c, ok := s.ContainerAt(g, t); ok && c == container {
 			out = append(out, g)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out) // an object that re-entered is listed twice
 }
 
 // TransitiveContentsAt lists everything inside container at t, at any
@@ -261,18 +279,16 @@ func (s *Store) TransitiveContentsAt(container model.Tag, t model.Epoch) []model
 // ObjectsAt lists the objects at location loc at time t, in tag order.
 func (s *Store) ObjectsAt(loc model.LocationID, t model.Epoch) []model.Tag {
 	var out []model.Tag
-	seen := make(map[model.Tag]bool)
-	for _, occ := range s.byLoc[loc] {
-		if occ.vs > t || seen[occ.object] {
-			continue
-		}
-		if st, ok := staysAt(s.stays[occ.object], t); ok && st.Location == loc {
+	occs := s.byLoc[loc] // in vs order, as stream time never decreases
+	occs = occs[:sort.Search(len(occs), func(i int) bool { return occs[i].vs > t })]
+	for _, occ := range occs {
+		// Only the occupancy that opened the covering stay counts.
+		if st, ok := staysAt(s.stays[occ.object], t); ok && st.Location == loc && st.Vs == occ.vs {
 			out = append(out, occ.object)
-			seen[occ.object] = true
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out) // equal-Vs stays, the first one empty
 }
 
 // History returns obj's full stay history in time order. The returned
@@ -373,34 +389,24 @@ func (s *Store) MissingReports(obj model.Tag) []MissingReport {
 }
 
 // MissingAt lists the objects reported missing and not yet re-seen at
-// time t, in tag order.
+// time t, in tag order, from the spells: each runs from the first Missing
+// after an object's latest StartLocation to the Vs of its next one. No
+// stay covers a spell: Feed rejects a Missing inside an open stay, and a
+// Missing is emitted at or after the prior stay's Ve. Closed spells end in
+// order, so a query at the stream head walks none of them.
 func (s *Store) MissingAt(t model.Epoch) []model.Tag {
 	var out []model.Tag
-	for g, reports := range s.missing {
-		// Last report at or before t.
-		var last model.Epoch = model.EpochNone
-		for _, r := range reports {
-			if r.At <= t && r.At > last {
-				last = r.At
-			}
+	for g, vs := range s.missFrom {
+		if vs <= t {
+			out = append(out, g)
 		}
-		if last == model.EpochNone {
-			continue
-		}
-		// A stay covering t means the object is located. A stay *started*
-		// after the report means the object was re-seen — if that stay
-		// has since ended without a fresh Missing, the object moved or
-		// exited properly and is not missing at t.
-		stays := s.stays[g]
-		i := sort.Search(len(stays), func(i int) bool { return stays[i].Vs > t })
-		if i > 0 {
-			st := stays[i-1]
-			if covers(st.Vs, st.Ve, t) || st.Vs > last {
-				continue
-			}
-		}
-		out = append(out, g)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	i := sort.Search(len(s.spells), func(i int) bool { return s.spells[i].ve > t })
+	for _, sp := range s.spells[i:] {
+		if sp.vs <= t {
+			out = append(out, sp.object)
+		}
+	}
+	slices.Sort(out)
 	return out
 }
