@@ -127,11 +127,9 @@ type Substrate struct {
 	// ProcessBatch.
 	raw inference.Result
 
-	// Exit-walk scratch: the row indices walked, a per-row seen column and
-	// the contained rows.
+	// Exit-walk scratch: the row indices walked and a per-row seen column.
 	exitWalk []int32
 	exitSeen []bool
-	exitKids []int32
 }
 
 // compressor is the shared surface of the two compression levels.
@@ -415,8 +413,9 @@ func (s *Substrate) filterRetired(b *model.Batch) (resurrected int64) {
 // exitSet collects the objects retiring this epoch: those observed at an
 // exit location plus, transitively, the objects whose chosen container is
 // retiring. Sorted containers-first (level descending, then tag). The walk
-// runs over the result's rows, finding a container's contents among the
-// contained rows sorted by parent; only the returned slice is allocated.
+// runs over the result's rows, finding a container's contents in the
+// lists Table I built, less the children rule II detached since; only the
+// returned slice is allocated.
 func (s *Substrate) exitSet(res *inference.Result) []model.Tag {
 	if len(s.exits) == 0 {
 		return nil
@@ -436,24 +435,16 @@ func (s *Substrate) exitSet(res *inference.Result) []model.Tag {
 	for _, i := range walk {
 		seen[i] = true
 	}
-	kids := s.exitKids[:0]
-	for i, v := range rows {
-		if v.HasParent && v.Parent != model.NoTag {
-			kids = append(kids, int32(i))
-		}
-	}
-	slices.SortFunc(kids, func(a, b int32) int { return cmp.Or(cmp.Compare(rows[a].Parent, rows[b].Parent), cmp.Compare(a, b)) })
 	for k := 0; k < len(walk); k++ {
 		g := rows[walk[k]].Tag
-		j, _ := slices.BinarySearchFunc(kids, g, func(c int32, t model.Tag) int { return cmp.Compare(rows[c].Parent, t) })
-		for ; j < len(kids) && rows[kids[j]].Parent == g; j++ {
-			if c := kids[j]; !seen[c] {
+		res.Contents(int(walk[k]), func(c int) {
+			if !seen[c] && rows[c].Parent == g {
 				seen[c] = true
-				walk = append(walk, c)
+				walk = append(walk, int32(c))
 			}
-		}
+		})
 	}
-	s.exitWalk, s.exitSeen, s.exitKids = walk, seen, kids
+	s.exitWalk, s.exitSeen = walk, seen
 	out := make([]model.Tag, len(walk))
 	for k, i := range walk {
 		out[k] = rows[i].Tag

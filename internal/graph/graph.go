@@ -79,6 +79,9 @@ type Node struct {
 // as renumbered by the last Components call.
 func (n *Node) Rank() int { return int(n.rank) }
 
+// Ranked returns the node that the last Components call ranked r.
+func (g *Graph) Ranked(r int32) *Node { return g.order[r] }
+
 // Colored reports whether the node was observed in epoch now.
 func (n *Node) Colored(now model.Epoch) bool { return n.SeenAt == now }
 

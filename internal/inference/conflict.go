@@ -1,7 +1,6 @@
 package inference
 
 import (
-	"cmp"
 	"slices"
 
 	"spire/internal/model"
@@ -42,23 +41,7 @@ func ResolveConflicts(res *Result, levelOf func(model.Tag) model.Level, rec *tra
 	rows := res.Rows()
 	// A sparse-form result is resolved in row form from here on.
 	res.Locations, res.Parents, res.Observed = nil, nil, nil
-
-	// Group chosen children per parent: highest level first, ties in tag
-	// order for determinism; rows are tag-sorted, so each group's
-	// children come out in tag order too.
-	pairs := res.pairs[:0]
-	for i, v := range rows {
-		if v.HasParent && v.Parent != model.NoTag {
-			pairs = append(pairs, childPair{level: levelOf(v.Parent), parent: v.Parent, child: int32(i)})
-		}
-	}
-	slices.SortFunc(pairs, func(a, b childPair) int {
-		if a.level != b.level {
-			return cmp.Compare(b.level, a.level)
-		}
-		return cmp.Or(cmp.Compare(a.parent, b.parent), cmp.Compare(a.child, b.child))
-	})
-	res.pairs = pairs
+	res.group(levelOf)
 
 	// A location is "settled" when it was directly observed or inherited
 	// from a settled container higher up the pass; the children's poll may
@@ -71,22 +54,9 @@ func ResolveConflicts(res *Result, levelOf func(model.Tag) model.Level, rec *tra
 	}
 	res.settled = settled
 
-	for len(pairs) > 0 {
-		p := pairs[0].parent
-		n := 1
-		for n < len(pairs) && pairs[n].parent == p {
-			n++
-		}
-		kids := pairs[:n]
-		pairs = pairs[n:]
-		pi, ok := findRow(rows, p)
-		if !ok {
-			// The parent itself was withheld (partial inference). Leave
-			// the children as they are: no parent location to enforce.
-			continue
-		}
+	for _, pi := range res.order {
 		prow := &rows[pi]
-		ploc := prow.Location
+		p, ploc := prow.Tag, prow.Location
 		if !settled[pi] {
 			// Rules II/III preamble: the parent's location is inferred, so
 			// poll the children before enforcing anything. A strict
@@ -98,8 +68,8 @@ func ResolveConflicts(res *Result, levelOf func(model.Tag) model.Level, rec *tra
 			// a known location, each vote a unit of mass.
 			votes := res.votes[:0]
 			total := 0.0
-			for _, k := range kids {
-				if loc := rows[k.child].Location; loc.Known() {
+			for k := res.head[pi]; k >= 0; k = res.next[k] {
+				if loc := rows[k].Location; loc.Known() {
 					votes = addMass(votes, loc, 1)
 					total++
 				}
@@ -127,8 +97,8 @@ func ResolveConflicts(res *Result, levelOf func(model.Tag) model.Level, rec *tra
 				prow.Location = ploc
 			}
 		}
-		for _, k := range kids {
-			c := &rows[k.child]
+		for k := res.head[pi]; k >= 0; k = res.next[k] {
+			c := &rows[k]
 			cloc := c.Location
 			if cloc == ploc {
 				continue
@@ -162,7 +132,7 @@ func ResolveConflicts(res *Result, levelOf func(model.Tag) model.Level, rec *tra
 				// location is overridden by the parent's.
 				c.Location = ploc
 				if settled[pi] {
-					settled[k.child] = true
+					settled[k] = true
 				}
 				if rec.Traces(c.Tag) {
 					mech := trace.MechRuleIII
@@ -180,10 +150,58 @@ func ResolveConflicts(res *Result, levelOf func(model.Tag) model.Level, rec *tra
 	return decisions
 }
 
-// childPair is one chosen containment (rows[child] in parent), keyed for
-// Table I's processing order.
-type childPair struct {
-	parent model.Tag
-	child  int32
-	level  model.Level
+// group links every row whose chosen container has a row into that
+// row's list, head[p] then next[c] in row order, and lists the containers
+// with a child in Table I's order: level descending, then row (tag) order.
+// Rows from Infer know their container's row; a sparse-form result finds
+// it by binary search.
+func (r *Result) group(levelOf func(model.Tag) model.Level) {
+	rows, n := r.rows, len(r.rows)
+	if len(r.prow) != n {
+		r.prow = slices.Grow(r.prow[:0], n)[:n]
+		for i, v := range rows {
+			r.prow[i] = -1
+			if p, ok := findRow(rows, v.Parent); ok && v.HasParent && v.Parent != model.NoTag {
+				r.prow[i] = int32(p)
+			}
+		}
+	}
+	head, next := slices.Grow(r.head[:0], n)[:n], slices.Grow(r.next[:0], n)[:n]
+	for i := range head {
+		head[i] = -1
+	}
+	for i := n - 1; i >= 0; i-- {
+		// Rule II's detachments since the rows were written no longer count.
+		if p := r.prow[i]; p >= 0 && rows[i].Parent != model.NoTag {
+			head[p], next[i] = int32(i), head[p]
+		}
+	}
+	// Table I's order, by a stable counting sort on level: highest first.
+	var at [256]int32
+	for p, h := range head {
+		if h >= 0 {
+			at[levelOf(rows[p].Tag)]++
+		}
+	}
+	k := int32(0)
+	for l := 255; l >= 0; l-- {
+		at[l], k = k, k+at[l]
+	}
+	order := slices.Grow(r.order[:0], int(k))[:k]
+	for p, h := range head {
+		if h >= 0 {
+			l := levelOf(rows[p].Tag)
+			order[at[l]], at[l] = int32(p), at[l]+1
+		}
+	}
+	r.head, r.next, r.order = head, next, order
+}
+
+// Contents calls f with each row that the last ResolveConflicts listed
+// under row p as its container, in row order. A row that rule II has
+// since detached is still listed; its Parent no longer names row p's tag.
+func (r *Result) Contents(p int, f func(c int)) {
+	for c := r.head[p]; c >= 0; c = r.next[c] {
+		f(int(c))
+	}
 }

@@ -30,11 +30,16 @@ type Result struct {
 	Observed  map[model.Tag]bool
 
 	rows []Verdict
+	// prow holds each row's chosen container's row, -1 when it has none
+	// or the container has no row; valid while it is as long as rows.
+	prow []int32
 
-	// Conflict-resolution scratch, reused across epochs.
-	pairs   []childPair
-	settled []bool
-	votes   []propagation
+	// Conflict-resolution scratch, reused across epochs: the containment
+	// lists and the containers in Table I order (see group), and the poll
+	// state.
+	head, next, order []int32
+	settled           []bool
+	votes             []propagation
 }
 
 // Verdict is one interpreted object's row. Objects whose verdict was
@@ -61,6 +66,7 @@ func (r *Result) Rows() []Verdict {
 			r.rows = append(r.rows, Verdict{Tag: g, Location: loc, Parent: p, HasParent: ok, Observed: r.Observed[g]})
 		}
 		slices.SortFunc(r.rows, func(a, b Verdict) int { return cmp.Compare(a.Tag, b.Tag) })
+		r.prow, r.head = r.prow[:0], r.head[:0]
 	}
 	return r.rows
 }
@@ -81,6 +87,7 @@ func (r *Result) CopyTo(dst *Result) {
 	dst.Now, dst.Partial = r.Now, r.Partial
 	dst.Locations, dst.Parents, dst.Observed = nil, nil, nil
 	dst.rows = append(dst.rows[:0], r.Rows()...)
+	dst.prow, dst.head = append(dst.prow[:0], r.prow...), dst.head[:0]
 }
 
 // Clone returns a deep copy of the result in row form. Infer reuses its
@@ -95,26 +102,44 @@ func (r *Result) Clone() *Result {
 	return out
 }
 
-// add writes the row of an object the sweep interpreted at its node's
-// rank and marks the rank present.
-func (inf *Inferencer) add(n *graph.Node, loc model.LocationID, parent model.Tag, observed bool) {
+// add writes the row of an object the sweep interpreted, and its chosen
+// container's rank (nil: none), at its node's rank and marks the rank
+// present.
+func (inf *Inferencer) add(n *graph.Node, loc model.LocationID, parent *graph.Node, observed bool) {
 	r := n.Rank()
-	inf.res.rows[r] = Verdict{Tag: n.Tag, Location: loc, Parent: parent, HasParent: true, Observed: observed}
+	v, pr := Verdict{Tag: n.Tag, Location: loc, HasParent: true, Observed: observed}, int32(-1)
+	if parent != nil {
+		v.Parent, pr = parent.Tag, int32(parent.Rank())
+	}
+	inf.res.rows[r], inf.res.prow[r] = v, pr
 	inf.present[r>>6] |= 1 << (r & 63)
 }
 
 // compactRows moves the present rows, in rank and so in tag order, to the
-// front of the rows' backing and clears the bitmap.
+// front of the rows' backing, turns each container rank into the
+// container's row (its present ranks below it, by popcount), and clears
+// the bitmap.
 func (inf *Inferencer) compactRows() {
-	rows, k := inf.res.rows, 0
-	for wi, w := range inf.present {
+	rows, prow, present, k := inf.res.rows, inf.res.prow, inf.present, int32(0)
+	below := slices.Grow(inf.below[:0], len(present))[:len(present)]
+	for wi, w := range present {
+		below[wi] = k
+		k += int32(bits.OnesCount64(w))
+	}
+	k = 0
+	for wi, w := range present {
 		for ; w != 0; w &= w - 1 {
-			rows[k] = rows[wi<<6|bits.TrailingZeros64(w)]
+			r := wi<<6 | bits.TrailingZeros64(w)
+			p := prow[r]
+			rows[k], prow[k] = rows[r], -1
+			if p >= 0 && present[p>>6]&(1<<(p&63)) != 0 {
+				prow[k] = below[p>>6] + int32(bits.OnesCount64(present[p>>6]&(1<<(p&63)-1)))
+			}
 			k++
 		}
-		inf.present[wi] = 0
 	}
-	inf.res.rows = rows[:k]
+	clear(present)
+	inf.res.rows, inf.res.prow, inf.below = rows[:k], prow[:k], below
 }
 
 // findRow binary-searches tag-sorted rows for tag.
@@ -151,8 +176,9 @@ type Inferencer struct {
 	res      Result    // pooled result; see Infer's contract
 	present  []uint64  // bitmap over node ranks: which rows the running pass wrote
 	stamp    uint64    // stamp of the running pass, matched against the node and edge scratch stamps
+	below    []int32   // per bitmap word: present ranks below it; see compactRows
 	frontier []*graph.Node
-	next     []*graph.Node
+	keys     []int32 // the next layer's ranks
 	rest     []*graph.Node
 	pruned   []*graph.Edge
 	props    []propagation
@@ -233,6 +259,7 @@ func (inf *Inferencer) Infer(g *graph.Graph, now model.Epoch, mode Mode) *Result
 	// node count; compactRows leaves the bitmap clear.
 	comps := g.Components(now)
 	res.rows = slices.Grow(res.rows[:0], g.Len())[:g.Len()]
+	res.prow, res.head = slices.Grow(res.prow[:0], g.Len())[:g.Len()], res.head[:0]
 	inf.present = slices.Grow(inf.present[:0], (g.Len()+63)>>6)[:(g.Len()+63)>>6]
 	for _, c := range comps {
 		// A component read this epoch has DirtyAt() == now (update step 1
@@ -254,8 +281,8 @@ func (inf *Inferencer) Infer(g *graph.Graph, now model.Epoch, mode Mode) *Result
 // in the pass-stamped DistStamp and InferLoc/LocStamp scratch on the nodes
 // (a stamp other than the running pass means "not reached" / "not
 // settled"), so no per-pass map is needed. The members are tag-sorted, so
-// the d=0 layer and the unreached rest, filters of them, are too; only
-// layers d ≥ 1 sort.
+// the d=0 layer and the unreached rest, filters of them, are too; layers
+// d ≥ 1 sort their ranks, fixed from Components to the end of the pass.
 func (inf *Inferencer) sweepComponent(g *graph.Graph, c *graph.Component, mode Mode) {
 	stamp, now := inf.stamp, inf.now
 
@@ -280,23 +307,26 @@ func (inf *Inferencer) sweepComponent(g *graph.Graph, c *graph.Component, mode M
 		maxHops = int32(inf.cfg.PartialHops)
 	}
 	for d := int32(1); d <= maxHops && len(inf.frontier) > 0; d++ {
-		inf.next = inf.next[:0]
+		keys := inf.keys[:0]
 		for _, n := range inf.frontier {
 			for _, e := range n.Parents() {
 				if p := e.Parent; p.DistStamp != stamp {
 					p.DistStamp = stamp
-					inf.next = append(inf.next, p)
+					keys = append(keys, int32(p.Rank()))
 				}
 			}
 			for _, e := range n.Children() {
 				if ch := e.Child; ch.DistStamp != stamp {
 					ch.DistStamp = stamp
-					inf.next = append(inf.next, ch)
+					keys = append(keys, int32(ch.Rank()))
 				}
 			}
 		}
-		inf.frontier, inf.next = inf.next, inf.frontier
-		sortNodes(inf.frontier)
+		slices.Sort(keys)
+		inf.frontier, inf.keys = inf.frontier[:0], keys
+		for _, r := range keys {
+			inf.frontier = append(inf.frontier, g.Ranked(r))
+		}
 		for _, n := range inf.frontier {
 			parent := inf.edgeInference(g, n)
 			loc := inf.nodeInference(n)
@@ -332,17 +362,17 @@ func (inf *Inferencer) sweepComponent(g *graph.Graph, c *graph.Component, mode M
 
 // edgeInference applies Eqs. 1-2 to the incoming edges of n, stores each
 // edge's probability for later color propagation, optionally prunes
-// low-confidence edges, and returns the most likely container (model.NoTag
+// low-confidence edges, and returns the most likely container's node (nil
 // when none). The parents span is walked in ascending tag order, so the
 // Eq. 2 normalizer is summed in an order fixed by the graph alone and the
 // lowest tag wins a confidence tie by being met first.
-func (inf *Inferencer) edgeInference(g *graph.Graph, n *graph.Node) model.Tag {
+func (inf *Inferencer) edgeInference(g *graph.Graph, n *graph.Node) *graph.Node {
 	traced := inf.rec.Traces(n.Tag)
 	if n.NumParents() == 0 {
 		if traced {
 			inf.recordEdgeChoice(n.Tag, model.NoTag, 0, 0)
 		}
-		return model.NoTag
+		return nil
 	}
 	beta := inf.cfg.Beta
 	if inf.cfg.AdaptiveBeta {
@@ -385,7 +415,7 @@ func (inf *Inferencer) edgeInference(g *graph.Graph, n *graph.Node) model.Tag {
 		if traced {
 			inf.recordEdgeChoice(n.Tag, model.NoTag, 0, 0)
 		}
-		return model.NoTag
+		return nil
 	}
 	for _, e := range n.Parents() {
 		e.InferProb /= z
@@ -393,7 +423,7 @@ func (inf *Inferencer) edgeInference(g *graph.Graph, n *graph.Node) model.Tag {
 	if traced {
 		inf.recordEdgeChoice(n.Tag, best.Parent.Tag, bestConf/z, int32(best.History.Ones()))
 	}
-	return best.Parent.Tag
+	return best.Parent
 }
 
 // recordEdgeChoice records the Eq. 1-2 container verdict for a traced
@@ -500,8 +530,4 @@ func addMass(ps []propagation, loc model.LocationID, mass float64) []propagation
 		}
 	}
 	return append(ps, propagation{loc: loc, p: mass})
-}
-
-func sortNodes(nodes []*graph.Node) {
-	slices.SortFunc(nodes, func(a, b *graph.Node) int { return cmp.Compare(a.Tag, b.Tag) })
 }

@@ -1,7 +1,9 @@
 package inference
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"spire/internal/graph"
 	"spire/internal/model"
@@ -44,7 +46,7 @@ func (inf *Inferencer) InferReference(g *graph.Graph, now model.Epoch, mode Mode
 	})
 	sortNodes(frontier)
 	for _, n := range frontier {
-		res.Parents[n.Tag] = inf.edgeInference(g, n)
+		res.Parents[n.Tag] = tagOf(inf.edgeInference(g, n))
 	}
 
 	// Sweep outward, one hop at a time, across the whole graph.
@@ -71,7 +73,7 @@ func (inf *Inferencer) InferReference(g *graph.Graph, now model.Epoch, mode Mode
 		frontier, next = next, frontier
 		sortNodes(frontier)
 		for _, n := range frontier {
-			res.Parents[n.Tag] = inf.edgeInference(g, n)
+			res.Parents[n.Tag] = tagOf(inf.edgeInference(g, n))
 			loc := inf.nodeInference(n)
 			if mode == Partial && loc == model.LocationUnknown {
 				delete(res.Parents, n.Tag)
@@ -91,9 +93,23 @@ func (inf *Inferencer) InferReference(g *graph.Graph, now model.Epoch, mode Mode
 		})
 		sortNodes(rest)
 		for _, n := range rest {
-			res.Parents[n.Tag] = inf.edgeInference(g, n)
+			res.Parents[n.Tag] = tagOf(inf.edgeInference(g, n))
 			res.Locations[n.Tag] = inf.nodeInference(n)
 		}
 	}
 	return res
+}
+
+// sortNodes orders a layer by tag, the comparison sort Infer's layers
+// replaced with rank keys.
+func sortNodes(nodes []*graph.Node) {
+	slices.SortFunc(nodes, func(a, b *graph.Node) int { return cmp.Compare(a.Tag, b.Tag) })
+}
+
+// tagOf returns n's tag, or model.NoTag for nil.
+func tagOf(n *graph.Node) model.Tag {
+	if n == nil {
+		return model.NoTag
+	}
+	return n.Tag
 }

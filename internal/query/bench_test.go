@@ -141,12 +141,47 @@ func BenchmarkContentsAt(b *testing.B) {
 	}
 }
 
-// BenchmarkMissingAt lists the missing set at the stream head.
+// missingStore feeds n objects that each stay at one of 8 locations, then
+// leave it and are reported missing, one epoch per 100 objects, so n
+// spells are open at the stream head.
+func missingStore(b *testing.B, n int) (*Store, model.Epoch) {
+	s := NewStore()
+	var evs []event.Event
+	for i := 0; i < n; i++ {
+		evs = append(evs, event.NewStartLocation(model.Tag(i+1), model.LocationID(i%8), 1))
+	}
+	t := model.Epoch(1)
+	for i := 0; i < n; i++ {
+		if i%100 == 0 {
+			t++
+		}
+		g, loc := model.Tag(i+1), model.LocationID(i%8)
+		evs = append(evs, event.NewEndLocation(g, loc, 1, t), event.NewMissing(g, loc, t))
+	}
+	if err := s.Feed(evs...); err != nil {
+		b.Fatal(err)
+	}
+	return s, t
+}
+
+// BenchmarkMissingAt lists the missing set at the stream head: on the
+// churn store (about 1 400 open spells) and with 12 000 open spells.
 func BenchmarkMissingAt(b *testing.B) {
-	s, head := churnStore(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.MissingAt(head)
+	for _, tc := range []struct {
+		name  string
+		build func(*testing.B) (*Store, model.Epoch)
+	}{
+		{"churn", churnStore},
+		{"open=12000", func(b *testing.B) (*Store, model.Epoch) { return missingStore(b, 12000) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			s, head := tc.build(b)
+			b.ReportMetric(float64(len(s.MissingAt(head))), "missing")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.MissingAt(head)
+			}
+		})
 	}
 }

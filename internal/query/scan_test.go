@@ -231,3 +231,23 @@ func FuzzStoreIndexMatchesScan(f *testing.F) {
 		checkAgainstScans(t, s, mentioned, last)
 	})
 }
+
+// TestMissingAtManyOpenSpells holds MissingAt to its scan on the churn
+// stream of the benchmarks at every epoch: 3 000 items, hundreds of
+// spells open at once, each opened and closed at its own position in the
+// tag-ordered run.
+func TestMissingAtManyOpenSpells(t *testing.T) {
+	const epochs = 60
+	s := NewStore()
+	if err := s.Feed(churnStream(3000, epochs, 200)...); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.open) < 300 {
+		t.Fatalf("%d open spells at the head, want hundreds", len(s.open))
+	}
+	for tt := model.Epoch(0); tt <= epochs+1; tt++ {
+		if got, want := s.MissingAt(tt), scanMissingAt(s, tt); !slices.Equal(got, want) {
+			t.Fatalf("MissingAt(%d): %d objects, scan %d", tt, len(got), len(want))
+		}
+	}
+}

@@ -22,6 +22,7 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -55,13 +56,19 @@ func covers(vs, ve, t model.Epoch) bool { return vs <= t && t < ve }
 
 // Store indexes an event stream. Feed events in stream order; queries may
 // interleave with feeding. The zero value is not usable; call NewStore.
+//
+// An object reported Missing stays missing until a StartLocation whose Vs
+// lies after the report's epoch. A stay that opens in the epoch of the
+// object's last Missing is no re-sighting: the object is not missing while
+// that stay is open, and is missing again from its Ve until the next
+// StartLocation.
 type Store struct {
 	stays    map[model.Tag][]Stay
 	conts    map[model.Tag][]Containment
 	missing  map[model.Tag][]MissingReport
 	byLoc    map[model.LocationID][]occupancy
 	byCont   map[model.Tag][]model.Tag // objects that ever entered each container
-	missFrom map[model.Tag]model.Epoch // open missing spells: object → start
+	open     []spell                   // open missing spells, in tag order; ve unused
 	spells   []spell                   // closed missing spells, in ve order
 	events   int64
 	lastTime model.Epoch
@@ -89,14 +96,14 @@ func NewStore() *Store {
 		missing:  make(map[model.Tag][]MissingReport),
 		byLoc:    make(map[model.LocationID][]occupancy),
 		byCont:   make(map[model.Tag][]model.Tag),
-		missFrom: make(map[model.Tag]model.Epoch),
 		lastTime: model.EpochNone,
 	}
 }
 
 // Feed indexes events, which must arrive in stream order (the order the
 // compressor emitted them). Malformed input — an end without a start, a
-// mismatched payload, time running backwards — is rejected.
+// mismatched payload, time running backwards — is rejected, and a rejected
+// event changes nothing, stream time included.
 func (s *Store) Feed(events ...event.Event) error {
 	for _, e := range events {
 		if err := s.feed(e); err != nil {
@@ -114,7 +121,6 @@ func (s *Store) feed(e event.Event) error {
 	if emitted < s.lastTime {
 		return fmt.Errorf("query: event %v emitted at %d before stream time %d", e, emitted, s.lastTime)
 	}
-	s.lastTime = emitted
 
 	switch e.Kind {
 	case event.StartLocation:
@@ -124,9 +130,9 @@ func (s *Store) feed(e event.Event) error {
 		}
 		s.stays[e.Object] = append(stays, Stay{Location: e.Location, Vs: e.Vs, Ve: model.InfiniteEpoch})
 		s.byLoc[e.Location] = append(s.byLoc[e.Location], occupancy{object: e.Object, vs: e.Vs})
-		if vs, ok := s.missFrom[e.Object]; ok {
-			s.spells = append(s.spells, spell{object: e.Object, vs: vs, ve: e.Vs})
-			delete(s.missFrom, e.Object)
+		if i, ok := s.openSpell(e.Object); ok {
+			s.spells = append(s.spells, spell{object: e.Object, vs: s.open[i].vs, ve: e.Vs})
+			s.open = slices.Delete(s.open, i, i+1)
 		}
 	case event.EndLocation:
 		stays := s.stays[e.Object]
@@ -138,9 +144,11 @@ func (s *Store) feed(e event.Event) error {
 			return fmt.Errorf("query: %v does not match open interval %+v", e, stays[n-1])
 		}
 		stays[n-1].Ve = e.Ve
-		// A stay opened in the last Missing's epoch is no re-sighting.
+		// A stay opened in the last Missing's epoch is no re-sighting. Its
+		// StartLocation closed any open spell, so none is open here.
 		if r := s.missing[e.Object]; len(r) > 0 && r[len(r)-1].At == e.Vs {
-			s.missFrom[e.Object] = e.Ve
+			i, _ := s.openSpell(e.Object)
+			s.open = slices.Insert(s.open, i, spell{object: e.Object, vs: e.Ve})
 		}
 	case event.StartContainment:
 		conts := s.conts[e.Object]
@@ -166,12 +174,19 @@ func (s *Store) feed(e event.Event) error {
 			return fmt.Errorf("query: %v inside an open location interval", e)
 		}
 		s.missing[e.Object] = append(s.missing[e.Object], MissingReport{From: e.Location, At: e.Vs})
-		if _, ok := s.missFrom[e.Object]; !ok {
-			s.missFrom[e.Object] = e.Vs
+		if i, ok := s.openSpell(e.Object); !ok {
+			s.open = slices.Insert(s.open, i, spell{object: e.Object, vs: e.Vs})
 		}
 	}
+	s.lastTime = emitted
 	s.events++
 	return nil
+}
+
+// openSpell binary-searches the open spells for obj's, returning its
+// position or the one it would take.
+func (s *Store) openSpell(obj model.Tag) (int, bool) {
+	return slices.BinarySearchFunc(s.open, obj, func(sp spell, g model.Tag) int { return cmp.Compare(sp.object, g) })
 }
 
 // Events returns the number of events indexed.
@@ -392,21 +407,35 @@ func (s *Store) MissingReports(obj model.Tag) []MissingReport {
 // time t, in tag order, from the spells: each runs from the first Missing
 // after an object's latest StartLocation to the Vs of its next one. No
 // stay covers a spell: Feed rejects a Missing inside an open stay, and a
-// Missing is emitted at or after the prior stay's Ve. Closed spells end in
-// order, so a query at the stream head walks none of them.
+// Missing is emitted at or after the prior stay's Ve. The open spells are
+// kept in tag order; closed spells end in order, so a query at the stream
+// head walks none of them, and the few an earlier t finds are merged in.
 func (s *Store) MissingAt(t model.Epoch) []model.Tag {
-	var out []model.Tag
-	for g, vs := range s.missFrom {
-		if vs <= t {
-			out = append(out, g)
-		}
-	}
+	var closed []model.Tag
 	i := sort.Search(len(s.spells), func(i int) bool { return s.spells[i].ve > t })
 	for _, sp := range s.spells[i:] {
 		if sp.vs <= t {
+			closed = append(closed, sp.object)
+		}
+	}
+	if len(closed) > 1 {
+		slices.Sort(closed)
+	}
+	var out []model.Tag
+	if n := len(s.open) + len(closed); n > 0 {
+		out = make([]model.Tag, 0, n)
+	}
+	j := 0
+	for _, sp := range s.open {
+		if sp.vs <= t {
+			for ; j < len(closed) && closed[j] < sp.object; j++ {
+				out = append(out, closed[j])
+			}
 			out = append(out, sp.object)
 		}
 	}
-	slices.Sort(out)
+	if out = append(out, closed[j:]...); len(out) == 0 {
+		return nil
+	}
 	return out
 }

@@ -301,6 +301,22 @@ func TestFeedRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestRejectedEventLeavesStreamTime pins that a rejected event does not
+// advance stream time: an end without a start, emitted at 100, must not
+// make a valid start at 50 look like time running backwards.
+func TestRejectedEventLeavesStreamTime(t *testing.T) {
+	s := NewStore()
+	if err := s.Feed(event.NewEndLocation(7, dock, 1, 100)); err == nil {
+		t.Fatal("end without a start accepted")
+	}
+	if err := s.Feed(event.NewStartLocation(8, dock, 50)); err != nil {
+		t.Fatalf("valid start after a rejected event: %v", err)
+	}
+	if s.Events() != 1 {
+		t.Fatalf("Events() = %d, want 1", s.Events())
+	}
+}
+
 func TestWatcherFilters(t *testing.T) {
 	w := NewWatcher()
 	var missing, anyItem2, located int
