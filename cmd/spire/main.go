@@ -57,7 +57,6 @@ import (
 	"spire/internal/event"
 	"spire/internal/inference"
 	"spire/internal/model"
-	"spire/internal/query"
 	"spire/internal/sim"
 	"spire/internal/stream"
 	"spire/internal/telemetry"
@@ -162,8 +161,8 @@ func run() error {
 	defer end()
 
 	// Subscriptions are opt-in like telemetry and tracing: the engine
-	// rides the watcher hook behind the substrate, so with no -subscribe
-	// flag the pipeline output stays byte-identical and unwatched.
+	// reads each epoch's output after the runner hands it on, so with no
+	// -subscribe flag nothing consumes it but the sink.
 	var engine *cep.Engine
 	if len(subscribePatterns) > 0 {
 		engine = cep.NewEngine(cep.Config{})
@@ -180,9 +179,6 @@ func run() error {
 		if reg != nil {
 			engine.Instrument(reg)
 		}
-		w := query.NewWatcher()
-		engine.Attach(w)
-		sub.Watch(w)
 	}
 
 	if err := cli.Listen(srv.Addr(), cli.Plane{Metrics: reg, Pprof: srv.Pprof, Trace: rec, CEP: engine}, logMain); err != nil {
@@ -219,6 +215,9 @@ func run() error {
 	go func() { runErr <- runner.Run(ctx, in, outCh) }()
 
 	for po := range outCh {
+		if engine != nil {
+			engine.Epoch(po.Epoch, po.Events)
+		}
 		if err := emit(po.Events); err != nil {
 			return err
 		}

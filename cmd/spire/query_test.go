@@ -5,12 +5,16 @@ import (
 	"fmt"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
+	"spire/internal/cep"
 	"spire/internal/compress"
 	"spire/internal/core"
 	"spire/internal/epc"
+	"spire/internal/event"
 	"spire/internal/model"
 	"spire/internal/query"
 )
@@ -28,8 +32,8 @@ func qname(g model.Tag) string {
 // streams spire writes for the harness trace. Each answer must equal an
 // in-process query.Store fed the level-1 events the file carries: the
 // substrate's level-1 output, or its level-2 output decompressed one
-// epoch at a time. -watch must print what it printed before the shared
-// command-line groups, byte for byte.
+// epoch at a time. -watch must print the matches of an in-process engine
+// fed those same events one epoch per call, in order.
 func TestQueryMatchesStore(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range []struct {
@@ -54,7 +58,8 @@ func TestQueryMatchesStore(t *testing.T) {
 				return string(out)
 			}
 
-			store := referenceStore(t, tc.level)
+			epochs, batches := referenceLevel1(t, tc.level)
+			store := referenceStore(t, batches)
 			if got, want := query("-summary"), fmt.Sprintf("events: %d, objects: %d\n", store.Events(), len(store.Objects())); got != want {
 				t.Errorf("-summary: %q, want %q", got, want)
 			}
@@ -110,28 +115,130 @@ func TestQueryMatchesStore(t *testing.T) {
 				t.Errorf("-missing-at %d: %q, want %q", at, got, want.String())
 			}
 
-			const watchSHA = "bffa628fbb6a13723d9aeb8e0ced0bab627da760ec555f0f71a390c3e89d24af"
-			if got := query("-watch", "SEQ(missing(), NOT start()) WITHIN 60"); sha([]byte(got)) != watchSHA {
-				t.Errorf("-watch printed %q (sha %s), want sha %s", got, sha([]byte(got)), watchSHA)
+			var args []string
+			for _, p := range watchPatterns {
+				args = append(args, "-watch", p)
+			}
+			if got, want := query(args...), referenceMatches(t, epochs, batches); got != want {
+				t.Errorf("-watch printed %d lines, want %d\n%s", strings.Count(got, "\n"), strings.Count(want, "\n"), firstDiff(got, want))
 			}
 		})
 	}
 }
 
-// referenceStore indexes the level-1 events of the in-process substrate's
-// stream at level: level-2 output is decompressed one epoch at a time.
-func referenceStore(t *testing.T, level core.CompressionLevel) *query.Store {
+// watchPatterns are the subscriptions the -watch checks replay: a theft
+// alarm (trailing NOT, resolved when its window closes), a window that
+// completes on an event, and a trailing NOT that mostly fires.
+var watchPatterns = []string{
+	"SEQ(missing(), NOT start()) WITHIN 60",
+	"SEQ(start(), end()) WITHIN 30",
+	"SEQ(start(), NOT end()) WITHIN 30",
+}
+
+// printMatch renders a match the way spirequery -watch prints it.
+func printMatch(b *strings.Builder, sub int, obj model.Tag, start, at model.Epoch) {
+	fmt.Fprintf(b, "match sub=%d object=%s start=%d at=%d\n", sub, qname(obj), start, at)
+}
+
+// referenceMatches feeds watchPatterns an in-process engine one epoch
+// per call and prints its matches in completion order.
+func referenceMatches(t *testing.T, epochs []model.Epoch, batches [][]event.Event) string {
 	t.Helper()
-	_, batches := referenceBatches(t, level)
-	store := query.NewStore()
-	dec := compress.NewDecompressor()
-	for _, evs := range batches {
-		if level == core.Level2 {
+	var b strings.Builder
+	engine := cep.NewEngine(cep.Config{})
+	for _, p := range watchPatterns {
+		if _, err := engine.SubscribeFunc(p, func(m cep.Match) { printMatch(&b, m.Sub, m.Object, m.Start, m.At) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, evs := range batches {
+		engine.Epoch(epochs[i], evs)
+	}
+	if b.Len() == 0 {
+		t.Fatal("the reference engine made no match")
+	}
+	return b.String()
+}
+
+// TestWatchMatchesSubscribe pins replay to the live run: spirequery
+// -watch over the level-1 stream spire writes for the harness trace must
+// print exactly the matches spire -subscribe logs on that trace, in
+// order.
+func TestWatchMatchesSubscribe(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "l1.bin")
+	live := []string{"-input", tracePath, "-level", "1", "-o", file}
+	watch := []string{"-events", file}
+	for _, p := range watchPatterns {
+		live = append(live, "-subscribe", p)
+		watch = append(watch, "-watch", p)
+	}
+	cmd := exec.Command(filepath.Join(binDir, "spire"), live...)
+	var logs bytes.Buffer
+	cmd.Stderr = &logs
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("spire %v: %v\n%s", live, err, logs.String())
+	}
+	matchLine := regexp.MustCompile(`msg=match component=cep sub=(\d+) object=(\d+) start=(\d+) at=(\d+)`)
+	var want strings.Builder
+	for _, m := range matchLine.FindAllStringSubmatch(logs.String(), -1) {
+		n := make([]uint64, 4)
+		for i := range n {
+			n[i], _ = strconv.ParseUint(m[i+1], 10, 64)
+		}
+		printMatch(&want, int(n[0]), model.Tag(n[1]), model.Epoch(n[2]), model.Epoch(n[3]))
+	}
+	if want.Len() == 0 {
+		t.Fatal("spire -subscribe logged no match")
+	}
+
+	cmd = exec.Command(filepath.Join(binDir, "spirequery"), watch...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	got, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("spirequery %v: %v\n%s", watch, err, stderr.String())
+	}
+	if string(got) != want.String() {
+		t.Errorf("-watch printed %d lines, spire -subscribe logged %d\n%s",
+			bytes.Count(got, []byte("\n")), strings.Count(want.String(), "\n"), firstDiff(string(got), want.String()))
+	}
+}
+
+// firstDiff names the first line where got and want part.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d: got %q, want %q", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("one is a prefix of the other (%d vs %d lines)", len(g), len(w))
+}
+
+// referenceLevel1 returns the in-process substrate's stream at level as
+// level-1 events one epoch at a time, level-2 output decompressed, with
+// the closing events at the close epoch.
+func referenceLevel1(t *testing.T, level core.CompressionLevel) (epochs []model.Epoch, batches [][]event.Event) {
+	t.Helper()
+	epochs, batches = referenceBatches(t, level)
+	epochs[len(epochs)-1] = epochs[len(epochs)-2] + 1
+	if level == core.Level2 {
+		dec := compress.NewDecompressor()
+		for i := range batches {
 			var err error
-			if evs, err = dec.Step(evs); err != nil {
+			if batches[i], err = dec.Step(batches[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
+	}
+	return epochs, batches
+}
+
+// referenceStore indexes level-1 batches into a query store.
+func referenceStore(t *testing.T, batches [][]event.Event) *query.Store {
+	t.Helper()
+	store := query.NewStore()
+	for _, evs := range batches {
 		if err := store.Feed(evs...); err != nil {
 			t.Fatal(err)
 		}

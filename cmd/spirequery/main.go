@@ -13,10 +13,12 @@
 //	spirequery -events events.bin -loc 2 -at 500
 //
 // -watch replays the stream through the complex-event engine of
-// internal/cep and prints each match as it completes, reconstructing
-// the dispatch clock from the events themselves (start and Missing
-// messages fire at Vs, end messages at Ve). Windows still open when
-// the stream ends are reported as pending, not matched.
+// internal/cep and prints each match as it completes. Each run of events
+// with one Emitted epoch (start and Missing messages fire at Vs, end
+// messages at Ve) is one epoch of the live output and reaches the engine
+// in one call, so the replay prints the matches a live spire -subscribe
+// run logs, in its order. Windows still open when the stream ends are
+// reported as pending, not matched.
 //
 //	spirequery -events events.bin -watch 'SEQ(missing(), NOT start()) WITHIN 60'
 package main
@@ -90,22 +92,20 @@ func run() error {
 	// steps, as the live pipeline produced it.
 	var batch []event.Event
 	flush := func() error {
+		if len(batch) == 0 {
+			return nil
+		}
 		evs := batch
 		batch = nil
+		clock = max(clock, evs[0].Emitted())
 		if dec != nil {
 			var err error
 			if evs, err = dec.Step(evs); err != nil {
 				return err
 			}
 		}
-		// Each event reaches the engine at the epoch it was dispatched in.
-		// The clock only moves forward, like the live watcher's: a closing
-		// interval can carry a Ve older than epochs already replayed.
 		if engine != nil {
-			for i := range evs {
-				clock = max(clock, evs[i].Emitted())
-				engine.Epoch(clock, evs[i:i+1])
-			}
+			engine.Epoch(clock, evs)
 		}
 		return store.Feed(evs...)
 	}
@@ -152,9 +152,8 @@ func run() error {
 	}
 
 	if engine != nil {
-		// Resolve windows that closed by the last reconstructed epoch;
+		// The last epoch's call resolved the windows that closed by then;
 		// anything still open is pending, not matched.
-		engine.Epoch(clock, nil)
 		pendingRuns := 0
 		for _, st := range engine.Subscriptions() {
 			pendingRuns += st.Runs

@@ -3,8 +3,10 @@ package spire_test
 import (
 	"bufio"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
@@ -16,45 +18,73 @@ import (
 )
 
 // TestExportsHaveCallers fails on an exported func or method under
-// internal/ that no non-test code references outside its declaration;
-// benchmark/, cmd/ and examples/ count as callers. A package-level func
-// is referenced by a bare use in its own package or a qualified use
-// through an import of it; a method by any selector of its name, so the
-// check is by name and errs toward passing. Exports kept on purpose —
-// interface methods, test-only helpers an open roadmap item owns — are
-// listed with their reason in testdata/exports_allowlist.txt.
+// internal/ that no non-test code references outside its own
+// declaration; benchmark/, cmd/ and examples/ count as callers. The
+// module is type-checked, so a reference is a use that resolves to the
+// declared func: a method of a generic type counts through its origin,
+// and a method of another type that shares the name does not. A method
+// that satisfies an interface is skipped, since it is called through
+// the interface. Exports kept on purpose — test-only helpers an open
+// roadmap item owns — are listed with their reason in
+// testdata/exports_allowlist.txt.
 func TestExportsHaveCallers(t *testing.T) {
 	files := parseModule(t)
+	pkgs := typeCheck(t, files)
 
-	// Every use: bare identifiers per package, qualified ones per
-	// imported package, and method-like selectors by name.
-	bare := map[string]map[string]int{} // package → name → uses
-	qualified := map[string]map[string]int{}
-	selected := map[string]int{}
-	count := func(m map[string]map[string]int, pkg, name string) {
-		if m[pkg] == nil {
-			m[pkg] = map[string]int{}
-		}
-		m[pkg][name]++
-	}
-	for _, f := range files {
-		var visit func(ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok && f.imports[x.Name] != "" {
-					count(qualified, f.imports[x.Name], n.Sel.Name)
-					return false
-				}
-				selected[n.Sel.Name]++
-				ast.Inspect(n.X, visit)
-				return false
-			case *ast.Ident:
-				count(bare, f.dir, n.Name)
+	// Every use of a func, outside test files, by origin.
+	uses := map[*types.Func][]token.Pos{}
+	ifaces := map[string][]*types.Interface{} // method name → interfaces declaring it
+	known := map[*types.Interface]bool{}
+	addIface := func(typ types.Type) {
+		if it, ok := typ.Underlying().(*types.Interface); ok && !known[it] {
+			known[it] = true
+			for i := 0; i < it.NumMethods(); i++ {
+				ifaces[it.Method(i).Name()] = append(ifaces[it.Method(i).Name()], it)
 			}
-			return true
 		}
-		ast.Inspect(f.ast, visit)
+	}
+	addIface(types.Universe.Lookup("error").Type())
+	for _, p := range pkgs {
+		for id, obj := range p.info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				uses[fn.Origin()] = append(uses[fn.Origin()], id.Pos())
+			}
+		}
+		for _, tv := range p.info.Types {
+			addIface(tv.Type)
+		}
+	}
+	seen := map[*types.Package]bool{}
+	var scan func(*types.Package)
+	scan = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				addIface(tn.Type())
+			}
+		}
+		for _, imp := range p.Imports() {
+			scan(imp)
+		}
+	}
+	for _, p := range pkgs {
+		scan(p.types)
+	}
+	satisfies := func(fn *types.Func) bool {
+		// The pointer's method set holds every method of the type.
+		recv := fn.Type().(*types.Signature).Recv().Type()
+		if _, ok := recv.(*types.Pointer); !ok {
+			recv = types.NewPointer(recv)
+		}
+		for _, it := range ifaces[fn.Name()] {
+			if types.Implements(recv, it) {
+				return true
+			}
+		}
+		return false
 	}
 
 	allowed := readAllowlist(t, filepath.Join("testdata", "exports_allowlist.txt"))
@@ -63,24 +93,28 @@ func TestExportsHaveCallers(t *testing.T) {
 		if !strings.HasPrefix(f.dir, module+"/internal/") {
 			continue
 		}
+		info := pkgs[f.dir].info
 		for _, d := range f.ast.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || !fn.Name.IsExported() {
+			decl, ok := d.(*ast.FuncDecl)
+			if !ok || !decl.Name.IsExported() {
 				continue
 			}
-			name, key := fn.Name.Name, strings.TrimPrefix(f.dir, module+"/internal/")+"."+fn.Name.Name
-			var uses int
-			if fn.Recv != nil {
-				key = strings.TrimPrefix(f.dir, module+"/internal/") + "." + recvName(fn.Recv) + "." + name
-				uses = selected[name] + bare[f.dir][name] - 1
-			} else {
-				uses = qualified[f.dir][name] + bare[f.dir][name] - 1
+			fn := info.Defs[decl.Name].(*types.Func)
+			key := strings.TrimPrefix(f.dir, module+"/internal/") + "." + decl.Name.Name
+			if decl.Recv != nil {
+				key = strings.TrimPrefix(f.dir, module+"/internal/") + "." + recvName(decl.Recv) + "." + decl.Name.Name
 			}
 			if _, ok := allowed[key]; ok {
 				delete(allowed, key)
 				continue
 			}
-			if uses == 0 {
+			if decl.Recv != nil && satisfies(fn) {
+				continue
+			}
+			called := slices.ContainsFunc(uses[fn], func(p token.Pos) bool {
+				return p < decl.Pos() || p >= decl.End()
+			})
+			if !called {
 				missing = append(missing, key)
 			}
 		}
@@ -95,6 +129,56 @@ func TestExportsHaveCallers(t *testing.T) {
 	}
 }
 
+// checkedPackage is one type-checked package of the module.
+type checkedPackage struct {
+	types *types.Package
+	info  *types.Info
+}
+
+// typeCheck type-checks every package of the module from the parsed
+// files, importing the standard library from source.
+func typeCheck(t *testing.T, files []goFile) map[string]*checkedPackage {
+	t.Helper()
+	byDir := map[string][]*ast.File{}
+	for _, f := range files {
+		byDir[f.dir] = append(byDir[f.dir], f.ast)
+	}
+	pkgs := map[string]*checkedPackage{}
+	std := importer.ForCompiler(moduleFset, "source", nil).(types.ImporterFrom)
+	var imp importerFunc
+	imp = func(p string) (*types.Package, error) {
+		if byDir[p] == nil {
+			return std.ImportFrom(p, ".", 0)
+		}
+		if c := pkgs[p]; c != nil {
+			return c.types, nil
+		}
+		info := &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+		}
+		conf := types.Config{Importer: imp}
+		tp, err := conf.Check(p, moduleFset, byDir[p], info)
+		if err != nil {
+			return nil, err
+		}
+		pkgs[p] = &checkedPackage{tp, info}
+		return tp, nil
+	}
+	for dir := range byDir {
+		if _, err := imp(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pkgs
+}
+
+// importerFunc adapts a func to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
 // module is the module path in go.mod.
 const module = "spire"
 
@@ -105,11 +189,13 @@ type goFile struct {
 	imports map[string]string // local name → import path
 }
 
+// moduleFset holds the positions of every file parseModule parses.
+var moduleFset = token.NewFileSet()
+
 // parseModule parses every non-test Go file of the module, skipping
 // testdata and hidden directories.
 func parseModule(t *testing.T) []goFile {
 	t.Helper()
-	fset := token.NewFileSet()
 	var files []goFile
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -124,7 +210,7 @@ func parseModule(t *testing.T) []goFile {
 		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(moduleFset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}

@@ -62,6 +62,37 @@ func benchStream(epochs int, tags []model.Tag) (batches [][]event.Event, times [
 	return batches, times, total
 }
 
+// TestEpochIdleZeroAllocs pins the idle-dispatch overhead bar: with
+// subscriptions registered but none matching — patterns anchored on a
+// tag that never occurs — feeding the engine a busy epoch allocates
+// nothing. This is the cost every pipeline pays per epoch for having the
+// subscription surface wired but quiet.
+func TestEpochIdleZeroAllocs(t *testing.T) {
+	tags := benchTags(512)
+	e := NewEngine(Config{})
+	for _, src := range []string{
+		"SEQ(any() & tag(3735928559), NOT any()) WITHIN 10",
+		"SEQ(missing() & tag(3735928559), start()) WITHIN 60",
+	} {
+		if _, err := e.Subscribe(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batches, _, total := benchStream(64, tags)
+	busy := make([]event.Event, 0, total)
+	for _, b := range batches {
+		busy = append(busy, b...)
+	}
+	var now model.Epoch
+	allocs := testing.AllocsPerRun(200, func() {
+		now++
+		e.Epoch(now, busy)
+	})
+	if allocs != 0 {
+		t.Errorf("idle Epoch allocates %.1f allocs/op over %d events, want 0", allocs, len(busy))
+	}
+}
+
 // benchDispatch drives the engine over the synthetic stream with the
 // given per-object alerting load, reporting ns/event. The clock shifts
 // each full pass so windows keep expiring and the measurement includes

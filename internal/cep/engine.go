@@ -59,6 +59,7 @@ type run struct {
 
 	t1       model.Epoch
 	deadline model.Epoch // InfiniteEpoch when the pattern is unbounded
+	seq      uint64      // start order: breaks deadline ties in the heap
 	idx      int         // next unsatisfied step
 	binds    [MaxSteps]binding
 
@@ -112,9 +113,10 @@ type Engine struct {
 	byKindTag [6]map[model.Tag][]*subscription
 
 	objRuns map[model.Tag]*run // head of the per-object run list
-	heap    []*run             // min-heap on deadline
+	heap    []*run             // min-heap on (deadline, seq)
 	freeRun *run
 	nrun    int
+	runSeq  uint64 // seq of the last started run
 
 	tel *Instruments
 
@@ -233,44 +235,21 @@ func (e *Engine) Unsubscribe(id int) {
 	}
 }
 
-// Epoch advances the engine clock to now, processes the epoch's events in
-// stream order, and resolves the runs whose windows closed. The clock
-// must not go backwards; events carry the epoch they were dispatched in.
+// Epoch advances the engine clock to now and feeds it one whole epoch:
+// the runs whose windows closed before now resolve first, then the
+// epoch's events run in stream order, then the runs whose windows close
+// at now resolve. Every event of epoch now must arrive in this one call.
+// The clock must not go backwards; a caller may skip epochs without
+// events, since the matches and their order do not depend on which
+// empty epochs are reported.
 func (e *Engine) Epoch(now model.Epoch, events []event.Event) {
 	e.mu.Lock()
 	if now > e.now {
 		e.now = now
 	}
+	e.expire(e.now - 1)
 	for i := range events {
 		e.process(e.now, events[i])
-	}
-	e.expire(e.now)
-	e.mu.Unlock()
-}
-
-// BeginEpoch, OnEvent and EndEpoch are the query.Watcher-shaped entry
-// points (see Attach in watch.go): BeginEpoch sets the clock, OnEvent
-// processes one dispatched event, EndEpoch resolves closed windows.
-func (e *Engine) BeginEpoch(now model.Epoch) {
-	e.mu.Lock()
-	if now > e.now {
-		e.now = now
-	}
-	e.mu.Unlock()
-}
-
-// OnEvent processes one event at the current clock.
-func (e *Engine) OnEvent(ev event.Event) {
-	e.mu.Lock()
-	e.process(e.now, ev)
-	e.mu.Unlock()
-}
-
-// EndEpoch resolves runs whose windows closed at or before now.
-func (e *Engine) EndEpoch(now model.Epoch) {
-	e.mu.Lock()
-	if now > e.now {
-		e.now = now
 	}
 	e.expire(e.now)
 	e.mu.Unlock()
@@ -369,10 +348,6 @@ func (e *Engine) advanceRun(r *run, now model.Epoch, ev event.Event) {
 	if r.dead {
 		return
 	}
-	if now > r.deadline {
-		e.resolve(r)
-		return
-	}
 	p := r.sub.pat
 	st := &p.Steps[r.idx]
 	if st.Neg {
@@ -414,9 +389,11 @@ func (e *Engine) startRun(s *subscription, now model.Epoch, ev event.Event) {
 	} else {
 		r = &run{}
 	}
+	e.runSeq++
 	r.sub = s
 	r.obj = ev.Object
 	r.t1 = now
+	r.seq = e.runSeq
 	r.idx = 1
 	bind(&r.binds, 0, ev)
 	if s.pat.Within > 0 {
@@ -539,11 +516,12 @@ func (e *Engine) recycle(r *run) {
 	e.freeRun = r
 }
 
-// expire pops every run whose deadline is at or before now. Events of
-// epoch now were already processed, and the clock is strictly monotonic,
-// so nothing inside those windows can still arrive.
-func (e *Engine) expire(now model.Epoch) {
-	for len(e.heap) > 0 && e.heap[0].deadline <= now {
+// expire pops every run whose deadline is at or before t. Epoch calls it
+// before an epoch's events with t = now-1 and after them with t = now:
+// the clock is monotonic, so nothing inside those windows can still
+// arrive.
+func (e *Engine) expire(t model.Epoch) {
+	for len(e.heap) > 0 && e.heap[0].deadline <= t {
 		r := e.heapPop()
 		if r.dead {
 			e.recycle(r) // killRun left it for the heap to release
@@ -551,6 +529,16 @@ func (e *Engine) expire(now model.Epoch) {
 		}
 		e.resolve(r) // kills the run, which recycles it (inHeap is off)
 	}
+}
+
+// before orders the deadline heap: by deadline, then by start order, so
+// runs sharing a deadline resolve in the order they started whatever
+// shape the heap's push and pop history gave it.
+func (r *run) before(o *run) bool {
+	if r.deadline != o.deadline {
+		return r.deadline < o.deadline
+	}
+	return r.seq < o.seq
 }
 
 // heapPush/heapPop implement the deadline min-heap inline (container/heap
@@ -561,7 +549,7 @@ func (e *Engine) heapPush(r *run) {
 	i := len(e.heap) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if e.heap[parent].deadline <= e.heap[i].deadline {
+		if !e.heap[i].before(e.heap[parent]) {
 			break
 		}
 		e.heap[parent], e.heap[i] = e.heap[i], e.heap[parent]
@@ -579,10 +567,10 @@ func (e *Engine) heapPop() *run {
 	for {
 		l, rt := 2*i+1, 2*i+2
 		small := i
-		if l < len(e.heap) && e.heap[l].deadline < e.heap[small].deadline {
+		if l < len(e.heap) && e.heap[l].before(e.heap[small]) {
 			small = l
 		}
-		if rt < len(e.heap) && e.heap[rt].deadline < e.heap[small].deadline {
+		if rt < len(e.heap) && e.heap[rt].before(e.heap[small]) {
 			small = rt
 		}
 		if small == i {

@@ -1,6 +1,7 @@
 package cep
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -12,7 +13,8 @@ import (
 // are fed to the incremental NFA engine and to the brute-force window-scan
 // oracle, and the two match sets must be identical. The engine runs with
 // huge caps so neither eviction nor ring backpressure can hide a
-// divergence.
+// divergence. A second engine fed the same stream with every empty epoch
+// reported must make the same matches in the same order.
 func FuzzCEPMatchEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
@@ -46,6 +48,22 @@ func FuzzCEPMatchEquivalence(f *testing.F) {
 		end := feedEngine(e, stream, flush)
 
 		got, _, _ := e.Matches(id)
+
+		// A second engine fed the same stream with every empty epoch
+		// reported too must make the same matches in the same order:
+		// neither the match set nor the within-epoch order may depend on
+		// which idle epochs a caller reports.
+		dense := NewEngine(Config{maxRuns: 1 << 20, maxMatches: 1 << 20})
+		denseID, err := dense.Subscribe(src)
+		if err != nil {
+			t.Fatalf("subscribe %q: %v", src, err)
+		}
+		feedEngineDense(dense, stream, end)
+		if gotDense, _, _ := dense.Matches(denseID); !slices.Equal(gotDense, got) {
+			t.Fatalf("pattern %q end=%d: reporting empty epochs changed the matches\nsparse: %+v\ndense:  %+v\nstream: %+v",
+				src, end, got, gotDense, stream)
+		}
+
 		sort.Slice(got, func(a, b int) bool {
 			if got[a].Object != got[b].Object {
 				return got[a].Object < got[b].Object

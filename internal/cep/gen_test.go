@@ -210,3 +210,16 @@ func feedEngine(e *Engine, stream []TimedEvent, flush model.Epoch) model.Epoch {
 	}
 	return now
 }
+
+// feedEngineDense feeds the stream like feedEngine, but reports every
+// epoch from 0 through end, the empty ones included.
+func feedEngineDense(e *Engine, stream []TimedEvent, end model.Epoch) {
+	i := 0
+	for now := model.Epoch(0); now <= end; now++ {
+		var batch []event.Event
+		for ; i < len(stream) && stream[i].At == now; i++ {
+			batch = append(batch, stream[i].Ev)
+		}
+		e.Epoch(now, batch)
+	}
+}

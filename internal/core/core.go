@@ -20,7 +20,6 @@ import (
 	"spire/internal/graph"
 	"spire/internal/inference"
 	"spire/internal/model"
-	"spire/internal/query"
 	"spire/internal/stream"
 	"spire/internal/trace"
 )
@@ -74,6 +73,9 @@ type Stats struct {
 
 // EpochOutput is the result of processing one epoch.
 type EpochOutput struct {
+	// Epoch is the epoch the output belongs to: the batch time, or the
+	// close epoch for the final output of a run.
+	Epoch model.Epoch
 	// Result is the (conflict-resolved) inference result.
 	Result *inference.Result
 	// RawResult is the result before conflict resolution; only populated
@@ -115,12 +117,6 @@ type Substrate struct {
 	// rec holds the optional decision-provenance recorder (nil when
 	// disabled); see trace.go. Like tel, it is observation-only.
 	rec *trace.Recorder
-
-	// watch is the optional downstream event watcher (nil when disabled);
-	// it receives each epoch's compressed output with epoch framing, after
-	// the epoch is fully assembled. Like tel and rec it is observation-only:
-	// nil keeps the pipeline byte-identical and allocation-free.
-	watch *query.Watcher
 
 	// raw is the pooled KeepRawResult copy, refilled each epoch instead of
 	// allocating fresh rows; it shares the Result lifetime contract of
@@ -209,14 +205,6 @@ func (s *Substrate) InferStats() inference.PassStats { return s.inf.LastStats() 
 // Stats returns accumulated processing statistics.
 func (s *Substrate) Stats() Stats { return s.stats }
 
-// Watch attaches a downstream event watcher. Each processed epoch is
-// delivered as BeginEpoch(now) / Dispatch(events) / EndEpoch(now) after
-// the epoch's output is fully assembled (including exit retirements), and
-// Close's final events are framed the same way. Watching is observation-
-// only: a nil watcher (the default) leaves the pipeline byte-identical
-// and allocation-free, mirroring the telemetry and trace contracts.
-func (s *Substrate) Watch(w *query.Watcher) { s.watch = w }
-
 // ProcessBatch runs the full substrate over one epoch's columnar batch:
 // dedup → graph update (per reader group) → inference → conflict
 // resolution → compression → exit retirement.
@@ -282,7 +270,7 @@ func (s *Substrate) ProcessBatch(b *model.Batch) (*EpochOutput, error) {
 	conflicts := inference.ResolveConflicts(res, levelOf, rec)
 	clock.conflict = clock.lap()
 
-	out := &EpochOutput{Result: res, RawResult: raw, Mode: mode}
+	out := &EpochOutput{Epoch: now, Result: res, RawResult: raw, Mode: mode}
 	out.Events = s.comp.Compress(res)
 
 	// Exit handling (§IV-C graph pruning): objects observed at an exit
@@ -302,12 +290,6 @@ func (s *Substrate) ProcessBatch(b *model.Batch) (*EpochOutput, error) {
 		s.dedup.Retire(g)
 	}
 	out.Retired = retired
-
-	if s.watch != nil {
-		s.watch.BeginEpoch(now)
-		s.watch.Dispatch(out.Events...)
-		s.watch.EndEpoch(now)
-	}
 
 	evBytes := event.StreamSize(out.Events)
 	s.stats.Events += int64(len(out.Events))
@@ -462,11 +444,6 @@ func (s *Substrate) exitSet(res *inference.Result) []model.Tag {
 // a finished run.
 func (s *Substrate) Close(now model.Epoch) []event.Event {
 	evs := s.comp.Close(now)
-	if s.watch != nil {
-		s.watch.BeginEpoch(now)
-		s.watch.Dispatch(evs...)
-		s.watch.EndEpoch(now)
-	}
 	s.stats.Events += int64(len(evs))
 	s.stats.EventBytes += event.StreamSize(evs)
 	return evs

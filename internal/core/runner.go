@@ -54,7 +54,8 @@ func (r *Runner) IngestStats() IngestStats { return r.gate.stats }
 // Run consumes batches until the input channel closes or the context
 // is cancelled, sending each epoch's output downstream. On clean input
 // exhaustion it emits a final EpochOutput carrying only the stream-closing
-// events (with Result == nil) before closing the output channel.
+// events (with Result == nil, Epoch the close epoch) before closing the
+// output channel.
 //
 // The returned error is nil on a clean run, the context's error on
 // cancellation, or the first processing error otherwise. The output
@@ -85,14 +86,13 @@ func (r *Runner) finish(ctx context.Context, out chan<- *EpochOutput) error {
 	if err := r.process(ctx, r.timeGate(r.gate.Drain), out); err != nil {
 		return err
 	}
-	closing := r.sub.Close(r.sub.LastEpoch() + 1)
-	if len(closing) > 0 {
-		final := &EpochOutput{Events: closing}
-		select {
-		case out <- final:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	// The final output is sent even when nothing was open: its epoch is
+	// the clock tick a downstream consumer resolves its last windows at.
+	end := r.sub.LastEpoch() + 1
+	select {
+	case out <- &EpochOutput{Epoch: end, Events: r.sub.Close(end)}:
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 	if r.cfg.CheckpointPath != "" {
 		if err := r.sub.SnapshotToFile(r.cfg.CheckpointPath); err != nil {

@@ -7,7 +7,6 @@ import (
 	"spire/internal/core"
 	"spire/internal/inference"
 	"spire/internal/model"
-	"spire/internal/query"
 	"spire/internal/sim"
 )
 
@@ -75,8 +74,8 @@ type cepMatches struct {
 }
 
 // runCEPRow replays the shared clean trace (faulted per the row's
-// schedule) through a fresh substrate with the three detectors attached
-// behind the watcher, exactly as cmd/spire -subscribe wires them.
+// schedule) through a fresh substrate and feeds each epoch's output to
+// an engine holding the three detectors, as cmd/spire -subscribe does.
 func runCEPRow(trace []*model.Batch, s *sim.Simulator, d cepDropout) (*cepMatches, error) {
 	sub, err := core.New(core.Config{
 		Readers:     s.Readers(),
@@ -110,9 +109,6 @@ func runCEPRow(trace []*model.Batch, s *sim.Simulator, d cepDropout) (*cepMatche
 	if err := subscribe(cep.ColdChainPattern(layout, cepColdWindow), &out.cold); err != nil {
 		return nil, err
 	}
-	w := query.NewWatcher()
-	engine.Attach(w)
-	sub.Watch(w)
 
 	// The injector clones every batch; for the clean row we must clone
 	// too, since the substrate consumes batches destructively and the
@@ -132,12 +128,14 @@ func runCEPRow(trace []*model.Batch, s *sim.Simulator, d cepDropout) (*cepMatche
 		}
 	}
 	for _, b := range delivery {
-		if _, err := sub.ProcessBatch(b); err != nil {
+		po, err := sub.ProcessBatch(b)
+		if err != nil {
 			return nil, err
 		}
+		engine.Epoch(po.Epoch, po.Events)
 	}
 	out.final = trace[len(trace)-1].Time
-	sub.Close(out.final + 1)
+	engine.Epoch(out.final+1, sub.Close(out.final+1))
 	return out, nil
 }
 

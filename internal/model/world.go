@@ -12,9 +12,8 @@ import (
 //
 // World is not safe for concurrent mutation.
 type World struct {
-	now       Epoch
-	locations []Location
-	objects   map[Tag]*ObjectState
+	now     Epoch
+	objects map[Tag]*ObjectState
 	// byLoc indexes present objects by their current location (including
 	// the special LocationUnknown), so At is proportional to the occupancy
 	// of one location rather than the whole population. Maintained by the
@@ -47,9 +46,8 @@ func NewWorld(locations []Location) (*World, error) {
 		}
 	}
 	return &World{
-		locations: locations,
-		objects:   make(map[Tag]*ObjectState),
-		byLoc:     make(map[LocationID]map[Tag]struct{}),
+		objects: make(map[Tag]*ObjectState),
+		byLoc:   make(map[LocationID]map[Tag]struct{}),
 	}, nil
 }
 
@@ -77,10 +75,6 @@ func (w *World) SetNow(t Epoch) {
 		w.now = t
 	}
 }
-
-// Locations returns the pre-defined location table (excluding the special
-// "unknown" location).
-func (w *World) Locations() []Location { return w.locations }
 
 // Enter adds a new object to the world at the given location.
 func (w *World) Enter(tag Tag, lvl Level, loc LocationID) (*ObjectState, error) {

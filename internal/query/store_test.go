@@ -316,36 +316,3 @@ func TestRejectedEventLeavesStreamTime(t *testing.T) {
 		t.Fatalf("Events() = %d, want 1", s.Events())
 	}
 }
-
-func TestWatcherFilters(t *testing.T) {
-	w := NewWatcher()
-	var missing, anyItem2, located int
-	w.Subscribe(Filter{Kinds: []event.Kind{event.Missing}}, func(event.Event) { missing++ })
-	w.Subscribe(Filter{Object: item2}, func(event.Event) { anyItem2++ })
-	id := w.Subscribe(Filter{Location: shelf, FilterLocation: true, Kinds: []event.Kind{event.StartLocation}}, func(event.Event) { located++ })
-
-	w.Dispatch(
-		event.NewStartLocation(item1, shelf, 1),
-		event.NewStartLocation(item2, belt, 1),
-		event.NewMissing(item2, belt, 5),
-	)
-	if missing != 1 || anyItem2 != 2 || located != 1 {
-		t.Errorf("counts = %d/%d/%d, want 1/2/1", missing, anyItem2, located)
-	}
-	w.Unsubscribe(id)
-	w.Dispatch(event.NewStartLocation(item1, shelf, 9))
-	if located != 1 {
-		t.Error("unsubscribed callback must not fire")
-	}
-	// Container filter never matches location events.
-	var contained int
-	w.Subscribe(Filter{Container: caseA}, func(event.Event) { contained++ })
-	w.Dispatch(
-		event.NewStartLocation(caseA, shelf, 10),
-		event.NewStartContainment(item1, caseA, 10),
-		event.NewStartContainment(item1, pallet, 11),
-	)
-	if contained != 1 {
-		t.Errorf("container filter fired %d times, want 1", contained)
-	}
-}
