@@ -56,6 +56,19 @@ type objState struct {
 	missing bool
 }
 
+// opens counts a compressor's open location and containment intervals.
+// The three points that open or close one keep it, and decoding counts the
+// restored states; a state is created with nothing open and deleted only
+// after both its intervals close.
+type opens struct{ locs, conts int }
+
+// staging collects one call's emissions and keeps its compressor's open
+// interval counts.
+type staging struct {
+	ems  []emission
+	open *opens
+}
+
 // emission is an event staged for in-epoch ordering.
 type emission struct {
 	ev    event.Event
@@ -94,21 +107,23 @@ func finish(ems []emission) []event.Event {
 // compressContainment updates the containment pair of one object and
 // stages the End/Start messages. Shared by both levels — containment
 // output is identical between them. Returns true if containment changed.
-func (st *objState) compressContainment(obj model.Tag, newParent model.Tag, now model.Epoch, ems *[]emission) bool {
+func (st *objState) compressContainment(obj model.Tag, newParent model.Tag, now model.Epoch, sg *staging) bool {
 	if st.parent == newParent {
 		return false
 	}
 	if st.parent != model.NoTag {
-		*ems = append(*ems, emission{
+		sg.ems = append(sg.ems, emission{
 			ev:    event.NewEndContainment(obj, st.parent, st.parentVs, now),
 			level: st.level, seq: 0,
 		})
+		sg.open.conts--
 	}
 	if newParent != model.NoTag {
-		*ems = append(*ems, emission{
+		sg.ems = append(sg.ems, emission{
 			ev:    event.NewStartContainment(obj, newParent, now),
 			level: st.level, seq: 1,
 		})
+		sg.open.conts++
 	}
 	st.parent = newParent
 	st.parentVs = now
@@ -117,51 +132,53 @@ func (st *objState) compressContainment(obj model.Tag, newParent model.Tag, now 
 
 // compressLocation updates the location pair of one object to its newly
 // inferred location and stages the End/Start or Missing messages.
-func (st *objState) compressLocation(obj model.Tag, loc model.LocationID, now model.Epoch, ems *[]emission) {
+func (st *objState) compressLocation(obj model.Tag, loc model.LocationID, now model.Epoch, sg *staging) {
 	switch {
 	case loc.Known():
 		st.missing = false
 		if !st.locOpen || st.loc != loc {
-			st.closeLocation(obj, now, ems)
-			st.openLocation(obj, loc, now, ems)
+			st.closeLocation(obj, now, sg)
+			st.openLocation(obj, loc, now, sg)
 		}
 	default: // model.LocationUnknown: away from every known location
-		st.goMissing(obj, now, ems)
+		st.goMissing(obj, now, sg)
 	}
 }
 
 // closeLocation stages the EndLocation for an open pair, if any.
-func (st *objState) closeLocation(obj model.Tag, now model.Epoch, ems *[]emission) {
+func (st *objState) closeLocation(obj model.Tag, now model.Epoch, sg *staging) {
 	if st.locOpen {
-		*ems = append(*ems, emission{
+		sg.ems = append(sg.ems, emission{
 			ev:    event.NewEndLocation(obj, st.loc, st.locVs, now),
 			level: st.level, seq: 2,
 		})
 		st.locOpen = false
+		sg.open.locs--
 	}
 }
 
 // openLocation stages a StartLocation and opens the pair.
-func (st *objState) openLocation(obj model.Tag, loc model.LocationID, now model.Epoch, ems *[]emission) {
-	*ems = append(*ems, emission{
+func (st *objState) openLocation(obj model.Tag, loc model.LocationID, now model.Epoch, sg *staging) {
+	sg.ems = append(sg.ems, emission{
 		ev:    event.NewStartLocation(obj, loc, now),
 		level: st.level, seq: 3,
 	})
 	st.loc = loc
 	st.locOpen = true
+	sg.open.locs++
 	st.locVs = now
 	st.lastKnown = loc
 }
 
 // goMissing stages the End + singleton Missing transition.
-func (st *objState) goMissing(obj model.Tag, now model.Epoch, ems *[]emission) {
-	st.closeLocation(obj, now, ems)
+func (st *objState) goMissing(obj model.Tag, now model.Epoch, sg *staging) {
+	st.closeLocation(obj, now, sg)
 	if !st.missing {
 		from := st.lastKnown
 		if !from.Known() {
 			from = model.LocationUnknown
 		}
-		*ems = append(*ems, emission{
+		sg.ems = append(sg.ems, emission{
 			ev:    event.NewMissing(obj, from, now),
 			level: st.level, seq: 4,
 		})

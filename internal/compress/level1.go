@@ -14,6 +14,7 @@ import (
 type Level1 struct {
 	levelOf LevelFunc
 	states  map[model.Tag]*objState
+	open    opens // the open intervals of states
 	rec     *trace.Recorder
 	section string // snapshot section tag of the level
 }
@@ -41,19 +42,19 @@ func (c *Level1) state(obj model.Tag) *objState {
 // absent from the result (withheld under partial inference) keep their
 // previously reported state and produce nothing.
 func (c *Level1) Compress(res *inference.Result) []event.Event {
-	var ems []emission
+	sg := staging{open: &c.open}
 	now := res.Now
 	for _, v := range res.Rows() {
 		st := c.state(v.Tag)
 
 		// Containment stream.
 		if v.HasParent {
-			st.compressContainment(v.Tag, v.Parent, now, &ems)
+			st.compressContainment(v.Tag, v.Parent, now, &sg)
 		}
 
-		st.compressLocation(v.Tag, v.Location, now, &ems)
+		st.compressLocation(v.Tag, v.Location, now, &sg)
 	}
-	return finish(ems)
+	return finish(sg.ems)
 }
 
 // Retire closes the open pairs of an object that exited the physical
@@ -63,23 +64,23 @@ func (c *Level1) Retire(obj model.Tag, now model.Epoch) []event.Event {
 	if !ok {
 		return nil
 	}
-	var ems []emission
-	st.compressContainment(obj, model.NoTag, now, &ems)
-	st.closeLocation(obj, now, &ems)
+	sg := staging{open: &c.open}
+	st.compressContainment(obj, model.NoTag, now, &sg)
+	st.closeLocation(obj, now, &sg)
 	delete(c.states, obj)
-	return finish(ems)
+	return finish(sg.ems)
 }
 
 // Close ends every open pair at epoch now, yielding a closed well-formed
 // stream at the end of a run.
 func (c *Level1) Close(now model.Epoch) []event.Event {
-	var ems []emission
+	sg := staging{open: &c.open}
 	for obj, st := range c.states {
-		st.compressContainment(obj, model.NoTag, now, &ems)
-		st.closeLocation(obj, now, &ems)
+		st.compressContainment(obj, model.NoTag, now, &sg)
+		st.closeLocation(obj, now, &sg)
 	}
 	c.states = make(map[model.Tag]*objState)
-	return finish(ems)
+	return finish(sg.ems)
 }
 
 // SetTracer attaches a decision-provenance recorder. Level 2 records a

@@ -26,19 +26,19 @@ func NewLevel2(levelOf LevelFunc) *Level2 {
 
 // Compress turns one epoch's inference result into level-2 output events.
 func (c *Level2) Compress(res *inference.Result) []event.Event {
-	var ems []emission
+	sg := staging{open: &c.open}
 	now := res.Now
 	for _, v := range res.Rows() {
 		obj, st := v.Tag, c.state(v.Tag)
 
 		contained := st.parent != model.NoTag
 		if v.HasParent {
-			st.compressContainment(obj, v.Parent, now, &ems)
+			st.compressContainment(obj, v.Parent, now, &sg)
 			nowContained := v.Parent != model.NoTag
 			if nowContained && !contained {
 				// Containment starts: close the child's own pair — from
 				// here its location rides on the container's reports.
-				st.closeLocation(obj, now, &ems)
+				st.closeLocation(obj, now, &sg)
 			}
 			contained = nowContained
 		}
@@ -62,9 +62,9 @@ func (c *Level2) Compress(res *inference.Result) []event.Event {
 			}
 			continue
 		}
-		st.compressLocation(obj, loc, now, &ems)
+		st.compressLocation(obj, loc, now, &sg)
 	}
-	return finish(ems)
+	return finish(sg.ems)
 }
 
 // Retire closes the open pairs of an exiting object and forgets it. A
@@ -79,10 +79,10 @@ func (c *Level2) Retire(obj model.Tag, now model.Epoch) []event.Event {
 	if !ok || st.parent == model.NoTag || st.missing || !st.lastKnown.Known() {
 		return c.Level1.Retire(obj, now)
 	}
-	var ems []emission
-	st.compressContainment(obj, model.NoTag, now, &ems)
+	sg := staging{open: &c.open}
+	st.compressContainment(obj, model.NoTag, now, &sg)
 	delete(c.states, obj)
-	return append(finish(ems),
+	return append(finish(sg.ems),
 		event.NewStartLocation(obj, st.lastKnown, now),
 		event.NewEndLocation(obj, st.lastKnown, now, now))
 }

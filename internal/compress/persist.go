@@ -68,6 +68,7 @@ func decodeLevel(d *checkpoint.Decoder, section string, levelOf LevelFunc) (*Lev
 	d.Section(section)
 	n := d.Count(stateEncSize)
 	states := make(map[model.Tag]*objState, n)
+	var open opens
 	for i := 0; i < n; i++ {
 		t := model.Tag(d.Uint64())
 		st := &objState{
@@ -90,9 +91,15 @@ func decodeLevel(d *checkpoint.Decoder, section string, levelOf LevelFunc) (*Lev
 			return nil, fmt.Errorf("%w: duplicate compressor state for tag %d", checkpoint.ErrCorrupt, t)
 		}
 		states[t] = st
+		if st.locOpen {
+			open.locs++
+		}
+		if st.parent != model.NoTag {
+			open.conts++
+		}
 	}
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	return &Level1{levelOf: levelOf, states: states, section: section}, nil
+	return &Level1{levelOf: levelOf, states: states, open: open, section: section}, nil
 }

@@ -1,9 +1,6 @@
 package compress
 
-import (
-	"spire/internal/model"
-	"spire/internal/telemetry"
-)
+import "spire/internal/telemetry"
 
 // Instruments are the compressor's runtime-telemetry metrics. The open
 // interval counts are the compressor's entire cumulative state — every
@@ -51,18 +48,8 @@ func (ins *Instruments) Record(openLocs, openConts int, events int, bytes int64)
 	ins.Bytes.Add(bytes)
 }
 
-// Opens reports the number of open location and containment intervals:
-// one O(n) read-only pass, cheap next to the per-epoch sort Compress
-// already does. Level-2 location intervals count only uncontained
-// objects, whose locations are the ones actually being reported.
-func (c *Level1) Opens() (locs, conts int) {
-	for _, st := range c.states {
-		if st.locOpen {
-			locs++
-		}
-		if st.parent != model.NoTag {
-			conts++
-		}
-	}
-	return locs, conts
-}
+// Opens reports the number of open location and containment intervals,
+// from the running counts. Level-2 location intervals count only
+// uncontained objects, whose locations are the ones actually being
+// reported.
+func (c *Level1) Opens() (locs, conts int) { return c.open.locs, c.open.conts }

@@ -7,7 +7,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -123,9 +122,10 @@ type Substrate struct {
 	// ProcessBatch.
 	raw inference.Result
 
-	// Exit-walk scratch: the row indices walked and a per-row seen column.
+	// Exit-walk scratch: walked row indices, a per-row seen column, sort keys.
 	exitWalk []int32
 	exitSeen []bool
+	exitKeys []uint64
 }
 
 // compressor is the shared surface of the two compression levels.
@@ -426,17 +426,17 @@ func (s *Substrate) exitSet(res *inference.Result) []model.Tag {
 			}
 		})
 	}
-	s.exitWalk, s.exitSeen = walk, seen
-	out := make([]model.Tag, len(walk))
-	for k, i := range walk {
-		out[k] = rows[i].Tag
+	// Containers (higher levels) first, then tag (row) order: one sort.
+	keys := s.exitKeys[:0]
+	for _, i := range walk {
+		keys = append(keys, uint64(^levelOf(rows[i].Tag))<<32|uint64(i))
 	}
-	slices.SortFunc(out, func(a, b model.Tag) int {
-		if la, lb := levelOf(a), levelOf(b); la != lb {
-			return cmp.Compare(lb, la) // containers (higher levels) first
-		}
-		return cmp.Compare(a, b)
-	})
+	slices.Sort(keys)
+	s.exitWalk, s.exitSeen, s.exitKeys = walk, seen, keys
+	out := make([]model.Tag, len(keys))
+	for k, key := range keys {
+		out[k] = rows[uint32(key)].Tag
+	}
 	return out
 }
 

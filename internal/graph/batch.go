@@ -22,9 +22,10 @@ func (g *Graph) UpdateBatch(b *model.Batch, readers []*model.Reader) error {
 
 // UpdateStats counts one UpdateBatch's Fig. 4 decisions for the flight
 // recorder: edges created (step 2), dropped (step 3) and confirmed by a
-// special reader (step 4).
+// special reader (step 4), and the work behind them: edges visited in
+// full by steps 3 and 4.
 type UpdateStats struct {
-	EdgesCreated, EdgesDropped, Confirmations int64
+	EdgesCreated, EdgesDropped, Confirmations, EdgesVisited int64
 }
 
 // LastStats returns the decisions of the most recent UpdateBatch.

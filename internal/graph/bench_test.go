@@ -10,7 +10,7 @@ import (
 
 // buildShelf populates one shelf with nCases cases of nItems items, all
 // colored by the shelf reader in epoch 1.
-func buildShelf(b *testing.B, nCases, nItems int) (*Graph, *model.Reader, []model.Tag) {
+func buildShelf(b testing.TB, nCases, nItems int) (*Graph, *model.Reader, []model.Tag) {
 	b.Helper()
 	g := New()
 	reader := &model.Reader{ID: 1, Location: 0, Period: 1}

@@ -180,7 +180,7 @@ type Edge struct {
 	// (Fig. 4 line 15).
 	CreatedAt model.Epoch
 
-	// conflictedAt / betaOneAt make the two-sided edge visit idempotent:
+	// conflictedAt / betaOneAt make a repeat visit in one epoch idempotent:
 	// a first visit that saw the partner uncolored may be revised when the
 	// partner turns out to be colored later in the same epoch.
 	conflictedAt model.Epoch
@@ -201,6 +201,10 @@ type Edge struct {
 // child (drawn with double arrows in the paper's figures).
 func (e *Edge) Confirmed() bool { return e.Child.ConfirmedEdge == e }
 
+// colocatedAt reports whether an update in epoch now found both ends of e
+// read at one location.
+func (e *Edge) colocatedAt(now model.Epoch) bool { return e.UpdateTime == now && e.History&1 != 0 }
+
 // Graph is the time-varying colored graph. It is not safe for concurrent
 // mutation.
 type Graph struct {
@@ -215,6 +219,10 @@ type Graph struct {
 	// map. Grown by ensureColor.
 	colored   [model.NumLevels][][]*Node
 	coloredAt model.Epoch
+
+	// recoloredAt is the last epoch in which a node was read at two
+	// locations; visitEdges skips no edge in such an epoch.
+	recoloredAt model.Epoch
 
 	// freeEdges recycles removed Edge structs. Color-mismatch removal and
 	// edge pruning churn through many short-lived edges (millions over a
@@ -251,8 +259,9 @@ type Graph struct {
 // New creates an empty graph.
 func New() *Graph {
 	return &Graph{
-		nodes:     make(map[model.Tag]*Node),
-		coloredAt: model.EpochNone,
+		nodes:       make(map[model.Tag]*Node),
+		coloredAt:   model.EpochNone,
+		recoloredAt: model.EpochNone,
 	}
 }
 

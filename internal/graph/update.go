@@ -22,6 +22,13 @@ import (
 //  4. update per-edge co-location history, confirmed parents, conflict
 //     counts, and the adaptive-β counters.
 func (g *Graph) Update(reader *model.Reader, tags []model.Tag, now model.Epoch) error {
+	return g.update(reader, tags, now, (*Graph).visitEdges)
+}
+
+// edgeWalk is a step 3-4 walk; tests hand update the two-sided oracle.
+type edgeWalk func(g *Graph, v *Node, c model.LocationID, now model.Epoch, reader model.ReaderID, confirmTop model.Tag, confirmParent map[model.Tag]model.Tag)
+
+func (g *Graph) update(reader *model.Reader, tags []model.Tag, now model.Epoch, walk edgeWalk) error {
 	if reader == nil {
 		return fmt.Errorf("graph: nil reader")
 	}
@@ -57,6 +64,7 @@ func (g *Graph) Update(reader *model.Reader, tags []model.Tag, now model.Epoch) 
 			// by deduplication; the most recent reader wins, so move the
 			// node between index buckets.
 			g.removeFromIndex(n)
+			g.recoloredAt = now
 		}
 		if n.RecentColor != c {
 			n.NewColorAt = now
@@ -98,7 +106,7 @@ func (g *Graph) Update(reader *model.Reader, tags []model.Tag, now model.Epoch) 
 				g.createEdges(v, c, now)
 			}
 			// Steps 3 and 4 share the walk over v's incident edges.
-			g.visitEdges(v, c, now, reader.ID, confirmTop, confirmParent)
+			walk(g, v, c, now, reader.ID, confirmTop, confirmParent)
 		}
 	}
 	return nil
@@ -144,104 +152,111 @@ func (g *Graph) createEdges(v *Node, c model.LocationID, now model.Epoch) {
 }
 
 // visitEdges implements steps 3 and 4 (Fig. 4 lines 14-31) for one colored
-// node. Edges may legitimately be visited twice in an epoch, once from
-// each endpoint; the bookkeeping below is idempotent, and a second visit
-// that discovers the partner is in fact colored revises the pessimistic
-// verdict of the first.
+// node. An edge both of whose ends this reader read is met from each end;
+// the second visit is skipped when (i) the edge's co-location bit was set
+// this epoch, (ii) this reader confirms nothing and (iii) no node has been
+// recolored this epoch: it would shift nothing, set a set bit, drop nothing
+// and find conflictedAt and betaOneAt already revised. Today (i) and (iii)
+// suffice, as the same reader's set made the first visit and with it every
+// confirmation decision. Any other repeat visit runs in full, revising a
+// first visit that saw the partner uncolored.
 func (g *Graph) visitEdges(v *Node, c model.LocationID, now model.Epoch, reader model.ReaderID, confirmTop model.Tag, confirmParent map[model.Tag]model.Tag) {
-	visit := func(e *Edge) {
-		other := e.Parent
-		if other == v {
-			other = e.Child
+	skip := confirmTop == model.NoTag && g.recoloredAt != now
+	// visitEdge may remove the edge it is handed, which shifts the span's
+	// tail down by one: walk from the end so the unvisited part never moves.
+	for _, span := range [2][]*Edge{v.parents, v.children} {
+		for i := len(span) - 1; i >= 0; i-- {
+			if e := span[i]; !skip || !e.colocatedAt(now) {
+				g.visitEdge(e, v, c, now, reader, confirmTop, confirmParent)
+			}
 		}
-		otherColor := other.ColorAt(now)
+	}
+}
 
-		// Step 3: remove outdated edges. Only edges that predate this
-		// epoch can carry a stale color relationship (fresh edges are
-		// created same-colored by construction).
-		if e.CreatedAt < now && otherColor.Known() && otherColor != c {
-			g.recordDrop(e, now, reader, trace.DropColorMismatch)
+// visitEdge applies steps 3 and 4 to edge e met from its endpoint v.
+func (g *Graph) visitEdge(e *Edge, v *Node, c model.LocationID, now model.Epoch, reader model.ReaderID, confirmTop model.Tag, confirmParent map[model.Tag]model.Tag) {
+	g.stats.EdgesVisited++
+	other := e.Parent
+	if other == v {
+		other = e.Child
+	}
+	otherColor := other.ColorAt(now)
+
+	// Step 3: remove outdated edges. Only edges that predate this epoch can
+	// carry a stale color relationship (fresh edges are born same-colored).
+	if e.CreatedAt < now && otherColor.Known() && otherColor != c {
+		g.recordDrop(e, now, reader, trace.DropColorMismatch)
+		g.RemoveEdge(e)
+		return
+	}
+	// Step 3 continued: drops dictated by a special reader's confirmation —
+	// the child is itself a confirmed top-level container, or it has a
+	// confirmed parent other than e.Parent.
+	if confirmTop != model.NoTag {
+		if e.Child.Tag == confirmTop {
+			g.recordDrop(e, now, reader, trace.DropConfirmation)
 			g.RemoveEdge(e)
 			return
 		}
-		// Step 3 continued: drops dictated by a special reader's
-		// confirmation — the child is itself a confirmed top-level
-		// container, or it has a confirmed parent other than e.Parent.
-		if confirmTop != model.NoTag {
-			if e.Child.Tag == confirmTop {
-				g.recordDrop(e, now, reader, trace.DropConfirmation)
-				g.RemoveEdge(e)
-				return
-			}
-			if p, ok := confirmParent[e.Child.Tag]; ok && p != e.Parent.Tag {
-				g.recordDrop(e, now, reader, trace.DropConfirmation)
-				g.RemoveEdge(e)
-				return
-			}
+		if p, ok := confirmParent[e.Child.Tag]; ok && p != e.Parent.Tag {
+			g.recordDrop(e, now, reader, trace.DropConfirmation)
+			g.RemoveEdge(e)
+			return
 		}
+	}
 
-		// Step 4: update edge statistics, shifting the history exactly
-		// once per epoch.
-		if e.UpdateTime < now {
-			e.History.Shift()
-		}
-		if otherColor == c {
-			e.History.SetRecent(true)
-			if confirmParent != nil {
-				if p, ok := confirmParent[e.Child.Tag]; ok && p == e.Parent.Tag {
-					if e.Child.ConfirmedEdge != e {
-						g.stats.Confirmations++
-						if g.rec.Traces(e.Child.Tag) {
-							g.rec.Record(trace.Record{
-								Epoch: now, Tag: e.Child.Tag, Mech: trace.MechConfirmed,
-								Loc: c, Other: e.Parent.Tag, Reader: reader,
-							})
-						}
+	// Step 4: update edge statistics, shifting the history once per epoch.
+	if e.UpdateTime < now {
+		e.History.Shift()
+	}
+	if otherColor == c {
+		e.History.SetRecent(true)
+		if confirmParent != nil {
+			if p, ok := confirmParent[e.Child.Tag]; ok && p == e.Parent.Tag {
+				if e.Child.ConfirmedEdge != e {
+					g.stats.Confirmations++
+					if g.rec.Traces(e.Child.Tag) {
+						g.rec.Record(trace.Record{
+							Epoch: now, Tag: e.Child.Tag, Mech: trace.MechConfirmed,
+							Loc: c, Other: e.Parent.Tag, Reader: reader,
+						})
 					}
-					e.Child.ConfirmedEdge = e
-					e.Child.ConfirmedAt = now
-					e.Child.Conflicts = 0
 				}
-			}
-			if e.Child.ConfirmedEdge == e {
-				if e.conflictedAt == now { // revise the earlier one-sided verdict
-					e.Child.Conflicts--
-					e.conflictedAt = model.EpochNone
-				}
-				if e.betaOneAt == now {
-					e.Child.BetaOne--
-					e.betaOneAt = model.EpochNone
-				}
-				if e.UpdateTime < now {
-					e.Child.BetaEither++
-				}
-			}
-		} else {
-			e.History.SetRecent(false)
-			if e.Child.ConfirmedEdge == e {
-				if e.conflictedAt != now {
-					e.Child.Conflicts++
-					e.conflictedAt = now
-				}
-				if e.UpdateTime < now {
-					e.Child.BetaEither++
-				}
-				if e.betaOneAt != now {
-					e.Child.BetaOne++
-					e.betaOneAt = now
-				}
+				e.Child.ConfirmedEdge = e
+				e.Child.ConfirmedAt = now
+				e.Child.Conflicts = 0
 			}
 		}
-		e.UpdateTime = now
+		if e.Child.ConfirmedEdge == e {
+			if e.conflictedAt == now { // revise the earlier one-sided verdict
+				e.Child.Conflicts--
+				e.conflictedAt = model.EpochNone
+			}
+			if e.betaOneAt == now {
+				e.Child.BetaOne--
+				e.betaOneAt = model.EpochNone
+			}
+			if e.UpdateTime < now {
+				e.Child.BetaEither++
+			}
+		}
+	} else {
+		e.History.SetRecent(false)
+		if e.Child.ConfirmedEdge == e {
+			if e.conflictedAt != now {
+				e.Child.Conflicts++
+				e.conflictedAt = now
+			}
+			if e.UpdateTime < now {
+				e.Child.BetaEither++
+			}
+			if e.betaOneAt != now {
+				e.Child.BetaOne++
+				e.betaOneAt = now
+			}
+		}
 	}
-	// visit may remove the edge it is handed, which shifts the span's tail
-	// down by one: walk from the end so the unvisited part never moves.
-	for i := len(v.parents) - 1; i >= 0; i-- {
-		visit(v.parents[i])
-	}
-	for i := len(v.children) - 1; i >= 0; i-- {
-		visit(v.children[i])
-	}
+	e.UpdateTime = now
 }
 
 // recordDrop counts a step-3 edge removal and records it when the child

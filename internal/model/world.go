@@ -239,6 +239,14 @@ func (w *World) Objects() []Tag {
 	return out
 }
 
+// Each calls f with the state of every present object, in unspecified
+// order: the unsorted walk of Objects.
+func (w *World) Each(f func(*ObjectState)) {
+	for _, st := range w.objects {
+		f(st)
+	}
+}
+
 // Len returns the number of objects currently in the world.
 func (w *World) Len() int { return len(w.objects) }
 

@@ -19,10 +19,10 @@ func (s *Simulator) TrueResult() *inference.Result {
 		Parents:   make(map[model.Tag]model.Tag, s.world.Len()),
 		Observed:  map[model.Tag]bool{},
 	}
-	for _, g := range s.world.Objects() {
-		res.Locations[g] = s.world.LocationOf(g)
-		res.Parents[g] = s.world.ParentOf(g)
-	}
+	s.world.Each(func(st *model.ObjectState) {
+		res.Locations[st.Tag] = st.Location
+		res.Parents[st.Tag] = st.Parent
+	})
 	return res
 }
 
