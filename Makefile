@@ -30,11 +30,12 @@ bench-infer:
 	go test -run '^$$' -bench 'InferComponentsSerial' -benchmem ./internal/inference/
 
 # Subscription-engine quality and dispatch cost: the cep experiment
-# (detector P/R/F1 vs reader dropout) plus the Go dispatch benchmarks.
+# (detector P/R/F1 vs reader dropout) plus the Go dispatch and subscribe
+# benchmarks.
 # The end-to-end dispatch cost is the benchmark's cep.dispatch_s_per_mevent.
 bench-cep:
 	go run ./cmd/spirebench -quick -expt cep
-	go test -run '^$$' -bench 'BenchmarkCEPDispatch' -benchmem ./internal/cep/
+	go test -run '^$$' -bench 'BenchmarkCEPDispatch|BenchmarkSubscribe' -benchmem ./internal/cep/
 
 # Quick-scale experiment tables plus a machine-readable snapshot, for
 # tracking the reproduction across revisions.

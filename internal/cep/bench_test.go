@@ -2,6 +2,7 @@ package cep
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"spire/internal/epc"
@@ -93,6 +94,66 @@ func TestEpochIdleZeroAllocs(t *testing.T) {
 	}
 }
 
+// benchSources returns n tag-anchored subscriptions of the two shapes
+// the end-to-end benchmark's warehouse_flow registers, cycling over tags.
+func benchSources(n int, tags []model.Tag) []string {
+	srcs := make([]string, n)
+	for i := range srcs {
+		g := tags[i%len(tags)]
+		if i%2 == 0 {
+			srcs[i] = fmt.Sprintf("SEQ(missing() & tag(%d), NOT start()) WITHIN 60", g)
+		} else {
+			srcs[i] = fmt.Sprintf("SEQ(start() & tag(%d) & level(case), NOT end()) WITHIN 80", g)
+		}
+	}
+	return srcs
+}
+
+// TestSubscriptionFootprint bounds what a subscription holds once
+// registered: 10 000 tag-anchored subscriptions of the two benchmark
+// shapes, each on its own tag, share two templates, so a subscription
+// costs its row, its constant and its anchor-index entry.
+func TestSubscriptionFootprint(t *testing.T) {
+	const n, maxBytes = 10_000, 200
+	srcs := benchSources(n, benchTags(n))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e := NewEngine(Config{})
+	for _, src := range srcs {
+		if _, err := e.SubscribeFunc(src, func(Match) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	runtime.KeepAlive(e)
+	runtime.KeepAlive(srcs)
+	t.Logf("%d subscriptions: %d B each", n, per)
+	if per > maxBytes {
+		t.Errorf("%d subscriptions hold %d B each, want at most %d", n, per, maxBytes)
+	}
+	if len(e.tmpls) != 2 {
+		t.Errorf("%d templates for the two shapes, want 2", len(e.tmpls))
+	}
+}
+
+// BenchmarkSubscribe10k registers the 10k-subscription dispatch load
+// into a fresh engine.
+func BenchmarkSubscribe10k(b *testing.B) {
+	srcs := benchSources(10_000, benchTags(512))
+	b.ReportAllocs()
+	for b.Loop() {
+		e := NewEngine(Config{})
+		for _, src := range srcs {
+			if _, err := e.Subscribe(src); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // benchDispatch drives the engine over the synthetic stream with the
 // given per-object alerting load, reporting ns/event. The clock shifts
 // each full pass so windows keep expiring and the measurement includes
@@ -100,14 +161,7 @@ func TestEpochIdleZeroAllocs(t *testing.T) {
 func benchDispatch(b *testing.B, subs int) {
 	tags := benchTags(512)
 	e := NewEngine(Config{})
-	for i := 0; i < subs; i++ {
-		g := tags[i%len(tags)]
-		var src string
-		if i%2 == 0 {
-			src = fmt.Sprintf("SEQ(missing() & tag(%d), NOT start()) WITHIN 60", g)
-		} else {
-			src = fmt.Sprintf("SEQ(start() & tag(%d) & level(case), NOT end()) WITHIN 80", g)
-		}
+	for _, src := range benchSources(subs, tags) {
 		if _, err := e.Subscribe(src); err != nil {
 			b.Fatal(err)
 		}

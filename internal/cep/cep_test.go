@@ -1,6 +1,9 @@
 package cep
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -221,6 +224,12 @@ func TestTagAtomAndSingleStep(t *testing.T) {
 	if len(*ms) != 1 || (*ms)[0].Object != 42 || (*ms)[0].Start != 3 || (*ms)[0].At != 3 {
 		t.Fatalf("single-step: %+v", *ms)
 	}
+	// A literal that keeps its text in the template matches by value.
+	zeros, _ := collect(t, e, "SEQ(tag(0042))")
+	e.Epoch(4, []event.Event{event.NewMissing(42, 1, 4)})
+	if len(*zeros) != 1 || (*zeros)[0].Object != 42 {
+		t.Fatalf("leading-zero literal: %+v", *zeros)
+	}
 }
 
 func TestAnchorCannotSatisfyTwoSteps(t *testing.T) {
@@ -325,6 +334,31 @@ func TestSubscriptionsListing(t *testing.T) {
 	if subs[1].Pattern != "SEQ(start())" {
 		t.Fatalf("pattern echo = %q", subs[1].Pattern)
 	}
+
+	// Subscriptions of one template echo their own constants. Literals
+	// that would not echo from their value (leading zeros) and steps
+	// with two tag atoms keep their text in a template of their own.
+	srcs := []string{
+		"SEQ(missing() & tag(41), NOT start()) WITHIN 60",
+		"SEQ(missing() & tag(18446744073709551615), NOT start()) WITHIN 60",
+		"SEQ(missing() & tag( 007 ), NOT start()) WITHIN 60",
+		"SEQ(missing() & tag(5) & tag(6), NOT start()) WITHIN 60",
+		"SEQ(start( 2 ) & tag(3),end(@1),  tag(4))",
+	}
+	for _, src := range srcs {
+		if _, err := e.Subscribe(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	subs = e.Subscriptions()
+	for i, src := range srcs {
+		if got := subs[2+i].Pattern; got != src {
+			t.Errorf("pattern echo = %q, want %q", got, src)
+		}
+	}
+	if len(e.tmpls) != 6 {
+		t.Errorf("%d templates, want 6: the first two new sources share one", len(e.tmpls))
+	}
 }
 
 func TestDetectorsParse(t *testing.T) {
@@ -368,5 +402,118 @@ func TestTelemetryCounters(t *testing.T) {
 	}
 	if tel.Subs.Value() != 2 || tel.Runs.Value() != 1 {
 		t.Errorf("Subs/Runs = %d/%d, want 2/1", tel.Subs.Value(), tel.Runs.Value())
+	}
+}
+
+// TestCompactionKeepsMatches: unsubscribing enough subscriptions mid-
+// stream to compact the rows changes nothing for the survivors. They
+// match and echo exactly as in an engine that only ever held them.
+func TestCompactionKeepsMatches(t *testing.T) {
+	tags := benchTags(64)
+	var srcs []string
+	for i := range 256 {
+		g := tags[i%len(tags)]
+		if i%2 == 0 {
+			srcs = append(srcs, fmt.Sprintf("SEQ(missing() & tag(%d), NOT start()) WITHIN %d", g, 2+i%3))
+		} else {
+			srcs = append(srcs, fmt.Sprintf("SEQ(start() & tag(%d), end()) WITHIN %d", g, 18+i%5))
+		}
+	}
+	batches, times, _ := benchStream(128, tags)
+	churned, kept := NewEngine(Config{}), NewEngine(Config{})
+	var survivors, dropped []int
+	for i, src := range srcs {
+		id, err := churned.Subscribe(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%4 != 0 {
+			dropped = append(dropped, id)
+			continue
+		}
+		survivors = append(survivors, id)
+		if _, err := kept.Subscribe(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := range batches {
+		if k == len(batches)/2 {
+			for _, id := range dropped {
+				churned.Unsubscribe(id)
+			}
+			if len(churned.rows) == len(srcs) {
+				t.Fatal("unsubscribing three quarters of the rows did not compact them")
+			}
+		}
+		churned.Epoch(times[k], batches[k])
+		kept.Epoch(times[k], batches[k])
+	}
+	want := kept.Subscriptions()
+	got := churned.Subscriptions()
+	if len(got) != len(want) {
+		t.Fatalf("%d subscriptions after churn, want %d", len(got), len(want))
+	}
+	matched := 0
+	for i, id := range survivors {
+		if got[i].ID != id || got[i].Pattern != want[i].Pattern || got[i].Matches != want[i].Matches || got[i].Runs != want[i].Runs {
+			t.Fatalf("survivor %d: %+v, want %+v apart from the id", id, got[i], want[i])
+		}
+		gm, _, _ := churned.Matches(id)
+		wm, _, _ := kept.Matches(want[i].ID)
+		for k := range wm {
+			wm[k].Sub = id
+		}
+		if !slices.Equal(gm, wm) {
+			t.Fatalf("survivor %d: matches %+v, want %+v", id, gm, wm)
+		}
+		matched += len(gm)
+	}
+	if matched == 0 {
+		t.Fatal("no survivor matched: the stream does not exercise the runs")
+	}
+}
+
+// TestExpiryOrderAcrossWindows: runs of different WITHIN windows that
+// close in one Epoch call resolve in (deadline, start) order, where
+// start order is epoch, then event, then subscription. Events arrive at
+// every other epoch, so most deadlines fall in the gaps and resolve
+// together at the next call.
+func TestExpiryOrderAcrossWindows(t *testing.T) {
+	windows := []model.Epoch{3, 5, 2, 4, 5}
+	e := NewEngine(Config{})
+	type key struct {
+		at, start model.Epoch
+		obj       model.Tag
+		sub       int
+	}
+	var got []key
+	subOf := map[int]int{}
+	for i, w := range windows {
+		id, err := e.SubscribeFunc(fmt.Sprintf("SEQ(missing(), NOT start()) WITHIN %d", w), func(m Match) {
+			got = append(got, key{m.At, m.Start, m.Object, subOf[m.Sub]})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		subOf[id] = i
+	}
+	var want []key
+	for now := model.Epoch(1); now <= 21; now += 2 {
+		var evs []event.Event
+		for j := range 3 {
+			obj := model.Tag(100*int(now) + 3 - j) // event order is not tag order
+			evs = append(evs, event.NewMissing(obj, 1, now))
+			for i, w := range windows {
+				want = append(want, key{now + w, now, obj, i})
+			}
+		}
+		e.Epoch(now, evs)
+	}
+	e.Epoch(40, nil)
+	// want is in start order; a stable sort by deadline gives the
+	// resolution order.
+	slices.SortStableFunc(want, func(a, b key) int { return cmp.Compare(a.at, b.at) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("resolution order\n got %v\nwant %v", got, want)
 	}
 }

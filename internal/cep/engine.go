@@ -1,6 +1,8 @@
 package cep
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"spire/internal/event"
@@ -49,41 +51,91 @@ type SubStats struct {
 
 // run is one active partial match. Runs are linked into two intrusive
 // lists — the per-object list event processing walks, and the
-// per-subscription list (creation order) the cap evicts from — plus at
-// most one deadline-heap slot. Dead runs are unlinked immediately but may
-// linger in the heap until popped; they are recycled through the free
-// list once no structure references them.
+// per-subscription list (creation order) the cap evicts from — and a
+// windowed run sits in its window's deadline FIFO. Dead runs are
+// unlinked immediately but may linger in the FIFO until popped; they are
+// recycled through the free list once no structure references them.
 type run struct {
-	sub *subscription
+	sub int32 // row of the subscription in Engine.rows
 	obj model.Tag
 
 	t1       model.Epoch
 	deadline model.Epoch // InfiniteEpoch when the pattern is unbounded
-	seq      uint64      // start order: breaks deadline ties in the heap
+	seq      uint64      // start order: breaks deadline ties across FIFOs
 	idx      int         // next unsatisfied step
 	binds    [MaxSteps]binding
 
 	dead   bool
-	inHeap bool
+	queued bool // in a deadline FIFO
 
 	objPrev, objNext *run
 	subPrev, subNext *run
 	free             *run
 }
 
+// subscription is one row of Engine.rows: a shared template, the
+// subscription's tag constants (an offset into Engine.consts) and its own
+// run list, counters and match buffer.
 type subscription struct {
-	id   int
-	pat  *Pattern
-	fn   func(Match) // optional live-match callback
-	dead bool
+	tmpl *template // nil once unsubscribed
+	fn   func(Match)
 
 	// Creation-order run list: head is the oldest (the eviction victim).
 	runHead, runTail *run
-	nrun             int
 
-	matches ring.Ring[Match] // overwrites count as backpressure drops
+	// matches is allocated at the first match; overwrites count as
+	// backpressure drops.
+	matches *ring.Ring[Match]
 	total   uint64
 	evicted uint64
+
+	id     int
+	nrun   int32
+	consts int32 // offset of the tag constants in Engine.consts
+}
+
+// template is a compiled pattern shape, shared by every subscription
+// whose source differs from it only in lifted tag(N) literals.
+type template struct {
+	Pattern
+	fifo *deadlineFIFO // the deadline FIFO of Within; nil when unbounded
+	live int           // live subscriptions using it
+}
+
+// deadlineFIFO queues the runs of one WITHIN window in start order. The
+// clock never goes back, so start order is also (deadline, seq) order.
+type deadlineFIFO struct {
+	within model.Epoch
+	runs   []*run
+	head   int
+}
+
+func (f *deadlineFIFO) push(r *run) {
+	// Reuse the popped prefix rather than grow while it is most of the
+	// slice.
+	if len(f.runs) == cap(f.runs) && 2*f.head >= len(f.runs) && f.head > 0 {
+		n := copy(f.runs, f.runs[f.head:])
+		clear(f.runs[n:])
+		f.runs, f.head = f.runs[:n], 0
+	}
+	f.runs = append(f.runs, r)
+}
+
+// peek returns the earliest run, or nil.
+func (f *deadlineFIFO) peek() *run {
+	if f.head < len(f.runs) {
+		return f.runs[f.head]
+	}
+	return nil
+}
+
+func (f *deadlineFIFO) pop() *run {
+	r := f.runs[f.head]
+	f.runs[f.head] = nil
+	if f.head++; f.head == len(f.runs) {
+		f.runs, f.head = f.runs[:0], 0
+	}
+	return r
 }
 
 // Engine evaluates subscriptions incrementally over the output event
@@ -91,29 +143,39 @@ type subscription struct {
 // pipeline loop feeds epochs while HTTP handlers subscribe and read
 // matches.
 type Engine struct {
-	mu      sync.Mutex
-	cfg     Config
-	now     model.Epoch
-	subs    map[int]*subscription
-	nextID  int
-	deadSub int
+	mu     sync.Mutex
+	cfg    Config
+	now    model.Epoch
+	nextID int
 
-	// byKind indexes live subscriptions by the kinds their first step can
-	// match, so an event only touches subscriptions it could anchor.
-	// Entries for dead subscriptions are skipped lazily and compacted when
-	// they outnumber the live ones.
+	// rows holds the subscriptions ascending by id. Unsubscribed rows
+	// stay, dead, until they outnumber the live ones; compact then drops
+	// them and renumbers runs and indexes.
+	rows    []subscription
+	live    int
+	deadSub int
+	// tmpls interns templates by source text with the lifted literals cut
+	// out (parsed.appendKey); consts holds every row's tag constants.
+	tmpls  map[string]*template
+	consts []model.Tag
+
+	// byKind indexes rows by the kinds their first step can match, so an
+	// event only touches subscriptions it could anchor.
 	//
-	// Subscriptions whose first step names a specific object (obj=N) are
+	// Subscriptions whose first step names an object (tag(N)) are
 	// discriminated further, by (kind, tag) in byKindTag: an event then
 	// visits only the subscriptions anchored on its own object, so ten
 	// thousand per-tag watches cost a dispatch one map probe, not ten
-	// thousand first-step rejections. Tag-agnostic first steps stay in
-	// byKind.
-	byKind    [6][]*subscription
-	byKindTag [6]map[model.Tag][]*subscription
+	// thousand first-step rejections. A value is the one row anchored on
+	// that tag, or ^i when several are: they are anchorLists[i].
+	// Tag-agnostic first steps stay in byKind. Dead rows are skipped.
+	byKind      [6][]int32
+	byKindTag   [6]map[model.Tag]int32
+	anchorLists [][]int32
 
 	objRuns map[model.Tag]*run // head of the per-object run list
-	heap    []*run             // min-heap on (deadline, seq)
+	fifos   []*deadlineFIFO    // one per distinct WITHIN
+	due     []*deadlineFIFO    // the non-empty FIFOs, a min-heap on their heads
 	freeRun *run
 	nrun    int
 	runSeq  uint64 // seq of the last started run
@@ -135,7 +197,7 @@ func NewEngine(cfg Config) *Engine {
 	}
 	return &Engine{
 		cfg:     cfg,
-		subs:    make(map[int]*subscription),
+		tmpls:   make(map[string]*template),
 		objRuns: make(map[model.Tag]*run),
 	}
 }
@@ -148,32 +210,82 @@ func (e *Engine) Subscribe(src string) (int, error) {
 // SubscribeFunc additionally registers a callback invoked inline (under
 // the engine lock, on the dispatching goroutine) for every match.
 func (e *Engine) SubscribeFunc(src string, fn func(Match)) (int, error) {
-	p, err := Parse(src)
-	if err != nil {
+	var c parsed
+	if err := c.parse(src); err != nil {
 		return 0, err
 	}
+	var buf [128]byte
+	key := c.appendKey(buf[:0], src)
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	t := e.tmpls[string(key)]
+	if t == nil {
+		t = &template{Pattern: c.template(src)}
+		if t.Within > 0 {
+			t.fifo = e.fifoFor(t.Within)
+		}
+		e.tmpls[string(key)] = t
+	}
+	t.live++
 	e.nextID++
-	s := &subscription{id: e.nextID, pat: p, fn: fn, matches: ring.New[Match](e.cfg.maxMatches)}
-	e.subs[s.id] = s
+	e.rows = append(e.rows, subscription{tmpl: t, fn: fn, id: e.nextID, consts: int32(len(e.consts))})
+	e.consts = c.appendConsts(e.consts)
+	e.index(int32(len(e.rows) - 1))
+	e.live++
+	if e.tel != nil {
+		e.tel.Subs.Set(int64(e.live))
+	}
+	return e.nextID, nil
+}
+
+// fifoFor returns the deadline FIFO of window w, adding it if new.
+func (e *Engine) fifoFor(w model.Epoch) *deadlineFIFO {
+	for _, f := range e.fifos {
+		if f.within == w {
+			return f
+		}
+	}
+	f := &deadlineFIFO{within: w}
+	e.fifos = append(e.fifos, f)
+	return f
+}
+
+// index adds row i to the anchor indexes.
+func (e *Engine) index(i int32) {
+	s := &e.rows[i]
+	tag := s.tmpl.tag(0, e.consts[s.consts:])
 	for k := event.StartLocation; k <= event.Missing; k++ {
-		if !p.Steps[0].Kinds.Has(k) {
+		if !s.tmpl.Steps[0].Kinds.Has(k) {
 			continue
 		}
-		if tag := p.Steps[0].Tag; tag != model.NoTag {
-			if e.byKindTag[k] == nil {
-				e.byKindTag[k] = make(map[model.Tag][]*subscription)
-			}
-			e.byKindTag[k][tag] = append(e.byKindTag[k][tag], s)
-		} else {
-			e.byKind[k] = append(e.byKind[k], s)
+		if tag == model.NoTag {
+			e.byKind[k] = append(e.byKind[k], i)
+			continue
+		}
+		m := e.byKindTag[k]
+		if m == nil {
+			m = make(map[model.Tag]int32)
+			e.byKindTag[k] = m
+		}
+		switch v, ok := m[tag]; {
+		case !ok:
+			m[tag] = i
+		case v >= 0:
+			e.anchorLists = append(e.anchorLists, []int32{v, i})
+			m[tag] = ^int32(len(e.anchorLists) - 1)
+		default:
+			e.anchorLists[^v] = append(e.anchorLists[^v], i)
 		}
 	}
-	if e.tel != nil {
-		e.tel.Subs.Set(int64(len(e.subs)))
+}
+
+// find returns the live row of id.
+func (e *Engine) find(id int) (*subscription, bool) {
+	i, ok := slices.BinarySearchFunc(e.rows, id, func(s subscription, id int) int { return cmp.Compare(s.id, id) })
+	if !ok || e.rows[i].tmpl == nil {
+		return nil, false
 	}
-	return s.id, nil
+	return &e.rows[i], true
 }
 
 // Unsubscribe removes a subscription and frees its runs; unknown ids are
@@ -181,58 +293,66 @@ func (e *Engine) SubscribeFunc(src string, fn func(Match)) (int, error) {
 func (e *Engine) Unsubscribe(id int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	s, ok := e.subs[id]
+	s, ok := e.find(id)
 	if !ok {
 		return
 	}
-	delete(e.subs, id)
-	s.dead = true
-	e.deadSub++
 	for r := s.runHead; r != nil; {
 		next := r.subNext
 		e.killRun(r)
 		r = next
 	}
-	// Compact the kind indexes once dead entries dominate, so
-	// subscription churn cannot grow them without bound.
-	if e.deadSub > len(e.subs)+16 {
-		for k := range e.byKind {
-			live := e.byKind[k][:0]
-			for _, s := range e.byKind[k] {
-				if !s.dead {
-					live = append(live, s)
-				}
-			}
-			// Clear the tail so dead subscriptions are collectable.
-			for i := len(live); i < len(e.byKind[k]); i++ {
-				e.byKind[k][i] = nil
-			}
-			e.byKind[k] = live
-		}
-		for k := range e.byKindTag {
-			for tag, subs := range e.byKindTag[k] {
-				live := subs[:0]
-				for _, s := range subs {
-					if !s.dead {
-						live = append(live, s)
-					}
-				}
-				if len(live) == 0 {
-					delete(e.byKindTag[k], tag)
-					continue
-				}
-				for i := len(live); i < len(subs); i++ {
-					subs[i] = nil
-				}
-				e.byKindTag[k][tag] = live
-			}
-		}
-		e.deadSub = 0
+	s.tmpl.live--
+	*s = subscription{id: id}
+	e.live--
+	e.deadSub++
+	// Compact once dead rows dominate, so subscription churn cannot grow
+	// the rows, indexes or templates without bound.
+	if e.deadSub > e.live+16 {
+		e.compact()
 	}
 	if e.tel != nil {
-		e.tel.Subs.Set(int64(len(e.subs)))
+		e.tel.Subs.Set(int64(e.live))
 		e.tel.Runs.Set(int64(e.nrun))
 	}
+}
+
+// compact drops the dead rows, the templates no row uses and the FIFOs
+// no template uses, and rebuilds the constants and anchor indexes.
+func (e *Engine) compact() {
+	rows := make([]subscription, 0, e.live)
+	consts := make([]model.Tag, 0, len(e.consts))
+	for _, s := range e.rows {
+		if s.tmpl == nil {
+			continue
+		}
+		n := len(s.tmpl.pieces) - 1
+		off := s.consts
+		s.consts = int32(len(consts))
+		consts = append(consts, e.consts[off:int(off)+n]...)
+		for r := s.runHead; r != nil; r = r.subNext {
+			r.sub = int32(len(rows))
+		}
+		rows = append(rows, s)
+	}
+	e.rows, e.consts = rows, consts
+	used := make(map[*deadlineFIFO]bool, len(e.fifos))
+	for key, t := range e.tmpls {
+		if t.live == 0 {
+			delete(e.tmpls, key)
+		} else if t.fifo != nil {
+			used[t.fifo] = true
+		}
+	}
+	// A dropped FIFO holds only dead runs: the subscriptions of its window
+	// are gone, and killing them unlinked their runs. It stays in due until
+	// expire has popped them.
+	e.fifos = slices.DeleteFunc(e.fifos, func(f *deadlineFIFO) bool { return !used[f] })
+	e.byKind, e.byKindTag, e.anchorLists = [6][]int32{}, [6]map[model.Tag]int32{}, nil
+	for i := range e.rows {
+		e.index(int32(i))
+	}
+	e.deadSub = 0
 }
 
 // Epoch advances the engine clock to now and feeds it one whole epoch:
@@ -260,9 +380,12 @@ func (e *Engine) Epoch(now model.Epoch, events []event.Event) {
 func (e *Engine) Matches(id int) (ms []Match, st SubStats, ok bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	s, found := e.subs[id]
+	s, found := e.find(id)
 	if !found {
 		return nil, SubStats{}, false
+	}
+	if s.matches == nil {
+		return []Match{}, e.statsOf(s), true
 	}
 	return s.matches.AppendTo(make([]Match, 0, s.matches.Len())), e.statsOf(s), true
 }
@@ -271,35 +394,41 @@ func (e *Engine) Matches(id int) (ms []Match, st SubStats, ok bool) {
 func (e *Engine) Subscriptions() []SubStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]SubStats, 0, len(e.subs))
-	for _, s := range e.subs {
-		out = append(out, e.statsOf(s))
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].ID < out[j-1].ID; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	out := make([]SubStats, 0, e.live)
+	for i := range e.rows {
+		if s := &e.rows[i]; s.tmpl != nil {
+			out = append(out, e.statsOf(s))
 		}
 	}
 	return out
 }
 
 func (e *Engine) statsOf(s *subscription) SubStats {
-	return SubStats{
-		ID: s.id, Pattern: s.pat.String(), Runs: s.nrun,
-		Matches: s.total, Buffer: s.matches.Len(), Dropped: uint64(s.matches.Overwritten()), Evicted: s.evicted,
+	st := SubStats{
+		ID: s.id, Pattern: s.tmpl.text(e.consts[s.consts:]), Runs: int(s.nrun),
+		Matches: s.total, Evicted: s.evicted,
 	}
+	if s.matches != nil {
+		st.Buffer, st.Dropped = s.matches.Len(), uint64(s.matches.Overwritten())
+	}
+	return st
 }
 
 // Stats summarizes engine-wide state (bounded-state tests).
 type Stats struct {
-	Subs, Runs, Heap int
+	Subs, Runs int
+	Queued     int // deadline FIFO entries, dead runs not yet popped included
 }
 
 // EngineStats returns engine-wide state sizes.
 func (e *Engine) EngineStats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return Stats{Subs: len(e.subs), Runs: e.nrun, Heap: len(e.heap)}
+	st := Stats{Subs: e.live, Runs: e.nrun}
+	for _, f := range e.due {
+		st.Queued += len(f.runs) - f.head
+	}
+	return st
 }
 
 // process runs one event through the existing runs of its object, then
@@ -318,26 +447,31 @@ func (e *Engine) process(now model.Epoch, ev event.Event) {
 		e.advanceRun(r, now, ev)
 		r = next
 	}
-	e.anchor(e.byKind[ev.Kind], now, ev)
-	if m := e.byKindTag[ev.Kind]; m != nil {
-		e.anchor(m[ev.Object], now, ev)
+	for _, i := range e.byKind[ev.Kind] {
+		e.anchor(i, now, ev)
+	}
+	if v, ok := e.byKindTag[ev.Kind][ev.Object]; ok && v >= 0 {
+		e.anchor(v, now, ev)
+	} else if ok {
+		for _, i := range e.anchorLists[^v] {
+			e.anchor(i, now, ev)
+		}
 	}
 }
 
-// anchor tries to start (or, for single-step patterns, complete) each
-// candidate subscription on the event.
-func (e *Engine) anchor(subs []*subscription, now model.Epoch, ev event.Event) {
-	for _, s := range subs {
-		if s.dead || !s.pat.matches(0, ev, nil) {
-			continue
-		}
-		if len(s.pat.Steps) == 1 {
-			// Single-step pattern: the anchor is the whole match.
-			e.emit(s, Match{Sub: s.id, Object: ev.Object, Start: now, At: now})
-			continue
-		}
-		e.startRun(s, now, ev)
+// anchor tries to start (or, for a single-step pattern, complete) the
+// subscription of row i on the event.
+func (e *Engine) anchor(i int32, now model.Epoch, ev event.Event) {
+	s := &e.rows[i]
+	if s.tmpl == nil || !s.tmpl.matches(0, ev, nil, e.consts[s.consts:]) {
+		return
 	}
+	if len(s.tmpl.Steps) == 1 {
+		// Single-step pattern: the anchor is the whole match.
+		e.emit(s, Match{Sub: s.id, Object: ev.Object, Start: now, At: now})
+		return
+	}
+	e.startRun(i, now, ev)
 }
 
 // advanceRun applies one event to one run. Precedence when the current
@@ -348,16 +482,17 @@ func (e *Engine) advanceRun(r *run, now model.Epoch, ev event.Event) {
 	if r.dead {
 		return
 	}
-	p := r.sub.pat
+	s := &e.rows[r.sub]
+	p, consts := &s.tmpl.Pattern, e.consts[s.consts:]
 	st := &p.Steps[r.idx]
 	if st.Neg {
 		if r.idx == len(p.Steps)-1 {
-			if p.matches(r.idx, ev, &r.binds) {
+			if p.matches(r.idx, ev, &r.binds, consts) {
 				e.killRun(r) // absence violated
 			}
 			return
 		}
-		if p.matches(r.idx+1, ev, &r.binds) {
+		if p.matches(r.idx+1, ev, &r.binds, consts) {
 			bind(&r.binds, r.idx+1, ev)
 			r.idx += 2
 			if r.idx >= len(p.Steps) {
@@ -365,12 +500,12 @@ func (e *Engine) advanceRun(r *run, now model.Epoch, ev event.Event) {
 			}
 			return
 		}
-		if p.matches(r.idx, ev, &r.binds) {
+		if p.matches(r.idx, ev, &r.binds, consts) {
 			e.killRun(r)
 		}
 		return
 	}
-	if p.matches(r.idx, ev, &r.binds) {
+	if p.matches(r.idx, ev, &r.binds, consts) {
 		bind(&r.binds, r.idx, ev)
 		r.idx++
 		if r.idx >= len(p.Steps) {
@@ -379,9 +514,10 @@ func (e *Engine) advanceRun(r *run, now model.Epoch, ev event.Event) {
 	}
 }
 
-// startRun anchors a new run at the event, evicting the subscription's
-// oldest run when the cap is exceeded.
-func (e *Engine) startRun(s *subscription, now model.Epoch, ev event.Event) {
+// startRun anchors a new run of row i at the event, evicting the
+// subscription's oldest run when the cap is exceeded.
+func (e *Engine) startRun(i int32, now model.Epoch, ev event.Event) {
+	s := &e.rows[i]
 	r := e.freeRun
 	if r != nil {
 		e.freeRun = r.free
@@ -390,15 +526,19 @@ func (e *Engine) startRun(s *subscription, now model.Epoch, ev event.Event) {
 		r = &run{}
 	}
 	e.runSeq++
-	r.sub = s
+	r.sub = i
 	r.obj = ev.Object
 	r.t1 = now
 	r.seq = e.runSeq
 	r.idx = 1
 	bind(&r.binds, 0, ev)
-	if s.pat.Within > 0 {
-		r.deadline = now + s.pat.Within
-		e.heapPush(r)
+	if f := s.tmpl.fifo; f != nil {
+		r.deadline = now + f.within
+		r.queued = true
+		f.push(r)
+		if f.head == len(f.runs)-1 {
+			e.duePush(f) // r is its only run
+		}
 	} else {
 		r.deadline = model.InfiniteEpoch
 	}
@@ -419,7 +559,7 @@ func (e *Engine) startRun(s *subscription, now model.Epoch, ev event.Event) {
 	s.nrun++
 	e.nrun++
 
-	if s.nrun > e.cfg.maxRuns {
+	if int(s.nrun) > e.cfg.maxRuns {
 		victim := s.runHead // oldest by construction: t1 is monotonic
 		s.evicted++
 		if e.tel != nil {
@@ -437,7 +577,8 @@ func (e *Engine) startRun(s *subscription, now model.Epoch, ev event.Event) {
 
 // complete emits the match of a fully-satisfied run and retires it.
 func (e *Engine) complete(r *run, at model.Epoch) {
-	e.emit(r.sub, Match{Sub: r.sub.id, Object: r.obj, Start: r.t1, At: at})
+	s := &e.rows[r.sub]
+	e.emit(s, Match{Sub: s.id, Object: r.obj, Start: r.t1, At: at})
 	e.killRun(r)
 }
 
@@ -445,9 +586,9 @@ func (e *Engine) complete(r *run, at model.Epoch) {
 // becomes a match (the absence held through the window), anything else
 // just dies.
 func (e *Engine) resolve(r *run) {
-	p := r.sub.pat
-	if r.idx == len(p.Steps)-1 && p.Steps[r.idx].Neg {
-		e.emit(r.sub, Match{Sub: r.sub.id, Object: r.obj, Start: r.t1, At: r.deadline})
+	s := &e.rows[r.sub]
+	if p := &s.tmpl.Pattern; r.idx == len(p.Steps)-1 && p.Steps[r.idx].Neg {
+		e.emit(s, Match{Sub: s.id, Object: r.obj, Start: r.t1, At: r.deadline})
 	}
 	e.killRun(r)
 }
@@ -460,6 +601,10 @@ func (e *Engine) emit(s *subscription, m Match) {
 	if e.tel != nil {
 		e.tel.Matches.Inc()
 	}
+	if s.matches == nil {
+		buf := ring.New[Match](e.cfg.maxMatches)
+		s.matches = &buf
+	}
 	if s.matches.Push(m) && e.tel != nil {
 		e.tel.Dropped.Inc()
 	}
@@ -469,7 +614,7 @@ func (e *Engine) emit(s *subscription, m Match) {
 }
 
 // killRun unlinks a run from the object and subscription lists and marks
-// it dead. Recycling waits until the heap no longer references it.
+// it dead. Recycling waits until its FIFO no longer references it.
 func (e *Engine) killRun(r *run) {
 	if r.dead {
 		return
@@ -488,7 +633,7 @@ func (e *Engine) killRun(r *run) {
 	}
 	r.objPrev, r.objNext = nil, nil
 	// Subscription list.
-	s := r.sub
+	s := &e.rows[r.sub]
 	if r.subPrev != nil {
 		r.subPrev.subNext = r.subNext
 	} else {
@@ -502,7 +647,7 @@ func (e *Engine) killRun(r *run) {
 	r.subPrev, r.subNext = nil, nil
 	s.nrun--
 	e.nrun--
-	if !r.inHeap {
+	if !r.queued {
 		e.recycle(r)
 	}
 	if e.tel != nil {
@@ -511,74 +656,71 @@ func (e *Engine) killRun(r *run) {
 }
 
 func (e *Engine) recycle(r *run) {
-	r.sub = nil
 	r.free = e.freeRun
 	e.freeRun = r
 }
 
-// expire pops every run whose deadline is at or before t. Epoch calls it
-// before an epoch's events with t = now-1 and after them with t = now:
-// the clock is monotonic, so nothing inside those windows can still
-// arrive.
+// expire pops every run whose deadline is at or before t, in (deadline,
+// seq) order: each FIFO is in that order, and the due heap yields the
+// FIFO with the earliest head. Epoch calls it before an epoch's events
+// with t = now-1 and after them with t = now: the clock is monotonic, so
+// nothing inside those windows can still arrive.
 func (e *Engine) expire(t model.Epoch) {
-	for len(e.heap) > 0 && e.heap[0].deadline <= t {
-		r := e.heapPop()
+	for len(e.due) > 0 && e.due[0].peek().deadline <= t {
+		r := e.due[0].pop()
+		e.dueFix()
+		r.queued = false
 		if r.dead {
-			e.recycle(r) // killRun left it for the heap to release
+			e.recycle(r) // killRun left it for the FIFO to release
 			continue
 		}
-		e.resolve(r) // kills the run, which recycles it (inHeap is off)
+		e.resolve(r) // kills the run, which recycles it
 	}
 }
 
-// before orders the deadline heap: by deadline, then by start order, so
-// runs sharing a deadline resolve in the order they started whatever
-// shape the heap's push and pop history gave it.
+// duePush adds a FIFO that has just become non-empty to the due heap.
+func (e *Engine) duePush(f *deadlineFIFO) {
+	e.due = append(e.due, f)
+	for i := len(e.due) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !e.due[i].peek().before(e.due[parent].peek()) {
+			return
+		}
+		e.due[parent], e.due[i] = e.due[i], e.due[parent]
+		i = parent
+	}
+}
+
+// dueFix restores the due heap after a pop from its top FIFO, removing
+// the FIFO once empty.
+func (e *Engine) dueFix() {
+	if e.due[0].peek() == nil {
+		last := len(e.due) - 1
+		e.due[0] = e.due[last]
+		e.due[last] = nil
+		e.due = e.due[:last]
+	}
+	for i := 0; ; {
+		l, rt, small := 2*i+1, 2*i+2, i
+		if l < len(e.due) && e.due[l].peek().before(e.due[small].peek()) {
+			small = l
+		}
+		if rt < len(e.due) && e.due[rt].peek().before(e.due[small].peek()) {
+			small = rt
+		}
+		if small == i {
+			return
+		}
+		e.due[i], e.due[small] = e.due[small], e.due[i]
+		i = small
+	}
+}
+
+// before orders runs by deadline, then by start order, so runs sharing a
+// deadline resolve in the order they started.
 func (r *run) before(o *run) bool {
 	if r.deadline != o.deadline {
 		return r.deadline < o.deadline
 	}
 	return r.seq < o.seq
-}
-
-// heapPush/heapPop implement the deadline min-heap inline (container/heap
-// would box every operation through an interface).
-func (e *Engine) heapPush(r *run) {
-	r.inHeap = true
-	e.heap = append(e.heap, r)
-	i := len(e.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.heap[i].before(e.heap[parent]) {
-			break
-		}
-		e.heap[parent], e.heap[i] = e.heap[i], e.heap[parent]
-		i = parent
-	}
-}
-
-func (e *Engine) heapPop() *run {
-	r := e.heap[0]
-	last := len(e.heap) - 1
-	e.heap[0] = e.heap[last]
-	e.heap[last] = nil
-	e.heap = e.heap[:last]
-	i := 0
-	for {
-		l, rt := 2*i+1, 2*i+2
-		small := i
-		if l < len(e.heap) && e.heap[l].before(e.heap[small]) {
-			small = l
-		}
-		if rt < len(e.heap) && e.heap[rt].before(e.heap[small]) {
-			small = rt
-		}
-		if small == i {
-			break
-		}
-		e.heap[i], e.heap[small] = e.heap[small], e.heap[i]
-		i = small
-	}
-	r.inHeap = false
-	return r
 }

@@ -33,6 +33,7 @@ package cep
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -82,8 +83,12 @@ type ContCond struct {
 type Step struct {
 	Neg bool
 
-	Kinds      KindSet
-	Tag        model.Tag // non-zero: object must equal
+	Kinds KindSet
+	Tag   model.Tag // non-zero: object must equal
+	// tagConst, when non-zero, is the 1-based index of the step's
+	// tag(N) constant in its subscription's constants vector; Tag is
+	// then NoTag. Only engine templates lift constants out.
+	tagConst   int8
 	HasLevel   bool
 	Level      model.Level
 	HasCompany bool
@@ -92,15 +97,45 @@ type Step struct {
 	Cont       ContCond
 }
 
-// Pattern is a compiled subscription pattern.
+// Pattern is a compiled subscription pattern. The engine shares one
+// Pattern, a template, among the subscriptions that differ only in
+// tag(N) literals: those are lifted out into each subscription's
+// constants.
 type Pattern struct {
 	Steps  []Step
 	Within model.Epoch // 0 = unbounded
-	src    string
+	// pieces is the source text around the lifted literals, one more
+	// piece than there are constants.
+	pieces []string
 }
 
 // String returns the source text the pattern was parsed from.
-func (p *Pattern) String() string { return p.src }
+func (p *Pattern) String() string { return p.text(nil) }
+
+// text rebuilds the source text of the pattern with constants filled in
+// for its lifted literals.
+func (p *Pattern) text(consts []model.Tag) string {
+	if len(p.pieces) == 1 {
+		return p.pieces[0]
+	}
+	b := make([]byte, 0, 64)
+	for i, piece := range p.pieces {
+		if i > 0 {
+			b = strconv.AppendUint(b, uint64(consts[i-1]), 10)
+		}
+		b = append(b, piece...)
+	}
+	return string(b)
+}
+
+// tag returns the object step si requires (NoTag: any), reading a
+// lifted literal from consts.
+func (p *Pattern) tag(si int, consts []model.Tag) model.Tag {
+	if k := p.Steps[si].tagConst; k != 0 {
+		return consts[k-1]
+	}
+	return p.Steps[si].Tag
+}
 
 // binding is the payload captured when a positive step matches.
 type binding struct {
@@ -109,13 +144,13 @@ type binding struct {
 }
 
 // matches reports whether e satisfies step si given the bindings of the
-// earlier positive steps.
-func (p *Pattern) matches(si int, e event.Event, binds *[MaxSteps]binding) bool {
+// earlier positive steps and the subscription's constants.
+func (p *Pattern) matches(si int, e event.Event, binds *[MaxSteps]binding, consts []model.Tag) bool {
 	st := &p.Steps[si]
 	if !st.Kinds.Has(e.Kind) {
 		return false
 	}
-	if st.Tag != model.NoTag && e.Object != st.Tag {
+	if tag := p.tag(si, consts); tag != model.NoTag && e.Object != tag {
 		return false
 	}
 	if st.HasLevel || st.HasCompany {
@@ -174,62 +209,106 @@ func bind(binds *[MaxSteps]binding, si int, e event.Event) {
 	binds[si] = b
 }
 
-// trailingNot reports whether the pattern ends with a negated step (the
-// absence completes when the window closes).
-func (p *Pattern) trailingNot() bool {
-	return p.Steps[len(p.Steps)-1].Neg
+// parsed is a pattern straight off the parser, before the engine splits
+// it into a template and constants. It is fixed-size, so parsing a
+// subscription whose template already exists allocates nothing.
+type parsed struct {
+	steps  [MaxSteps]Step // every tag(N) literal still in Tag
+	n      int
+	within model.Epoch
+	// lits holds, per step, the source span of the digits of its tag(N)
+	// literal when that literal can be lifted out: it is the step's only
+	// tag atom and its text is the constant's decimal form, so the source
+	// echoes exactly. end is 0 when the step has none.
+	lits [MaxSteps]struct{ start, end int }
 }
 
-// Parse compiles a pattern from its source text.
-func Parse(src string) (*Pattern, error) {
-	ps := &parser{src: src, rest: src}
-	p, err := ps.pattern()
+func (c *parsed) parse(src string) error {
+	ps := parser{src: src, rest: src}
+	err := ps.pattern(c)
+	if err == nil {
+		err = c.validate()
+	}
 	if err != nil {
-		return nil, fmt.Errorf("cep: parse %q: %w", src, err)
+		return fmt.Errorf("cep: parse %q: %w", src, err)
 	}
-	p.src = src
-	if err := p.validate(); err != nil {
-		return nil, fmt.Errorf("cep: parse %q: %w", src, err)
+	return nil
+}
+
+// keyMark stands in a template key for a lifted literal; no valid
+// source contains it.
+const keyMark = '#'
+
+// appendKey appends the template key of src: the source text with each
+// liftable literal cut out. Two sources share a key exactly when they
+// differ only in liftable literals.
+func (c *parsed) appendKey(dst []byte, src string) []byte {
+	last := 0
+	for _, l := range c.lits[:c.n] {
+		if l.end != 0 {
+			dst = append(append(dst, src[last:l.start]...), keyMark)
+			last = l.end
+		}
 	}
-	return p, nil
+	return append(dst, src[last:]...)
+}
+
+// appendConsts appends the values of the liftable literals, in source
+// order.
+func (c *parsed) appendConsts(dst []model.Tag) []model.Tag {
+	for i, l := range c.lits[:c.n] {
+		if l.end != 0 {
+			dst = append(dst, c.steps[i].Tag)
+		}
+	}
+	return dst
+}
+
+// template builds the shared pattern of src's key: the steps with the
+// liftable literals replaced by constant slots.
+func (c *parsed) template(src string) Pattern {
+	p := Pattern{Steps: slices.Clone(c.steps[:c.n]), Within: c.within}
+	last, k := 0, int8(0)
+	for i, l := range c.lits[:c.n] {
+		if l.end != 0 {
+			p.pieces = append(p.pieces, src[last:l.start])
+			last = l.end
+			k++
+			p.Steps[i].Tag, p.Steps[i].tagConst = model.NoTag, k
+		}
+	}
+	p.pieces = append(p.pieces, src[last:])
+	return p
 }
 
 // validate enforces the structural rules shared by engine and reference.
-func (p *Pattern) validate() error {
-	if len(p.Steps) == 0 {
-		return fmt.Errorf("empty SEQ")
-	}
-	if len(p.Steps) > MaxSteps {
-		return fmt.Errorf("%d steps exceed the maximum %d", len(p.Steps), MaxSteps)
-	}
-	if p.Steps[0].Neg {
+func (c *parsed) validate() error {
+	steps := c.steps[:c.n]
+	if steps[0].Neg {
 		return fmt.Errorf("first step must be positive")
 	}
-	for i := 1; i < len(p.Steps); i++ {
-		if p.Steps[i].Neg && p.Steps[i-1].Neg {
+	for i := 1; i < len(steps); i++ {
+		if steps[i].Neg && steps[i-1].Neg {
 			return fmt.Errorf("adjacent NOT steps (step %d)", i+1)
 		}
 	}
-	if p.trailingNot() && p.Within <= 0 {
+	if steps[len(steps)-1].Neg && c.within <= 0 {
 		return fmt.Errorf("trailing NOT requires a WITHIN window")
 	}
-	if p.Within < 0 {
-		return fmt.Errorf("WITHIN %d must be positive", p.Within)
-	}
-	for i := range p.Steps {
-		st := &p.Steps[i]
-		for _, c := range []struct {
+	for i := range steps {
+		st := &steps[i]
+		for _, r := range [2]struct {
 			mode, ref int
 			what      string
 		}{{st.Loc.Mode, st.Loc.Ref, "location"}, {st.Cont.Mode, st.Cont.Ref, "container"}} {
-			if c.mode != condRef {
+			if r.mode != condRef {
 				continue
 			}
-			if c.ref >= i {
-				return fmt.Errorf("step %d: %s @%d must reference an earlier step", i+1, c.what, c.ref+1)
+			if r.ref >= i {
+				return fmt.Errorf("step %d: %s @%d must reference an earlier step", i+1, r.what, r.ref+1)
 			}
-			if p.Steps[c.ref].Neg {
-				return fmt.Errorf("step %d: %s @%d references a NOT step, which binds nothing", i+1, c.what, c.ref+1)
+			if steps[r.ref].Neg {
+				return fmt.Errorf("step %d: %s @%d references a NOT step, which binds nothing", i+1, r.what, r.ref+1)
 			}
 		}
 	}
@@ -240,6 +319,10 @@ func (p *Pattern) validate() error {
 type parser struct {
 	src  string
 	rest string
+	// tags counts the current step's tag atoms; tagLit is the span of
+	// the last one's digits.
+	tags   int
+	tagLit struct{ start, end int }
 }
 
 func (ps *parser) ws() {
@@ -298,62 +381,74 @@ func trunc(s string) string {
 	return s
 }
 
-func (ps *parser) pattern() (*Pattern, error) {
+// pattern parses the whole source into c.
+func (ps *parser) pattern(c *parsed) error {
 	if !ps.lit("SEQ") {
-		return nil, fmt.Errorf("expected SEQ at %q", trunc(ps.rest))
+		return fmt.Errorf("expected SEQ at %q", trunc(ps.rest))
 	}
 	if !ps.lit("(") {
-		return nil, fmt.Errorf("expected ( after SEQ")
+		return fmt.Errorf("expected ( after SEQ")
 	}
-	p := &Pattern{}
+	steps := 0
 	for {
-		st, err := ps.step()
-		if err != nil {
-			return nil, err
+		var extra Step // parsed only to count the steps past the cap
+		st := &extra
+		if steps < MaxSteps {
+			st = &c.steps[steps]
 		}
-		p.Steps = append(p.Steps, st)
+		ps.tags = 0
+		if err := ps.step(st); err != nil {
+			return err
+		}
+		if ps.tags == 1 && ps.src[ps.tagLit.start] != '0' && steps < MaxSteps {
+			c.lits[steps] = ps.tagLit
+		}
+		steps++
 		if ps.lit(",") {
 			continue
 		}
 		break
 	}
+	if steps > MaxSteps {
+		return fmt.Errorf("%d steps exceed the maximum %d", steps, MaxSteps)
+	}
+	c.n = steps
 	if !ps.lit(")") {
-		return nil, fmt.Errorf("expected ) at %q", trunc(ps.rest))
+		return fmt.Errorf("expected ) at %q", trunc(ps.rest))
 	}
 	if ps.lit("WITHIN") {
 		n, err := ps.int()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if n < 1 || n > uint64(model.InfiniteEpoch/2) {
-			return nil, fmt.Errorf("WITHIN %d out of range", n)
+			return fmt.Errorf("WITHIN %d out of range", n)
 		}
-		p.Within = model.Epoch(n)
+		c.within = model.Epoch(n)
 	}
 	ps.ws()
 	if ps.rest != "" {
-		return nil, fmt.Errorf("trailing input %q", trunc(ps.rest))
+		return fmt.Errorf("trailing input %q", trunc(ps.rest))
 	}
-	return p, nil
+	return nil
 }
 
-func (ps *parser) step() (Step, error) {
-	var st Step
+func (ps *parser) step(st *Step) error {
 	st.Neg = ps.lit("NOT")
 	hasKind := false
 	for {
 		ps.ws()
 		name := ps.ident()
 		if name == "" {
-			return st, fmt.Errorf("expected an atom at %q", trunc(ps.rest))
+			return fmt.Errorf("expected an atom at %q", trunc(ps.rest))
 		}
-		if err := ps.atom(&st, name, &hasKind); err != nil {
-			return st, err
+		if err := ps.atom(st, name, &hasKind); err != nil {
+			return err
 		}
 		if ps.lit("&") {
 			continue
 		}
-		return st, nil
+		return nil
 	}
 }
 
@@ -393,7 +488,11 @@ func (ps *parser) atom(st *Step, name string, hasKind *bool) error {
 		}
 	case "tag":
 		var v uint64
+		ps.ws()
+		ps.tags++
+		ps.tagLit.start = len(ps.src) - len(ps.rest)
 		if v, err = ps.int(); err == nil {
+			ps.tagLit.end = len(ps.src) - len(ps.rest)
 			if v == 0 {
 				err = fmt.Errorf("tag(%d) must be positive", v)
 			}

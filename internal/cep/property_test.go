@@ -124,7 +124,7 @@ func TestPropertyBoundedChurn(t *testing.T) {
 			default:
 			}
 			st := e.EngineStats()
-			if st.Runs < 0 || st.Heap < 0 {
+			if st.Runs < 0 || st.Queued < 0 {
 				panic("negative stats")
 			}
 			for _, s := range e.Subscriptions() {
@@ -170,14 +170,15 @@ func TestPropertyBoundedChurn(t *testing.T) {
 	if st.Subs != live {
 		t.Fatalf("want %d live subscriptions after churn, got %d", live, st.Subs)
 	}
-	// Every live subscription holds at most maxRuns runs; the heap may
-	// additionally hold lazily-dead entries not yet popped, but it can
-	// never exceed the total number of runs ever pushed and still pending
-	// — bound it generously by live*maxRuns plus the dead backlog cap.
+	// Every live subscription holds at most maxRuns runs; the deadline
+	// FIFOs may additionally hold lazily-dead entries not yet popped, but
+	// they can never exceed the total number of runs ever pushed and
+	// still pending — bound it generously by live*maxRuns plus the dead
+	// backlog cap.
 	if st.Runs > live*8 {
 		t.Fatalf("runs unbounded: %d live subs cap 8 but %d runs", live, st.Runs)
 	}
-	if st.Heap > st.Runs+live*8*2 {
-		t.Fatalf("heap retains too many dead entries: runs=%d heap=%d", st.Runs, st.Heap)
+	if st.Queued > st.Runs+live*8*2 {
+		t.Fatalf("deadline FIFOs retain too many dead entries: runs=%d queued=%d", st.Runs, st.Queued)
 	}
 }

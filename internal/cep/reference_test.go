@@ -1,6 +1,7 @@
 package cep
 
 import (
+	"slices"
 	"sort"
 
 	"spire/internal/event"
@@ -12,6 +13,16 @@ import (
 type TimedEvent struct {
 	At model.Epoch
 	Ev event.Event
+}
+
+// Parse compiles a pattern from its source text with every tag(N)
+// literal kept in its step: the full pattern MatchReference runs.
+func Parse(src string) (*Pattern, error) {
+	var c parsed
+	if err := c.parse(src); err != nil {
+		return nil, err
+	}
+	return &Pattern{Steps: slices.Clone(c.steps[:c.n]), Within: c.within, pieces: []string{src}}, nil
 }
 
 // MatchReference is the brute-force window-scan oracle the differential
@@ -32,7 +43,7 @@ type TimedEvent struct {
 func MatchReference(p *Pattern, evs []TimedEvent, end model.Epoch, subID int) []Match {
 	var out []Match
 	for i, te := range evs {
-		if te.Ev.Object == model.NoTag || !p.matches(0, te.Ev, nil) {
+		if te.Ev.Object == model.NoTag || !p.matches(0, te.Ev, nil, nil) {
 			continue
 		}
 		if m, ok := scanFrom(p, evs, i, end); ok {
@@ -79,12 +90,12 @@ func scanFrom(p *Pattern, evs []TimedEvent, i int, end model.Epoch) (Match, bool
 		st := &p.Steps[idx]
 		if st.Neg {
 			if idx == len(p.Steps)-1 {
-				if p.matches(idx, te.Ev, &binds) {
+				if p.matches(idx, te.Ev, &binds, nil) {
 					return Match{}, false // absence violated
 				}
 				continue
 			}
-			if p.matches(idx+1, te.Ev, &binds) {
+			if p.matches(idx+1, te.Ev, &binds, nil) {
 				bind(&binds, idx+1, te.Ev)
 				idx += 2
 				if idx >= len(p.Steps) {
@@ -92,12 +103,12 @@ func scanFrom(p *Pattern, evs []TimedEvent, i int, end model.Epoch) (Match, bool
 				}
 				continue
 			}
-			if p.matches(idx, te.Ev, &binds) {
+			if p.matches(idx, te.Ev, &binds, nil) {
 				return Match{}, false
 			}
 			continue
 		}
-		if p.matches(idx, te.Ev, &binds) {
+		if p.matches(idx, te.Ev, &binds, nil) {
 			bind(&binds, idx, te.Ev)
 			idx++
 			if idx >= len(p.Steps) {

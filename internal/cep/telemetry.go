@@ -36,7 +36,7 @@ func (e *Engine) Instrument(reg *telemetry.Registry) *Instruments {
 	defer e.mu.Unlock()
 	e.tel = NewInstruments(reg)
 	if e.tel != nil {
-		e.tel.Subs.Set(int64(len(e.subs)))
+		e.tel.Subs.Set(int64(e.live))
 		e.tel.Runs.Set(int64(e.nrun))
 	}
 	return e.tel

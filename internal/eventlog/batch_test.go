@@ -273,25 +273,34 @@ func TestAppendCountsOnlyWrittenRecords(t *testing.T) {
 	}
 }
 
-// TestInvalidEventMidBatch: the records framed before an invalid event
-// still reach the file, as they did when each event was written alone.
+// TestInvalidEventMidBatch: a call with an invalid event writes and
+// counts nothing, also when a record before it would fill SyncEvery or
+// the segment and flush early. Later calls append as usual.
 func TestInvalidEventMidBatch(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs := sampleEvents(3)
-	if err := l.Append(evs[0], evs[1], event.Event{Kind: event.StartLocation}, evs[2]); err == nil {
-		t.Fatal("invalid event must be rejected")
-	}
-	if l.Appended() != 2 {
-		t.Fatalf("Appended = %d, want the 2 events before the invalid one", l.Appended())
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := replayAll(t, dir); !slices.Equal(got, evs[:2]) {
-		t.Fatalf("replayed %v, want %v", got, evs[:2])
+	for _, opts := range []Options{{}, {SyncEvery: 1}, {MaxSegmentBytes: 1}} {
+		dir := t.TempDir()
+		l, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs := sampleEvents(3)
+		if err := l.Append(evs[0], evs[1], event.Event{Kind: event.StartLocation}, evs[2]); err == nil {
+			t.Fatalf("%+v: invalid event must be rejected", opts)
+		}
+		if l.Appended() != 0 {
+			t.Fatalf("%+v: Appended = %d after a rejected call, want 0", opts, l.Appended())
+		}
+		if got := replayAll(t, dir); len(got) != 0 {
+			t.Fatalf("%+v: a rejected call wrote %v", opts, got)
+		}
+		if err := l.Append(evs...); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := replayAll(t, dir); !slices.Equal(got, evs) {
+			t.Fatalf("%+v: replayed %v, want %v", opts, got, evs)
+		}
 	}
 }

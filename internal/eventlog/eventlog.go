@@ -165,10 +165,17 @@ func (l *Log) rotate(i int) error {
 
 // Append frames events into one buffer and writes it once, or early at a
 // record that fills SyncEvery or the segment: syncs and rotations fall at
-// the same records as with a write per event.
+// the same records as with a write per event. A call with an invalid
+// event writes and counts nothing: every event is validated before the
+// first is framed.
 func (l *Log) Append(events ...event.Event) error {
 	if l.seg == nil {
 		return errors.New("eventlog: log is closed")
+	}
+	for i := range events {
+		if err := events[i].Validate(); err != nil {
+			return err
+		}
 	}
 	framed := 0
 	for _, e := range events {

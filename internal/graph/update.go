@@ -182,9 +182,10 @@ func (g *Graph) visitEdge(e *Edge, v *Node, c model.LocationID, now model.Epoch,
 	}
 	otherColor := other.ColorAt(now)
 
-	// Step 3: remove outdated edges. Only edges that predate this epoch can
-	// carry a stale color relationship (fresh edges are born same-colored).
-	if e.CreatedAt < now && otherColor.Known() && otherColor != c {
+	// Step 3: remove outdated edges. An edge born this epoch joined two
+	// nodes of one color, so its ends differ only after a recolor, and then
+	// it goes too.
+	if otherColor.Known() && otherColor != c {
 		g.recordDrop(e, now, reader, trace.DropColorMismatch)
 		g.RemoveEdge(e)
 		return

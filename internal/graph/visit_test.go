@@ -106,7 +106,7 @@ func compareVisitGraphs(got, want *Graph, gotRec, wantRec *trace.Recorder, pool 
 // confirm; a tag in no group goes unread. After every group the two
 // graphs must match in every edge and its history and epoch stamps,
 // every node's Fig. 4 counters, the decision counts and the traced
-// records.
+// records, and after every epoch both must pass CheckInvariants.
 func FuzzUpdateVisitOnceMatchesTwoSided(f *testing.F) {
 	for _, seed := range [][]byte{
 		{0, 0, 0xff, 0xff, 0xff, 0, 0, 0xff, 0xff, 0xff},                      // one reader, then again
@@ -116,6 +116,7 @@ func FuzzUpdateVisitOnceMatchesTwoSided(f *testing.F) {
 		{0, 0, 0xff, 0xff, 0xff, 1, 0, 0xff, 0x7f, 0, 1, 0, 0x80, 0xff},       // items, then their cases
 		{0, 0, 0xff, 0xff, 0xff, 7, 17, 0, 1, 0x55, 0x55, 0x55, 0, 4, 0xff, 0xff, 0xff},
 		{3, 4, 0xff, 0xff, 0xff, 2, 0xff, 0x3f, 0x20, 1, 0xff, 0, 0, 0, 0xff, 0xff, 0xff},
+		{1, 0, 0x01, 0x80, 0, 3, 0, 0x80, 0}, // a case moves away from its item within an epoch
 	} {
 		f.Add(seed)
 	}
@@ -163,6 +164,11 @@ func runVisitOnce(t *testing.T, pool []model.Tag, data []byte) {
 			}
 			if err := compareVisitGraphs(got, want, gotRec, wantRec, pool); err != nil {
 				t.Fatalf("epoch %d, group %d (reader %d): %v", now, k, r.ID, err)
+			}
+		}
+		for _, g := range [2]*Graph{got, want} {
+			if err := g.CheckInvariants(now); err != nil {
+				t.Fatalf("epoch %d: %v", now, err)
 			}
 		}
 	}
