@@ -336,13 +336,12 @@ func TestSubscriptionsListing(t *testing.T) {
 	}
 
 	// Subscriptions of one template echo their own constants. Literals
-	// that would not echo from their value (leading zeros) and steps
-	// with two tag atoms keep their text in a template of their own.
+	// that would not echo from their value (leading zeros) keep their
+	// text in a template of their own.
 	srcs := []string{
 		"SEQ(missing() & tag(41), NOT start()) WITHIN 60",
 		"SEQ(missing() & tag(18446744073709551615), NOT start()) WITHIN 60",
 		"SEQ(missing() & tag( 007 ), NOT start()) WITHIN 60",
-		"SEQ(missing() & tag(5) & tag(6), NOT start()) WITHIN 60",
 		"SEQ(start( 2 ) & tag(3),end(@1),  tag(4))",
 	}
 	for _, src := range srcs {
@@ -356,8 +355,28 @@ func TestSubscriptionsListing(t *testing.T) {
 			t.Errorf("pattern echo = %q, want %q", got, src)
 		}
 	}
-	if len(e.tmpls) != 6 {
-		t.Errorf("%d templates, want 6: the first two new sources share one", len(e.tmpls))
+	if len(e.tmpls) != 5 {
+		t.Errorf("%d templates, want 5: the first two new sources share one", len(e.tmpls))
+	}
+}
+
+// TestRepeatedAtomRejected: a step's second tag, level or company atom
+// would overwrite the first, so SEQ(missing() & tag(5) & tag(6)) would
+// match tag 6 where no event satisfies both; Subscribe rejects the step.
+func TestRepeatedAtomRejected(t *testing.T) {
+	e := NewEngine(Config{})
+	for _, tc := range []struct{ src, atom string }{
+		{"SEQ(missing() & tag(5) & tag(6))", "tag"},
+		{"SEQ(start(), level(case) & any() & level(item))", "level"},
+		{"SEQ(company(3) & end() & company(4)) WITHIN 9", "company"},
+	} {
+		_, err := e.Subscribe(tc.src)
+		if want := "step has more than one " + tc.atom + " atom"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Subscribe(%q) = %v, want %q", tc.src, err, want)
+		}
+	}
+	if subs := e.Subscriptions(); len(subs) != 0 {
+		t.Errorf("rejected patterns registered %d subscriptions", len(subs))
 	}
 }
 

@@ -26,6 +26,8 @@
 //
 // start/end/contain/uncontain with empty parentheses match their kind at
 // any location/container. A step with no kind atom matches every kind.
+// A step holds at most one atom of each kind: a second event-kind, tag,
+// level or company atom in one step is a parse error.
 // The first step must be positive; NOT may not appear twice in a row; a
 // trailing NOT requires a WITHIN window (the absence is detected when the
 // window closes).
@@ -319,9 +321,7 @@ func (c *parsed) validate() error {
 type parser struct {
 	src  string
 	rest string
-	// tags counts the current step's tag atoms; tagLit is the span of
-	// the last one's digits.
-	tags   int
+	// tagLit is the span of the current step's tag atom's digits.
 	tagLit struct{ start, end int }
 }
 
@@ -396,11 +396,10 @@ func (ps *parser) pattern(c *parsed) error {
 		if steps < MaxSteps {
 			st = &c.steps[steps]
 		}
-		ps.tags = 0
 		if err := ps.step(st); err != nil {
 			return err
 		}
-		if ps.tags == 1 && ps.src[ps.tagLit.start] != '0' && steps < MaxSteps {
+		if st.Tag != model.NoTag && ps.src[ps.tagLit.start] != '0' && steps < MaxSteps {
 			c.lits[steps] = ps.tagLit
 		}
 		steps++
@@ -457,6 +456,9 @@ func (ps *parser) atom(st *Step, name string, hasKind *bool) error {
 	if !ps.lit("(") {
 		return fmt.Errorf("expected ( after %q", name)
 	}
+	if name == "tag" && st.Tag != model.NoTag || name == "level" && st.HasLevel || name == "company" && st.HasCompany {
+		return fmt.Errorf("step has more than one %s atom", name)
+	}
 	kind := func(k event.Kind) error {
 		if *hasKind {
 			return fmt.Errorf("step has more than one event-kind atom (%q)", name)
@@ -489,7 +491,6 @@ func (ps *parser) atom(st *Step, name string, hasKind *bool) error {
 	case "tag":
 		var v uint64
 		ps.ws()
-		ps.tags++
 		ps.tagLit.start = len(ps.src) - len(ps.rest)
 		if v, err = ps.int(); err == nil {
 			ps.tagLit.end = len(ps.src) - len(ps.rest)

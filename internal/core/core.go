@@ -105,7 +105,7 @@ type Substrate struct {
 	lastNow  model.Epoch
 
 	// groupReaders is the reused per-epoch scratch aligning a batch's
-	// reader groups with resolved *model.Reader entries (nil = unknown).
+	// reader groups with their resolved *model.Reader entries.
 	groupReaders []*model.Reader
 
 	// tel holds the optional runtime-telemetry instruments (nil when
@@ -214,6 +214,10 @@ func (s *Substrate) Stats() Stats { return s.stats }
 // reuse buffers owned by the substrate: they stay valid until the next
 // call. Callers that retain an epoch's results longer — or ship them to
 // another goroutine, as Runner does — must Clone them first.
+//
+// A batch with a group from an unknown reader is rejected before any
+// stage runs, leaving the substrate's state as it was except that the
+// batch's epoch counts as consumed.
 func (s *Substrate) ProcessBatch(b *model.Batch) (*EpochOutput, error) {
 	if b == nil {
 		return nil, fmt.Errorf("core: nil batch")
@@ -225,6 +229,17 @@ func (s *Substrate) ProcessBatch(b *model.Batch) (*EpochOutput, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	s.lastNow = b.Time
+	// Resolve every group's reader before dedup or Fig. 4 touches the
+	// batch, so a batch from an unknown reader changes no state.
+	readers := s.groupReaders[:0]
+	for i := range b.Groups {
+		r := s.readers[b.Groups[i].Reader]
+		if r == nil {
+			return nil, fmt.Errorf("core: reading from unknown reader %d", b.Groups[i].Reader)
+		}
+		readers = append(readers, r)
+	}
+	s.groupReaders = readers
 	now := b.Time
 	rawReadings := int64(b.Total())
 	s.stats.Epochs++
@@ -244,18 +259,8 @@ func (s *Substrate) ProcessBatch(b *model.Batch) (*EpochOutput, error) {
 	resurrected := s.filterRetired(b)
 	clock.dedup = clock.lap()
 
-	readers := s.groupReaders[:0]
-	for i := range b.Groups {
-		readers = append(readers, s.readers[b.Groups[i].Reader])
-	}
-	s.groupReaders = readers
 	if err := s.graph.UpdateBatch(b, readers); err != nil {
 		return nil, err
-	}
-	for i, r := range readers {
-		if r == nil {
-			return nil, fmt.Errorf("core: reading from unknown reader %d", b.Groups[i].Reader)
-		}
 	}
 	clock.update = clock.lap()
 

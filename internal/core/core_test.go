@@ -94,9 +94,10 @@ func TestProcessEpochGuards(t *testing.T) {
 }
 
 // TestProcessBatchErrorParity pins ProcessBatch's error contract:
-// nil-input, non-monotonic-epoch, unknown-reader and invalid-batch errors,
-// with known readers' groups already applied when the unknown-reader
-// error surfaces and the failed epoch's timestamp consumed.
+// nil-input, non-monotonic-epoch, unknown-reader and invalid-batch errors.
+// An unknown reader is rejected before dedup and Fig. 4 see the batch, so
+// neither the graph nor the dedup directory changes, but the failed
+// epoch's timestamp is consumed.
 func TestProcessBatchErrorParity(t *testing.T) {
 	s := fastSim(t, nil)
 	sub := newSubstrate(t, s, Level1)
@@ -115,8 +116,8 @@ func TestProcessBatchErrorParity(t *testing.T) {
 	if err == nil || err.Error() != want {
 		t.Fatalf("unknown reader: got %v, want %q", err, want)
 	}
-	if n := sub.Graph().Node(item); n == nil {
-		t.Fatal("known reader's group must be applied before the unknown-reader error")
+	if n, d := sub.graph.Len(), sub.dedup.Len(); n != 0 || d != 0 {
+		t.Fatalf("a rejected batch left %d graph nodes and %d dedup entries, want none", n, d)
 	}
 
 	// The failed epoch still consumed its timestamp, and the error is the

@@ -212,7 +212,9 @@ func TestEpochTailAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		if extra != nil {
-			if err := sub.graph.Update(extra, tags, now); err != nil {
+			eb := model.NewBatch(now)
+			eb.AppendGroup(extra.ID, tags)
+			if err := sub.graph.UpdateBatch(eb, []*model.Reader{extra}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -91,6 +91,14 @@ func diffAgainstReference(t *testing.T, stream []*rows) {
 		if got := rowsOf(&b); !reflect.DeepEqual(got, want) {
 			t.Fatalf("delivery %d epoch %d: CleanBatch diverged:\n got %+v\nwant %+v", i, o.Time, got, want)
 		}
+		// The other half of Fig. 4's contract: each tag at most once.
+		kept := make(map[model.Tag]bool, len(b.Tags))
+		for _, g := range b.Tags {
+			if kept[g] {
+				t.Fatalf("delivery %d epoch %d: CleanBatch kept tag %d twice", i, o.Time, g)
+			}
+			kept[g] = true
+		}
 	}
 	if refC() != batC() {
 		t.Fatalf("counters diverged: ref %+v batch %+v", refC(), batC())
@@ -109,6 +117,8 @@ func diffAgainstReference(t *testing.T, stream []*rows) {
 // simulator's reader ranges never overlap, so each delivered reading is
 // also echoed into a random other reader at the fuzzed duplicate rate:
 // that is what makes the tie-break and the history decide anything.
+// Every cleaned epoch must also hold each tag at most once, the contract
+// graph.UpdateBatch relies on.
 func FuzzIngestBatchEquivalence(f *testing.F) {
 	cfg := sim.DefaultConfig()
 	cfg.Duration = 80

@@ -5,30 +5,33 @@ import (
 	"math/rand"
 	"time"
 
+	"spire/internal/core"
 	"spire/internal/epc"
-	"spire/internal/graph"
 	"spire/internal/inference"
 	"spire/internal/model"
+	"spire/internal/trace"
 )
 
 // perfGrower builds large graphs quickly for the efficiency experiments
-// (Expts 5-6). The full warehouse simulator funnels every case through a
-// single receiving belt, which caps throughput far below what a 175k-object
-// graph needs, so the grower plays the same reader interactions directly:
-// each pallet group is confirmed by a belt reader (one case at a time, as
-// the special-reader semantics require) and then parked on one of many
-// shelves, whose readers scan on a staggered one-minute cycle. The
-// resulting graph has the same structure the warehouse produces — layered
-// nodes, confirmed parent edges, and quadratic co-location edges among the
+// (Expts 5-6) and drives them through the shipping substrate. The full
+// warehouse simulator funnels every case through a single receiving belt,
+// which caps throughput far below what a 175k-object graph needs, so the
+// grower plays the same reader interactions directly: each case of a
+// pallet group is confirmed by a belt reader of its own (one case at a
+// time, as the special-reader semantics require, and one group per reader
+// in a batch) and then parked on one of many shelves, whose readers scan
+// on a staggered one-minute cycle. Each epoch is one model.Batch into a
+// core.Substrate, so dedup, Fig. 4, the inference schedule, conflict
+// resolution and compression all run as in production. The resulting
+// graph has the structure the warehouse produces — layered nodes,
+// confirmed parent edges, and quadratic co-location edges among the
 // objects sharing a shelf.
 type perfGrower struct {
-	g       *graph.Graph
-	inf     *inference.Inferencer
-	seq     *epc.Sequencer
-	rng     *rand.Rand
-	now     model.Epoch
-	belt    model.Reader
-	shelves []model.Reader
+	sub   *core.Substrate
+	seq   *epc.Sequencer
+	rng   *rand.Rand
+	batch *model.Batch
+	now   model.Epoch
 	// occupants[i] holds the tags parked on shelf i.
 	occupants [][]model.Tag
 	readRate  float64
@@ -37,17 +40,33 @@ type perfGrower struct {
 const (
 	perfShelves     = 256
 	perfShelfPeriod = 60
+	perfPallets     = 2 // pallets injected per growth epoch
 	perfCases       = 8
 	perfItems       = 20
+	perfBelts       = perfPallets * perfCases // one belt reader per case slot
+	perfPalletTags  = perfCases * (1 + perfItems)
 )
+
+// Reader IDs ascend belts first, then shelves, the order batch groups
+// take. Belts sit at location 0, shelf i at location 1+i.
+func perfBelt(slot int) model.ReaderID   { return model.ReaderID(1 + slot) }
+func perfShelf(i int) model.ReaderID     { return model.ReaderID(1 + perfBelts + i) }
+func perfShelfAt(i int) model.LocationID { return model.LocationID(1 + i) }
 
 // newPerfGrower returns an empty grower whose inference prunes edges below
 // prune. Growers with equal parameters grow identical graphs: the rng seed
 // is fixed and inference never feeds back into the read schedule.
 func newPerfGrower(prune float64, readRate float64) (*perfGrower, error) {
-	icfg := inference.DefaultConfig()
-	icfg.PruneThreshold = prune
-	inf, err := inference.New(icfg)
+	cfg := core.Config{Inference: inference.DefaultConfig(), Locations: []model.Location{{ID: 0, Name: "belt"}}}
+	cfg.Inference.PruneThreshold = prune
+	for s := 0; s < perfBelts; s++ {
+		cfg.Readers = append(cfg.Readers, model.Reader{ID: perfBelt(s), Location: 0, Period: 1, Confirming: true, ConfirmLevel: model.LevelCase})
+	}
+	for i := 0; i < perfShelves; i++ {
+		cfg.Readers = append(cfg.Readers, model.Reader{ID: perfShelf(i), Location: perfShelfAt(i), Period: perfShelfPeriod})
+		cfg.Locations = append(cfg.Locations, model.Location{ID: perfShelfAt(i), Name: fmt.Sprintf("shelf%d", i)})
+	}
+	sub, err := core.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -55,128 +74,115 @@ func newPerfGrower(prune float64, readRate float64) (*perfGrower, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &perfGrower{
-		g:         graph.New(),
-		inf:       inf,
+	return &perfGrower{
+		sub:       sub,
 		seq:       seq,
 		rng:       rand.New(rand.NewSource(11)),
-		belt:      model.Reader{ID: 1, Location: 0, Period: 1, Confirming: true, ConfirmLevel: model.LevelCase},
+		batch:     model.NewBatch(0),
 		occupants: make([][]model.Tag, perfShelves),
 		readRate:  readRate,
-	}
-	for i := 0; i < perfShelves; i++ {
-		p.shelves = append(p.shelves, model.Reader{
-			ID:       model.ReaderID(10 + i),
-			Location: model.LocationID(1 + i),
-			Period:   perfShelfPeriod,
-		})
-	}
-	return p, nil
+	}, nil
 }
 
-// injectPallet creates one pallet group, confirms each case on the belt,
-// and parks the group on a shelf.
-func (p *perfGrower) injectPallet() error {
-	shelf := p.rng.Intn(perfShelves)
-	for c := 0; c < perfCases; c++ {
-		ctag, err := p.seq.Next(model.LevelCase)
-		if err != nil {
-			return err
-		}
-		group := []model.Tag{ctag}
-		for i := 0; i < perfItems; i++ {
-			itag, err := p.seq.Next(model.LevelItem)
-			if err != nil {
-				return err
-			}
-			group = append(group, itag)
-		}
-		// Belt confirmation scan: the case with its items, alone.
-		if err := p.g.Update(&p.belt, group, p.now); err != nil {
-			return err
-		}
-		p.occupants[shelf] = append(p.occupants[shelf], group...)
-	}
-	return nil
-}
-
-// shelfScan runs the shelf readers whose staggered cycle fires this epoch.
-func (p *perfGrower) shelfScan() error {
-	for i := range p.shelves {
-		if (int(p.now)+i)%perfShelfPeriod != 0 {
-			continue
-		}
-		tags := p.occupants[i]
-		if len(tags) == 0 {
-			continue
-		}
-		read := tags
-		if p.readRate < 1 {
-			read = read[:0:0]
-			for _, g := range tags {
-				if p.rng.Float64() < p.readRate {
-					read = append(read, g)
+// step builds and processes one epoch: pallets new pallet groups, each
+// case read alone by its belt reader and parked on a shelf; then every
+// shelf whose staggered cycle fires reads its occupants. A fresh case
+// whose shelf fires in its arrival epoch is read twice, and dedup keeps
+// the belt's reading. It returns the wall time of ProcessBatch.
+func (p *perfGrower) step(pallets int) (time.Duration, error) {
+	p.now++
+	b := p.batch
+	b.Reset(p.now)
+	for k := 0; k < pallets; k++ {
+		shelf := p.rng.Intn(perfShelves)
+		for c := 0; c < perfCases; c++ {
+			b.BeginReader(perfBelt(k*perfCases + c))
+			start := len(b.Tags)
+			for i := 0; i <= perfItems; i++ {
+				lvl := model.LevelItem
+				if i == 0 {
+					lvl = model.LevelCase
 				}
+				g, err := p.seq.Next(lvl)
+				if err != nil {
+					return 0, err
+				}
+				b.Append(g)
 			}
-		}
-		if err := p.g.Update(&p.shelves[i], read, p.now); err != nil {
-			return err
+			p.occupants[shelf] = append(p.occupants[shelf], b.Tags[start:]...)
 		}
 	}
-	return nil
-}
-
-// grow advances epochs, injecting pallets, until the graph holds at least
-// target nodes; inference (and hence pruning, when enabled) runs on the
-// complete-inference cycle.
-func (p *perfGrower) grow(target int, palletsPerEpoch int) error {
-	for p.g.Len() < target {
-		p.now++
-		for k := 0; k < palletsPerEpoch && p.g.Len() < target; k++ {
-			if err := p.injectPallet(); err != nil {
-				return err
+	for i, tags := range p.occupants {
+		if (int(p.now)+i)%perfShelfPeriod != 0 || len(tags) == 0 {
+			continue
+		}
+		b.BeginReader(perfShelf(i))
+		for _, g := range tags {
+			if p.readRate >= 1 || p.rng.Float64() < p.readRate {
+				b.Append(g)
 			}
 		}
-		if err := p.shelfScan(); err != nil {
+	}
+	start := time.Now()
+	_, err := p.sub.ProcessBatch(b)
+	return time.Since(start), err
+}
+
+// grow advances epochs, injecting up to perfPallets pallets each, until
+// the graph holds at least target nodes. Inference (and hence pruning,
+// when enabled) follows the substrate's schedule: partial every epoch,
+// complete once a shelf cycle.
+func (p *perfGrower) grow(target int) error {
+	for n := p.sub.Graph().Len(); n < target; n = p.sub.Graph().Len() {
+		if _, err := p.step(min(perfPallets, (target-n+perfPalletTags-1)/perfPalletTags)); err != nil {
 			return err
-		}
-		if p.now%perfShelfPeriod == 0 {
-			p.inf.Infer(p.g, p.now, inference.Complete)
 		}
 	}
 	// One settling minute so every shelf has been scanned at the final
-	// population, then one complete inference to apply pruning at size.
+	// population; the partial pass after each scan sweeps, and prunes,
+	// the scanned shelf's objects at size.
 	for k := 0; k < perfShelfPeriod; k++ {
-		p.now++
-		if err := p.shelfScan(); err != nil {
+		if _, err := p.step(0); err != nil {
 			return err
 		}
 	}
-	p.inf.Infer(p.g, p.now, inference.Complete)
 	return nil
 }
 
-// measure times steady-state epochs at the reached size: the full graph
-// update for the epoch's active readers plus one complete inference pass.
-func (p *perfGrower) measure(epochs int) (updateSec, inferSec float64, err error) {
-	var upd, infd time.Duration
-	for k := 0; k < epochs; k++ {
-		p.now++
-		start := time.Now()
-		if err := p.shelfScan(); err != nil {
-			return 0, 0, err
+// measure runs steady-state epochs until epochs complete-inference epochs
+// have run, and returns their mean stage laps in seconds (dedup, update,
+// inference, conflict, compress) read from a spans-only flight recorder,
+// followed by the mean wall time of their ProcessBatch calls.
+func (p *perfGrower) measure(epochs int) ([]float64, error) {
+	rec := trace.New(trace.Config{})
+	p.sub.Trace(rec)
+	defer p.sub.Trace(nil)
+	var ns [6]int64
+	for n := 0; n < epochs; {
+		wall, err := p.step(0)
+		if err != nil {
+			return nil, err
 		}
-		upd += time.Since(start)
-		start = time.Now()
-		p.inf.Infer(p.g, p.now, inference.Complete)
-		infd += time.Since(start)
+		if p.sub.Schedule().ModeAt(p.now) != inference.Complete {
+			continue
+		}
+		spans := rec.Spans()
+		s := spans[len(spans)-1]
+		for i, v := range [6]int64{s.DedupNS, s.UpdateNS, s.InferNS, s.ConflictNS, s.CompressNS, wall.Nanoseconds()} {
+			ns[i] += v
+		}
+		n++
 	}
-	n := float64(epochs)
-	return upd.Seconds() / n, infd.Seconds() / n, nil
+	row := make([]float64, len(ns))
+	for i, v := range ns {
+		row[i] = float64(v) / 1e9 / float64(epochs)
+	}
+	return row, nil
 }
 
 // Table3 reproduces the processing-speed experiment (Expt 5): per-epoch
-// graph update and complete-inference cost at increasing node counts.
+// cost of each substrate stage, and of the whole epoch, for complete
+// inference epochs at increasing node counts.
 func Table3(o Options) (*Table, error) {
 	targets := []int{25000, 55000, 75000, 95000, 135000, 155000, 175000}
 	epochs := 5
@@ -184,12 +190,13 @@ func Table3(o Options) (*Table, error) {
 		targets = []int{5000, 15000, 30000}
 		epochs = 3
 	}
+	cols := []string{"dedup", "update", "inference", "conflict", "compress", "total"}
 	t := &Table{
 		ID:        "table3",
-		Title:     "Costs of update and inference operations, seconds per epoch (Expt 5)",
+		Title:     "Costs of the substrate's stages, seconds per complete-inference epoch (Expt 5)",
 		RowHeader: "objects",
-		Columns:   []string{"update", "inference", "total"},
-		Timed:     []string{"update", "inference", "total"},
+		Columns:   cols,
+		Timed:     cols,
 	}
 	// Timed cells run one at a time, ignoring o.Workers, so no cell
 	// competes for cores with another.
@@ -198,18 +205,19 @@ func Table3(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := p.grow(target, 2); err != nil {
+		if err := p.grow(target); err != nil {
 			return nil, err
 		}
-		upd, infd, err := p.measure(epochs)
+		row, err := p.measure(epochs)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("%d", p.g.Len()), upd, infd, upd+infd)
+		t.AddRow(fmt.Sprintf("%d", p.sub.Graph().Len()), row...)
 	}
 	t.Notes = append(t.Notes,
-		"paper shape: both costs well under the 1 s epoch, inference dominating; roughly linear growth in node count",
-		"measured with edge pruning at 0.25 (the paper's suggested default for large graphs)")
+		"paper shape: update and inference well under the 1 s epoch, inference dominating; roughly linear growth in node count",
+		"total is ProcessBatch's wall time, the other columns its stage laps; edge pruning at 0.25 (the paper's suggested default for large graphs)",
+		"the shelves scan on a staggered cycle, so a complete epoch finds most shelves long unread: inference marks their objects missing, and compress writes about two events per object")
 	return t, nil
 }
 
@@ -241,10 +249,11 @@ func Fig10(o Options) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		if err := p.grow(targets[i/nc], 2); err != nil {
+		if err := p.grow(targets[i/nc]); err != nil {
 			return err
 		}
-		cells[i] = f10cell{mb: float64(p.g.ApproxBytes()) / (1 << 20), edges: p.g.EdgeCount()}
+		g := p.sub.Graph()
+		cells[i] = f10cell{mb: float64(g.ApproxBytes()) / (1 << 20), edges: g.EdgeCount()}
 		return nil
 	})
 	if err != nil {
@@ -252,18 +261,11 @@ func Fig10(o Options) (*Table, error) {
 	}
 	for r, target := range targets {
 		row := Row{Label: fmt.Sprintf("%d", target)}
-		var edges0, edgesHalf float64
-		for c, th := range thresholds {
-			cell := cells[r*nc+c]
+		for _, cell := range cells[r*nc : (r+1)*nc] {
 			row.Values = append(row.Values, cell.mb)
-			if th == 0 {
-				edges0 = float64(cell.edges)
-			}
-			if th == 0.5 {
-				edgesHalf = float64(cell.edges)
-			}
 		}
-		row.Values = append(row.Values, edges0, edgesHalf)
+		// thresholds[0] is 0 and thresholds[2] is 0.5.
+		row.Values = append(row.Values, float64(cells[r*nc].edges), float64(cells[r*nc+2].edges))
 		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes,

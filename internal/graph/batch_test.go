@@ -60,11 +60,12 @@ func newBatchScenario(seed int64) *batchScenario {
 	return s
 }
 
-// step moves some tags and produces one epoch's batch with its aligned
-// reader slice: every reader whose location holds tags reads them (with
-// read-rate dropout), producing overlap when two readers share a
-// location.
+// step moves some tags and produces one deduplicated epoch's batch with
+// its aligned reader slice: every reader whose location holds tags reads
+// the ones no earlier reader of the epoch read (with read-rate dropout),
+// so two readers sharing a location split its tags.
 func (s *batchScenario) step(now model.Epoch) (*model.Batch, []*model.Reader) {
+	read := make([]bool, len(s.tags))
 	for i := range s.at {
 		if s.rng.Intn(5) == 0 {
 			s.at[i] = s.rng.Intn(len(s.locs))
@@ -79,7 +80,8 @@ func (s *batchScenario) step(now model.Epoch) (*model.Batch, []*model.Reader) {
 		b.BeginReader(r.ID)
 		readers = append(readers, r)
 		for i, t := range s.tags {
-			if s.locs[s.at[i]] == r.Location && s.rng.Intn(10) != 0 {
+			if s.locs[s.at[i]] == r.Location && s.rng.Intn(10) != 0 && !read[i] {
+				read[i] = true
 				b.Append(t)
 			}
 		}
@@ -97,19 +99,19 @@ func encodeGraph(g *Graph) []byte {
 	return buf.Bytes()
 }
 
-// applySerial is the reference: Update per group in slice order.
+// applySerial is the reference: update per group in slice order.
 func applySerial(t *testing.T, g *Graph, b *model.Batch, readers []*model.Reader) {
 	t.Helper()
 	for i := range b.Groups {
-		if err := g.Update(readers[i], b.GroupTags(i), b.Time); err != nil {
-			t.Fatalf("Update: %v", err)
+		if err := g.update(readers[i], b.GroupTags(i), b.Time); err != nil {
+			t.Fatalf("update: %v", err)
 		}
 	}
 }
 
 // TestUpdateBatchRetirement interleaves node removal (the exit-retirement
 // path) with batched updates, exercising free-list recycling and stale
-// component rebuilds against the per-group Update sweep.
+// component rebuilds against the per-group update sweep.
 func TestUpdateBatchRetirement(t *testing.T) {
 	ref := New()
 	bat := New()
@@ -128,30 +130,6 @@ func TestUpdateBatchRetirement(t *testing.T) {
 		if !bytes.Equal(encodeGraph(ref), encodeGraph(bat)) {
 			t.Fatalf("epoch %d: graph state diverged", now)
 		}
-	}
-}
-
-// TestUpdateBatchSkipsNilReaders pins the unknown-reader contract: a nil
-// entry skips its group, matching the core path that reports unknown
-// readers after the epoch.
-func TestUpdateBatchSkipsNilReaders(t *testing.T) {
-	g := New()
-	item := epc.MustEncode(epc.Identity{Level: model.LevelItem, Company: 1, Serial: 1})
-	b := model.NewBatch(1)
-	b.BeginReader(1)
-	b.Append(item)
-	b.BeginReader(2)
-	b.Append(item)
-	readers := []*model.Reader{
-		nil,
-		{ID: 2, Location: 3, Period: 1},
-	}
-	if err := g.UpdateBatch(b, readers); err != nil {
-		t.Fatalf("UpdateBatch: %v", err)
-	}
-	n := g.Node(item)
-	if n == nil || n.RecentColor != 3 {
-		t.Fatalf("known reader's group must apply: %+v", n)
 	}
 }
 

@@ -33,7 +33,7 @@ func buildShelf(b testing.TB, nCases, nItems int) (*Graph, *model.Reader, []mode
 			tags = append(tags, it)
 		}
 	}
-	if err := g.Update(reader, tags, 1); err != nil {
+	if err := g.update(reader, tags, 1); err != nil {
 		b.Fatal(err)
 	}
 	return g, reader, tags
@@ -49,7 +49,7 @@ func BenchmarkUpdateSteadyState(b *testing.B) {
 			g, reader, tags := buildShelf(b, size.cases, size.items)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := g.Update(reader, tags, model.Epoch(i+2)); err != nil {
+				if err := g.update(reader, tags, model.Epoch(i+2)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -78,7 +78,7 @@ func BenchmarkUpdateFirstContact(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := New()
-		if err := g.Update(reader, tags, 1); err != nil {
+		if err := g.update(reader, tags, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func BenchmarkIngestUpdate(b *testing.B) {
 			}
 			group = append(group, it)
 		}
-		if err := g.Update(r, group, 1); err != nil {
+		if err := g.update(r, group, 1); err != nil {
 			b.Fatal(err)
 		}
 		batch.BeginReader(r.ID)

@@ -17,7 +17,7 @@ func TestComponentsSingletonAndUnion(t *testing.T) {
 	c2, _ := seq.Next(model.LevelCase)
 
 	r := &model.Reader{ID: 1, Location: 7}
-	if err := g.Update(r, []model.Tag{p}, 1); err != nil {
+	if err := g.update(r, []model.Tag{p}, 1); err != nil {
 		t.Fatal(err)
 	}
 	comps := g.Components(1)
@@ -30,7 +30,7 @@ func TestComponentsSingletonAndUnion(t *testing.T) {
 
 	// Reading the cases alongside the pallet links all three into one
 	// component whose id is the smallest member tag.
-	if err := g.Update(r, []model.Tag{p, c1, c2}, 2); err != nil {
+	if err := g.update(r, []model.Tag{p, c1, c2}, 2); err != nil {
 		t.Fatal(err)
 	}
 	comps = g.Components(2)
@@ -58,7 +58,7 @@ func TestComponentsDirtyOnRead(t *testing.T) {
 	seq := mustSeq(t)
 	p, _ := seq.Next(model.LevelPallet)
 	r := &model.Reader{ID: 1, Location: 7}
-	if err := g.Update(r, []model.Tag{p}, 1); err != nil {
+	if err := g.update(r, []model.Tag{p}, 1); err != nil {
 		t.Fatal(err)
 	}
 	c := g.Node(p).Component()
@@ -70,7 +70,7 @@ func TestComponentsDirtyOnRead(t *testing.T) {
 		t.Fatalf("untouched component changed: dirtyAt %d", c.DirtyAt())
 	}
 	// A re-read (even same color) dirties it again.
-	if err := g.Update(r, []model.Tag{p}, 9); err != nil {
+	if err := g.update(r, []model.Tag{p}, 9); err != nil {
 		t.Fatal(err)
 	}
 	if c.DirtyAt() != 9 {
@@ -85,7 +85,7 @@ func TestComponentsSplitOnEdgeRemoval(t *testing.T) {
 	c1, _ := seq.Next(model.LevelCase)
 	c2, _ := seq.Next(model.LevelCase)
 	r := &model.Reader{ID: 1, Location: 7}
-	if err := g.Update(r, []model.Tag{p, c1, c2}, 1); err != nil {
+	if err := g.update(r, []model.Tag{p, c1, c2}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(g.Components(1)); n != 1 {
@@ -123,7 +123,7 @@ func TestComponentsNodeRemoval(t *testing.T) {
 	p, _ := seq.Next(model.LevelPallet)
 	c1, _ := seq.Next(model.LevelCase)
 	r := &model.Reader{ID: 1, Location: 7}
-	if err := g.Update(r, []model.Tag{p, c1}, 1); err != nil {
+	if err := g.update(r, []model.Tag{p, c1}, 1); err != nil {
 		t.Fatal(err)
 	}
 	g.RemoveNode(p)
@@ -157,10 +157,10 @@ func TestComponentsSortedAndStableIDs(t *testing.T) {
 	}
 	g1 = append(g1, p1)
 	g2 = append(g2, p2)
-	if err := g.Update(r1, g1, 1); err != nil {
+	if err := g.update(r1, g1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Update(r2, g2, 1); err != nil {
+	if err := g.update(r2, g2, 1); err != nil {
 		t.Fatal(err)
 	}
 	comps := g.Components(1)
@@ -172,10 +172,10 @@ func TestComponentsSortedAndStableIDs(t *testing.T) {
 	}
 	before := []model.Tag{comps[0].ID(), comps[1].ID()}
 	// Re-reading the same sets changes nothing structural: ids stable.
-	if err := g.Update(r1, g1, 2); err != nil {
+	if err := g.update(r1, g1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Update(r2, g2, 2); err != nil {
+	if err := g.update(r2, g2, 2); err != nil {
 		t.Fatal(err)
 	}
 	comps = g.Components(2)
@@ -203,7 +203,7 @@ func TestRemovedNodeStaysRemoved(t *testing.T) {
 	dock := &model.Reader{ID: 2, Location: 8}
 	update := func(r *model.Reader, now model.Epoch, tags ...model.Tag) {
 		t.Helper()
-		if err := g.Update(r, tags, now); err != nil {
+		if err := g.update(r, tags, now); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -255,7 +255,7 @@ func TestComponentsRandomizedInvariant(t *testing.T) {
 			}
 		}
 		for i, r := range readers {
-			if err := g.Update(r, sets[i], now); err != nil {
+			if err := g.update(r, sets[i], now); err != nil {
 				t.Fatal(err)
 			}
 		}

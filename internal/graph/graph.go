@@ -220,10 +220,6 @@ type Graph struct {
 	colored   [model.NumLevels][][]*Node
 	coloredAt model.Epoch
 
-	// recoloredAt is the last epoch in which a node was read at two
-	// locations; visitEdges skips no edge in such an epoch.
-	recoloredAt model.Epoch
-
 	// freeEdges recycles removed Edge structs. Color-mismatch removal and
 	// edge pruning churn through many short-lived edges (millions over a
 	// large trace); reusing the structs keeps the steady-state update loop
@@ -246,7 +242,7 @@ type Graph struct {
 	stale       []*Component
 	compStamp   uint64
 
-	// stepNodes is Update's reused step-1 scratch: the nodes colored by
+	// stepNodes is update's reused step-1 scratch: the nodes colored by
 	// the current reader's reading set, by level.
 	stepNodes [model.NumLevels][]*Node
 
@@ -259,9 +255,8 @@ type Graph struct {
 // New creates an empty graph.
 func New() *Graph {
 	return &Graph{
-		nodes:       make(map[model.Tag]*Node),
-		coloredAt:   model.EpochNone,
-		recoloredAt: model.EpochNone,
+		nodes:     make(map[model.Tag]*Node),
+		coloredAt: model.EpochNone,
 	}
 }
 
@@ -395,6 +390,18 @@ func (g *Graph) RemoveNode(tag model.Tag) {
 		g.orderFrom = min(g.orderFrom, int(n.rank))
 	}
 	delete(g.nodes, tag)
+}
+
+// removeFromIndex drops n from the current epoch's colored index.
+func (g *Graph) removeFromIndex(n *Node) {
+	list := g.colored[n.Level][n.RecentColor]
+	for i, m := range list {
+		if m == n {
+			list[i] = list[len(list)-1]
+			g.colored[n.Level][n.RecentColor] = list[:len(list)-1]
+			return
+		}
+	}
 }
 
 // beginEpoch lazily resets the per-epoch colored index.

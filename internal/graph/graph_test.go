@@ -35,8 +35,8 @@ func tag(t *testing.T, lvl model.Level, serial uint32) model.Tag {
 
 func mustUpdate(t *testing.T, g *Graph, r *model.Reader, now model.Epoch, tags ...model.Tag) {
 	t.Helper()
-	if err := g.Update(r, tags, now); err != nil {
-		t.Fatalf("Update: %v", err)
+	if err := g.update(r, tags, now); err != nil {
+		t.Fatalf("update: %v", err)
 	}
 	if err := g.CheckInvariants(now); err != nil {
 		t.Fatalf("invariants after update at %d: %v", now, err)
@@ -71,14 +71,14 @@ func TestUpdateCreatesAndColorsNodes(t *testing.T) {
 
 func TestUpdateErrors(t *testing.T) {
 	g := New()
-	if err := g.Update(nil, nil, 1); err == nil {
+	if err := g.update(nil, nil, 1); err == nil {
 		t.Error("nil reader must fail")
 	}
 	bad := &model.Reader{ID: 9, Location: model.LocationUnknown}
-	if err := g.Update(bad, nil, 1); err == nil {
+	if err := g.update(bad, nil, 1); err == nil {
 		t.Error("reader without a known location must fail")
 	}
-	if err := g.Update(dockReader, []model.Tag{model.NoTag}, 1); err == nil {
+	if err := g.update(dockReader, []model.Tag{model.NoTag}, 1); err == nil {
 		t.Error("invalid tag must fail")
 	}
 }
@@ -486,7 +486,7 @@ func TestRandomizedUpdatesKeepInvariants(t *testing.T) {
 			}
 		}
 		for _, r := range readers {
-			if err := g.Update(r, sets[r], now); err != nil {
+			if err := g.update(r, sets[r], now); err != nil {
 				t.Fatalf("epoch %d: %v", now, err)
 			}
 		}

@@ -8,10 +8,13 @@ import (
 	"spire/internal/trace"
 )
 
-// Update applies one reader's reading set for the current epoch — the
-// stream-driven graph update procedure of Fig. 4. It may be called once
-// per reader per epoch, in any order; after the sets of all readers of an
-// epoch have been applied the graph is consistent for that epoch.
+// update applies one reader's reading set for the current epoch — the
+// stream-driven graph update procedure of Fig. 4. UpdateBatch calls it
+// once per reader group of an epoch, in any order; after the sets of all
+// readers of an epoch have been applied the graph is consistent for that
+// epoch. Each tag may be read once per epoch, which is what deduplication
+// produces: a second reading is an error, returned with the tags before it
+// already colored.
 //
 // The four steps:
 //  1. create and color the nodes for the read tags;
@@ -21,14 +24,14 @@ import (
 //     and edges contradicted by this (special) reader's confirmations;
 //  4. update per-edge co-location history, confirmed parents, conflict
 //     counts, and the adaptive-β counters.
-func (g *Graph) Update(reader *model.Reader, tags []model.Tag, now model.Epoch) error {
-	return g.update(reader, tags, now, (*Graph).visitEdges)
+func (g *Graph) update(reader *model.Reader, tags []model.Tag, now model.Epoch) error {
+	return g.updateWalk(reader, tags, now, (*Graph).visitEdges)
 }
 
-// edgeWalk is a step 3-4 walk; tests hand update the two-sided oracle.
+// edgeWalk is a step 3-4 walk; tests hand updateWalk the two-sided oracle.
 type edgeWalk func(g *Graph, v *Node, c model.LocationID, now model.Epoch, reader model.ReaderID, confirmTop model.Tag, confirmParent map[model.Tag]model.Tag)
 
-func (g *Graph) update(reader *model.Reader, tags []model.Tag, now model.Epoch, walk edgeWalk) error {
+func (g *Graph) updateWalk(reader *model.Reader, tags []model.Tag, now model.Epoch, walk edgeWalk) error {
 	if reader == nil {
 		return fmt.Errorf("graph: nil reader")
 	}
@@ -52,20 +55,12 @@ func (g *Graph) update(reader *model.Reader, tags []model.Tag, now model.Epoch, 
 		n := g.nodes[tag]
 		if n == nil {
 			n = g.addNode(tag, lvl)
+		} else if n.SeenAt == now {
+			return fmt.Errorf("graph: tag %d read twice in epoch %d", tag, now)
 		}
 		// A read tag dirties its component: partial inference must sweep
 		// it this epoch.
 		n.comp.touch(now)
-		if n.SeenAt == now {
-			if n.RecentColor == c {
-				continue // duplicate reading within the epoch
-			}
-			// Conflicting colors within one epoch should have been removed
-			// by deduplication; the most recent reader wins, so move the
-			// node between index buckets.
-			g.removeFromIndex(n)
-			g.recoloredAt = now
-		}
 		if n.RecentColor != c {
 			n.NewColorAt = now
 		}
@@ -112,18 +107,6 @@ func (g *Graph) update(reader *model.Reader, tags []model.Tag, now model.Epoch, 
 	return nil
 }
 
-// removeFromIndex drops n from the current epoch's colored index.
-func (g *Graph) removeFromIndex(n *Node) {
-	list := g.colored[n.Level][n.RecentColor]
-	for i, m := range list {
-		if m == n {
-			list[i] = list[len(list)-1]
-			g.colored[n.Level][n.RecentColor] = list[:len(list)-1]
-			return
-		}
-	}
-}
-
 // createEdges implements step 2 (Fig. 4 lines 9-13): connect v to the
 // same-colored nodes in the closest populated layer above and below.
 // Cross-layer edges arise naturally when the adjacent layer has no node of
@@ -154,14 +137,14 @@ func (g *Graph) createEdges(v *Node, c model.LocationID, now model.Epoch) {
 // visitEdges implements steps 3 and 4 (Fig. 4 lines 14-31) for one colored
 // node. An edge both of whose ends this reader read is met from each end;
 // the second visit is skipped when (i) the edge's co-location bit was set
-// this epoch, (ii) this reader confirms nothing and (iii) no node has been
-// recolored this epoch: it would shift nothing, set a set bit, drop nothing
-// and find conflictedAt and betaOneAt already revised. Today (i) and (iii)
-// suffice, as the same reader's set made the first visit and with it every
+// this epoch and (ii) this reader confirms nothing: it would shift
+// nothing, set a set bit, drop nothing and find conflictedAt and betaOneAt
+// already revised. (i) alone suffices: each tag is read once per epoch, so
+// the same reader's set made the first visit and with it every
 // confirmation decision. Any other repeat visit runs in full, revising a
 // first visit that saw the partner uncolored.
 func (g *Graph) visitEdges(v *Node, c model.LocationID, now model.Epoch, reader model.ReaderID, confirmTop model.Tag, confirmParent map[model.Tag]model.Tag) {
-	skip := confirmTop == model.NoTag && g.recoloredAt != now
+	skip := confirmTop == model.NoTag
 	// visitEdge may remove the edge it is handed, which shifts the span's
 	// tail down by one: walk from the end so the unvisited part never moves.
 	for _, span := range [2][]*Edge{v.parents, v.children} {
@@ -182,9 +165,7 @@ func (g *Graph) visitEdge(e *Edge, v *Node, c model.LocationID, now model.Epoch,
 	}
 	otherColor := other.ColorAt(now)
 
-	// Step 3: remove outdated edges. An edge born this epoch joined two
-	// nodes of one color, so its ends differ only after a recolor, and then
-	// it goes too.
+	// Step 3: remove outdated edges.
 	if otherColor.Known() && otherColor != c {
 		g.recordDrop(e, now, reader, trace.DropColorMismatch)
 		g.RemoveEdge(e)

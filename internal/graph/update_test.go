@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"strings"
 	"testing"
 
 	"spire/internal/model"
@@ -58,22 +59,37 @@ func TestConfirmedEdgeClearedOnRemoval(t *testing.T) {
 	}
 }
 
-// TestSameEpochRecolorMovesIndexBucket: if deduplication fails upstream
-// and a tag reaches two readers in one epoch, the most recent reader wins
-// and the colored index stays consistent.
-func TestSameEpochRecolorMovesIndexBucket(t *testing.T) {
-	g := New()
-	i := tag(t, model.LevelItem, 1)
-	mustUpdate(t, g, dockReader, 1, i)
-	mustUpdate(t, g, beltReader, 1, i)
-	if got := g.Node(i).ColorAt(1); got != locB {
-		t.Errorf("color = %v, want most recent reader's %v", got, locB)
-	}
-	if n := len(coloredNodes(g, model.LevelItem, locA, 1)); n != 0 {
-		t.Errorf("old bucket still holds %d nodes", n)
-	}
-	if n := len(coloredNodes(g, model.LevelItem, locB, 1)); n != 1 {
-		t.Errorf("new bucket holds %d nodes, want 1", n)
+// TestUpdateBatchRejectsSecondReading pins the one-reading-per-tag
+// contract deduplication guarantees: a tag read twice in one group, by
+// two readers at one location, or by two readers at two locations is an
+// error, and the first reading's color stands.
+func TestUpdateBatchRejectsSecondReading(t *testing.T) {
+	dock2 := &model.Reader{ID: 9, Location: locA, Period: 1}
+	for _, tc := range []struct {
+		name    string
+		readers []*model.Reader
+	}{
+		{"one group", []*model.Reader{dockReader}},
+		{"one location", []*model.Reader{dockReader, dock2}},
+		{"two locations", []*model.Reader{dockReader, beltReader}},
+	} {
+		g := New()
+		i := tag(t, model.LevelItem, 1)
+		b := model.NewBatch(1)
+		tags := []model.Tag{i}
+		if len(tc.readers) == 1 {
+			tags = append(tags, i)
+		}
+		for _, r := range tc.readers {
+			b.AppendGroup(r.ID, tags)
+		}
+		err := g.UpdateBatch(b, tc.readers)
+		if err == nil || !strings.Contains(err.Error(), "read twice in epoch 1") {
+			t.Errorf("%s: got %v, want a second-reading error", tc.name, err)
+		}
+		if got := g.Node(i).ColorAt(1); got != locA {
+			t.Errorf("%s: color = %v, want the first reading's %v", tc.name, got, locA)
+		}
 	}
 }
 

@@ -37,7 +37,7 @@ func buildWarehouseGraph(b testing.TB, nShelves, casesPerShelf, itemsPerCase int
 	// of objects missed.
 	for e := 0; e < 4; e++ {
 		for s := range groups {
-			if err := g.Update(readers[s], groups[s], now); err != nil {
+			if err := applyGroup(g, readers[s], groups[s], now); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -50,7 +50,7 @@ func buildWarehouseGraph(b testing.TB, nShelves, casesPerShelf, itemsPerCase int
 				read = append(read, t)
 			}
 		}
-		if err := g.Update(readers[s], read, now); err != nil {
+		if err := applyGroup(g, readers[s], read, now); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -71,7 +71,7 @@ func buildShelfGraph(b testing.TB, nShelves, cases, items int) (*graph.Graph, mo
 		b.Fatal(err)
 	}
 	update := func(r *model.Reader, tags []model.Tag, now model.Epoch) {
-		if err := g.Update(r, tags, now); err != nil {
+		if err := applyGroup(g, r, tags, now); err != nil {
 			b.Fatal(err)
 		}
 	}

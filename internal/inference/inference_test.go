@@ -49,9 +49,16 @@ func newInf(t *testing.T, cfg Config) *Inferencer {
 
 func mustUpdate(t *testing.T, g *graph.Graph, r *model.Reader, now model.Epoch, tags ...model.Tag) {
 	t.Helper()
-	if err := g.Update(r, tags, now); err != nil {
-		t.Fatalf("Update: %v", err)
+	if err := applyGroup(g, r, tags, now); err != nil {
+		t.Fatalf("UpdateBatch: %v", err)
 	}
+}
+
+// applyGroup feeds one reader's reading set to g as a one-group batch.
+func applyGroup(g *graph.Graph, r *model.Reader, tags []model.Tag, now model.Epoch) error {
+	b := model.NewBatch(now)
+	b.AppendGroup(r.ID, tags)
+	return g.UpdateBatch(b, []*model.Reader{r})
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -553,16 +560,17 @@ func TestRandomizedInferenceTotalAndDeterministic(t *testing.T) {
 	inf := newInf(t, DefaultConfig())
 	inf2 := newInf(t, DefaultConfig())
 	for now := model.Epoch(1); now <= 120; now++ {
+		// Each tag goes to at most one reader per epoch, as after dedup.
+		read := map[model.Tag]bool{}
 		for _, r := range readers {
 			var set []model.Tag
 			for _, g := range pool {
-				if rng.Float64() < 0.2 {
+				if rng.Float64() < 0.2 && !read[g] {
+					read[g] = true
 					set = append(set, g)
 				}
 			}
-			// Dedup across readers is the simulator's job; here just make
-			// reader sets disjoint by construction.
-			if err := g.Update(r, set[:len(set)/3], now); err != nil {
+			if err := applyGroup(g, r, set, now); err != nil {
 				t.Fatal(err)
 			}
 		}

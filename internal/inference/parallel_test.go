@@ -70,7 +70,7 @@ func (sc *churnScenario) step(t testing.TB, e model.Epoch, gs ...*graph.Graph) {
 				}
 			}
 			if cut > 0 {
-				moved[(s+1)%len(sc.groups)] = grp[cut:]
+				moved[(s+1)%len(sc.groups)] = slices.Clone(grp[cut:]) // the append below reuses grp's tail
 				sc.groups[s] = grp[:cut]
 			}
 		}
@@ -90,7 +90,7 @@ func (sc *churnScenario) step(t testing.TB, e model.Epoch, gs ...*graph.Graph) {
 			read = append(read, tag)
 		}
 		for _, g := range gs {
-			if err := g.Update(r, read, e); err != nil {
+			if err := applyGroup(g, r, read, e); err != nil {
 				t.Fatal(err)
 			}
 		}
