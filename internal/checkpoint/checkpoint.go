@@ -5,7 +5,7 @@
 // dedup history, and the compressors' open intervals all accumulate from
 // the beginning of the stream, so a process restart without durable state
 // would resume into garbage. This package supplies the low-level pieces of
-// the durability layer: a deterministic little-framed binary encoder, a
+// the durability layer: a deterministic, compact binary encoder, a
 // strict decoder that never panics on corrupt input, and atomic file
 // helpers. The actual state layout lives with the state owners
 // (graph.EncodeState, dedup, compress, core.Substrate.Snapshot); this
@@ -20,6 +20,11 @@
 //	crc      4 bytes  CRC-32C (Castagnoli) of the body
 //	body     length bytes
 //
+// Body integers are varints; an ascending tag list stores each tag as its
+// step from the one before (Tag), and epochs their distance back from the
+// snapshot's base epoch (BaseEpoch, Epoch), so recent state takes a byte
+// or two per field.
+//
 // The CRC covers the whole body, so any truncation or bit flip after the
 // header is detected before a single field is decoded; header damage is
 // caught by the magic/version/length checks. Decoding is all-or-nothing:
@@ -29,6 +34,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -37,12 +43,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+
+	"spire/internal/model"
 )
 
-// Version is the current snapshot format version. Decoders reject
-// snapshots with a newer version; older versions may be migrated
-// explicitly once they exist.
-const Version = 1
+// Version is the snapshot format version this build writes and reads.
+// A snapshot of any other version is rejected with ErrVersion: snapshots
+// do not outlive the build that wrote them, so no older decoder is kept.
+const Version = 2
 
 const (
 	magic      = "SPIRECKP"
@@ -51,22 +59,25 @@ const (
 	// maxBody bounds the declared body length so a corrupt header cannot
 	// demand an absurd allocation.
 	maxBody = 1 << 31
+
+	firstRead = 1 << 20 // the most allocated before the stream delivers it
 )
 
 // ErrCorrupt reports a snapshot that is damaged: bad magic, bad checksum,
 // truncated body, or malformed fields.
 var ErrCorrupt = errors.New("checkpoint: corrupt snapshot")
 
-// ErrVersion reports a snapshot written by a newer format version.
+// ErrVersion reports a snapshot written by another format version.
 var ErrVersion = errors.New("checkpoint: unsupported snapshot version")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Encoder accumulates a snapshot body in memory. All integers are
-// big-endian and fixed-width; given identical state the byte output is
-// identical, which is what lets tests pin snapshot determinism.
+// Encoder accumulates a snapshot body in memory. Given identical state
+// the byte output is identical, which is what lets tests pin snapshot
+// determinism.
 type Encoder struct {
-	buf []byte
+	buf  []byte
+	base model.Epoch // see BaseEpoch
 }
 
 // NewEncoder returns an empty Encoder.
@@ -77,13 +88,32 @@ func NewEncoder() *Encoder {
 // Len returns the current body size in bytes.
 func (e *Encoder) Len() int { return len(e.buf) }
 
-// Uint64 appends a fixed-width unsigned integer.
-func (e *Encoder) Uint64(v uint64) {
-	e.buf = binary.BigEndian.AppendUint64(e.buf, v)
+// Uvarint appends an unsigned varint.
+func (e *Encoder) Uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+
+// Varint appends a signed (zigzag) varint.
+func (e *Encoder) Varint(v int64) { e.buf = binary.AppendVarint(e.buf, v) }
+
+// BaseEpoch appends v and makes it the base of later Epoch fields.
+func (e *Encoder) BaseEpoch(v model.Epoch) {
+	e.Varint(int64(v))
+	e.base = v
 }
 
-// Int64 appends a fixed-width signed integer (two's complement).
-func (e *Encoder) Int64(v int64) { e.Uint64(uint64(v)) }
+// Epoch appends v as its distance back from the base epoch, with
+// model.EpochNone as the code 0.
+func (e *Encoder) Epoch(v model.Epoch) {
+	if v == model.EpochNone {
+		e.Uvarint(0)
+		return
+	}
+	d := int64(e.base - v)
+	e.Uvarint(uint64(d<<1^d>>63) + 1)
+}
+
+// Tag appends t, the successor of prev in a strictly ascending tag list
+// starting from model.NoTag, as its distance from prev.
+func (e *Encoder) Tag(prev, t model.Tag) { e.Uvarint(uint64(t - prev)) }
 
 // Uint8 appends a single byte.
 func (e *Encoder) Uint8(v uint8) { e.buf = append(e.buf, v) }
@@ -97,12 +127,14 @@ func (e *Encoder) Bool(v bool) {
 	}
 }
 
-// Float64 appends an IEEE-754 double.
-func (e *Encoder) Float64(v float64) { e.Uint64(math.Float64bits(v)) }
+// Float64 appends an IEEE-754 double, fixed-width.
+func (e *Encoder) Float64(v float64) {
+	e.buf = binary.BigEndian.AppendUint64(e.buf, math.Float64bits(v))
+}
 
 // String appends a length-prefixed UTF-8 string.
 func (e *Encoder) String(s string) {
-	e.Uint64(uint64(len(s)))
+	e.Uvarint(uint64(len(s)))
 	e.buf = append(e.buf, s...)
 }
 
@@ -135,9 +167,10 @@ func (e *Encoder) Flush(w io.Writer) error {
 // Err (or Finish) reports the failure. A Decoder never panics on corrupt
 // input.
 type Decoder struct {
-	b   []byte
-	off int
-	err error
+	b    []byte
+	off  int
+	err  error
+	base model.Epoch
 }
 
 // NewDecoder reads and verifies the snapshot header and body from r. It
@@ -150,9 +183,8 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 	if string(hdr[:8]) != magic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[:8])
 	}
-	version := binary.BigEndian.Uint16(hdr[8:10])
-	if version > Version {
-		return nil, fmt.Errorf("%w: snapshot version %d, this build reads <= %d", ErrVersion, version, Version)
+	if version := binary.BigEndian.Uint16(hdr[8:10]); version != Version {
+		return nil, fmt.Errorf("%w: snapshot version %d, this build reads %d", ErrVersion, version, Version)
 	}
 	// The reserved field must be zero in every current version; a nonzero
 	// value is either corruption or a future format this build predates.
@@ -164,25 +196,25 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 		return nil, fmt.Errorf("%w: body length %d exceeds limit", ErrCorrupt, length)
 	}
 	want := binary.BigEndian.Uint32(hdr[20:24])
-	// Read through a limited reader so a lying header cannot force an
-	// allocation larger than what the stream actually holds.
-	body, err := io.ReadAll(io.LimitReader(r, int64(length)))
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading body: %v", ErrCorrupt, err)
+	// A body up to firstRead is read with no copy; past it the buffer
+	// grows only as the stream delivers.
+	var body bytes.Buffer
+	body.Grow(min(int(length), firstRead) + bytes.MinRead)
+	if n, err := io.CopyN(&body, r, int64(length)); err != nil {
+		return nil, fmt.Errorf("%w: body truncated at %d of %d bytes", ErrCorrupt, n, length)
 	}
-	if uint64(len(body)) != length {
-		return nil, fmt.Errorf("%w: body truncated at %d of %d bytes", ErrCorrupt, len(body), length)
-	}
-	if got := crc32.Checksum(body, castagnoli); got != want {
+	if got := crc32.Checksum(body.Bytes(), castagnoli); got != want {
 		return nil, fmt.Errorf("%w: body checksum %08x, want %08x", ErrCorrupt, got, want)
 	}
-	return &Decoder{b: body}, nil
+	return &Decoder{b: body.Bytes()}, nil
 }
 
-// fail records the first error.
+// fail records the first error and drops the body, so every later read
+// finds nothing.
 func (d *Decoder) fail(format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf("%w: offset %d: %s", ErrCorrupt, d.off, fmt.Sprintf(format, args...))
+		d.b, d.off = nil, 0
 	}
 }
 
@@ -217,17 +249,64 @@ func (d *Decoder) take(n int) []byte {
 	return b
 }
 
-// Uint64 reads a fixed-width unsigned integer.
-func (d *Decoder) Uint64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
+// Uvarint reads an unsigned varint. A truncated varint, one longer than
+// its value needs, or one overflowing 64 bits is corrupt.
+func (d *Decoder) Uvarint() uint64 {
+	if i := d.off; i < len(d.b) && d.b[i] < 0x80 { // one byte: inlined
+		d.off = i + 1
+		return uint64(d.b[i])
 	}
-	return binary.BigEndian.Uint64(b)
+	return d.uvarint()
 }
 
-// Int64 reads a fixed-width signed integer.
-func (d *Decoder) Int64() int64 { return int64(d.Uint64()) }
+func (d *Decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.b[d.off:])
+	if n <= 0 || n > 1 && d.b[d.off+n-1] == 0 {
+		d.fail("malformed varint")
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+// Varint reads a signed (zigzag) varint.
+func (d *Decoder) Varint() int64 {
+	u := d.Uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// BaseEpoch reads an Encoder.BaseEpoch field and makes it the base.
+func (d *Decoder) BaseEpoch() model.Epoch {
+	d.base = model.Epoch(d.Varint())
+	return d.base
+}
+
+// Epoch reads an epoch written by Encoder.Epoch.
+func (d *Decoder) Epoch() model.Epoch {
+	c := d.Uvarint()
+	if c == 0 {
+		return model.EpochNone
+	}
+	c--
+	v := d.base - model.Epoch(int64(c>>1)^-int64(c&1))
+	if v == model.EpochNone {
+		d.fail("epoch code %d names the none epoch", c+1)
+	}
+	return v
+}
+
+// Tag reads the successor of prev written by Encoder.Tag. A tag not
+// above prev (zero, repeated or wrapped) is corrupt.
+func (d *Decoder) Tag(prev model.Tag) model.Tag {
+	t := prev + model.Tag(d.Uvarint())
+	if t <= prev && d.err == nil {
+		d.fail("tag list not ascending after %d", prev)
+	}
+	return t
+}
 
 // Uint8 reads a single byte.
 func (d *Decoder) Uint8() uint8 {
@@ -252,7 +331,13 @@ func (d *Decoder) Bool() bool {
 }
 
 // Float64 reads an IEEE-754 double.
-func (d *Decoder) Float64() float64 { return math.Float64frombits(d.Uint64()) }
+func (d *Decoder) Float64() float64 {
+	b := d.take(8)
+	if b == nil {
+		return 0
+	}
+	return math.Float64frombits(binary.BigEndian.Uint64(b))
+}
 
 // String reads a length-prefixed string.
 func (d *Decoder) String() string {
@@ -266,7 +351,7 @@ func (d *Decoder) String() string {
 // exceed what is left, which stops a corrupt count from provoking a huge
 // allocation. elemSize must be >= 1.
 func (d *Decoder) Count(elemSize int) int {
-	v := d.Uint64()
+	v := d.Uvarint()
 	if d.err != nil {
 		return 0
 	}

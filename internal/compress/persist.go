@@ -1,7 +1,6 @@
 package compress
 
 import (
-	"fmt"
 	"sort"
 
 	"spire/internal/checkpoint"
@@ -21,9 +20,9 @@ const (
 	sectionLevel2 = "CMP2"
 )
 
-// stateEncSize is the encoded size of one objState entry, used to
-// validate the count before allocating.
-const stateEncSize = 8 + 1 + 8 + 1 + 8 + 8 + 8 + 8 + 1
+// stateEncSize is the smallest encoded size of one objState entry, used
+// to validate the count before allocating.
+const stateEncSize = 9
 
 // EncodeState appends the compressor's open-interval state to e, under
 // the section tag of its level.
@@ -34,17 +33,19 @@ func (c *Level1) EncodeState(e *checkpoint.Encoder) {
 		tags = append(tags, t)
 	}
 	sort.Slice(tags, func(i, j int) bool { return tags[i] < tags[j] })
-	e.Uint64(uint64(len(tags)))
+	e.Uvarint(uint64(len(tags)))
+	prev := model.NoTag
 	for _, t := range tags {
 		st := c.states[t]
-		e.Uint64(uint64(t))
+		e.Tag(prev, t)
+		prev = t
 		e.Uint8(uint8(st.level))
-		e.Int64(int64(st.loc))
+		e.Varint(int64(st.loc))
 		e.Bool(st.locOpen)
-		e.Int64(int64(st.locVs))
-		e.Int64(int64(st.lastKnown))
-		e.Uint64(uint64(st.parent))
-		e.Int64(int64(st.parentVs))
+		e.Epoch(st.locVs)
+		e.Varint(int64(st.lastKnown))
+		e.Uvarint(uint64(st.parent))
+		e.Epoch(st.parentVs)
 		e.Bool(st.missing)
 	}
 }
@@ -69,26 +70,21 @@ func decodeLevel(d *checkpoint.Decoder, section string, levelOf LevelFunc) (*Lev
 	n := d.Count(stateEncSize)
 	states := make(map[model.Tag]*objState, n)
 	var open opens
+	t := model.NoTag
 	for i := 0; i < n; i++ {
-		t := model.Tag(d.Uint64())
+		t = d.Tag(t)
 		st := &objState{
 			level:     model.Level(d.Uint8()),
-			loc:       model.LocationID(d.Int64()),
+			loc:       model.LocationID(d.Varint()),
 			locOpen:   d.Bool(),
-			locVs:     model.Epoch(d.Int64()),
-			lastKnown: model.LocationID(d.Int64()),
-			parent:    model.Tag(d.Uint64()),
-			parentVs:  model.Epoch(d.Int64()),
+			locVs:     d.Epoch(),
+			lastKnown: model.LocationID(d.Varint()),
+			parent:    model.Tag(d.Uvarint()),
+			parentVs:  d.Epoch(),
 			missing:   d.Bool(),
 		}
 		if d.Err() != nil {
 			return nil, d.Err()
-		}
-		if t == model.NoTag {
-			return nil, fmt.Errorf("%w: compressor state %d has zero tag", checkpoint.ErrCorrupt, i)
-		}
-		if _, dup := states[t]; dup {
-			return nil, fmt.Errorf("%w: duplicate compressor state for tag %d", checkpoint.ErrCorrupt, t)
 		}
 		states[t] = st
 		if st.locOpen {

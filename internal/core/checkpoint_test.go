@@ -3,10 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -231,42 +229,14 @@ func TestSnapshotCorruption(t *testing.T) {
 	}
 }
 
-// TestSnapshotReservedWords: the config section keeps a zero word where
-// Eq. 1's S and α and the dedup window were once written. A snapshot
-// with any of them set is corrupt.
-func TestSnapshotReservedWords(t *testing.T) {
-	trace, s := buildTrace(t, 40)
-	sub := newSubstrate(t, s, Level1)
-	for _, o := range trace {
-		if _, err := sub.ProcessBatch(o.Clone()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := sub.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	snap := buf.Bytes()
-	// The config section ends with the dedup window's word; S and α sit
-	// before the 51 bytes of inference parameters, level, warmup
-	// location and raw-result flag.
-	e := checkpoint.NewEncoder()
-	encodeConfig(e, &sub.cfg)
-	var cfgBuf bytes.Buffer
-	if err := e.Flush(&cfgBuf); err != nil {
-		t.Fatal(err)
-	}
-	end := cfgBuf.Len()
-	for name, off := range map[string]int{"S": end - 8 - 51 - 16, "α": end - 8 - 51 - 8, "window": end - 8} {
-		dam := append([]byte(nil), snap...)
-		if binary.BigEndian.Uint64(dam[off:]) != 0 {
-			t.Fatalf("%s: word at %d is not the reserved zero", name, off)
-		}
-		binary.BigEndian.PutUint64(dam[off:], 32)
-		binary.BigEndian.PutUint32(dam[20:24], crc32.Checksum(dam[24:], crc32.MakeTable(crc32.Castagnoli)))
-		if _, err := RestoreSubstrate(bytes.NewReader(dam)); !errors.Is(err, checkpoint.ErrCorrupt) {
-			t.Errorf("%s word set: got %v, want ErrCorrupt", name, err)
-		}
+// TestV1SnapshotRejected: testdata/v1.snapshot was written by the
+// format-1 encoder (fixed 8-byte integers), 30 epochs of a small level-2
+// warehouse. This build keeps no v1 decoder, so the snapshot must be
+// refused as a version mismatch, not misread as a corrupt v2 body.
+func TestV1SnapshotRejected(t *testing.T) {
+	_, err := RestoreSubstrateFromFile(filepath.Join("testdata", "v1.snapshot"))
+	if !errors.Is(err, checkpoint.ErrVersion) || errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("got %v, want ErrVersion", err)
 	}
 }
 

@@ -215,9 +215,9 @@ func (s *Substrate) Stats() Stats { return s.stats }
 // call. Callers that retain an epoch's results longer — or ship them to
 // another goroutine, as Runner does — must Clone them first.
 //
-// A batch with a group from an unknown reader is rejected before any
-// stage runs, leaving the substrate's state as it was except that the
-// batch's epoch counts as consumed.
+// A batch with a group from an unknown reader or a tag with invalid
+// level bits is rejected before any stage runs, leaving the substrate's
+// state as it was except that the batch's epoch counts as consumed.
 func (s *Substrate) ProcessBatch(b *model.Batch) (*EpochOutput, error) {
 	if b == nil {
 		return nil, fmt.Errorf("core: nil batch")
@@ -229,8 +229,9 @@ func (s *Substrate) ProcessBatch(b *model.Batch) (*EpochOutput, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	s.lastNow = b.Time
-	// Resolve every group's reader before dedup or Fig. 4 touches the
-	// batch, so a batch from an unknown reader changes no state.
+	// Resolve every group's reader and every tag's level before dedup or
+	// Fig. 4 touches the batch, so a batch from an unknown reader or with
+	// an unlevelled tag changes no state.
 	readers := s.groupReaders[:0]
 	for i := range b.Groups {
 		r := s.readers[b.Groups[i].Reader]
@@ -240,6 +241,11 @@ func (s *Substrate) ProcessBatch(b *model.Batch) (*EpochOutput, error) {
 		readers = append(readers, r)
 	}
 	s.groupReaders = readers
+	for _, g := range b.Tags {
+		if _, ok := epc.LevelOf(g); !ok {
+			return nil, fmt.Errorf("core: tag %d carries no valid packaging level", g)
+		}
+	}
 	now := b.Time
 	rawReadings := int64(b.Total())
 	s.stats.Epochs++

@@ -120,17 +120,30 @@ func TestProcessBatchErrorParity(t *testing.T) {
 		t.Fatalf("a rejected batch left %d graph nodes and %d dedup entries, want none", n, d)
 	}
 
+	// A tag with invalid level bits is rejected before dedup records the
+	// epoch or Fig. 4 colors the group's valid tags.
+	unlevelled := model.NewBatch(2)
+	unlevelled.AppendGroup(known.ID, []model.Tag{item, model.Tag(1<<64 - 1)})
+	_, err = sub.ProcessBatch(unlevelled)
+	want = fmt.Sprintf("core: tag %d carries no valid packaging level", uint64(1<<64-1))
+	if err == nil || err.Error() != want {
+		t.Fatalf("unlevelled tag: got %v, want %q", err, want)
+	}
+	if n, d := sub.graph.Len(), sub.dedup.Len(); n != 0 || d != 0 {
+		t.Fatalf("a rejected batch left %d graph nodes and %d dedup entries, want none", n, d)
+	}
+
 	// The failed epoch still consumed its timestamp, and the error is the
 	// same on every retry.
-	_, err = sub.ProcessBatch(model.NewBatch(1))
+	_, err = sub.ProcessBatch(model.NewBatch(2))
 	if err == nil {
 		t.Fatal("non-monotonic epoch must error")
 	}
-	if _, again := sub.ProcessBatch(model.NewBatch(1)); again == nil || again.Error() != err.Error() {
+	if _, again := sub.ProcessBatch(model.NewBatch(2)); again == nil || again.Error() != err.Error() {
 		t.Fatalf("repeated non-monotonic error %v, first %v", again, err)
 	}
 
-	bad := model.NewBatch(2)
+	bad := model.NewBatch(3)
 	bad.BeginReader(5)
 	bad.Groups[0].End = 7 // offsets no longer cover the tag column
 	if _, err := sub.ProcessBatch(bad); err == nil {

@@ -15,11 +15,11 @@ import (
 //
 // A snapshot is self-contained: it carries the substrate configuration
 // (readers, locations, inference parameters) followed by every piece of
-// cumulative state — the last processed epoch, accumulated stats,
-// tombstones, dedup history, the colored graph, and the compressor's
-// open intervals. RestoreSubstrate therefore needs nothing but the
-// snapshot bytes, and a restored substrate continues the event stream
-// byte-identically to a process that never died.
+// cumulative state — the last processed epoch, accumulated stats, the
+// dedup directory with its exit tombstones, the colored graph, and the
+// compressor's open intervals. RestoreSubstrate therefore needs nothing
+// but the snapshot bytes, and a restored substrate continues the event
+// stream byte-identically to a process that never died.
 //
 // Derived state is rebuilt, not stored: the reader index, the
 // exit set, the inference schedule (LCM of reader periods), and the
@@ -35,41 +35,38 @@ const (
 
 // Minimum encoded sizes for count validation.
 const (
-	readerEncSize   = 8 + 8 + 8 + 8 + 1 + 1
-	locationEncSize = 8 + 8 + 1 // ID + name length prefix + exit flag
+	readerEncSize   = 1 + 1 + 1 + 8 + 1 + 1 // ID, location, period, read rate, two flags
+	locationEncSize = 1 + 1 + 1             // ID + name length prefix + exit flag
 )
 
 func encodeConfig(e *checkpoint.Encoder, cfg *Config) {
 	e.Section(sectionConfig)
-	e.Uint64(uint64(len(cfg.Readers)))
+	e.Uvarint(uint64(len(cfg.Readers)))
 	for i := range cfg.Readers {
 		r := &cfg.Readers[i]
-		e.Int64(int64(r.ID))
-		e.Int64(int64(r.Location))
-		e.Int64(int64(r.Period))
+		e.Varint(int64(r.ID))
+		e.Varint(int64(r.Location))
+		e.Varint(int64(r.Period))
 		e.Float64(r.ReadRate)
 		e.Bool(r.Confirming)
 		e.Uint8(uint8(r.ConfirmLevel))
 	}
-	e.Uint64(uint64(len(cfg.Locations)))
+	e.Uvarint(uint64(len(cfg.Locations)))
 	for i := range cfg.Locations {
 		l := &cfg.Locations[i]
-		e.Int64(int64(l.ID))
+		e.Varint(int64(l.ID))
 		e.String(l.Name)
 		e.Bool(l.Exit)
 	}
-	e.Uint64(0) // reserved: Eq. 1's S, now graph.HistorySize
-	e.Uint64(0) // reserved: Eq. 1's α, now 0
 	e.Float64(cfg.Inference.Beta)
 	e.Bool(cfg.Inference.AdaptiveBeta)
 	e.Float64(cfg.Inference.Gamma)
 	e.Float64(cfg.Inference.Theta)
 	e.Float64(cfg.Inference.PruneThreshold)
-	e.Int64(int64(cfg.Inference.PartialHops))
+	e.Varint(int64(cfg.Inference.PartialHops))
 	e.Uint8(uint8(cfg.Compression))
-	e.Int64(int64(cfg.WarmupLocation))
+	e.Varint(int64(cfg.WarmupLocation))
 	e.Bool(cfg.KeepRawResult)
-	e.Uint64(0) // reserved: the dedup window, now dedup.Staleness
 }
 
 func decodeConfig(d *checkpoint.Decoder) (Config, error) {
@@ -79,9 +76,9 @@ func decodeConfig(d *checkpoint.Decoder) (Config, error) {
 	cfg.Readers = make([]model.Reader, nr)
 	for i := range cfg.Readers {
 		r := &cfg.Readers[i]
-		r.ID = model.ReaderID(d.Int64())
-		r.Location = model.LocationID(d.Int64())
-		r.Period = model.Epoch(d.Int64())
+		r.ID = model.ReaderID(d.Varint())
+		r.Location = model.LocationID(d.Varint())
+		r.Period = model.Epoch(d.Varint())
 		r.ReadRate = d.Float64()
 		r.Confirming = d.Bool()
 		r.ConfirmLevel = model.Level(d.Uint8())
@@ -90,24 +87,19 @@ func decodeConfig(d *checkpoint.Decoder) (Config, error) {
 	cfg.Locations = make([]model.Location, nl)
 	for i := range cfg.Locations {
 		l := &cfg.Locations[i]
-		l.ID = model.LocationID(d.Int64())
+		l.ID = model.LocationID(d.Varint())
 		l.Name = d.String()
 		l.Exit = d.Bool()
 	}
-	reserved := d.Uint64() | d.Uint64() // S and α: zero words until the format drops them
 	cfg.Inference.Beta = d.Float64()
 	cfg.Inference.AdaptiveBeta = d.Bool()
 	cfg.Inference.Gamma = d.Float64()
 	cfg.Inference.Theta = d.Float64()
 	cfg.Inference.PruneThreshold = d.Float64()
-	cfg.Inference.PartialHops = int(d.Int64())
+	cfg.Inference.PartialHops = int(d.Varint())
 	cfg.Compression = CompressionLevel(d.Uint8())
-	cfg.WarmupLocation = model.LocationID(d.Int64())
+	cfg.WarmupLocation = model.LocationID(d.Varint())
 	cfg.KeepRawResult = d.Bool()
-	reserved |= d.Uint64()
-	if d.Err() == nil && reserved != 0 {
-		return cfg, fmt.Errorf("%w: reserved config word set", checkpoint.ErrCorrupt)
-	}
 	return cfg, d.Err()
 }
 
@@ -119,19 +111,14 @@ func (s *Substrate) Snapshot(w io.Writer) error {
 	encodeConfig(e, &s.cfg)
 
 	e.Section(sectionSubstrate)
-	e.Int64(int64(s.lastNow))
-	e.Int64(s.stats.Epochs)
-	e.Int64(s.stats.Readings)
-	e.Int64(int64(s.stats.UpdateTime))
-	e.Int64(int64(s.stats.InferenceTime))
-	e.Int64(s.stats.Events)
-	e.Int64(s.stats.EventBytes)
-	e.Int64(s.stats.RawBytes)
-	tombs := s.dedup.Retired()
-	e.Uint64(uint64(len(tombs)))
-	for _, g := range tombs {
-		e.Uint64(uint64(g))
-	}
+	e.BaseEpoch(s.lastNow)
+	e.Varint(s.stats.Epochs)
+	e.Varint(s.stats.Readings)
+	e.Varint(int64(s.stats.UpdateTime))
+	e.Varint(int64(s.stats.InferenceTime))
+	e.Varint(s.stats.Events)
+	e.Varint(s.stats.EventBytes)
+	e.Varint(s.stats.RawBytes)
 
 	s.dedup.EncodeState(e)
 	s.graph.EncodeState(e)
@@ -158,22 +145,14 @@ func RestoreSubstrate(r io.Reader) (*Substrate, error) {
 	}
 
 	d.Section(sectionSubstrate)
-	s.lastNow = model.Epoch(d.Int64())
-	s.stats.Epochs = d.Int64()
-	s.stats.Readings = d.Int64()
-	s.stats.UpdateTime = time.Duration(d.Int64())
-	s.stats.InferenceTime = time.Duration(d.Int64())
-	s.stats.Events = d.Int64()
-	s.stats.EventBytes = d.Int64()
-	s.stats.RawBytes = d.Int64()
-	nt := d.Count(8)
-	for i := 0; i < nt; i++ {
-		g := model.Tag(d.Uint64())
-		if g == model.NoTag {
-			return nil, fmt.Errorf("%w: tombstone %d has zero tag", checkpoint.ErrCorrupt, i)
-		}
-		s.dedup.Retire(g)
-	}
+	s.lastNow = d.BaseEpoch()
+	s.stats.Epochs = d.Varint()
+	s.stats.Readings = d.Varint()
+	s.stats.UpdateTime = time.Duration(d.Varint())
+	s.stats.InferenceTime = time.Duration(d.Varint())
+	s.stats.Events = d.Varint()
+	s.stats.EventBytes = d.Varint()
+	s.stats.RawBytes = d.Varint()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}

@@ -2,26 +2,28 @@ package dedup
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"spire/internal/checkpoint"
 	"spire/internal/model"
 )
 
-// Snapshot serialization of the deduplication history. Every tracked tag
-// carries its sticky reader and the epoch it was last assigned; entries
-// are written in tag order for byte-stable output.
+// Snapshot serialization of the deduplication directory: the retired
+// marks (the substrate's exit tombstones), then every tracked tag's sticky
+// reader and the epoch it was last assigned. Both lists are written in tag
+// order, each tag as its step from the one before, for byte-stable,
+// compact output.
 
 const sectionDedup = "DDUP"
 
-// entryEncSize is the encoded size of one history entry (tag + reader +
-// epoch), used to validate the count before allocating.
-const entryEncSize = 8 + 8 + 8
+// entryEncSize is the smallest encoded size of one history entry (tag,
+// reader, epoch), used to validate the count before allocating.
+const entryEncSize = 3
 
-// EncodeState appends the dedup history to e, in tag order.
+// EncodeState appends the retired marks and the history to e.
 func (d *Deduplicator) EncodeState(e *checkpoint.Encoder) {
 	e.Section(sectionDedup)
+	retired := d.Retired()
 	live := make([]uint32, 0, d.tracked)
 	for s := range d.slots {
 		if d.slots[s].hist {
@@ -29,34 +31,46 @@ func (d *Deduplicator) EncodeState(e *checkpoint.Encoder) {
 		}
 	}
 	slices.SortFunc(live, func(a, b uint32) int { return cmp.Compare(d.slots[a].tag, d.slots[b].tag) })
-	e.Uint64(uint64(len(live)))
+	e.Uvarint(uint64(len(retired)))
+	e.Uvarint(uint64(len(live)))
+	prev := model.NoTag
+	for _, g := range retired {
+		e.Tag(prev, g)
+		prev = g
+	}
+	prev = model.NoTag
 	for _, s := range live {
 		sl := &d.slots[s]
-		e.Uint64(uint64(sl.tag))
-		e.Int64(int64(sl.reader))
-		e.Int64(int64(sl.at))
+		e.Tag(prev, sl.tag)
+		prev = sl.tag
+		e.Varint(int64(sl.reader))
+		e.Epoch(sl.at)
 	}
 }
 
-// DecodeState fills the history of a Deduplicator that has none from dec;
-// retired marks may already be set.
+// DecodeState restores the retired marks and the history from dec into a
+// fresh Deduplicator, sizing its directory once for both.
 func (d *Deduplicator) DecodeState(dec *checkpoint.Decoder) error {
 	dec.Section(sectionDedup)
-	n := dec.Count(entryEncSize)
+	nr, n := dec.Count(1), dec.Count(entryEncSize)
+	d.dir = make(map[model.Tag]uint32, nr+n)
+	d.slots = make([]slot, 0, nr+n)
+	g := model.NoTag
+	for i := 0; i < nr; i++ {
+		if g = dec.Tag(g); dec.Err() != nil {
+			return dec.Err()
+		}
+		d.Retire(g)
+	}
+	g = model.NoTag
 	for i := 0; i < n; i++ {
-		g := model.Tag(dec.Uint64())
-		r := model.ReaderID(dec.Int64())
-		at := model.Epoch(dec.Int64())
+		g = dec.Tag(g)
+		r := model.ReaderID(dec.Varint())
+		at := dec.Epoch()
 		if dec.Err() != nil {
 			return dec.Err()
 		}
-		if g == model.NoTag {
-			return fmt.Errorf("%w: dedup entry %d has zero tag", checkpoint.ErrCorrupt, i)
-		}
 		sl := &d.slots[d.slotOf(g)]
-		if sl.hist {
-			return fmt.Errorf("%w: duplicate dedup entry for tag %d", checkpoint.ErrCorrupt, g)
-		}
 		sl.hist, sl.reader, sl.at = true, r, at
 		d.tracked++
 	}

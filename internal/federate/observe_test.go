@@ -3,6 +3,7 @@ package federate_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"log/slog"
@@ -177,27 +178,34 @@ func runObservedCluster(t *testing.T, cfg sim.Config, lvl core.CompressionLevel,
 	return oc
 }
 
-// canonCheckpoint zeroes the only run-varying bytes of a substrate
+// canonCheckpoint zeroes the only run-varying fields of a substrate
 // checkpoint: the substrate's own wall-clock stats (UpdateTime and
-// InferenceTime, the two int64s after lastNow/Epochs/Readings in the
-// SUBS section) and the header CRC they feed. Those vary between ANY
-// two runs — they are the substrate timing itself, not something the
-// observability plane adds — so checkpoint transparency is pinned on
-// everything else: config, epoch, graph, dedup, compressor state.
+// InferenceTime, the two varints after lastNow/Epochs/Readings in the
+// SUBS section), and drops the header whose length and CRC they feed.
+// Those vary between ANY two runs — they are the substrate timing itself,
+// not something the observability plane adds — so checkpoint
+// transparency is pinned on everything else: config, epoch, graph,
+// dedup, compressor state.
 func canonCheckpoint(t *testing.T, data []byte) []byte {
 	t.Helper()
+	const headerSize = 24
 	i := bytes.Index(data, []byte("SUBS"))
-	if i < 0 {
+	if i < headerSize {
 		t.Fatal("checkpoint has no SUBS section")
 	}
-	out := slices.Clone(data)
-	for b := 20; b < 24; b++ { // header CRC32
-		out[b] = 0
+	var ends [5]int // end offset of each leading SUBS varint
+	off := i + 4
+	for k := range ends {
+		_, n := binary.Uvarint(data[off:])
+		if n <= 0 {
+			t.Fatal("checkpoint SUBS section has no stage times")
+		}
+		off += n
+		ends[k] = off
 	}
-	for b := i + 4 + 24; b < i+4+40 && b < len(out); b++ { // UpdateTime, InferenceTime
-		out[b] = 0
-	}
-	return out
+	out := slices.Clone(data[headerSize:ends[2]])
+	out = append(out, 0, 0)
+	return append(out, data[ends[4]:]...)
 }
 
 // TestInstrumentedClusterMatchesPlain extends the instrumentation

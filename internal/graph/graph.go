@@ -107,22 +107,6 @@ func (n *Node) Children() []*Edge { return n.children }
 func (n *Node) NumParents() int  { return len(n.parents) }
 func (n *Node) NumChildren() int { return len(n.children) }
 
-// ParentEdge returns the edge from the given parent, if any.
-func (n *Node) ParentEdge(parent model.Tag) *Edge {
-	if i, ok := parentIndex(n.parents, parent); ok {
-		return n.parents[i]
-	}
-	return nil
-}
-
-// ChildEdge returns the edge to the given child, if any.
-func (n *Node) ChildEdge(child model.Tag) *Edge {
-	if i, ok := childIndex(n.children, child); ok {
-		return n.children[i]
-	}
-	return nil
-}
-
 // parentIndex binary-searches a parents span for the edge from tag,
 // returning its position (or insertion point) and whether it is present.
 // Hand-rolled: slices.BinarySearchFunc's indirect comparison call cost
@@ -342,10 +326,14 @@ func (g *Graph) AddEdge(parent, child *Node, now model.Epoch) *Edge {
 	return e
 }
 
-// RemoveEdge detaches e from both endpoints and recycles the struct. The
+// RemoveEdge detaches e from both endpoints and recycles the struct,
+// with its endpoints cleared so a parked edge keeps no node reachable. The
 // identity check makes removal idempotent and guards against a stale edge
 // deleting a newer edge of the same parent-child pair.
 func (g *Graph) RemoveEdge(e *Edge) {
+	if e.Child == nil { // already freed
+		return
+	}
 	if e.Child.ConfirmedEdge == e {
 		e.Child.ConfirmedEdge = nil
 	}
@@ -357,8 +345,9 @@ func (g *Graph) RemoveEdge(e *Edge) {
 	ci, _ := childIndex(e.Parent.children, e.Child.Tag)
 	e.Parent.children = slices.Delete(e.Parent.children, ci, ci+1)
 	g.edges--
-	g.freeEdges = append(g.freeEdges, e)
 	g.markStale(e.Child.comp)
+	e.Parent, e.Child = nil, nil
+	g.freeEdges = append(g.freeEdges, e)
 }
 
 // RemoveNode deletes the node for tag and all incident edges. The
@@ -377,6 +366,7 @@ func (g *Graph) RemoveNode(tag model.Tag) {
 	for len(n.children) > 0 {
 		g.RemoveEdge(n.children[len(n.children)-1])
 	}
+	n.parents, n.children = nil, nil
 	// Drop the node from the colored index of the current epoch, if there.
 	if n.SeenAt == g.coloredAt && n.RecentColor.Known() && int(n.RecentColor) < len(g.colored[n.Level]) {
 		g.removeFromIndex(n)

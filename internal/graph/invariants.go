@@ -2,15 +2,14 @@ package graph
 
 import (
 	"fmt"
-	"slices"
 
 	"spire/internal/model"
 )
 
 // CheckInvariants verifies the structural invariants of the graph model
 // after all reader sets of epoch now have been applied. It is used by
-// tests and by the property-based suite; it is O(V+E), and renumbers the
-// tag order as Components does.
+// tests, by the property-based suite and on every restore; it is
+// O(V+E), and renumbers the tag order as Components does.
 //
 // Invariants checked:
 //   - edge spans are in strictly ascending partner-tag order, every edge
@@ -29,112 +28,131 @@ import (
 //   - the graph's tag order lists every live node once, ascending, each
 //     at its rank.
 func (g *Graph) CheckInvariants(now model.Epoch) error {
-	edgeSeen := 0
 	for tag, n := range g.nodes {
 		if n.Tag != tag {
 			return fmt.Errorf("graph: node keyed %d has tag %d", tag, n.Tag)
 		}
+	}
+	if err := g.checkOrder(); err != nil {
+		return err
+	}
+	for _, n := range g.order {
+		for i, e := range n.children {
+			ctag := e.Child.Tag
+			if e.Parent != n {
+				return fmt.Errorf("graph: child edge %d→%d has parent %d", n.Tag, ctag, e.Parent.Tag)
+			}
+			if i > 0 && n.children[i-1].Child.Tag >= ctag {
+				return fmt.Errorf("graph: children span of %d not ascending at %d", n.Tag, ctag)
+			}
+		}
+	}
+	// Walking the children in tag order meets each parent's ascending
+	// children span in order, so one cursor per parent rank checks that
+	// every edge sits in both spans.
+	cursor := make([]int32, len(g.order))
+	edgeSeen := 0
+	for _, n := range g.order {
+		tag := n.Tag
+		confirmed := n.ConfirmedEdge == nil
 		for i, e := range n.parents {
-			ptag := e.Parent.Tag
+			p := e.Parent
+			ptag := p.Tag
 			if e.Child != n {
 				return fmt.Errorf("graph: parent edge of %d has child %d", tag, e.Child.Tag)
 			}
 			if i > 0 && n.parents[i-1].Parent.Tag >= ptag {
 				return fmt.Errorf("graph: parents span of %d not ascending at %d", tag, ptag)
 			}
-			if e.Parent.ChildEdge(tag) != e {
+			if !g.live(p) {
 				return fmt.Errorf("graph: edge %d→%d missing from parent's children", ptag, tag)
 			}
-			if e.Parent.Level <= e.Child.Level {
-				return fmt.Errorf("graph: edge %d→%d does not point downward (%v→%v)",
-					ptag, tag, e.Parent.Level, e.Child.Level)
+			kids, at := p.children, cursor[p.rank]
+			if int(at) < len(kids) && kids[at].Child.Tag < tag {
+				return fmt.Errorf("graph: edge %d→%d missing from child's parents", ptag, kids[at].Child.Tag)
 			}
-			pc, cc := e.Parent.ColorAt(now), e.Child.ColorAt(now)
+			if int(at) == len(kids) || kids[at] != e {
+				return fmt.Errorf("graph: edge %d→%d missing from parent's children", ptag, tag)
+			}
+			cursor[p.rank]++
+			if p.Level <= n.Level {
+				return fmt.Errorf("graph: edge %d→%d does not point downward (%v→%v)",
+					ptag, tag, p.Level, n.Level)
+			}
+			pc, cc := p.ColorAt(now), n.ColorAt(now)
 			if pc.Known() && cc.Known() && pc != cc {
 				return fmt.Errorf("graph: edge %d→%d connects colors %v and %v at epoch %d",
 					ptag, tag, pc, cc, now)
 			}
+			confirmed = confirmed || e == n.ConfirmedEdge
 			edgeSeen++
 		}
-		for i, e := range n.children {
-			ctag := e.Child.Tag
-			if e.Parent != n {
-				return fmt.Errorf("graph: child edge %d→%d has parent %d", tag, ctag, e.Parent.Tag)
-			}
-			if i > 0 && n.children[i-1].Child.Tag >= ctag {
-				return fmt.Errorf("graph: children span of %d not ascending at %d", tag, ctag)
-			}
-			if e.Child.ParentEdge(tag) != e {
-				return fmt.Errorf("graph: edge %d→%d missing from child's parents", tag, ctag)
-			}
-		}
-		if ce := n.ConfirmedEdge; ce != nil {
-			if n.ParentEdge(ce.Parent.Tag) != ce {
-				return fmt.Errorf("graph: node %d confirmed edge is not among its parents", tag)
-			}
+		if !confirmed {
+			return fmt.Errorf("graph: node %d confirmed edge is not among its parents", tag)
 		}
 		if n.Colored(now) && !n.RecentColor.Known() {
 			return fmt.Errorf("graph: node %d colored with sentinel color %v", tag, n.RecentColor)
+		}
+	}
+	for _, n := range g.order {
+		if at := cursor[n.rank]; int(at) < len(n.children) {
+			return fmt.Errorf("graph: edge %d→%d missing from child's parents", n.Tag, n.children[at].Child.Tag)
 		}
 	}
 	if edgeSeen != g.edges {
 		return fmt.Errorf("graph: edge count %d but %d edges found", g.edges, edgeSeen)
 	}
 	if g.coloredAt == now {
-		counted := make(map[model.Tag]int)
+		counted := cursor
+		clear(counted)
 		for lvl := range g.colored {
 			for color, list := range g.colored[lvl] {
 				for _, n := range list {
-					counted[n.Tag]++
-					if int(n.Level) != lvl || n.RecentColor != model.LocationID(color) || !n.Colored(now) {
+					if !g.live(n) || int(n.Level) != lvl || n.RecentColor != model.LocationID(color) || !n.Colored(now) {
 						return fmt.Errorf("graph: node %d misfiled in colored index (%v/%v)", n.Tag, n.Level, color)
 					}
+					counted[n.rank]++
 				}
 			}
 		}
-		for _, n := range g.nodes {
-			want := 0
+		for _, n := range g.order {
+			want := int32(0)
 			if n.Colored(now) {
 				want = 1
 			}
-			if counted[n.Tag] != want {
+			if counted[n.rank] != want {
 				return fmt.Errorf("graph: node %d appears %d times in colored index, want %d",
-					n.Tag, counted[n.Tag], want)
+					n.Tag, counted[n.rank], want)
 			}
 		}
 	}
-	if err := g.checkComponentInvariants(); err != nil {
-		return err
-	}
-	return nil
+	return g.checkComponentInvariants(cursor)
 }
 
-// checkComponentInvariants validates the component partition. Stale
-// components may be too coarse (their member lists hold nodes that have
-// since been reassigned or removed), so membership is only enforced for
-// the node's own comp pointer; edges must never cross components even
-// when stale, since staleness only ever defers a split.
-func (g *Graph) checkComponentInvariants() error {
-	checked := make(map[*Component]bool)
-	for tag, n := range g.nodes {
-		c := n.comp
-		if c == nil || c.members == nil {
-			return fmt.Errorf("graph: node %d has no live component", tag)
-		}
-		if !slices.Contains(c.members, n) {
-			return fmt.Errorf("graph: node %d missing from member list of component %d", tag, c.ID())
-		}
-		for _, e := range n.parents {
-			if e.Parent.comp != e.Child.comp {
-				return fmt.Errorf("graph: edge %d→%d crosses components %d and %d",
-					e.Parent.Tag, e.Child.Tag, e.Parent.comp.ID(), e.Child.comp.ID())
-			}
-		}
-		if c.stale || checked[c] {
-			continue
-		}
-		checked[c] = true
+// live reports whether n is a node of the graph, at its rank in the tag
+// order (valid after checkOrder).
+func (g *Graph) live(n *Node) bool {
+	return n.rank >= 0 && int(n.rank) < len(g.order) && g.order[n.rank] == n
+}
+
+// checkComponentInvariants validates the component partition, using seen
+// (one slot per rank) as scratch. Stale components may be too coarse
+// (their member lists hold nodes that have since been reassigned or
+// removed), so membership is only enforced for the node's own comp
+// pointer; edges must never cross components even when stale, since
+// staleness only ever defers a split. Every component with members sits
+// in compOrder until Components drops it, so one pass over compOrder
+// marks each node found in its own component's list.
+func (g *Graph) checkComponentInvariants(seen []int32) error {
+	clear(seen)
+	for _, c := range g.compOrder {
 		for i, m := range c.members {
+			if m.comp == c && g.live(m) {
+				seen[m.rank] = 1
+			}
+			if c.stale {
+				continue
+			}
 			if m.comp != c {
 				return fmt.Errorf("graph: non-stale component %d lists foreign node %d", c.ID(), m.Tag)
 			}
@@ -143,7 +161,22 @@ func (g *Graph) checkComponentInvariants() error {
 			}
 		}
 	}
-	return g.checkOrder()
+	for _, n := range g.order {
+		c := n.comp
+		if c == nil || c.members == nil {
+			return fmt.Errorf("graph: node %d has no live component", n.Tag)
+		}
+		if seen[n.rank] == 0 {
+			return fmt.Errorf("graph: node %d missing from member list of component %d", n.Tag, c.ID())
+		}
+		for _, e := range n.parents {
+			if e.Parent.comp != e.Child.comp {
+				return fmt.Errorf("graph: edge %d→%d crosses components %d and %d",
+					e.Parent.Tag, e.Child.Tag, e.Parent.comp.ID(), e.Child.comp.ID())
+			}
+		}
+	}
+	return nil
 }
 
 // checkOrder renumbers the tag order, as Components does, and checks

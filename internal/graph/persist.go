@@ -18,56 +18,57 @@ import (
 // inference pass counter restarts at zero in a new process, so a persisted
 // stamp could collide with a fresh pass and leak a stale probability.
 // Restored edges carry zeroed scratch, which no pass stamp ever matches.
+// Component membership is derived, not stored.
 //
-// Nodes are written in the graph's tag order and each node's parent edges
-// as its span stands (ascending parent tag), so equal graphs always
-// produce identical bytes. Restore adds them in that order, so each is
-// ranked as it is added.
+// The section lists the node tags in tag order, then each node's record:
+// its parent edges as its span stands, each parent by its rank, and the
+// confirmed edge by its index in the span. Equal graphs therefore produce
+// identical bytes, and restore builds every span in order.
 
 const sectionGraph = "GRPH"
 
 // Minimum encoded sizes, used to validate counts against the remaining
 // snapshot body before allocating.
 const (
-	nodeEncSize = 8 + 1 + 8*8 // tag + level + eight 64-bit fields
-	edgeEncSize = 7 * 8       // seven 64-bit fields
+	nodeEncSize = 1 + 1 + 1 + 3 + 3 + 2 // tag, level, color, three epochs, three counters, span length and confirmed index
+	edgeEncSize = 1 + 1 + 4             // parent, history, four epochs
 )
 
 // EncodeState appends the graph's complete cumulative state to e.
 func (g *Graph) EncodeState(e *checkpoint.Encoder) {
 	e.Section(sectionGraph)
-	e.Uint64(HistorySize)
-
 	g.rankNodes()
-	e.Uint64(uint64(len(g.order)))
+	e.Uvarint(uint64(len(g.order)))
+	prev := model.NoTag
 	for _, n := range g.order {
-		e.Uint64(uint64(n.Tag))
-		e.Uint8(uint8(n.Level))
-		e.Int64(int64(n.RecentColor))
-		e.Int64(int64(n.SeenAt))
-		e.Int64(int64(n.NewColorAt))
-		confirmed := model.NoTag
-		if n.ConfirmedEdge != nil {
-			confirmed = n.ConfirmedEdge.Parent.Tag
-		}
-		e.Uint64(uint64(confirmed))
-		e.Int64(int64(n.ConfirmedAt))
-		e.Int64(int64(n.Conflicts))
-		e.Int64(int64(n.BetaEither))
-		e.Int64(int64(n.BetaOne))
+		e.Tag(prev, n.Tag)
+		prev = n.Tag
 	}
-
-	e.Uint64(uint64(g.edges))
+	e.Uvarint(uint64(g.edges))
 	for _, n := range g.order {
-		for _, ed := range n.parents {
-			e.Uint64(uint64(ed.Parent.Tag))
-			e.Uint64(uint64(ed.Child.Tag))
-			e.Uint64(uint64(ed.History))
-			e.Int64(int64(ed.UpdateTime))
-			e.Int64(int64(ed.CreatedAt))
-			e.Int64(int64(ed.conflictedAt))
-			e.Int64(int64(ed.betaOneAt))
+		e.Uint8(uint8(n.Level))
+		e.Varint(int64(n.RecentColor))
+		e.Epoch(n.SeenAt)
+		e.Epoch(n.NewColorAt)
+		e.Epoch(n.ConfirmedAt)
+		e.Varint(int64(n.Conflicts))
+		e.Varint(int64(n.BetaEither))
+		e.Varint(int64(n.BetaOne))
+		e.Uvarint(uint64(len(n.parents)))
+		confirmed, rank := 0, int32(-1)
+		for i, ed := range n.parents {
+			e.Uvarint(uint64(ed.Parent.rank - rank))
+			rank = ed.Parent.rank
+			e.Uvarint(uint64(ed.History))
+			e.Epoch(ed.UpdateTime)
+			e.Epoch(ed.CreatedAt)
+			e.Epoch(ed.conflictedAt)
+			e.Epoch(ed.betaOneAt)
+			if ed == n.ConfirmedEdge {
+				confirmed = i + 1
+			}
 		}
+		e.Uvarint(uint64(confirmed))
 	}
 }
 
@@ -76,96 +77,98 @@ func (g *Graph) EncodeState(e *checkpoint.Encoder) {
 // restored state.
 func DecodeState(d *checkpoint.Decoder) (*Graph, error) {
 	d.Section(sectionGraph)
-	hist := d.Uint64()
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	if hist != HistorySize {
-		return nil, fmt.Errorf("%w: graph history size %d, want %d", checkpoint.ErrCorrupt, hist, HistorySize)
-	}
-	g := New()
-
-	type confirm struct {
-		child  model.Tag
-		parent model.Tag
-	}
-	var confirms []confirm
 	nNodes := d.Count(nodeEncSize)
-	for i := 0; i < nNodes; i++ {
-		tag := model.Tag(d.Uint64())
-		lvl := model.Level(d.Uint8())
-		recent := model.LocationID(d.Int64())
-		seenAt := model.Epoch(d.Int64())
-		newColorAt := model.Epoch(d.Int64())
-		confirmedParent := model.Tag(d.Uint64())
-		confirmedAt := model.Epoch(d.Int64())
-		conflicts := d.Int64()
-		betaEither := d.Int64()
-		betaOne := d.Int64()
+	g := New()
+	g.nodes = make(map[model.Tag]*Node, nNodes)
+	g.order = make([]*Node, nNodes)
+	prev := model.NoTag
+	for i := range g.order {
+		prev = d.Tag(prev)
+		n := &Node{Tag: prev, rank: int32(i)}
+		g.nodes[prev] = n
+		g.order[i] = n
+	}
+	g.orderFrom = nNodes
+
+	// Each node's parent span is allocated at its length and filled in
+	// parent order; children spans are filled afterwards, child by child
+	// in tag order, so they too come out ascending.
+	edges := make([]Edge, d.Count(edgeEncSize))
+	children := make([]int32, nNodes)
+	for _, n := range g.order {
+		n.Level = model.Level(d.Uint8())
+		n.RecentColor = model.LocationID(d.Varint())
+		n.SeenAt = d.Epoch()
+		n.NewColorAt = d.Epoch()
+		n.ConfirmedAt = d.Epoch()
+		n.Conflicts = int(d.Varint())
+		n.BetaEither = int(d.Varint())
+		n.BetaOne = int(d.Varint())
+		np := d.Count(edgeEncSize)
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
-		if tag == model.NoTag {
-			return nil, fmt.Errorf("%w: graph node %d has zero tag", checkpoint.ErrCorrupt, i)
+		if !n.Level.Valid() {
+			return nil, fmt.Errorf("%w: graph node %d has invalid level %d", checkpoint.ErrCorrupt, n.Tag, n.Level)
 		}
-		if !lvl.Valid() {
-			return nil, fmt.Errorf("%w: graph node %d has invalid level %d", checkpoint.ErrCorrupt, tag, lvl)
+		if np > len(edges)-g.edges {
+			return nil, fmt.Errorf("%w: graph node %d lists more edges than the graph", checkpoint.ErrCorrupt, n.Tag)
 		}
-		if g.nodes[tag] != nil {
-			return nil, fmt.Errorf("%w: duplicate graph node %d", checkpoint.ErrCorrupt, tag)
+		n.parents = make([]*Edge, np)
+		rank := -1
+		for i := range n.parents {
+			step := d.Uvarint()
+			if err := d.Err(); err != nil {
+				return nil, err
+			}
+			if step == 0 || step >= uint64(nNodes-rank) {
+				return nil, fmt.Errorf("%w: graph node %d parent span not ascending", checkpoint.ErrCorrupt, n.Tag)
+			}
+			rank += int(step)
+			bits := d.Uvarint()
+			if bits>>HistorySize != 0 {
+				return nil, fmt.Errorf("%w: graph edge %d→%d history bits exceed size %d",
+					checkpoint.ErrCorrupt, g.order[rank].Tag, n.Tag, HistorySize)
+			}
+			ed := &edges[g.edges]
+			g.edges++
+			*ed = Edge{Parent: g.order[rank], Child: n, History: History(bits)}
+			ed.UpdateTime = d.Epoch()
+			ed.CreatedAt = d.Epoch()
+			ed.conflictedAt = d.Epoch()
+			ed.betaOneAt = d.Epoch()
+			n.parents[i] = ed
+			children[rank]++
 		}
-		n := g.addNode(tag, lvl)
-		n.RecentColor = recent
-		n.SeenAt = seenAt
-		n.NewColorAt = newColorAt
-		n.ConfirmedAt = confirmedAt
-		n.Conflicts = int(conflicts)
-		n.BetaEither = int(betaEither)
-		n.BetaOne = int(betaOne)
-		if confirmedParent != model.NoTag {
-			confirms = append(confirms, confirm{child: tag, parent: confirmedParent})
+		if c := d.Uvarint(); c > uint64(np) {
+			return nil, fmt.Errorf("%w: node %d confirmed parent %d has no edge", checkpoint.ErrCorrupt, n.Tag, c)
+		} else if c > 0 {
+			n.ConfirmedEdge = n.parents[c-1]
+		}
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if g.edges != len(edges) {
+		return nil, fmt.Errorf("%w: graph lists %d edges, its nodes %d", checkpoint.ErrCorrupt, len(edges), g.edges)
+	}
+	for i, n := range g.order {
+		if children[i] > 0 {
+			n.children = make([]*Edge, 0, children[i])
+		}
+	}
+	for _, n := range g.order {
+		for _, ed := range n.parents {
+			ed.Parent.children = append(ed.Parent.children, ed)
 		}
 	}
 
-	nEdges := d.Count(edgeEncSize)
-	for i := 0; i < nEdges; i++ {
-		ptag := model.Tag(d.Uint64())
-		ctag := model.Tag(d.Uint64())
-		bits := d.Uint64()
-		updateTime := model.Epoch(d.Int64())
-		createdAt := model.Epoch(d.Int64())
-		conflictedAt := model.Epoch(d.Int64())
-		betaOneAt := model.Epoch(d.Int64())
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		parent, child := g.nodes[ptag], g.nodes[ctag]
-		if parent == nil || child == nil {
-			return nil, fmt.Errorf("%w: graph edge %d→%d references missing node", checkpoint.ErrCorrupt, ptag, ctag)
-		}
-		if parent.Level <= child.Level {
-			return nil, fmt.Errorf("%w: graph edge %d→%d does not point downward", checkpoint.ErrCorrupt, ptag, ctag)
-		}
-		if child.ParentEdge(ptag) != nil {
-			return nil, fmt.Errorf("%w: duplicate graph edge %d→%d", checkpoint.ErrCorrupt, ptag, ctag)
-		}
-		if bits>>HistorySize != 0 {
-			return nil, fmt.Errorf("%w: graph edge %d→%d history bits exceed size %d", checkpoint.ErrCorrupt, ptag, ctag, HistorySize)
-		}
-		ed := g.AddEdge(parent, child, createdAt)
-		ed.History = History(bits)
-		ed.UpdateTime = updateTime
-		ed.conflictedAt = conflictedAt
-		ed.betaOneAt = betaOneAt
+	// One repartition of the whole graph labels every component.
+	all := &Component{members: g.order}
+	for _, n := range g.order {
+		n.comp = all
 	}
-
-	for _, c := range confirms {
-		ed := g.nodes[c.child].ParentEdge(c.parent)
-		if ed == nil {
-			return nil, fmt.Errorf("%w: node %d confirmed parent %d has no edge", checkpoint.ErrCorrupt, c.child, c.parent)
-		}
-		g.nodes[c.child].ConfirmedEdge = ed
-	}
+	g.rebuildComponent(all, model.EpochNone)
 
 	if err := g.CheckInvariants(model.EpochNone); err != nil {
 		return nil, fmt.Errorf("%w: restored graph: %v", checkpoint.ErrCorrupt, err)

@@ -18,7 +18,7 @@ func TestCrossLayerEdgeResolvesWhenMiddleAppears(t *testing.T) {
 	i := tag(t, model.LevelItem, 1)
 
 	mustUpdate(t, g, dockReader, 1, p, i) // case missed
-	if g.Node(i).ParentEdge(p) == nil {
+	if parentEdge(g.Node(i), p) == nil {
 		t.Fatal("cross-layer edge pallet→item expected")
 	}
 	// Epoch 2: the case is read too. The item keeps its old pallet edge
@@ -26,13 +26,13 @@ func TestCrossLayerEdgeResolvesWhenMiddleAppears(t *testing.T) {
 	// the case gains edges both ways.
 	mustUpdate(t, g, dockReader, 2, p, c, i)
 	nc := g.Node(c)
-	if nc.ParentEdge(p) == nil {
+	if parentEdge(nc, p) == nil {
 		t.Error("case must link under the pallet")
 	}
-	if nc.ChildEdge(i) == nil {
+	if childEdge(nc, i) == nil {
 		t.Error("case must link to the co-located item")
 	}
-	if g.Node(i).ParentEdge(p) == nil {
+	if parentEdge(g.Node(i), p) == nil {
 		t.Error("the stale cross-layer edge survives until contradicted")
 	}
 }
@@ -51,7 +51,7 @@ func TestConfirmedEdgeClearedOnRemoval(t *testing.T) {
 	// The two split up: both observed at different locations.
 	mustUpdate(t, g, dockReader, 2, c)
 	mustUpdate(t, g, packReader, 2, i)
-	if n.ParentEdge(c) != nil {
+	if parentEdge(n, c) != nil {
 		t.Fatal("edge must be dropped")
 	}
 	if n.ConfirmedEdge != nil {
@@ -107,7 +107,7 @@ func TestHistoryShiftsOncePerEpochWithTwoReaders(t *testing.T) {
 	// location, split coverage).
 	mustUpdate(t, g, dockReader, 2, c)
 	mustUpdate(t, g, dock2, 2, i)
-	e := g.Node(i).ParentEdge(c)
+	e := parentEdge(g.Node(i), c)
 	if e == nil {
 		t.Fatal("edge must survive")
 	}
@@ -179,9 +179,9 @@ func TestRemoveEdgeDirect(t *testing.T) {
 	i := tag(t, model.LevelItem, 1)
 	mustUpdate(t, g, beltReader, 1, c, i)
 	n := g.Node(i)
-	e := n.ParentEdge(c)
+	e := parentEdge(n, c)
 	g.RemoveEdge(e)
-	if n.ParentEdge(c) != nil || g.EdgeCount() != 0 {
+	if parentEdge(n, c) != nil || g.EdgeCount() != 0 {
 		t.Error("edge must be fully detached")
 	}
 	if n.ConfirmedEdge != nil {
@@ -190,6 +190,39 @@ func TestRemoveEdgeDirect(t *testing.T) {
 	g.RemoveEdge(e) // double removal is a no-op
 	if g.EdgeCount() != 0 {
 		t.Error("double removal must not corrupt the count")
+	}
+}
+
+// TestFreedEdgesPinNothing: a removed node drops its spans, and an edge
+// parked on the free list points at no node, so neither keeps a dead
+// node reachable; removing a parked edge again changes nothing.
+func TestFreedEdgesPinNothing(t *testing.T) {
+	g := New()
+	c := tag(t, model.LevelCase, 1)
+	i1, i2 := tag(t, model.LevelItem, 1), tag(t, model.LevelItem, 2)
+	mustUpdate(t, g, dockReader, 1, c, i1, i2)
+	n := g.Node(c)
+	g.RemoveNode(c)
+	if n.parents != nil || n.children != nil {
+		t.Errorf("removed node keeps spans %v / %v", n.parents, n.children)
+	}
+	if g.FreeEdgeCount() != 2 {
+		t.Fatalf("%d parked edges, want 2", g.FreeEdgeCount())
+	}
+	for _, e := range g.freeEdges {
+		if e.Parent != nil || e.Child != nil {
+			t.Errorf("parked edge still points at %v → %v", e.Parent, e.Child)
+		}
+	}
+	mustUpdate(t, g, dockReader, 2, c, i1)
+	edges, parked := g.EdgeCount(), g.FreeEdgeCount()
+	g.RemoveEdge(g.freeEdges[0])
+	if g.EdgeCount() != edges || g.FreeEdgeCount() != parked {
+		t.Errorf("removing a parked edge moved the counts to %d edges, %d parked; want %d, %d",
+			g.EdgeCount(), g.FreeEdgeCount(), edges, parked)
+	}
+	if err := g.CheckInvariants(2); err != nil {
+		t.Fatal(err)
 	}
 }
 

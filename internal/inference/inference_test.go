@@ -28,6 +28,16 @@ func tag(t *testing.T, lvl model.Level, serial uint32) model.Tag {
 }
 
 // verdictOf reads tag's row, or the zero Verdict when res has none.
+// parentEdge returns n's edge from the given parent, if any.
+func parentEdge(n *graph.Node, parent model.Tag) *graph.Edge {
+	for _, e := range n.Parents() {
+		if e.Parent.Tag == parent {
+			return e
+		}
+	}
+	return nil
+}
+
 func verdictOf(res *Result, tag model.Tag) Verdict {
 	v, _ := res.Lookup(tag)
 	return v
@@ -147,7 +157,7 @@ func TestEdgeInferenceHistoryOutweighsStaleConfirmation(t *testing.T) {
 	for e := model.Epoch(2); e <= last; e++ {
 		mustUpdate(t, g, packReader, e, c2, i1)
 	}
-	if h := g.Node(i1).ParentEdge(c1).History; h.Ones() != 0 {
+	if h := parentEdge(g.Node(i1), c1).History; h.Ones() != 0 {
 		t.Fatalf("confirmed edge history %032b must have expired", uint32(h))
 	}
 	cfg := DefaultConfig()
@@ -252,7 +262,7 @@ func TestNodeInferenceTieGoesToLowerLocation(t *testing.T) {
 		mustUpdate(t, g, r[0], 3, c1)     // i1 unread: one set bit per edge
 		mustUpdate(t, g, r[1], 3, c2)
 		res := newInf(t, cfg).Infer(g, 3, Complete)
-		e1, e2 := g.Node(i1).ParentEdge(c1), g.Node(i1).ParentEdge(c2)
+		e1, e2 := parentEdge(g.Node(i1), c1), parentEdge(g.Node(i1), c2)
 		if e1 == nil || e2 == nil || e1.InferProb != 0.5 || e2.InferProb != 0.5 {
 			t.Fatalf("setup: want two parent edges of probability 0.5, got %v and %v", e1, e2)
 		}
@@ -397,7 +407,7 @@ func TestPruningRemovesWeakEdges(t *testing.T) {
 	if g.Node(i1).NumParents() != 1 {
 		t.Errorf("weak unconfirmed edge must be pruned; %d parents remain", g.Node(i1).NumParents())
 	}
-	if g.Node(i1).ParentEdge(c1) == nil {
+	if parentEdge(g.Node(i1), c1) == nil {
 		t.Error("the confirmed edge must survive pruning")
 	}
 	if verdictOf(res, i1).Parent != c1 {

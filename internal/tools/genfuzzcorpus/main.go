@@ -12,6 +12,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -72,12 +73,16 @@ func run() error {
 	// checkpoint.FuzzDecoder's read sequence).
 	e := checkpoint.NewEncoder()
 	e.Section("TEST")
-	e.Uint64(42)
-	e.Int64(-7)
+	e.BaseEpoch(100)
+	e.Uvarint(42)
+	e.Varint(-7)
+	e.Epoch(98)
+	e.Epoch(model.EpochNone)
+	e.Tag(model.NoTag, 5)
 	e.Bool(true)
 	e.Float64(3.5)
 	e.String("hello")
-	e.Uint64(uint64(e.Len()))
+	e.Uvarint(uint64(e.Len()))
 	var ckpt bytes.Buffer
 	if err := e.Flush(&ckpt); err != nil {
 		return err
@@ -168,10 +173,10 @@ func buildSnapshot() ([]byte, error) {
 }
 
 // zeroStageTimes re-frames a substrate snapshot with its UpdateTime and
-// InferenceTime fields set to zero. They are the fourth and fifth 8-byte
-// fields after the "SUBS" section tag (last epoch, epochs and readings
-// come first); the checkpoint codec copies the body byte by byte and
-// writes a fresh header and checksum.
+// InferenceTime fields set to zero. They are the fourth and fifth varints
+// after the "SUBS" section tag (last epoch, epochs and readings come
+// first); the checkpoint codec copies the body byte by byte and writes a
+// fresh header and checksum.
 func zeroStageTimes(snap []byte) ([]byte, error) {
 	d, err := checkpoint.NewDecoder(bytes.NewReader(snap))
 	if err != nil {
@@ -182,13 +187,26 @@ func zeroStageTimes(snap []byte) ([]byte, error) {
 		body[i] = d.Uint8()
 	}
 	at := bytes.Index(body, []byte("SUBS"))
-	times := at + 4 + 3*8
-	if at < 0 || times+2*8 > len(body) {
-		return nil, fmt.Errorf("snapshot has no SUBS section with stage times")
+	if at < 0 {
+		return nil, fmt.Errorf("snapshot has no SUBS section")
 	}
-	clear(body[times : times+2*8])
+	var ends [5]int // end offset of each leading SUBS varint
+	off := at + 4
+	for i := range ends {
+		_, n := binary.Uvarint(body[off:])
+		if n <= 0 {
+			return nil, fmt.Errorf("snapshot SUBS section has no stage times")
+		}
+		off += n
+		ends[i] = off
+	}
 	e := checkpoint.NewEncoder()
-	for _, b := range body {
+	for _, b := range body[:ends[2]] {
+		e.Uint8(b)
+	}
+	e.Varint(0)
+	e.Varint(0)
+	for _, b := range body[ends[4]:] {
 		e.Uint8(b)
 	}
 	var out bytes.Buffer
