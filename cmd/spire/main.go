@@ -254,8 +254,7 @@ func run() error {
 	}
 	logMain.Info("run complete",
 		"epochs", st.Epochs, "readings", st.Readings, "raw_bytes", st.RawBytes,
-		"events", st.Events, "event_bytes", st.EventBytes, "ratio", ratio,
-		"update", st.UpdateTime, "inference", st.InferenceTime)
+		"events", st.Events, "event_bytes", st.EventBytes, "ratio", ratio)
 	if engine != nil {
 		logCEP := logging.Component("cep")
 		for _, sst := range engine.Subscriptions() {

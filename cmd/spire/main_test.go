@@ -129,7 +129,7 @@ func sha(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
 // spiresim trace at both compression levels: an untraced run, a traced
 // run, and a run restored from a checkpoint the binary itself wrote before
 // being killed must all print the event stream the in-process substrate
-// produces, byte for byte.
+// produces, byte for byte, and write byte-identical final checkpoints.
 func TestEventStreamMatchesSubstrate(t *testing.T) {
 	raw, err := os.ReadFile(tracePath)
 	if err != nil {
@@ -144,17 +144,31 @@ func TestEventStreamMatchesSubstrate(t *testing.T) {
 				t.Fatalf("reference stream too small: %d epochs", len(lines))
 			}
 
-			if got := sha(runSpire(t, "-input", tracePath, "-level", lvl)); got != want {
+			dir := t.TempDir()
+			final := func(name string) []byte {
+				t.Helper()
+				b, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			if got := sha(runSpire(t, "-input", tracePath, "-level", lvl, "-checkpoint", filepath.Join(dir, "plain.ckpt"))); got != want {
 				t.Errorf("untraced stream sha %s, in-process substrate %s", got, want)
 			}
-			if got := sha(runSpire(t, "-input", tracePath, "-level", lvl, "-trace-epochs", "64")); got != want {
+			if got := sha(runSpire(t, "-input", tracePath, "-level", lvl, "-trace-epochs", "64",
+				"-checkpoint", filepath.Join(dir, "traced.ckpt"))); got != want {
 				t.Errorf("-trace-epochs 64 stream sha %s, in-process substrate %s", got, want)
+			}
+			wantCkpt := final("plain.ckpt")
+			if !bytes.Equal(final("traced.ckpt"), wantCkpt) {
+				t.Error("two uninterrupted runs wrote different final checkpoints")
 			}
 
 			// Crash a run mid-stream: feed it the first part of the trace
 			// on stdin, hold the pipe open, and kill it once a periodic
 			// checkpoint is on disk.
-			ckpt := filepath.Join(t.TempDir(), "state.ckpt")
+			ckpt := filepath.Join(dir, "state.ckpt")
 			crash := exec.Command(filepath.Join(binDir, "spire"), "-input", "-", "-level", lvl,
 				"-checkpoint", ckpt, "-checkpoint-every", "50")
 			stdin, err := crash.StdinPipe()
@@ -197,8 +211,12 @@ func TestEventStreamMatchesSubstrate(t *testing.T) {
 			if at < 50 || tail.Len() == 0 {
 				t.Fatalf("checkpoint at epoch %d leaves nothing to continue", at)
 			}
-			if got := sha(runSpire(t, "-input", tracePath, "-restore", ckpt)); got != sha([]byte(tail.String())) {
+			if got := sha(runSpire(t, "-input", tracePath, "-restore", ckpt,
+				"-checkpoint", filepath.Join(dir, "restored.ckpt"))); got != sha([]byte(tail.String())) {
 				t.Errorf("restored from epoch %d: continuation sha %s, in-process substrate %s", at, got, sha([]byte(tail.String())))
+			}
+			if !bytes.Equal(final("restored.ckpt"), wantCkpt) {
+				t.Errorf("restored from epoch %d: final checkpoint differs from the uninterrupted run's", at)
 			}
 		})
 	}
@@ -392,11 +410,10 @@ func clusterReference(t *testing.T, cfg sim.Config, nZones int) []byte {
 	subs := make([]*core.Substrate, nZones)
 	for z := range subs {
 		if subs[z], err = core.New(core.Config{
-			Readers:        parts[z],
-			Locations:      s.Locations(),
-			Inference:      inference.DefaultConfig(),
-			Compression:    core.Level1,
-			WarmupLocation: s.EntryLocation(),
+			Readers:     parts[z],
+			Locations:   s.Locations(),
+			Inference:   inference.DefaultConfig(),
+			Compression: core.Level1,
 		}); err != nil {
 			t.Fatal(err)
 		}

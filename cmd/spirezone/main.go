@@ -95,11 +95,10 @@ func run() error {
 	}
 	if sub == nil {
 		sub, err = core.New(core.Config{
-			Readers:        parts[*zone],
-			Locations:      s.Locations(),
-			Inference:      inference.DefaultConfig(),
-			Compression:    core.CompressionLevel(*level),
-			WarmupLocation: s.EntryLocation(),
+			Readers:     parts[*zone],
+			Locations:   s.Locations(),
+			Inference:   inference.DefaultConfig(),
+			Compression: core.CompressionLevel(*level),
 		})
 		if err != nil {
 			return err

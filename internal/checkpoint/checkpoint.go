@@ -48,9 +48,11 @@ import (
 )
 
 // Version is the snapshot format version this build writes and reads.
-// A snapshot of any other version is rejected with ErrVersion: snapshots
-// do not outlive the build that wrote them, so no older decoder is kept.
-const Version = 2
+// Version 3 holds only state that replaying the input rebuilds, so equal
+// inputs write equal snapshots. A snapshot of any other version is
+// rejected with ErrVersion: snapshots do not outlive the build that wrote
+// them, so no older decoder is kept.
+const Version = 3
 
 const (
 	magic      = "SPIRECKP"

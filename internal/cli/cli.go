@@ -17,10 +17,10 @@
 // 60 and a run resumes only from an explicit -restore, while spirezone's
 // defaults to 50 and a worker resumes whenever its checkpoint file is
 // present. And the substrate → store → CEP assembly shares no step
-// between binaries: spire chains a watcher into the engine, spirefed
-// feeds a writer and a store under one lock, and spirequery replays a
-// decompressor into a store, so shared code would have to branch on its
-// caller.
+// between binaries: spire hands each runner output to Engine.Epoch,
+// spirefed feeds a writer and a store under one lock, and spirequery
+// replays a decompressor into a store, so shared code would have to
+// branch on its caller.
 package cli
 
 import (

@@ -229,14 +229,17 @@ func TestSnapshotCorruption(t *testing.T) {
 	}
 }
 
-// TestV1SnapshotRejected: testdata/v1.snapshot was written by the
-// format-1 encoder (fixed 8-byte integers), 30 epochs of a small level-2
-// warehouse. This build keeps no v1 decoder, so the snapshot must be
-// refused as a version mismatch, not misread as a corrupt v2 body.
-func TestV1SnapshotRejected(t *testing.T) {
-	_, err := RestoreSubstrateFromFile(filepath.Join("testdata", "v1.snapshot"))
-	if !errors.Is(err, checkpoint.ErrVersion) || errors.Is(err, checkpoint.ErrCorrupt) {
-		t.Fatalf("got %v, want ErrVersion", err)
+// TestOldSnapshotVersionsRejected: each testdata/v<N>.snapshot holds 30
+// epochs of a small level-2 warehouse, written by the format-N encoder —
+// v1 with fixed 8-byte integers, v2 with varints and the wall-clock stage
+// times. This build keeps no older decoder, so each must be refused as a
+// version mismatch, not misread as a corrupt body.
+func TestOldSnapshotVersionsRejected(t *testing.T) {
+	for _, name := range []string{"v1.snapshot", "v2.snapshot"} {
+		_, err := RestoreSubstrateFromFile(filepath.Join("testdata", name))
+		if !errors.Is(err, checkpoint.ErrVersion) || errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrVersion", name, err)
+		}
 	}
 }
 

@@ -46,12 +46,6 @@ type Config struct {
 	// Compression selects level-1 or level-2 output (default level 1).
 	Compression CompressionLevel
 
-	// WarmupLocation, when valid, marks a location (the entry door in the
-	// paper's setup) whose readings only warm up the graph; objects there
-	// still get verdicts, but callers typically exclude them from
-	// accuracy scoring. Kept here so tools can discover it.
-	WarmupLocation model.LocationID
-
 	// KeepRawResult additionally exposes the inference result *before*
 	// conflict resolution in EpochOutput.RawResult. The paper's accuracy
 	// experiments (Expts 1-4) score raw inference; only the output-stream
@@ -59,15 +53,15 @@ type Config struct {
 	KeepRawResult bool
 }
 
-// Stats accumulates the per-epoch costs reported in Table III.
+// Stats accumulates the substrate's input and output volumes. Like all
+// persisted state it depends on the input alone; Table III's per-stage
+// costs are measured by the Instruments' stage histograms.
 type Stats struct {
-	Epochs        int64
-	Readings      int64
-	UpdateTime    time.Duration
-	InferenceTime time.Duration
-	Events        int64
-	EventBytes    int64
-	RawBytes      int64
+	Epochs     int64
+	Readings   int64
+	Events     int64
+	EventBytes int64
+	RawBytes   int64
 }
 
 // EpochOutput is the result of processing one epoch.
@@ -257,7 +251,6 @@ func (s *Substrate) ProcessBatch(b *model.Batch) (*EpochOutput, error) {
 	tel, rec := s.tel, s.rec
 	clock := stageClock{last: time.Now()}
 	if tel != nil {
-		tel.IngestReadings.Add(rawReadings)
 		tel.IngestBatchBytes.Add(b.SizeBytes())
 	}
 
@@ -307,8 +300,6 @@ func (s *Substrate) ProcessBatch(b *model.Batch) (*EpochOutput, error) {
 	s.stats.EventBytes += evBytes
 	clock.compress = clock.lap()
 
-	s.stats.UpdateTime += clock.update
-	s.stats.InferenceTime += clock.infer + clock.conflict
 	if tel != nil {
 		tel.StageDedup.Observe(clock.dedup.Seconds())
 		tel.StageUpdate.Observe(clock.update.Seconds())
@@ -342,7 +333,7 @@ func (s *Substrate) ProcessBatch(b *model.Batch) (*EpochOutput, error) {
 
 // stageClock times one epoch's pipeline stages. ProcessBatch reads the
 // clock once at the start and once at each stage boundary, six reads an
-// epoch whether or not anything observes it, and fills Stats, the stage
+// epoch whether or not anything observes it, and fills the stage
 // histograms and the flight span from these laps.
 type stageClock struct {
 	last                                     time.Time

@@ -186,9 +186,6 @@ func TestEndToEndWellFormed(t *testing.T) {
 	if st.EventBytes >= st.RawBytes {
 		t.Errorf("compressed output (%d B) should undercut raw input (%d B)", st.EventBytes, st.RawBytes)
 	}
-	if st.UpdateTime <= 0 || st.InferenceTime <= 0 {
-		t.Errorf("timing stats not populated: %+v", st)
-	}
 }
 
 // TestEndToEndLevel2Decompression checks, on a complete-inference

@@ -143,15 +143,15 @@ func TestGoldenTraceIsDeterministic(t *testing.T) {
 }
 
 // TestGoldenSnapshot pins the checkpoint bytes as the scenarios above pin
-// the event stream: the SHA-256 of the clean scenario's final snapshot,
-// with the wall-clock stage times zeroed, is in testdata/golden. It
-// changes only with the snapshot format or the substrate state it
-// captures; regenerate it with -update like the event digests.
+// the event stream: the SHA-256 of the clean scenario's final snapshot is
+// in testdata/golden. It changes only with the snapshot format or the
+// substrate state it captures; regenerate it with -update like the event
+// digests.
 func TestGoldenSnapshot(t *testing.T) {
 	trace, s := buildTrace(t, 200)
 	sub := newSubstrate(t, s, goldenScenarios[0].level)
 	runGated(t, sub, RunnerConfig{}, trace)
-	sum := sha256.Sum256(zeroedSnapshot(t, sub))
+	sum := sha256.Sum256(snapshotBytes(t, sub))
 	got := hex.EncodeToString(sum[:])
 
 	path := filepath.Join("testdata", "golden", "clean.snapshot.sha256")

@@ -19,7 +19,8 @@ import (
 // dedup directory with its exit tombstones, the colored graph, and the
 // compressor's open intervals. RestoreSubstrate therefore needs nothing
 // but the snapshot bytes, and a restored substrate continues the event
-// stream byte-identically to a process that never died.
+// stream byte-identically to a process that never died. Nothing measured
+// is stored, so equal inputs write equal snapshots.
 //
 // Derived state is rebuilt, not stored: the reader index, the
 // exit set, the inference schedule (LCM of reader periods), and the
@@ -65,7 +66,6 @@ func encodeConfig(e *checkpoint.Encoder, cfg *Config) {
 	e.Float64(cfg.Inference.PruneThreshold)
 	e.Varint(int64(cfg.Inference.PartialHops))
 	e.Uint8(uint8(cfg.Compression))
-	e.Varint(int64(cfg.WarmupLocation))
 	e.Bool(cfg.KeepRawResult)
 }
 
@@ -98,7 +98,6 @@ func decodeConfig(d *checkpoint.Decoder) (Config, error) {
 	cfg.Inference.PruneThreshold = d.Float64()
 	cfg.Inference.PartialHops = int(d.Varint())
 	cfg.Compression = CompressionLevel(d.Uint8())
-	cfg.WarmupLocation = model.LocationID(d.Varint())
 	cfg.KeepRawResult = d.Bool()
 	return cfg, d.Err()
 }
@@ -114,8 +113,6 @@ func (s *Substrate) Snapshot(w io.Writer) error {
 	e.BaseEpoch(s.lastNow)
 	e.Varint(s.stats.Epochs)
 	e.Varint(s.stats.Readings)
-	e.Varint(int64(s.stats.UpdateTime))
-	e.Varint(int64(s.stats.InferenceTime))
 	e.Varint(s.stats.Events)
 	e.Varint(s.stats.EventBytes)
 	e.Varint(s.stats.RawBytes)
@@ -148,8 +145,6 @@ func RestoreSubstrate(r io.Reader) (*Substrate, error) {
 	s.lastNow = d.BaseEpoch()
 	s.stats.Epochs = d.Varint()
 	s.stats.Readings = d.Varint()
-	s.stats.UpdateTime = time.Duration(d.Varint())
-	s.stats.InferenceTime = time.Duration(d.Varint())
 	s.stats.Events = d.Varint()
 	s.stats.EventBytes = d.Varint()
 	s.stats.RawBytes = d.Varint()

@@ -9,16 +9,13 @@ import (
 )
 
 // Instruments bundles the runtime-telemetry metrics of one substrate: the
-// per-stage epoch latency histograms of the pipeline of Fig. 2 plus the
-// instrument sets of the state-owning packages. It is the operational
-// counterpart of Stats — Stats accumulates the paper's offline experiment
-// numbers inside the substrate (and is persisted in snapshots), while
-// Instruments feeds a live scrape endpoint and is deliberately external to
-// all persisted state.
+// per-stage epoch latency histograms of the pipeline of Fig. 2 (the
+// per-stage costs of Table III) plus the instrument sets of the
+// state-owning packages. Everything measured lives here, external to the
+// persisted state; Stats holds only the input-determined volumes.
 //
-// A nil *Instruments records nothing. The stage clock runs either way
-// (Stats takes its update and inference laps), so instrumenting adds only
-// the allocation-free recording calls.
+// A nil *Instruments records nothing. The stage clock runs either way, so
+// instrumenting adds only the allocation-free recording calls.
 type Instruments struct {
 	// Stage latency histograms, one per pipeline stage
 	// (spire_epoch_stage_seconds{stage=...}).
@@ -33,10 +30,8 @@ type Instruments struct {
 	Readings *telemetry.Counter
 	Retired  *telemetry.Counter
 
-	// Ingest accounting: readings entering ProcessBatch
-	// (spire_ingest_readings_total) and the columnar bytes they occupied
-	// (spire_ingest_batch_bytes).
-	IngestReadings   *telemetry.Counter
+	// IngestBatchBytes counts the columnar bytes of the batches entering
+	// ProcessBatch (spire_ingest_batch_bytes).
 	IngestBatchBytes *telemetry.Counter
 
 	// Inference pass accounting: components swept vs skipped by partial
@@ -79,8 +74,6 @@ func NewInstruments(reg *telemetry.Registry, level CompressionLevel) *Instrument
 		Epochs:        reg.Counter("spire_epochs_total", "Epochs processed."),
 		Readings:      reg.Counter("spire_readings_total", "Raw tag readings ingested."),
 		Retired:       reg.Counter("spire_objects_retired_total", "Objects retired through an exit location."),
-		IngestReadings: reg.Counter("spire_ingest_readings_total",
-			"Raw readings entering the batched ingest path."),
 		IngestBatchBytes: reg.Counter("spire_ingest_batch_bytes",
 			"Columnar bytes of epoch batches entering the batched ingest path."),
 		InferDirty: reg.Counter("spire_infer_components_total",

@@ -78,8 +78,6 @@ func hotEpoch(tb testing.TB, sub *Substrate, b *model.Batch, now model.Epoch, te
 	clock.infer = clock.lap()
 	inference.ResolveConflicts(res, levelOf, rec)
 	clock.conflict = clock.lap()
-	sub.stats.UpdateTime += clock.update
-	sub.stats.InferenceTime += clock.infer + clock.conflict
 	if tel != nil {
 		tel.StageUpdate.Observe(clock.update.Seconds())
 		tel.StageInfer.Observe(clock.infer.Seconds())

@@ -45,14 +45,14 @@ func testTraceTransparency(t *testing.T, level CompressionLevel) {
 	tracedSub, tracedEvs, tracedTel := run(rec)
 
 	// Traced and untraced epochs take the same path, so everything the
-	// registry counts — ingest readings and batch bytes included — must
+	// registry counts — readings and batch bytes included — must
 	// agree; only measured durations may differ.
 	if !reflect.DeepEqual(plainTel, tracedTel) {
 		t.Fatalf("telemetry differs with a recorder attached:\n plain  %+v\n traced %+v", plainTel, tracedTel)
 	}
 	for _, m := range tracedTel {
-		if m.Name == "spire_ingest_readings_total" && m.Value != float64(plainSub.Stats().Readings) {
-			t.Fatalf("traced run exported spire_ingest_readings_total = %v, want %d", m.Value, plainSub.Stats().Readings)
+		if m.Name == "spire_readings_total" && m.Value != float64(plainSub.Stats().Readings) {
+			t.Fatalf("traced run exported spire_readings_total = %v, want %d", m.Value, plainSub.Stats().Readings)
 		}
 	}
 
@@ -66,16 +66,7 @@ func testTraceTransparency(t *testing.T, level CompressionLevel) {
 	}
 	compareStores(t, feedStore(t, tracedEvs), feedStore(t, plainEvs), "traced run")
 
-	zeroWallClock(plainSub)
-	zeroWallClock(tracedSub)
-	var plainSnap, tracedSnap bytes.Buffer
-	if err := plainSub.Snapshot(&plainSnap); err != nil {
-		t.Fatal(err)
-	}
-	if err := tracedSub.Snapshot(&tracedSnap); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(plainSnap.Bytes(), tracedSnap.Bytes()) {
+	if !bytes.Equal(snapshotBytes(t, plainSub), snapshotBytes(t, tracedSub)) {
 		t.Fatal("traced checkpoint differs from untraced checkpoint")
 	}
 

@@ -19,15 +19,6 @@ import (
 // map iteration, consuming randomness, mutating state to measure it)
 // breaks them.
 
-// zeroWallClock clears the accumulated wall-clock counters before a
-// snapshot comparison. They are the one legitimately nondeterministic
-// piece of persisted state — two runs never measure identical durations —
-// and they influence nothing downstream.
-func zeroWallClock(sub *Substrate) {
-	sub.stats.UpdateTime = 0
-	sub.stats.InferenceTime = 0
-}
-
 func testInstrumentationTransparency(t *testing.T, level CompressionLevel) {
 	trace, s := buildTrace(t, 150)
 	end := trace[len(trace)-1].Time + 1
@@ -64,19 +55,9 @@ func testInstrumentationTransparency(t *testing.T, level CompressionLevel) {
 	// The query stores built from both streams must answer identically.
 	compareStores(t, feedStore(t, instEvs), feedStore(t, plainEvs), "instrumented run")
 
-	// The checkpoints must be byte-identical once the wall-clock stat
-	// counters — nondeterministic across any two runs, instrumented or
-	// not — are taken out of the picture.
-	zeroWallClock(plainSub)
-	zeroWallClock(instSub)
-	var plainSnap, instSnap bytes.Buffer
-	if err := plainSub.Snapshot(&plainSnap); err != nil {
-		t.Fatal(err)
-	}
-	if err := instSub.Snapshot(&instSnap); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(plainSnap.Bytes(), instSnap.Bytes()) {
+	// The checkpoints must be byte-identical.
+	plainSnap := snapshotBytes(t, plainSub)
+	if !bytes.Equal(plainSnap, snapshotBytes(t, instSub)) {
 		t.Fatal("instrumented checkpoint differs from uninstrumented checkpoint")
 	}
 
@@ -90,7 +71,7 @@ func testInstrumentationTransparency(t *testing.T, level CompressionLevel) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(fileBytes, plainSnap.Bytes()) {
+	if !bytes.Equal(fileBytes, plainSnap) {
 		t.Fatal("instrumented SnapshotToFile bytes differ from plain Snapshot")
 	}
 

@@ -47,7 +47,7 @@ func AblationPartialInference(o Options) (*Table, error) {
 		t.AddRow(label,
 			out.Acc.LocationErrorRate(),
 			out.Acc.ContainmentErrorRate(),
-			out.Stats.InferenceTime.Seconds()/float64(out.Stats.Epochs))
+			out.InferTime/float64(out.Stats.Epochs))
 	}
 	t.Notes = append(t.Notes,
 		"design claim (§IV-D): forcing complete inference every epoch both costs more and floods the result with",

@@ -11,6 +11,7 @@ import (
 	"spire/internal/sim"
 	"spire/internal/smurf"
 	"spire/internal/stream"
+	"spire/internal/telemetry"
 )
 
 // runConfig describes one simulated trace fed through the substrate.
@@ -28,6 +29,7 @@ type runConfig struct {
 type runOutput struct {
 	Acc         metrics.Accuracy
 	Stats       core.Stats
+	InferTime   float64 // seconds in inference and conflict resolution
 	Events      []event.Event
 	TruthEvents []event.Event
 	Thefts      map[model.Tag]model.Epoch
@@ -81,6 +83,7 @@ func runWith(rc runConfig, mapReaders func([]model.Reader) []model.Reader) (*run
 	if err != nil {
 		return nil, err
 	}
+	tel := sub.Instrument(telemetry.NewRegistry())
 	out := &runOutput{Thefts: make(map[model.Tag]model.Epoch)}
 	truthComp := compress.NewLevel1(levelOf)
 	entry := s.EntryLocation()
@@ -123,6 +126,7 @@ func runWith(rc runConfig, mapReaders func([]model.Reader) []model.Reader) (*run
 		out.Thefts[th.Case] = th.At
 	}
 	out.Stats = sub.Stats()
+	out.InferTime = tel.StageInfer.Sum() + tel.StageConflict.Sum()
 	out.FinalEpoch = s.Now()
 	return out, nil
 }

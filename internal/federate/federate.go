@@ -73,11 +73,17 @@ type entry = event.Entry[objState]
 // zone's batch for an epoch is in, call EndEpoch to flush deferred
 // Missing messages; within an epoch, feed zones in any fixed order. It
 // is not safe for concurrent use.
+//
+// A batch rejected part-way has already applied its earlier events, so
+// errors are sticky: once Ingest or MergeEpoch fails, every later Ingest
+// and MergeEpoch returns that same error, and EndEpoch and Close emit
+// nothing.
 type Merger struct {
 	states   *event.Intervals[objState]
 	lastTime model.Epoch
 	out      []event.Event
 	pending  []event.Event // Missing messages staged until the epoch barrier
+	err      error         // the first ingest failure; see the type comment
 
 	// claims records each object's last asserted location in the current
 	// epoch — set by forwarded location events, including an End whose
@@ -125,6 +131,9 @@ func (m *Merger) Ingest(zone ZoneID, events []event.Event) ([]event.Event, error
 // emitted, in order. The result is exactly what Ingest per zone followed
 // by EndEpoch or Close would return, errors included.
 func (m *Merger) MergeEpoch(epoch model.Epoch, batches [][]event.Event, final bool) ([]event.Event, error) {
+	if m.err != nil {
+		return nil, m.err
+	}
 	m.out = m.out[:0]
 	for z, b := range batches {
 		if err := m.ingest(ZoneID(z), b); err != nil {
@@ -138,8 +147,16 @@ func (m *Merger) MergeEpoch(epoch model.Epoch, batches [][]event.Event, final bo
 	return append([]event.Event(nil), m.out...), nil
 }
 
-// ingest applies one zone's batch, appending to m.out.
+// ingest applies one zone's batch, appending to m.out, and latches the
+// first error.
 func (m *Merger) ingest(zone ZoneID, events []event.Event) error {
+	if m.err == nil {
+		m.err = m.applyBatch(zone, events)
+	}
+	return m.err
+}
+
+func (m *Merger) applyBatch(zone ZoneID, events []event.Event) error {
 	for _, e := range events {
 		if err := e.Validate(); err != nil {
 			return fmt.Errorf("federate: zone %d: %w", zone, err)
@@ -171,6 +188,9 @@ func (m *Merger) ingest(zone ZoneID, events []event.Event) error {
 // object that no zone re-opened this epoch, and discarding alarms for
 // objects another zone picked up.
 func (m *Merger) EndEpoch() []event.Event {
+	if m.err != nil {
+		return nil
+	}
 	m.out = m.out[:0]
 	m.barrier()
 	return append([]event.Event(nil), m.out...)
@@ -347,6 +367,9 @@ func (m *Merger) emit(e event.Event) { m.out = append(m.out, e) }
 // Close resolves any deferred alarms and ends every open merged interval
 // at epoch now.
 func (m *Merger) Close(now model.Epoch) []event.Event {
+	if m.err != nil {
+		return nil
+	}
 	m.out = m.out[:0]
 	m.barrier()
 	m.closeOpen(now)

@@ -328,9 +328,45 @@ func TestMergerRejectsBadInput(t *testing.T) {
 	if _, err := m.Ingest(0, []event.Event{{Kind: event.StartLocation}}); err == nil {
 		t.Error("invalid event must be rejected")
 	}
+	m = NewMerger() // the first error is sticky
 	ingest(t, m, 0, event.NewStartLocation(obj, locA, 100))
 	if _, err := m.Ingest(0, []event.Event{event.NewStartLocation(caseT, locA, 50)}); err == nil {
 		t.Error("time regression must be rejected")
+	}
+}
+
+// TestMergerErrorIsSticky: a batch rejected mid-way has already applied
+// its first events, so the merger refuses everything after it with the
+// same error and emits nothing at the barrier or on Close.
+func TestMergerErrorIsSticky(t *testing.T) {
+	for _, viaMergeEpoch := range []bool{false, true} {
+		m := NewMerger()
+		bad := []event.Event{
+			event.NewStartLocation(obj, locA, 1),
+			{Kind: event.StartLocation},
+			event.NewStartLocation(caseT, locA, 1),
+		}
+		next := []event.Event{event.NewStartLocation(caseT, locB, 2)}
+		var first, second error
+		if viaMergeEpoch {
+			_, first = m.MergeEpoch(1, [][]event.Event{bad}, false)
+			_, second = m.MergeEpoch(2, [][]event.Event{next}, false)
+		} else {
+			_, first = m.Ingest(0, bad)
+			_, second = m.Ingest(0, next)
+		}
+		if first == nil || second != first {
+			t.Fatalf("MergeEpoch %v: first error %v, then %v; want the same error twice", viaMergeEpoch, first, second)
+		}
+		if _, err := m.Ingest(1, nil); err != first {
+			t.Errorf("MergeEpoch %v: empty Ingest after failure returned %v", viaMergeEpoch, err)
+		}
+		if out := m.EndEpoch(); len(out) != 0 {
+			t.Errorf("MergeEpoch %v: EndEpoch after failure emitted %v", viaMergeEpoch, out)
+		}
+		if out := m.Close(9); len(out) != 0 {
+			t.Errorf("MergeEpoch %v: Close after failure emitted %v", viaMergeEpoch, out)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package federate_test
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"log/slog"
@@ -178,36 +177,6 @@ func runObservedCluster(t *testing.T, cfg sim.Config, lvl core.CompressionLevel,
 	return oc
 }
 
-// canonCheckpoint zeroes the only run-varying fields of a substrate
-// checkpoint: the substrate's own wall-clock stats (UpdateTime and
-// InferenceTime, the two varints after lastNow/Epochs/Readings in the
-// SUBS section), and drops the header whose length and CRC they feed.
-// Those vary between ANY two runs — they are the substrate timing itself,
-// not something the observability plane adds — so checkpoint
-// transparency is pinned on everything else: config, epoch, graph,
-// dedup, compressor state.
-func canonCheckpoint(t *testing.T, data []byte) []byte {
-	t.Helper()
-	const headerSize = 24
-	i := bytes.Index(data, []byte("SUBS"))
-	if i < headerSize {
-		t.Fatal("checkpoint has no SUBS section")
-	}
-	var ends [5]int // end offset of each leading SUBS varint
-	off := i + 4
-	for k := range ends {
-		_, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			t.Fatal("checkpoint SUBS section has no stage times")
-		}
-		off += n
-		ends[k] = off
-	}
-	out := slices.Clone(data[headerSize:ends[2]])
-	out = append(out, 0, 0)
-	return append(out, data[ends[4]:]...)
-}
-
 // TestInstrumentedClusterMatchesPlain extends the instrumentation
 // transparency suite to the networked cluster: with telemetry, the
 // connection flight recorder, structured logging, and concurrent status
@@ -228,8 +197,7 @@ func TestInstrumentedClusterMatchesPlain(t *testing.T) {
 				t.Fatalf("streams differ only in order: %d events", len(inst.events))
 			}
 			for z := 0; z < nz; z++ {
-				want := canonCheckpoint(t, plain.checkpoints[z])
-				got := canonCheckpoint(t, inst.checkpoints[z])
+				want, got := plain.checkpoints[z], inst.checkpoints[z]
 				if !bytes.Equal(want, got) {
 					t.Errorf("zone %d: instrumented checkpoint differs (%d vs %d bytes)",
 						z, len(got), len(want))

@@ -12,7 +12,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -120,8 +119,8 @@ func run() error {
 }
 
 // buildSnapshot runs a small deterministic simulation through the
-// substrate and snapshots the resulting state, with the wall-clock stage
-// times zeroed so every run writes the same seed bytes.
+// substrate and snapshots the resulting state. A snapshot depends on the
+// input alone, so every run writes the same seed bytes.
 func buildSnapshot() ([]byte, error) {
 	cfg := sim.DefaultConfig()
 	cfg.Duration = 60
@@ -155,63 +154,5 @@ func buildSnapshot() ([]byte, error) {
 	if err := sub.Snapshot(&buf); err != nil {
 		return nil, err
 	}
-	snap, err := zeroStageTimes(buf.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	// The patch must have hit exactly the two stage times.
-	restored, err := core.RestoreSubstrate(bytes.NewReader(snap))
-	if err != nil {
-		return nil, fmt.Errorf("zeroed snapshot does not restore: %w", err)
-	}
-	want := sub.Stats()
-	want.UpdateTime, want.InferenceTime = 0, 0
-	if got := restored.Stats(); got != want {
-		return nil, fmt.Errorf("zeroed snapshot restores stats %+v, want %+v", got, want)
-	}
-	return snap, nil
-}
-
-// zeroStageTimes re-frames a substrate snapshot with its UpdateTime and
-// InferenceTime fields set to zero. They are the fourth and fifth varints
-// after the "SUBS" section tag (last epoch, epochs and readings come
-// first); the checkpoint codec copies the body byte by byte and writes a
-// fresh header and checksum.
-func zeroStageTimes(snap []byte) ([]byte, error) {
-	d, err := checkpoint.NewDecoder(bytes.NewReader(snap))
-	if err != nil {
-		return nil, err
-	}
-	body := make([]byte, d.Remaining())
-	for i := range body {
-		body[i] = d.Uint8()
-	}
-	at := bytes.Index(body, []byte("SUBS"))
-	if at < 0 {
-		return nil, fmt.Errorf("snapshot has no SUBS section")
-	}
-	var ends [5]int // end offset of each leading SUBS varint
-	off := at + 4
-	for i := range ends {
-		_, n := binary.Uvarint(body[off:])
-		if n <= 0 {
-			return nil, fmt.Errorf("snapshot SUBS section has no stage times")
-		}
-		off += n
-		ends[i] = off
-	}
-	e := checkpoint.NewEncoder()
-	for _, b := range body[:ends[2]] {
-		e.Uint8(b)
-	}
-	e.Varint(0)
-	e.Varint(0)
-	for _, b := range body[ends[4]:] {
-		e.Uint8(b)
-	}
-	var out bytes.Buffer
-	if err := e.Flush(&out); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
+	return buf.Bytes(), nil
 }
