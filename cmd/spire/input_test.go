@@ -18,8 +18,9 @@ import (
 // TestInputEdgeCases pins how spire -input treats a hand-built raw
 // stream: epoch-0 readings are preamble and skipped; readers interleaved
 // within an epoch are regrouped ascending, each keeping its arrival
-// order; an epoch stamped before its predecessor fails the run; and a
-// torn final record fails the run without processing the epoch it was
+// order; an epoch stamped before its predecessor fails the run, and so
+// does an epoch repeated after a later one (the feed owns input order,
+// so neither reaches the substrate); and a torn final record fails the run without processing the epoch it was
 // read in, while every earlier epoch is still delivered.
 func TestInputEdgeCases(t *testing.T) {
 	s, err := sim.New(sim.DefaultConfig())
@@ -52,6 +53,7 @@ func TestInputEdgeCases(t *testing.T) {
 		rd(5, r1, 13),
 	)
 	disordered := encode(rd(3, r1, 10), rd(5, r1, 11), rd(4, r1, 12), rd(6, r1, 13))
+	repeated := encode(rd(3, r1, 10), rd(5, r1, 11), rd(3, r1, 12), rd(6, r1, 13))
 	full := encode(rd(3, r1, 10), rd(5, r1, 11), rd(5, r2, 12), rd(5, r1, 14))
 	torn := full[:len(full)-stream.ReadingSize/2]
 
@@ -72,6 +74,7 @@ func TestInputEdgeCases(t *testing.T) {
 	}{
 		{"clean", clean, []*model.Batch{want3, want5}, ""},
 		{"disordered", disordered, []*model.Batch{only3}, "not ordered by epoch (4 after 5)"},
+		{"repeated", repeated, []*model.Batch{only3}, "not ordered by epoch (3 after 5)"},
 		{"torn", torn, []*model.Batch{only3}, "corrupt raw reading stream"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -18,9 +18,9 @@
 //	spire -simulate -checkpoint state.ckpt -o events.bin
 //	spire -simulate -restore state.ckpt -checkpoint state.ckpt -o more-events.bin
 //
-// -ingest-policy selects how malformed input ordering is handled: strict
-// (fail the run), reject (drop stale/duplicate epochs), or repair
-// (reorder and merge within a window).
+// Input order: the feed delivers epochs in order. A raw stream whose
+// epoch stamps decrease fails the run when the regression is read, and
+// the substrate rejects any epoch that does not advance.
 //
 // Telemetry: -metrics-addr serves GET /metrics (Prometheus text format)
 // with per-stage latency histograms, graph gauges, and compressor
@@ -38,7 +38,7 @@
 // the run continues; SIGINT/SIGTERM shut down gracefully, flushing the
 // output sink, a final checkpoint, and the telemetry/trace dumps. Like
 // telemetry, tracing is observation-only. -log-level sets the structured
-// log level, optionally per component ("warn,ingest=debug").
+// log level, optionally per component ("warn,cep=debug").
 package main
 
 import (
@@ -90,7 +90,6 @@ func run() error {
 		ckptPath  = flag.String("checkpoint", "", "write atomic pipeline snapshots to this file")
 		ckptEvery = flag.Int("checkpoint-every", 60, "epochs between checkpoints (with -checkpoint)")
 		restore   = flag.String("restore", "", "resume from a snapshot file written by -checkpoint")
-		policy    = flag.String("ingest-policy", "strict", "malformed-input policy: strict, reject, or repair")
 
 		traceTags = flag.String("trace-tags", "", "record per-tag decision provenance: 'all' or comma-separated decimal tags")
 	)
@@ -106,10 +105,6 @@ func run() error {
 	logMain := logging.Component("spire")
 	if *input == "" && !*simulate {
 		*simulate = true
-	}
-	ingestPolicy, ok := core.ParseIngestPolicy(*policy)
-	if !ok {
-		return fmt.Errorf("unknown ingest policy %q (want strict, reject, or repair)", *policy)
 	}
 
 	s, err := sim.New(simCfg)
@@ -193,7 +188,6 @@ func run() error {
 	runner := core.NewRunner(sub, core.RunnerConfig{
 		CheckpointPath:  *ckptPath,
 		CheckpointEvery: *ckptEvery,
-		Ingest:          core.IngestConfig{Policy: ingestPolicy},
 	})
 
 	// Feed batches to the runner, skipping epochs a restored snapshot
@@ -262,13 +256,6 @@ func run() error {
 				"id", sst.ID, "pattern", sst.Pattern,
 				"matches", sst.Matches, "dropped", sst.Dropped, "evicted", sst.Evicted)
 		}
-	}
-	if ingestPolicy != core.IngestStrict {
-		ist := runner.IngestStats()
-		logging.Component("ingest").Info("ingest summary",
-			"policy", ingestPolicy.String(),
-			"accepted", ist.Accepted, "stale", ist.Stale,
-			"merged", ist.Merged, "reordered", ist.Reordered)
 	}
 	return obs.Dump(reg, rec, logMain)
 }

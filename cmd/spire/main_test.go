@@ -306,14 +306,15 @@ func readEvents(t *testing.T, path string) []event.Event {
 }
 
 // TestRemovedFlagsRejected pins that the flags deleted with the ingest
-// and inference worker pools, the observation zone feed, the sharded
-// coordinator merge, the bench timing threshold and spiresim's no-op
-// tracing and subscription flags are unknown to the flag package — not
-// silently accepted.
+// and inference worker pools, the ingest gate, the observation zone feed,
+// the sharded coordinator merge, the bench timing threshold and
+// spiresim's no-op tracing and subscription flags are unknown to the flag
+// package — not silently accepted.
 func TestRemovedFlagsRejected(t *testing.T) {
 	for _, tc := range []struct{ bin, flag, value string }{
 		{"spire", "-ingest-workers", "1"},
 		{"spire", "-infer-workers", "2"},
+		{"spire", "-ingest-policy", "repair"},
 		{"spiresim", "-ingest-workers", "1"},
 		{"spiresim", "-infer-workers", "1"},
 		{"spiresim", "-trace-tags", "all"},

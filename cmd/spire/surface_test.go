@@ -17,7 +17,7 @@ import (
 // printed default ("" when -h prints none). spirebench's -j defaults to
 // the host's CPU count, written here as "NumCPU".
 var parentSurface = map[string]map[string]string{
-	"spire":           {"adaptive-beta": "", "beta": "0.4", "checkpoint": "", "checkpoint-every": "60", "duration": "10800", "gamma": "0.4", "ingest-policy": `"strict"`, "input": "", "level": "1", "log-level": "", "metrics-addr": "", "o": "", "pprof": "", "prune": "", "read-rate": "0.85", "restore": "", "seed": "1", "shelf-period": "60", "simulate": "", "subscribe": "", "telemetry-dump": "", "theft-interval": "", "theta": "1.25", "trace-dump": "", "trace-epochs": "", "trace-tags": ""},
+	"spire":           {"adaptive-beta": "", "beta": "0.4", "checkpoint": "", "checkpoint-every": "60", "duration": "10800", "gamma": "0.4", "input": "", "level": "1", "log-level": "", "metrics-addr": "", "o": "", "pprof": "", "prune": "", "read-rate": "0.85", "restore": "", "seed": "1", "shelf-period": "60", "simulate": "", "subscribe": "", "telemetry-dump": "", "theft-interval": "", "theta": "1.25", "trace-dump": "", "trace-epochs": "", "trace-tags": ""},
 	"spirebench":      {"expt": `"all"`, "j": "NumCPU", "json": "", "list": "", "quick": ""},
 	"spirebenchdiff":  {"baseline": `"BENCH_pr34.json"`, "current": ""},
 	"spiredecompress": {"close": "-1", "i": "", "o": "stdout", "validate": "true"},

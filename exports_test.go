@@ -104,16 +104,19 @@ func TestExportsHaveCallers(t *testing.T) {
 			if decl.Recv != nil {
 				key = strings.TrimPrefix(f.dir, module+"/internal/") + "." + recvName(decl.Recv) + "." + decl.Name.Name
 			}
+			called := slices.ContainsFunc(uses[fn], func(p token.Pos) bool {
+				return p < decl.Pos() || p >= decl.End()
+			})
 			if _, ok := allowed[key]; ok {
 				delete(allowed, key)
+				if called {
+					t.Errorf("testdata/exports_allowlist.txt lists %s, which has a caller in non-test code: remove the line", key)
+				}
 				continue
 			}
 			if decl.Recv != nil && satisfies(fn) {
 				continue
 			}
-			called := slices.ContainsFunc(uses[fn], func(p token.Pos) bool {
-				return p < decl.Pos() || p >= decl.End()
-			})
 			if !called {
 				missing = append(missing, key)
 			}

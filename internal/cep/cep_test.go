@@ -309,7 +309,7 @@ func TestUnsubscribe(t *testing.T) {
 	if len(*ms) != 0 {
 		t.Fatalf("match after unsubscribe: %+v", *ms)
 	}
-	if st := e.EngineStats(); st.Subs != 0 || st.Runs != 0 {
+	if st := e.engineStats(); st.Subs != 0 || st.Runs != 0 {
 		t.Fatalf("state after unsubscribe: %+v", st)
 	}
 	if _, _, ok := e.Matches(id); ok {

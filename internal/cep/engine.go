@@ -420,8 +420,8 @@ type Stats struct {
 	Queued     int // deadline FIFO entries, dead runs not yet popped included
 }
 
-// EngineStats returns engine-wide state sizes.
-func (e *Engine) EngineStats() Stats {
+// engineStats returns engine-wide state sizes.
+func (e *Engine) engineStats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := Stats{Subs: e.live, Runs: e.nrun}

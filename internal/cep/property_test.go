@@ -123,7 +123,7 @@ func TestPropertyBoundedChurn(t *testing.T) {
 				return
 			default:
 			}
-			st := e.EngineStats()
+			st := e.engineStats()
 			if st.Runs < 0 || st.Queued < 0 {
 				panic("negative stats")
 			}
@@ -166,7 +166,7 @@ func TestPropertyBoundedChurn(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	st := e.EngineStats()
+	st := e.engineStats()
 	if st.Subs != live {
 		t.Fatalf("want %d live subscriptions after churn, got %d", live, st.Subs)
 	}

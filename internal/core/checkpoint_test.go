@@ -245,8 +245,9 @@ func TestOldSnapshotVersionsRejected(t *testing.T) {
 
 // TestRunnerCheckpointResume drives the runner end to end: checkpoint
 // every N epochs, cancel mid-run right after a checkpoint boundary (the
-// "kill"), restore from the file, and resume with the full input replayed
-// under the reject policy. The concatenated output must be byte-identical
+// "kill"), restore from the file, and resume with the input replayed
+// from its beginning, skipping the epochs the snapshot already processed
+// as spire's feeder does. The concatenated output must be byte-identical
 // to an uninterrupted runner pass.
 func TestRunnerCheckpointResume(t *testing.T) {
 	trace, s := buildTrace(t, 120)
@@ -254,32 +255,7 @@ func TestRunnerCheckpointResume(t *testing.T) {
 	const killAfter = 60 // multiple of CheckpointEvery below
 
 	// Uninterrupted reference pass.
-	var want []event.Event
-	runAll := func(r *Runner, obs []*model.Batch) []event.Event {
-		t.Helper()
-		in := make(chan *model.Batch)
-		out := make(chan *EpochOutput, 1)
-		errc := make(chan error, 1)
-		go func() { errc <- r.Run(context.Background(), in, out) }()
-		var evs []event.Event
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for po := range out {
-				evs = append(evs, po.Events...)
-			}
-		}()
-		for _, o := range obs {
-			in <- o.Clone()
-		}
-		close(in)
-		if err := <-errc; err != nil {
-			t.Fatal(err)
-		}
-		<-done
-		return evs
-	}
-	want = runAll(NewRunner(newSubstrate(t, s, Level1), RunnerConfig{}), trace)
+	want := runDelivery(t, newSubstrate(t, s, Level1), RunnerConfig{}, trace)
 
 	// Killed pass: process the first killAfter epochs, then cancel.
 	sub := newSubstrate(t, s, Level1)
@@ -300,8 +276,8 @@ func TestRunnerCheckpointResume(t *testing.T) {
 		t.Fatalf("killed run: %v", err)
 	}
 
-	// Resume from the checkpoint with the whole input replayed: the gate
-	// must drop the already-processed epochs.
+	// Resume from the checkpoint with the input replayed past the
+	// already-processed epochs.
 	rsub, err := RestoreSubstrateFromFile(ckpt)
 	if err != nil {
 		t.Fatal(err)
@@ -309,15 +285,16 @@ func TestRunnerCheckpointResume(t *testing.T) {
 	if rsub.LastEpoch() != trace[killAfter-1].Time {
 		t.Fatalf("checkpoint at epoch %d, want %d", rsub.LastEpoch(), trace[killAfter-1].Time)
 	}
-	resumed := NewRunner(rsub, RunnerConfig{
-		CheckpointPath:  ckpt,
-		CheckpointEvery: 10,
-		Ingest:          IngestConfig{Policy: IngestReject},
-	})
-	got = append(got, runAll(resumed, trace)...)
-	if resumed.IngestStats().Stale != killAfter {
-		t.Errorf("gate dropped %d stale epochs, want %d", resumed.IngestStats().Stale, killAfter)
+	var rest []*model.Batch
+	for _, o := range trace {
+		if o.Time > rsub.LastEpoch() {
+			rest = append(rest, o)
+		}
 	}
+	if len(rest) != len(trace)-killAfter {
+		t.Fatalf("skipped %d epochs, want %d", len(trace)-len(rest), killAfter)
+	}
+	got = append(got, runDelivery(t, rsub, RunnerConfig{CheckpointPath: ckpt, CheckpointEvery: 10}, rest)...)
 
 	if !bytes.Equal(encodeEvents(t, got), encodeEvents(t, want)) {
 		t.Fatalf("resumed stream not byte-identical: %d vs %d events", len(got), len(want))

@@ -36,7 +36,7 @@ func TestExplainParityGolden(t *testing.T) {
 			rec := trace.New(trace.Config{All: true})
 			sub := newSubstrate(t, s, sc.level)
 			sub.Trace(rec)
-			runGated(t, sub, RunnerConfig{Ingest: sc.ingest}, delivery)
+			runDelivery(t, sub, RunnerConfig{}, delivery)
 
 			var got bytes.Buffer
 			enc := json.NewEncoder(&got)

@@ -10,13 +10,12 @@ import (
 )
 
 // FuzzFaultedDeliveryRestore drives fault-injected delivery sequences
-// (dropout bursts, duplicates, swaps, lost epochs) through the repairing
-// ingest gate into a level-2 substrate, kills it after a fuzzed epoch,
-// restores it from its snapshot and replays the remaining epochs. The
-// combined event stream must be well formed and byte-identical to the
-// uninterrupted run's, and so must the final snapshots. The faults come
-// from the fuzzed parameters, so the fuzzer explores the space of broken
-// reader feeds.
+// (reader dropout bursts and lost epochs) into a level-2 substrate, kills
+// it after a fuzzed epoch, restores it from its snapshot and replays the
+// remaining epochs. The combined event stream must be well formed and
+// byte-identical to the uninterrupted run's, and so must the final
+// snapshots. The faults come from the fuzzed parameters, so the fuzzer
+// explores the space of lossy reader feeds.
 func FuzzFaultedDeliveryRestore(f *testing.F) {
 	cfg := sim.DefaultConfig()
 	cfg.Duration = 80
@@ -37,41 +36,30 @@ func FuzzFaultedDeliveryRestore(f *testing.F) {
 		trace = append(trace, o)
 	}
 
-	f.Add(int64(1), byte(0), byte(0), byte(0), byte(0), byte(0), uint16(0))
-	f.Add(int64(2), byte(30), byte(30), byte(10), byte(10), byte(3), uint16(20))
-	f.Add(int64(3), byte(60), byte(0), byte(25), byte(7), byte(2), uint16(41))
-	f.Add(int64(4), byte(0), byte(60), byte(0), byte(15), byte(5), uint16(79))
-	f.Fuzz(func(t *testing.T, seed int64, dup, swap, drop, burstEvery, burstLen byte, kill uint16) {
+	f.Add(int64(1), byte(0), byte(0), byte(0), uint16(0))
+	f.Add(int64(2), byte(10), byte(10), byte(3), uint16(20))
+	f.Add(int64(3), byte(25), byte(7), byte(2), uint16(41))
+	f.Add(int64(4), byte(0), byte(15), byte(5), uint16(79))
+	f.Fuzz(func(t *testing.T, seed int64, drop, burstEvery, burstLen byte, kill uint16) {
 		fcfg := sim.FaultConfig{
 			Seed:          seed,
-			DuplicateRate: float64(dup%64) / 100,
-			SwapRate:      float64(swap%64) / 100,
 			DropEpochRate: float64(drop%32) / 100,
 			DropoutEvery:  model.Epoch(burstEvery % 20),
 			DropoutLen:    model.Epoch(burstLen % 5),
 		}
 		delivery := sim.NewFaultInjector(fcfg).Apply(trace)
-		ingest := IngestConfig{Policy: IngestRepair}
-
-		ref := newSubstrate(t, s, Level2)
-		refEvents, _ := runGated(t, ref, RunnerConfig{Ingest: ingest}, delivery)
-		refSnap := snapshotBytes(t, ref)
-
-		// The epochs the gate hands the substrate, in processing order.
-		gate := newIngestGate(ingest, model.EpochNone)
-		var gated []*model.Batch
-		for _, o := range delivery {
-			gated = append(gated, gate.Offer(o.Clone())...)
-		}
-		gated = append(gated, gate.Drain()...)
-		if len(gated) == 0 {
+		if len(delivery) == 0 {
 			return
 		}
-		k := int(kill) % len(gated)
 
+		ref := newSubstrate(t, s, Level2)
+		refEvents := runDelivery(t, ref, RunnerConfig{}, delivery)
+		refSnap := snapshotBytes(t, ref)
+
+		k := int(kill) % len(delivery)
 		sub := newSubstrate(t, s, Level2)
 		var stream []event.Event
-		for _, o := range gated[:k+1] {
+		for _, o := range delivery[:k+1] {
 			out, err := sub.ProcessBatch(o)
 			if err != nil {
 				t.Fatal(err)
@@ -84,9 +72,9 @@ func FuzzFaultedDeliveryRestore(f *testing.F) {
 		}
 		rsub, err := RestoreSubstrate(&snap)
 		if err != nil {
-			t.Fatalf("kill after epoch %d: restore: %v", gated[k].Time, err)
+			t.Fatalf("kill after epoch %d: restore: %v", delivery[k].Time, err)
 		}
-		for _, o := range gated[k+1:] {
+		for _, o := range delivery[k+1:] {
 			out, err := rsub.ProcessBatch(o)
 			if err != nil {
 				t.Fatal(err)
@@ -96,14 +84,14 @@ func FuzzFaultedDeliveryRestore(f *testing.F) {
 		stream = append(stream, rsub.Close(rsub.LastEpoch()+1)...)
 
 		if err := event.CheckWellFormed(stream, false); err != nil {
-			t.Fatalf("kill after epoch %d: %v", gated[k].Time, err)
+			t.Fatalf("kill after epoch %d: %v", delivery[k].Time, err)
 		}
 		if !bytes.Equal(encodeEvents(t, stream), encodeEvents(t, refEvents)) {
 			t.Fatalf("kill after epoch %d: restored stream differs from the uninterrupted run (%d vs %d events)",
-				gated[k].Time, len(stream), len(refEvents))
+				delivery[k].Time, len(stream), len(refEvents))
 		}
 		if !bytes.Equal(snapshotBytes(t, rsub), refSnap) {
-			t.Fatalf("kill after epoch %d: final snapshot differs from the uninterrupted run", gated[k].Time)
+			t.Fatalf("kill after epoch %d: final snapshot differs from the uninterrupted run", delivery[k].Time)
 		}
 	})
 }

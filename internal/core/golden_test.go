@@ -15,11 +15,10 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden digests under testdata/golden")
 
-// The golden corpus pins the exact output of three deterministic
+// The golden corpus pins the exact output of two deterministic
 // end-to-end scenarios as SHA-256 digests of the binary event stream.
-// Any change to dedup, inference, conflict resolution, compression, or
-// the ingest gate that alters even one emitted event flips a digest and
-// fails here — the broadest regression tripwire in the repo. Intentional
+// Any change to dedup, inference, conflict resolution, or compression
+// that alters even one emitted event flips a digest and fails here — the broadest regression tripwire in the repo. Intentional
 // output changes regenerate the digests with:
 //
 //	go test ./internal/core -run TestGolden -update
@@ -27,9 +26,8 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden digests under 
 // and the diff of testdata/golden/ then documents that the output
 // changed on purpose.
 type goldenScenario struct {
-	name   string
-	level  CompressionLevel
-	ingest IngestConfig
+	name  string
+	level CompressionLevel
 	// faults perturbs the clean trace into the delivered sequence; nil
 	// delivers the trace as-is.
 	faults *sim.FaultConfig
@@ -41,29 +39,15 @@ var goldenScenarios = []goldenScenario{
 		level: Level2,
 	},
 	{
-		// Duplicated and late deliveries plus whole lost epochs under the
-		// reject policy: stale arrivals are dropped, gaps stay gaps.
-		name:   "faulted-reject",
-		level:  Level1,
-		ingest: IngestConfig{Policy: IngestReject},
+		// Reader dropout bursts plus whole lost epochs, delivered as they
+		// are: silenced readers leave holes, lost epochs stay gaps.
+		name:  "faulted",
+		level: Level1,
 		faults: &sim.FaultConfig{
 			Seed:          21,
 			DropoutEvery:  50,
 			DropoutLen:    4,
-			DuplicateRate: 0.1,
 			DropEpochRate: 0.05,
-		},
-	},
-	{
-		// Duplicates and adjacent swaps under the repair policy: the gate
-		// reorders and merges them back into the clean sequence.
-		name:   "faulted-repair",
-		level:  Level2,
-		ingest: IngestConfig{Policy: IngestRepair},
-		faults: &sim.FaultConfig{
-			Seed:          22,
-			DuplicateRate: 0.12,
-			SwapRate:      0.12,
 		},
 	},
 }
@@ -76,8 +60,7 @@ func TestGoldenScenarios(t *testing.T) {
 			if sc.faults != nil {
 				delivery = sim.NewFaultInjector(*sc.faults).Apply(trace)
 			}
-			evs, _ := runGated(t, newSubstrate(t, s, sc.level),
-				RunnerConfig{Ingest: sc.ingest}, delivery)
+			evs := runDelivery(t, newSubstrate(t, s, sc.level), RunnerConfig{}, delivery)
 			if len(evs) == 0 {
 				t.Fatal("scenario produced no events")
 			}
@@ -150,7 +133,7 @@ func TestGoldenTraceIsDeterministic(t *testing.T) {
 func TestGoldenSnapshot(t *testing.T) {
 	trace, s := buildTrace(t, 200)
 	sub := newSubstrate(t, s, goldenScenarios[0].level)
-	runGated(t, sub, RunnerConfig{}, trace)
+	runDelivery(t, sub, RunnerConfig{}, trace)
 	sum := sha256.Sum256(snapshotBytes(t, sub))
 	got := hex.EncodeToString(sum[:])
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,6 +11,34 @@ import (
 	"spire/internal/model"
 	"spire/internal/sim"
 )
+
+// runDelivery feeds a delivery sequence through a configured runner and
+// returns the full output stream (including the closing events).
+func runDelivery(t *testing.T, sub *Substrate, cfg RunnerConfig, delivery []*model.Batch) []event.Event {
+	t.Helper()
+	r := NewRunner(sub, cfg)
+	in := make(chan *model.Batch)
+	out := make(chan *EpochOutput, 1)
+	errc := make(chan error, 1)
+	go func() { errc <- r.Run(context.Background(), in, out) }()
+	var evs []event.Event
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for po := range out {
+			evs = append(evs, po.Events...)
+		}
+	}()
+	for _, o := range delivery {
+		in <- o.Clone()
+	}
+	close(in)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	return evs
+}
 
 func TestRunnerProcessesStream(t *testing.T) {
 	s := fastSim(t, func(c *sim.Config) { c.Duration = 120 })
@@ -97,5 +127,28 @@ func TestRunnerPropagatesProcessingError(t *testing.T) {
 	}
 	if err := <-errc; err == nil {
 		t.Fatal("processing error must propagate")
+	}
+}
+
+// TestIngestStrictFailsOnDisorder pins the runner's one ingest behaviour:
+// it passes batches through untouched, so an out-of-order delivery
+// reaches the substrate and fails the run, naming the offending epoch,
+// instead of being reordered or dropped.
+func TestIngestStrictFailsOnDisorder(t *testing.T) {
+	trace, s := buildTrace(t, 30)
+	delivery := []*model.Batch{trace[0], trace[2], trace[1]}
+	r := NewRunner(newSubstrate(t, s, Level1), RunnerConfig{})
+	in := make(chan *model.Batch, len(delivery))
+	out := make(chan *EpochOutput, len(delivery)+1)
+	for _, o := range delivery {
+		in <- o.Clone()
+	}
+	close(in)
+	err := r.Run(context.Background(), in, out)
+	if err == nil {
+		t.Fatal("the runner must surface non-monotone input")
+	}
+	if want := fmt.Sprintf("epoch %d", trace[1].Time); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name the offending epoch", err)
 	}
 }

@@ -19,7 +19,6 @@ import (
 type Instruments struct {
 	// Stage latency histograms, one per pipeline stage
 	// (spire_epoch_stage_seconds{stage=...}).
-	StageIngest   *telemetry.Histogram // runner ingest gate
 	StageDedup    *telemetry.Histogram // dedup + tombstone filtering
 	StageUpdate   *telemetry.Histogram // stream-driven graph update
 	StageInfer    *telemetry.Histogram // probabilistic inference pass
@@ -65,7 +64,6 @@ func NewInstruments(reg *telemetry.Registry, level CompressionLevel) *Instrument
 		levelLabel = "2"
 	}
 	return &Instruments{
-		StageIngest:   stageHistogram(reg, "ingest"),
 		StageDedup:    stageHistogram(reg, "dedup"),
 		StageUpdate:   stageHistogram(reg, "update"),
 		StageInfer:    stageHistogram(reg, "inference"),

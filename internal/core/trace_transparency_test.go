@@ -98,38 +98,38 @@ func nonTiming(snap []telemetry.MetricSnapshot) []telemetry.MetricSnapshot {
 func TestTraceTransparencyLevel1(t *testing.T) { testTraceTransparency(t, Level1) }
 func TestTraceTransparencyLevel2(t *testing.T) { testTraceTransparency(t, Level2) }
 
-// TestTraceTransparencyRunner covers the runner path — the ingest gate
-// under the repair policy over a faulted delivery — with tracing on, which
-// exercises the ObserveIngest wrapper the substrate-level test cannot.
+// TestTraceTransparencyRunner runs the runner path over a faulted
+// delivery (reader dropout bursts and lost epochs) with every tag traced
+// and requires the untraced run's bytes and one span per delivered
+// batch, each for the epoch it carried: the runner adds no span of its
+// own.
 func TestTraceTransparencyRunner(t *testing.T) {
 	obsTrace, s := buildTrace(t, 150)
-	inj := sim.NewFaultInjector(sim.FaultConfig{
+	delivery := sim.NewFaultInjector(sim.FaultConfig{
 		Seed:          7,
-		DuplicateRate: 0.15,
-		SwapRate:      0.15,
-	})
-	delivery := inj.Apply(obsTrace)
-	cfg := RunnerConfig{Ingest: IngestConfig{Policy: IngestRepair}}
+		DropoutEvery:  20,
+		DropoutLen:    3,
+		DropEpochRate: 0.1,
+	}).Apply(obsTrace)
 
-	plain, _ := runGated(t, newSubstrate(t, s, Level2), cfg, delivery)
+	plain := runDelivery(t, newSubstrate(t, s, Level2), RunnerConfig{}, delivery)
 
-	rec := trace.New(trace.Config{All: true})
+	rec := trace.New(trace.Config{All: true, Epochs: len(delivery)})
 	tracedSub := newSubstrate(t, s, Level2)
 	tracedSub.Trace(rec)
-	traced, _ := runGated(t, tracedSub, cfg, delivery)
+	traced := runDelivery(t, tracedSub, RunnerConfig{}, delivery)
 
 	if !bytes.Equal(encodeEvents(t, plain), encodeEvents(t, traced)) {
 		t.Fatalf("traced runner stream differs (%d vs %d events)", len(traced), len(plain))
 	}
-	var sawIngest bool
-	for _, sp := range rec.Spans() {
-		if sp.IngestNS > 0 {
-			sawIngest = true
-			break
-		}
+	spans := rec.Spans()
+	if len(spans) != len(delivery) {
+		t.Fatalf("%d spans for %d delivered batches", len(spans), len(delivery))
 	}
-	if !sawIngest {
-		t.Error("no span carries ingest time through the traced runner")
+	for i, sp := range spans {
+		if sp.Epoch != delivery[i].Time {
+			t.Fatalf("span %d is epoch %d, want %d", i, sp.Epoch, delivery[i].Time)
+		}
 	}
 }
 
@@ -149,13 +149,12 @@ func TestGoldenScenariosTraced(t *testing.T) {
 				delivery = sim.NewFaultInjector(*sc.faults).Apply(obsTrace)
 			}
 
-			plain, _ := runGated(t, newSubstrate(t, s, sc.level),
-				RunnerConfig{Ingest: sc.ingest}, delivery)
+			plain := runDelivery(t, newSubstrate(t, s, sc.level), RunnerConfig{}, delivery)
 
 			rec := trace.New(trace.Config{All: true})
 			sub := newSubstrate(t, s, sc.level)
 			sub.Trace(rec)
-			traced, _ := runGated(t, sub, RunnerConfig{Ingest: sc.ingest}, delivery)
+			traced := runDelivery(t, sub, RunnerConfig{}, delivery)
 
 			if !bytes.Equal(encodeEvents(t, plain), encodeEvents(t, traced)) {
 				t.Fatalf("%s: traced run changed the golden output stream", sc.name)

@@ -112,37 +112,42 @@ func TestInstrumentationTransparencyLevel2(t *testing.T) {
 	testInstrumentationTransparency(t, Level2)
 }
 
-// TestInstrumentationTransparencyRunner runs the full runner path — the
-// ingest gate under the repair policy over a faulted delivery — with and
-// without telemetry and requires byte-identical output. This covers the
-// StageIngest timing wrappers, which the substrate-level test cannot.
+// TestInstrumentationTransparencyRunner runs the runner path over a
+// faulted delivery (reader dropout bursts and lost epochs) with and
+// without telemetry and requires byte-identical output, and every stage
+// of the epoch observed once per delivered batch: the runner adds no
+// stage of its own.
 func TestInstrumentationTransparencyRunner(t *testing.T) {
 	trace, s := buildTrace(t, 150)
 	inj := sim.NewFaultInjector(sim.FaultConfig{
 		Seed:          7,
-		DuplicateRate: 0.15,
-		SwapRate:      0.15,
+		DropoutEvery:  20,
+		DropoutLen:    3,
+		DropEpochRate: 0.1,
 	})
 	delivery := inj.Apply(trace)
-	cfg := RunnerConfig{Ingest: IngestConfig{Policy: IngestRepair}}
 
-	plain, _ := runGated(t, newSubstrate(t, s, Level2), cfg, delivery)
+	plain := runDelivery(t, newSubstrate(t, s, Level2), RunnerConfig{}, delivery)
 
 	reg := telemetry.NewRegistry()
 	instSub := newSubstrate(t, s, Level2)
 	instSub.Instrument(reg)
-	inst, _ := runGated(t, instSub, cfg, delivery)
+	inst := runDelivery(t, instSub, RunnerConfig{}, delivery)
 
 	if !bytes.Equal(encodeEvents(t, plain), encodeEvents(t, inst)) {
 		t.Fatalf("instrumented runner stream differs (%d vs %d events)", len(inst), len(plain))
 	}
-	var ingested uint64
+	stages := 0
 	for _, m := range reg.Snapshot() {
-		if m.Name == "spire_epoch_stage_seconds" && m.Labels == `stage="ingest"` {
-			ingested = m.Count
+		if m.Name != "spire_epoch_stage_seconds" {
+			continue
+		}
+		stages++
+		if m.Count != uint64(len(delivery)) {
+			t.Errorf("%s observed %d times, want %d", m.Labels, m.Count, len(delivery))
 		}
 	}
-	if ingested == 0 {
-		t.Error("ingest stage never observed through the runner")
+	if stages != 5 {
+		t.Errorf("%d stage histograms, want 5", stages)
 	}
 }

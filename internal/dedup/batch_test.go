@@ -109,14 +109,15 @@ func diffAgainstReference(t *testing.T, stream []*rows) {
 }
 
 // FuzzIngestBatchEquivalence drives fault-injected delivery sequences of a
-// simulated warehouse trace (duplicated, swapped and lost epochs, dropout
-// bursts) through CleanBatch and demands the CleanReference result. The
-// faults come from the fuzzed parameters, so the fuzzer explores the space
-// of broken reader feeds — including repeated and regressing epoch stamps,
-// which the staleness window must treat identically on both sides. The
-// simulator's reader ranges never overlap, so each delivered reading is
-// also echoed into a random other reader at the fuzzed duplicate rate:
-// that is what makes the tie-break and the history decide anything.
+// simulated warehouse trace (lost epochs and dropout bursts from the
+// injector; duplicated and adjacent-swapped epochs added here) through
+// CleanBatch and demands the CleanReference result. The faults come from
+// the fuzzed parameters, so the fuzzer explores repeated and regressing
+// epoch stamps too, which the staleness window must treat identically on
+// both sides. The simulator's reader ranges never overlap, so each
+// delivered reading is also echoed into a random other reader at the
+// fuzzed duplicate rate: that is what makes the tie-break and the history
+// decide anything.
 // Every cleaned epoch must also hold each tag at most once, the contract
 // graph.UpdateBatch relies on.
 func FuzzIngestBatchEquivalence(f *testing.F) {
@@ -146,23 +147,30 @@ func FuzzIngestBatchEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, dup, swap, drop, burstEvery, burstLen byte) {
 		fcfg := sim.FaultConfig{
 			Seed:          seed,
-			DuplicateRate: float64(dup%64) / 100,
-			SwapRate:      float64(swap%64) / 100,
 			DropEpochRate: float64(drop%32) / 100,
 			DropoutEvery:  model.Epoch(burstEvery % 20),
 			DropoutLen:    model.Epoch(burstLen % 5),
 		}
+		dupRate, swapRate := float64(dup%64)/100, float64(swap%64)/100
 		rng := rand.New(rand.NewSource(seed))
 		readers := s.Readers()
 		var delivery []*rows
 		for _, b := range sim.NewFaultInjector(fcfg).Apply(trace) {
 			o := rowsOf(b)
 			for _, rd := range b.Readings() {
-				if rng.Float64() < fcfg.DuplicateRate {
+				if rng.Float64() < dupRate {
 					o.Add(readers[rng.Intn(len(readers))].ID, rd.Tag)
 				}
 			}
 			delivery = append(delivery, o)
+			if rng.Float64() < dupRate {
+				delivery = append(delivery, o.Clone())
+			}
+		}
+		for i := 0; i+1 < len(delivery); i++ {
+			if rng.Float64() < swapRate {
+				delivery[i], delivery[i+1] = delivery[i+1], delivery[i]
+			}
 		}
 		diffAgainstReference(t, delivery)
 	})

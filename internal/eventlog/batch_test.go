@@ -113,7 +113,7 @@ func TestAppendMatchesPerRecordWriter(t *testing.T) {
 					if err := l.Close(); err != nil {
 						t.Fatal(err)
 					}
-					return readSegments(t, dir), rec.syncs, l.Appended()
+					return readSegments(t, dir), rec.syncs, l.appended
 				}
 				gotSegs, gotSyncs, gotN := run((*Log).Append)
 				wantSegs, wantSyncs, wantN := run(appendPerRecord)
@@ -129,7 +129,7 @@ func TestAppendMatchesPerRecordWriter(t *testing.T) {
 					t.Fatalf("first segment synced at %v, per-record writer at %v", gotSyncs, wantSyncs)
 				}
 				if gotN != wantN || gotN != int64(len(evs)) {
-					t.Fatalf("Appended = %d, per-record writer %d, events %d", gotN, wantN, len(evs))
+					t.Fatalf("appended = %d, per-record writer %d, events %d", gotN, wantN, len(evs))
 				}
 			})
 		}
@@ -233,7 +233,7 @@ func (w *shortWriter) Write(p []byte) (int, error) {
 }
 
 // TestAppendCountsOnlyWrittenRecords: when a batch's write fails
-// part-way, Appended counts only the whole records that reached the file,
+// part-way, appended counts only the whole records that reached the file,
 // and reopening the log recovers exactly those.
 func TestAppendCountsOnlyWrittenRecords(t *testing.T) {
 	evs := sampleEvents(12)
@@ -252,9 +252,9 @@ func TestAppendCountsOnlyWrittenRecords(t *testing.T) {
 		if whole > 0 {
 			size = int64(ends[whole-1])
 		}
-		if l.Appended() != int64(whole) || l.unsynced != whole || l.segSize != size {
-			t.Fatalf("room %d: Appended = %d, unsynced = %d, segSize = %d; %d whole records (%d bytes) reached the file",
-				room, l.Appended(), l.unsynced, l.segSize, whole, size)
+		if l.appended != int64(whole) || l.unsynced != whole || l.segSize != size {
+			t.Fatalf("room %d: appended = %d, unsynced = %d, segSize = %d; %d whole records (%d bytes) reached the file",
+				room, l.appended, l.unsynced, l.segSize, whole, size)
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
@@ -287,8 +287,8 @@ func TestInvalidEventMidBatch(t *testing.T) {
 		if err := l.Append(evs[0], evs[1], event.Event{Kind: event.StartLocation}, evs[2]); err == nil {
 			t.Fatalf("%+v: invalid event must be rejected", opts)
 		}
-		if l.Appended() != 0 {
-			t.Fatalf("%+v: Appended = %d after a rejected call, want 0", opts, l.Appended())
+		if l.appended != 0 {
+			t.Fatalf("%+v: appended = %d after a rejected call, want 0", opts, l.appended)
 		}
 		if got := replayAll(t, dir); len(got) != 0 {
 			t.Fatalf("%+v: a rejected call wrote %v", opts, got)

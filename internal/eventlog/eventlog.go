@@ -257,9 +257,6 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Appended returns the number of events appended by this Log instance.
-func (l *Log) Appended() int64 { return l.appended }
-
 // Dir returns the log directory.
 func (l *Log) Dir() string { return l.dir }
 

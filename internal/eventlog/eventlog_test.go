@@ -47,8 +47,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if err := l.Append(want...); err != nil {
 		t.Fatal(err)
 	}
-	if l.Appended() != 100 {
-		t.Errorf("Appended = %d, want 100", l.Appended())
+	if l.appended != 100 {
+		t.Errorf("appended = %d, want 100", l.appended)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

@@ -181,10 +181,6 @@ type Edge struct {
 	InferStamp uint64
 }
 
-// Confirmed reports whether this edge is the confirmed parent edge of its
-// child (drawn with double arrows in the paper's figures).
-func (e *Edge) Confirmed() bool { return e.Child.ConfirmedEdge == e }
-
 // colocatedAt reports whether an update in epoch now found both ends of e
 // read at one location.
 func (e *Edge) colocatedAt(now model.Epoch) bool { return e.UpdateTime == now && e.History&1 != 0 }

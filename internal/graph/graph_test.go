@@ -250,9 +250,6 @@ func TestConfirmingReaderSetsParentAndPrunes(t *testing.T) {
 	if n4.ConfirmedAt != 2 || n4.Conflicts != 0 {
 		t.Errorf("confirmation bookkeeping: at %d conflicts %d", n4.ConfirmedAt, n4.Conflicts)
 	}
-	if !e.Confirmed() {
-		t.Error("Edge.Confirmed must report true for the confirmed edge")
-	}
 }
 
 func TestConfirmingReaderAmbiguousGroupDoesNothing(t *testing.T) {

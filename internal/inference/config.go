@@ -96,6 +96,15 @@ func (m Mode) String() string {
 // Schedule decides, per epoch, whether to run complete or partial
 // inference: complete in epochs that are a multiple of the least common
 // multiple M of all reader periods, partial otherwise (§IV-D).
+//
+// A complete epoch assumes the reader phases are aligned: every periodic
+// reader fires on the multiples of its period, so at a multiple of M each
+// has just read. A deployment whose readers fire on their own phase
+// breaks that. Its complete epoch finds most of them long unread, marks
+// their objects missing, and the next scan of each reader reports them
+// again. The Table III grower staggers its shelves this way, so that
+// table's compress column measures this Missing/reappear churn rather
+// than a steady state.
 type Schedule struct {
 	m model.Epoch
 }

@@ -109,11 +109,8 @@ func TestWorldEnterAndLookup(t *testing.T) {
 	if st.Entered != 5 {
 		t.Errorf("Entered = %d, want 5", st.Entered)
 	}
-	if !w.Resides(10, 0) {
-		t.Error("object should reside at location 0")
-	}
-	if w.Resides(10, 1) {
-		t.Error("object should not reside at location 1")
+	if got := w.LocationOf(10); got != 0 {
+		t.Errorf("object resides at %v, want location 0", got)
 	}
 	if _, err := w.Enter(10, LevelCase, 0); err == nil {
 		t.Error("duplicate Enter must fail")
@@ -138,11 +135,8 @@ func TestWorldContainMovesSubtree(t *testing.T) {
 	if got := w.LocationOf(3); got != 0 {
 		t.Errorf("item location = %v, want L0 (moved with its case)", got)
 	}
-	if !w.Contained(3, 2, 0) {
-		t.Error("Contained(3,2,L0) should hold")
-	}
-	if w.Contained(3, 1, 0) {
-		t.Error("Contained is direct containment only; item is not directly in the pallet")
+	if got := w.ParentOf(3); got != 2 {
+		t.Errorf("item's direct container = %d, want case 2 (not the pallet)", got)
 	}
 	if got := topLevelContainer(w, 3); got != 1 {
 		t.Errorf("topLevelContainer(3) = %d, want 1", got)

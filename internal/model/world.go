@@ -136,22 +136,6 @@ func (w *World) Steal(tag Tag) error {
 // Lookup returns the ground-truth state of a tag, or nil if absent.
 func (w *World) Lookup(tag Tag) *ObjectState { return w.objects[tag] }
 
-// Resides implements the paper's _resides(o, l, t) for t = now.
-func (w *World) Resides(tag Tag, loc LocationID) bool {
-	st, ok := w.objects[tag]
-	return ok && st.Location == loc
-}
-
-// Contained implements the paper's _contained(o_i, o_j, l, t) for t = now:
-// true iff o_i is directly contained in o_j and both are at loc.
-func (w *World) Contained(inner, outer Tag, loc LocationID) bool {
-	st, ok := w.objects[inner]
-	if !ok || st.Parent != outer {
-		return false
-	}
-	return st.Location == loc && w.Resides(outer, loc)
-}
-
 // ParentOf returns the ground-truth direct container of tag (NoTag if
 // none or if the tag is absent).
 func (w *World) ParentOf(tag Tag) Tag {

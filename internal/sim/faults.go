@@ -7,10 +7,10 @@ import (
 	"spire/internal/stream"
 )
 
-// Fault injection for ingest hardening tests. A FaultInjector perturbs a
-// clean per-epoch batch trace the way a real reader deployment fails:
-// whole-reader dropout bursts, duplicated deliveries, adjacent swaps
-// (out-of-order arrival), and lost epochs. It is deterministic under a
+// Fault injection. A FaultInjector perturbs a clean per-epoch batch
+// trace the way a reader deployment loses data: whole-reader dropout
+// bursts and lost epochs. The delivered sequence stays in epoch order,
+// as the reader feed guarantees. The injector is deterministic under a
 // fixed seed and never mutates the input trace — every emitted batch is
 // a fresh clone, since the substrate consumes batches destructively.
 
@@ -25,38 +25,16 @@ type FaultConfig struct {
 	DropoutEvery model.Epoch
 	DropoutLen   model.Epoch
 
-	// DuplicateRate is the per-batch probability of being delivered
-	// twice in a row.
-	DuplicateRate float64
-
-	// SwapRate is the per-position probability of swapping a batch with
-	// its successor in delivery order (out-of-order arrival).
-	SwapRate float64
-
 	// DropEpochRate is the per-batch probability of the whole
 	// epoch's delivery being lost (an epoch gap).
 	DropEpochRate float64
 }
 
-// FaultStats counts the faults Apply actually injected — the ground
-// truth the ingest-gate accounting tests reconcile IngestStats against.
-type FaultStats struct {
-	Duplicates    int64 // batches delivered twice
-	DroppedEpochs int64 // whole-epoch deliveries lost
-	Swaps         int64 // adjacent delivery-order swaps performed
-	DropoutEpochs int64 // reader-epochs silenced by dropout bursts
-}
-
 // FaultInjector applies a FaultConfig to batch traces.
 type FaultInjector struct {
-	cfg   FaultConfig
-	rng   *rand.Rand
-	stats FaultStats
+	cfg FaultConfig
+	rng *rand.Rand
 }
-
-// Stats returns the faults injected so far, accumulated across Apply
-// calls.
-func (f *FaultInjector) Stats() FaultStats { return f.stats }
 
 // NewFaultInjector builds an injector.
 func NewFaultInjector(cfg FaultConfig) *FaultInjector {
@@ -81,29 +59,15 @@ func (f *FaultInjector) Apply(trace []*model.Batch) []*model.Batch {
 		c := model.NewBatch(b.Time)
 		for i, g := range b.Groups {
 			if dropout && g.Reader == burstVictim {
-				f.stats.DropoutEpochs++
 				continue
 			}
 			c.AppendGroup(g.Reader, b.GroupTags(i))
 		}
 
 		if f.cfg.DropEpochRate > 0 && f.rng.Float64() < f.cfg.DropEpochRate {
-			f.stats.DroppedEpochs++
 			continue
 		}
 		out = append(out, c)
-		if f.cfg.DuplicateRate > 0 && f.rng.Float64() < f.cfg.DuplicateRate {
-			out = append(out, c.Clone())
-			f.stats.Duplicates++
-		}
-	}
-	if f.cfg.SwapRate > 0 {
-		for i := 0; i+1 < len(out); i++ {
-			if f.rng.Float64() < f.cfg.SwapRate {
-				out[i], out[i+1] = out[i+1], out[i]
-				f.stats.Swaps++
-			}
-		}
 	}
 	return out
 }

@@ -32,8 +32,6 @@ func TestFaultInjectorDeterministicAndNonMutating(t *testing.T) {
 		Seed:          5,
 		DropoutEvery:  10,
 		DropoutLen:    2,
-		DuplicateRate: 0.3,
-		SwapRate:      0.3,
 		DropEpochRate: 0.1,
 	}
 	a := NewFaultInjector(cfg).Apply(trace)
@@ -52,7 +50,7 @@ func TestFaultInjectorDeterministicAndNonMutating(t *testing.T) {
 			}
 		}
 	}
-	other := NewFaultInjector(FaultConfig{Seed: 6, DuplicateRate: 0.3, SwapRate: 0.3}).Apply(trace)
+	other := NewFaultInjector(FaultConfig{Seed: 6, DropEpochRate: 0.3}).Apply(trace)
 	if reflect.DeepEqual(a, other) {
 		t.Fatal("different seeds should produce different schedules")
 	}
@@ -61,25 +59,16 @@ func TestFaultInjectorDeterministicAndNonMutating(t *testing.T) {
 func TestFaultInjectorFaultKinds(t *testing.T) {
 	trace := syntheticTrace(100)
 
-	dup := NewFaultInjector(FaultConfig{Seed: 1, DuplicateRate: 0.5}).Apply(trace)
-	if len(dup) <= len(trace) {
-		t.Errorf("duplicates: %d batches from %d", len(dup), len(trace))
-	}
-
+	// Lost epochs leave gaps; what survives is still delivered in
+	// strictly increasing epoch order.
 	lossy := NewFaultInjector(FaultConfig{Seed: 1, DropEpochRate: 0.3}).Apply(trace)
 	if len(lossy) >= len(trace) {
 		t.Errorf("epoch drops: %d batches from %d", len(lossy), len(trace))
 	}
-
-	swapped := NewFaultInjector(FaultConfig{Seed: 1, SwapRate: 0.5}).Apply(trace)
-	inversions := 0
-	for i := 0; i+1 < len(swapped); i++ {
-		if swapped[i].Time > swapped[i+1].Time {
-			inversions++
+	for i := 1; i < len(lossy); i++ {
+		if lossy[i].Time <= lossy[i-1].Time {
+			t.Fatalf("delivery out of epoch order: %d after %d", lossy[i].Time, lossy[i-1].Time)
 		}
-	}
-	if inversions == 0 {
-		t.Error("swaps produced no out-of-order deliveries")
 	}
 
 	dropped := NewFaultInjector(FaultConfig{Seed: 1, DropoutEvery: 10, DropoutLen: 3}).Apply(trace)

@@ -255,15 +255,7 @@ func (s *Simulator) observeBatch(b *model.Batch) {
 		if !r.Active(s.now) {
 			continue
 		}
-		interrogations := s.cfg.NonShelfInterrogations
-		if r.Period > 1 {
-			interrogations = 1
-		}
-		miss := 1.0
-		for k := 0; k < interrogations; k++ {
-			miss *= 1 - r.ReadRate
-		}
-		detect := 1 - miss
+		detect := s.detectProb(r)
 		b.BeginReader(r.ID)
 		for _, g := range s.world.At(r.Location) {
 			if s.rng.Float64() < detect {
@@ -271,6 +263,21 @@ func (s *Simulator) observeBatch(b *model.Batch) {
 			}
 		}
 	}
+}
+
+// detectProb is the chance that reader r detects a present tag in one
+// epoch: a periodic (shelf) reader interrogates once, any other reader
+// NonShelfInterrogations times, each with probability ReadRate.
+func (s *Simulator) detectProb(r *model.Reader) float64 {
+	interrogations := s.cfg.NonShelfInterrogations
+	if r.Period > 1 {
+		interrogations = 1
+	}
+	miss := 1.0
+	for k := 0; k < interrogations; k++ {
+		miss *= 1 - r.ReadRate
+	}
+	return 1 - miss
 }
 
 // advance applies the epoch's world transitions.

@@ -132,15 +132,7 @@ func (z *ZoneBatchStream) NextBatch() (*model.Batch, error) {
 		if !r.Active(z.next) {
 			continue
 		}
-		interrogations := s.cfg.NonShelfInterrogations
-		if r.Period > 1 {
-			interrogations = 1
-		}
-		miss := 1.0
-		for k := 0; k < interrogations; k++ {
-			miss *= 1 - r.ReadRate
-		}
-		detect := 1 - miss
+		detect := s.detectProb(r)
 		rng := f.readerRNG(r.ID)
 		z.b.BeginReader(r.ID)
 		z.tags = s.world.AtAppend(z.tags[:0], r.Location)

@@ -126,10 +126,6 @@ func NewReader(r io.Reader) *Reader {
 // a *CorruptError it is also the index of the record that failed.
 func (r *Reader) Count() int64 { return r.count }
 
-// Offset returns the byte offset of the next record boundary — the number
-// of bytes consumed by successful decodes.
-func (r *Reader) Offset() int64 { return r.count * ReadingSize }
-
 // Read decodes the next reading. It returns io.EOF at a clean end of
 // stream, and a *CorruptError (wrapping ErrCorrupt) carrying the record
 // index and byte offset if the stream ends mid-record.

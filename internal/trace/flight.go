@@ -30,7 +30,6 @@ type Span struct {
 	Retired  int64 `json:"retired,omitempty"`
 
 	// Per-stage wall-clock nanoseconds (the pipeline of Fig. 2).
-	IngestNS   int64 `json:"ingest_ns,omitempty"`
 	DedupNS    int64 `json:"dedup_ns,omitempty"`
 	UpdateNS   int64 `json:"update_ns,omitempty"`
 	InferNS    int64 `json:"infer_ns,omitempty"`

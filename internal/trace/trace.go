@@ -230,11 +230,10 @@ type Recorder struct {
 	cfg    Config
 	filter map[model.Tag]bool // nil when all or when no per-tag tracing
 
-	mu         sync.Mutex
-	records    ring.Ring[Record] // the provenance window over traced tags
-	flight     ring.Ring[Span]
-	pendIngest int64 // ingest ns observed since the last span
-	lastEpoch  model.Epoch
+	mu        sync.Mutex
+	records   ring.Ring[Record] // the provenance window over traced tags
+	flight    ring.Ring[Span]
+	lastEpoch model.Epoch
 }
 
 // New creates a Recorder.
@@ -288,17 +287,6 @@ func (rec *Recorder) Record(r Record) {
 	rec.mu.Unlock()
 }
 
-// ObserveIngest accumulates ingest-gate time for the next span; the
-// runner calls it once per gated delivery. No-op on a nil receiver.
-func (rec *Recorder) ObserveIngest(ns int64) {
-	if rec == nil {
-		return
-	}
-	rec.mu.Lock()
-	rec.pendIngest += ns
-	rec.mu.Unlock()
-}
-
 // EndEpoch flags span's anomalies and pushes it onto the flight ring
 // (overwriting the oldest span at capacity). The caller fills everything
 // else. No-op on a nil receiver.
@@ -313,8 +301,6 @@ func (rec *Recorder) EndEpoch(span Span) {
 		span.Anomalies = append(span.Anomalies, AnomalyEdgeChurn)
 	}
 	rec.mu.Lock()
-	span.IngestNS += rec.pendIngest
-	rec.pendIngest = 0
 	if rec.lastEpoch != model.EpochNone && span.Epoch > rec.lastEpoch+1 {
 		span.Anomalies = append(span.Anomalies, AnomalyEpochGap)
 	}

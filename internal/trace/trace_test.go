@@ -59,7 +59,6 @@ func TestParseTags(t *testing.T) {
 func TestNilRecorderNoOps(t *testing.T) {
 	var rec *Recorder
 	rec.Record(Record{Tag: 1, Mech: MechDirectRead})
-	rec.ObserveIngest(100)
 	rec.EndEpoch(Span{Epoch: 1})
 	if rec.Traces(1) {
 		t.Error("nil recorder must trace nothing")
@@ -198,14 +197,6 @@ func TestEndEpochCountersAndAnomalies(t *testing.T) {
 	wantAnoms := map[string]bool{AnomalyEdgeChurn: true, AnomalyEpochGap: true}
 	if len(sp.Anomalies) != 2 || !wantAnoms[sp.Anomalies[0]] || !wantAnoms[sp.Anomalies[1]] {
 		t.Errorf("anomalies = %v, want edge-churn + epoch-gap", sp.Anomalies)
-	}
-
-	// Ingest time accumulated before EndEpoch lands on the next span.
-	rec.ObserveIngest(150)
-	rec.ObserveIngest(50)
-	rec.EndEpoch(Span{Epoch: 6})
-	if got := last().IngestNS; got != 200 {
-		t.Errorf("ingest ns = %d, want 200", got)
 	}
 }
 
